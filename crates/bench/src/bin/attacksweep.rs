@@ -25,8 +25,8 @@
 //! given).
 //!
 //! `--scattered` swaps the matrix for the scattered two-share rows
-//! ([`AttackConfig::scattered_matrix`]): the `ScatteredTwoShare`
-//! protection backend under battery-backed and write-through liveness
+//! ([`AttackConfig::scattered_matrix`]): the `Scattered` protection
+//! mode under battery-backed and write-through liveness
 //! metadata, healing pressure, and a 4-shard controller. Stolen-DIMM
 //! attacks against shredded pages must classify `defended` there too.
 //!

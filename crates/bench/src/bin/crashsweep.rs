@@ -27,8 +27,8 @@
 //!
 //! `--scattered` swaps the matrix for the scattered two-share rows
 //! ([`CrashConfig::scattered_matrix`]): ADR write-through, ADR battery,
-//! eADR, and a 4-shard ADR row, all with the `ScatteredTwoShare`
-//! protection backend, so torn cuts between the two share persists are
+//! eADR, and a 4-shard ADR row, all with the `Scattered` protection
+//! mode, so torn cuts between the two share persists are
 //! exercised too.
 //!
 //! `--weakened` swaps the matrix for the deliberately broken

@@ -28,7 +28,7 @@
 //!
 //! `--scattered` swaps the matrix for the scattered two-share rows
 //! ([`HarnessConfig::scattered_matrix`]): every counter-persistence
-//! flavor of the `ScatteredTwoShare` protection backend, with and
+//! flavor of the `Scattered` protection mode, with and
 //! without integrity, plus a healing-pressure row.
 //!
 //! `--trace` (replay mode only) enables the controller's event trace

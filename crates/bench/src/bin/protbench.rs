@@ -6,8 +6,8 @@
 //!
 //! Runs the same tenant-teardown workload (16 tenants x 112 pages,
 //! 8 dirty lines per page, seed `0xC0_50_11` — the shardbench
-//! consolidation shape) against one controller per
-//! [`ss_core::MemoryProtection`] backend and reports four phases each:
+//! consolidation shape) against one controller per shredding
+//! [`ss_core::ProtectionMode`] and reports four phases each:
 //!
 //! * **fill** — demand-write every dirty line of every tenant page;
 //! * **service** — read every dirty line back (round-trip checked
@@ -104,8 +104,8 @@ fn workload() -> Vec<(u64, Vec<DirtyLine>)> {
 /// every column is an apples-to-apples comparison.
 fn config(protection: ProtectionMode) -> ss_core::ControllerConfig {
     let builder = match protection {
-        ProtectionMode::ScatteredTwoShare => ControllerConfigBuilder::scattered(),
-        ProtectionMode::CounterMode => ControllerConfigBuilder::small_test(),
+        ProtectionMode::Scattered => ControllerConfigBuilder::scattered(),
+        other => ControllerConfigBuilder::small_test().protection(other),
     };
     builder
         .data_capacity(8 << 20)
@@ -276,8 +276,8 @@ fn main() -> ExitCode {
 
     let mut rows = Vec::new();
     for (protection, label) in [
-        (ProtectionMode::CounterMode, "counter"),
-        (ProtectionMode::ScatteredTwoShare, "scattered"),
+        (ProtectionMode::Ctr, "counter"),
+        (ProtectionMode::Scattered, "scattered"),
     ] {
         match run(protection, label) {
             Ok(row) => rows.push(row),

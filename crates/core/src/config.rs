@@ -5,38 +5,25 @@ use ss_nvm::{EccConfig, NvmTiming};
 
 use crate::heal::RetryPolicy;
 
-/// How lines are encrypted on their way to NVM.
+/// How the controller protects lines on their way to NVM
+/// (DESIGN.md §15).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EncryptionMode {
-    /// No encryption (vulnerable to remanence attacks; the pre-security
-    /// baseline).
-    None,
+pub enum ProtectionMode {
+    /// No protection: lines are stored in the clear (vulnerable to
+    /// remanence attacks; the pre-security baseline).
+    Plain,
     /// Direct/ECB encryption: secure against casual scanning but leaks
     /// equality and adds decryption latency to the miss path (§2.2).
     Ecb,
-    /// Counter-mode encryption (the paper's assumed design).
-    Ctr,
-}
-
-/// Which memory-protection backend the controller runs
-/// (DESIGN.md §15). The backend owns the encrypt-on-write /
-/// decrypt-on-read / shred / rescue-remap / recovery-reverify surface
-/// behind the [`crate::protection::MemoryProtection`] trait.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ProtectionMode {
     /// The paper's design: counter-mode AES-CTR with per-page major and
     /// per-block minor counters, shred = major bump + minor reset.
-    /// Behaviour is governed by the [`EncryptionMode`] axis exactly as
-    /// before the trait existed.
-    CounterMode,
+    Ctr,
     /// Scattered two-share memory (cf. *Secure Scattered Memory*,
     /// arXiv:2402.15824): every line is secret-shared into a
     /// uniform-random share in the data region and an XOR-masked share
     /// in a disjoint mask region. Either share alone is a one-time pad
-    /// of nothing; shred = discard the masked share. Requires
-    /// `encryption == None` — the split *is* the confidentiality
-    /// mechanism.
-    ScatteredTwoShare,
+    /// of nothing; shred = discard the masked share.
+    Scattered,
 }
 
 /// Which §4.2 design option a shred command applies to the counters.
@@ -96,15 +83,12 @@ pub enum CounterPersistence {
 pub struct ControllerConfig {
     /// Bytes of data memory behind the controller (frames × 4 KiB).
     pub data_capacity: u64,
-    /// Encryption mode.
-    pub encryption: EncryptionMode,
-    /// Memory-protection backend. [`ProtectionMode::CounterMode`] (the
-    /// default) reproduces the paper's controller byte for byte;
-    /// [`ProtectionMode::ScatteredTwoShare`] secret-shares lines across
-    /// two NVM regions instead of encrypting them.
+    /// How lines are protected in NVM. [`ProtectionMode::Ctr`] (the
+    /// default) is the paper's controller.
     pub protection: ProtectionMode,
     /// Whether the Silent Shredder mechanism (shred command + zero-fill
-    /// reads) is enabled. Requires `encryption == Ctr`.
+    /// reads) is enabled. Requires per-line metadata:
+    /// [`ProtectionMode::Ctr`] or [`ProtectionMode::Scattered`].
     pub shredder: bool,
     /// Shred strategy (only meaningful when `shredder`).
     pub shred_strategy: ShredStrategy,
@@ -181,8 +165,7 @@ impl Default for ControllerConfig {
     fn default() -> Self {
         ControllerConfig {
             data_capacity: 1 << 30,
-            encryption: EncryptionMode::Ctr,
-            protection: ProtectionMode::CounterMode,
+            protection: ProtectionMode::Ctr,
             shredder: true,
             shred_strategy: ShredStrategy::MajorBumpResetMinors,
             counter_cache_bytes: 4 << 20,
@@ -236,21 +219,19 @@ impl ControllerConfig {
     /// demonstrations).
     pub fn plain() -> Self {
         ControllerConfig {
-            encryption: EncryptionMode::None,
+            protection: ProtectionMode::Plain,
             shredder: false,
             integrity: false,
             ..ControllerConfig::default()
         }
     }
 
-    /// The scattered two-share backend: lines are secret-shared across
-    /// two NVM regions, shred = discard the masked share. Keeps the
-    /// shred command and liveness-metadata integrity on; encryption is
-    /// `None` because the split is the confidentiality mechanism.
+    /// The scattered two-share mode: lines are secret-shared across two
+    /// NVM regions, shred = discard the masked share. Keeps the shred
+    /// command and liveness-metadata integrity on.
     pub fn scattered() -> Self {
         ControllerConfig {
-            protection: ProtectionMode::ScatteredTwoShare,
-            encryption: EncryptionMode::None,
+            protection: ProtectionMode::Scattered,
             shredder: true,
             ..ControllerConfig::default()
         }
@@ -276,36 +257,39 @@ impl ControllerConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidConfig`] when the shredder is enabled
-    /// without counter mode, the capacity is not page-aligned or zero, or
-    /// DEUCE is combined with a non-CTR mode.
+    /// Returns [`Error::InvalidConfig`] when the capacity is not
+    /// page-aligned or zero, the shredder is enabled without per-line
+    /// metadata (`Ctr` or `Scattered`), DEUCE is combined with a non-CTR
+    /// mode, or a mode is paired with machinery it cannot keep
+    /// consistent (DESIGN.md §13, §15).
     pub fn validate(&self) -> Result<()> {
         if self.data_capacity == 0 || !self.data_capacity.is_multiple_of(PAGE_SIZE as u64) {
             return Err(Error::InvalidConfig {
                 detail: format!("data capacity {} not page aligned", self.data_capacity),
             });
         }
-        if self.protection == ProtectionMode::ScatteredTwoShare {
-            // The scattered backend's share split is the confidentiality
-            // mechanism; the counter-mode axes it replaces must be off,
-            // and the machinery it has no share-consistent story for
-            // (DEUCE chunk metadata, write-queue coalescing, Start-Gap
-            // moves) is rejected at this single choke point.
-            if self.encryption != EncryptionMode::None {
-                return Err(Error::InvalidConfig {
-                    detail: "scattered two-share mode replaces encryption; set encryption to None"
-                        .into(),
-                });
-            }
+        let per_line_metadata = matches!(
+            self.protection,
+            ProtectionMode::Ctr | ProtectionMode::Scattered
+        );
+        if self.shredder && !per_line_metadata {
+            return Err(Error::InvalidConfig {
+                detail: "silent shredder requires counter-mode or scattered protection".into(),
+            });
+        }
+        if self.deuce && self.protection != ProtectionMode::Ctr {
+            return Err(Error::InvalidConfig {
+                detail: "deuce requires counter-mode encryption".into(),
+            });
+        }
+        if self.protection == ProtectionMode::Scattered {
+            // Machinery the share split has no share-consistent story
+            // for (write-queue coalescing, Start-Gap moves, partial
+            // minor bumps) is rejected at this single choke point.
             if self.shredder && self.shred_strategy != ShredStrategy::MajorBumpResetMinors {
                 return Err(Error::InvalidConfig {
                     detail: "scattered shredding requires the major-bump-reset-minors strategy"
                         .into(),
-                });
-            }
-            if self.deuce {
-                return Err(Error::InvalidConfig {
-                    detail: "DEUCE partial re-encryption does not apply to scattered shares".into(),
                 });
             }
             if self.write_queue.is_some() {
@@ -319,19 +303,6 @@ impl ControllerConfig {
                         .into(),
                 });
             }
-        }
-        if self.protection == ProtectionMode::CounterMode
-            && self.shredder
-            && self.encryption != EncryptionMode::Ctr
-        {
-            return Err(Error::InvalidConfig {
-                detail: "silent shredder requires counter-mode encryption".into(),
-            });
-        }
-        if self.deuce && self.encryption != EncryptionMode::Ctr {
-            return Err(Error::InvalidConfig {
-                detail: "deuce requires counter-mode encryption".into(),
-            });
         }
         if self.deuce_epoch == 0 {
             return Err(Error::InvalidConfig {
@@ -352,7 +323,7 @@ impl ControllerConfig {
             // drop ciphertext whose counters already advanced; DEUCE
             // chunk metadata and Start-Gap moves mutate mapping state
             // with no journaled pre-image.
-            if self.write_queue.is_some() && self.encryption == EncryptionMode::Ctr {
+            if self.write_queue.is_some() && self.protection == ProtectionMode::Ctr {
                 return Err(Error::InvalidConfig {
                     detail: "ADR domain cannot cover an encrypted (counter-mode) write queue; \
                              use eADR or drop the queue"
@@ -506,8 +477,7 @@ impl ShardedConfig {
 /// let cfg = ControllerConfig::builder()
 ///     .data_capacity(1 << 20)
 ///     .counter_cache_bytes(16 << 10)
-///     .protection(ProtectionMode::ScatteredTwoShare)
-///     .encryption(ss_core::EncryptionMode::None)
+///     .protection(ProtectionMode::Scattered)
 ///     .build()
 ///     .expect("valid scattered config");
 /// assert!(cfg.shredder);
@@ -557,13 +527,7 @@ impl ControllerConfigBuilder {
         self
     }
 
-    /// Sets the encryption mode.
-    pub fn encryption(mut self, mode: EncryptionMode) -> Self {
-        self.cfg.encryption = mode;
-        self
-    }
-
-    /// Selects the memory-protection backend.
+    /// Sets the protection mode.
     pub fn protection(mut self, mode: ProtectionMode) -> Self {
         self.cfg.protection = mode;
         self
@@ -732,13 +696,16 @@ impl ShardedConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::MemoryController;
+    use crate::wqueue::WriteQueueConfig;
+    use ss_common::{PageId, BLOCKS_PER_PAGE, LINE_SIZE};
 
     #[test]
     fn default_is_valid_shredder() {
         let c = ControllerConfig::default();
         assert!(c.validate().is_ok());
         assert!(c.shredder);
-        assert_eq!(c.encryption, EncryptionMode::Ctr);
+        assert_eq!(c.protection, ProtectionMode::Ctr);
         assert_eq!(c.counter_cache_bytes, 4 << 20);
     }
 
@@ -747,15 +714,10 @@ mod tests {
         assert!(ControllerConfig::small_test().validate().is_ok());
         assert!(ControllerConfig::encrypted_baseline().validate().is_ok());
         assert!(ControllerConfig::plain().validate().is_ok());
-    }
-
-    #[test]
-    fn shredder_requires_ctr() {
-        let c = ControllerConfig {
-            encryption: EncryptionMode::Ecb,
-            ..ControllerConfig::default()
-        };
-        assert!(c.validate().is_err());
+        let s = ControllerConfig::scattered();
+        assert!(s.validate().is_ok());
+        assert_eq!(s.protection, ProtectionMode::Scattered);
+        assert!(s.shredder);
     }
 
     #[test]
@@ -837,72 +799,149 @@ mod tests {
         assert!(good.validate().is_ok());
     }
 
-    #[test]
-    fn scattered_preset_is_valid_and_axes_are_rejected() {
-        let s = ControllerConfig::scattered();
-        assert!(s.validate().is_ok());
-        assert_eq!(s.protection, ProtectionMode::ScatteredTwoShare);
-        assert_eq!(s.encryption, EncryptionMode::None);
-        assert!(s.shredder);
-
-        // Scattered replaces encryption entirely.
-        for mode in [EncryptionMode::Ecb, EncryptionMode::Ctr] {
-            let bad = ControllerConfig {
-                encryption: mode,
-                ..ControllerConfig::scattered()
-            };
-            assert!(bad.validate().is_err(), "{mode:?} must be rejected");
+    /// Every combination of the axes `validate` cross-checks, on the
+    /// `small_test` footprint: protection mode × shredder × DEUCE ×
+    /// write queue × wear levelling × persistence domain × shred
+    /// strategy.
+    fn axis_combinations() -> Vec<ControllerConfig> {
+        fn expand<T: Copy>(
+            configs: Vec<ControllerConfig>,
+            values: &[T],
+            set: impl Fn(&mut ControllerConfig, T),
+        ) -> Vec<ControllerConfig> {
+            let mut out = Vec::new();
+            for c in configs {
+                for &v in values {
+                    let mut c = c.clone();
+                    set(&mut c, v);
+                    out.push(c);
+                }
+            }
+            out
         }
-        // Only the major-bump-reset-minors strategy keeps the liveness
-        // metadata shred-consistent.
-        let bad_strategy = ControllerConfig {
-            shred_strategy: ShredStrategy::MajorBumpOnly,
-            ..ControllerConfig::scattered()
+        let modes = [
+            ProtectionMode::Plain,
+            ProtectionMode::Ecb,
+            ProtectionMode::Ctr,
+            ProtectionMode::Scattered,
+        ];
+        let strategies = [
+            ShredStrategy::MinorIncrementAll,
+            ShredStrategy::MajorBumpOnly,
+            ShredStrategy::MajorBumpResetMinors,
+        ];
+        let mut all = vec![ControllerConfig::small_test()];
+        all = expand(all, &modes, |c, v| c.protection = v);
+        all = expand(all, &[false, true], |c, v| c.shredder = v);
+        all = expand(all, &[false, true], |c, v| c.deuce = v);
+        all = expand(all, &[None, Some(WriteQueueConfig::default())], |c, v| {
+            c.write_queue = v;
+        });
+        all = expand(all, &[false, true], |c, v| c.wear_leveling = v);
+        all = expand(all, &[PersistDomain::Eadr, PersistDomain::Adr], |c, v| {
+            c.persist_domain = v;
+        });
+        expand(all, &strategies, |c, v| c.shred_strategy = v)
+    }
+
+    /// The acceptance rules of DESIGN.md §13 (ADR) and §15 (protection
+    /// modes), restated independently of `validate`.
+    fn documented_valid(c: &ControllerConfig) -> bool {
+        use ProtectionMode::{Ctr, Scattered};
+        let adr = c.persist_domain == PersistDomain::Adr;
+        let queued = c.write_queue.is_some();
+        // The shredder needs per-line metadata to reset.
+        let shredder_ok = !c.shredder || matches!(c.protection, Ctr | Scattered);
+        // DEUCE re-encrypts counter-mode chunks; its chunk metadata has
+        // no ADR journal pre-image.
+        let deuce_ok = !c.deuce || (c.protection == Ctr && !adr);
+        // Shares have no story for queue coalescing, Start-Gap moves,
+        // or shred strategies that leave minors non-zero.
+        let scattered_ok = c.protection != Scattered
+            || !(queued
+                || c.wear_leveling
+                || (c.shredder && c.shred_strategy != ShredStrategy::MajorBumpResetMinors));
+        // ADR cannot cover counters bumped for a volatile queued write,
+        // nor Start-Gap moves.
+        let adr_ok = !adr || !(c.wear_leveling || (queued && c.protection == Ctr));
+        shredder_ok && deuce_ok && scattered_ok && adr_ok
+    }
+
+    /// Boots `cfg`, round-trips a line and, with the shredder, shreds
+    /// its page; under ADR the same checks run again after a power
+    /// cycle and recovery.
+    fn smoke(cfg: ControllerConfig) {
+        let label = format!("{cfg:?}");
+        let shredder = cfg.shredder;
+        let zero_fill = shredder && cfg.shred_strategy == ShredStrategy::MajorBumpResetMinors;
+        let adr = cfg.persist_domain == PersistDomain::Adr;
+        let mut mc = MemoryController::new(cfg).unwrap_or_else(|e| panic!("{label}: {e}"));
+        let page = PageId::new(3);
+        let addr = page.block_addr(5);
+        let line = [0x5A; LINE_SIZE];
+        mc.write_block(addr, &line, false, Cycles::ZERO).unwrap();
+        assert_eq!(
+            mc.read_block(addr, Cycles::ZERO).unwrap().data,
+            line,
+            "{label}"
+        );
+        if shredder {
+            mc.shred_page(page, true).unwrap();
+        }
+        let check = |mc: &mut MemoryController| {
+            if zero_fill {
+                for b in 0..BLOCKS_PER_PAGE {
+                    let r = mc.read_block(page.block_addr(b), Cycles::ZERO).unwrap();
+                    assert!(r.zero_filled && r.data == [0; LINE_SIZE], "{label}");
+                }
+            } else {
+                let r = mc.read_block(addr, Cycles::ZERO).unwrap();
+                // A shred that leaves minors non-zero turns the page to
+                // garbage instead of zeros; either way the line is gone.
+                assert_eq!(r.data == line, !shredder, "{label}");
+            }
         };
-        assert!(bad_strategy.validate().is_err());
-        // DEUCE, the write queue, and Start-Gap have no share story.
-        let deuce = ControllerConfig {
-            deuce: true,
-            ..ControllerConfig::scattered()
-        };
-        assert!(deuce.validate().is_err());
-        let wq = ControllerConfig {
-            write_queue: Some(crate::wqueue::WriteQueueConfig::default()),
-            ..ControllerConfig::scattered()
-        };
-        assert!(wq.validate().is_err());
-        let wl = ControllerConfig {
-            wear_leveling: true,
-            ..ControllerConfig::scattered()
-        };
-        assert!(wl.validate().is_err());
-        // ADR + scattered is a supported crash-model point.
-        let adr = ControllerConfig {
-            persist_domain: PersistDomain::Adr,
-            counter_persistence: CounterPersistence::WriteThrough,
-            ..ControllerConfig::scattered()
-        };
-        assert!(adr.validate().is_ok());
+        check(&mut mc);
+        if adr {
+            mc.fence_drain(Cycles::ZERO).unwrap();
+            mc.power_loss().unwrap();
+            assert!(mc.recover_mut().unwrap().root_verified, "{label}");
+            check(&mut mc);
+        }
+    }
+
+    #[test]
+    fn build_accepts_exactly_the_documented_combinations() {
+        let all = axis_combinations();
+        assert_eq!(all.len(), 4 * 2 * 2 * 2 * 2 * 2 * 3);
+        let mut accepted = 0;
+        for cfg in all {
+            let expected = documented_valid(&cfg);
+            match cfg.clone().into_builder().build() {
+                Ok(built) => {
+                    assert!(expected, "build() accepted {cfg:?}");
+                    smoke(built);
+                    accepted += 1;
+                }
+                Err(e) => assert!(!expected, "build() rejected {cfg:?}: {e}"),
+            }
+        }
+        assert_eq!(accepted, 98);
     }
 
     #[test]
     fn builder_validates_at_build_time() {
         let cfg = ControllerConfigBuilder::small_test()
-            .protection(ProtectionMode::ScatteredTwoShare)
-            .encryption(EncryptionMode::None)
+            .protection(ProtectionMode::Scattered)
             .spare_lines(8)
             .build()
             .unwrap();
-        assert_eq!(cfg.protection, ProtectionMode::ScatteredTwoShare);
+        assert_eq!(cfg.protection, ProtectionMode::Scattered);
         assert_eq!(cfg.spare_lines, 8);
 
         // The invalid combo is caught at the single choke point.
         assert!(ControllerConfigBuilder::small_test()
-            .protection(ProtectionMode::ScatteredTwoShare)
-            .build()
-            .is_err());
-        assert!(ControllerConfigBuilder::scattered()
-            .deuce(true)
+            .protection(ProtectionMode::Plain)
             .build()
             .is_err());
 

@@ -14,9 +14,7 @@ use ss_trace::{
 };
 
 use crate::channel::ChannelSched;
-use crate::config::{
-    ControllerConfig, CounterPersistence, EncryptionMode, PersistDomain, ProtectionMode,
-};
+use crate::config::{ControllerConfig, CounterPersistence, PersistDomain, ProtectionMode};
 use crate::counters::{BumpOutcome, CounterBlock};
 use crate::deuce::{self, DeuceMeta, CHUNKS};
 use crate::heal::{HealthStats, SparePool};
@@ -24,11 +22,10 @@ use crate::mmio;
 use crate::persist::{
     self, CrashCut, EntryKind, JournalEntry, PersistState, RecoveryReport, SeqTag,
 };
-use crate::protection::ProtStats;
 use crate::wqueue::WriteQueue;
 use ss_nvm::StartGap;
 
-/// Domain-separation constant folded into the scattered backend's
+/// Domain-separation constant folded into the scattered mode's
 /// share-stream seed, so share randomness never collides with the NVM
 /// fault stream even under identical seeds.
 const SHARE_DOMAIN: u64 = 0x5343_4154_5445_5244;
@@ -61,9 +58,30 @@ pub struct ControllerStats {
     /// Self-healing activity: ECC corrections, retries, remaps,
     /// quarantines, and scrubber work.
     pub health: HealthStats,
-    /// Scattered two-share backend activity (all-zero under counter
-    /// mode, where no share traffic exists).
+    /// Scattered two-share activity (all-zero under the other modes,
+    /// where no share traffic exists).
     pub prot: ProtStats,
+}
+
+/// Scattered-mode activity counters, exported under `prot.*` for
+/// [`ProtectionMode::Scattered`] configurations only (the other modes'
+/// metrics schema has no `prot.*` keys).
+#[derive(Debug, Clone, Default)]
+pub struct ProtStats {
+    /// Share pairs written (one random share + one masked share each).
+    pub share_writes: Counter,
+    /// Mask-region line writes (share-pair writes + shred discards).
+    pub mask_writes: Counter,
+    /// Reads served by recombining both shares.
+    pub share_reads: Counter,
+    /// XOR recombinations performed (reads + rescues).
+    pub recombines: Counter,
+    /// Mask lines discarded (overwritten with fresh randomness) by
+    /// shred commands.
+    pub mask_discards: Counter,
+    /// Spare-pool rescues that re-shared the plaintext under a fresh
+    /// pad (a spare never inherits a used one).
+    pub fresh_share_rescues: Counter,
 }
 
 /// The memory controller. See the crate docs for the mechanism overview.
@@ -72,8 +90,8 @@ pub struct MemoryController {
     config: ControllerConfig,
     nvm: NvmDevice,
     counter_cache: SetAssocCache<CounterBlock>,
-    ctr: Option<CtrEngine>,
-    ecb: Option<EcbEngine>,
+    ctr: CtrEngine,
+    ecb: EcbEngine,
     merkle: Option<MerkleTree>,
     channels: ChannelSched,
     deuce_meta: BTreeMap<u64, DeuceMeta>,
@@ -121,11 +139,11 @@ pub struct MemoryController {
     /// Persist-step counter, armed crash cut, and the volatile mirror of
     /// the open journal sequence (see the [`persist`] module docs).
     persist: PersistState,
-    /// NVM byte offset of the scattered backend's mask-share region
-    /// (== device end under counter mode, where no masks are allocated).
+    /// NVM byte offset of the scattered mode's mask-share region
+    /// (== device end under the other modes, where no masks are allocated).
     /// The region models a physically separate DIMM (DESIGN.md §15).
     mask_base: u64,
-    /// Deterministic share stream for the scattered backend (a DRBG in
+    /// Deterministic share stream for the scattered mode (a DRBG in
     /// hardware). Seeded from the processor key, the domain constant,
     /// and the fault seed, so every run is reproducible.
     share_rng: DetRng,
@@ -153,11 +171,11 @@ impl MemoryController {
         } else {
             0
         };
-        // The scattered backend appends a mask-share region (one line
-        // per data line) after the journal; under counter mode it is
-        // empty, so the device layout is bit-for-bit the historical one.
+        // The scattered mode appends a mask-share region (one line per
+        // data line) after the journal; under the other modes it is
+        // empty.
         let mask_base = journal_base + journal_lines * LINE_SIZE as u64;
-        let mask_lines = if config.protection == ProtectionMode::ScatteredTwoShare {
+        let mask_lines = if config.protection == ProtectionMode::Scattered {
             config.data_capacity / LINE_SIZE as u64
         } else {
             0
@@ -177,12 +195,13 @@ impl MemoryController {
             config.counter_cache_ways,
             config.counter_cache_latency,
         )?);
-        // The scattered backend reuses the counter region as its block
+        // The scattered mode reuses the counter region as its block
         // liveness metadata, so the same integrity tree covers it.
         let merkle = if config.integrity
-            && (config.encryption == EncryptionMode::Ctr
-                || config.protection == ProtectionMode::ScatteredTwoShare)
-        {
+            && matches!(
+                config.protection,
+                ProtectionMode::Ctr | ProtectionMode::Scattered
+            ) {
             Some(MerkleTree::with_initial_leaf(
                 frames as usize,
                 &CounterBlock::default().to_line(),
@@ -190,8 +209,8 @@ impl MemoryController {
         } else {
             None
         };
-        let ctr = (config.encryption == EncryptionMode::Ctr).then(|| CtrEngine::new(config.key));
-        let ecb = (config.encryption == EncryptionMode::Ecb).then(|| EcbEngine::new(config.key));
+        let ctr = CtrEngine::new(config.key);
+        let ecb = EcbEngine::new(config.key);
         let channels = ChannelSched::new(&config.nvm_timing);
         let start_gap = config_start_gap(&config);
         let wqueue = config_wqueue(&config)?;
@@ -755,17 +774,19 @@ impl MemoryController {
             "wq.depth",
             self.wqueue.as_ref().map_or(0, |q| q.len()) as u64,
         );
-        // `prot.*` exists only for scattered configurations: the
-        // counter-mode key set (and thus every committed metrics
-        // golden) is exactly the historical schema.
-        if self.config.protection == ProtectionMode::ScatteredTwoShare {
+        // `prot.*` exists only for scattered configurations: the other
+        // modes' key set (and thus every committed metrics golden) is
+        // exactly the historical schema.
+        if self.config.protection == ProtectionMode::Scattered {
             reg.set("prot.share_writes", s.prot.share_writes.get());
             reg.set("prot.mask_writes", s.prot.mask_writes.get());
             reg.set("prot.share_reads", s.prot.share_reads.get());
             reg.set("prot.recombines", s.prot.recombines.get());
             reg.set("prot.mask_discards", s.prot.mask_discards.get());
             reg.set("prot.fresh_share_rescues", s.prot.fresh_share_rescues.get());
-            reg.set("prot.metadata_lines", self.scattered_metadata_lines());
+            // One liveness line per page plus one mask line per data line.
+            let mask_lines = self.config.data_capacity / LINE_SIZE as u64;
+            reg.set("prot.metadata_lines", self.config.frames() + mask_lines);
         }
         self.nvm.stats().export(&mut reg, "nvm");
         self.profile.export(&mut reg);
@@ -917,16 +938,16 @@ impl MemoryController {
         }
     }
 
-    fn decrypt_ctr(&self, addr: BlockAddr, ctrs: &CounterBlock, cipher: &Line) -> Result<Line> {
-        let engine = engine_of(&self.ctr, "ctr")?;
+    fn decrypt_ctr(&self, addr: BlockAddr, ctrs: &CounterBlock, cipher: &Line) -> Line {
+        let engine = &self.ctr;
         let page = addr.page();
         let block = addr.block_in_page();
-        Ok(if self.config.deuce {
+        if self.config.deuce {
             let minors = self.chunk_minors(addr, ctrs.minors[block]);
             deuce::decrypt_chunked(engine, page.raw(), block as u8, ctrs.major, minors, cipher)
         } else {
             engine.decrypt_line(&ctrs.iv(page.raw(), block), cipher)
-        })
+        }
     }
 
     // ------------------------------------------------------------------
@@ -986,18 +1007,14 @@ impl MemoryController {
             return Ok(());
         }
         // Queued writes to this line must land first so the rescue read
-        // below sees the newest ciphertext.
+        // below sees the newest ciphertext. The drain's writes may move
+        // the Start-Gap mapping, so the device address is re-resolved.
         self.drain_queue_fully(now)?;
-        crate::protection::backend(self.config.protection).rescue_remap(self, addr, now)
-    }
-
-    /// Counter-mode rescue (and the `None`/`Ecb` baselines) — the
-    /// pre-trait remap body after the quarantine/healed/drain guards.
-    pub(crate) fn legacy_rescue_remap(&mut self, addr: BlockAddr, now: Cycles) -> Result<()> {
         let dev = self.device_addr(addr);
         let slot = self.heal.redirect(dev);
-        match self.config.encryption {
-            EncryptionMode::None | EncryptionMode::Ecb => {
+        match self.config.protection {
+            ProtectionMode::Scattered => return self.scattered_rescue_remap(addr, dev, slot, now),
+            ProtectionMode::Plain | ProtectionMode::Ecb => {
                 let rescued = match self.read_line_healing(slot) {
                     Ok(r) => r.into_data(),
                     Err(Error::UncorrectableEcc { .. }) => return self.fail_remap(dev),
@@ -1015,7 +1032,7 @@ impl MemoryController {
                     ok: true,
                 });
             }
-            EncryptionMode::Ctr => {
+            ProtectionMode::Ctr => {
                 let page = addr.page();
                 let block = addr.block_in_page();
                 let (ctrs, _) = self.fetch_counters(page, now)?;
@@ -1041,7 +1058,7 @@ impl MemoryController {
                     Err(Error::UncorrectableEcc { .. }) => return self.fail_remap(dev),
                     Err(e) => return Err(e),
                 };
-                let plain = self.decrypt_ctr(addr, &ctrs, &cipher)?;
+                let plain = self.decrypt_ctr(addr, &ctrs, &cipher);
                 // Fresh IV: bump the minor exactly like a demand write,
                 // so rescued plaintext is never re-encrypted under a
                 // previously used (page, block, counter) tuple.
@@ -1058,9 +1075,8 @@ impl MemoryController {
                 let new_cipher = if self.config.deuce {
                     self.deuce_meta
                         .insert(addr.raw(), DeuceMeta::new_epoch(minor));
-                    let engine = engine_of(&self.ctr, "ctr")?;
                     deuce::encrypt_chunked(
-                        engine,
+                        &self.ctr,
                         page.raw(),
                         block as u8,
                         new_ctrs.major,
@@ -1068,8 +1084,8 @@ impl MemoryController {
                         &plain,
                     )
                 } else {
-                    let engine = engine_of(&self.ctr, "ctr")?;
-                    engine.encrypt_line(&new_ctrs.iv(page.raw(), block), &plain)
+                    self.ctr
+                        .encrypt_line(&new_ctrs.iv(page.raw(), block), &plain)
                 };
                 let Some(new_slot) = self.heal.allocate(dev) else {
                     return self.fail_remap(dev);
@@ -1159,19 +1175,8 @@ impl MemoryController {
     pub fn read_block(&mut self, addr: BlockAddr, now: Cycles) -> Result<ReadResult> {
         self.op_now = now;
         self.check_data_addr(addr)?;
-        let result =
-            crate::protection::backend(self.config.protection).read_line(self, addr, now)?;
-        self.process_pending_heal(now)?;
-        self.stats.mem.read_latency.record(result.latency);
-        Ok(result)
-    }
-
-    /// Counter-mode read path (and the `None`/`Ecb` baselines) — the
-    /// pre-trait [`MemoryController::read_block`] body, dispatched via
-    /// [`crate::protection::CounterModeBackend`].
-    pub(crate) fn legacy_read_line(&mut self, addr: BlockAddr, now: Cycles) -> Result<ReadResult> {
-        let result = match self.config.encryption {
-            EncryptionMode::None => {
+        let result = match self.config.protection {
+            ProtectionMode::Plain => {
                 let read_lat = self.sched(now, self.config.nvm_timing.read_cycles());
                 self.profile.charge(Stage::NvmRead, read_lat);
                 let data = self.nvm_read_data(addr)?;
@@ -1182,7 +1187,7 @@ impl MemoryController {
                     zero_filled: false,
                 }
             }
-            EncryptionMode::Ecb => {
+            ProtectionMode::Ecb => {
                 // Direct encryption: AES latency is serialised after the
                 // array access (§2.2's performance argument against ECB).
                 let read_lat = self.sched(now, self.config.nvm_timing.read_cycles());
@@ -1191,14 +1196,13 @@ impl MemoryController {
                 let latency = read_lat + self.config.aes_latency;
                 let cipher = self.nvm_read_data(addr)?;
                 self.stats.mem.reads.inc();
-                let data = engine_of(&self.ecb, "ecb")?.decrypt_line(&cipher);
                 ReadResult {
-                    data,
+                    data: self.ecb.decrypt_line(&cipher),
                     latency,
                     zero_filled: false,
                 }
             }
-            EncryptionMode::Ctr => {
+            ProtectionMode::Ctr => {
                 let page = addr.page();
                 let block = addr.block_in_page();
                 let (ctrs, ctr_lat) = self.fetch_counters(page, now)?;
@@ -1222,15 +1226,17 @@ impl MemoryController {
                     let latency = ctr_lat + read_lat + self.config.xor_latency;
                     let cipher = self.nvm_read_data(addr)?;
                     self.stats.mem.reads.inc();
-                    let data = self.decrypt_ctr(addr, &ctrs, &cipher)?;
                     ReadResult {
-                        data,
+                        data: self.decrypt_ctr(addr, &ctrs, &cipher),
                         latency,
                         zero_filled: false,
                     }
                 }
             }
+            ProtectionMode::Scattered => self.scattered_read_line(addr, now)?,
         };
+        self.process_pending_heal(now)?;
+        self.stats.mem.read_latency.record(result.latency);
         Ok(result)
     }
 
@@ -1263,45 +1269,14 @@ impl MemoryController {
         zeroing: bool,
         now: Cycles,
     ) -> Result<Cycles> {
-        crate::protection::backend(self.config.protection).write_line(self, addr, data, now)?;
-        self.stats.mem.writes.inc();
-        if zeroing {
-            self.stats.mem.zeroing_writes.inc();
-        }
-        self.maybe_scrub(now)?;
-        self.process_pending_heal(now)?;
-        Ok(Cycles::new(1))
-    }
-
-    /// Counter-mode write path (and the `None`/`Ecb` baselines) — the
-    /// pre-trait [`MemoryController::write_block`] body, dispatched via
-    /// [`crate::protection::CounterModeBackend`].
-    pub(crate) fn legacy_write_line(
-        &mut self,
-        addr: BlockAddr,
-        data: &Line,
-        now: Cycles,
-    ) -> Result<()> {
-        match self.config.encryption {
-            EncryptionMode::None => {
-                if self.wqueue.is_none() {
-                    let write_lat = self.config.nvm_timing.write_cycles();
-                    self.sched(now, write_lat);
-                    self.profile.charge(Stage::NvmWrite, write_lat);
-                }
-                self.nvm_write_data(addr, data)?;
-            }
-            EncryptionMode::Ecb => {
+        match self.config.protection {
+            ProtectionMode::Plain => self.issue_data_write(addr, data, now)?,
+            ProtectionMode::Ecb => {
                 self.profile.charge(Stage::AesEcb, self.config.aes_latency);
-                let cipher = engine_of(&self.ecb, "ecb")?.encrypt_line(data);
-                if self.wqueue.is_none() {
-                    let write_lat = self.config.nvm_timing.write_cycles();
-                    self.sched(now, write_lat);
-                    self.profile.charge(Stage::NvmWrite, write_lat);
-                }
-                self.nvm_write_data(addr, &cipher)?;
+                let cipher = self.ecb.encrypt_line(data);
+                self.issue_data_write(addr, &cipher, now)?;
             }
-            EncryptionMode::Ctr => {
+            ProtectionMode::Ctr => {
                 let page = addr.page();
                 let block = addr.block_in_page();
                 let (mut ctrs, _lat) = self.fetch_counters(page, now)?;
@@ -1315,20 +1290,33 @@ impl MemoryController {
                 }
                 self.profile.charge(Stage::AesCtr, self.config.xor_latency);
                 let cipher = if self.config.deuce {
-                    self.deuce_write_cipher(addr, &old_ctrs, &ctrs, data)?
+                    self.deuce_write_cipher(addr, &old_ctrs, &ctrs, data)
                 } else {
-                    engine_of(&self.ctr, "ctr")?.encrypt_line(&ctrs.iv(page.raw(), block), data)
+                    self.ctr.encrypt_line(&ctrs.iv(page.raw(), block), data)
                 };
-                if self.wqueue.is_none() {
-                    let write_lat = self.config.nvm_timing.write_cycles();
-                    self.sched(now, write_lat);
-                    self.profile.charge(Stage::NvmWrite, write_lat);
-                }
-                self.nvm_write_data(addr, &cipher)?;
+                self.issue_data_write(addr, &cipher, now)?;
                 self.install_counters(page, ctrs, true, now)?;
             }
+            ProtectionMode::Scattered => self.scattered_write_line(addr, data, now, true)?,
         }
-        Ok(())
+        self.stats.mem.writes.inc();
+        if zeroing {
+            self.stats.mem.zeroing_writes.inc();
+        }
+        self.maybe_scrub(now)?;
+        self.process_pending_heal(now)?;
+        Ok(Cycles::new(1))
+    }
+
+    /// Issues a demand write's data line, scheduling it on the channels
+    /// unless the write queue owns scheduling.
+    fn issue_data_write(&mut self, addr: BlockAddr, line: &Line, now: Cycles) -> Result<()> {
+        if self.wqueue.is_none() {
+            let write_lat = self.config.nvm_timing.write_cycles();
+            self.sched(now, write_lat);
+            self.profile.charge(Stage::NvmWrite, write_lat);
+        }
+        self.nvm_write_data(addr, line)
     }
 
     /// Computes the DEUCE ciphertext for a write: unmodified chunks keep
@@ -1340,8 +1328,8 @@ impl MemoryController {
         old_ctrs: &CounterBlock,
         new_ctrs: &CounterBlock,
         data: &Line,
-    ) -> Result<Line> {
-        let engine = engine_of(&self.ctr, "ctr")?;
+    ) -> Line {
+        let engine = &self.ctr;
         let page = addr.page();
         let block = addr.block_in_page();
         let new_minor = new_ctrs.minors[block];
@@ -1352,14 +1340,14 @@ impl MemoryController {
             // Whole line under the new minor; epoch restarts here.
             self.deuce_meta
                 .insert(addr.raw(), DeuceMeta::new_epoch(new_minor));
-            return Ok(deuce::encrypt_chunked(
+            return deuce::encrypt_chunked(
                 engine,
                 page.raw(),
                 block as u8,
                 new_ctrs.major,
                 [new_minor; CHUNKS],
                 data,
-            ));
+            );
         }
         // Recover the old plaintext (hardware knows the dirty-word mask
         // from the cache; we reconstruct it by decrypting the old line —
@@ -1407,7 +1395,7 @@ impl MemoryController {
             }
         }
         self.deuce_meta.insert(addr.raw(), meta);
-        Ok(cipher)
+        cipher
     }
 
     /// Re-encrypts every live block of `page` after a minor-counter
@@ -1432,10 +1420,9 @@ impl MemoryController {
             self.sched(now, self.config.nvm_timing.read_cycles());
             let cipher = self.nvm_read_data(addr)?;
             self.stats.mem.reads.inc();
-            let plain = self.decrypt_ctr(addr, old_ctrs, &cipher)?;
+            let plain = self.decrypt_ctr(addr, old_ctrs, &cipher);
             self.deuce_meta.remove(&addr.raw());
-            let engine = engine_of(&self.ctr, "ctr")?;
-            let new_cipher = engine.encrypt_line(&new_ctrs.iv(page.raw(), b), &plain);
+            let new_cipher = self.ctr.encrypt_line(&new_ctrs.iv(page.raw(), b), &plain);
             self.sched(now, self.config.nvm_timing.write_cycles());
             self.nvm_write_data(addr, &new_cipher)?;
             self.stats.mem.writes.inc();
@@ -1494,8 +1481,16 @@ impl MemoryController {
                 capacity: self.config.data_capacity,
             });
         }
-        let mut latency =
-            crate::protection::backend(self.config.protection).shred_page(self, page, now)?;
+        let mut latency = match self.config.protection {
+            ProtectionMode::Ctr => self.ctr_shred_page(page, now)?,
+            ProtectionMode::Scattered => self.scattered_shred_page(page, now)?,
+            // `validate` rejects a shredder without per-line metadata.
+            ProtectionMode::Plain | ProtectionMode::Ecb => {
+                return Err(Error::InvalidConfig {
+                    detail: "shred command needs counter-mode or scattered protection".into(),
+                })
+            }
+        };
         self.stats.shreds.inc();
         self.tracer.emit(now, || TraceEvent::Shred { page });
         self.process_pending_heal(now)?;
@@ -1504,10 +1499,10 @@ impl MemoryController {
         Ok(latency)
     }
 
-    /// Counter-mode shred core — the pre-trait
-    /// [`MemoryController::shred_page_at`] body between the privilege
-    /// guards and the shred accounting.
-    pub(crate) fn legacy_shred_page(&mut self, page: PageId, now: Cycles) -> Result<Cycles> {
+    /// Counter-mode shred core (Fig. 6 steps 3–5): applies the shred
+    /// strategy to the page's counters and returns the counter-fetch
+    /// latency.
+    fn ctr_shred_page(&mut self, page: PageId, now: Cycles) -> Result<Cycles> {
         let (mut ctrs, latency) = self.fetch_counters(page, now)?;
         let old_ctrs = ctrs;
         let overflowed = ctrs.shred(self.config.shred_strategy);
@@ -1524,10 +1519,9 @@ impl MemoryController {
                 self.sched(now, self.config.nvm_timing.read_cycles());
                 let cipher = self.nvm_read_data(addr)?;
                 self.stats.mem.reads.inc();
-                let plain = self.decrypt_ctr(addr, &old_ctrs, &cipher)?;
+                let plain = self.decrypt_ctr(addr, &old_ctrs, &cipher);
                 self.deuce_meta.remove(&addr.raw());
-                let engine = engine_of(&self.ctr, "ctr")?;
-                let new_cipher = engine.encrypt_line(&ctrs.iv(page.raw(), b), &plain);
+                let new_cipher = self.ctr.encrypt_line(&ctrs.iv(page.raw(), b), &plain);
                 self.sched(now, self.config.nvm_timing.write_cycles());
                 self.nvm_write_data(addr, &new_cipher)?;
                 self.stats.mem.writes.inc();
@@ -1670,10 +1664,33 @@ impl MemoryController {
 
     fn zero_page_in_place_inner(&mut self, page: PageId, now: Cycles) -> Result<Cycles> {
         self.op_now = now;
+        let zero = [0u8; LINE_SIZE];
         for b in 0..BLOCKS_PER_PAGE {
             let addr = page.block_addr(b);
             self.check_data_addr(addr)?;
-            crate::protection::backend(self.config.protection).zero_line(self, addr, now)?;
+            match self.config.protection {
+                ProtectionMode::Plain => self.nvm_write_data(addr, &zero)?,
+                ProtectionMode::Ecb => {
+                    let cipher = self.ecb.encrypt_line(&zero);
+                    self.nvm_write_data(addr, &cipher)?;
+                }
+                ProtectionMode::Ctr => {
+                    let (mut ctrs, _) = self.fetch_counters(page, now)?;
+                    let old_ctrs = ctrs;
+                    if ctrs.bump_for_write(b) == BumpOutcome::Overflowed {
+                        self.tracer.emit(now, || TraceEvent::CounterOverflow {
+                            page,
+                            block: b as u8,
+                        });
+                        self.reencrypt_page(page, &old_ctrs, &ctrs, b, now)?;
+                    }
+                    let cipher = self.ctr.encrypt_line(&ctrs.iv(page.raw(), b), &zero);
+                    self.deuce_meta.remove(&addr.raw());
+                    self.nvm_write_data(addr, &cipher)?;
+                    self.install_counters(page, ctrs, true, now)?;
+                }
+                ProtectionMode::Scattered => self.scattered_write_line(addr, &zero, now, false)?,
+            }
             self.stats.mem.writes.inc();
             self.stats.mem.zeroing_writes.inc();
         }
@@ -1681,40 +1698,6 @@ impl MemoryController {
         // One array write latency: the device zeroes rows internally in
         // parallel (optimistic, as in the RowClone paper).
         Ok(self.config.nvm_timing.write_cycles())
-    }
-
-    /// Counter-mode in-device zeroing of one block — the pre-trait
-    /// [`MemoryController::zero_page_in_place`] per-block body.
-    pub(crate) fn legacy_zero_line(&mut self, addr: BlockAddr, now: Cycles) -> Result<()> {
-        let zero = [0u8; LINE_SIZE];
-        let page = addr.page();
-        let b = addr.block_in_page();
-        match self.config.encryption {
-            EncryptionMode::None => {
-                self.nvm_write_data(addr, &zero)?;
-            }
-            EncryptionMode::Ecb => {
-                let cipher = engine_of(&self.ecb, "ecb")?.encrypt_line(&zero);
-                self.nvm_write_data(addr, &cipher)?;
-            }
-            EncryptionMode::Ctr => {
-                let (mut ctrs, _) = self.fetch_counters(page, now)?;
-                let old_ctrs = ctrs;
-                if ctrs.bump_for_write(b) == BumpOutcome::Overflowed {
-                    self.tracer.emit(now, || TraceEvent::CounterOverflow {
-                        page,
-                        block: b as u8,
-                    });
-                    self.reencrypt_page(page, &old_ctrs, &ctrs, b, now)?;
-                }
-                let engine = engine_of(&self.ctr, "ctr")?;
-                let cipher = engine.encrypt_line(&ctrs.iv(page.raw(), b), &zero);
-                self.deuce_meta.remove(&addr.raw());
-                self.nvm_write_data(addr, &cipher)?;
-                self.install_counters(page, ctrs, true, now)?;
-            }
-        }
-        Ok(())
     }
 
     /// Flushes dirty counter blocks to NVM (battery-backed write-back
@@ -1942,7 +1925,16 @@ impl MemoryController {
             self.persist.victim_flush = false;
         }
         report.root_verified = true;
-        crate::protection::backend(self.config.protection).recovery_reverify(self, &mut report)?;
+        match self.config.protection {
+            // No per-line metadata to re-verify or census.
+            ProtectionMode::Plain | ProtectionMode::Ecb => {}
+            // Encryption counters and scattered liveness lines share
+            // the counter region, its integrity tree, and the census.
+            ProtectionMode::Ctr | ProtectionMode::Scattered => {
+                self.reverify_counter_region()?;
+                report.shredded_pages += self.census_shredded();
+            }
+        }
         Ok(report)
     }
 
@@ -1986,29 +1978,8 @@ impl MemoryController {
         shredded
     }
 
-    /// Counter-mode reboot checks — the pre-trait
-    /// [`MemoryController::recover_mut`] tail: counter-region
-    /// re-verification plus the shred census (counter configs only).
-    pub(crate) fn legacy_recovery_reverify(&mut self, report: &mut RecoveryReport) -> Result<()> {
-        self.reverify_counter_region()?;
-        if self.config.encryption == EncryptionMode::Ctr {
-            report.shredded_pages += self.census_shredded();
-        }
-        Ok(())
-    }
-
-    /// Number of NVM counter lines maintained as counter-mode metadata
-    /// (zero for the unencrypted/ECB baselines, which keep no
-    /// per-line protection metadata).
-    pub(crate) fn counter_metadata_lines(&self) -> u64 {
-        match self.config.encryption {
-            EncryptionMode::Ctr => self.config.frames(),
-            EncryptionMode::None | EncryptionMode::Ecb => 0,
-        }
-    }
-
     // ------------------------------------------------------------------
-    // Scattered two-share backend (DESIGN.md §15).
+    // Scattered two-share mode (DESIGN.md §15).
     //
     // Every line is stored as two shares in disjoint NVM regions: a
     // uniform-random share in the data region and the XOR-masked share
@@ -2026,11 +1997,7 @@ impl MemoryController {
 
     /// Scattered read: zero-fill for dead blocks, otherwise fetch both
     /// shares (in parallel across regions) and recombine.
-    pub(crate) fn scattered_read_line(
-        &mut self,
-        addr: BlockAddr,
-        now: Cycles,
-    ) -> Result<ReadResult> {
+    fn scattered_read_line(&mut self, addr: BlockAddr, now: Cycles) -> Result<ReadResult> {
         let page = addr.page();
         let block = addr.block_in_page();
         let (ctrs, ctr_lat) = self.fetch_counters(page, now)?;
@@ -2077,7 +2044,7 @@ impl MemoryController {
     /// Scattered write: split `data` into a fresh share pair and persist
     /// both halves; first write to a dead block marks it live. `bus` is
     /// false on the in-device zeroing path (no channel scheduling).
-    pub(crate) fn scattered_write_line(
+    fn scattered_write_line(
         &mut self,
         addr: BlockAddr,
         data: &Line,
@@ -2117,7 +2084,7 @@ impl MemoryController {
     /// fresh randomness (destroying the pad pairing) and mark the page
     /// dead. The data-region shares are untouched — alone they are
     /// uniform noise.
-    pub(crate) fn scattered_shred_page(&mut self, page: PageId, now: Cycles) -> Result<Cycles> {
+    fn scattered_shred_page(&mut self, page: PageId, now: Cycles) -> Result<Cycles> {
         let (mut ctrs, mut latency) = self.fetch_counters(page, now)?;
         let mut discarded = 0u32;
         for b in 0..BLOCKS_PER_PAGE {
@@ -2152,9 +2119,13 @@ impl MemoryController {
     /// Scattered rescue: a dead block's worn slot is retired outright; a
     /// live block is recombined and re-split under a *fresh* pad, so a
     /// spare never inherits previously used share material.
-    pub(crate) fn scattered_rescue_remap(&mut self, addr: BlockAddr, now: Cycles) -> Result<()> {
-        let dev = self.device_addr(addr);
-        let slot = self.heal.redirect(dev);
+    fn scattered_rescue_remap(
+        &mut self,
+        addr: BlockAddr,
+        dev: BlockAddr,
+        slot: BlockAddr,
+        now: Cycles,
+    ) -> Result<()> {
         let page = addr.page();
         let block = addr.block_in_page();
         let (ctrs, _) = self.fetch_counters(page, now)?;
@@ -2203,42 +2174,6 @@ impl MemoryController {
             ok: true,
         });
         Ok(())
-    }
-
-    /// Scattered observation path: dead blocks observe zeros; live
-    /// blocks recombine both shares (no stats, no timing).
-    pub(crate) fn scattered_peek_plaintext(&mut self, addr: BlockAddr) -> Result<Line> {
-        let page = addr.page();
-        let caddr = self.counter_addr(page);
-        let ctrs = match self.counter_cache.get(caddr) {
-            Some(e) => e.value,
-            None => CounterBlock::from_line(&self.nvm.peek(caddr)),
-        };
-        if ctrs.is_shredded(addr.block_in_page()) {
-            return Ok([0u8; LINE_SIZE]);
-        }
-        let share_a = self.nvm_peek_data(addr);
-        let share_b = self.nvm.peek(self.mask_addr(addr));
-        Ok(ss_crypto::share::recombine_shares(&share_a, &share_b))
-    }
-
-    /// Scattered reboot checks: the liveness metadata carries the same
-    /// integrity obligations as encryption counters, and the shred
-    /// census applies unconditionally (liveness is not tied to an
-    /// encryption mode).
-    pub(crate) fn scattered_recovery_reverify(
-        &mut self,
-        report: &mut RecoveryReport,
-    ) -> Result<()> {
-        self.reverify_counter_region()?;
-        report.shredded_pages += self.census_shredded();
-        Ok(())
-    }
-
-    /// NVM metadata footprint of the scattered backend: one liveness
-    /// line per page plus one mask line per data line.
-    pub(crate) fn scattered_metadata_lines(&self) -> u64 {
-        self.config.frames() + self.config.data_capacity / LINE_SIZE as u64
     }
 
     // ------------------------------------------------------------------
@@ -2331,30 +2266,38 @@ impl MemoryController {
     /// As for [`MemoryController::read_block`].
     pub(crate) fn peek_plaintext(&mut self, addr: BlockAddr) -> Result<Line> {
         self.check_data_addr(addr)?;
-        crate::protection::backend(self.config.protection).peek_plaintext(self, addr)
-    }
-
-    /// Counter-mode observation path — the pre-trait
-    /// [`MemoryController::peek_plaintext`] body.
-    pub(crate) fn legacy_peek_plaintext(&mut self, addr: BlockAddr) -> Result<Line> {
-        match self.config.encryption {
-            EncryptionMode::None => Ok(self.nvm_peek_data(addr)),
-            EncryptionMode::Ecb => {
-                Ok(engine_of(&self.ecb, "ecb")?.decrypt_line(&self.nvm_peek_data(addr)))
-            }
-            EncryptionMode::Ctr => {
-                let page = addr.page();
-                let caddr = self.counter_addr(page);
-                let ctrs = match self.counter_cache.get(caddr) {
-                    Some(e) => e.value,
-                    None => CounterBlock::from_line(&self.nvm.peek(caddr)),
-                };
+        Ok(match self.config.protection {
+            ProtectionMode::Plain => self.nvm_peek_data(addr),
+            ProtectionMode::Ecb => self.ecb.decrypt_line(&self.nvm_peek_data(addr)),
+            ProtectionMode::Ctr => {
+                let ctrs = self.peek_counters(addr.page());
                 if self.config.shredder && ctrs.is_shredded(addr.block_in_page()) {
                     return Ok([0u8; LINE_SIZE]);
                 }
                 let cipher = self.nvm_peek_data(addr);
                 self.decrypt_ctr(addr, &ctrs, &cipher)
             }
+            ProtectionMode::Scattered => {
+                if self
+                    .peek_counters(addr.page())
+                    .is_shredded(addr.block_in_page())
+                {
+                    return Ok([0u8; LINE_SIZE]);
+                }
+                let share_a = self.nvm_peek_data(addr);
+                let share_b = self.nvm.peek(self.mask_addr(addr));
+                ss_crypto::share::recombine_shares(&share_a, &share_b)
+            }
+        })
+    }
+
+    /// `page`'s counters (or scattered liveness line) as the controller
+    /// currently sees them, without disturbing stats or timing.
+    fn peek_counters(&mut self, page: PageId) -> CounterBlock {
+        let caddr = self.counter_addr(page);
+        match self.counter_cache.get(caddr) {
+            Some(e) => e.value,
+            None => CounterBlock::from_line(&self.nvm.peek(caddr)),
         }
     }
 
@@ -2483,16 +2426,6 @@ impl MemoryController {
     pub(crate) fn is_line_quarantined(&self, addr: BlockAddr) -> bool {
         self.heal.is_quarantined(self.device_addr(addr))
     }
-}
-
-/// Typed-error access to an optional crypto engine. The encryption
-/// mode guarantees the matching engine exists, but the controller and
-/// heal paths must never panic (SEC-001): a mode/engine mismatch
-/// surfaces as [`Error::InvalidConfig`] the harness can classify.
-fn engine_of<'a, T>(engine: &'a Option<T>, mode: &str) -> Result<&'a T> {
-    engine.as_ref().ok_or_else(|| Error::InvalidConfig {
-        detail: format!("{mode} operation issued without a {mode} engine"),
-    })
 }
 
 /// Builds the write queue for a configuration, if enabled. Fallible
@@ -2858,7 +2791,7 @@ mod tests {
     fn ecb_controller_roundtrips_but_leaks_equality() {
         let mut m = MemoryController::new(ControllerConfig {
             data_capacity: 1 << 20,
-            encryption: EncryptionMode::Ecb,
+            protection: ProtectionMode::Ecb,
             shredder: false,
             integrity: false,
             ..ControllerConfig::default()
@@ -3270,7 +3203,7 @@ mod tests {
     }
 
     // --------------------------------------------------------------
-    // Scattered two-share backend.
+    // Scattered two-share mode.
     // --------------------------------------------------------------
 
     fn scattered() -> MemoryController {
@@ -3452,7 +3385,8 @@ mod tests {
         let reg = m.metrics();
         let json = reg.to_json();
         assert!(json.contains("\"prot.share_writes\":1"), "{json}");
-        assert!(json.contains("\"prot.metadata_lines\""), "{json}");
+        // 256 liveness lines + 16384 mask lines for 1 MiB of data.
+        assert!(json.contains("\"prot.metadata_lines\":16640"), "{json}");
         // Counter mode must NOT grow the schema.
         let cm = mc().metrics().to_json();
         assert!(!cm.contains("prot."), "{cm}");

@@ -145,21 +145,6 @@ impl<'a> Inspect<'a> {
     pub fn persist_steps(&self) -> u64 {
         self.mc.persist_steps()
     }
-
-    /// Which [`crate::protection::MemoryProtection`] backend this
-    /// controller runs. Harness code branches on this instead of
-    /// pattern-matching counter-cache or encryption internals.
-    pub fn protection_kind(&self) -> crate::config::ProtectionMode {
-        self.mc.config().protection
-    }
-
-    /// NVM lines of protection metadata the active backend maintains
-    /// (counter lines under counter mode; liveness + mask lines under
-    /// the scattered backend). Backend-neutral sizing for reports and
-    /// cold-scan bookkeeping.
-    pub fn prot_metadata_lines(&self) -> u64 {
-        crate::protection::backend(self.mc.config().protection).metadata_lines(self.mc)
-    }
 }
 
 /// Fault-injection and forensic port. Obtained via

@@ -55,23 +55,21 @@ pub mod heal;
 pub mod interleave;
 pub mod mmio;
 pub mod persist;
-pub mod protection;
 pub mod shard;
 pub mod wqueue;
 
 pub use channel::ChannelSched;
 pub use config::{
-    ControllerConfig, ControllerConfigBuilder, CounterPersistence, EncryptionMode, PersistDomain,
-    ProtectionMode, ShardedConfig, ShardedConfigBuilder, ShredStrategy,
+    ControllerConfig, ControllerConfigBuilder, CounterPersistence, PersistDomain, ProtectionMode,
+    ShardedConfig, ShardedConfigBuilder, ShredStrategy,
 };
-pub use controller::{ControllerStats, MemoryController, ReadResult};
+pub use controller::{ControllerStats, MemoryController, ProtStats, ReadResult};
 pub use counters::CounterBlock;
 pub use facade::{FaultPort, Inspect};
 pub use heal::{HealthStats, RetryPolicy, SparePool};
 pub use interleave::Interleave;
 pub use mmio::{MmioError, MmioOp, SHRED_DRAIN_REG, SHRED_ENQ_REG, SHRED_REG};
 pub use persist::{CrashCut, RecoveryReport, SeqTag};
-pub use protection::{MemoryProtection, ProtStats};
 pub use shard::{DrainReport, PerShard, ShardedController, ShredQueueStats};
 pub use wqueue::{WriteQueue, WriteQueueConfig, WriteQueueStats};
 // Re-exported because `ControllerConfig::nvm_ecc` is part of this

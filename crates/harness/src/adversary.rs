@@ -41,9 +41,9 @@ use std::fmt;
 
 use ss_common::{BlockAddr, Cycles, DetRng, Error, PageId, Result, BLOCKS_PER_PAGE, LINE_SIZE};
 use ss_core::{
-    ControllerConfig, ControllerConfigBuilder, CounterPersistence, EncryptionMode,
-    MemoryController, ProtectionMode, ReadResult, ShardedConfig, ShardedController, ShredStrategy,
-    WriteQueueConfig, SHRED_REG,
+    ControllerConfig, ControllerConfigBuilder, CounterPersistence, MemoryController,
+    ProtectionMode, ReadResult, ShardedConfig, ShardedController, ShredStrategy, WriteQueueConfig,
+    SHRED_REG,
 };
 
 use crate::shadow::Line;
@@ -1290,7 +1290,7 @@ fn remap_probe(adv: &mut Adversary, rng: &mut DetRng, cfg: &AttackConfig) -> Ver
 /// on-chip Merkle root (which the adversary cannot roll back) must
 /// reject the stale counter.
 fn rollback_replay(adv: &mut Adversary, rng: &mut DetRng, cfg: &AttackConfig) -> Verdict {
-    if cfg.controller.protection == ProtectionMode::ScatteredTwoShare {
+    if cfg.controller.protection == ProtectionMode::Scattered {
         // Live scattered overwrites never touch the liveness line, so a
         // captured metadata line is usually still current and rolling it
         // back is a semantic no-op — there is nothing for the Merkle
@@ -1303,7 +1303,7 @@ fn rollback_replay(adv: &mut Adversary, rng: &mut DetRng, cfg: &AttackConfig) ->
                 .into(),
         ));
     }
-    if cfg.controller.encryption != EncryptionMode::Ctr {
+    if cfg.controller.protection != ProtectionMode::Ctr {
         return Ok((
             AttackOutcome::Skipped,
             "no counters to roll back in this encryption mode".into(),
@@ -1501,7 +1501,7 @@ mod tests {
     #[test]
     fn scattered_matrix_never_leaks() {
         for cfg in AttackConfig::scattered_matrix() {
-            assert_eq!(cfg.controller.protection, ProtectionMode::ScatteredTwoShare);
+            assert_eq!(cfg.controller.protection, ProtectionMode::Scattered);
             for seed in 0..4 {
                 let report = run_attacks(&cfg, seed);
                 assert!(

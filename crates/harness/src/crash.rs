@@ -36,9 +36,8 @@ use std::fmt;
 
 use ss_common::{BlockAddr, Cycles, DetRng, Error, PageId, Result, LINE_SIZE};
 use ss_core::{
-    ControllerConfig, ControllerConfigBuilder, CounterPersistence, EncryptionMode,
-    MemoryController, PersistDomain, ProtectionMode, ReadResult, RecoveryReport, ShardedConfig,
-    ShardedController, WriteQueueConfig,
+    ControllerConfig, ControllerConfigBuilder, CounterPersistence, MemoryController, PersistDomain,
+    ProtectionMode, ReadResult, RecoveryReport, ShardedConfig, ShardedController, WriteQueueConfig,
 };
 
 use crate::engine::json_escape;
@@ -117,9 +116,10 @@ impl CrashScenario {
                 // Counter-mode encryption counters and scattered liveness
                 // metadata share the battery-backed write-back cache, so
                 // both have dirty lines for an explicit flush to move.
-                (c.encryption == EncryptionMode::Ctr
-                    || c.protection == ProtectionMode::ScatteredTwoShare)
-                    && c.counter_persistence == CounterPersistence::BatteryBackedWriteBack
+                matches!(
+                    c.protection,
+                    ProtectionMode::Ctr | ProtectionMode::Scattered
+                ) && c.counter_persistence == CounterPersistence::BatteryBackedWriteBack
             }
             CrashScenario::ShredDrain => cfg.shards > 1,
         }
@@ -404,7 +404,7 @@ impl CrashConfig {
                 "adr-plain-wq",
                 build(
                     adr()
-                        .encryption(EncryptionMode::None)
+                        .protection(ProtectionMode::Plain)
                         .shredder(false)
                         .integrity(false)
                         .write_queue(Some(Self::small_queue())),
@@ -414,7 +414,7 @@ impl CrashConfig {
                 "adr-ecb-wq",
                 build(
                     adr()
-                        .encryption(EncryptionMode::Ecb)
+                        .protection(ProtectionMode::Ecb)
                         .shredder(false)
                         .integrity(false)
                         .write_queue(Some(Self::small_queue())),
@@ -1172,7 +1172,7 @@ mod tests {
     #[test]
     fn scattered_crash_matrix_is_clean() {
         for cfg in CrashConfig::scattered_matrix() {
-            assert_eq!(cfg.controller.protection, ProtectionMode::ScatteredTwoShare);
+            assert_eq!(cfg.controller.protection, ProtectionMode::Scattered);
             let report = run_crash_config(&cfg, 0);
             assert!(report.clean(), "{} went silent:\n{report}", cfg.label);
         }

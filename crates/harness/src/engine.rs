@@ -12,8 +12,8 @@ use std::fmt;
 
 use ss_common::{Cycles, DetRng, Error, PageId, BLOCKS_PER_PAGE, LINE_SIZE};
 use ss_core::{
-    ControllerConfig, ControllerConfigBuilder, CounterPersistence, EccConfig, EncryptionMode,
-    MemoryController, ProtectionMode, WriteQueueConfig, SHRED_REG,
+    ControllerConfig, ControllerConfigBuilder, CounterPersistence, EccConfig, MemoryController,
+    ProtectionMode, WriteQueueConfig, SHRED_REG,
 };
 
 use ss_trace::{MetricsRegistry, TraceRecord};
@@ -143,7 +143,7 @@ impl HarnessConfig {
                 format!("ecb{wq}"),
                 build(
                     base()
-                        .encryption(EncryptionMode::Ecb)
+                        .protection(ProtectionMode::Ecb)
                         .shredder(false)
                         .integrity(false)
                         .write_queue(queued.then(Self::small_queue)),
@@ -153,7 +153,7 @@ impl HarnessConfig {
                 format!("plain{wq}"),
                 build(
                     base()
-                        .encryption(EncryptionMode::None)
+                        .protection(ProtectionMode::Plain)
                         .shredder(false)
                         .integrity(false)
                         .write_queue(queued.then(Self::small_queue)),
@@ -212,10 +212,15 @@ impl HarnessConfig {
     }
 
     /// Whether untouched lines architecturally read as zero under this
-    /// configuration (Silent Shredder zero-fills them; a plain array
-    /// genuinely holds zeros; other modes decrypt fresh cells to noise).
+    /// configuration (Silent Shredder and scattered liveness zero-fill
+    /// them; a plain array genuinely holds zeros; other modes decrypt
+    /// fresh cells to noise).
     fn zero_fresh(&self) -> bool {
-        self.controller.shredder || self.controller.encryption == EncryptionMode::None
+        self.controller.shredder
+            || matches!(
+                self.controller.protection,
+                ProtectionMode::Plain | ProtectionMode::Scattered
+            )
     }
 }
 
@@ -701,12 +706,10 @@ fn verify_all(
             return Err(format!("zero-fill served for live line {addr}"));
         }
     }
-    // Remanence applies whenever the backend claims the raw array holds
-    // no plaintext: every encrypted mode, and the scattered backend
-    // (whose data region holds a uniform-random share). Gate on the
-    // protection kind, not counter-cache internals.
-    let array_is_opaque = cfg.controller.encryption != EncryptionMode::None
-        || cfg.controller.protection == ProtectionMode::ScatteredTwoShare;
+    // Remanence applies whenever the mode claims the raw array holds no
+    // plaintext: every encrypted mode, and the scattered mode (whose
+    // data region holds a uniform-random share).
+    let array_is_opaque = cfg.controller.protection != ProtectionMode::Plain;
     if array_is_opaque && shadow.secret_count() > 0 {
         for (addr, raw) in mc.faults().cold_scan_data() {
             if shadow.is_secret(&raw) {
@@ -1064,13 +1067,13 @@ fn data_bit_flip(
     let diff_bytes: Vec<usize> = (0..LINE_SIZE)
         .filter(|&i| r.data[i] != expected[i])
         .collect();
-    let bounded = match cfg.controller.encryption {
+    let bounded = match cfg.controller.protection {
         // XOR-stream modes (and no encryption): exactly the flipped bit.
-        EncryptionMode::None | EncryptionMode::Ctr => {
+        ProtectionMode::Plain | ProtectionMode::Ctr | ProtectionMode::Scattered => {
             diff_bytes == [bit / 8] && r.data[bit / 8] ^ expected[bit / 8] == 1 << (bit % 8)
         }
         // ECB: garbling confined to the 16 B AES chunk holding the bit.
-        EncryptionMode::Ecb => {
+        ProtectionMode::Ecb => {
             let chunk = bit / 8 / 16;
             diff_bytes.iter().all(|&i| i / 16 == chunk)
         }
@@ -1176,10 +1179,10 @@ mod tests {
         assert!(matrix.iter().any(|c| c.controller.write_queue.is_some()));
         assert!(matrix
             .iter()
-            .any(|c| c.controller.encryption == EncryptionMode::Ecb));
+            .any(|c| c.controller.protection == ProtectionMode::Ecb));
         assert!(matrix
             .iter()
-            .any(|c| c.controller.encryption == EncryptionMode::None));
+            .any(|c| c.controller.protection == ProtectionMode::Plain));
         assert!(
             matrix
                 .iter()
@@ -1200,7 +1203,7 @@ mod tests {
         let matrix = HarnessConfig::scattered_matrix();
         assert!(matrix.len() >= 5, "scattered sweep needs >= 5 configs");
         for cfg in &matrix {
-            assert_eq!(cfg.controller.protection, ProtectionMode::ScatteredTwoShare);
+            assert_eq!(cfg.controller.protection, ProtectionMode::Scattered);
             cfg.controller.validate().expect("scattered config invalid");
         }
         let a = run_plan(&matrix[0], 11);

@@ -1,7 +1,7 @@
 //! Seeded fault plans.
 
 use ss_common::{DetRng, BLOCKS_PER_PAGE, LINE_SIZE};
-use ss_core::{ControllerConfig, EncryptionMode, ProtectionMode};
+use ss_core::{ControllerConfig, ProtectionMode};
 
 /// One kind of injected fault. Only kinds applicable to the controller
 /// configuration are ever scheduled (e.g. counter tampering is pointless
@@ -103,14 +103,14 @@ impl FaultPlan {
             FaultKind::DataBitFlip,
             FaultKind::ShredDenied,
         ];
-        if cfg.encryption == EncryptionMode::Ctr {
+        if cfg.protection == ProtectionMode::Ctr {
             candidates.push(FaultKind::CounterCacheLineDrop);
             if cfg.integrity {
                 candidates.push(FaultKind::CounterBitFlip);
                 candidates.push(FaultKind::CounterReplay);
             }
         }
-        if cfg.protection == ProtectionMode::ScatteredTwoShare {
+        if cfg.protection == ProtectionMode::Scattered {
             // The scattered backend keeps its liveness metadata in the
             // counter cache/region, so cache drops and (with integrity)
             // metadata bit flips apply. CounterReplay does not: live

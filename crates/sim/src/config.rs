@@ -1,7 +1,7 @@
 //! System-level configuration presets.
 
 use ss_cache::HierarchyConfig;
-use ss_core::{ControllerConfig, EncryptionMode};
+use ss_core::ControllerConfig;
 use ss_os::{KernelConfig, TlbConfig, ZeroStrategy};
 
 /// Everything needed to build a [`crate::System`].
@@ -102,11 +102,6 @@ impl SystemConfig {
     pub fn is_shredder(&self) -> bool {
         self.controller.shredder && self.kernel.zero_strategy == ZeroStrategy::ShredCommand
     }
-
-    /// Whether memory is encrypted at all.
-    pub fn is_encrypted(&self) -> bool {
-        self.controller.encryption != EncryptionMode::None
-    }
 }
 
 #[cfg(test)]
@@ -117,8 +112,6 @@ mod tests {
     fn presets_consistent() {
         assert!(SystemConfig::silent_shredder().is_shredder());
         assert!(!SystemConfig::baseline().is_shredder());
-        assert!(SystemConfig::baseline().is_encrypted());
-        assert!(!SystemConfig::plain().is_encrypted());
     }
 
     #[test]

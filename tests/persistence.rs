@@ -237,7 +237,7 @@ fn sharded_crash_matrix_persistence_by_queue_depth() {
 // ---------------------------------------------------------------------
 
 use silent_shredder::common::LINE_SIZE;
-use silent_shredder::core::{EncryptionMode, PersistDomain, WriteQueueConfig};
+use silent_shredder::core::{PersistDomain, WriteQueueConfig};
 
 #[test]
 fn crash_matrix_smoke_covers_all_outcome_classes() {
@@ -377,7 +377,7 @@ fn power_loss_volatile_set_is_pinned() {
     let mut mc = MemoryController::new(
         ControllerConfigBuilder::small_test()
             .persist_domain(PersistDomain::Adr)
-            .encryption(EncryptionMode::None)
+            .protection(ProtectionMode::Plain)
             .shredder(false)
             .integrity(false)
             .write_queue(Some(queue))

@@ -15,7 +15,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use common::{run_hierarchy_coherence, run_kernel_frame_conservation};
 use silent_shredder::common::{BlockAddr, Cycles, DetRng, PageId, LINE_SIZE};
 use silent_shredder::core::counters::{BumpOutcome, CounterBlock};
-use silent_shredder::core::EncryptionMode;
 use silent_shredder::crypto::iv::{MINOR_FIRST, MINOR_MAX, MINOR_SHREDDED};
 use silent_shredder::crypto::{sha256, CtrEngine, Iv, MerkleTree};
 use silent_shredder::nvm::{StartGap, WriteScheme};
@@ -447,10 +446,10 @@ fn minor_zero_only_via_zero_fill_path() {
 /// with the shredder disabled nothing is ever served as `zero_filled`.
 #[test]
 fn no_zero_fill_without_shredder() {
-    for encryption in [EncryptionMode::Ctr, EncryptionMode::Ecb] {
+    for protection in [ProtectionMode::Ctr, ProtectionMode::Ecb] {
         let mut mc = MemoryController::new(
             ControllerConfigBuilder::small_test()
-                .encryption(encryption)
+                .protection(protection)
                 .shredder(false)
                 .integrity(false)
                 .build()

@@ -9,7 +9,7 @@
 //! integrity off) prove the attacks are real by letting them succeed.
 
 use silent_shredder::common::{Cycles, Error, PageId};
-use silent_shredder::core::{CounterPersistence, EncryptionMode};
+use silent_shredder::core::CounterPersistence;
 use silent_shredder::prelude::*;
 use ss_harness::{run_attack, run_attacks, Adversary, AttackConfig, AttackKind, AttackOutcome};
 
@@ -371,7 +371,7 @@ fn ecb_mode_leaks_equality_ctr_does_not() {
     let mut ecb = MemoryController::new(
         ControllerConfigBuilder::new()
             .data_capacity(1 << 20)
-            .encryption(EncryptionMode::Ecb)
+            .protection(ProtectionMode::Ecb)
             .shredder(false)
             .integrity(false)
             .build()
