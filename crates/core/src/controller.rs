@@ -836,7 +836,7 @@ impl MemoryController {
         // still go through the retry policy.
         let line = self.read_line_healing(caddr)?.into_data();
         self.stats.mem.counter_reads.inc();
-        if let Some(merkle) = &self.merkle {
+        if let Some(merkle) = &mut self.merkle {
             let ok = merkle.verify_leaf(page.raw() as usize, &line);
             self.profile.charge(Stage::MerkleVerify, Cycles::ZERO);
             self.tracer
@@ -1835,12 +1835,14 @@ impl MemoryController {
     ///    pre-images) are restored in reverse, rolling Merkle leaves and
     ///    the spare-pool map back with them. The journal is then marked
     ///    closed — replaying recovery is idempotent.
-    /// 3. **Integrity re-verification**: every persisted counter line is
-    ///    checked against the in-memory Merkle tree. A mismatch that
+    /// 3. **Integrity re-verification**: the persisted counter region is
+    ///    read once and checked against the in-memory Merkle tree in one
+    ///    bottom-up pass ([`MerkleTree::verify_leaves`]). A mismatch that
     ///    recovery could not repair is a hard
     ///    [`Error::IntegrityViolation`], never a silently served read.
-    /// 4. **Shred census**: counts pages whose persisted counters are
-    ///    fully shredded under a non-zero major — re-establishing that
+    /// 4. **Shred census**: counts, from the same read, pages whose
+    ///    persisted counters are fully shredded under a non-zero
+    ///    major — re-establishing that
     ///    shredded pages zero-fill (their minors are all 0) before any
     ///    read is served.
     ///
@@ -1931,51 +1933,33 @@ impl MemoryController {
             // Encryption counters and scattered liveness lines share
             // the counter region, its integrity tree, and the census.
             ProtectionMode::Ctr | ProtectionMode::Scattered => {
-                self.reverify_counter_region()?;
-                report.shredded_pages += self.census_shredded();
+                report.shredded_pages += self.reverify_counter_region()?;
             }
         }
         Ok(report)
     }
 
-    /// Re-verifies every persisted counter line against the in-memory
-    /// Merkle tree (no-op when integrity is off).
-    fn reverify_counter_region(&self) -> Result<()> {
-        let frames = self.config.frames();
-        if self.merkle.is_some() {
-            for p in 0..frames {
-                let caddr = BlockAddr::new(self.counter_base + p * LINE_SIZE as u64);
-                let line = self.nvm.peek(caddr);
-                let ok = self
-                    .merkle
-                    .as_ref()
-                    .is_some_and(|m| m.verify_leaf(p as usize, &line));
-                if !ok {
-                    return Err(Error::IntegrityViolation {
-                        detail: format!(
-                            "recovery: persisted counter line of page {p} does not match the \
-                             Merkle tree"
-                        ),
-                    });
-                }
-            }
+    /// Reads the persisted counter region once, re-verifies it against
+    /// the Merkle tree in one bottom-up pass (skipped when integrity is
+    /// off), and returns the shred census: the pages it shows fully
+    /// shredded under a non-zero major counter.
+    fn reverify_counter_region(&mut self) -> Result<u64> {
+        let lines: Vec<Line> = (0..self.config.frames())
+            .map(|p| self.nvm.peek(self.counter_addr(PageId::new(p))))
+            .collect();
+        if let Some(p) = self.merkle.as_mut().and_then(|m| m.verify_leaves(&lines)) {
+            return Err(Error::IntegrityViolation {
+                detail: format!(
+                    "recovery: persisted counter line of page {p} does not match the \
+                     Merkle tree"
+                ),
+            });
         }
-        Ok(())
-    }
-
-    /// Counts pages whose persisted metadata shows them fully shredded
-    /// under a non-zero major counter.
-    fn census_shredded(&self) -> u64 {
-        let frames = self.config.frames();
-        let mut shredded = 0u64;
-        for p in 0..frames {
-            let caddr = BlockAddr::new(self.counter_base + p * LINE_SIZE as u64);
-            let ctrs = CounterBlock::from_line(&self.nvm.peek(caddr));
-            if ctrs.major > 0 && (0..BLOCKS_PER_PAGE).all(|b| ctrs.is_shredded(b)) {
-                shredded += 1;
-            }
-        }
-        shredded
+        Ok(lines
+            .iter()
+            .map(CounterBlock::from_line)
+            .filter(|c| c.major > 0 && (0..BLOCKS_PER_PAGE).all(|b| c.is_shredded(b)))
+            .count() as u64)
     }
 
     // ------------------------------------------------------------------
@@ -2645,6 +2629,23 @@ mod tests {
         m.drop_counter_cache();
         let err = m.read_block(page.block_addr(0), Cycles::ZERO).unwrap_err();
         assert!(matches!(err, Error::IntegrityViolation { .. }));
+    }
+
+    #[test]
+    fn recovery_names_the_tampered_counter_page() {
+        let mut m = mc();
+        for p in [2, 5] {
+            m.write_block(PageId::new(p).block_addr(0), &line(1), false, Cycles::ZERO)
+                .unwrap();
+        }
+        m.power_loss().unwrap();
+        m.tamper_counter_line(PageId::new(5), line(0xAD));
+        let err = m.recover_mut().unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("counter line of page 5 does not match the Merkle tree"),
+            "{err}"
+        );
     }
 
     #[test]

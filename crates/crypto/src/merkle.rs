@@ -7,9 +7,20 @@
 //! to live in tamper-proof on-chip storage; everything else could sit in
 //! untrusted NVM.
 //!
-//! Updates are incremental (O(log n) rehashing per counter-block change),
-//! and [`MerkleTree::verify_leaf`] re-walks a leaf's authentication path,
-//! detecting any modification of leaf data or internal nodes.
+//! Updates are lazy. [`MerkleTree::update_leaf`] re-hashes the leaf and
+//! only marks its ancestors stale; the next operation that reads the
+//! stored root ([`MerkleTree::verify_leaf`], [`MerkleTree::verify_leaves`])
+//! re-hashes every stale ancestor once, children before parents. Leaves
+//! updated between two verifications share the re-hashing of their
+//! common ancestors — the coalesced ancestor updates of *Streamlining
+//! Integrity Tree Updates* (arXiv:2003.04693). Every
+//! verdict and every root equals what eager leaf-to-root re-hashing would
+//! produce, tampered nodes included: [`MerkleTree::tamper_node`] flushes
+//! before it writes.
+//!
+//! [`MerkleTree::verify_leaf`] re-walks one leaf's authentication path;
+//! [`MerkleTree::verify_leaves`] checks a whole run of leaves in one
+//! bottom-up pass (one hash per node instead of one path per leaf).
 
 #[cfg(test)]
 use crate::sha256::sha256;
@@ -19,7 +30,7 @@ use crate::sha256::{Digest, Sha256};
 const LEAF_TAG: u8 = 0x00;
 const NODE_TAG: u8 = 0x01;
 
-/// A binary Merkle tree with in-place incremental updates.
+/// A binary Merkle tree with lazily re-hashed ancestors.
 ///
 /// # Examples
 ///
@@ -40,6 +51,12 @@ pub struct MerkleTree {
     /// Flat heap layout: `nodes[1]` is the root, children of `i` are
     /// `2i`/`2i+1`, leaves occupy `leaves..2*leaves`.
     nodes: Vec<Digest>,
+    /// `stale[i]`: internal node `i` has a leaf update below it that its
+    /// stored digest does not reflect yet. A stale node's parent is stale
+    /// too, so marking stops at the first stale ancestor.
+    stale: Vec<bool>,
+    /// The stale internal nodes, each listed once.
+    pending: Vec<usize>,
 }
 
 fn hash_leaf(data: &[u8]) -> Digest {
@@ -93,7 +110,12 @@ impl MerkleTree {
             level_digest = hash_node(&level_digest, &level_digest);
             level_start /= 2;
         }
-        MerkleTree { leaves, nodes }
+        MerkleTree {
+            leaves,
+            nodes,
+            stale: vec![false; leaves],
+            pending: Vec::new(),
+        }
     }
 
     /// Number of leaf slots.
@@ -101,9 +123,20 @@ impl MerkleTree {
         self.leaves
     }
 
-    /// The current root digest (kept on-chip in the threat model).
+    /// The current root digest (kept on-chip in the threat model). Stale
+    /// ancestors are re-hashed on the fly without being stored, so a
+    /// shared borrow suffices.
     pub fn root(&self) -> Digest {
-        self.node(1)
+        self.current(1)
+    }
+
+    /// Node `i`'s digest as eager re-hashing would have stored it.
+    fn current(&self, i: usize) -> Digest {
+        if self.stale.get(i).copied().unwrap_or(false) {
+            hash_node(&self.current(2 * i), &self.current(2 * i + 1))
+        } else {
+            self.node(i)
+        }
     }
 
     /// Checked node read. Indices are in range by construction (the heap
@@ -120,7 +153,7 @@ impl MerkleTree {
         }
     }
 
-    /// Re-hashes leaf `index` from `data` and updates the path to the root.
+    /// Re-hashes leaf `index` from `data` and marks its ancestors stale.
     ///
     /// # Panics
     ///
@@ -131,20 +164,49 @@ impl MerkleTree {
         self.set_node(i, hash_leaf(data));
         while i > 1 {
             i /= 2;
-            self.set_node(i, hash_node(&self.node(2 * i), &self.node(2 * i + 1)));
+            match self.stale.get_mut(i) {
+                Some(stale) if !*stale => {
+                    *stale = true;
+                    self.pending.push(i);
+                }
+                _ => break,
+            }
         }
     }
 
+    /// Re-hashes every stale ancestor once and stores the result. A
+    /// child's heap index is larger than its parent's, so descending
+    /// index order re-hashes children before parents.
+    fn flush(&mut self) {
+        let mut pending = std::mem::take(&mut self.pending);
+        pending.sort_unstable_by(|a, b| b.cmp(a));
+        for &i in &pending {
+            self.set_node(i, hash_node(&self.node(2 * i), &self.node(2 * i + 1)));
+            if let Some(stale) = self.stale.get_mut(i) {
+                *stale = false;
+            }
+        }
+        pending.clear();
+        self.pending = pending;
+    }
+
     /// Verifies that `data` matches leaf `index` by re-walking the
-    /// authentication path against the stored root. Returns `false` on any
+    /// authentication path against the root. Returns `false` on any
     /// mismatch (tampered leaf or tampered internal node).
     ///
     /// # Panics
     ///
     /// Panics if `index >= leaf_count()`.
-    pub fn verify_leaf(&self, index: usize, data: &[u8]) -> bool {
+    pub fn verify_leaf(&mut self, index: usize, data: &[u8]) -> bool {
         assert!(index < self.leaves, "leaf index {index} out of range");
-        let mut digest = hash_leaf(data);
+        self.flush();
+        self.walk_path(index, hash_leaf(data))
+    }
+
+    /// Whether `leaf`, re-hashed up `index`'s path with the stored
+    /// siblings, reaches the stored root. Call only with nothing stale.
+    fn walk_path(&self, index: usize, leaf: Digest) -> bool {
+        let mut digest = leaf;
         let mut i = self.leaves + index;
         while i > 1 {
             let sibling = self.node(i ^ 1);
@@ -155,11 +217,69 @@ impl MerkleTree {
             };
             i /= 2;
         }
-        digest == self.root()
+        digest == self.node(1)
+    }
+
+    /// Verifies leaves `0..data.len()` against the root in one bottom-up
+    /// pass: every given leaf is hashed once and every ancestor of one is
+    /// rebuilt once from them (a subtree holding none of them contributes
+    /// its stored digest). That is about two hashes per leaf, where
+    /// walking each path costs one per tree level. The stored digests on
+    /// the given leaves' paths are recomputed, not read.
+    ///
+    /// Returns `None` when the rebuilt root equals the stored one.
+    /// Otherwise returns the first leaf whose own path walk fails (the
+    /// leaf a loop of [`MerkleTree::verify_leaf`] calls reports first);
+    /// one exists unless SHA-256 collides.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len() > leaf_count()`.
+    pub fn verify_leaves<D: AsRef<[u8]>>(&mut self, data: &[D]) -> Option<usize> {
+        assert!(
+            data.len() <= self.leaves,
+            "{} leaves given to a tree of {}",
+            data.len(),
+            self.leaves
+        );
+        self.flush();
+        if data.is_empty() {
+            return None;
+        }
+        let mut level: Vec<Digest> = data.iter().map(|d| hash_leaf(d.as_ref())).collect();
+        // Heap index of `level[0]`, the leftmost node of its tree level.
+        let mut first = self.leaves;
+        while first > 1 {
+            if level.len() % 2 == 1 {
+                level.push(self.node(first + level.len()));
+            }
+            let parents = level.len() / 2;
+            for p in 0..parents {
+                if let (Some(l), Some(r)) = (level.get(2 * p), level.get(2 * p + 1)) {
+                    let parent = hash_node(l, r);
+                    if let Some(slot) = level.get_mut(p) {
+                        *slot = parent;
+                    }
+                }
+            }
+            level.truncate(parents);
+            first /= 2;
+        }
+        if level.first() == Some(&self.node(1)) {
+            return None;
+        }
+        Some(
+            data.iter()
+                .enumerate()
+                .position(|(i, d)| !self.walk_path(i, hash_leaf(d.as_ref())))
+                .unwrap_or(0),
+        )
     }
 
     /// Simulates an attacker overwriting an internal node or leaf hash in
     /// untrusted storage (for security tests). Returns the previous value.
+    /// Stale ancestors are flushed first, so the write lands on the state
+    /// eager re-hashing would hold.
     ///
     /// # Panics
     ///
@@ -170,6 +290,7 @@ impl MerkleTree {
             node_index > 1 && node_index < self.nodes.len(),
             "node {node_index} is not a tamperable off-chip node"
         );
+        self.flush();
         match self.nodes.get_mut(node_index) {
             Some(node) => std::mem::replace(node, value),
             None => [0u8; 32],
@@ -185,12 +306,13 @@ impl MerkleTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ss_common::DetRng;
 
     #[test]
     fn uniform_construction_matches_incremental() {
         // Build with the fast uniform path, then rebuild the same state
         // with explicit per-leaf updates; roots must agree.
-        let uniform = MerkleTree::with_initial_leaf(8, b"zz");
+        let mut uniform = MerkleTree::with_initial_leaf(8, b"zz");
         let mut incremental = MerkleTree::new(8);
         for i in 0..8 {
             incremental.update_leaf(i, b"zz");
@@ -206,11 +328,13 @@ mod tests {
         assert!(t.verify_leaf(0, &[]));
         t.update_leaf(0, b"data");
         assert!(t.verify_leaf(0, b"data"));
+        assert_eq!(t.verify_leaves(&[b"data"]), None);
+        assert_eq!(t.verify_leaves(&[b"atad"]), Some(0));
     }
 
     #[test]
     fn fresh_tree_verifies_empty_leaves() {
-        let tree = MerkleTree::new(8);
+        let mut tree = MerkleTree::new(8);
         for i in 0..8 {
             assert!(tree.verify_leaf(i, &[]));
         }
@@ -282,6 +406,144 @@ mod tests {
         cat.extend_from_slice(&l);
         cat.extend_from_slice(&r);
         assert_ne!(hash_leaf(&cat), hash_node(&l, &r));
+    }
+
+    #[test]
+    fn updates_under_a_shared_ancestor_mark_it_once() {
+        let mut tree = MerkleTree::new(16);
+        for i in 4..8 {
+            tree.update_leaf(i, b"x");
+        }
+        // Leaves 4..8 sit under nodes 10 and 11, which share node 5 and
+        // its ancestors 2 and 1: five stale nodes, each listed once.
+        assert_eq!(tree.pending.len(), 5);
+        tree.flush();
+        assert!(tree.pending.is_empty());
+        assert!(tree.stale.iter().all(|s| !s));
+    }
+
+    #[test]
+    fn verify_leaves_accepts_the_stored_run() {
+        let mut tree = MerkleTree::new(6); // padded to 8
+        let data: Vec<Vec<u8>> = (0u8..6).map(|i| vec![i; 3]).collect();
+        for (i, d) in data.iter().enumerate() {
+            tree.update_leaf(i, d);
+        }
+        assert_eq!(tree.verify_leaves(&data), None);
+        // A shorter prefix leans on the stored digests to its right.
+        assert_eq!(tree.verify_leaves(&data[..3]), None);
+        let mut replayed = data.clone();
+        replayed[4] = vec![9; 3];
+        assert_eq!(tree.verify_leaves(&replayed), Some(4));
+    }
+
+    #[test]
+    fn verify_leaves_reads_the_digests_beyond_the_run() {
+        let mut tree = MerkleTree::new(8);
+        let data: Vec<[u8; 1]> = (0u8..8).map(|i| [i]).collect();
+        for (i, d) in data.iter().enumerate() {
+            tree.update_leaf(i, d);
+        }
+        // Forge leaf 7's digest. Leaves 0..7 do not cover it, so the pass
+        // reads the forgery; leaf 6's path is the first to cross it.
+        tree.tamper_node(8 + 7, [0x55; 32]);
+        assert_eq!(tree.verify_leaves(&data[..7]), Some(6));
+    }
+
+    /// Leaf-to-root re-hashing on every update: the behaviour the lazy
+    /// tree must reproduce verdict for verdict.
+    struct EagerTree {
+        leaves: usize,
+        nodes: Vec<Digest>,
+    }
+
+    impl EagerTree {
+        fn new(leaf_count: usize) -> Self {
+            let leaves = leaf_count.next_power_of_two();
+            let mut nodes = vec![hash_leaf(&[]); 2 * leaves];
+            for i in (1..leaves).rev() {
+                nodes[i] = hash_node(&nodes[2 * i], &nodes[2 * i + 1]);
+            }
+            EagerTree { leaves, nodes }
+        }
+
+        fn update_leaf(&mut self, index: usize, data: &[u8]) {
+            let mut i = self.leaves + index;
+            self.nodes[i] = hash_leaf(data);
+            while i > 1 {
+                i /= 2;
+                self.nodes[i] = hash_node(&self.nodes[2 * i], &self.nodes[2 * i + 1]);
+            }
+        }
+
+        fn verify_leaf(&self, index: usize, data: &[u8]) -> bool {
+            let mut digest = hash_leaf(data);
+            let mut i = self.leaves + index;
+            while i > 1 {
+                let sibling = self.nodes[i ^ 1];
+                digest = if i.is_multiple_of(2) {
+                    hash_node(&digest, &sibling)
+                } else {
+                    hash_node(&sibling, &digest)
+                };
+                i /= 2;
+            }
+            digest == self.nodes[1]
+        }
+    }
+
+    #[test]
+    fn lazy_tree_matches_eager_rehashing() {
+        let mut rng = DetRng::new(0x3E_0010);
+        for _ in 0..32 {
+            let leaf_count = 1 + rng.below(40) as usize;
+            let mut lazy = MerkleTree::new(leaf_count);
+            let mut eager = EagerTree::new(leaf_count);
+            let leaves = lazy.leaf_count();
+            let mut current: Vec<Vec<u8>> = vec![Vec::new(); leaves];
+            let mut tampered = false;
+            for _ in 0..200 {
+                let index = rng.below(leaves as u64) as usize;
+                match rng.below(8) {
+                    0..=3 => {
+                        let mut data = vec![0u8; rng.below(70) as usize];
+                        rng.fill_bytes(&mut data);
+                        lazy.update_leaf(index, &data);
+                        eager.update_leaf(index, &data);
+                        current[index] = data;
+                    }
+                    4 | 5 => {
+                        let data = if rng.below(2) == 0 {
+                            current[index].clone()
+                        } else {
+                            vec![rng.below(256) as u8]
+                        };
+                        assert_eq!(
+                            lazy.verify_leaf(index, &data),
+                            eager.verify_leaf(index, &data)
+                        );
+                    }
+                    6 if leaves > 1 => {
+                        let node = 2 + rng.below(2 * leaves as u64 - 2) as usize;
+                        let mut forged = [0u8; 32];
+                        rng.fill_bytes(&mut forged);
+                        assert_eq!(lazy.tamper_node(node, forged), eager.nodes[node]);
+                        eager.nodes[node] = forged;
+                        tampered = true;
+                    }
+                    // The one-pass check recomputes the digests on the
+                    // run's paths instead of reading them, so it matches
+                    // the per-leaf loop only while they are untampered.
+                    _ if !tampered => {
+                        let n = rng.below(leaves as u64 + 1) as usize;
+                        let first_bad = (0..n).find(|&i| !eager.verify_leaf(i, &current[i]));
+                        assert_eq!(lazy.verify_leaves(&current[..n]), first_bad);
+                    }
+                    _ => {}
+                }
+                assert_eq!(lazy.root(), eager.nodes[1]);
+            }
+        }
     }
 
     #[test]

@@ -93,16 +93,13 @@ impl Sha256 {
     /// Finishes and returns the digest.
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.total_len * 8;
-        // Append 0x80, zero-pad to 56 mod 64, append 64-bit length.
-        self.update(&[0x80]);
-        self.total_len -= 1; // padding bytes don't count
-        while self.buf_len != 56 {
-            self.update(&[0]);
-            self.total_len -= 1;
-        }
-        let mut block = self.buf;
-        block[56..].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(&block);
+        // Append 0x80, zero-pad to 56 mod 64 and append the 64-bit
+        // length, as one update that ends exactly on a block boundary.
+        let zeros = (55 + 64 - self.buf_len) % 64;
+        let mut tail = [0u8; 72];
+        tail[0] = 0x80;
+        tail[1 + zeros..9 + zeros].copy_from_slice(&bit_len.to_be_bytes());
+        self.update(&tail[..9 + zeros]);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..(i + 1) * 4].copy_from_slice(&word.to_be_bytes());
