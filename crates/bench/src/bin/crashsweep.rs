@@ -5,287 +5,25 @@
 //!            [--scattered] [--weakened] [--list]
 //! ```
 //!
-//! The crash-consistency analog of `attacksweep`: every scenario in
-//! [`CrashScenario::ALL`] (demand write, write-queue drain, shred,
-//! spare remap, scrub repair, counter flush, batched shred drain) is
-//! cut at every persist step — whole and torn — against every
-//! configuration in [`CrashConfig::matrix`] (ADR and eADR domains,
-//! write-through and battery counters, plain/ECB/CTR encryption, 4- and
-//! 8-shard controllers) for seeds `0..N` (N = 8). Each crash point is
-//! classified `old-state`/`new-state`/`repaired`/`skipped`/`SILENT`;
-//! the exit status is nonzero iff anything went silent. The report is a
-//! pure function of the seed set — no wall-clock, no environment — so
-//! the same invocation is always byte-identical.
+//! Cuts every scenario in [`CrashScenario::ALL`] at every persist step,
+//! whole and torn, for seeds `0..N` (N = 8) against
+//! [`CrashConfig::matrix`] (`--scattered`:
+//! [`CrashConfig::scattered_matrix`]) and exits nonzero iff a crash point
+//! went silent. `--weakened` runs only [`CrashConfig::weakened`] (reboot
+//! recovery disabled), whose demand-write cuts serve garbage silently,
+//! so the sweep must exit red — CI runs it to prove the gate fires.
+//! Everything else is the shared [`ss_harness::sweep`] program, run with
+//! the [`CrashSweep`] campaign.
 //!
-//! `--seed S` replays a single seed with full per-crash-point records,
-//! so a failing campaign cell can be rerun alone.
-//!
-//! `--json FILE` additionally writes the results to `FILE` as JSON
-//! (hand-rolled, fixed key order — exactly as deterministic as the text
-//! report, which stays byte-identical whether or not `--json` is
-//! given).
-//!
-//! `--scattered` swaps the matrix for the scattered two-share rows
-//! ([`CrashConfig::scattered_matrix`]): ADR write-through, ADR battery,
-//! eADR, and a 4-shard ADR row, all with the `Scattered` protection
-//! mode, so torn cuts between the two share persists are
-//! exercised too.
-//!
-//! `--weakened` swaps the matrix for the deliberately broken
-//! [`CrashConfig::weakened`] configuration (ADR torn writes with the
-//! reboot recovery protocol disabled). Its demand-write cuts serve
-//! garbage *silently*, so the sweep must exit red — CI runs this to
-//! prove the gate actually fires.
+//! [`CrashScenario::ALL`]: ss_harness::CrashScenario::ALL
+//! [`CrashConfig::matrix`]: ss_harness::CrashConfig::matrix
+//! [`CrashConfig::scattered_matrix`]: ss_harness::CrashConfig::scattered_matrix
+//! [`CrashConfig::weakened`]: ss_harness::CrashConfig::weakened
 
-use std::env;
-use std::fmt::Write as _;
 use std::process::ExitCode;
 
-use ss_harness::{run_crash_config, CrashConfig, CrashTally};
-
-struct Options {
-    seeds: u64,
-    replay: Option<u64>,
-    config: Option<String>,
-    json: Option<String>,
-    scattered: bool,
-    weakened: bool,
-    list: bool,
-}
-
-fn parse_args() -> Result<Options, String> {
-    let mut opts = Options {
-        seeds: 8,
-        replay: None,
-        config: None,
-        json: None,
-        scattered: false,
-        weakened: false,
-        list: false,
-    };
-    let mut args = env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--seeds" => {
-                opts.seeds = args
-                    .next()
-                    .ok_or("--seeds needs a number")?
-                    .parse()
-                    .map_err(|e| format!("--seeds: {e}"))?;
-            }
-            "--seed" => {
-                opts.replay = Some(
-                    args.next()
-                        .ok_or("--seed needs a number")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?,
-                );
-            }
-            "--config" => {
-                opts.config = Some(args.next().ok_or("--config needs a label")?);
-            }
-            "--json" => {
-                opts.json = Some(args.next().ok_or("--json needs a file path")?);
-            }
-            "--scattered" => opts.scattered = true,
-            "--weakened" => opts.weakened = true,
-            "--list" => opts.list = true,
-            "--help" | "-h" => {
-                return Err(
-                    "usage: crashsweep [--seeds N] [--seed S] [--config LABEL] [--json FILE] \
-                     [--scattered] [--weakened] [--list]"
-                        .to_string(),
-                );
-            }
-            other => return Err(format!("unknown argument {other:?}")),
-        }
-    }
-    if opts.seeds == 0 {
-        return Err("--seeds must be at least 1".to_string());
-    }
-    if opts.scattered && opts.weakened {
-        return Err("--scattered and --weakened are mutually exclusive".to_string());
-    }
-    Ok(opts)
-}
-
-/// Escapes `s` for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Campaign results as a JSON document.
-fn campaign_json(
-    seeds: u64,
-    per_config: &[(String, CrashTally)],
-    grand: &CrashTally,
-    failures: &[(String, u64)],
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"seeds\": {seeds},");
-    out.push_str("  \"configs\": [\n");
-    for (i, (label, tally)) in per_config.iter().enumerate() {
-        let comma = if i + 1 < per_config.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"label\":\"{}\",\"tally\":{}}}{comma}",
-            json_escape(label),
-            tally.to_json()
-        );
-    }
-    out.push_str("  ],\n");
-    let _ = writeln!(out, "  \"total\": {},", grand.to_json());
-    let _ = writeln!(out, "  \"crash_points\": {},", grand.total());
-    out.push_str("  \"failures\": [");
-    for (i, (label, seed)) in failures.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"config\":\"{}\",\"seed\":{seed}}}",
-            json_escape(label)
-        );
-    }
-    out.push_str("],\n");
-    let _ = writeln!(out, "  \"clean\": {}", grand.silent == 0);
-    out.push_str("}\n");
-    out
-}
-
-/// Replay results (full per-crash-point records) as a JSON document.
-/// Each config object is `CrashReport::to_json` verbatim, so the replay
-/// file and the determinism test compare the exact same bytes.
-fn replay_json(seed: u64, reports: &[ss_harness::CrashReport]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"seed\": {seed},");
-    out.push_str("  \"configs\": [\n");
-    for (i, report) in reports.iter().enumerate() {
-        let comma = if i + 1 < reports.len() { "," } else { "" };
-        let _ = writeln!(out, "    {}{comma}", report.to_json());
-    }
-    out.push_str("  ],\n");
-    let _ = writeln!(out, "  \"clean\": {}", reports.iter().all(|r| r.clean()));
-    out.push_str("}\n");
-    out
-}
-
-/// Writes `json` to `path`, mapping failure to a process exit.
-fn write_json(path: &str, json: &str) -> Result<(), String> {
-    std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))
-}
+use ss_harness::{sweep, CrashSweep};
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let pool = if opts.weakened {
-        vec![CrashConfig::weakened()]
-    } else if opts.scattered {
-        CrashConfig::scattered_matrix()
-    } else {
-        CrashConfig::matrix()
-    };
-    let matrix: Vec<CrashConfig> = pool
-        .into_iter()
-        .filter(|c| opts.config.as_deref().is_none_or(|l| c.label == l))
-        .collect();
-    if matrix.is_empty() {
-        eprintln!(
-            "no config labelled {:?}; try --list",
-            opts.config.as_deref().unwrap_or("")
-        );
-        return ExitCode::FAILURE;
-    }
-    if opts.list {
-        for cfg in &matrix {
-            println!("{}", cfg.label);
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    // Replay mode: one seed, full per-crash-point records.
-    if let Some(seed) = opts.replay {
-        let mut clean = true;
-        let mut reports = Vec::with_capacity(matrix.len());
-        for cfg in &matrix {
-            let report = run_crash_config(cfg, seed);
-            clean &= report.clean();
-            print!("{report}");
-            reports.push(report);
-        }
-        if let Some(path) = &opts.json {
-            if let Err(e) = write_json(path, &replay_json(seed, &reports)) {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        return if clean {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-
-    // Campaign mode: seeds 0..N against every config.
-    println!(
-        "crashsweep: {} seed(s) x {} config(s)",
-        opts.seeds,
-        matrix.len()
-    );
-    let mut grand = CrashTally::default();
-    let mut failures: Vec<(String, u64)> = Vec::new();
-    let mut per_config: Vec<(String, CrashTally)> = Vec::new();
-    for cfg in &matrix {
-        let mut tally = CrashTally::default();
-        for seed in 0..opts.seeds {
-            let report = run_crash_config(cfg, seed);
-            tally.merge(report.tally());
-            if !report.clean() {
-                failures.push((cfg.label.clone(), seed));
-            }
-        }
-        println!("  {:<20} {}", cfg.label, tally);
-        per_config.push((cfg.label.clone(), tally));
-        grand.merge(tally);
-    }
-    println!("  {:<20} {}", "total", grand);
-    println!("crash points: {}", grand.total());
-    if let Some(path) = &opts.json {
-        let json = campaign_json(opts.seeds, &per_config, &grand, &failures);
-        if let Err(e) = write_json(path, &json) {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if grand.silent == 0 {
-        println!("result: CLEAN (zero silent outcomes)");
-        ExitCode::SUCCESS
-    } else {
-        for (label, seed) in &failures {
-            println!("replay with: crashsweep --config {label} --seed {seed}");
-        }
-        println!("result: FAILED ({} silent)", grand.silent);
-        ExitCode::FAILURE
-    }
+    sweep::main::<CrashSweep>(std::env::args().skip(1))
 }

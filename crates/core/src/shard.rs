@@ -358,6 +358,22 @@ impl ShardedController {
             .unwrap_or(Cycles::ZERO)
     }
 
+    /// [`MemoryController::fence_drain`] on every shard: each drains its
+    /// own write queue, then the fence waits for the slowest shard's
+    /// channels — the maximum over shards, as for
+    /// [`ShardedController::fence`].
+    ///
+    /// # Errors
+    ///
+    /// The first failing shard's device write error from its drain.
+    pub fn fence_drain(&mut self, now: Cycles) -> Result<Cycles> {
+        let mut wait = Cycles::ZERO;
+        for s in &mut self.shards {
+            wait = wait.max(s.fence_drain(now)?);
+        }
+        Ok(wait)
+    }
+
     /// Power loss across every shard (each flushes per its own
     /// persistence mode). Queued shred *commands* are volatile MMIO
     /// state and are lost — the kernel re-posts after recovery, exactly

@@ -4,14 +4,16 @@
 //!    one shard, and the map round-trips;
 //! 2. a 1-shard [`ShardedController`] is behaviourally identical to the
 //!    plain [`MemoryController`] under the same operation sequence,
-//!    metric for metric;
+//!    metric for metric, with and without a write queue;
 //! 3. after an MMIO enqueue + drain, every shredded page zero-fills on
 //!    *its own shard* — shredding one shard's pages never leaks into a
-//!    neighbour.
+//!    neighbour;
+//! 4. `fence_drain` empties every shard's write queue.
 
 use ss_common::{Cycles, DetRng, PageId};
 use ss_core::{
-    mmio, ControllerConfig, Interleave, MemoryController, ShardedConfig, ShardedController,
+    mmio, ControllerConfig, ControllerConfigBuilder, Interleave, MemoryController, ShardedConfig,
+    ShardedController, WriteQueueConfig,
 };
 
 #[test]
@@ -71,6 +73,12 @@ fn run_mix(plain: &mut MemoryController, sharded: &mut ShardedController) {
                 assert_eq!(a.zero_filled, b.zero_filled);
                 now += a.latency;
             }
+            4 if i % 20 == 4 => {
+                let a = plain.fence_drain(now).unwrap();
+                let b = sharded.fence_drain(now).unwrap();
+                assert_eq!(a, b, "fence_drain wait diverged at op {i}");
+                now += a;
+            }
             _ => {
                 let a = plain
                     .mmio_write(mmio::SHRED_REG, page.base_addr().raw(), true, now)
@@ -85,25 +93,77 @@ fn run_mix(plain: &mut MemoryController, sharded: &mut ShardedController) {
     }
 }
 
+/// A write queue that holds up to 8 lines before draining on its own.
+#[allow(clippy::unwrap_used)]
+fn queued_config() -> ControllerConfig {
+    let queue = WriteQueueConfig {
+        capacity: 8,
+        drain_low: 1,
+        drain_high: 8,
+    };
+    ControllerConfigBuilder::small_test()
+        .write_queue(Some(queue))
+        .build()
+        .unwrap()
+}
+
 #[test]
 fn one_shard_matches_plain_controller_exactly() {
-    let config = ControllerConfig::small_test();
-    let mut plain = MemoryController::new(config.clone()).unwrap();
-    let mut sharded = ShardedController::new(ShardedConfig::new(1, config)).unwrap();
-    run_mix(&mut plain, &mut sharded);
+    for config in [ControllerConfig::small_test(), queued_config()] {
+        let mut plain = MemoryController::new(config.clone()).unwrap();
+        let mut sharded = ShardedController::new(ShardedConfig::new(1, config)).unwrap();
+        run_mix(&mut plain, &mut sharded);
 
-    let plain_metrics = plain.inspect().metrics();
-    let sharded_metrics = sharded.metrics();
-    // Every plain metric must appear in the merged registry unchanged;
-    // the sharded registry only adds shard.* gauges on top.
-    for (name, value) in plain_metrics.iter() {
+        let plain_metrics = plain.inspect().metrics();
+        let sharded_metrics = sharded.metrics();
+        // Every plain metric must appear in the merged registry
+        // unchanged; the sharded registry only adds shard.* gauges on
+        // top.
+        for (name, value) in plain_metrics.iter() {
+            assert_eq!(
+                sharded_metrics.get(name),
+                Some(value),
+                "metric {name} diverged between plain and 1-shard controllers"
+            );
+        }
+        assert_eq!(sharded_metrics.get("shard.count"), Some(1));
+    }
+}
+
+#[test]
+fn fence_drain_empties_every_shard_queue() {
+    let mut sc = ShardedController::new(ShardedConfig::new(4, queued_config())).unwrap();
+    // Two lines per shard: consecutive pages interleave round-robin.
+    for p in 0..8u64 {
+        let addr = PageId::new(p).block_addr(0);
+        sc.write_block(addr, &[p as u8 + 1; 64], false, Cycles::ZERO)
+            .unwrap();
+    }
+    for s in 0..4 {
+        let queued = sc.inspect_shard(s).unwrap().write_queue_len();
+        assert_eq!(queued, 2, "shard {s} should hold its writes queued");
+    }
+    let wait = sc.fence_drain(Cycles::ZERO).unwrap();
+    assert!(
+        wait > Cycles::ZERO,
+        "the drained writes occupy the channels"
+    );
+    assert_eq!(wait, sc.fence(Cycles::ZERO), "drain waits for every shard");
+    for s in 0..4 {
         assert_eq!(
-            sharded_metrics.get(name),
-            Some(value),
-            "metric {name} diverged between plain and 1-shard controllers"
+            sc.inspect_shard(s).unwrap().write_queue_len(),
+            0,
+            "shard {s} kept queued writes"
         );
     }
-    assert_eq!(sharded_metrics.get("shard.count"), Some(1));
+    for p in 0..8u64 {
+        let r = sc.read_block(PageId::new(p).block_addr(0), Cycles::ZERO);
+        assert_eq!(
+            r.unwrap().data,
+            [p as u8 + 1; 64],
+            "page {p} lost its write"
+        );
+    }
 }
 
 #[test]

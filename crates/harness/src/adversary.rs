@@ -26,9 +26,10 @@
 //!   process poking the kernel-only shred MMIO register.
 //!
 //! Multi-step attack scenarios ([`AttackKind`]) are driven by
-//! [`run_attack`] against either a plain [`MemoryController`] or a
-//! [`ShardedController`] (every capability routes through the
-//! `Inspect`/`FaultPort` facades, per shard where needed). Every attack
+//! [`run_attack`] against a [`ShardedController`] — one shard is the
+//! plain controller, byte for byte — and every physical capability
+//! routes through the per-shard `Inspect`/`FaultPort` facades at the
+//! interleaved address. Every attack
 //! ends in exactly one [`AttackOutcome`]; `Leaked` is the only failure
 //! and any `Leaked` turns the `attacksweep` binary's exit red.
 //!
@@ -41,12 +42,12 @@ use std::fmt;
 
 use ss_common::{BlockAddr, Cycles, DetRng, Error, PageId, Result, BLOCKS_PER_PAGE, LINE_SIZE};
 use ss_core::{
-    ControllerConfig, ControllerConfigBuilder, CounterPersistence, MemoryController,
-    ProtectionMode, ReadResult, ShardedConfig, ShardedController, ShredStrategy, WriteQueueConfig,
-    SHRED_REG,
+    ControllerConfig, ControllerConfigBuilder, CounterPersistence, FaultPort, ProtectionMode,
+    ReadResult, ShardedConfig, ShardedController, ShredStrategy, WriteQueueConfig, SHRED_REG,
 };
 
 use crate::shadow::Line;
+use crate::sweep::{json_escape, Artifacts, Campaign, SweepReport, SweepTally};
 
 /// Domain separator for attack-scenario RNG streams (distinct from the
 /// fault-plan and workload domains in `plan.rs`/`engine.rs`).
@@ -205,9 +206,11 @@ impl AttackTally {
             AttackOutcome::Skipped => self.skipped += 1,
         }
     }
+}
 
+impl SweepTally for AttackTally {
     /// Adds every count of `other`.
-    pub fn merge(&mut self, other: AttackTally) {
+    fn merge(&mut self, other: AttackTally) {
         self.defended += other.defended;
         self.detected += other.detected;
         self.leaked += other.leaked;
@@ -215,13 +218,17 @@ impl AttackTally {
     }
 
     /// Total attacks tallied.
-    pub fn total(&self) -> u64 {
+    fn total(&self) -> u64 {
         self.defended + self.detected + self.leaked + self.skipped
+    }
+
+    fn failed(&self) -> u64 {
+        self.leaked
     }
 
     /// Renders as a JSON object with a fixed key order — byte-stable so
     /// two sweep files from the same seeds `cmp` equal.
-    pub fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         format!(
             "{{\"defended\":{},\"detected\":{},\"leaked\":{},\"skipped\":{}}}",
             self.defended, self.detected, self.leaked, self.skipped
@@ -251,9 +258,11 @@ pub struct AttackReport {
     pub records: Vec<AttackRecord>,
 }
 
-impl AttackReport {
+impl SweepReport for AttackReport {
+    type Tally = AttackTally;
+
     /// Outcome counts for this report.
-    pub fn tally(&self) -> AttackTally {
+    fn tally(&self) -> AttackTally {
         let mut t = AttackTally::default();
         for r in &self.records {
             t.absorb(r.outcome);
@@ -262,14 +271,14 @@ impl AttackReport {
     }
 
     /// True when no attack leaked.
-    pub fn clean(&self) -> bool {
+    fn clean(&self) -> bool {
         self.tally().leaked == 0
     }
 
     /// Renders the full report as one JSON object on a single line:
     /// fixed key order, records in attack order, no maps anywhere on
     /// the path. `attacksweep --json` embeds this verbatim.
-    pub fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         let mut out = format!(
             "{{\"label\":\"{}\",\"seed\":{},\"clean\":{},\"tally\":{},\"records\":[",
             json_escape(&self.label),
@@ -307,26 +316,6 @@ impl fmt::Display for AttackReport {
     }
 }
 
-/// Escapes `s` for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// One named machine configuration under attack.
 #[derive(Debug, Clone)]
 pub struct AttackConfig {
@@ -334,8 +323,9 @@ pub struct AttackConfig {
     pub label: String,
     /// The controller configuration (the *total* machine when sharded).
     pub controller: ControllerConfig,
-    /// Channel count: 1 builds a plain [`MemoryController`], >1 a
-    /// [`ShardedController`] over the round-robin interleave.
+    /// Channel count of the [`ShardedController`] under attack, over
+    /// the round-robin interleave (1 behaves exactly like the plain
+    /// controller).
     pub shards: u32,
     /// Working-set size in pages (attacks target pages `1..=pages`,
     /// which covers every shard once `pages >= shards`).
@@ -432,295 +422,36 @@ impl AttackConfig {
     }
 }
 
-/// The machine under attack: one controller or a sharded array of them,
-/// behind one global-address surface.
+/// The `attacksweep` campaign: every attack in [`AttackKind::ALL`] over
+/// [`AttackConfig::matrix`], gated on zero leaked outcomes, with the
+/// no-Merkle [`AttackConfig::weakened`] config behind `--weakened`.
 #[derive(Debug)]
-enum Target {
-    Plain(Box<MemoryController>),
-    Sharded(Box<ShardedController>),
-}
+pub struct AttackSweep;
 
-impl Target {
-    fn build(cfg: &AttackConfig) -> Result<Target> {
-        if cfg.shards <= 1 {
-            Ok(Target::Plain(Box::new(MemoryController::new(
-                cfg.controller.clone(),
-            )?)))
-        } else {
-            Ok(Target::Sharded(Box::new(ShardedController::new(
-                ShardedConfig::new(cfg.shards, cfg.controller.clone()),
-            )?)))
-        }
+impl Campaign for AttackSweep {
+    type Config = AttackConfig;
+    type Report = AttackReport;
+    const NAME: &'static str = "attacksweep";
+    const DEFAULT_SEEDS: u64 = 32;
+    const LABEL_WIDTH: usize = 18;
+    const TOTAL_NOUN: &'static str = "attacks run";
+    const CLEAN_NOTE: &'static str = "zero leaked outcomes";
+    const FAILED_NOUN: &'static str = "leaked";
+
+    fn matrix() -> Vec<AttackConfig> {
+        AttackConfig::matrix()
     }
-
-    fn shards(&self) -> u32 {
-        match self {
-            Target::Plain(_) => 1,
-            Target::Sharded(sc) => sc.shards(),
-        }
+    fn scattered_matrix() -> Vec<AttackConfig> {
+        AttackConfig::scattered_matrix()
     }
-
-    /// `(shard, local)` of a global block address.
-    fn locate(&self, addr: BlockAddr) -> (usize, BlockAddr) {
-        match self {
-            Target::Plain(_) => (0, addr),
-            Target::Sharded(sc) => {
-                let il = sc.interleave();
-                (il.shard_of_block(addr) as usize, il.local_block(addr))
-            }
-        }
+    fn weakened() -> Option<AttackConfig> {
+        Some(AttackConfig::weakened())
     }
-
-    /// `(shard, local)` of a global page.
-    fn locate_page(&self, page: PageId) -> (usize, PageId) {
-        match self {
-            Target::Plain(_) => (0, page),
-            Target::Sharded(sc) => {
-                let il = sc.interleave();
-                (il.shard_of_page(page) as usize, il.local_page(page))
-            }
-        }
+    fn label(cfg: &AttackConfig) -> &str {
+        &cfg.label
     }
-
-    fn write(&mut self, addr: BlockAddr, line: &Line) -> Result<()> {
-        match self {
-            Target::Plain(mc) => mc.write_block(addr, line, false, Cycles::ZERO).map(|_| ()),
-            Target::Sharded(sc) => sc.write_block(addr, line, false, Cycles::ZERO).map(|_| ()),
-        }
-    }
-
-    fn read(&mut self, addr: BlockAddr) -> Result<ReadResult> {
-        match self {
-            Target::Plain(mc) => mc.read_block(addr, Cycles::ZERO),
-            Target::Sharded(sc) => sc.read_block(addr, Cycles::ZERO),
-        }
-    }
-
-    fn shred(&mut self, page: PageId) -> Result<()> {
-        match self {
-            Target::Plain(mc) => mc.shred_page(page, true).map(|_| ()),
-            Target::Sharded(sc) => sc.shred_page_at(page, true, Cycles::ZERO).map(|_| ()),
-        }
-    }
-
-    fn user_shred_mmio(&mut self, page: PageId) -> Result<()> {
-        let value = page.base_addr().raw();
-        match self {
-            Target::Plain(mc) => mc
-                .mmio_write(SHRED_REG, value, false, Cycles::ZERO)
-                .map(|_| ()),
-            Target::Sharded(sc) => sc
-                .mmio_write(SHRED_REG, value, false, Cycles::ZERO)
-                .map(|_| ()),
-        }
-    }
-
-    fn flush_counters(&mut self) -> Result<()> {
-        match self {
-            Target::Plain(mc) => mc.flush_counters(),
-            Target::Sharded(sc) => sc.flush_counters(),
-        }
-    }
-
-    /// One full scrub pass over every data line of every shard.
-    fn scrub_pass(&mut self) -> Result<()> {
-        match self {
-            Target::Plain(mc) => {
-                let lines = mc.config().data_capacity / LINE_SIZE as u64;
-                for _ in 0..lines {
-                    mc.scrub_step(Cycles::ZERO)?;
-                }
-            }
-            Target::Sharded(sc) => {
-                let per_shard =
-                    sc.config().base.data_capacity / u64::from(sc.shards()) / LINE_SIZE as u64;
-                for _ in 0..per_shard {
-                    sc.scrub_step(Cycles::ZERO)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn power_loss(&mut self) -> Result<()> {
-        match self {
-            Target::Plain(mc) => mc.power_loss(),
-            Target::Sharded(sc) => sc.power_loss().ok(),
-        }
-    }
-
-    fn recover(&self) -> Result<()> {
-        match self {
-            Target::Plain(mc) => mc.recover(),
-            Target::Sharded(sc) => sc.recover().ok(),
-        }
-    }
-
-    fn remapped_lines(&self) -> u64 {
-        match self {
-            Target::Plain(mc) => mc.inspect().remapped_lines(),
-            Target::Sharded(sc) => (0..sc.shards() as usize)
-                .filter_map(|s| sc.inspect_shard(s))
-                .map(|i| i.remapped_lines())
-                .sum(),
-        }
-    }
-
-    fn merkle_roots(&self) -> Vec<(u32, Option<[u8; 32]>)> {
-        match self {
-            Target::Plain(mc) => vec![(0, mc.inspect().merkle_root())],
-            Target::Sharded(sc) => (0..sc.shards())
-                .map(|s| {
-                    (
-                        s,
-                        sc.inspect_shard(s as usize).and_then(|i| i.merkle_root()),
-                    )
-                })
-                .collect(),
-        }
-    }
-
-    fn scan_data(&mut self) -> Vec<(u32, BlockAddr, Line)> {
-        match self {
-            Target::Plain(mc) => mc
-                .faults()
-                .cold_scan_data()
-                .into_iter()
-                .map(|(a, l)| (0, a, l))
-                .collect(),
-            Target::Sharded(sc) => {
-                let mut out = Vec::new();
-                for s in 0..sc.shards() as usize {
-                    if let Some(port) = sc.faults_shard(s) {
-                        out.extend(
-                            port.cold_scan_data()
-                                .into_iter()
-                                .map(|(a, l)| (s as u32, a, l)),
-                        );
-                    }
-                }
-                out
-            }
-        }
-    }
-
-    fn scan_spares(&mut self) -> Vec<(u32, BlockAddr, Line)> {
-        match self {
-            Target::Plain(mc) => mc
-                .faults()
-                .cold_scan_spares()
-                .into_iter()
-                .map(|(a, l)| (0, a, l))
-                .collect(),
-            Target::Sharded(sc) => {
-                let mut out = Vec::new();
-                for s in 0..sc.shards() as usize {
-                    if let Some(port) = sc.faults_shard(s) {
-                        out.extend(
-                            port.cold_scan_spares()
-                                .into_iter()
-                                .map(|(a, l)| (s as u32, a, l)),
-                        );
-                    }
-                }
-                out
-            }
-        }
-    }
-
-    fn scan_counters(&mut self) -> Vec<(u32, PageId, Line)> {
-        match self {
-            Target::Plain(mc) => mc
-                .faults()
-                .cold_scan_counters()
-                .into_iter()
-                .map(|(p, l)| (0, p, l))
-                .collect(),
-            Target::Sharded(sc) => {
-                let mut out = Vec::new();
-                for s in 0..sc.shards() as usize {
-                    if let Some(port) = sc.faults_shard(s) {
-                        out.extend(
-                            port.cold_scan_counters()
-                                .into_iter()
-                                .map(|(p, l)| (s as u32, p, l)),
-                        );
-                    }
-                }
-                out
-            }
-        }
-    }
-
-    fn peek_cipher(&mut self, addr: BlockAddr) -> Line {
-        let (s, local) = self.locate(addr);
-        match self {
-            Target::Plain(mc) => mc.faults().nvm_peek(local),
-            Target::Sharded(sc) => sc
-                .faults_shard(s)
-                .map(|p| p.nvm_peek(local))
-                .unwrap_or([0u8; LINE_SIZE]),
-        }
-    }
-
-    fn peek_counter(&mut self, page: PageId) -> Line {
-        let (s, local) = self.locate_page(page);
-        match self {
-            Target::Plain(mc) => mc.faults().nvm_peek_counter(local),
-            Target::Sharded(sc) => sc
-                .faults_shard(s)
-                .map(|p| p.nvm_peek_counter(local))
-                .unwrap_or([0u8; LINE_SIZE]),
-        }
-    }
-
-    fn tamper_cipher(&mut self, addr: BlockAddr, line: Line) {
-        let (s, local) = self.locate(addr);
-        match self {
-            Target::Plain(mc) => mc.faults().nvm_tamper(local, line),
-            Target::Sharded(sc) => {
-                if let Some(mut p) = sc.faults_shard(s) {
-                    p.nvm_tamper(local, line);
-                }
-            }
-        }
-    }
-
-    fn tamper_counter(&mut self, page: PageId, line: Line) {
-        let (s, local) = self.locate_page(page);
-        match self {
-            Target::Plain(mc) => mc.faults().tamper_counter_line(local, line),
-            Target::Sharded(sc) => {
-                if let Some(mut p) = sc.faults_shard(s) {
-                    p.tamper_counter_line(local, line);
-                }
-            }
-        }
-    }
-
-    fn offline_decrypt(&mut self, addr: BlockAddr) -> Result<Line> {
-        let (s, local) = self.locate(addr);
-        match self {
-            Target::Plain(mc) => mc.faults().peek_plaintext(local),
-            Target::Sharded(sc) => match sc.faults_shard(s) {
-                Some(mut p) => p.peek_plaintext(local),
-                None => Err(Error::InvalidConfig {
-                    detail: format!("no shard {s}"),
-                }),
-            },
-        }
-    }
-
-    fn force_line_failure(&mut self, addr: BlockAddr, weak_bits: u32) {
-        let (s, local) = self.locate(addr);
-        match self {
-            Target::Plain(mc) => mc.faults().force_line_failure(local, weak_bits),
-            Target::Sharded(sc) => {
-                if let Some(mut p) = sc.faults_shard(s) {
-                    p.force_line_failure(local, weak_bits);
-                }
-            }
-        }
+    fn run(cfg: &AttackConfig, seed: u64, _trace_depth: Option<usize>) -> Artifacts<AttackReport> {
+        run_attacks(cfg, seed).into()
     }
 }
 
@@ -778,7 +509,7 @@ impl DimmImage {
 /// the deterministic step script that ends up in the [`AttackRecord`].
 #[derive(Debug)]
 pub struct Adversary {
-    target: Target,
+    machine: ShardedController,
     powered: bool,
     steps: Vec<String>,
 }
@@ -791,7 +522,10 @@ impl Adversary {
     /// [`Error::InvalidConfig`] when the configuration does not build.
     pub fn build(cfg: &AttackConfig) -> Result<Adversary> {
         Ok(Adversary {
-            target: Target::build(cfg)?,
+            machine: ShardedController::new(ShardedConfig::new(
+                cfg.shards,
+                cfg.controller.clone(),
+            ))?,
             powered: true,
             steps: Vec::new(),
         })
@@ -799,7 +533,7 @@ impl Adversary {
 
     /// Channel count of the machine under attack.
     pub fn shards(&self) -> u32 {
-        self.target.shards()
+        self.machine.shards()
     }
 
     /// The scripted steps so far (consumed by [`run_attack`]).
@@ -809,6 +543,39 @@ impl Adversary {
 
     fn note(&mut self, step: String) {
         self.steps.push(step);
+    }
+
+    /// Runs `f` on the fault port of the shard owning `page`, with the
+    /// page translated into that shard's local frame number.
+    fn at_page<T>(
+        &mut self,
+        page: PageId,
+        f: impl FnOnce(FaultPort<'_>, PageId) -> T,
+    ) -> Result<T> {
+        let il = self.machine.interleave();
+        let (s, local) = (il.shard_of_page(page), il.local_page(page));
+        let port = self.machine.faults_shard(s as usize);
+        let port = port.ok_or_else(|| Error::InvalidConfig {
+            detail: format!("no shard {s}"),
+        })?;
+        Ok(f(port, local))
+    }
+
+    /// [`Adversary::at_page`] for the line at `addr`, translated into its
+    /// shard's local address space.
+    fn at_block<T>(
+        &mut self,
+        addr: BlockAddr,
+        f: impl FnOnce(FaultPort<'_>, BlockAddr) -> T,
+    ) -> Result<T> {
+        let local = self.machine.interleave().local_block(addr);
+        self.at_page(addr.page(), |port, _| f(port, local))
+    }
+
+    /// Every shard's on-chip Merkle root.
+    fn merkle_roots(&self) -> Vec<(u32, Option<[u8; 32]>)> {
+        let root = |s: u32| self.machine.inspect_shard(s as usize)?.merkle_root();
+        (0..self.machine.shards()).map(|s| (s, root(s))).collect()
     }
 
     fn need_power(&self, what: &str) -> Result<()> {
@@ -840,7 +607,9 @@ impl Adversary {
     /// Write-path errors, or misuse while powered off.
     pub fn victim_write(&mut self, addr: BlockAddr, line: &Line) -> Result<()> {
         self.need_power("victim write")?;
-        self.target.write(addr, line)
+        self.machine
+            .write_block(addr, line, false, Cycles::ZERO)
+            .map(|_| ())
     }
 
     /// The victim reads `addr`.
@@ -851,7 +620,7 @@ impl Adversary {
     /// rollback scenarios classify), or misuse while powered off.
     pub fn victim_read(&mut self, addr: BlockAddr) -> Result<ReadResult> {
         self.need_power("victim read")?;
-        self.target.read(addr)
+        self.machine.read_block(addr, Cycles::ZERO)
     }
 
     /// The kernel shreds `page`.
@@ -862,7 +631,9 @@ impl Adversary {
     pub fn victim_shred(&mut self, page: PageId) -> Result<()> {
         self.need_power("shred")?;
         self.note(format!("victim: shred page {}", page.raw()));
-        self.target.shred(page)
+        self.machine
+            .shred_page_at(page, true, Cycles::ZERO)
+            .map(|_| ())
     }
 
     /// The victim flushes dirty counters (clean-shutdown behaviour).
@@ -872,7 +643,7 @@ impl Adversary {
     /// NVM write errors, or misuse while powered off.
     pub fn victim_flush_counters(&mut self) -> Result<()> {
         self.need_power("counter flush")?;
-        self.target.flush_counters()
+        self.machine.flush_counters()
     }
 
     /// The machine runs one full background-scrub pass.
@@ -883,7 +654,13 @@ impl Adversary {
     pub fn victim_scrub_pass(&mut self) -> Result<()> {
         self.need_power("scrub pass")?;
         self.note("victim: full background scrub pass".into());
-        self.target.scrub_pass()
+        let lines = self.machine.config().base.data_capacity
+            / u64::from(self.machine.shards())
+            / LINE_SIZE as u64;
+        for _ in 0..lines {
+            self.machine.scrub_step(Cycles::ZERO)?;
+        }
+        Ok(())
     }
 
     /// Unprivileged software pokes the kernel-only shred register.
@@ -898,7 +675,9 @@ impl Adversary {
             "adversary: user-mode MMIO shred of page {}",
             page.raw()
         ));
-        self.target.user_shred_mmio(page)
+        self.machine
+            .mmio_write(SHRED_REG, page.base_addr().raw(), false, Cycles::ZERO)
+            .map(|_| ())
     }
 
     /// Grows `weak_bits` permanently weak cells in the line at `addr` —
@@ -913,13 +692,15 @@ impl Adversary {
         self.note(format!(
             "adversary: age line {addr} ({weak_bits} weak bit(s))"
         ));
-        self.target.force_line_failure(addr, weak_bits);
-        Ok(())
+        self.at_block(addr, |mut p, a| p.force_line_failure(a, weak_bits))
     }
 
     /// Data lines currently rescued into spare-pool slots.
     pub fn remapped_lines(&self) -> u64 {
-        self.target.remapped_lines()
+        (0..self.machine.shards() as usize)
+            .filter_map(|s| self.machine.inspect_shard(s))
+            .map(|i| i.remapped_lines())
+            .sum()
     }
 
     // -- power transitions ---------------------------------------------
@@ -933,7 +714,7 @@ impl Adversary {
     pub fn power_off(&mut self) -> Result<()> {
         self.need_power("power-off")?;
         self.note("adversary: cut power".into());
-        self.target.power_loss()?;
+        self.machine.power_loss().ok()?;
         self.powered = false;
         Ok(())
     }
@@ -947,7 +728,7 @@ impl Adversary {
     pub fn power_on(&mut self) -> Result<()> {
         self.need_dark("power-on")?;
         self.note("adversary: restore power, machine recovers".into());
-        self.target.recover()?;
+        self.machine.recover().ok()?;
         self.powered = true;
         Ok(())
     }
@@ -961,12 +742,22 @@ impl Adversary {
     /// Misuse while powered on.
     pub fn cold_scan(&mut self) -> Result<DimmImage> {
         self.need_dark("cold scan")?;
-        let image = DimmImage {
-            data: self.target.scan_data(),
-            spares: self.target.scan_spares(),
-            counters: self.target.scan_counters(),
-            merkle_roots: self.target.merkle_roots(),
+        let mut image = DimmImage {
+            data: Vec::new(),
+            spares: Vec::new(),
+            counters: Vec::new(),
+            merkle_roots: self.merkle_roots(),
         };
+        for s in 0..self.machine.shards() {
+            if let Some(port) = self.machine.faults_shard(s as usize) {
+                let data = port.cold_scan_data().into_iter();
+                image.data.extend(data.map(|(a, l)| (s, a, l)));
+                let spares = port.cold_scan_spares().into_iter();
+                image.spares.extend(spares.map(|(a, l)| (s, a, l)));
+                let counters = port.cold_scan_counters().into_iter();
+                image.counters.extend(counters.map(|(p, l)| (s, p, l)));
+            }
+        }
         self.note(format!(
             "adversary: cold scan ({} data, {} spare, {} counter line(s))",
             image.data.len(),
@@ -984,7 +775,7 @@ impl Adversary {
     pub fn capture_line(&mut self, addr: BlockAddr) -> Result<Line> {
         self.need_dark("line capture")?;
         self.note(format!("adversary: capture ciphertext at {addr}"));
-        Ok(self.target.peek_cipher(addr))
+        self.at_block(addr, |p, a| p.nvm_peek(a))
     }
 
     /// Captures the persisted counter line of `page`.
@@ -998,7 +789,7 @@ impl Adversary {
             "adversary: capture counter line of page {}",
             page.raw()
         ));
-        Ok(self.target.peek_counter(page))
+        self.at_page(page, |p, local| p.nvm_peek_counter(local))
     }
 
     /// Writes previously captured ciphertext back to the data line at
@@ -1010,8 +801,7 @@ impl Adversary {
     pub fn replay_line(&mut self, addr: BlockAddr, line: Line) -> Result<()> {
         self.need_dark("line replay")?;
         self.note(format!("adversary: replay stale ciphertext at {addr}"));
-        self.target.tamper_cipher(addr, line);
-        Ok(())
+        self.at_block(addr, |mut p, a| p.nvm_tamper(a, line))
     }
 
     /// Writes a previously captured counter line back (counter
@@ -1026,8 +816,7 @@ impl Adversary {
             "adversary: roll back counter line of page {}",
             page.raw()
         ));
-        self.target.tamper_counter(page, line);
-        Ok(())
+        self.at_page(page, |mut p, local| p.tamper_counter_line(local, line))
     }
 
     /// The stolen-DIMM oracle: decrypt the line at `addr` offline using
@@ -1041,7 +830,7 @@ impl Adversary {
     pub fn offline_read(&mut self, addr: BlockAddr) -> Result<Line> {
         self.need_dark("offline read")?;
         self.note(format!("adversary: offline decrypt attempt at {addr}"));
-        self.target.offline_decrypt(addr)
+        self.at_block(addr, |mut p, a| p.peek_plaintext(a))?
     }
 }
 
@@ -1326,7 +1115,7 @@ fn rollback_replay(adv: &mut Adversary, rng: &mut DetRng, cfg: &AttackConfig) ->
     step_err(adv.replay_line(addr, stale_cipher), "line replay")?;
     step_err(adv.replay_counter(page, stale_counter), "counter rollback")?;
     step_err(adv.power_on(), "power-on")?;
-    let root_moved = adv.target.merkle_roots() != roots_at_capture;
+    let root_moved = adv.merkle_roots() != roots_at_capture;
     match adv.victim_read(addr) {
         Err(Error::IntegrityViolation { .. }) => Ok((
             AttackOutcome::Detected,

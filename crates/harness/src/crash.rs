@@ -36,11 +36,11 @@ use std::fmt;
 
 use ss_common::{BlockAddr, Cycles, DetRng, Error, PageId, Result, LINE_SIZE};
 use ss_core::{
-    ControllerConfig, ControllerConfigBuilder, CounterPersistence, MemoryController, PersistDomain,
-    ProtectionMode, ReadResult, RecoveryReport, ShardedConfig, ShardedController, WriteQueueConfig,
+    ControllerConfig, ControllerConfigBuilder, CounterPersistence, Inspect, PersistDomain,
+    ProtectionMode, RecoveryReport, ShardedConfig, ShardedController, WriteQueueConfig,
 };
 
-use crate::engine::json_escape;
+use crate::sweep::{json_escape, Artifacts, Campaign, SweepReport, SweepTally};
 
 /// A 64-byte line.
 type Line = [u8; LINE_SIZE];
@@ -237,9 +237,11 @@ impl CrashTally {
             CrashOutcome::Silent => self.silent += 1,
         }
     }
+}
 
+impl SweepTally for CrashTally {
     /// Adds every count of `other`.
-    pub fn merge(&mut self, other: CrashTally) {
+    fn merge(&mut self, other: CrashTally) {
         self.old_state += other.old_state;
         self.new_state += other.new_state;
         self.repaired += other.repaired;
@@ -248,13 +250,17 @@ impl CrashTally {
     }
 
     /// Total crash points tallied.
-    pub fn total(&self) -> u64 {
+    fn total(&self) -> u64 {
         self.old_state + self.new_state + self.repaired + self.skipped + self.silent
+    }
+
+    fn failed(&self) -> u64 {
+        self.silent
     }
 
     /// Renders as a JSON object with a fixed key order — byte-stable so
     /// two sweep files from the same seeds `cmp` equal.
-    pub fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         format!(
             "{{\"old_state\":{},\"new_state\":{},\"repaired\":{},\"skipped\":{},\"silent\":{}}}",
             self.old_state, self.new_state, self.repaired, self.skipped, self.silent
@@ -284,9 +290,11 @@ pub struct CrashReport {
     pub records: Vec<CrashRecord>,
 }
 
-impl CrashReport {
+impl SweepReport for CrashReport {
+    type Tally = CrashTally;
+
     /// Outcome counts for this report.
-    pub fn tally(&self) -> CrashTally {
+    fn tally(&self) -> CrashTally {
         let mut t = CrashTally::default();
         for r in &self.records {
             t.absorb(r.outcome);
@@ -295,14 +303,14 @@ impl CrashReport {
     }
 
     /// True when no crash point went silent.
-    pub fn clean(&self) -> bool {
+    fn clean(&self) -> bool {
         self.tally().silent == 0
     }
 
     /// Renders the full report as one JSON object on a single line:
     /// fixed key order, records in sweep order. `crashsweep --json`
     /// embeds this verbatim.
-    pub fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         let mut out = format!(
             "{{\"label\":\"{}\",\"seed\":{},\"clean\":{},\"tally\":{},\"records\":[",
             json_escape(&self.label),
@@ -348,12 +356,13 @@ pub struct CrashConfig {
     pub label: String,
     /// The controller configuration (the *total* machine when sharded).
     pub controller: ControllerConfig,
-    /// Channel count: 1 builds a plain [`MemoryController`], >1 a
-    /// [`ShardedController`].
+    /// Channel count of the [`ShardedController`] under test (1 behaves
+    /// exactly like the plain controller).
     pub shards: u32,
     /// Whether reboot runs the full recovery protocol
-    /// ([`MemoryController::recover_mut`]). The weakened config turns
-    /// this off to prove the sweep catches the resulting corruption.
+    /// ([`ss_core::MemoryController::recover_mut`]) on every shard. The
+    /// weakened config turns this off to prove the sweep catches the
+    /// resulting corruption.
     pub recovery: bool,
 }
 
@@ -434,10 +443,10 @@ impl CrashConfig {
     /// persistences, the eADR flush-on-fail baseline, and a sharded
     /// ADR target for the batched shred drain. Under ADR every
     /// scattered persist (data share, mask share, liveness line) flows
-    /// through the journaled [`persist_line`](MemoryController) choke
-    /// point, so a cut between the two share writes must roll back to a
-    /// coherent pair — the sweep proves a torn pair can never recombine
-    /// to garbage.
+    /// through the journaled
+    /// [`persist_line`](ss_core::MemoryController) choke point, so a cut
+    /// between the two share writes must roll back to a coherent pair —
+    /// the sweep proves a torn pair can never recombine to garbage.
     pub fn scattered_matrix() -> Vec<CrashConfig> {
         let base = |domain: PersistDomain, persistence: CounterPersistence| {
             ControllerConfigBuilder::scattered()
@@ -495,188 +504,88 @@ impl CrashConfig {
     }
 }
 
-// ---------------------------------------------------------------------
-// Machine: plain or sharded controller behind one face
-// ---------------------------------------------------------------------
+/// The `crashsweep` campaign: every crash point of every
+/// [`CrashScenario`] over [`CrashConfig::matrix`], gated on zero silent
+/// outcomes, with the no-recovery [`CrashConfig::weakened`] config
+/// behind `--weakened`.
+#[derive(Debug)]
+pub struct CrashSweep;
 
-/// Uniform driver over a plain or sharded controller.
-enum Machine {
-    Plain(Box<MemoryController>),
-    Sharded(Box<ShardedController>),
+impl Campaign for CrashSweep {
+    type Config = CrashConfig;
+    type Report = CrashReport;
+    const NAME: &'static str = "crashsweep";
+    const DEFAULT_SEEDS: u64 = 8;
+    const LABEL_WIDTH: usize = 20;
+    const TOTAL_NOUN: &'static str = "crash points";
+    const CLEAN_NOTE: &'static str = "zero silent outcomes";
+    const FAILED_NOUN: &'static str = "silent";
+
+    fn matrix() -> Vec<CrashConfig> {
+        CrashConfig::matrix()
+    }
+    fn scattered_matrix() -> Vec<CrashConfig> {
+        CrashConfig::scattered_matrix()
+    }
+    fn weakened() -> Option<CrashConfig> {
+        Some(CrashConfig::weakened())
+    }
+    fn label(cfg: &CrashConfig) -> &str {
+        &cfg.label
+    }
+    fn run(cfg: &CrashConfig, seed: u64, _trace_depth: Option<usize>) -> Artifacts<CrashReport> {
+        run_crash_config(cfg, seed).into()
+    }
 }
 
-impl Machine {
-    fn build(cfg: &CrashConfig) -> Result<Machine> {
-        if cfg.shards > 1 {
-            let sc =
-                ShardedController::new(ShardedConfig::new(cfg.shards, cfg.controller.clone()))?;
-            Ok(Machine::Sharded(Box::new(sc)))
-        } else {
-            Ok(Machine::Plain(Box::new(MemoryController::new(
-                cfg.controller.clone(),
-            )?)))
-        }
-    }
+// ---------------------------------------------------------------------
+// The machine: one sharded controller (1 shard = the plain controller)
+// ---------------------------------------------------------------------
 
-    fn shards(&self) -> u32 {
-        match self {
-            Machine::Plain(_) => 1,
-            Machine::Sharded(sc) => sc.shards(),
-        }
-    }
+/// Builds the machine under test. Every config runs on a
+/// [`ShardedController`]; `shards: 1` is the plain controller, byte for
+/// byte.
+fn machine(cfg: &CrashConfig) -> Result<ShardedController> {
+    ShardedController::new(ShardedConfig::new(cfg.shards, cfg.controller.clone()))
+}
 
-    fn write(&mut self, addr: BlockAddr, data: &Line) -> Result<()> {
-        match self {
-            Machine::Plain(mc) => mc.write_block(addr, data, false, Cycles::ZERO).map(|_| ()),
-            Machine::Sharded(sc) => sc.write_block(addr, data, false, Cycles::ZERO).map(|_| ()),
-        }
-    }
+/// Lifetime persist steps of shard `s`.
+fn persist_steps(m: &ShardedController, s: u32) -> u64 {
+    m.inspect_shard(s as usize).map_or(0, |i| i.persist_steps())
+}
 
-    fn read(&mut self, addr: BlockAddr) -> Result<ReadResult> {
-        match self {
-            Machine::Plain(mc) => mc.read_block(addr, Cycles::ZERO),
-            Machine::Sharded(sc) => sc.read_block(addr, Cycles::ZERO),
-        }
-    }
+/// Sums a per-shard count over every shard.
+fn shard_sum(m: &ShardedController, count: impl Fn(Inspect<'_>) -> u64) -> u64 {
+    (0..m.shards() as usize)
+        .filter_map(|s| m.inspect_shard(s))
+        .map(count)
+        .sum()
+}
 
-    fn fence_drain(&mut self) -> Result<()> {
-        match self {
-            Machine::Plain(mc) => mc.fence_drain(Cycles::ZERO).map(|_| ()),
-            Machine::Sharded(_) => Ok(()),
-        }
+/// Reboots every shard: `with_journal`, the full recovery protocol, the
+/// per-shard reports merged by summing counts; without it (the weakened
+/// config), only the availability check.
+fn reboot(m: &mut ShardedController, with_journal: bool) -> Result<RecoveryReport> {
+    if !with_journal {
+        return m.recover().ok().map(|()| RecoveryReport::default());
     }
-
-    fn flush_counters(&mut self) -> Result<()> {
-        match self {
-            Machine::Plain(mc) => mc.flush_counters(),
-            Machine::Sharded(sc) => sc.flush_counters(),
+    let mut merged = RecoveryReport {
+        root_verified: true,
+        ..RecoveryReport::default()
+    };
+    for (_, r) in m.recover_mut_all().into_results() {
+        let r = r?;
+        merged.journal_open |= r.journal_open;
+        if merged.interrupted_tag == 0 {
+            merged.interrupted_tag = r.interrupted_tag;
         }
+        merged.undone += r.undone;
+        merged.redone += r.redone;
+        merged.remaps_rolled_back += r.remaps_rolled_back;
+        merged.root_verified &= r.root_verified;
+        merged.shredded_pages += r.shredded_pages;
     }
-
-    fn scrub_step(&mut self) -> Result<()> {
-        match self {
-            Machine::Plain(mc) => mc.scrub_step(Cycles::ZERO).map(|_| ()),
-            Machine::Sharded(sc) => sc.scrub_step(Cycles::ZERO).map(|_| ()),
-        }
-    }
-
-    fn shred_page(&mut self, page: PageId) -> Result<()> {
-        match self {
-            Machine::Plain(mc) => mc.shred_page_at(page, true, Cycles::ZERO).map(|_| ()),
-            Machine::Sharded(sc) => sc.shred_page_at(page, true, Cycles::ZERO).map(|_| ()),
-        }
-    }
-
-    fn enqueue_shred(&mut self, page: PageId) -> Result<()> {
-        match self {
-            Machine::Plain(_) => Ok(()),
-            Machine::Sharded(sc) => sc.enqueue_shred(page, true).map(|_| ()),
-        }
-    }
-
-    fn drain_shreds(&mut self) -> Result<()> {
-        match self {
-            Machine::Plain(_) => Ok(()),
-            Machine::Sharded(sc) => sc.drain_shreds(true, Cycles::ZERO).map(|_| ()),
-        }
-    }
-
-    fn force_line_failure(&mut self, addr: BlockAddr, weak_bits: u32) {
-        if let Machine::Plain(mc) = self {
-            mc.faults().force_line_failure(addr, weak_bits);
-        }
-    }
-
-    fn persist_steps(&self, shard: u32) -> u64 {
-        match self {
-            Machine::Plain(mc) => mc.inspect().persist_steps(),
-            Machine::Sharded(sc) => sc
-                .inspect_shard(shard as usize)
-                .map_or(0, |i| i.persist_steps()),
-        }
-    }
-
-    fn arm(&mut self, shard: u32, at_step: u64, torn: usize) {
-        match self {
-            Machine::Plain(mc) => mc.faults().arm_crash_cut(at_step, torn),
-            Machine::Sharded(sc) => {
-                if let Some(mut f) = sc.faults_shard(shard as usize) {
-                    f.arm_crash_cut(at_step, torn);
-                }
-            }
-        }
-    }
-
-    fn cut_fired(&mut self, shard: u32) -> bool {
-        match self {
-            Machine::Plain(mc) => mc.faults().crash_cut_fired(),
-            Machine::Sharded(sc) => sc
-                .faults_shard(shard as usize)
-                .is_some_and(|f| f.crash_cut_fired()),
-        }
-    }
-
-    fn power_loss(&mut self) -> Result<()> {
-        match self {
-            Machine::Plain(mc) => mc.power_loss(),
-            Machine::Sharded(sc) => sc.power_loss().ok(),
-        }
-    }
-
-    /// Reboots: the plain availability check, plus (unless `weakened`)
-    /// the full journal-resolution recovery protocol. Sharded reports
-    /// are merged by summing counts.
-    fn recover(&mut self, with_journal: bool) -> Result<RecoveryReport> {
-        match self {
-            Machine::Plain(mc) => {
-                if with_journal {
-                    mc.recover_mut()
-                } else {
-                    mc.recover().map(|()| RecoveryReport::default())
-                }
-            }
-            Machine::Sharded(sc) => {
-                let per = sc.recover_mut_all();
-                let mut merged = RecoveryReport {
-                    root_verified: true,
-                    ..RecoveryReport::default()
-                };
-                for (_, r) in per.into_results() {
-                    let r = r?;
-                    merged.journal_open |= r.journal_open;
-                    if merged.interrupted_tag == 0 {
-                        merged.interrupted_tag = r.interrupted_tag;
-                    }
-                    merged.undone += r.undone;
-                    merged.redone += r.redone;
-                    merged.remaps_rolled_back += r.remaps_rolled_back;
-                    merged.root_verified &= r.root_verified;
-                    merged.shredded_pages += r.shredded_pages;
-                }
-                Ok(merged)
-            }
-        }
-    }
-
-    fn remapped_lines(&self) -> u64 {
-        match self {
-            Machine::Plain(mc) => mc.inspect().remapped_lines(),
-            Machine::Sharded(sc) => (0..sc.shards() as usize)
-                .filter_map(|s| sc.inspect_shard(s))
-                .map(|i| i.remapped_lines())
-                .sum(),
-        }
-    }
-
-    fn quarantined_lines(&self) -> u64 {
-        match self {
-            Machine::Plain(mc) => mc.inspect().quarantined_lines(),
-            Machine::Sharded(sc) => (0..sc.shards() as usize)
-                .filter_map(|s| sc.inspect_shard(s))
-                .map(|i| i.quarantined_lines())
-                .sum(),
-        }
-    }
+    Ok(merged)
 }
 
 // ---------------------------------------------------------------------
@@ -718,9 +627,9 @@ enum Seen {
 
 /// Observes `unit` on the rebooted machine. Meta (remap counts) is read
 /// before data, because reading a still-weak line re-triggers healing.
-fn observe(m: &mut Machine, unit: &Unit) -> Seen {
+fn observe(m: &mut ShardedController, unit: &Unit) -> Seen {
     match unit {
-        Unit::Line { addr, old, new } => match m.read(*addr) {
+        Unit::Line { addr, old, new } => match m.read_block(*addr, Cycles::ZERO) {
             Ok(r) => {
                 let is_old = r.data == *old;
                 let is_new = r.data == *new;
@@ -739,7 +648,7 @@ fn observe(m: &mut Machine, unit: &Unit) -> Seen {
             let mut olds = 0usize;
             let mut news = 0usize;
             for (b, old) in blocks {
-                match m.read(page.block_addr(*b)) {
+                match m.read_block(page.block_addr(*b), Cycles::ZERO) {
                     Ok(r) if r.zero_filled && r.data == [0u8; LINE_SIZE] => news += 1,
                     Ok(r) if !r.zero_filled && r.data == *old => olds += 1,
                     Ok(_) => {
@@ -771,13 +680,13 @@ fn observe(m: &mut Machine, unit: &Unit) -> Seen {
             old_remapped,
             new_remapped,
         } => {
-            if m.quarantined_lines() != 0 {
+            if shard_sum(m, |i| i.quarantined_lines()) != 0 {
                 return Seen::Bad(format!(
                     "line {:#x}: crash turned a rescue into a quarantine",
                     addr.raw()
                 ));
             }
-            let remapped = m.remapped_lines();
+            let remapped = shard_sum(m, |i| i.remapped_lines());
             let is_old = remapped == *old_remapped;
             let is_new = remapped == *new_remapped;
             if !is_old && !is_new {
@@ -786,7 +695,7 @@ fn observe(m: &mut Machine, unit: &Unit) -> Seen {
                      {new_remapped})"
                 ));
             }
-            match m.read(*addr) {
+            match m.read_block(*addr, Cycles::ZERO) {
                 Ok(r) if r.data == *data => Seen::State(is_old, is_new),
                 Ok(_) => Seen::Bad(format!(
                     "line {:#x} lost its plaintext across the remap cut",
@@ -850,7 +759,7 @@ fn pattern(rng: &mut DetRng) -> Line {
 /// `new` values still unknown for twin capture — the twin fills them).
 /// Setup must be byte-deterministic: the crash replays re-run it
 /// verbatim and the step census must line up.
-fn setup(scen: CrashScenario, m: &mut Machine, seed: u64) -> Result<Vec<Unit>> {
+fn setup(scen: CrashScenario, m: &mut ShardedController, seed: u64) -> Result<Vec<Unit>> {
     let mut rng = DetRng::new(seed ^ CRASH_DOMAIN ^ (scen.label().len() as u64) << 8);
     match scen {
         CrashScenario::DemandWrite => {
@@ -858,8 +767,8 @@ fn setup(scen: CrashScenario, m: &mut Machine, seed: u64) -> Result<Vec<Unit>> {
             let old = pattern(&mut rng);
             let mut new = old;
             new.iter_mut().for_each(|b| *b ^= 0x5A);
-            m.write(addr, &old)?;
-            m.fence_drain()?;
+            m.write_block(addr, &old, false, Cycles::ZERO)?;
+            m.fence_drain(Cycles::ZERO)?;
             Ok(vec![Unit::Line { addr, old, new }])
         }
         CrashScenario::WqueueDrain => {
@@ -869,19 +778,19 @@ fn setup(scen: CrashScenario, m: &mut Machine, seed: u64) -> Result<Vec<Unit>> {
             for i in 0..4u64 {
                 let addr = PageId::new(1 + i).block_addr(i as usize);
                 let old = pattern(&mut rng);
-                m.write(addr, &old)?;
+                m.write_block(addr, &old, false, Cycles::ZERO)?;
                 units.push(Unit::Line {
                     addr,
                     old,
                     new: old,
                 });
             }
-            m.fence_drain()?;
+            m.fence_drain(Cycles::ZERO)?;
             for unit in &mut units {
                 if let Unit::Line { addr, old, new } = unit {
                     *new = *old;
                     new.iter_mut().for_each(|b| *b ^= 0x5A);
-                    m.write(*addr, new)?;
+                    m.write_block(*addr, new, false, Cycles::ZERO)?;
                 }
             }
             Ok(units)
@@ -891,10 +800,10 @@ fn setup(scen: CrashScenario, m: &mut Machine, seed: u64) -> Result<Vec<Unit>> {
             let mut blocks = Vec::new();
             for b in [0usize, 1, 7] {
                 let old = pattern(&mut rng);
-                m.write(page.block_addr(b), &old)?;
+                m.write_block(page.block_addr(b), &old, false, Cycles::ZERO)?;
                 blocks.push((b, old));
             }
-            m.fence_drain()?;
+            m.fence_drain(Cycles::ZERO)?;
             Ok(vec![Unit::Shred { page, blocks }])
         }
         CrashScenario::SpareRemap | CrashScenario::ScrubRepair => {
@@ -907,9 +816,13 @@ fn setup(scen: CrashScenario, m: &mut Machine, seed: u64) -> Result<Vec<Unit>> {
                 PageId::new(3).block_addr(5)
             };
             let data = pattern(&mut rng);
-            m.write(addr, &data)?;
+            m.write_block(addr, &data, false, Cycles::ZERO)?;
             m.flush_counters()?;
-            m.force_line_failure(addr, 1);
+            let il = m.interleave();
+            let (s, local) = (il.shard_of_block(addr), il.local_block(addr));
+            if let Some(mut port) = m.faults_shard(s as usize) {
+                port.force_line_failure(local, 1);
+            }
             Ok(vec![Unit::Remap {
                 addr,
                 data,
@@ -922,7 +835,7 @@ fn setup(scen: CrashScenario, m: &mut Machine, seed: u64) -> Result<Vec<Unit>> {
             for i in 0..3u64 {
                 let addr = PageId::new(4 + i).block_addr(0);
                 let old = pattern(&mut rng);
-                m.write(addr, &old)?;
+                m.write_block(addr, &old, false, Cycles::ZERO)?;
                 // The flush moves counters, not data: old == new.
                 units.push(Unit::Line {
                     addr,
@@ -939,14 +852,14 @@ fn setup(scen: CrashScenario, m: &mut Machine, seed: u64) -> Result<Vec<Unit>> {
             for i in 0..m.shards() as u64 {
                 let page = PageId::new(1 + i);
                 let old = pattern(&mut rng);
-                m.write(page.block_addr(0), &old)?;
+                m.write_block(page.block_addr(0), &old, false, Cycles::ZERO)?;
                 units.push(Unit::Shred {
                     page,
                     blocks: vec![(0, old)],
                 });
             }
             for i in 0..m.shards() as u64 {
-                m.enqueue_shred(PageId::new(1 + i))?;
+                m.enqueue_shred(PageId::new(1 + i), true)?;
             }
             Ok(units)
         }
@@ -955,21 +868,21 @@ fn setup(scen: CrashScenario, m: &mut Machine, seed: u64) -> Result<Vec<Unit>> {
 
 /// Runs the scenario's victim operation — the persist sequence under
 /// crash test.
-fn victim(scen: CrashScenario, m: &mut Machine, units: &[Unit]) -> Result<()> {
+fn victim(scen: CrashScenario, m: &mut ShardedController, units: &[Unit]) -> Result<()> {
     match scen {
         CrashScenario::DemandWrite => {
             for unit in units {
                 if let Unit::Line { addr, new, .. } = unit {
-                    m.write(*addr, new)?;
+                    m.write_block(*addr, new, false, Cycles::ZERO)?;
                 }
             }
             Ok(())
         }
-        CrashScenario::WqueueDrain => m.fence_drain(),
+        CrashScenario::WqueueDrain => m.fence_drain(Cycles::ZERO).map(|_| ()),
         CrashScenario::ShredPage => {
             for unit in units {
                 if let Unit::Shred { page, .. } = unit {
-                    m.shred_page(*page)?;
+                    m.shred_page_at(*page, true, Cycles::ZERO)?;
                 }
             }
             Ok(())
@@ -977,14 +890,14 @@ fn victim(scen: CrashScenario, m: &mut Machine, units: &[Unit]) -> Result<()> {
         CrashScenario::SpareRemap => {
             for unit in units {
                 if let Unit::Remap { addr, .. } = unit {
-                    m.read(*addr)?;
+                    m.read_block(*addr, Cycles::ZERO)?;
                 }
             }
             Ok(())
         }
-        CrashScenario::ScrubRepair => m.scrub_step(),
+        CrashScenario::ScrubRepair => m.scrub_step(Cycles::ZERO).map(|_| ()),
         CrashScenario::CounterFlush => m.flush_counters(),
-        CrashScenario::ShredDrain => m.drain_shreds(),
+        CrashScenario::ShredDrain => m.drain_shreds(true, Cycles::ZERO).map(|_| ()),
     }
 }
 
@@ -1020,7 +933,7 @@ fn run_crash_scenario(cfg: &CrashConfig, scen: CrashScenario, seed: u64) -> Vec<
 
     // Census pass: an unarmed twin runs setup + victim once, counting
     // the victim's persist steps per shard and capturing expected state.
-    let mut twin = match Machine::build(cfg) {
+    let mut twin = match machine(cfg) {
         Ok(m) => m,
         Err(e) => return fail(format!("config does not build: {e}")),
     };
@@ -1029,11 +942,11 @@ fn run_crash_scenario(cfg: &CrashConfig, scen: CrashScenario, seed: u64) -> Vec<
         Err(e) => return fail(format!("setup failed on the twin: {e}")),
     };
     let shards = twin.shards();
-    let before: Vec<u64> = (0..shards).map(|s| twin.persist_steps(s)).collect();
+    let before: Vec<u64> = (0..shards).map(|s| persist_steps(&twin, s)).collect();
     if let Err(e) = victim(scen, &mut twin, &units) {
         return fail(format!("victim failed unarmed on the twin: {e}"));
     }
-    let after: Vec<u64> = (0..shards).map(|s| twin.persist_steps(s)).collect();
+    let after: Vec<u64> = (0..shards).map(|s| persist_steps(&twin, s)).collect();
     if before == after {
         return skip("victim persisted nothing; no step to cut");
     }
@@ -1072,7 +985,7 @@ fn replay_crash_point(
     torn: usize,
 ) -> (CrashOutcome, String) {
     let adr = cfg.controller.persist_domain == PersistDomain::Adr;
-    let mut m = match Machine::build(cfg) {
+    let mut m = match machine(cfg) {
         Ok(m) => m,
         Err(e) => return (CrashOutcome::Silent, format!("config does not build: {e}")),
     };
@@ -1080,7 +993,9 @@ fn replay_crash_point(
         Ok(u) => u,
         Err(e) => return (CrashOutcome::Silent, format!("replay setup failed: {e}")),
     };
-    m.arm(shard, at, torn);
+    if let Some(mut port) = m.faults_shard(shard as usize) {
+        port.arm_crash_cut(at, torn);
+    }
     match victim(scen, &mut m, &units) {
         Err(Error::PowerCut { .. }) if adr => {}
         Err(e) => {
@@ -1093,7 +1008,10 @@ fn replay_crash_point(
             // The cut may fire on the sequence's very last persist step
             // and still let the operation finish its in-memory epilogue;
             // what matters is that the machine is off afterwards.
-            if !m.cut_fired(shard) {
+            if !m
+                .faults_shard(shard as usize)
+                .is_some_and(|p| p.crash_cut_fired())
+            {
                 return (
                     CrashOutcome::Silent,
                     format!("armed cut at step {at} never fired (census mismatch)"),
@@ -1102,10 +1020,10 @@ fn replay_crash_point(
         }
         Ok(()) => {} // eADR: flush-on-fail completes the sequence.
     }
-    if let Err(e) = m.power_loss() {
+    if let Err(e) = m.power_loss().ok() {
         return (CrashOutcome::Silent, format!("power_loss failed: {e}"));
     }
-    let report = match m.recover(cfg.recovery) {
+    let report = match reboot(&mut m, cfg.recovery) {
         Ok(r) => r,
         Err(e) => return (CrashOutcome::Silent, format!("recovery failed: {e}")),
     };

@@ -16,10 +16,9 @@ use ss_core::{
     ProtectionMode, WriteQueueConfig, SHRED_REG,
 };
 
-use ss_trace::{MetricsRegistry, TraceRecord};
-
 use crate::plan::{FaultKind, FaultPlan, ScheduledFault};
 use crate::shadow::{Line, ShadowModel};
+use crate::sweep::{json_escape, Artifacts, Campaign, SweepReport, SweepTally};
 
 /// Domain separator for the workload stream (the plan uses its own; see
 /// [`FaultPlan::generate`]), so plan and workload draws never interleave.
@@ -311,9 +310,11 @@ impl Tally {
             FaultOutcome::Corrupted => self.corrupted += 1,
         }
     }
+}
 
+impl SweepTally for Tally {
     /// Adds every count of `other`.
-    pub fn merge(&mut self, other: Tally) {
+    fn merge(&mut self, other: Tally) {
         self.recovered += other.recovered;
         self.detected += other.detected;
         self.benign += other.benign;
@@ -322,13 +323,17 @@ impl Tally {
     }
 
     /// Total faults tallied.
-    pub fn total(&self) -> u64 {
+    fn total(&self) -> u64 {
         self.recovered + self.detected + self.benign + self.skipped + self.corrupted
+    }
+
+    fn failed(&self) -> u64 {
+        self.corrupted
     }
 
     /// Renders as a JSON object with a fixed key order — byte-stable so
     /// two sweep files from the same seeds `cmp` equal.
-    pub fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         format!(
             "{{\"recovered\":{},\"detected\":{},\"benign\":{},\"skipped\":{},\"corrupted\":{}}}",
             self.recovered, self.detected, self.benign, self.skipped, self.corrupted
@@ -361,9 +366,11 @@ pub struct PlanReport {
     pub final_failure: Option<String>,
 }
 
-impl PlanReport {
+impl SweepReport for PlanReport {
+    type Tally = Tally;
+
     /// Outcome counts for this plan.
-    pub fn tally(&self) -> Tally {
+    fn tally(&self) -> Tally {
         let mut t = Tally::default();
         for r in &self.records {
             t.absorb(r.outcome);
@@ -372,7 +379,7 @@ impl PlanReport {
     }
 
     /// True when no fault corrupted state and the final sweep passed.
-    pub fn clean(&self) -> bool {
+    fn clean(&self) -> bool {
         self.final_failure.is_none() && self.tally().corrupted == 0
     }
 
@@ -380,7 +387,7 @@ impl PlanReport {
     /// fixed key order, records in firing order, no maps anywhere on
     /// the path. `faultsweep --json` embeds this verbatim, and the
     /// determinism test byte-compares it across runs.
-    pub fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         let mut out = format!(
             "{{\"label\":\"{}\",\"seed\":{},\"ops\":{},\"clean\":{},\"tally\":{},\"records\":[",
             json_escape(&self.label),
@@ -427,26 +434,6 @@ impl FaultRecord {
     }
 }
 
-/// Escapes `s` for embedding in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl fmt::Display for PlanReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -467,20 +454,43 @@ impl fmt::Display for PlanReport {
     }
 }
 
+/// The `faultsweep` campaign: the seeded fault plan over
+/// [`HarnessConfig::matrix`], gated on zero undetected corruptions, with
+/// metrics and traces observed. It keeps the plain
+/// [`MemoryController`], whose metrics carry no `shard.*` keys.
+#[derive(Debug)]
+pub struct FaultSweep;
+
+impl Campaign for FaultSweep {
+    type Config = HarnessConfig;
+    type Report = PlanReport;
+    const NAME: &'static str = "faultsweep";
+    const DEFAULT_SEEDS: u64 = 32;
+    const LABEL_WIDTH: usize = 18;
+    const TOTAL_NOUN: &'static str = "faults injected";
+    const CLEAN_NOTE: &'static str = "zero undetected corruptions";
+    const FAILED_NOUN: &'static str = "corrupted";
+    const METRICS: bool = true;
+
+    fn matrix() -> Vec<HarnessConfig> {
+        HarnessConfig::matrix()
+    }
+    fn scattered_matrix() -> Vec<HarnessConfig> {
+        HarnessConfig::scattered_matrix()
+    }
+    fn label(cfg: &HarnessConfig) -> &str {
+        &cfg.label
+    }
+    fn run(cfg: &HarnessConfig, seed: u64, trace_depth: Option<usize>) -> PlanArtifacts {
+        run_plan_full(cfg, seed, trace_depth)
+    }
+}
+
 /// Everything one plan run produces beyond the verdict: the report, a
 /// unified metrics snapshot, and (when tracing was enabled) the
-/// retained event records.
-#[derive(Debug, Clone)]
-pub struct PlanArtifacts {
-    /// The fault-classification report — identical to what
-    /// [`run_plan`] returns for the same `(cfg, seed)`.
-    pub report: PlanReport,
-    /// Final metrics snapshot under the stable dotted names.
-    pub metrics: MetricsRegistry,
-    /// Retained trace records, oldest first; empty when tracing was
-    /// disabled.
-    pub trace: Vec<TraceRecord>,
-}
+/// retained event records. The report is identical to what
+/// [`run_plan`] returns for the same `(cfg, seed)`.
+pub type PlanArtifacts = Artifacts<PlanReport>;
 
 /// Runs the seeded fault plan against `cfg` and classifies every fault.
 ///

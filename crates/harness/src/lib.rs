@@ -30,6 +30,9 @@
 //!   `Defended`/`Detected`/`Leaked` — any `Leaked` fails the sweep.
 //!   `attacksweep` (in `crates/bench`) runs the attack × seed × config
 //!   matrix and is gated in CI against a committed golden report.
+//! * [`crash`] — the torn-write persist-step crash matrix.
+//! * [`sweep`] — the one program behind all three sweep binaries, over a
+//!   [`sweep::Campaign`] per engine.
 //!
 //! Everything is seeded through [`ss_common::DetRng`]: the same seed
 //! always produces the same plan, the same workload, and the same
@@ -45,22 +48,20 @@ pub mod engine;
 pub mod plan;
 pub mod scenario;
 pub mod shadow;
+pub mod sweep;
 
 pub use adversary::{
     demo_records, run_attack, run_attacks, Adversary, AttackConfig, AttackKind, AttackOutcome,
-    AttackRecord, AttackReport, AttackTally, DimmImage,
+    AttackRecord, AttackReport, AttackSweep, AttackTally, DimmImage,
 };
 pub use crash::{
     run_crash_config, CrashConfig, CrashOutcome, CrashRecord, CrashReport, CrashScenario,
-    CrashTally,
+    CrashSweep, CrashTally,
 };
 pub use engine::{
-    run_plan, run_plan_full, FaultOutcome, FaultRecord, HarnessConfig, PlanArtifacts, PlanReport,
-    Tally,
+    run_plan, run_plan_full, FaultOutcome, FaultRecord, FaultSweep, HarnessConfig, PlanArtifacts,
+    PlanReport, Tally,
 };
 pub use plan::{FaultKind, FaultPlan, ScheduledFault};
-pub use scenario::{
-    crash_at_depth, crash_at_depth_sharded, system_crash_roundtrip, system_volatile_crash,
-    CrashVerdict,
-};
+pub use scenario::{crash_at_depth, system_crash_roundtrip, system_volatile_crash, CrashVerdict};
 pub use shadow::ShadowModel;

@@ -9,8 +9,7 @@ use std::fmt;
 
 use ss_common::{BlockAddr, Cycles, Error, PageId, LINE_SIZE, PAGE_SIZE};
 use ss_core::{
-    ControllerConfigBuilder, CounterPersistence, MemoryController, ShardedConfig,
-    ShardedController, WriteQueueConfig,
+    ControllerConfigBuilder, CounterPersistence, ShardedConfig, ShardedController, WriteQueueConfig,
 };
 use ss_cpu::Op;
 use ss_sim::{System, SystemConfig};
@@ -43,76 +42,19 @@ impl fmt::Display for CrashVerdict {
     }
 }
 
-/// Cuts power with exactly `depth` distinct lines written into a
-/// controller with an 8-deep write queue, then recovers and verifies.
+/// Cuts power with exactly `depth` distinct lines written round-robin
+/// into a `shards`-channel controller (one shard is the plain
+/// controller), then recovers every shard and verifies every line.
 ///
-/// The queue is configured to never drain on its own below depth 8, so
-/// `depth` is also the number of writes still queued at the crash: the
-/// ADR guarantee (`power_loss` drains the queue) is load-bearing here.
+/// Each shard's 8-deep write queue never drains on its own below depth
+/// 8, so every line is still queued at the crash: the ADR guarantee
+/// (`power_loss` drains the queue) is load-bearing here, and one
+/// shard's counter loss must not be masked by its clean siblings.
 ///
 /// # Panics
 ///
 /// Panics if the controller cannot be built (harness misuse).
-pub fn crash_at_depth(persistence: CounterPersistence, depth: usize) -> CrashVerdict {
-    let queue = WriteQueueConfig {
-        capacity: 8,
-        drain_low: 1,
-        drain_high: 8,
-    };
-    let cfg = ControllerConfigBuilder::small_test()
-        .counter_persistence(persistence)
-        .write_queue(Some(queue))
-        .build()
-        .expect("scenario config must build");
-    let mut mc = MemoryController::new(cfg).expect("scenario config must build");
-    let mut written: Vec<(BlockAddr, Line)> = Vec::new();
-    for i in 0..depth {
-        let addr = PageId::new(1 + i as u64).block_addr(i);
-        let line = [(i as u8) ^ 0xA5; LINE_SIZE];
-        mc.write_block(addr, &line, false, Cycles::ZERO)
-            .expect("pre-crash write");
-        written.push((addr, line));
-    }
-    if mc.power_loss().is_err() {
-        return CrashVerdict::Corrupted { addr: 0 };
-    }
-    match mc.recover() {
-        Ok(()) => {}
-        Err(Error::CounterLoss) => {
-            // Degraded mode: every read must fail loudly, not guess.
-            for (addr, _) in &written {
-                if mc.read_block(*addr, Cycles::ZERO).is_ok() {
-                    return CrashVerdict::Corrupted { addr: addr.raw() };
-                }
-            }
-            return CrashVerdict::CounterLoss;
-        }
-        Err(_) => return CrashVerdict::Corrupted { addr: 0 },
-    }
-    for (addr, line) in &written {
-        match mc.read_block(*addr, Cycles::ZERO) {
-            Ok(r) if r.data == *line => {}
-            _ => return CrashVerdict::Corrupted { addr: addr.raw() },
-        }
-    }
-    CrashVerdict::Recovered
-}
-
-/// [`crash_at_depth`] over a sharded controller: `depth` distinct lines
-/// land round-robin across `shards` channels (each shard owns its own
-/// write queue and persist domain), then power is cut, every shard
-/// recovers, and every line is verified. Exercises the per-shard
-/// [`ShardedController::power_loss`] / [`ShardedController::recover`]
-/// surfaces the plain scenario cannot reach.
-///
-/// # Panics
-///
-/// Panics if the sharded controller cannot be built (harness misuse).
-pub fn crash_at_depth_sharded(
-    persistence: CounterPersistence,
-    depth: usize,
-    shards: u32,
-) -> CrashVerdict {
+pub fn crash_at_depth(persistence: CounterPersistence, depth: usize, shards: u32) -> CrashVerdict {
     let queue = WriteQueueConfig {
         capacity: 8,
         drain_low: 1,
@@ -130,7 +72,7 @@ pub fn crash_at_depth_sharded(
         // Consecutive pages interleave round-robin, touching every shard
         // once depth >= shards.
         let addr = PageId::new(1 + i as u64).block_addr(i);
-        let line = [(i as u8) ^ 0x3C; LINE_SIZE];
+        let line = [(i as u8) ^ 0xA5; LINE_SIZE];
         sc.write_block(addr, &line, false, Cycles::ZERO)
             .expect("pre-crash write");
         written.push((addr, line));
@@ -141,6 +83,7 @@ pub fn crash_at_depth_sharded(
     match sc.recover().ok() {
         Ok(()) => {}
         Err(Error::CounterLoss) => {
+            // Degraded mode: every read must fail loudly, not guess.
             for (addr, _) in &written {
                 if sc.read_block(*addr, Cycles::ZERO).is_ok() {
                     return CrashVerdict::Corrupted { addr: addr.raw() };
@@ -250,7 +193,7 @@ mod tests {
     fn battery_backed_survives_every_depth() {
         for depth in 0..=8 {
             assert_eq!(
-                crash_at_depth(CounterPersistence::BatteryBackedWriteBack, depth),
+                crash_at_depth(CounterPersistence::BatteryBackedWriteBack, depth, 1),
                 CrashVerdict::Recovered,
                 "depth {depth}"
             );
@@ -259,7 +202,7 @@ mod tests {
 
     #[test]
     fn volatile_loss_is_loud() {
-        let v = crash_at_depth(CounterPersistence::VolatileWriteBack, 4);
+        let v = crash_at_depth(CounterPersistence::VolatileWriteBack, 4, 1);
         assert_eq!(v, CrashVerdict::CounterLoss);
     }
 
@@ -267,7 +210,7 @@ mod tests {
     fn sharded_battery_backed_survives_every_depth() {
         for depth in 0..=8 {
             assert_eq!(
-                crash_at_depth_sharded(CounterPersistence::BatteryBackedWriteBack, depth, 4),
+                crash_at_depth(CounterPersistence::BatteryBackedWriteBack, depth, 4),
                 CrashVerdict::Recovered,
                 "depth {depth}"
             );
@@ -276,7 +219,7 @@ mod tests {
 
     #[test]
     fn sharded_volatile_loss_is_loud() {
-        let v = crash_at_depth_sharded(CounterPersistence::VolatileWriteBack, 6, 4);
+        let v = crash_at_depth(CounterPersistence::VolatileWriteBack, 6, 4);
         assert_eq!(v, CrashVerdict::CounterLoss);
     }
 }

@@ -159,7 +159,7 @@ fn crash_matrix_persistence_by_queue_depth() {
         CounterPersistence::VolatileWriteBack,
     ] {
         for depth in 0..=8 {
-            let verdict = crash_at_depth(persistence, depth);
+            let verdict = crash_at_depth(persistence, depth, 1);
             match (persistence, depth) {
                 // Persistent counters: ADR drains the queue, the battery
                 // (or write-through) preserves the counters — recovery
@@ -206,16 +206,15 @@ fn whole_system_volatile_crash_is_detected() {
 // every line interleaved round-robin across the channels.
 // ---------------------------------------------------------------------
 
-use ss_harness::{
-    crash_at_depth_sharded, run_crash_config, CrashConfig, CrashTally, CrashVerdict as V,
-};
+use ss_harness::sweep::{SweepReport, SweepTally};
+use ss_harness::{run_crash_config, CrashConfig, CrashTally, CrashVerdict as V};
 
 #[test]
 fn sharded_crash_matrix_persistence_by_queue_depth() {
     for shards in [4, 8] {
         for depth in 0..=8 {
             assert_eq!(
-                crash_at_depth_sharded(CounterPersistence::BatteryBackedWriteBack, depth, shards),
+                crash_at_depth(CounterPersistence::BatteryBackedWriteBack, depth, shards),
                 V::Recovered,
                 "{shards} shards at queue depth {depth}"
             );
@@ -224,7 +223,7 @@ fn sharded_crash_matrix_persistence_by_queue_depth() {
         // shards: one shard's CounterLoss must surface, not be averaged
         // away by its clean siblings.
         assert_eq!(
-            crash_at_depth_sharded(CounterPersistence::VolatileWriteBack, 8, shards),
+            crash_at_depth(CounterPersistence::VolatileWriteBack, 8, shards),
             V::CounterLoss,
             "{shards} shards"
         );

@@ -6,6 +6,7 @@
 
 use ss_common::{Cycles, PageId};
 use ss_core::{ControllerConfig, ControllerConfigBuilder, MemoryController};
+use ss_harness::sweep::SweepReport;
 use ss_harness::{run_plan, run_plan_full, HarnessConfig};
 use ss_trace::TraceRecord;
 
