@@ -305,7 +305,7 @@ impl Hierarchy {
                         }
                     }
                 } else if dirty_data.is_none() {
-                    if let Some(e) = cache.iter().find(|e| e.addr == addr && e.dirty) {
+                    if let Some(e) = cache.peek(addr).filter(|e| e.dirty) {
                         dirty_data = Some(e.value);
                     }
                 }

@@ -193,8 +193,14 @@ impl<V> SetAssocCache<V> {
 
     /// Checks residency without changing LRU order or stats.
     pub fn contains(&self, addr: BlockAddr) -> bool {
+        self.peek(addr).is_some()
+    }
+
+    /// The resident entry for `addr`, found by searching its set only.
+    /// Leaves LRU order and stats alone.
+    pub fn peek(&self, addr: BlockAddr) -> Option<&Entry<V>> {
         let set = self.set_index(addr);
-        self.sets[set].iter().any(|e| e.addr == addr)
+        self.sets[set].iter().find(|e| e.addr == addr)
     }
 
     /// Inserts (or overwrites) `addr` as MRU. Returns the LRU victim when
@@ -315,6 +321,21 @@ mod tests {
         assert_eq!(evicted.addr, a(1));
         assert!(c.contains(a(0)));
         assert!(c.contains(a(2)));
+    }
+
+    #[test]
+    fn peek_moves_neither_stats_nor_eviction_order() {
+        let mut c = cache(2, 2); // one set of 2 ways
+        c.insert(a(0), 10, true);
+        c.insert(a(1), 11, false);
+        let stats = *c.stats();
+        // Entry 0 is LRU; a `get` would promote it, a peek must not.
+        let e = c.peek(a(0)).expect("resident");
+        assert_eq!((e.addr, e.dirty, e.value), (a(0), true, 10));
+        assert!(c.peek(a(2)).is_none());
+        assert_eq!(*c.stats(), stats);
+        let evicted = c.insert(a(2), 12, false).expect("set full");
+        assert_eq!(evicted.addr, a(0));
     }
 
     #[test]

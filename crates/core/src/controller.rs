@@ -874,8 +874,7 @@ impl MemoryController {
             if !redo && !self.persist.journaled.contains(&caddr.raw()) {
                 let pre = self
                     .counter_cache
-                    .iter()
-                    .find(|e| e.addr == caddr)
+                    .peek(caddr)
                     .map_or_else(|| self.nvm.peek(caddr), |e| e.value.to_line());
                 self.journal_write_entry(&JournalEntry {
                     kind: EntryKind::CounterUndo,
@@ -2304,9 +2303,7 @@ impl MemoryController {
     /// it last reached NVM). Checked without disturbing LRU state.
     pub(crate) fn counter_line_dirty(&self, page: PageId) -> bool {
         let caddr = self.counter_addr(page);
-        self.counter_cache
-            .iter()
-            .any(|e| e.addr == caddr && e.dirty)
+        self.counter_cache.peek(caddr).is_some_and(|e| e.dirty)
     }
 
     /// Writes `page`'s counter line back to NVM if it is cached dirty
@@ -2320,8 +2317,8 @@ impl MemoryController {
         let caddr = self.counter_addr(page);
         let dirty = self
             .counter_cache
-            .iter()
-            .find(|e| e.addr == caddr && e.dirty)
+            .peek(caddr)
+            .filter(|e| e.dirty)
             .map(|e| e.value);
         let Some(ctrs) = dirty else {
             return Ok(false);

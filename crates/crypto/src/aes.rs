@@ -1,18 +1,26 @@
-//! AES-128 block cipher, implemented from scratch per FIPS-197.
+//! AES-128 block cipher (FIPS-197), table-driven.
 //!
-//! This is a straightforward table-free software implementation (S-box
-//! lookups plus explicit GF(2^8) column mixing). It is *functional*, not
-//! constant-time or fast — in the simulator, encryption latency is a model
-//! parameter, and what matters is that the bytes stored in the simulated
-//! NVM are genuinely encrypted so remanence/shredding properties can be
-//! tested end-to-end.
+//! Each middle round is sixteen lookups into four 256-entry `u32`
+//! tables that fuse SubBytes, ShiftRows and MixColumns (the T-table
+//! implementation the Rijndael proposal describes for 32-bit
+//! processors). Decryption is the equivalent inverse
+//! cipher of FIPS-197 §5.3.5: its middle round keys carry InvMixColumns,
+//! so it runs on four inverse tables of the same shape. All eight
+//! tables are built at compile time by `const fn` from the S-box.
+//!
+//! The lookups are indexed by state bytes, so the kernel is not
+//! constant-time; neither was the byte-oriented one it replaced. That is
+//! acceptable here: the key is a simulation constant, and in the
+//! simulator encryption latency is a model parameter. What matters is
+//! that the bytes stored in the simulated NVM are genuinely encrypted,
+//! so remanence and shredding properties can be tested end to end.
 
-// The FIPS-197 kernel below indexes 256-entry tables with `u8 as
-// usize` values and loops whose bounds are the const array lengths —
-// every access is provably in range, and rewriting the standard
-// round structure around `get()` would obscure it. The crate-wide
-// `clippy::indexing_slicing` deny therefore stops at this module
-// boundary; new non-kernel code in ss-crypto must use checked access.
+// The kernel below indexes 256-entry tables with `u8 as usize` values
+// and 4-entry arrays with indices reduced mod 4 — every access is
+// provably in range, and spelling the round structure with `get()`
+// would obscure it. The crate-wide `clippy::indexing_slicing` deny
+// therefore stops at this module boundary; new non-kernel code in
+// ss-crypto must use checked access.
 #![allow(clippy::indexing_slicing)]
 
 /// The AES S-box.
@@ -71,6 +79,96 @@ const fn gmul(mut a: u8, mut b: u8) -> u8 {
     p
 }
 
+/// Four round tables over `sbox`. The state is four big-endian column
+/// words (row 0 in the top byte). `t[0][x]` is the column `mix` scaled
+/// by `sbox[x]`: what a row-0 input byte `x` adds to its output column.
+/// `t[r]` is `t[0]` rotated right by `8r` bits, the same for row `r`,
+/// because each row of the (Inv)MixColumns matrix is the one above it
+/// rotated.
+const fn round_tables(sbox: &[u8; 256], mix: [u8; 4]) -> [[u32; 256]; 4] {
+    let mut t = [[0u32; 256]; 4];
+    let mut x = 0;
+    while x < 256 {
+        let s = sbox[x];
+        let w = u32::from_be_bytes([
+            gmul(s, mix[0]),
+            gmul(s, mix[1]),
+            gmul(s, mix[2]),
+            gmul(s, mix[3]),
+        ]);
+        t[0][x] = w;
+        t[1][x] = w.rotate_right(8);
+        t[2][x] = w.rotate_right(16);
+        t[3][x] = w.rotate_right(24);
+        x += 1;
+    }
+    t
+}
+
+/// SubBytes then MixColumns (first column `{02, 01, 01, 03}`).
+static TE: [[u32; 256]; 4] = round_tables(&SBOX, [0x02, 0x01, 0x01, 0x03]);
+
+/// InvSubBytes then InvMixColumns (first column `{0e, 09, 0d, 0b}`).
+static TD: [[u32; 256]; 4] = round_tables(&INV_SBOX, [0x0e, 0x09, 0x0d, 0x0b]);
+
+/// Row `r`'s byte of column word `w`, as a table index.
+#[inline(always)]
+fn byte(w: u32, r: usize) -> usize {
+    (w >> (24 - 8 * r)) as u8 as usize
+}
+
+/// One middle round: output column `c` takes row `r` from input column
+/// `c + r·step` (step 1 is ShiftRows, step 3 InvShiftRows), through the
+/// tables `t`, then adds round key `rk`.
+#[inline(always)]
+fn round(t: &[[u32; 256]; 4], s: &[u32; 4], rk: &[u32; 4], step: usize) -> [u32; 4] {
+    core::array::from_fn(|c| {
+        rk[c]
+            ^ t[0][byte(s[c], 0)]
+            ^ t[1][byte(s[(c + step) % 4], 1)]
+            ^ t[2][byte(s[(c + 2 * step) % 4], 2)]
+            ^ t[3][byte(s[(c + 3 * step) % 4], 3)]
+    })
+}
+
+/// The last round, which has no (Inv)MixColumns: the same row gather as
+/// [`round`] through `sbox`, then round key `rk`, stored as bytes.
+#[inline(always)]
+fn last_round(sbox: &[u8; 256], s: &[u32; 4], rk: &[u32; 4], step: usize) -> [u8; 16] {
+    let mut out = [0u8; 16];
+    for (c, dst) in out.chunks_exact_mut(4).enumerate() {
+        let w = u32::from_be_bytes(core::array::from_fn(|r| {
+            sbox[byte(s[(c + r * step) % 4], r)]
+        }));
+        dst.copy_from_slice(&(w ^ rk[c]).to_be_bytes());
+    }
+    out
+}
+
+/// Loads a block as column words and adds round key `rk`.
+#[inline(always)]
+fn load(block: &[u8; 16], rk: &[u32; 4]) -> [u32; 4] {
+    core::array::from_fn(|c| {
+        u32::from_be_bytes([
+            block[4 * c],
+            block[4 * c + 1],
+            block[4 * c + 2],
+            block[4 * c + 3],
+        ]) ^ rk[c]
+    })
+}
+
+/// SubWord of the key schedule: the S-box on each byte.
+fn sub_word(w: u32) -> u32 {
+    u32::from_be_bytes(w.to_be_bytes().map(|b| SBOX[b as usize]))
+}
+
+/// InvMixColumns of one column word. `TD[r][SBOX[b]]` is InvMixColumns
+/// of `b` alone in row `r`, since InvSubBytes undoes the S-box.
+fn inv_mix_column(w: u32) -> u32 {
+    (0..4).fold(0, |acc, r| acc ^ TD[r][SBOX[byte(w, r)] as usize])
+}
+
 /// An expanded AES-128 key, ready to encrypt or decrypt 16-byte blocks.
 ///
 /// # Examples
@@ -85,7 +183,11 @@ const fn gmul(mut a: u8, mut b: u8) -> u8 {
 /// ```
 #[derive(Clone)]
 pub struct Aes128 {
-    round_keys: [[u8; 16]; 11],
+    /// Encryption round keys, as column words.
+    enc: [[u32; 4]; 11],
+    /// Round keys of the equivalent inverse cipher: `dec[r]` is
+    /// `enc[10 - r]`, with InvMixColumns applied for `r` in `1..10`.
+    dec: [[u32; 4]; 11],
 }
 
 impl std::fmt::Debug for Aes128 {
@@ -98,8 +200,63 @@ impl std::fmt::Debug for Aes128 {
 }
 
 impl Aes128 {
-    /// Expands `key` into the 11 round keys.
+    /// Expands `key` into the 11 round keys, and the 11 of the
+    /// equivalent inverse cipher.
     pub fn new(key: [u8; 16]) -> Self {
+        let mut w = [0u32; 44];
+        for (wi, chunk) in w.iter_mut().zip(key.chunks_exact(4)) {
+            *wi = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        }
+        for i in 4..44 {
+            let mut t = w[i - 1];
+            if i % 4 == 0 {
+                t = sub_word(t.rotate_left(8)) ^ (u32::from(RCON[i / 4 - 1]) << 24);
+            }
+            w[i] = w[i - 4] ^ t;
+        }
+        let enc: [[u32; 4]; 11] = core::array::from_fn(|r| core::array::from_fn(|c| w[4 * r + c]));
+        let dec = core::array::from_fn(|r| {
+            let k = enc[10 - r];
+            if r == 0 || r == 10 {
+                k
+            } else {
+                k.map(inv_mix_column)
+            }
+        });
+        Aes128 { enc, dec }
+    }
+
+    /// Encrypts one 16-byte block.
+    pub fn encrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
+        let [first, middle @ .., last] = &self.enc;
+        let mut s = load(block, first);
+        for rk in middle {
+            s = round(&TE, &s, rk, 1);
+        }
+        last_round(&SBOX, &s, last, 1)
+    }
+
+    /// Decrypts one 16-byte block.
+    pub fn decrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
+        let [first, middle @ .., last] = &self.dec;
+        let mut s = load(block, first);
+        for rk in middle {
+            s = round(&TD, &s, rk, 3);
+        }
+        last_round(&INV_SBOX, &s, last, 3)
+    }
+}
+
+/// The byte-oriented FIPS-197 rounds the table-driven kernel replaced,
+/// kept as the oracle that `tables_match_the_byte_oriented_rounds`
+/// compares it against. The state is column-major as in FIPS-197:
+/// `s[r + 4c]`.
+#[cfg(test)]
+mod reference {
+    use super::{gmul, xtime, INV_SBOX, RCON, SBOX};
+
+    /// The 11 round keys as FIPS-197 §5.2 expands them, byte by byte.
+    pub(super) fn expand(key: [u8; 16]) -> [[u8; 16]; 11] {
         let mut w = [[0u8; 4]; 44];
         for (i, chunk) in key.chunks_exact(4).enumerate() {
             w[i].copy_from_slice(chunk);
@@ -123,101 +280,97 @@ impl Aes128 {
                 rk[4 * c..4 * c + 4].copy_from_slice(&w[4 * r + c]);
             }
         }
-        Aes128 { round_keys }
+        round_keys
     }
 
-    /// Encrypts one 16-byte block.
-    pub fn encrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
+    pub(super) fn encrypt(round_keys: &[[u8; 16]; 11], block: &[u8; 16]) -> [u8; 16] {
         let mut s = *block;
-        add_round_key(&mut s, &self.round_keys[0]);
-        for round in 1..10 {
+        add_round_key(&mut s, &round_keys[0]);
+        for rk in &round_keys[1..10] {
             sub_bytes(&mut s);
             shift_rows(&mut s);
             mix_columns(&mut s);
-            add_round_key(&mut s, &self.round_keys[round]);
+            add_round_key(&mut s, rk);
         }
         sub_bytes(&mut s);
         shift_rows(&mut s);
-        add_round_key(&mut s, &self.round_keys[10]);
+        add_round_key(&mut s, &round_keys[10]);
         s
     }
 
-    /// Decrypts one 16-byte block.
-    pub fn decrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
+    pub(super) fn decrypt(round_keys: &[[u8; 16]; 11], block: &[u8; 16]) -> [u8; 16] {
         let mut s = *block;
-        add_round_key(&mut s, &self.round_keys[10]);
+        add_round_key(&mut s, &round_keys[10]);
         inv_shift_rows(&mut s);
         inv_sub_bytes(&mut s);
-        for round in (1..10).rev() {
-            add_round_key(&mut s, &self.round_keys[round]);
+        for rk in round_keys[1..10].iter().rev() {
+            add_round_key(&mut s, rk);
             inv_mix_columns(&mut s);
             inv_shift_rows(&mut s);
             inv_sub_bytes(&mut s);
         }
-        add_round_key(&mut s, &self.round_keys[0]);
+        add_round_key(&mut s, &round_keys[0]);
         s
     }
-}
 
-// The state is stored column-major as in FIPS-197: s[r + 4c].
-
-fn add_round_key(s: &mut [u8; 16], rk: &[u8; 16]) {
-    for i in 0..16 {
-        s[i] ^= rk[i];
-    }
-}
-
-fn sub_bytes(s: &mut [u8; 16]) {
-    for b in s.iter_mut() {
-        *b = SBOX[*b as usize];
-    }
-}
-
-fn inv_sub_bytes(s: &mut [u8; 16]) {
-    for b in s.iter_mut() {
-        *b = INV_SBOX[*b as usize];
-    }
-}
-
-fn shift_rows(s: &mut [u8; 16]) {
-    for r in 1..4 {
-        let row = [s[r], s[r + 4], s[r + 8], s[r + 12]];
-        for c in 0..4 {
-            s[r + 4 * c] = row[(c + r) % 4];
+    fn add_round_key(s: &mut [u8; 16], rk: &[u8; 16]) {
+        for i in 0..16 {
+            s[i] ^= rk[i];
         }
     }
-}
 
-fn inv_shift_rows(s: &mut [u8; 16]) {
-    for r in 1..4 {
-        let row = [s[r], s[r + 4], s[r + 8], s[r + 12]];
-        for c in 0..4 {
-            s[r + 4 * c] = row[(c + 4 - r) % 4];
+    fn sub_bytes(s: &mut [u8; 16]) {
+        for b in s.iter_mut() {
+            *b = SBOX[*b as usize];
         }
     }
-}
 
-fn mix_columns(s: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [s[4 * c], s[4 * c + 1], s[4 * c + 2], s[4 * c + 3]];
-        s[4 * c] = xtime(col[0]) ^ (xtime(col[1]) ^ col[1]) ^ col[2] ^ col[3];
-        s[4 * c + 1] = col[0] ^ xtime(col[1]) ^ (xtime(col[2]) ^ col[2]) ^ col[3];
-        s[4 * c + 2] = col[0] ^ col[1] ^ xtime(col[2]) ^ (xtime(col[3]) ^ col[3]);
-        s[4 * c + 3] = (xtime(col[0]) ^ col[0]) ^ col[1] ^ col[2] ^ xtime(col[3]);
+    fn inv_sub_bytes(s: &mut [u8; 16]) {
+        for b in s.iter_mut() {
+            *b = INV_SBOX[*b as usize];
+        }
     }
-}
 
-fn inv_mix_columns(s: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [s[4 * c], s[4 * c + 1], s[4 * c + 2], s[4 * c + 3]];
-        s[4 * c] =
-            gmul(col[0], 0x0e) ^ gmul(col[1], 0x0b) ^ gmul(col[2], 0x0d) ^ gmul(col[3], 0x09);
-        s[4 * c + 1] =
-            gmul(col[0], 0x09) ^ gmul(col[1], 0x0e) ^ gmul(col[2], 0x0b) ^ gmul(col[3], 0x0d);
-        s[4 * c + 2] =
-            gmul(col[0], 0x0d) ^ gmul(col[1], 0x09) ^ gmul(col[2], 0x0e) ^ gmul(col[3], 0x0b);
-        s[4 * c + 3] =
-            gmul(col[0], 0x0b) ^ gmul(col[1], 0x0d) ^ gmul(col[2], 0x09) ^ gmul(col[3], 0x0e);
+    fn shift_rows(s: &mut [u8; 16]) {
+        for r in 1..4 {
+            let row = [s[r], s[r + 4], s[r + 8], s[r + 12]];
+            for c in 0..4 {
+                s[r + 4 * c] = row[(c + r) % 4];
+            }
+        }
+    }
+
+    fn inv_shift_rows(s: &mut [u8; 16]) {
+        for r in 1..4 {
+            let row = [s[r], s[r + 4], s[r + 8], s[r + 12]];
+            for c in 0..4 {
+                s[r + 4 * c] = row[(c + 4 - r) % 4];
+            }
+        }
+    }
+
+    fn mix_columns(s: &mut [u8; 16]) {
+        for c in 0..4 {
+            let col = [s[4 * c], s[4 * c + 1], s[4 * c + 2], s[4 * c + 3]];
+            s[4 * c] = xtime(col[0]) ^ (xtime(col[1]) ^ col[1]) ^ col[2] ^ col[3];
+            s[4 * c + 1] = col[0] ^ xtime(col[1]) ^ (xtime(col[2]) ^ col[2]) ^ col[3];
+            s[4 * c + 2] = col[0] ^ col[1] ^ xtime(col[2]) ^ (xtime(col[3]) ^ col[3]);
+            s[4 * c + 3] = (xtime(col[0]) ^ col[0]) ^ col[1] ^ col[2] ^ xtime(col[3]);
+        }
+    }
+
+    fn inv_mix_columns(s: &mut [u8; 16]) {
+        for c in 0..4 {
+            let col = [s[4 * c], s[4 * c + 1], s[4 * c + 2], s[4 * c + 3]];
+            s[4 * c] =
+                gmul(col[0], 0x0e) ^ gmul(col[1], 0x0b) ^ gmul(col[2], 0x0d) ^ gmul(col[3], 0x09);
+            s[4 * c + 1] =
+                gmul(col[0], 0x09) ^ gmul(col[1], 0x0e) ^ gmul(col[2], 0x0b) ^ gmul(col[3], 0x0d);
+            s[4 * c + 2] =
+                gmul(col[0], 0x0d) ^ gmul(col[1], 0x09) ^ gmul(col[2], 0x0e) ^ gmul(col[3], 0x0b);
+            s[4 * c + 3] =
+                gmul(col[0], 0x0b) ^ gmul(col[1], 0x0d) ^ gmul(col[2], 0x09) ^ gmul(col[3], 0x0e);
+        }
     }
 }
 
@@ -257,6 +410,27 @@ mod tests {
         let aes = Aes128::new(key);
         assert_eq!(aes.encrypt_block(&plain), expect);
         assert_eq!(aes.decrypt_block(&expect), plain);
+    }
+
+    #[test]
+    fn tables_match_the_byte_oriented_rounds() {
+        let mut rng = ss_common::DetRng::new(0xAE5_7AB1E);
+        for _ in 0..10_000 {
+            let mut key = [0u8; 16];
+            let mut block = [0u8; 16];
+            rng.fill_bytes(&mut key);
+            rng.fill_bytes(&mut block);
+            let aes = Aes128::new(key);
+            let round_keys = reference::expand(key);
+            assert_eq!(
+                aes.encrypt_block(&block),
+                reference::encrypt(&round_keys, &block)
+            );
+            assert_eq!(
+                aes.decrypt_block(&block),
+                reference::decrypt(&round_keys, &block)
+            );
+        }
     }
 
     #[test]

@@ -8,17 +8,26 @@
 //! untrusted NVM.
 //!
 //! Updates are lazy. [`MerkleTree::update_leaf`] re-hashes the leaf and
-//! only marks its ancestors stale; the next operation that reads the
-//! stored root ([`MerkleTree::verify_leaf`], [`MerkleTree::verify_leaves`])
-//! re-hashes every stale ancestor once, children before parents. Leaves
-//! updated between two verifications share the re-hashing of their
-//! common ancestors — the coalesced ancestor updates of *Streamlining
+//! only marks its ancestors stale; the next operation that needs the
+//! stored ancestors current ([`MerkleTree::verify_leaves`],
+//! [`MerkleTree::tamper_node`], and [`MerkleTree::verify_leaf`] after a
+//! forgery) re-hashes every stale ancestor once, children before parents. Leaves updated in between
+//! share the re-hashing of their common ancestors — the coalesced
+//! ancestor updates of *Streamlining
 //! Integrity Tree Updates* (arXiv:2003.04693). Every
 //! verdict and every root equals what eager leaf-to-root re-hashing would
 //! produce, tampered nodes included: [`MerkleTree::tamper_node`] flushes
 //! before it writes.
 //!
-//! [`MerkleTree::verify_leaf`] re-walks one leaf's authentication path;
+//! [`MerkleTree::verify_leaf`] hashes the given leaf once and compares
+//! it with the stored leaf digest. Until the first
+//! [`MerkleTree::tamper_node`], every stored digest is the hash of its
+//! children (or stale, and then re-hashed from them before anything reads
+//! it), so the path walk would rebuild exactly the stored digests up to
+//! the stored root if and only if the leaf digests match: the comparison
+//! is the walk's verdict, barring a SHA-256 collision. After a forgery
+//! the stored digests no longer hash up, and `verify_leaf` re-walks the
+//! authentication path against the root.
 //! [`MerkleTree::verify_leaves`] checks a whole run of leaves in one
 //! bottom-up pass (one hash per node instead of one path per leaf).
 
@@ -57,6 +66,10 @@ pub struct MerkleTree {
     stale: Vec<bool>,
     /// The stale internal nodes, each listed once.
     pending: Vec<usize>,
+    /// Set by the first [`MerkleTree::tamper_node`]: some stored digest
+    /// may differ from the hash of its children, so `verify_leaf` must
+    /// walk the path instead of comparing leaf digests.
+    forged: bool,
 }
 
 fn hash_leaf(data: &[u8]) -> Digest {
@@ -115,6 +128,7 @@ impl MerkleTree {
             nodes,
             stale: vec![false; leaves],
             pending: Vec::new(),
+            forged: false,
         }
     }
 
@@ -190,17 +204,27 @@ impl MerkleTree {
         self.pending = pending;
     }
 
-    /// Verifies that `data` matches leaf `index` by re-walking the
-    /// authentication path against the root. Returns `false` on any
-    /// mismatch (tampered leaf or tampered internal node).
+    /// Verifies that `data` matches leaf `index` against the root.
+    /// Returns `false` on any mismatch (tampered leaf or tampered
+    /// internal node).
+    ///
+    /// Until the first [`MerkleTree::tamper_node`] this is one digest
+    /// and a compare with the stored leaf digest, which gives the path
+    /// walk's verdict (see the module docs) and leaves stale ancestors
+    /// stale. After it, stale ancestors are flushed and the
+    /// authentication path is re-walked.
     ///
     /// # Panics
     ///
     /// Panics if `index >= leaf_count()`.
     pub fn verify_leaf(&mut self, index: usize, data: &[u8]) -> bool {
         assert!(index < self.leaves, "leaf index {index} out of range");
+        let leaf = hash_leaf(data);
+        if !self.forged {
+            return leaf == self.node(self.leaves + index);
+        }
         self.flush();
-        self.walk_path(index, hash_leaf(data))
+        self.walk_path(index, leaf)
     }
 
     /// Whether `leaf`, re-hashed up `index`'s path with the stored
@@ -279,7 +303,8 @@ impl MerkleTree {
     /// Simulates an attacker overwriting an internal node or leaf hash in
     /// untrusted storage (for security tests). Returns the previous value.
     /// Stale ancestors are flushed first, so the write lands on the state
-    /// eager re-hashing would hold.
+    /// eager re-hashing would hold. From then on
+    /// [`MerkleTree::verify_leaf`] walks paths.
     ///
     /// # Panics
     ///
@@ -291,6 +316,7 @@ impl MerkleTree {
             "node {node_index} is not a tamperable off-chip node"
         );
         self.flush();
+        self.forged = true;
         match self.nodes.get_mut(node_index) {
             Some(node) => std::mem::replace(node, value),
             None => [0u8; 32],
@@ -544,6 +570,48 @@ mod tests {
                 assert_eq!(lazy.root(), eager.nodes[1]);
             }
         }
+    }
+
+    #[test]
+    fn verifies_against_thousands_of_stale_ancestors() {
+        let mut rng = DetRng::new(0x3E_0011);
+        let mut lazy = MerkleTree::new(4096);
+        let mut eager = EagerTree::new(4096);
+        let mut current: Vec<Vec<u8>> = vec![Vec::new(); 4096];
+        for _ in 0..2500 {
+            let index = rng.below(4096) as usize;
+            let mut data = vec![0u8; 64];
+            rng.fill_bytes(&mut data);
+            lazy.update_leaf(index, &data);
+            eager.update_leaf(index, &data);
+            current[index] = data;
+            // Verify the updated leaf, a random one and a forgery without
+            // ever flushing the stale ancestors. Nothing is tampered, so
+            // the eager tree accepts every stored leaf and no other data.
+            let probe = rng.below(4096) as usize;
+            assert!(lazy.verify_leaf(index, &current[index]));
+            assert!(lazy.verify_leaf(probe, &current[probe]));
+            assert!(!lazy.verify_leaf(probe, b"replayed"));
+        }
+        assert!(
+            lazy.pending.len() > 2000,
+            "only {} stale ancestors",
+            lazy.pending.len()
+        );
+        assert_eq!(lazy.root(), eager.nodes[1]);
+        // The first forgery flushes, and verification walks paths again.
+        let forged = lazy.tamper_node(4096 + 1, [0x77; 32]);
+        assert_eq!(forged, eager.nodes[4096 + 1]);
+        eager.nodes[4096 + 1] = [0x77; 32];
+        assert!(lazy.pending.is_empty());
+        assert_eq!(lazy.root(), eager.nodes[1]);
+        for index in [0, 1, 2, 4095] {
+            assert_eq!(
+                lazy.verify_leaf(index, &current[index]),
+                eager.verify_leaf(index, &current[index])
+            );
+        }
+        assert!(!lazy.verify_leaf(0, &current[0]));
     }
 
     #[test]

@@ -147,6 +147,49 @@ impl NvmStats {
     }
 }
 
+/// Flip-N-Write keeps one flip bit per 32-bit word of a line.
+const FLIP_WORDS: usize = LINE_SIZE / 4;
+const _: () = assert!(
+    FLIP_WORDS == u16::BITS as usize,
+    "flip mask must fill a u16"
+);
+
+/// Everything the device keeps about one line address.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LineRecord {
+    /// The stored cells; all zero while the line is not `resident`.
+    data: [u8; LINE_SIZE],
+    /// Writes that programmed cells (DCW/FNW skips excluded). Cell wear
+    /// survives every power cycle.
+    pub(crate) wear: u64,
+    /// Flip-N-Write state: bit `w` set stores word `w` inverted.
+    flips: u16,
+    /// Whether the line holds data: written, tampered or bit-flipped
+    /// since the last DRAM power cycle. Only resident lines show up in
+    /// [`NvmDevice::cold_scan`] and [`NvmDevice::resident_lines`].
+    resident: bool,
+}
+
+impl LineRecord {
+    const EMPTY: LineRecord = LineRecord {
+        data: [0u8; LINE_SIZE],
+        wear: 0,
+        flips: 0,
+        resident: false,
+    };
+
+    fn flip_state(&self) -> [bool; FLIP_WORDS] {
+        core::array::from_fn(|w| self.flips >> w & 1 != 0)
+    }
+
+    fn set_flip_state(&mut self, state: &[bool; FLIP_WORDS]) {
+        self.flips = state
+            .iter()
+            .enumerate()
+            .fold(0, |mask, (w, &flip)| mask | u16::from(flip) << w);
+    }
+}
+
 /// A persistent, line-granularity NVM array.
 ///
 /// Contents are stored sparsely; unwritten lines read as zero (a fresh
@@ -156,9 +199,9 @@ impl NvmStats {
 #[derive(Debug, Clone)]
 pub struct NvmDevice {
     config: NvmConfig,
-    lines: BTreeMap<u64, [u8; LINE_SIZE]>,
-    flip_bits: BTreeMap<u64, [bool; LINE_SIZE / 4]>,
-    wear: WearTracker,
+    /// One record per line address that holds data or has worn, so a
+    /// line write is one map operation.
+    lines: BTreeMap<u64, LineRecord>,
     stats: NvmStats,
     /// Worn-out lines → number of weak cells (bits that read inverted).
     failed: BTreeMap<u64, u32>,
@@ -186,8 +229,6 @@ impl NvmDevice {
         NvmDevice {
             config,
             lines: BTreeMap::new(),
-            flip_bits: BTreeMap::new(),
-            wear: WearTracker::new(),
             stats: NvmStats::default(),
             failed: BTreeMap::new(),
             injected: BTreeMap::new(),
@@ -348,20 +389,20 @@ impl NvmDevice {
     pub fn write_line(&mut self, addr: BlockAddr, data: &[u8; LINE_SIZE]) -> Result<()> {
         self.check_range(addr)?;
         self.stats.writes.inc();
-        let old = self.peek(addr);
-        let flips = self
-            .flip_bits
-            .entry(addr.raw())
-            .or_insert([false; LINE_SIZE / 4]);
-        let outcome = self.config.write_scheme.apply(&old, data, flips);
+        let line = self.lines.entry(addr.raw()).or_insert(LineRecord::EMPTY);
+        let mut flips = line.flip_state();
+        let outcome = self.config.write_scheme.apply(&line.data, data, &mut flips);
+        line.set_flip_state(&flips);
+        line.data = *data;
+        line.resident = true;
         self.stats.bits_written += u64::from(outcome.bits_written);
         self.stats.energy_pj += self.config.energy.write_energy_pj(outcome.bits_written);
         if outcome.skipped {
             self.stats.skipped_writes.inc();
         } else {
-            self.wear.record_write(addr);
+            line.wear += 1;
             if let Some(limit) = self.config.endurance_limit {
-                let wear = self.wear.wear(addr);
+                let wear = line.wear;
                 if wear > limit {
                     // One weak cell at first failure, another for every
                     // further `limit` writes: degradation is gradual, so
@@ -376,7 +417,6 @@ impl NvmDevice {
                 }
             }
         }
-        self.lines.insert(addr.raw(), *data);
         Ok(())
     }
 
@@ -390,8 +430,7 @@ impl NvmDevice {
     pub fn peek(&self, addr: BlockAddr) -> [u8; LINE_SIZE] {
         self.lines
             .get(&addr.raw())
-            .copied()
-            .unwrap_or([0u8; LINE_SIZE])
+            .map_or([0u8; LINE_SIZE], |line| line.data)
     }
 
     /// DRAM timing preset for motivation comparisons: symmetric ~50 ns
@@ -419,34 +458,43 @@ impl NvmDevice {
     }
 
     /// Simulates a power cycle. NVM contents persist — that is the
-    /// point; DRAM contents vanish.
+    /// point; DRAM contents and flip state vanish, while cell wear stays.
     pub fn power_cycle(&mut self) {
         self.stats.power_cycles += 1;
         if self.config.kind == MemoryKind::Dram {
-            self.lines.clear();
-            self.flip_bits.clear();
+            self.lines.retain(|_, line| {
+                *line = LineRecord {
+                    wear: line.wear,
+                    ..LineRecord::EMPTY
+                };
+                line.wear > 0
+            });
         }
     }
 
     /// Models an attacker with physical access scanning the powered-off
-    /// chip: iterates every line ever written, in address order, with its
+    /// chip: iterates every line holding data, in address order, with its
     /// raw (possibly ciphertext) contents.
     pub fn cold_scan(&self) -> impl Iterator<Item = (BlockAddr, &[u8; LINE_SIZE])> {
-        let mut addrs: Vec<_> = self.lines.keys().copied().collect();
-        addrs.sort_unstable();
-        addrs.into_iter().map(move |a| {
-            (
-                BlockAddr::new(a),
-                self.lines.get(&a).expect("key came from the map"),
-            )
-        })
+        self.lines
+            .iter()
+            .filter(|(_, line)| line.resident)
+            .map(|(&a, line)| (BlockAddr::new(a), &line.data))
+    }
+
+    /// The record of `addr`, created empty if absent, marked resident:
+    /// the write-free paths that put data into a line.
+    fn resident_line(&mut self, addr: BlockAddr) -> &mut LineRecord {
+        let line = self.lines.entry(addr.raw()).or_insert(LineRecord::EMPTY);
+        line.resident = true;
+        line
     }
 
     /// Overwrites a line without any accounting — models an attacker
     /// tampering with memory contents (man-in-the-middle / overwrite
     /// attacks from the §4.1 threat model).
     pub fn tamper(&mut self, addr: BlockAddr, data: [u8; LINE_SIZE]) {
-        self.lines.insert(addr.raw(), data);
+        self.resident_line(addr).data = data;
     }
 
     /// Flips a single stored bit in place — models a transient NVM cell
@@ -459,8 +507,7 @@ impl NvmDevice {
     /// Panics if `bit >= LINE_SIZE * 8`.
     pub fn flip_bit(&mut self, addr: BlockAddr, bit: usize) {
         assert!(bit < LINE_SIZE * 8, "bit index out of line");
-        let line = self.lines.entry(addr.raw()).or_insert([0u8; LINE_SIZE]);
-        line[bit / 8] ^= 1 << (bit % 8);
+        self.resident_line(addr).data[bit / 8] ^= 1 << (bit % 8);
     }
 
     /// Device statistics so far.
@@ -468,9 +515,9 @@ impl NvmDevice {
         &self.stats
     }
 
-    /// Endurance/wear tracker.
-    pub fn wear(&self) -> &WearTracker {
-        &self.wear
+    /// Per-line wear, read in place from the line records.
+    pub fn wear(&self) -> WearTracker<'_> {
+        WearTracker::new(&self.lines)
     }
 
     /// Resets statistics (not contents or wear) — used between experiment
@@ -485,12 +532,228 @@ impl NvmDevice {
 
     /// Number of distinct lines holding data.
     pub fn resident_lines(&self) -> usize {
-        self.lines.len()
+        self.lines.values().filter(|line| line.resident).count()
     }
 }
 
 /// Re-export used by `write_line`; kept public for tooling.
 pub use crate::write_reduction::diff_bits as line_diff_bits;
+
+/// The device before its line records: data, Flip-N-Write state and
+/// wear each in a map of their own. Kept as the oracle that
+/// `one_map_store_matches_the_three_map_device` drives in lockstep with
+/// [`NvmDevice`].
+#[cfg(test)]
+mod reference {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use ss_common::{BlockAddr, DetRng, Error, Result, LINE_SIZE};
+
+    use super::{MemoryKind, NvmConfig, NvmStats};
+    use crate::ecc::LineRead;
+
+    pub(super) struct ThreeMapDevice {
+        config: NvmConfig,
+        lines: BTreeMap<u64, [u8; LINE_SIZE]>,
+        flip_bits: BTreeMap<u64, [bool; LINE_SIZE / 4]>,
+        wear: BTreeMap<u64, u64>,
+        pub(super) total_writes: u64,
+        pub(super) stats: NvmStats,
+        failed: BTreeMap<u64, u32>,
+        injected: BTreeMap<u64, u32>,
+        fault_rng: DetRng,
+        p_line_threshold: u64,
+        burst_threshold: u64,
+    }
+
+    impl ThreeMapDevice {
+        pub(super) fn new(config: NvmConfig) -> Self {
+            let fault_rng = DetRng::new(config.fault_seed ^ 0x7A17_FAD5_EED0_0BE5);
+            let p_line = (config.transient_read_ber * (LINE_SIZE * 8) as f64).min(1.0);
+            ThreeMapDevice {
+                config,
+                lines: BTreeMap::new(),
+                flip_bits: BTreeMap::new(),
+                wear: BTreeMap::new(),
+                total_writes: 0,
+                stats: NvmStats::default(),
+                failed: BTreeMap::new(),
+                injected: BTreeMap::new(),
+                fault_rng,
+                p_line_threshold: DetRng::threshold(p_line),
+                burst_threshold: DetRng::threshold(0.2),
+            }
+        }
+
+        fn check_range(&self, addr: BlockAddr) -> Result<()> {
+            if addr.raw() + LINE_SIZE as u64 > self.config.capacity_bytes {
+                Err(Error::AddrOutOfRange {
+                    addr: addr.addr(),
+                    capacity: self.config.capacity_bytes,
+                })
+            } else {
+                Ok(())
+            }
+        }
+
+        pub(super) fn read_line(&mut self, addr: BlockAddr) -> Result<LineRead> {
+            self.check_range(addr)?;
+            self.stats.reads.inc();
+            self.stats.energy_pj += self.config.energy.read_pj;
+            let data = self.peek(addr);
+            let flipped = self.error_bits(addr);
+            if flipped.is_empty() {
+                return Ok(LineRead::Clean(data));
+            }
+            let flips = flipped.len() as u32;
+            let ecc = self.config.ecc;
+            if flips <= ecc.correct {
+                self.stats.ecc_corrected_reads.inc();
+                self.stats.ecc_corrected_bits += u64::from(flips);
+                Ok(LineRead::Corrected { data, flips })
+            } else if flips <= ecc.detect {
+                self.stats.ecc_uncorrectable_reads.inc();
+                Err(Error::UncorrectableEcc {
+                    addr: addr.addr(),
+                    flips,
+                })
+            } else {
+                self.stats.ecc_silent_escapes.inc();
+                let mut garbled = data;
+                for bit in flipped {
+                    garbled[bit / 8] ^= 1 << (bit % 8);
+                }
+                Ok(LineRead::Clean(garbled))
+            }
+        }
+
+        fn error_bits(&mut self, addr: BlockAddr) -> Vec<usize> {
+            let mut bits: BTreeSet<usize> = BTreeSet::new();
+            if let Some(&weak) = self.failed.get(&addr.raw()) {
+                let mut rng = DetRng::new(
+                    self.config
+                        .fault_seed
+                        .wrapping_add(addr.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                        ^ 0x5EAF_CE11_F1A7_B175,
+                );
+                let weak = (weak as usize).min(LINE_SIZE * 8);
+                while bits.len() < weak {
+                    bits.insert(rng.below((LINE_SIZE * 8) as u64) as usize);
+                }
+            }
+            if let Some(flips) = self.injected.remove(&addr.raw()) {
+                let want = (bits.len() + flips as usize).min(LINE_SIZE * 8);
+                while bits.len() < want {
+                    bits.insert(self.fault_rng.below((LINE_SIZE * 8) as u64) as usize);
+                }
+            }
+            if self.p_line_threshold > 0 && self.fault_rng.coin(self.p_line_threshold) {
+                let n = if self.fault_rng.coin(self.burst_threshold) {
+                    2
+                } else {
+                    1
+                };
+                let want = (bits.len() + n).min(LINE_SIZE * 8);
+                while bits.len() < want {
+                    bits.insert(self.fault_rng.below((LINE_SIZE * 8) as u64) as usize);
+                }
+            }
+            bits.into_iter().collect()
+        }
+
+        pub(super) fn inject_read_error(&mut self, addr: BlockAddr, flips: u32) {
+            if flips > 0 {
+                self.injected.insert(addr.raw(), flips);
+            }
+        }
+
+        pub(super) fn fail_line(&mut self, addr: BlockAddr, weak_bits: u32) {
+            let raw = addr.raw();
+            if !self.failed.contains_key(&raw) {
+                self.stats.failed_lines += 1;
+            }
+            let entry = self.failed.entry(raw).or_insert(0);
+            *entry = (*entry).max(weak_bits.max(1));
+        }
+
+        pub(super) fn write_line(&mut self, addr: BlockAddr, data: &[u8; LINE_SIZE]) -> Result<()> {
+            self.check_range(addr)?;
+            self.stats.writes.inc();
+            let old = self.peek(addr);
+            let flips = self
+                .flip_bits
+                .entry(addr.raw())
+                .or_insert([false; LINE_SIZE / 4]);
+            let outcome = self.config.write_scheme.apply(&old, data, flips);
+            self.stats.bits_written += u64::from(outcome.bits_written);
+            self.stats.energy_pj += self.config.energy.write_energy_pj(outcome.bits_written);
+            if outcome.skipped {
+                self.stats.skipped_writes.inc();
+            } else {
+                let wear = self.wear.entry(addr.raw()).or_insert(0);
+                *wear += 1;
+                self.total_writes += 1;
+                if let Some(limit) = self.config.endurance_limit {
+                    let wear = *wear;
+                    if wear > limit {
+                        let weak = 1 + ((wear - limit - 1) / limit.max(1)) as u32;
+                        if !self.failed.contains_key(&addr.raw()) {
+                            self.stats.failed_lines += 1;
+                        }
+                        let entry = self.failed.entry(addr.raw()).or_insert(0);
+                        *entry = (*entry).max(weak);
+                    }
+                }
+            }
+            self.lines.insert(addr.raw(), *data);
+            Ok(())
+        }
+
+        fn peek(&self, addr: BlockAddr) -> [u8; LINE_SIZE] {
+            self.lines
+                .get(&addr.raw())
+                .copied()
+                .unwrap_or([0u8; LINE_SIZE])
+        }
+
+        pub(super) fn power_cycle(&mut self) {
+            self.stats.power_cycles += 1;
+            if self.config.kind == MemoryKind::Dram {
+                self.lines.clear();
+                self.flip_bits.clear();
+            }
+        }
+
+        pub(super) fn cold_scan(&self) -> Vec<(BlockAddr, [u8; LINE_SIZE])> {
+            let mut addrs: Vec<_> = self.lines.keys().copied().collect();
+            addrs.sort_unstable();
+            addrs
+                .into_iter()
+                .map(|a| (BlockAddr::new(a), self.lines[&a]))
+                .collect()
+        }
+
+        pub(super) fn tamper(&mut self, addr: BlockAddr, data: [u8; LINE_SIZE]) {
+            self.lines.insert(addr.raw(), data);
+        }
+
+        pub(super) fn flip_bit(&mut self, addr: BlockAddr, bit: usize) {
+            let line = self.lines.entry(addr.raw()).or_insert([0u8; LINE_SIZE]);
+            line[bit / 8] ^= 1 << (bit % 8);
+        }
+
+        pub(super) fn resident_lines(&self) -> usize {
+            self.lines.len()
+        }
+
+        pub(super) fn max_wear(&self) -> Option<(BlockAddr, u64)> {
+            self.wear
+                .iter()
+                .max_by_key(|&(addr, &n)| (n, std::cmp::Reverse(*addr)))
+                .map(|(&a, &n)| (BlockAddr::new(a), n))
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -814,6 +1077,90 @@ mod tests {
             d.write_line(a, &[5; LINE_SIZE]).unwrap();
         }
         assert!(!d.is_failed(a));
+    }
+
+    #[test]
+    fn one_map_store_matches_the_three_map_device() {
+        let schemes = [WriteScheme::Raw, WriteScheme::Dcw, WriteScheme::FlipNWrite];
+        for (i, (scheme, kind)) in schemes
+            .into_iter()
+            .flat_map(|s| [MemoryKind::Nvm, MemoryKind::Dram].map(|k| (s, k)))
+            .enumerate()
+        {
+            let config = NvmConfig {
+                capacity_bytes: 32 * LINE_SIZE as u64,
+                write_scheme: scheme,
+                kind,
+                endurance_limit: Some(6),
+                transient_read_ber: 2e-4,
+                fault_seed: i as u64,
+                ..NvmConfig::default()
+            };
+            let mut dev = NvmDevice::new(config.clone());
+            let mut oracle = reference::ThreeMapDevice::new(config);
+            let mut rng = DetRng::new(0xDE_71CE + i as u64);
+            // A few stored patterns, so DCW and FNW see identical and
+            // near-identical rewrites as well as random ones.
+            let mut patterns = [[0u8; LINE_SIZE], [0xFF; LINE_SIZE], [0u8; LINE_SIZE]];
+            rng.fill_bytes(&mut patterns[2]);
+            for step in 0..4000 {
+                // 34 line slots: the last two are out of range.
+                let addr = BlockAddr::new(rng.below(34) * LINE_SIZE as u64);
+                match rng.below(16) {
+                    0..=5 => {
+                        let mut data = patterns[rng.below(3) as usize];
+                        for _ in 0..rng.below(4) {
+                            data[rng.below(LINE_SIZE as u64) as usize] ^= 1;
+                        }
+                        assert_eq!(dev.write_line(addr, &data), oracle.write_line(addr, &data));
+                    }
+                    6..=10 => {
+                        assert_eq!(dev.read_line(addr), oracle.read_line(addr), "step {step}")
+                    }
+                    11 => {
+                        let mut data = [0u8; LINE_SIZE];
+                        rng.fill_bytes(&mut data);
+                        dev.tamper(addr, data);
+                        oracle.tamper(addr, data);
+                    }
+                    12 => {
+                        let bit = rng.below(LINE_SIZE as u64 * 8) as usize;
+                        dev.flip_bit(addr, bit);
+                        oracle.flip_bit(addr, bit);
+                    }
+                    13 => {
+                        let weak = rng.below(3) as u32;
+                        dev.fail_line(addr, weak);
+                        oracle.fail_line(addr, weak);
+                    }
+                    14 => {
+                        let flips = rng.below(4) as u32;
+                        dev.inject_read_error(addr, flips);
+                        oracle.inject_read_error(addr, flips);
+                    }
+                    _ => {
+                        dev.power_cycle();
+                        oracle.power_cycle();
+                    }
+                }
+                assert_eq!(
+                    dev.stats(),
+                    &oracle.stats,
+                    "{scheme:?} {kind:?} step {step}"
+                );
+                assert_eq!(dev.resident_lines(), oracle.resident_lines());
+                assert_eq!(dev.wear().max_wear(), oracle.max_wear());
+                assert_eq!(dev.wear().total_writes(), oracle.total_writes);
+                let scan: Vec<_> = dev.cold_scan().map(|(a, l)| (a, *l)).collect();
+                assert_eq!(scan, oracle.cold_scan(), "{scheme:?} {kind:?} step {step}");
+            }
+            // Every path the sequence can take was taken.
+            let st = oracle.stats;
+            assert!(st.failed_lines > 0 && st.power_cycles > 0);
+            assert!(st.ecc_corrected_reads.get() > 0 && st.ecc_uncorrectable_reads.get() > 0);
+            assert!(st.ecc_silent_escapes.get() > 0);
+            assert_eq!(st.skipped_writes.get() > 0, scheme != WriteScheme::Raw);
+        }
     }
 
     #[test]

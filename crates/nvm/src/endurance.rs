@@ -1,58 +1,65 @@
 //! Write-endurance tracking.
 //!
-//! PCM cells endure 10–100 million writes (§2.1). The tracker counts line
-//! writes, reports the most-worn line, and estimates relative lifetime —
-//! the metric the endurance ablation bench uses to quantify how much
-//! Silent Shredder's eliminated writes extend device life.
+//! PCM cells endure 10–100 million writes (§2.1). The device counts the
+//! writes each line endures in its line records; [`WearTracker`] reads
+//! those counts in place, reports the most-worn line, and estimates
+//! relative lifetime — the metric the endurance ablation bench uses to
+//! quantify how much Silent Shredder's eliminated writes extend device
+//! life.
 
 use std::collections::BTreeMap;
 
 use ss_common::BlockAddr;
 
+use crate::device::LineRecord;
+
 /// Default endurance limit used for lifetime estimates (10^7 writes,
 /// the low end of the paper's 10–100 million range).
 pub const DEFAULT_ENDURANCE_LIMIT: u64 = 10_000_000;
 
-/// Tracks per-line write counts.
-#[derive(Debug, Clone, Default)]
-pub struct WearTracker {
-    writes: BTreeMap<BlockAddr, u64>,
-    total_writes: u64,
+/// Per-line write counts of an [`NvmDevice`](crate::NvmDevice), from
+/// [`NvmDevice::wear`](crate::NvmDevice::wear). Only writes that
+/// programmed cells count (DCW/FNW skips do not).
+#[derive(Debug, Clone, Copy)]
+pub struct WearTracker<'a> {
+    lines: &'a BTreeMap<u64, LineRecord>,
 }
 
-impl WearTracker {
-    /// Creates an empty tracker.
-    pub fn new() -> Self {
-        Self::default()
+impl<'a> WearTracker<'a> {
+    pub(crate) fn new(lines: &'a BTreeMap<u64, LineRecord>) -> Self {
+        WearTracker { lines }
     }
 
-    /// Records one write to `addr`.
-    pub fn record_write(&mut self, addr: BlockAddr) {
-        *self.writes.entry(addr).or_insert(0) += 1;
-        self.total_writes += 1;
+    /// `(line, writes)` for every line written at least once, in address
+    /// order.
+    fn worn(&self) -> impl Iterator<Item = (u64, u64)> + 'a {
+        self.lines
+            .iter()
+            .filter(|(_, line)| line.wear > 0)
+            .map(|(&addr, line)| (addr, line.wear))
     }
 
     /// Total line writes recorded.
     pub fn total_writes(&self) -> u64 {
-        self.total_writes
+        self.worn().map(|(_, n)| n).sum()
     }
 
     /// Writes endured by `addr` so far.
     pub fn wear(&self, addr: BlockAddr) -> u64 {
-        self.writes.get(&addr).copied().unwrap_or(0)
+        self.lines.get(&addr.raw()).map_or(0, |line| line.wear)
     }
 
     /// The most-worn line and its write count, if any writes happened.
+    /// Ties go to the lowest address.
     pub fn max_wear(&self) -> Option<(BlockAddr, u64)> {
-        self.writes
-            .iter()
-            .max_by_key(|&(addr, &n)| (n, std::cmp::Reverse(*addr)))
-            .map(|(&a, &n)| (a, n))
+        self.worn()
+            .max_by_key(|&(addr, n)| (n, std::cmp::Reverse(addr)))
+            .map(|(a, n)| (BlockAddr::new(a), n))
     }
 
     /// Number of distinct lines ever written.
     pub fn touched_lines(&self) -> usize {
-        self.writes.len()
+        self.worn().count()
     }
 
     /// Fraction of the endurance `limit` consumed by the most-worn line.
@@ -68,24 +75,38 @@ impl WearTracker {
 
     /// Lines whose wear exceeds `limit` (would have failed).
     pub fn failed_lines(&self, limit: u64) -> usize {
-        self.writes.values().filter(|&&n| n > limit).count()
+        self.worn().filter(|&(_, n)| n > limit).count()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{NvmConfig, NvmDevice};
+    use ss_common::LINE_SIZE;
 
     fn a(n: u64) -> BlockAddr {
         BlockAddr::new(n * 64)
     }
 
+    /// A device with `writes` line writes to each `(line, writes)`.
+    fn worn(writes: &[(u64, u64)]) -> NvmDevice {
+        let mut d = NvmDevice::new(NvmConfig {
+            capacity_bytes: 1 << 20,
+            ..NvmConfig::default()
+        });
+        for &(line, n) in writes {
+            for _ in 0..n {
+                d.write_line(a(line), &[0u8; LINE_SIZE]).unwrap();
+            }
+        }
+        d
+    }
+
     #[test]
     fn counts_per_line_and_total() {
-        let mut w = WearTracker::new();
-        w.record_write(a(1));
-        w.record_write(a(1));
-        w.record_write(a(2));
+        let d = worn(&[(1, 2), (2, 1)]);
+        let w = d.wear();
         assert_eq!(w.total_writes(), 3);
         assert_eq!(w.wear(a(1)), 2);
         assert_eq!(w.wear(a(2)), 1);
@@ -95,21 +116,27 @@ mod tests {
 
     #[test]
     fn max_wear_finds_hottest() {
-        let mut w = WearTracker::new();
-        assert_eq!(w.max_wear(), None);
-        for _ in 0..5 {
-            w.record_write(a(7));
-        }
-        w.record_write(a(8));
-        assert_eq!(w.max_wear(), Some((a(7), 5)));
+        assert_eq!(worn(&[]).wear().max_wear(), None);
+        assert_eq!(worn(&[(7, 5), (8, 1)]).wear().max_wear(), Some((a(7), 5)));
+        // Ties go to the lowest address.
+        assert_eq!(worn(&[(9, 2), (3, 2)]).wear().max_wear(), Some((a(3), 2)));
+    }
+
+    #[test]
+    fn tampered_lines_are_not_worn() {
+        let mut d = worn(&[(1, 1)]);
+        d.tamper(a(2), [1u8; LINE_SIZE]);
+        d.flip_bit(a(3), 0);
+        let w = d.wear();
+        assert_eq!(w.touched_lines(), 1);
+        assert_eq!(w.total_writes(), 1);
+        assert_eq!(w.failed_lines(0), 1);
     }
 
     #[test]
     fn wear_fraction_and_failures() {
-        let mut w = WearTracker::new();
-        for _ in 0..10 {
-            w.record_write(a(0));
-        }
+        let d = worn(&[(0, 10)]);
+        let w = d.wear();
         assert_eq!(w.max_wear_fraction(100), 0.1);
         assert_eq!(w.failed_lines(9), 1);
         assert_eq!(w.failed_lines(10), 0);
