@@ -10,10 +10,8 @@
 //!   (counter-cache size sweep), Table 2 (measured feature matrix of
 //!   initialization mechanisms), plus the ablations DESIGN.md lists.
 //!
-//! The `repro` binary prints each artifact; `cargo bench` runs plain
-//! wall-clock timings (see [`runner::time_it`]) over the same code paths,
-//! and the `faultsweep` binary runs the fault-injection campaign from the
-//! `ss-harness` crate.
+//! The `repro` binary prints each artifact, and the `faultsweep` binary
+//! runs the fault-injection campaign from the `ss-harness` crate.
 
 #![forbid(unsafe_code)]
 

@@ -50,7 +50,6 @@ pub mod config;
 pub mod controller;
 pub mod counters;
 pub mod deuce;
-pub mod facade;
 pub mod heal;
 pub mod interleave;
 pub mod mmio;
@@ -63,9 +62,9 @@ pub use config::{
     ControllerConfig, ControllerConfigBuilder, CounterPersistence, PersistDomain, ProtectionMode,
     ShardedConfig, ShardedConfigBuilder, ShredStrategy,
 };
+pub use controller::ports::{FaultPort, Inspect};
 pub use controller::{ControllerStats, MemoryController, ProtStats, ReadResult};
 pub use counters::CounterBlock;
-pub use facade::{FaultPort, Inspect};
 pub use heal::{HealthStats, RetryPolicy, SparePool};
 pub use interleave::Interleave;
 pub use mmio::{MmioError, MmioOp, SHRED_DRAIN_REG, SHRED_ENQ_REG, SHRED_REG};

@@ -242,6 +242,26 @@ impl PersistState {
             ..PersistState::default()
         }
     }
+
+    /// Whether a counter write journals its post-image (redo): a dirty
+    /// victim's writeback, or a sequence whose tag rolls forward.
+    pub(crate) fn redo(&self) -> bool {
+        self.victim_flush || self.tag.is_some_and(SeqTag::is_redo)
+    }
+
+    /// Forgets the mirror of a committed or resolved sequence.
+    pub(crate) fn end_sequence(&mut self) {
+        self.header_written = false;
+        self.journaled.clear();
+        self.entry_count = 0;
+    }
+
+    /// Leaves the current operation: no nesting, tag or victim flush.
+    pub(crate) fn end_operation(&mut self) {
+        self.depth = 0;
+        self.tag = None;
+        self.victim_flush = false;
+    }
 }
 
 /// What [`crate::MemoryController::recover_mut`] found and did.

@@ -435,7 +435,7 @@ impl ShardedController {
     pub fn metrics(&self) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
         for s in &self.shards {
-            reg.merge(&s.metrics());
+            reg.merge(&s.inspect().metrics());
         }
         reg.set("shard.count", u64::from(self.config.shards));
         reg.set("shard.queue.len", self.shred_queue.len() as u64);
@@ -549,7 +549,7 @@ mod tests {
         }
         // Every shard saw exactly 2 of the 8 pages.
         for s in 0..4 {
-            assert_eq!(sc.shard(s).unwrap().stats().mem.writes.get(), 2);
+            assert_eq!(sc.shard(s).unwrap().inspect().stats().mem.writes.get(), 2);
         }
     }
 

@@ -4,7 +4,7 @@
 //! hardware costs. [`shred_page`] executes one on a [`MachineOps`]
 //! implementation and returns the kernel-visible latency; the hardware
 //! cost (memory writes, pollution, bandwidth) lands in the machine's own
-//! statistics and is what the benches measure.
+//! statistics and is what the `repro` experiments measure.
 
 use ss_common::{Cycles, PageId, Result, LINE_SIZE};
 
