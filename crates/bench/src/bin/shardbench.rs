@@ -85,10 +85,7 @@ fn workload() -> ConsolidationWorkload {
 }
 
 fn run(shards: u32) -> Result<ConsolidationReport, String> {
-    let sharded = ShardedConfig::builder(shards, base_config()?)
-        .shred_queue_capacity(4096)
-        .build()
-        .map_err(|e| format!("shards={shards}: {e}"))?;
+    let sharded = ShardedConfig::new(shards, base_config()?);
     let scenario = ConsolidationScenario::new(workload(), sharded)
         .map_err(|e| format!("shards={shards}: {e}"))?;
     scenario.run().map_err(|e| format!("shards={shards}: {e}"))

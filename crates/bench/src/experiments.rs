@@ -349,7 +349,7 @@ fn measure_mechanism(
         .collect();
     system.run(vec![dirty_ops.into_iter()], None);
     system.drain_caches();
-    system.exit_process_on(0, Cycles::ZERO)?;
+    system.exit_process_on(0)?;
     system.reset_stats();
 
     // --- Phase 2: reallocation triggers the mechanism per page. ---
@@ -496,7 +496,7 @@ fn measure_persistence(strategy: ZeroStrategy, scale: ExperimentScale) -> Result
         .faults()
         .peek_plaintext(pa.block())?;
     assert_ne!(secret, [0u8; 64], "secret never reached NVM");
-    system.exit_process_on(0, Cycles::ZERO)?;
+    system.exit_process_on(0)?;
     // Reallocate: the mechanism shreds the frame.
     let pid = system.spawn_process(0)?;
     let heap2 = system.sys_alloc(pid, PAGE_SIZE as u64)?;
@@ -718,7 +718,7 @@ pub fn ablation_counter_persistence() -> Result<Vec<PersistenceRow>> {
         let counter_writes = mc.inspect().stats().mem.counter_writes.get();
         // Crash safety: after power loss, is the state recoverable?
         mc.power_loss()?;
-        let crash_safe = mc.recover().is_ok();
+        let crash_safe = mc.recover_mut().is_ok();
         rows.push(PersistenceRow {
             mode,
             counter_writes_per_shred: counter_writes as f64 / shreds as f64,
@@ -879,7 +879,6 @@ impl LoadRow {
 /// Propagates run errors.
 pub fn ablation_load(scale: ExperimentScale) -> Result<Vec<LoadRow>> {
     use ss_cpu::Op;
-    use ss_sim::TimeshareConfig;
     let loads: &[usize] = match scale {
         ExperimentScale::Quick => &[1, 2, 4],
         ExperimentScale::Full => &[1, 2, 4, 8],
@@ -919,7 +918,7 @@ pub fn ablation_load(scale: ExperimentScale) -> Result<Vec<LoadRow>> {
                     pids.push(pid);
                     jobs.push((pid, ops));
                 }
-                let summary = sys.run_timeshared(jobs, TimeshareConfig::default());
+                let summary = sys.run_timeshared(jobs);
                 instructions += summary.total_instructions();
                 cycles += summary.cores.iter().map(|c| c.cycles.raw()).sum::<u64>();
                 for pid in pids {

@@ -1,9 +1,9 @@
 //! The multi-core, 4-level cache hierarchy.
 //!
-//! Geometry and latencies default to Table 1: per-core L1 (64 KiB, 2 cyc)
-//! and L2 (512 KiB, 8 cyc), shared L3 (8 MiB, 25 cyc) and L4 (64 MiB,
-//! 35 cyc), all 8-way with 64 B lines. Probing is cumulative: a hit at L3
-//! costs `lat(L1)+lat(L2)+lat(L3)`.
+//! Geometry defaults to, and latencies are fixed at, Table 1: per-core
+//! L1 (64 KiB, 2 cyc) and L2 (512 KiB, 8 cyc), shared L3 (8 MiB, 25 cyc)
+//! and L4 (64 MiB, 35 cyc), all 8-way with 64 B lines. Probing is
+//! cumulative: a hit at L3 costs `lat(L1)+lat(L2)+lat(L3)`.
 //!
 //! Coherence is a MESI-style invalidate protocol between the cores'
 //! private levels, implemented with a sharer directory:
@@ -77,7 +77,8 @@ pub struct LevelStats {
     pub cache: CacheStats,
 }
 
-/// Geometry/latency configuration for the hierarchy.
+/// Geometry configuration for the hierarchy; the latencies are the
+/// fixed [`LATENCIES`] plus a fixed cross-core snoop penalty.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HierarchyConfig {
     /// Number of cores (Table 1: 8).
@@ -92,11 +93,19 @@ pub struct HierarchyConfig {
     pub l4_size: usize,
     /// Associativity for all levels (8).
     pub ways: usize,
-    /// L1/L2/L3/L4 access latencies in cycles (2/8/25/35).
-    pub latencies: [u64; 4],
-    /// Extra cycles for a cross-core snoop hit.
-    pub snoop_penalty: u64,
 }
+
+/// L1/L2/L3/L4 access latencies (Table 1: 2/8/25/35 cycles).
+pub const LATENCIES: [Cycles; 4] = [
+    Cycles::new(2),
+    Cycles::new(8),
+    Cycles::new(25),
+    Cycles::new(35),
+];
+
+/// Extra cycles for a cross-core snoop hit (the old configurable
+/// default).
+const SNOOP_PENALTY: Cycles = Cycles::new(30);
 
 impl Default for HierarchyConfig {
     fn default() -> Self {
@@ -107,8 +116,6 @@ impl Default for HierarchyConfig {
             l3_size: 8 << 20,
             l4_size: 64 << 20,
             ways: 8,
-            latencies: [2, 8, 25, 35],
-            snoop_penalty: 30,
         }
     }
 }
@@ -137,8 +144,6 @@ pub struct Hierarchy {
     l4: SetAssocCache<Line>,
     /// Which cores hold each line in a private cache (bitmask).
     directory: BTreeMap<u64, u16>,
-    lat: [Cycles; 4],
-    snoop_penalty: Cycles,
     cores: usize,
 }
 
@@ -155,7 +160,6 @@ impl Hierarchy {
                 detail: format!("core count {} not in 1..=16", config.cores),
             });
         }
-        let lat = config.latencies.map(Cycles::new);
         let mut l1 = Vec::new();
         let mut l2 = Vec::new();
         for c in 0..config.cores {
@@ -163,23 +167,31 @@ impl Hierarchy {
                 format!("L1-{c}"),
                 config.l1_size,
                 config.ways,
-                lat[0],
+                LATENCIES[0],
             )?));
             l2.push(SetAssocCache::new(CacheConfig::new(
                 format!("L2-{c}"),
                 config.l2_size,
                 config.ways,
-                lat[1],
+                LATENCIES[1],
             )?));
         }
         Ok(Hierarchy {
             l1,
             l2,
-            l3: SetAssocCache::new(CacheConfig::new("L3", config.l3_size, config.ways, lat[2])?),
-            l4: SetAssocCache::new(CacheConfig::new("L4", config.l4_size, config.ways, lat[3])?),
+            l3: SetAssocCache::new(CacheConfig::new(
+                "L3",
+                config.l3_size,
+                config.ways,
+                LATENCIES[2],
+            )?),
+            l4: SetAssocCache::new(CacheConfig::new(
+                "L4",
+                config.l4_size,
+                config.ways,
+                LATENCIES[3],
+            )?),
             directory: BTreeMap::new(),
-            lat,
-            snoop_penalty: Cycles::new(config.snoop_penalty),
             cores: config.cores,
         })
     }
@@ -354,12 +366,12 @@ impl Hierarchy {
             AccessKind::Read => {
                 // A remote dirty copy must be forwarded first.
                 if let Some(fwd) = self.snoop(core, addr, false) {
-                    latency += self.snoop_penalty;
+                    latency += SNOOP_PENALTY;
                     // Park the latest version in shared L3 so it is never
                     // lost, then treat as an L3 hit for the requester.
                     self.insert_shared(Level::L3, addr, fwd, true, &mut writebacks);
                 }
-                latency += self.lat[0];
+                latency += LATENCIES[0];
                 if let Some(e) = self.l1[core].get(addr) {
                     let data = e.value;
                     return AccessResult {
@@ -370,7 +382,7 @@ impl Hierarchy {
                         writebacks,
                     };
                 }
-                latency += self.lat[1];
+                latency += LATENCIES[1];
                 if let Some(e) = self.l2[core].get(addr) {
                     let (data, dirty) = (e.value, e.dirty);
                     self.insert_private(core, Level::L1, addr, data, dirty, &mut writebacks);
@@ -388,7 +400,7 @@ impl Hierarchy {
                         writebacks,
                     };
                 }
-                latency += self.lat[2];
+                latency += LATENCIES[2];
                 if let Some(e) = self.l3.get(addr) {
                     let data = e.value;
                     self.insert_private(core, Level::L1, addr, data, false, &mut writebacks);
@@ -400,7 +412,7 @@ impl Hierarchy {
                         writebacks,
                     };
                 }
-                latency += self.lat[3];
+                latency += LATENCIES[3];
                 if let Some(e) = self.l4.get(addr) {
                     let data = e.value;
                     self.insert_private(core, Level::L1, addr, data, false, &mut writebacks);
@@ -429,7 +441,7 @@ impl Hierarchy {
                 self.l2[core].invalidate(addr);
                 self.l3.invalidate(addr);
                 self.l4.invalidate(addr);
-                latency += self.lat[0];
+                latency += LATENCIES[0];
                 // Write-allocating a non-resident line consumes fill
                 // bandwidth and displaces a victim; charge a small
                 // allocate penalty (streaming stores run slower than
@@ -449,7 +461,7 @@ impl Hierarchy {
             AccessKind::WritePartial => {
                 if let Some(fwd) = self.snoop(core, addr, true) {
                     // Remote dirty copy taken over: install and dirty it.
-                    latency += self.snoop_penalty + self.lat[0];
+                    latency += SNOOP_PENALTY + LATENCIES[0];
                     self.l3.invalidate(addr);
                     self.l4.invalidate(addr);
                     self.insert_private(core, Level::L1, addr, fwd, true, &mut writebacks);
@@ -461,7 +473,7 @@ impl Hierarchy {
                         writebacks,
                     };
                 }
-                latency += self.lat[0];
+                latency += LATENCIES[0];
                 if let Some(e) = self.l1[core].get(addr) {
                     e.dirty = true;
                     let data = e.value;
@@ -473,7 +485,7 @@ impl Hierarchy {
                         writebacks,
                     };
                 }
-                latency += self.lat[1];
+                latency += LATENCIES[1];
                 if let Some(e) = self.l2[core].get(addr) {
                     let data = e.value;
                     // Promote to L1 dirty; L2 copy downgraded to clean.
@@ -489,7 +501,7 @@ impl Hierarchy {
                         writebacks,
                     };
                 }
-                latency += self.lat[2];
+                latency += LATENCIES[2];
                 if let Some(e) = self.l3.get(addr) {
                     let data = e.value;
                     self.l3.invalidate(addr);
@@ -502,7 +514,7 @@ impl Hierarchy {
                         writebacks,
                     };
                 }
-                latency += self.lat[3];
+                latency += LATENCIES[3];
                 if let Some(e) = self.l4.get(addr) {
                     let data = e.value;
                     self.l4.invalidate(addr);
@@ -676,8 +688,6 @@ mod tests {
             l3_size: 16 * LINE_SIZE * 2,
             l4_size: 32 * LINE_SIZE * 2,
             ways: 2,
-            latencies: [2, 8, 25, 35],
-            snoop_penalty: 30,
         })
         .unwrap()
     }

@@ -1,9 +1,7 @@
 //! Memory-controller configuration.
 
-use ss_common::{Cycles, Error, Result, PAGE_SIZE};
-use ss_nvm::{EccConfig, NvmTiming};
-
-use crate::heal::RetryPolicy;
+use ss_common::{Error, Result, PAGE_SIZE};
+use ss_nvm::EccConfig;
 
 /// How the controller protects lines on their way to NVM
 /// (DESIGN.md §15).
@@ -94,10 +92,6 @@ pub struct ControllerConfig {
     pub shred_strategy: ShredStrategy,
     /// Counter-cache capacity in bytes (Table 1: 4 MiB).
     pub counter_cache_bytes: usize,
-    /// Counter-cache associativity (8).
-    pub counter_cache_ways: usize,
-    /// Counter-cache latency (Table 1: 10 cycles).
-    pub counter_cache_latency: Cycles,
     /// Counter persistence mode.
     pub counter_persistence: CounterPersistence,
     /// Persistence domain of the controller's volatile persist path
@@ -108,18 +102,8 @@ pub struct ControllerConfig {
     pub persist_domain: PersistDomain,
     /// Maintain and verify a Merkle tree over the counter region.
     pub integrity: bool,
-    /// Latency charged for the XOR of pad and data on the read critical
-    /// path (counter mode hides pad generation behind the array access).
-    pub xor_latency: Cycles,
-    /// Full AES latency charged on the read path in ECB mode (cannot be
-    /// overlapped, §2.2).
-    pub aes_latency: Cycles,
-    /// NVM timing (latencies, channels).
-    pub nvm_timing: NvmTiming,
     /// DEUCE-style partial re-encryption on writes (\[43\]).
     pub deuce: bool,
-    /// DEUCE epoch interval (full re-encryption every this many writes).
-    pub deuce_epoch: u8,
     /// Optional controller write queue with read priority and
     /// forwarding (None = writes go straight to the channels, the
     /// paper's simpler model).
@@ -144,8 +128,6 @@ pub struct ControllerConfig {
     /// remapping. 0 disables remapping: degrading lines go straight to
     /// quarantine.
     pub spare_lines: u64,
-    /// Read-retry policy for transient uncorrectable ECC errors.
-    pub retry: RetryPolicy,
     /// Background read scrubber: visit one data line every this many
     /// demand writes, when the write path is idle. `None` disables
     /// scrubbing.
@@ -169,16 +151,10 @@ impl Default for ControllerConfig {
             shredder: true,
             shred_strategy: ShredStrategy::MajorBumpResetMinors,
             counter_cache_bytes: 4 << 20,
-            counter_cache_ways: 8,
-            counter_cache_latency: Cycles::new(10),
             counter_persistence: CounterPersistence::BatteryBackedWriteBack,
             persist_domain: PersistDomain::Eadr,
             integrity: true,
-            xor_latency: Cycles::new(2),
-            aes_latency: Cycles::new(40),
-            nvm_timing: NvmTiming::default(),
             deuce: false,
-            deuce_epoch: 16,
             write_queue: None,
             wear_leveling: false,
             start_gap_interval: 64,
@@ -187,7 +163,6 @@ impl Default for ControllerConfig {
             transient_read_ber: 0.0,
             nvm_fault_seed: 0,
             spare_lines: 32,
-            retry: RetryPolicy::default(),
             scrub_interval: None,
             key: *b"silent-shredder!",
             trace_depth: None,
@@ -304,11 +279,6 @@ impl ControllerConfig {
                 });
             }
         }
-        if self.deuce_epoch == 0 {
-            return Err(Error::InvalidConfig {
-                detail: "deuce epoch must be positive".into(),
-            });
-        }
         if let Some(wq) = &self.write_queue {
             if !wq.is_valid() {
                 return Err(Error::InvalidConfig {
@@ -387,9 +357,6 @@ pub struct ShardedConfig {
     /// Number of shards (independent channels). 1 reproduces the plain
     /// controller exactly.
     pub shards: u32,
-    /// Capacity of the MMIO shred command queue in pages. Enqueues past
-    /// this mark report back-pressure so the kernel drains early.
-    pub shred_queue_capacity: usize,
     /// The controller configuration being sharded. `data_capacity` is
     /// the *total* across shards; per-shard resources (counter cache,
     /// spare pool, write queue) are per-channel silicon and are
@@ -404,13 +371,9 @@ pub struct ShardedConfig {
 const SHARD_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 
 impl ShardedConfig {
-    /// Wraps `base` with `shards` channels and a default queue depth.
+    /// Wraps `base` with `shards` channels.
     pub fn new(shards: u32, base: ControllerConfig) -> Self {
-        ShardedConfig {
-            shards,
-            shred_queue_capacity: 4096,
-            base,
-        }
+        ShardedConfig { shards, base }
     }
 
     /// Frames of data memory owned by each shard.
@@ -434,17 +397,12 @@ impl ShardedConfig {
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] when there are zero shards, the
-    /// queue has no capacity, the frame count does not divide evenly
-    /// across shards, or the base configuration is itself invalid.
+    /// frame count does not divide evenly across shards, or the base
+    /// configuration is itself invalid.
     pub fn validate(&self) -> Result<()> {
         if self.shards == 0 {
             return Err(Error::InvalidConfig {
                 detail: "sharded controller needs at least one shard".into(),
-            });
-        }
-        if self.shred_queue_capacity == 0 {
-            return Err(Error::InvalidConfig {
-                detail: "shred queue capacity must be positive".into(),
             });
         }
         self.base.validate()?;
@@ -575,12 +533,6 @@ impl ControllerConfigBuilder {
         self
     }
 
-    /// Sets the DEUCE epoch length in writes.
-    pub fn deuce_epoch(mut self, epoch: u8) -> Self {
-        self.cfg.deuce_epoch = epoch;
-        self
-    }
-
     /// Installs (or removes) the controller write queue.
     pub fn write_queue(mut self, wq: Option<crate::wqueue::WriteQueueConfig>) -> Self {
         self.cfg.write_queue = wq;
@@ -653,52 +605,12 @@ impl ControllerConfigBuilder {
     }
 }
 
-/// Validating builder for [`ShardedConfig`], mirroring
-/// [`ControllerConfigBuilder`] for the multi-channel facade.
-#[derive(Debug, Clone)]
-pub struct ShardedConfigBuilder {
-    cfg: ShardedConfig,
-}
-
-impl ShardedConfigBuilder {
-    /// A builder for `shards` channels over `base`.
-    pub fn new(shards: u32, base: ControllerConfig) -> Self {
-        ShardedConfigBuilder {
-            cfg: ShardedConfig::new(shards, base),
-        }
-    }
-
-    /// Sets the MMIO shred-queue capacity in pages.
-    pub fn shred_queue_capacity(mut self, pages: usize) -> Self {
-        self.cfg.shred_queue_capacity = pages;
-        self
-    }
-
-    /// Validates and releases the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfig`] for anything
-    /// [`ShardedConfig::validate`] rejects.
-    pub fn build(self) -> Result<ShardedConfig> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
-}
-
-impl ShardedConfig {
-    /// Starts a validating [`ShardedConfigBuilder`].
-    pub fn builder(shards: u32, base: ControllerConfig) -> ShardedConfigBuilder {
-        ShardedConfigBuilder::new(shards, base)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::controller::MemoryController;
     use crate::wqueue::WriteQueueConfig;
-    use ss_common::{PageId, BLOCKS_PER_PAGE, LINE_SIZE};
+    use ss_common::{Cycles, PageId, BLOCKS_PER_PAGE, LINE_SIZE};
 
     #[test]
     fn default_is_valid_shredder() {
@@ -753,9 +665,6 @@ mod tests {
         assert!(ShardedConfig::new(0, ControllerConfig::small_test())
             .validate()
             .is_err());
-        let mut zero_q = ShardedConfig::new(2, ControllerConfig::small_test());
-        zero_q.shred_queue_capacity = 0;
-        assert!(zero_q.validate().is_err());
         // 256 frames do not split across 3 shards.
         assert!(ShardedConfig::new(3, ControllerConfig::small_test())
             .validate()
@@ -942,15 +851,6 @@ mod tests {
         // The invalid combo is caught at the single choke point.
         assert!(ControllerConfigBuilder::small_test()
             .protection(ProtectionMode::Plain)
-            .build()
-            .is_err());
-
-        let sharded = ShardedConfig::builder(4, ControllerConfig::small_test())
-            .shred_queue_capacity(64)
-            .build()
-            .unwrap();
-        assert_eq!(sharded.shred_queue_capacity, 64);
-        assert!(ShardedConfig::builder(3, ControllerConfig::small_test())
             .build()
             .is_err());
     }

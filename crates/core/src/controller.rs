@@ -13,17 +13,17 @@ use std::collections::BTreeSet;
 
 use ss_cache::{CacheConfig, SetAssocCache};
 use ss_common::{
-    BlockAddr, Counter, Cycles, Error, MemStats, PageId, PhysAddr, Result, BLOCKS_PER_PAGE,
+    BlockAddr, Counter, Cycles, Error, MemStats, Nanos, PageId, PhysAddr, Result, BLOCKS_PER_PAGE,
     LINE_SIZE,
 };
 use ss_crypto::{Line, MerkleTree};
-use ss_nvm::{LineRead, NvmConfig, NvmDevice, StartGap};
+use ss_nvm::{LineRead, NvmConfig, NvmDevice, NvmTiming, StartGap};
 use ss_trace::{Stage, StageProfile, TraceEvent, Tracer};
 
 use crate::channel::ChannelSched;
 use crate::config::{ControllerConfig, CounterPersistence, PersistDomain, ProtectionMode};
 use crate::counters::CounterBlock;
-use crate::heal::{HealthStats, SparePool};
+use crate::heal::{retry_backoff, HealthStats, SparePool, MAX_RETRIES};
 use crate::mmio;
 use crate::persist::{self, EntryKind, JournalEntry, PersistState, RecoveryReport, SeqTag};
 use crate::wqueue::WriteQueue;
@@ -35,6 +35,26 @@ mod scattered;
 use counter_mode::CounterMode;
 pub use scattered::ProtStats;
 use scattered::Shares;
+
+/// Counter-cache associativity (Table 1: 8-way).
+pub const COUNTER_CACHE_WAYS: usize = 8;
+
+/// Counter-cache hit latency (Table 1: 10 cycles).
+pub const COUNTER_CACHE_LATENCY: Cycles = Cycles::new(10);
+
+/// Latency of the pad XOR on the read critical path: counter mode hides
+/// pad generation behind the array access (the old configurable
+/// default).
+const XOR_LATENCY: Cycles = Cycles::new(2);
+
+/// NVM array timing (Table 1: 75 ns reads, 150 ns writes, two channels
+/// of 12.8 GB/s).
+pub const NVM_TIMING: NvmTiming = NvmTiming {
+    read: Nanos::new(75),
+    write: Nanos::new(150),
+    channels: 2,
+    channel_mbps: 12_800,
+};
 
 /// Outcome of a demand read serviced by the controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,7 +180,7 @@ impl MemoryController {
         };
         let nvm = NvmDevice::new(NvmConfig {
             capacity_bytes: mask_base + mask_lines * LINE_SIZE as u64,
-            timing: config.nvm_timing,
+            timing: NVM_TIMING,
             endurance_limit: config.endurance_limit,
             ecc: config.nvm_ecc,
             transient_read_ber: config.transient_read_ber,
@@ -170,8 +190,8 @@ impl MemoryController {
         let counter_cache = SetAssocCache::new(CacheConfig::new(
             "counter",
             config.counter_cache_bytes,
-            config.counter_cache_ways,
-            config.counter_cache_latency,
+            COUNTER_CACHE_WAYS,
+            COUNTER_CACHE_LATENCY,
         )?);
         // The scattered mode reuses the counter region as its block
         // liveness metadata, so the same integrity tree covers it.
@@ -187,7 +207,7 @@ impl MemoryController {
         } else {
             None
         };
-        let channels = ChannelSched::new(&config.nvm_timing);
+        let channels = ChannelSched::new(&NVM_TIMING);
         let start_gap = config_start_gap(&config);
         let wqueue = config_wqueue(&config)?;
         let config_spare_lines = config.spare_lines;
@@ -500,12 +520,12 @@ impl MemoryController {
                 }
                 Err(Error::UncorrectableEcc { addr, flips }) => {
                     let permanent = self.nvm.weak_bit_count(slot) > correct;
-                    if permanent || attempt >= self.config.retry.max_retries {
+                    if permanent || attempt >= MAX_RETRIES {
                         return Err(Error::UncorrectableEcc { addr, flips });
                     }
                     attempt += 1;
                     self.stats.health.retries.inc();
-                    let backoff = self.config.retry.backoff(attempt);
+                    let backoff = retry_backoff(attempt);
                     self.stats.health.backoff_cycles += backoff.raw();
                     self.profile.charge(Stage::RetryBackoff, backoff);
                 }
@@ -565,7 +585,7 @@ impl MemoryController {
             let Some((dev, data, _zeroing)) = wq.pop_for_drain() else {
                 break;
             };
-            let write_lat = self.config.nvm_timing.write_cycles();
+            let write_lat = NVM_TIMING.write_cycles();
             self.sched(now, write_lat);
             self.profile.charge(Stage::WqueueDrain, write_lat);
             self.data_write_slot(dev, &data)?;
@@ -674,7 +694,7 @@ impl MemoryController {
     /// Returns the counters and the latency incurred on the critical path.
     fn fetch_counters(&mut self, page: PageId, now: Cycles) -> Result<(CounterBlock, Cycles)> {
         let caddr = self.counter_addr(page);
-        let mut latency = self.config.counter_cache_latency;
+        let mut latency = COUNTER_CACHE_LATENCY;
         if let Some(e) = self.counter_cache.get(caddr) {
             return Ok((e.value, latency));
         }
@@ -682,7 +702,7 @@ impl MemoryController {
         if self.counters_lost {
             return Err(Error::CounterLoss);
         }
-        let read_lat = self.sched(now + latency, self.config.nvm_timing.read_cycles());
+        let read_lat = self.sched(now + latency, NVM_TIMING.read_cycles());
         latency += read_lat;
         self.profile.charge(Stage::CounterFetch, read_lat);
         // The counter region has a fixed layout (page → line), so worn
@@ -769,7 +789,7 @@ impl MemoryController {
     ) -> Result<()> {
         let caddr = self.counter_addr(page);
         let line = ctrs.to_line();
-        let write_lat = self.config.nvm_timing.write_cycles();
+        let write_lat = NVM_TIMING.write_cycles();
         self.sched(now, write_lat);
         self.profile.charge(Stage::CounterWrite, write_lat);
         // A cut here leaves the in-memory Merkle leaf at the OLD line:
@@ -898,7 +918,7 @@ impl MemoryController {
         };
         self.journal_remap_alloc(dev, spare, false)?;
         if let Some(line) = line {
-            self.sched(now, self.config.nvm_timing.write_cycles());
+            self.sched(now, NVM_TIMING.write_cycles());
             self.persist_line(spare, line, None)?;
             commit(self)?;
         }
@@ -1229,7 +1249,7 @@ impl MemoryController {
         self.process_pending_heal(now)?;
         // One array write latency: the device zeroes rows internally in
         // parallel (optimistic, as in the RowClone paper).
-        Ok(self.config.nvm_timing.write_cycles())
+        Ok(NVM_TIMING.write_cycles())
     }
 
     /// Flushes dirty counter blocks to NVM (battery-backed write-back
@@ -1337,26 +1357,12 @@ impl MemoryController {
         self.counter_cache = SetAssocCache::new(self.counter_cache.config().clone());
     }
 
-    /// Post-restart recovery check: verifies that the counters needed to
-    /// decrypt data are available. This is the check-only reboot: it
-    /// reads and repairs nothing, so a tampered counter line is caught
-    /// at its first fetch, not here.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::CounterLoss`] when a prior crash dropped dirty counters.
-    pub fn recover(&self) -> Result<()> {
-        if self.counters_lost {
-            Err(Error::CounterLoss)
-        } else {
-            Ok(())
-        }
-    }
-
     /// The reboot recovery protocol. Runs after
     /// [`MemoryController::power_loss`], before the first demand access:
     ///
-    /// 1. The [`MemoryController::recover`] counter-availability check.
+    /// 1. **Counter availability**: a prior crash that dropped dirty
+    ///    counters (volatile write-back) leaves data undecryptable, and
+    ///    recovery stops with [`Error::CounterLoss`].
     /// 2. **Journal resolution** (ADR only): an open sequence means
     ///    power died mid-operation. Redo entries (counter writebacks of
     ///    already-durable data) are re-applied in order; undo entries
@@ -1380,12 +1386,14 @@ impl MemoryController {
     ///
     /// # Errors
     ///
-    /// [`Error::CounterLoss`] as for [`MemoryController::recover`];
+    /// [`Error::CounterLoss`] when a prior crash dropped dirty counters;
     /// [`Error::IntegrityViolation`] when a counter line fails
     /// re-verification after journal resolution; NVM write errors from
     /// the rollback writes.
     pub fn recover_mut(&mut self) -> Result<RecoveryReport> {
-        self.recover()?;
+        if self.counters_lost {
+            return Err(Error::CounterLoss);
+        }
         let mut report = RecoveryReport::default();
         if self.adr() {
             let header = self.nvm.peek(self.journal_line_addr(0));

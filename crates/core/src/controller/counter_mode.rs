@@ -14,10 +14,18 @@ use ss_common::{BlockAddr, Cycles, PageId, Result, BLOCKS_PER_PAGE, LINE_SIZE};
 use ss_crypto::{CtrEngine, EcbEngine, Line};
 use ss_trace::{Stage, TraceEvent};
 
-use super::{MemoryController, ReadResult};
+use super::{MemoryController, ReadResult, NVM_TIMING, XOR_LATENCY};
 use crate::config::ProtectionMode;
 use crate::counters::{BumpOutcome, CounterBlock};
 use crate::deuce::{self, DeuceMeta, CHUNKS};
+
+/// Full AES latency on the `Ecb` read path, which cannot overlap it with
+/// the array access (§2.2; the old configurable default).
+const AES_LATENCY: Cycles = Cycles::new(40);
+
+/// DEUCE epoch: a line is re-encrypted whole every this many writes
+/// (the old configurable default).
+const DEUCE_EPOCH: u8 = 16;
 
 /// The AES engines and DEUCE chunk state of the encrypted modes. Both
 /// engines are built at boot from the processor key; the mode picks
@@ -67,11 +75,11 @@ impl MemoryController {
     /// Direct-mode read. Under ECB the AES latency is serialised after
     /// the array access (§2.2's performance argument against ECB).
     pub(super) fn direct_read(&mut self, addr: BlockAddr, now: Cycles) -> Result<ReadResult> {
-        let mut latency = self.sched(now, self.config.nvm_timing.read_cycles());
+        let mut latency = self.sched(now, NVM_TIMING.read_cycles());
         self.profile.charge(Stage::NvmRead, latency);
         if self.config.protection == ProtectionMode::Ecb {
-            self.profile.charge(Stage::AesEcb, self.config.aes_latency);
-            latency += self.config.aes_latency;
+            self.profile.charge(Stage::AesEcb, AES_LATENCY);
+            latency += AES_LATENCY;
         }
         let stored = self.nvm_read_data(addr)?;
         self.stats.mem.reads.inc();
@@ -85,7 +93,7 @@ impl MemoryController {
     /// Direct-mode demand write.
     pub(super) fn direct_write(&mut self, addr: BlockAddr, data: &Line, now: Cycles) -> Result<()> {
         if self.config.protection == ProtectionMode::Ecb {
-            self.profile.charge(Stage::AesEcb, self.config.aes_latency);
+            self.profile.charge(Stage::AesEcb, AES_LATENCY);
         }
         let stored = self.direct_seal(data);
         self.issue_data_write(addr, &stored, now)
@@ -114,7 +122,7 @@ impl MemoryController {
     /// unless the write queue owns scheduling.
     fn issue_data_write(&mut self, addr: BlockAddr, line: &Line, now: Cycles) -> Result<()> {
         if self.wqueue.is_none() {
-            let write_lat = self.config.nvm_timing.write_cycles();
+            let write_lat = NVM_TIMING.write_cycles();
             self.sched(now, write_lat);
             self.profile.charge(Stage::NvmWrite, write_lat);
         }
@@ -182,10 +190,10 @@ impl MemoryController {
         if self.config.shredder && ctrs.is_shredded(addr.block_in_page()) {
             return Ok(self.zero_fill_read(addr, ctr_lat, now));
         }
-        let read_lat = self.sched(now + ctr_lat, self.config.nvm_timing.read_cycles());
+        let read_lat = self.sched(now + ctr_lat, NVM_TIMING.read_cycles());
         self.profile.charge(Stage::NvmRead, read_lat);
-        self.profile.charge(Stage::AesCtr, self.config.xor_latency);
-        let latency = ctr_lat + read_lat + self.config.xor_latency;
+        self.profile.charge(Stage::AesCtr, XOR_LATENCY);
+        let latency = ctr_lat + read_lat + XOR_LATENCY;
         let cipher = self.nvm_read_data(addr)?;
         self.stats.mem.reads.inc();
         Ok(ReadResult {
@@ -200,7 +208,7 @@ impl MemoryController {
     pub(super) fn ctr_write(&mut self, addr: BlockAddr, data: &Line, now: Cycles) -> Result<()> {
         let (old_ctrs, _) = self.fetch_counters(addr.page(), now)?;
         let ctrs = self.bump_minor(addr, &old_ctrs, now)?;
-        self.profile.charge(Stage::AesCtr, self.config.xor_latency);
+        self.profile.charge(Stage::AesCtr, XOR_LATENCY);
         let cipher = if self.config.deuce {
             self.deuce_write_cipher(addr, &old_ctrs, &ctrs, data)
         } else {
@@ -324,12 +332,12 @@ impl MemoryController {
                 continue;
             }
             let addr = page.block_addr(b);
-            self.sched(now, self.config.nvm_timing.read_cycles());
+            self.sched(now, NVM_TIMING.read_cycles());
             let cipher = self.nvm_read_data(addr)?;
             self.stats.mem.reads.inc();
             let plain = self.decrypt_ctr(addr, decrypt_under, &cipher);
             let new_cipher = self.encrypt_fresh(addr, new, &plain);
-            self.sched(now, self.config.nvm_timing.write_cycles());
+            self.sched(now, NVM_TIMING.write_cycles());
             self.nvm_write_data(addr, &new_cipher)?;
             self.stats.mem.writes.inc();
         }
@@ -350,7 +358,7 @@ impl MemoryController {
         let block = addr.block_in_page();
         let new_minor = new_ctrs.minors[block];
         let major_changed = new_ctrs.major != old_ctrs.major;
-        let epoch_rollover = new_minor.is_multiple_of(self.config.deuce_epoch) || major_changed;
+        let epoch_rollover = new_minor.is_multiple_of(DEUCE_EPOCH) || major_changed;
         if epoch_rollover || old_ctrs.is_shredded(block) {
             // Whole line under the new minor; the epoch restarts here.
             return self.encrypt_fresh(addr, new_ctrs, data);
@@ -651,7 +659,6 @@ mod tests {
     fn deuce_many_rewrites_stay_consistent() {
         let mut m = MemoryController::new(ControllerConfig {
             deuce: true,
-            deuce_epoch: 4,
             ..ControllerConfig::small_test()
         })
         .unwrap();
@@ -659,6 +666,8 @@ mod tests {
         let mut rng = DetRng::new(5);
         let mut data = line(0);
         m.write_block(addr, &data, false, Cycles::ZERO).unwrap();
+        // 300 rewrites cross many `DEUCE_EPOCH` rollovers and a minor
+        // overflow.
         for _ in 0..300 {
             // Mutate a random byte (often leaving some chunks unchanged).
             let i = rng.below(LINE_SIZE as u64) as usize;

@@ -412,11 +412,6 @@ impl FaultPort<'_> {
         });
     }
 
-    /// Disarms a pending crash cut that has not fired yet.
-    pub fn disarm_crash_cut(&mut self) {
-        self.mc.persist.armed = None;
-    }
-
     /// Whether an armed cut has fired (the machine is "off" — every
     /// operation errors until [`MemoryController::power_loss`]).
     pub fn crash_cut_fired(&self) -> bool {

@@ -13,7 +13,7 @@ use ss_common::{BlockAddr, Counter, Cycles, DetRng, PageId, Result, BLOCKS_PER_P
 use ss_crypto::{share, Line};
 use ss_trace::{Stage, TraceEvent};
 
-use super::{MemoryController, ReadResult};
+use super::{MemoryController, ReadResult, NVM_TIMING, XOR_LATENCY};
 use crate::config::ControllerConfig;
 
 /// Domain-separation constant folded into the scattered mode's
@@ -87,11 +87,11 @@ impl MemoryController {
         }
         // The two regions are independent banks: share reads overlap,
         // and only the XOR recombination is serialised.
-        let read_a = self.sched(now + ctr_lat, self.config.nvm_timing.read_cycles());
+        let read_a = self.sched(now + ctr_lat, NVM_TIMING.read_cycles());
         self.profile.charge(Stage::NvmRead, read_a);
         let share_a = self.nvm_read_data(addr)?;
         self.stats.mem.reads.inc();
-        let read_b = self.sched(now + ctr_lat, self.config.nvm_timing.read_cycles());
+        let read_b = self.sched(now + ctr_lat, NVM_TIMING.read_cycles());
         self.profile.charge(Stage::NvmRead, read_b);
         let mask = self.mask_addr(addr);
         // The mask region has a fixed layout (line → line), so like the
@@ -99,13 +99,12 @@ impl MemoryController {
         // errors still go through the retry policy.
         let share_b = self.read_line_healing(mask)?.into_data();
         self.stats.prot.share_reads.inc();
-        self.profile.charge(Stage::AesCtr, self.config.xor_latency);
+        self.profile.charge(Stage::AesCtr, XOR_LATENCY);
         let data = share::recombine_shares(&share_a, &share_b);
         self.stats.prot.recombines.inc();
         self.tracer
             .emit(now, || TraceEvent::ShareRecombine { addr });
-        let latency =
-            ctr_lat + Cycles::new(read_a.raw().max(read_b.raw())) + self.config.xor_latency;
+        let latency = ctr_lat + Cycles::new(read_a.raw().max(read_b.raw())) + XOR_LATENCY;
         Ok(ReadResult {
             data,
             latency,
@@ -131,10 +130,10 @@ impl MemoryController {
         let share_a = share::gen_share(&mut self.shares.rng);
         let share_b = share::mask_share(data, &share_a);
         if bus {
-            let write_lat = self.config.nvm_timing.write_cycles();
+            let write_lat = NVM_TIMING.write_cycles();
             self.sched(now, write_lat);
             self.profile.charge(Stage::NvmWrite, write_lat);
-            let mask_lat = self.config.nvm_timing.write_cycles();
+            let mask_lat = NVM_TIMING.write_cycles();
             self.sched(now, mask_lat);
             self.profile.charge(Stage::NvmWrite, mask_lat);
         }
@@ -165,9 +164,9 @@ impl MemoryController {
             }
             let addr = page.block_addr(b);
             let fresh = share::gen_share(&mut self.shares.rng);
-            self.sched(now, self.config.nvm_timing.write_cycles());
+            self.sched(now, NVM_TIMING.write_cycles());
             self.profile
-                .charge(Stage::NvmWrite, self.config.nvm_timing.write_cycles());
+                .charge(Stage::NvmWrite, NVM_TIMING.write_cycles());
             let mask = self.mask_addr(addr);
             self.persist_line(mask, &fresh, None)?;
             self.stats.prot.mask_writes.inc();
@@ -177,7 +176,7 @@ impl MemoryController {
         if discarded > 0 {
             // Mask banks program in parallel; one write latency lands on
             // the critical path.
-            latency += self.config.nvm_timing.write_cycles();
+            latency += NVM_TIMING.write_cycles();
             self.tracer.emit(now, || TraceEvent::MaskDiscard {
                 page,
                 lines: discarded,
@@ -215,7 +214,7 @@ impl MemoryController {
         let new_a = share::gen_share(&mut self.shares.rng);
         let new_b = share::mask_share(&plain, &new_a);
         self.move_to_spare(dev, Some(&new_a), now, |mc| {
-            mc.sched(now, mc.config.nvm_timing.write_cycles());
+            mc.sched(now, NVM_TIMING.write_cycles());
             mc.persist_line(mask, &new_b, None)?;
             mc.stats.prot.share_writes.inc();
             mc.stats.prot.mask_writes.inc();

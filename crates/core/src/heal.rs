@@ -6,10 +6,10 @@
 //! machinery a production part would pair with it. Three layers, in
 //! escalation order:
 //!
-//! 1. **Retry** ([`RetryPolicy`]): a transient (soft) read error is
-//!    re-read up to `max_retries` times with bounded, deterministic
-//!    exponential backoff. Soft errors do not repeat, so retries almost
-//!    always clear them.
+//! 1. **Retry**: a transient (soft) read error is re-read up to
+//!    `MAX_RETRIES` times with bounded, deterministic exponential
+//!    backoff. Soft errors do not repeat, so retries almost always clear
+//!    them.
 //! 2. **Remap** ([`SparePool`]): a line whose *permanent* weak cells are
 //!    still within the ECC correction bound is rescued — decrypted,
 //!    re-encrypted under a fresh IV (minor-counter bump), and moved to a
@@ -28,31 +28,19 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use ss_common::{BlockAddr, Counter, Cycles, LINE_SIZE};
 
-/// Bounded deterministic retry policy for transient read errors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Maximum re-reads after a failed read (0 disables retrying).
-    pub max_retries: u32,
-    /// Backoff before the first retry; doubles per attempt.
-    pub backoff_base: Cycles,
-}
+/// Re-reads after a transient uncorrectable read error before the read
+/// fails (the old configurable default).
+pub(crate) const MAX_RETRIES: u32 = 3;
 
-impl RetryPolicy {
-    /// Backoff charged before retry `attempt` (1-based):
-    /// `base * 2^(attempt-1)`, saturating.
-    pub fn backoff(&self, attempt: u32) -> Cycles {
-        let shift = attempt.saturating_sub(1).min(16);
-        Cycles::new(self.backoff_base.raw().saturating_mul(1 << shift))
-    }
-}
+/// Backoff before the first retry; it doubles per attempt (the old
+/// configurable default).
+pub(crate) const RETRY_BACKOFF_BASE: Cycles = Cycles::new(16);
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 3,
-            backoff_base: Cycles::new(16),
-        }
-    }
+/// Backoff charged before retry `attempt` (1-based):
+/// `RETRY_BACKOFF_BASE * 2^(attempt-1)`, saturating.
+pub(crate) fn retry_backoff(attempt: u32) -> Cycles {
+    let shift = attempt.saturating_sub(1).min(16);
+    Cycles::new(RETRY_BACKOFF_BASE.raw().saturating_mul(1 << shift))
 }
 
 /// Healing activity counters, exposed through
@@ -198,12 +186,11 @@ mod tests {
 
     #[test]
     fn backoff_is_bounded_exponential() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.backoff(1), Cycles::new(16));
-        assert_eq!(p.backoff(2), Cycles::new(32));
-        assert_eq!(p.backoff(3), Cycles::new(64));
+        assert_eq!(retry_backoff(1), Cycles::new(16));
+        assert_eq!(retry_backoff(2), Cycles::new(32));
+        assert_eq!(retry_backoff(3), Cycles::new(64));
         // Deterministic: same attempt, same backoff.
-        assert_eq!(p.backoff(3), p.backoff(3));
+        assert_eq!(retry_backoff(3), retry_backoff(3));
     }
 
     #[test]

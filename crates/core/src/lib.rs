@@ -60,12 +60,12 @@ pub mod wqueue;
 pub use channel::ChannelSched;
 pub use config::{
     ControllerConfig, ControllerConfigBuilder, CounterPersistence, PersistDomain, ProtectionMode,
-    ShardedConfig, ShardedConfigBuilder, ShredStrategy,
+    ShardedConfig, ShredStrategy,
 };
 pub use controller::ports::{FaultPort, Inspect};
 pub use controller::{ControllerStats, MemoryController, ProtStats, ReadResult};
 pub use counters::CounterBlock;
-pub use heal::{HealthStats, RetryPolicy, SparePool};
+pub use heal::{HealthStats, SparePool};
 pub use interleave::Interleave;
 pub use mmio::{MmioError, MmioOp, SHRED_DRAIN_REG, SHRED_ENQ_REG, SHRED_REG};
 pub use persist::{CrashCut, RecoveryReport, SeqTag};

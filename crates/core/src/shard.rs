@@ -38,6 +38,11 @@ use crate::interleave::Interleave;
 use crate::mmio;
 use crate::persist::RecoveryReport;
 
+/// Capacity of the MMIO shred command queue in pages: enqueues past this
+/// mark report back-pressure so the kernel drains early (the old
+/// configurable default).
+const SHRED_QUEUE_CAPACITY: usize = 4096;
+
 /// Per-shard outcomes of a fleet-wide operation (power loss, recovery).
 ///
 /// One bad channel must not mask another's corruption: every shard runs
@@ -227,7 +232,7 @@ impl ShardedController {
     }
 
     /// Appends `page` to the shred command queue without executing it.
-    /// Returns `true` when the queue has reached its configured capacity
+    /// Returns `true` when the queue holds its capacity of 4,096 pages
     /// — the back-pressure signal telling the kernel to ring the drain
     /// doorbell before posting more.
     ///
@@ -240,7 +245,7 @@ impl ShardedController {
         self.check_shred_target(page, kernel_mode, mmio::SHRED_ENQ_REG)?;
         self.shred_queue.push_back(page);
         self.queue_stats.enqueued.inc();
-        let full = self.shred_queue.len() >= self.config.shred_queue_capacity;
+        let full = self.shred_queue.len() >= SHRED_QUEUE_CAPACITY;
         if full {
             self.queue_stats.backpressure.inc();
         }
@@ -391,18 +396,6 @@ impl ShardedController {
             .iter_mut()
             .enumerate()
             .map(|(i, s)| (i as u32, s.power_loss()))
-            .collect();
-        PerShard { results }
-    }
-
-    /// Post-power-loss recovery check across every shard. All shards are
-    /// checked — one shard's counter loss does not hide another's.
-    pub fn recover(&self) -> PerShard<()> {
-        let results = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (i as u32, s.recover()))
             .collect();
         PerShard { results }
     }
@@ -635,12 +628,12 @@ mod tests {
 
     #[test]
     fn backpressure_signals_at_capacity() {
-        let mut cfg = ShardedConfig::new(2, ControllerConfig::small_test());
-        cfg.shred_queue_capacity = 3;
-        let mut sc = ShardedController::new(cfg).unwrap();
-        assert!(!sc.enqueue_shred(PageId::new(0), true).unwrap());
-        assert!(!sc.enqueue_shred(PageId::new(1), true).unwrap());
-        assert!(sc.enqueue_shred(PageId::new(2), true).unwrap());
+        let mut sc = sharded(2);
+        for i in 0..SHRED_QUEUE_CAPACITY - 1 {
+            let page = PageId::new(i as u64 % 256);
+            assert!(!sc.enqueue_shred(page, true).unwrap());
+        }
+        assert!(sc.enqueue_shred(PageId::new(0), true).unwrap());
         assert_eq!(sc.shred_queue_stats().backpressure.get(), 1);
     }
 

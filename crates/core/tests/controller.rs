@@ -99,7 +99,7 @@ fn battery_backed_counters_survive_power_loss() {
     m.write_block(page.block_addr(3), &line(0x3C), false, Cycles::ZERO)
         .unwrap();
     m.power_loss().unwrap();
-    m.recover().unwrap();
+    m.recover_mut().unwrap();
     assert_eq!(
         m.read_block(page.block_addr(3), Cycles::ZERO).unwrap().data,
         line(0x3C)
@@ -116,7 +116,7 @@ fn volatile_counters_lost_on_crash() {
     m.write_block(PageId::new(1).block_addr(0), &line(9), false, Cycles::ZERO)
         .unwrap();
     m.power_loss().unwrap();
-    assert!(matches!(m.recover(), Err(Error::CounterLoss)));
+    assert!(matches!(m.recover_mut(), Err(Error::CounterLoss)));
 }
 
 #[test]
@@ -129,7 +129,7 @@ fn write_through_counters_survive_crash() {
     let addr = PageId::new(1).block_addr(0);
     m.write_block(addr, &line(9), false, Cycles::ZERO).unwrap();
     m.power_loss().unwrap();
-    m.recover().unwrap();
+    m.recover_mut().unwrap();
     assert_eq!(m.read_block(addr, Cycles::ZERO).unwrap().data, line(9));
 }
 
@@ -321,7 +321,7 @@ fn write_queue_fence_drain_persists_everything() {
     m.write_block(addr, &line(0x45), false, Cycles::ZERO)
         .unwrap();
     m.power_loss().unwrap();
-    m.recover().unwrap();
+    m.recover_mut().unwrap();
     assert_eq!(m.read_block(addr, Cycles::ZERO).unwrap().data, line(0x45));
 }
 

@@ -2,6 +2,9 @@
 
 use ss_common::{Cycles, LatencyStat};
 
+use crate::inst::Op;
+use crate::machine::DataPath;
+
 /// Counters for one core.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CoreStats {
@@ -82,6 +85,20 @@ impl CpuCore {
     /// in a page-fault handler accounted elsewhere).
     pub fn stall(&mut self, latency: Cycles) {
         self.stats.cycles += latency;
+    }
+
+    /// Executes `op` at this core's local time. Memory operations go to
+    /// `datapath` as core `core` and stall for the latency it returns.
+    pub fn step<D: DataPath + ?Sized>(&mut self, core: usize, op: Op, datapath: &mut D) {
+        let now = self.now();
+        match op {
+            Op::Compute(k) => self.retire_compute(k),
+            Op::Load(va) => self.retire_load(datapath.load(core, va, now)),
+            Op::Store(va) => self.retire_store(datapath.store(core, va, now)),
+            Op::StoreLine(va) => self.retire_store(datapath.store_line(core, va, now)),
+            Op::StoreNt(va) => self.retire_store(datapath.store_nt(core, va, now)),
+            Op::Fence => self.retire_fence(datapath.fence(core, now)),
+        }
     }
 }
 

@@ -116,30 +116,7 @@ where
                 live[c] = false;
             }
             Some(op) => {
-                let now = cores[c].now();
-                match op {
-                    Op::Compute(k) => cores[c].retire_compute(k),
-                    Op::Load(va) => {
-                        let lat = datapath.load(c, va, now);
-                        cores[c].retire_load(lat);
-                    }
-                    Op::Store(va) => {
-                        let lat = datapath.store(c, va, now);
-                        cores[c].retire_store(lat);
-                    }
-                    Op::StoreLine(va) => {
-                        let lat = datapath.store_line(c, va, now);
-                        cores[c].retire_store(lat);
-                    }
-                    Op::StoreNt(va) => {
-                        let lat = datapath.store_nt(c, va, now);
-                        cores[c].retire_store(lat);
-                    }
-                    Op::Fence => {
-                        let lat = datapath.fence(c, now);
-                        cores[c].retire_fence(lat);
-                    }
-                }
+                cores[c].step(c, op, datapath);
                 heap.push(Reverse((cores[c].now().raw(), c)));
             }
         }

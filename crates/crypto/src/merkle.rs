@@ -322,11 +322,6 @@ impl MerkleTree {
             None => [0u8; 32],
         }
     }
-
-    /// The flat node count (for tests/tools that want to iterate).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
 }
 
 #[cfg(test)]

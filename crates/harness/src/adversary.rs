@@ -43,9 +43,10 @@ use std::fmt;
 use ss_common::{BlockAddr, Cycles, DetRng, Error, PageId, Result, BLOCKS_PER_PAGE, LINE_SIZE};
 use ss_core::{
     ControllerConfig, ControllerConfigBuilder, CounterPersistence, FaultPort, ProtectionMode,
-    ReadResult, ShardedConfig, ShardedController, ShredStrategy, WriteQueueConfig, SHRED_REG,
+    ReadResult, ShardedConfig, ShardedController, ShredStrategy, SHRED_REG,
 };
 
+use crate::engine::HarnessConfig;
 use crate::shadow::Line;
 use crate::sweep::{json_escape, Artifacts, Campaign, SweepReport, SweepTally};
 
@@ -358,11 +359,7 @@ impl AttackConfig {
     pub fn matrix() -> Vec<AttackConfig> {
         let base = ControllerConfigBuilder::small_test;
         let build = |b: ControllerConfigBuilder| b.build().expect("attack matrix config");
-        let queue = WriteQueueConfig {
-            capacity: 8,
-            drain_low: 2,
-            drain_high: 6,
-        };
+        let queue = HarnessConfig::small_queue();
         vec![
             AttackConfig::new("ctr-bat-mt", build(base())),
             AttackConfig::new(
@@ -719,16 +716,19 @@ impl Adversary {
         Ok(())
     }
 
-    /// Restores power and runs the recovery check.
+    /// Restores power and runs the reboot recovery protocol on every
+    /// shard ([`ShardedController::recover_mut_all`]).
     ///
     /// # Errors
     ///
-    /// [`Error::CounterLoss`] and friends from recovery, or misuse
-    /// while already on.
+    /// [`Error::CounterLoss`], [`Error::IntegrityViolation`] (a counter
+    /// line that no longer matches the on-chip Merkle root) and friends
+    /// from recovery, or misuse while already on. The machine stays
+    /// dark after a failed recovery.
     pub fn power_on(&mut self) -> Result<()> {
         self.need_dark("power-on")?;
         self.note("adversary: restore power, machine recovers".into());
-        self.machine.recover().ok()?;
+        self.machine.recover_mut_all().ok()?;
         self.powered = true;
         Ok(())
     }
@@ -1114,9 +1114,12 @@ fn rollback_replay(adv: &mut Adversary, rng: &mut DetRng, cfg: &AttackConfig) ->
     step_err(adv.power_off(), "power-off")?;
     step_err(adv.replay_line(addr, stale_cipher), "line replay")?;
     step_err(adv.replay_counter(page, stale_counter), "counter rollback")?;
-    step_err(adv.power_on(), "power-on")?;
+    // Recovery re-verifies every counter line at power-on; without it,
+    // the first read fetches the rolled-back counter. Either check
+    // rejecting it is the same detection.
+    let powered = adv.power_on();
     let root_moved = adv.merkle_roots() != roots_at_capture;
-    match adv.victim_read(addr) {
+    match powered.and_then(|()| adv.victim_read(addr)) {
         Err(Error::IntegrityViolation { .. }) => Ok((
             AttackOutcome::Detected,
             format!(
@@ -1132,7 +1135,7 @@ fn rollback_replay(adv: &mut Adversary, rng: &mut DetRng, cfg: &AttackConfig) ->
             AttackOutcome::Leaked,
             "rolled-back state accepted silently".into(),
         )),
-        Err(e) => Err(format!("unexpected: read after rollback: {e}")),
+        Err(e) => Err(format!("unexpected: reboot or read after rollback: {e}")),
     }
 }
 

@@ -37,9 +37,10 @@ use std::fmt;
 use ss_common::{BlockAddr, Cycles, DetRng, Error, PageId, Result, LINE_SIZE};
 use ss_core::{
     ControllerConfig, ControllerConfigBuilder, CounterPersistence, Inspect, PersistDomain,
-    ProtectionMode, RecoveryReport, ShardedConfig, ShardedController, WriteQueueConfig,
+    ProtectionMode, RecoveryReport, ShardedConfig, ShardedController,
 };
 
+use crate::engine::HarnessConfig;
 use crate::sweep::{json_escape, Artifacts, Campaign, SweepReport, SweepTally};
 
 /// A 64-byte line.
@@ -385,17 +386,6 @@ impl CrashConfig {
         }
     }
 
-    /// The small write queue used by `-wq` entries (shallow enough that
-    /// a drain is a handful of steps, deep enough to hold the working
-    /// set without auto-draining during setup).
-    fn small_queue() -> WriteQueueConfig {
-        WriteQueueConfig {
-            capacity: 8,
-            drain_low: 2,
-            drain_high: 6,
-        }
-    }
-
     /// The default crash matrix: the ADR persist-step model across
     /// counter persistence, encryption mode, write queueing, and
     /// sharding, plus the eADR flush-on-fail baseline (cuts never fire
@@ -416,7 +406,7 @@ impl CrashConfig {
                         .protection(ProtectionMode::Plain)
                         .shredder(false)
                         .integrity(false)
-                        .write_queue(Some(Self::small_queue())),
+                        .write_queue(Some(HarnessConfig::small_queue())),
                 ),
             ),
             CrashConfig::new(
@@ -426,12 +416,15 @@ impl CrashConfig {
                         .protection(ProtectionMode::Ecb)
                         .shredder(false)
                         .integrity(false)
-                        .write_queue(Some(Self::small_queue())),
+                        .write_queue(Some(HarnessConfig::small_queue())),
                 ),
             ),
             CrashConfig::new(
                 "eadr-wq",
-                build(ControllerConfigBuilder::small_test().write_queue(Some(Self::small_queue()))),
+                build(
+                    ControllerConfigBuilder::small_test()
+                        .write_queue(Some(HarnessConfig::small_queue())),
+                ),
             ),
             CrashConfig::sharded("adr-wt-x4", adr_wt(), 4),
             CrashConfig::sharded("adr-wt-x8", adr_wt(), 8),
@@ -564,10 +557,10 @@ fn shard_sum(m: &ShardedController, count: impl Fn(Inspect<'_>) -> u64) -> u64 {
 
 /// Reboots every shard: `with_journal`, the full recovery protocol, the
 /// per-shard reports merged by summing counts; without it (the weakened
-/// config), only the availability check.
+/// config), nothing runs and the report is empty.
 fn reboot(m: &mut ShardedController, with_journal: bool) -> Result<RecoveryReport> {
     if !with_journal {
-        return m.recover().ok().map(|()| RecoveryReport::default());
+        return Ok(RecoveryReport::default());
     }
     let mut merged = RecoveryReport {
         root_verified: true,

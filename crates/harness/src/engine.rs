@@ -48,8 +48,10 @@ impl HarnessConfig {
         }
     }
 
-    /// The small write queue used by `-wq` matrix entries: shallow
-    /// enough that crash-at-depth is reachable, deep enough to coalesce.
+    /// The small write queue of every `-wq` matrix entry (fault, attack
+    /// and crash sweeps): shallow enough that crash-at-depth is
+    /// reachable and a drain is a handful of persist steps, deep enough
+    /// to coalesce.
     pub fn small_queue() -> WriteQueueConfig {
         WriteQueueConfig {
             capacity: 8,
@@ -226,7 +228,7 @@ impl HarnessConfig {
 /// How one injected fault resolved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultOutcome {
-    /// Crash + `recover()` round trip left every tracked line intact.
+    /// Crash + `recover_mut()` round trip left every tracked line intact.
     Recovered,
     /// The fault was surfaced as a hard error (integrity violation,
     /// counter loss, privilege violation) — never as wrong data.
@@ -749,8 +751,8 @@ fn inject(
                     true,
                 );
             }
-            match mc.recover() {
-                Ok(()) => match verify_all(mc, shadow, cfg) {
+            match mc.recover_mut() {
+                Ok(_) => match verify_all(mc, shadow, cfg) {
                     Ok(()) => (
                         FaultOutcome::Recovered,
                         "all tracked state intact after crash + recover".into(),

@@ -9,7 +9,7 @@ use ss_core::{ControllerConfig, ProtectionMode};
 /// tree — see DESIGN.md).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Sudden power loss: `power_loss()` → `recover()` → resume or
+    /// Sudden power loss: `power_loss()` → `recover_mut()` → resume or
     /// degrade, then full shadow verification.
     PowerLoss,
     /// A counter-cache frame loses its contents. Modeled as an

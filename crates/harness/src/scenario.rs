@@ -19,9 +19,9 @@ use crate::shadow::Line;
 /// The outcome of a crash/recovery round trip.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashVerdict {
-    /// `recover()` succeeded and every pre-crash line read back intact.
+    /// Recovery succeeded and every pre-crash line read back intact.
     Recovered,
-    /// `recover()` reported [`Error::CounterLoss`] and every subsequent
+    /// Recovery reported [`Error::CounterLoss`] and every subsequent
     /// read refused to serve data. Legal only for volatile counters.
     CounterLoss,
     /// Wrong data, a stray error, or data served after counter loss.
@@ -80,8 +80,8 @@ pub fn crash_at_depth(persistence: CounterPersistence, depth: usize, shards: u32
     if sc.power_loss().ok().is_err() {
         return CrashVerdict::Corrupted { addr: 0 };
     }
-    match sc.recover().ok() {
-        Ok(()) => {}
+    match sc.recover_mut_all().ok() {
+        Ok(_) => {}
         Err(Error::CounterLoss) => {
             // Degraded mode: every read must fail loudly, not guess.
             for (addr, _) in &written {
@@ -148,8 +148,8 @@ fn system_crash(persistence: CounterPersistence) -> CrashVerdict {
     if sys.crash().is_err() {
         return CrashVerdict::Corrupted { addr: 0 };
     }
-    match sys.recover() {
-        Ok(()) => {}
+    match sys.hardware_mut().controller.recover_mut() {
+        Ok(_) => {}
         Err(Error::CounterLoss) => {
             for (a, _) in &before {
                 if sys

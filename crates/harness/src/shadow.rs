@@ -103,11 +103,6 @@ impl ShadowModel {
         self.secrets.len()
     }
 
-    /// Number of tracked lines.
-    pub fn tracked_count(&self) -> usize {
-        self.lines.len()
-    }
-
     /// Records that the controller rescued `addr` to a spare line. The
     /// expected plaintext is untouched: healing must be transparent.
     pub fn note_remap(&mut self, addr: BlockAddr) {

@@ -1,31 +1,13 @@
 //! Physical frame allocation.
 //!
-//! §2.3 describes two shredding disciplines this allocator supports:
-//!
-//! * **Linux-style zero-on-demand** ([`AllocPolicy::ZeroOnAlloc`]): frames
-//!   are handed out dirty and the fault handler shreds them right before
-//!   mapping;
-//! * **FreeBSD-style pre-zeroed pool** ([`AllocPolicy::PreZeroedPool`]):
-//!   frames are shredded when freed, so allocation can hand out an
-//!   already-clean frame.
-//!
-//! Either way every reused frame is shredded exactly once per
-//! reallocation; the policies move *when* the cost is paid.
+//! Frames follow the Linux zero-on-demand discipline of §2.3: a freed
+//! frame comes back dirty, and the fault handler that takes it next
+//! shreds it right before mapping, so every reused frame is shredded
+//! exactly once per reallocation.
 
 use std::collections::VecDeque;
 
 use ss_common::{Error, PageId, Result};
-
-/// When frames get shredded relative to allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AllocPolicy {
-    /// Shred at allocation/fault time (Linux `clear_page` in the fault
-    /// path). The default.
-    #[default]
-    ZeroOnAlloc,
-    /// Shred at free time, keep a clean pool (FreeBSD prefaulting).
-    PreZeroedPool,
-}
 
 /// A physical frame with its cleanliness state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,7 +19,6 @@ struct FreeFrame {
 /// The frame allocator.
 #[derive(Debug, Clone)]
 pub struct FrameAllocator {
-    policy: AllocPolicy,
     free: VecDeque<FreeFrame>,
     total: usize,
 }
@@ -58,21 +39,15 @@ impl FrameAllocator {
     /// fresh NVM (or a fully shredded device) holds no one's data, so
     /// first-ever allocations need no shredding — matching the paper's
     /// focus on page *reuse*.
-    pub fn new(policy: AllocPolicy, frames: Vec<PageId>) -> Self {
+    pub fn new(frames: Vec<PageId>) -> Self {
         let total = frames.len();
         FrameAllocator {
-            policy,
             free: frames
                 .into_iter()
                 .map(|page| FreeFrame { page, clean: true })
                 .collect(),
             total,
         }
-    }
-
-    /// The allocation policy.
-    pub fn policy(&self) -> AllocPolicy {
-        self.policy
     }
 
     /// Frames currently free.
@@ -98,9 +73,8 @@ impl FrameAllocator {
         })
     }
 
-    /// Returns a frame. With [`AllocPolicy::PreZeroedPool`] the caller is
-    /// expected to have shredded it already and passes `shredded = true`;
-    /// with [`AllocPolicy::ZeroOnAlloc`] frames come back dirty.
+    /// Returns a frame; `shredded` marks a frame the caller has already
+    /// shredded, so its next allocation needs no shred.
     ///
     /// Freed frames are reused LIFO (like Linux's per-CPU page lists),
     /// which maximises frame reuse — the case shredding exists for.
@@ -109,11 +83,6 @@ impl FrameAllocator {
             page,
             clean: shredded,
         });
-    }
-
-    /// Whether the policy wants frames shredded at free time.
-    pub fn shred_on_free(&self) -> bool {
-        self.policy == AllocPolicy::PreZeroedPool
     }
 
     /// Adds frames granted later (hypervisor ballooning in).
@@ -189,13 +158,13 @@ mod tests {
 
     #[test]
     fn fresh_frames_need_no_shred() {
-        let mut a = FrameAllocator::new(AllocPolicy::ZeroOnAlloc, frames(2));
+        let mut a = FrameAllocator::new(frames(2));
         assert!(!a.alloc().unwrap().needs_shred);
     }
 
     #[test]
-    fn reused_frames_need_shred_under_zero_on_alloc() {
-        let mut a = FrameAllocator::new(AllocPolicy::ZeroOnAlloc, frames(1));
+    fn reused_frames_need_shred() {
+        let mut a = FrameAllocator::new(frames(1));
         let f = a.alloc().unwrap();
         a.free(f.page, false);
         let g = a.alloc().unwrap();
@@ -204,25 +173,15 @@ mod tests {
     }
 
     #[test]
-    fn prezeroed_pool_hands_out_clean_frames() {
-        let mut a = FrameAllocator::new(AllocPolicy::PreZeroedPool, frames(1));
-        assert!(a.shred_on_free());
-        let f = a.alloc().unwrap();
-        // Freed after the (policy-mandated) shred.
-        a.free(f.page, true);
-        assert!(!a.alloc().unwrap().needs_shred);
-    }
-
-    #[test]
     fn exhaustion_reported() {
-        let mut a = FrameAllocator::new(AllocPolicy::ZeroOnAlloc, frames(1));
+        let mut a = FrameAllocator::new(frames(1));
         a.alloc().unwrap();
         assert_eq!(a.alloc().unwrap_err(), Error::OutOfMemory);
     }
 
     #[test]
     fn contiguous_allocation() {
-        let mut a = FrameAllocator::new(AllocPolicy::ZeroOnAlloc, frames(16));
+        let mut a = FrameAllocator::new(frames(16));
         let first = a.alloc_contiguous(4).unwrap();
         // The run is removed from the free list.
         assert_eq!(a.free_count(), 12);
@@ -237,10 +196,7 @@ mod tests {
 
     #[test]
     fn contiguous_allocation_fails_without_a_run() {
-        let mut a = FrameAllocator::new(
-            AllocPolicy::ZeroOnAlloc,
-            vec![PageId::new(0), PageId::new(2), PageId::new(4)],
-        );
+        let mut a = FrameAllocator::new(vec![PageId::new(0), PageId::new(2), PageId::new(4)]);
         assert!(a.alloc_contiguous(2).is_err());
         assert!(a.alloc_contiguous(1).is_ok());
         assert!(a.alloc_contiguous(0).is_err());
@@ -248,14 +204,14 @@ mod tests {
 
     #[test]
     fn remove_specific_ignores_absent() {
-        let mut a = FrameAllocator::new(AllocPolicy::ZeroOnAlloc, frames(4));
+        let mut a = FrameAllocator::new(frames(4));
         a.remove_specific([PageId::new(1), PageId::new(99)]);
         assert_eq!(a.free_count(), 3);
     }
 
     #[test]
     fn grant_and_reclaim() {
-        let mut a = FrameAllocator::new(AllocPolicy::ZeroOnAlloc, frames(2));
+        let mut a = FrameAllocator::new(frames(2));
         assert_eq!(a.free_count(), 2);
         a.grant([PageId::new(10), PageId::new(11)], false);
         assert_eq!(a.total(), 4);

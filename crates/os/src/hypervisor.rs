@@ -11,8 +11,8 @@ use std::collections::BTreeMap;
 
 use ss_common::{Counter, Cycles, Error, PageId, Result};
 
-use crate::frame_alloc::{AllocPolicy, FrameAllocator};
-use crate::kernel::{Kernel, KernelConfig};
+use crate::frame_alloc::FrameAllocator;
+use crate::kernel::Kernel;
 use crate::machine::MachineOps;
 use crate::zeroing::{shred_page, ZeroStrategy};
 
@@ -44,7 +44,7 @@ pub struct HypervisorStats {
 pub struct Hypervisor {
     host: FrameAllocator,
     strategy: ZeroStrategy,
-    guest_template: KernelConfig,
+    guest_strategy: ZeroStrategy,
     vms: BTreeMap<u64, Kernel>,
     next_vm: u64,
     stats: HypervisorStats,
@@ -52,12 +52,12 @@ pub struct Hypervisor {
 
 impl Hypervisor {
     /// Creates a hypervisor over `frames` with `strategy` for host-level
-    /// shredding and `guest_template` for the kernels it boots.
-    pub fn new(frames: Vec<PageId>, strategy: ZeroStrategy, guest_template: KernelConfig) -> Self {
+    /// shredding and `guest_strategy` for the kernels it boots.
+    pub fn new(frames: Vec<PageId>, strategy: ZeroStrategy, guest_strategy: ZeroStrategy) -> Self {
         Hypervisor {
-            host: FrameAllocator::new(AllocPolicy::ZeroOnAlloc, frames),
+            host: FrameAllocator::new(frames),
             strategy,
-            guest_template,
+            guest_strategy,
             vms: BTreeMap::new(),
             next_vm: 1,
             stats: HypervisorStats::default(),
@@ -125,7 +125,7 @@ impl Hypervisor {
         // tracks cleanliness independently (hence `Kernel::new` treating
         // granted frames as fresh/clean only on first use).
         self.vms
-            .insert(id, Kernel::new(self.guest_template, granted));
+            .insert(id, Kernel::new(self.guest_strategy, granted));
         Ok((VmId(id), elapsed))
     }
 
@@ -222,9 +222,7 @@ impl Hypervisor {
         for frame in free {
             self.host.free(frame, false);
         }
-        if let Some(zp) = kernel.zero_page() {
-            self.host.free(zp, false);
-        }
+        self.host.free(kernel.zero_page(), false);
         Ok(())
     }
 }
@@ -238,14 +236,7 @@ mod tests {
     fn hyp(strategy: ZeroStrategy) -> (Hypervisor, MockMachine) {
         let frames: Vec<PageId> = (1..64).map(PageId::new).collect();
         (
-            Hypervisor::new(
-                frames,
-                strategy,
-                KernelConfig {
-                    zero_strategy: strategy,
-                    ..KernelConfig::default()
-                },
-            ),
+            Hypervisor::new(frames, strategy, strategy),
             MockMachine::new(64),
         )
     }
@@ -273,7 +264,7 @@ mod tests {
         let va = k1.sys_alloc(p, PAGE_SIZE as u64).unwrap();
         k1.handle_fault(&mut m, 0, p, va, true, Cycles::ZERO)
             .unwrap();
-        k1.exit_process(&mut m, 0, p, Cycles::ZERO).unwrap();
+        k1.exit_process(p).unwrap();
         h.destroy_vm(vm1).unwrap();
         let host_shreds_before = h.stats().pages_shredded.get();
         // Second VM gets the recycled frames: host-level shred happens.
@@ -286,8 +277,7 @@ mod tests {
         let va2 = k2.sys_alloc(p2, PAGE_SIZE as u64).unwrap();
         k2.handle_fault(&mut m, 0, p2, va2, true, Cycles::ZERO)
             .unwrap();
-        k2.sys_free(&mut m, 0, p2, va2, PAGE_SIZE as u64, Cycles::ZERO)
-            .unwrap();
+        k2.sys_free(p2, va2, PAGE_SIZE as u64).unwrap();
         let guest_shreds_before = k2.stats().pages_shredded.get();
         let va3 = k2.sys_alloc(p2, PAGE_SIZE as u64).unwrap();
         k2.handle_fault(&mut m, 0, p2, va3, true, Cycles::ZERO)

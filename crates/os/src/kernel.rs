@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 
 use ss_common::{Counter, Cycles, Error, PageId, PhysAddr, Result, VirtAddr, PAGE_SIZE};
 
-use crate::frame_alloc::{AllocPolicy, FrameAllocator};
+use crate::frame_alloc::FrameAllocator;
 use crate::machine::MachineOps;
 use crate::page_table::{PageTable, Translation};
 use crate::pmem::{PmemDirectory, PmemEntry};
@@ -26,34 +26,14 @@ impl std::fmt::Display for ProcId {
     }
 }
 
-/// Kernel tunables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KernelConfig {
-    /// How `clear_page` is implemented.
-    pub zero_strategy: ZeroStrategy,
-    /// When frames are shredded relative to allocation.
-    pub alloc_policy: AllocPolicy,
-    /// Map first loads to a shared zero page (Linux) instead of eagerly
-    /// allocating frames.
-    pub use_zero_page: bool,
-    /// Kernel entry/exit + bookkeeping cost of a minor fault.
-    pub minor_fault_overhead: Cycles,
-    /// Kernel entry/exit + allocation cost of a major fault, *excluding*
-    /// the zeroing itself (measured separately for Fig. 4).
-    pub major_fault_overhead: Cycles,
-}
+/// Kernel entry/exit and bookkeeping cost of a minor fault (the old
+/// configurable default).
+const MINOR_FAULT_OVERHEAD: Cycles = Cycles::new(300);
 
-impl Default for KernelConfig {
-    fn default() -> Self {
-        KernelConfig {
-            zero_strategy: ZeroStrategy::NonTemporal,
-            alloc_policy: AllocPolicy::ZeroOnAlloc,
-            use_zero_page: true,
-            minor_fault_overhead: Cycles::new(300),
-            major_fault_overhead: Cycles::new(800),
-        }
-    }
-}
+/// Kernel entry/exit and allocation cost of a major fault, *excluding*
+/// the zeroing itself, which Fig. 4 measures separately (the old
+/// configurable default).
+const MAJOR_FAULT_OVERHEAD: Cycles = Cycles::new(800);
 
 /// Kernel-level statistics (drives the motivation figures).
 #[derive(Debug, Clone, Default)]
@@ -84,9 +64,9 @@ struct Process {
 /// The kernel.
 #[derive(Debug, Clone)]
 pub struct Kernel {
-    config: KernelConfig,
+    zero_strategy: ZeroStrategy,
     allocator: FrameAllocator,
-    zero_page: Option<PageId>,
+    zero_page: PageId,
     procs: BTreeMap<u64, Process>,
     next_proc: u64,
     stats: KernelStats,
@@ -94,22 +74,20 @@ pub struct Kernel {
 }
 
 impl Kernel {
-    /// Boots a kernel managing `frames`. One frame is consumed as the
-    /// shared zero page when [`KernelConfig::use_zero_page`] is set.
+    /// Boots a kernel managing `frames` whose `clear_page` is
+    /// `zero_strategy`. The first frame becomes the shared zero page.
     ///
     /// # Panics
     ///
-    /// Panics if the zero page is requested but no frame is available.
-    pub fn new(config: KernelConfig, frames: Vec<PageId>) -> Self {
-        let mut allocator = FrameAllocator::new(config.alloc_policy, frames);
-        let zero_page = config.use_zero_page.then(|| {
-            allocator
-                .alloc()
-                .expect("kernel needs at least one frame for the zero page")
-                .page
-        });
+    /// Panics if no frame is available for the zero page.
+    pub fn new(zero_strategy: ZeroStrategy, frames: Vec<PageId>) -> Self {
+        let mut allocator = FrameAllocator::new(frames);
+        let zero_page = allocator
+            .alloc()
+            .expect("kernel needs at least one frame for the zero page")
+            .page;
         Kernel {
-            config,
+            zero_strategy,
             allocator,
             zero_page,
             procs: BTreeMap::new(),
@@ -190,7 +168,7 @@ impl Kernel {
         let pages = bytes.div_ceil(PAGE_SIZE as u64).max(1);
         let first = self.allocator.alloc_contiguous(pages)?;
         // A fresh persistent region reads as zeros: shred every frame.
-        let strategy = self.config.zero_strategy;
+        let strategy = self.zero_strategy;
         let mut elapsed = Cycles::ZERO;
         for k in 0..pages {
             elapsed += shred_page(
@@ -248,7 +226,7 @@ impl Kernel {
         now: Cycles,
     ) -> Result<Cycles> {
         let (entry, mut elapsed) = self.pmem_mut()?.unregister(machine, core, name, now)?;
-        let strategy = self.config.zero_strategy;
+        let strategy = self.zero_strategy;
         for frame in entry.frames() {
             elapsed += shred_page(machine, strategy, core, frame, now + elapsed)?;
             self.stats.pages_shredded.inc();
@@ -271,11 +249,6 @@ impl Kernel {
         Ok(VirtAddr::new(vpn * PAGE_SIZE as u64))
     }
 
-    /// The kernel configuration.
-    pub fn config(&self) -> &KernelConfig {
-        &self.config
-    }
-
     /// Kernel statistics.
     pub fn stats(&self) -> &KernelStats {
         &self.stats
@@ -291,8 +264,8 @@ impl Kernel {
         self.allocator.free_count()
     }
 
-    /// The shared zero-page frame, if configured.
-    pub fn zero_page(&self) -> Option<PageId> {
+    /// The shared zero-page frame.
+    pub fn zero_page(&self) -> PageId {
         self.zero_page
     }
 
@@ -339,73 +312,39 @@ impl Kernel {
     }
 
     /// Releases a previously allocated range, returning its frames to the
-    /// allocator (shredding them first under a pre-zeroed-pool policy).
+    /// allocator dirty: the next fault that takes one shreds it.
     ///
     /// # Errors
     ///
-    /// [`Error::NoSuchProcess`] for a bad handle; shred-path errors.
-    pub fn sys_free<M: MachineOps + ?Sized>(
-        &mut self,
-        machine: &mut M,
-        core: usize,
-        pid: ProcId,
-        va: VirtAddr,
-        bytes: u64,
-        now: Cycles,
-    ) -> Result<Cycles> {
+    /// [`Error::NoSuchProcess`] for a bad handle.
+    pub fn sys_free(&mut self, pid: ProcId, va: VirtAddr, bytes: u64) -> Result<()> {
         let pages = bytes.div_ceil(PAGE_SIZE as u64).max(1);
-        let strategy = self.config.zero_strategy;
-        let shred_on_free = self.allocator.shred_on_free();
         let p = self.proc_mut(pid)?;
         let frames = p.table.unreserve(va.vpn(), pages);
-        let mut elapsed = Cycles::ZERO;
-        for frame in frames {
-            if shred_on_free {
-                elapsed += shred_page(machine, strategy, core, frame, now + elapsed)?;
-                self.stats.pages_shredded.inc();
-                self.stats.zeroing_cycles += elapsed;
-                self.allocator.free(frame, strategy.is_secure());
-            } else {
-                self.allocator.free(frame, false);
-            }
-            self.stats.frames_freed.inc();
-        }
-        Ok(elapsed)
+        self.free_dirty(frames);
+        Ok(())
     }
 
-    /// Tears down a process, returning (and possibly shredding) all of
-    /// its frames.
+    /// Tears down a process, returning all of its private frames to the
+    /// allocator dirty.
     ///
     /// # Errors
     ///
-    /// [`Error::NoSuchProcess`] for a bad handle; shred-path errors.
-    pub fn exit_process<M: MachineOps + ?Sized>(
-        &mut self,
-        machine: &mut M,
-        core: usize,
-        pid: ProcId,
-        now: Cycles,
-    ) -> Result<Cycles> {
+    /// [`Error::NoSuchProcess`] for a bad handle.
+    pub fn exit_process(&mut self, pid: ProcId) -> Result<()> {
         let p = self
             .procs
             .remove(&pid.0)
             .ok_or(Error::NoSuchProcess { id: pid.0 })?;
-        let strategy = self.config.zero_strategy;
-        let shred_on_free = self.allocator.shred_on_free();
-        let mut elapsed = Cycles::ZERO;
-        for frame in p.table.private_frames() {
-            if shred_on_free {
-                let lat = shred_page(machine, strategy, core, frame, now + elapsed)?;
-                elapsed += lat;
-                self.stats.pages_shredded.inc();
-                self.stats.zeroing_cycles += lat;
-                self.allocator.free(frame, strategy.is_secure());
-            } else {
-                self.allocator.free(frame, false);
-            }
+        self.free_dirty(p.table.private_frames());
+        Ok(())
+    }
+
+    fn free_dirty(&mut self, frames: Vec<PageId>) {
+        for frame in frames {
+            self.allocator.free(frame, false);
             self.stats.frames_freed.inc();
         }
-        Ok(elapsed)
     }
 
     /// Translates an access without handling faults.
@@ -440,29 +379,22 @@ impl Kernel {
             Translation::Ok(pa) => Ok((pa, Cycles::ZERO)),
             Translation::Invalid => Err(Error::UnmappedVirtual { addr: va }),
             Translation::LoadFault => {
-                let mut elapsed = self.config.minor_fault_overhead;
                 let p = self.proc_mut(pid)?;
                 p.table.map_zero(va.vpn());
                 self.stats.minor_faults.inc();
-                self.stats.fault_cycles += elapsed;
-                let zp = self.zero_page.expect("load fault implies zero page");
-                elapsed += Cycles::ZERO;
-                Ok((zp.base_addr().add(va.page_offset() as u64), elapsed))
+                self.stats.fault_cycles += MINOR_FAULT_OVERHEAD;
+                let pa = self.zero_page.base_addr().add(va.page_offset() as u64);
+                Ok((pa, MINOR_FAULT_OVERHEAD))
             }
             Translation::StoreFault => {
-                let mut elapsed = self.config.major_fault_overhead;
+                let mut elapsed = MAJOR_FAULT_OVERHEAD;
                 let taken = self.allocator.alloc()?;
                 self.stats.frames_allocated.inc();
-                // Shred unless the frame is known clean (pre-zeroed pool
-                // or first-ever use of fresh NVM).
+                // Shred unless the frame is known clean (first-ever use
+                // of fresh NVM, or shredded by a hypervisor grant).
                 if taken.needs_shred {
-                    let zero_lat = shred_page(
-                        machine,
-                        self.config.zero_strategy,
-                        core,
-                        taken.page,
-                        now + elapsed,
-                    )?;
+                    let zero_lat =
+                        shred_page(machine, self.zero_strategy, core, taken.page, now + elapsed)?;
                     elapsed += zero_lat;
                     self.stats.pages_shredded.inc();
                     self.stats.zeroing_cycles += zero_lat;
@@ -492,7 +424,7 @@ impl Kernel {
         pages: u64,
         now: Cycles,
     ) -> Result<Cycles> {
-        let strategy = self.config.zero_strategy;
+        let strategy = self.zero_strategy;
         let mut frames = Vec::new();
         {
             let p = self.proc_ref(pid)?;
@@ -531,11 +463,6 @@ impl Kernel {
     pub fn grant_frames(&mut self, frames: impl IntoIterator<Item = PageId>, clean: bool) {
         self.allocator.grant(frames, clean);
     }
-
-    /// Number of live processes.
-    pub fn process_count(&self) -> usize {
-        self.procs.len()
-    }
 }
 
 #[cfg(test)]
@@ -545,16 +472,7 @@ mod tests {
 
     fn kernel(strategy: ZeroStrategy) -> (Kernel, MockMachine) {
         let frames: Vec<PageId> = (1..32).map(PageId::new).collect();
-        (
-            Kernel::new(
-                KernelConfig {
-                    zero_strategy: strategy,
-                    ..KernelConfig::default()
-                },
-                frames,
-            ),
-            MockMachine::new(32),
-        )
+        (Kernel::new(strategy, frames), MockMachine::new(32))
     }
 
     #[test]
@@ -567,13 +485,13 @@ mod tests {
         let (pa, _) = k
             .handle_fault(&mut m, 0, pid, va, false, Cycles::ZERO)
             .unwrap();
-        assert_eq!(pa.page(), k.zero_page().unwrap());
+        assert_eq!(pa.page(), k.zero_page());
         assert_eq!(k.stats().minor_faults.get(), 1);
         // Store: major fault with allocation.
         let (pa2, _) = k
             .handle_fault(&mut m, 0, pid, va, true, Cycles::ZERO)
             .unwrap();
-        assert_ne!(pa2.page(), k.zero_page().unwrap());
+        assert_ne!(pa2.page(), k.zero_page());
         assert_eq!(k.stats().major_faults.get(), 1);
         // Now mapped for both.
         assert!(matches!(
@@ -591,8 +509,7 @@ mod tests {
             .unwrap();
         assert_eq!(k.stats().pages_shredded.get(), 0, "fresh NVM frame");
         // Free and reallocate: now the frame is dirty.
-        k.sys_free(&mut m, 0, pid, va, PAGE_SIZE as u64, Cycles::ZERO)
-            .unwrap();
+        k.sys_free(pid, va, PAGE_SIZE as u64).unwrap();
         let va2 = k.sys_alloc(pid, PAGE_SIZE as u64).unwrap();
         k.handle_fault(&mut m, 0, pid, va2, true, Cycles::ZERO)
             .unwrap();
@@ -609,7 +526,7 @@ mod tests {
             .unwrap();
         // Process A writes a secret.
         m.write_line_temporal(0, pa.block(), &[0x5E; 64], false, Cycles::ZERO);
-        k.exit_process(&mut m, 0, a, Cycles::ZERO).unwrap();
+        k.exit_process(a).unwrap();
         // Process B reuses the frame.
         let b = k.create_process();
         let vb = k.sys_alloc(b, PAGE_SIZE as u64).unwrap();
@@ -629,7 +546,7 @@ mod tests {
             .handle_fault(&mut m, 0, a, va, true, Cycles::ZERO)
             .unwrap();
         m.write_line_temporal(0, pa.block(), &[0x5E; 64], false, Cycles::ZERO);
-        k.exit_process(&mut m, 0, a, Cycles::ZERO).unwrap();
+        k.exit_process(a).unwrap();
         let b = k.create_process();
         let vb = k.sys_alloc(b, PAGE_SIZE as u64).unwrap();
         let (pb, _) = k
@@ -662,7 +579,7 @@ mod tests {
     #[test]
     fn out_of_memory_surfaces() {
         let frames: Vec<PageId> = (1..3).map(PageId::new).collect(); // 1 zero page + 1
-        let mut k = Kernel::new(KernelConfig::default(), frames);
+        let mut k = Kernel::new(ZeroStrategy::NonTemporal, frames);
         let mut m = MockMachine::new(4);
         let pid = k.create_process();
         let va = k.sys_alloc(pid, 2 * PAGE_SIZE as u64).unwrap();
@@ -672,31 +589,6 @@ mod tests {
             .handle_fault(&mut m, 0, pid, va.add(PAGE_SIZE as u64), true, Cycles::ZERO)
             .unwrap_err();
         assert_eq!(err, Error::OutOfMemory);
-    }
-
-    #[test]
-    fn prezeroed_pool_shreds_on_free() {
-        let frames: Vec<PageId> = (1..8).map(PageId::new).collect();
-        let mut k = Kernel::new(
-            KernelConfig {
-                alloc_policy: AllocPolicy::PreZeroedPool,
-                ..KernelConfig::default()
-            },
-            frames,
-        );
-        let mut m = MockMachine::new(8);
-        let pid = k.create_process();
-        let va = k.sys_alloc(pid, PAGE_SIZE as u64).unwrap();
-        k.handle_fault(&mut m, 0, pid, va, true, Cycles::ZERO)
-            .unwrap();
-        k.sys_free(&mut m, 0, pid, va, PAGE_SIZE as u64, Cycles::ZERO)
-            .unwrap();
-        assert_eq!(k.stats().pages_shredded.get(), 1, "shredded at free time");
-        // Reallocation needs no shred.
-        let va2 = k.sys_alloc(pid, PAGE_SIZE as u64).unwrap();
-        k.handle_fault(&mut m, 0, pid, va2, true, Cycles::ZERO)
-            .unwrap();
-        assert_eq!(k.stats().pages_shredded.get(), 1);
     }
 
     #[test]
@@ -741,7 +633,7 @@ mod tests {
         ));
         // Region frames survive process exit.
         let entry = k.pmem().unwrap().find(0xCAFE).unwrap();
-        k.exit_process(&mut m, 0, pid, Cycles::ZERO).unwrap();
+        k.exit_process(pid).unwrap();
         let free_after_exit = k.free_frames();
         // Another process attaches to the same region.
         let pid2 = k.create_process();
@@ -762,7 +654,7 @@ mod tests {
         let mut machine = MockMachine::new(32);
         let first_frame;
         {
-            let mut k = Kernel::new(KernelConfig::default(), frames.clone());
+            let mut k = Kernel::new(ZeroStrategy::NonTemporal, frames.clone());
             k.enable_pmem().unwrap();
             let pid = k.create_process();
             k.sys_palloc(&mut machine, 0, pid, 77, 2 * PAGE_SIZE as u64, Cycles::ZERO)
@@ -777,7 +669,7 @@ mod tests {
                 Cycles::ZERO,
             );
         } // "power loss": the kernel's in-memory state is gone.
-        let mut k2 = Kernel::new(KernelConfig::default(), frames);
+        let mut k2 = Kernel::new(ZeroStrategy::NonTemporal, frames);
         assert_eq!(k2.recover_pmem(&mut machine, 0, Cycles::ZERO).unwrap(), 1);
         let pid = k2.create_process();
         let va = k2.sys_pattach(pid, 77).unwrap();
@@ -817,10 +709,10 @@ mod tests {
 
     #[test]
     fn bad_pid_rejected() {
-        let (mut k, mut m) = kernel(ZeroStrategy::NonTemporal);
+        let (mut k, _m) = kernel(ZeroStrategy::NonTemporal);
         let bogus = ProcId(99);
         assert!(k.sys_alloc(bogus, 1).is_err());
         assert!(k.translate(bogus, VirtAddr::new(0), false).is_err());
-        assert!(k.exit_process(&mut m, 0, bogus, Cycles::ZERO).is_err());
+        assert!(k.exit_process(bogus).is_err());
     }
 }

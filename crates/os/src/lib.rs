@@ -6,7 +6,7 @@
 //! the OS side faithfully enough to reproduce the evaluation:
 //!
 //! * [`frame_alloc`] — physical frame allocator (Linux-style
-//!   zero-on-demand and FreeBSD-style pre-zeroed pool policies, §2.3);
+//!   zero-on-demand, §2.3);
 //! * [`page_table`] — per-process page tables with the shared **zero
 //!   page** and copy-on-write-of-zero mapping (§2.3);
 //! * [`zeroing`] — the `clear_page` strategies compared throughout the
@@ -25,21 +25,21 @@
 //! # Examples
 //!
 //! ```
-//! use ss_os::{Kernel, KernelConfig, ZeroStrategy, machine::MockMachine};
+//! use ss_os::{Kernel, ZeroStrategy, machine::MockMachine};
 //! use ss_common::{Cycles, VirtAddr};
 //!
 //! let mut machine = MockMachine::new(256);
-//! let mut kernel = Kernel::new(KernelConfig {
-//!     zero_strategy: ZeroStrategy::ShredCommand,
-//!     ..KernelConfig::default()
-//! }, (1..64).map(ss_common::PageId::new).collect());
+//! let mut kernel = Kernel::new(
+//!     ZeroStrategy::ShredCommand,
+//!     (1..64).map(ss_common::PageId::new).collect(),
+//! );
 //!
 //! let proc = kernel.create_process();
 //! let buf = kernel.sys_alloc(proc, 8192)?;
 //! // First store faults and allocates a frame (fresh NVM: no shred yet).
 //! kernel.handle_fault(&mut machine, 0, proc, buf, true, Cycles::ZERO)?;
 //! // Free and re-allocate: the reused frame is shredded at zero cost.
-//! kernel.sys_free(&mut machine, 0, proc, buf, 8192, Cycles::ZERO)?;
+//! kernel.sys_free(proc, buf, 8192)?;
 //! let buf2 = kernel.sys_alloc(proc, 8192)?;
 //! kernel.handle_fault(&mut machine, 0, proc, buf2, true, Cycles::ZERO)?;
 //! assert_eq!(kernel.stats().pages_shredded.get(), 1);
@@ -57,10 +57,10 @@ pub mod pmem;
 pub mod tlb;
 pub mod zeroing;
 
-pub use frame_alloc::{AllocPolicy, FrameAllocator};
+pub use frame_alloc::FrameAllocator;
 pub use hypervisor::{Hypervisor, VmId};
-pub use kernel::{Kernel, KernelConfig, KernelStats, ProcId};
+pub use kernel::{Kernel, KernelStats, ProcId};
 pub use page_table::{Mapping, PageTable, Translation};
 pub use pmem::{PmemDirectory, PmemEntry};
-pub use tlb::{Tlb, TlbConfig, TlbStats};
+pub use tlb::{Tlb, TlbStats};
 pub use zeroing::ZeroStrategy;

@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use ss_common::{PageId, PhysAddr, VirtAddr, PAGE_SIZE};
+use ss_common::{PageId, PhysAddr, VirtAddr};
 
 /// How a virtual page is currently backed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,18 +38,18 @@ pub enum Translation {
 }
 
 /// A process's address-space state.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct PageTable {
     mappings: BTreeMap<u64, Mapping>,
     /// Reserved (malloc'ed but possibly untouched) virtual page numbers.
     reserved: BTreeMap<u64, ()>,
-    zero_page: Option<PageId>,
+    zero_page: PageId,
 }
 
 impl PageTable {
     /// Creates an empty address space; `zero_page` is the kernel's shared
     /// zero frame.
-    pub fn new(zero_page: Option<PageId>) -> Self {
+    pub fn new(zero_page: PageId) -> Self {
         PageTable {
             mappings: BTreeMap::new(),
             reserved: BTreeMap::new(),
@@ -88,8 +88,7 @@ impl PageTable {
                 if is_write {
                     Translation::StoreFault
                 } else {
-                    let zp = self.zero_page.expect("zero-page mapping without zero page");
-                    Translation::Ok(zp.base_addr().add(va.page_offset() as u64))
+                    Translation::Ok(self.zero_page.base_addr().add(va.page_offset() as u64))
                 }
             }
             None => {
@@ -97,23 +96,15 @@ impl PageTable {
                     Translation::Invalid
                 } else if is_write {
                     Translation::StoreFault
-                } else if self.zero_page.is_some() {
-                    Translation::LoadFault
                 } else {
-                    // No zero page configured: loads also allocate.
-                    Translation::StoreFault
+                    Translation::LoadFault
                 }
             }
         }
     }
 
     /// Installs the zero page for `vpn` (minor-fault completion).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no zero page is configured.
     pub fn map_zero(&mut self, vpn: u64) {
-        assert!(self.zero_page.is_some(), "kernel has no zero page");
         self.mappings.insert(vpn, Mapping::ZeroPage);
     }
 
@@ -147,11 +138,6 @@ impl PageTable {
     pub fn reserved_pages(&self) -> usize {
         self.reserved.len()
     }
-
-    /// Bytes of reserved address space.
-    pub fn reserved_bytes(&self) -> u64 {
-        self.reserved.len() as u64 * PAGE_SIZE as u64
-    }
 }
 
 #[cfg(test)]
@@ -159,7 +145,7 @@ mod tests {
     use super::*;
 
     fn pt() -> PageTable {
-        PageTable::new(Some(PageId::new(0)))
+        PageTable::new(PageId::new(0))
     }
 
     #[test]
@@ -212,16 +198,6 @@ mod tests {
         t.reserve(7, 2);
         assert_eq!(
             t.translate(VirtAddr::new(7 * 4096), true),
-            Translation::StoreFault
-        );
-    }
-
-    #[test]
-    fn no_zero_page_means_loads_allocate() {
-        let mut t = PageTable::new(None);
-        t.reserve(1, 1);
-        assert_eq!(
-            t.translate(VirtAddr::new(4096), false),
             Translation::StoreFault
         );
     }

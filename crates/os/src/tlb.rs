@@ -11,32 +11,16 @@
 
 use std::collections::VecDeque;
 
-use ss_common::{Counter, Cycles};
+use ss_common::Counter;
 
 use crate::kernel::ProcId;
 
-/// TLB geometry and timing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TlbConfig {
-    /// Total entries (64, a typical L1 DTLB).
-    pub entries: usize,
-    /// Associativity.
-    pub ways: usize,
-    /// Added latency of a TLB miss: the page-table walk (the paper's
-    /// motivation for large pages). Walks of cached page tables cost a
-    /// few tens of cycles.
-    pub walk_latency: Cycles,
-}
+/// Total TLB entries (64, a typical L1 DTLB; the old configurable
+/// default).
+const TLB_ENTRIES: usize = 64;
 
-impl Default for TlbConfig {
-    fn default() -> Self {
-        TlbConfig {
-            entries: 64,
-            ways: 4,
-            walk_latency: Cycles::new(60),
-        }
-    }
-}
+/// TLB associativity (the old configurable default).
+const TLB_WAYS: usize = 4;
 
 /// TLB statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -72,10 +56,10 @@ struct TlbEntry {
 /// # Examples
 ///
 /// ```
-/// use ss_os::tlb::{Tlb, TlbConfig};
+/// use ss_os::tlb::Tlb;
 /// use ss_os::ProcId;
 ///
-/// let mut tlb = Tlb::new(TlbConfig::default());
+/// let mut tlb = Tlb::new();
 /// let pid = ProcId(1);
 /// assert!(!tlb.lookup(pid, 5)); // cold miss
 /// tlb.insert(pid, 5);
@@ -85,35 +69,25 @@ struct TlbEntry {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Tlb {
-    config: TlbConfig,
     sets: Vec<VecDeque<TlbEntry>>,
     stats: TlbStats,
 }
 
+impl Default for Tlb {
+    fn default() -> Self {
+        Tlb::new()
+    }
+}
+
 impl Tlb {
-    /// Creates an empty TLB.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the geometry is degenerate (zero ways, entries not a
-    /// positive multiple of ways).
-    pub fn new(config: TlbConfig) -> Self {
-        assert!(config.ways > 0, "tlb needs at least one way");
-        assert!(
-            config.entries > 0 && config.entries.is_multiple_of(config.ways),
-            "tlb entries must be a positive multiple of ways"
-        );
-        let sets = config.entries / config.ways;
+    /// Creates an empty 64-entry, 4-way TLB.
+    pub fn new() -> Self {
         Tlb {
-            config,
-            sets: (0..sets).map(|_| VecDeque::new()).collect(),
+            sets: (0..TLB_ENTRIES / TLB_WAYS)
+                .map(|_| VecDeque::new())
+                .collect(),
             stats: TlbStats::default(),
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &TlbConfig {
-        &self.config
     }
 
     /// Statistics so far.
@@ -147,7 +121,7 @@ impl Tlb {
         if self.sets[set].iter().any(|e| *e == entry) {
             return;
         }
-        if self.sets[set].len() >= self.config.ways {
+        if self.sets[set].len() >= TLB_WAYS {
             self.sets[set].pop_back();
         }
         self.sets[set].push_front(entry);
@@ -187,17 +161,12 @@ impl Tlb {
 mod tests {
     use super::*;
 
-    fn tlb(entries: usize, ways: usize) -> Tlb {
-        Tlb::new(TlbConfig {
-            entries,
-            ways,
-            walk_latency: Cycles::new(60),
-        })
-    }
+    /// Number of sets: VPNs `v` and `v + SETS` share a set.
+    const SETS: u64 = (TLB_ENTRIES / TLB_WAYS) as u64;
 
     #[test]
     fn hit_after_insert() {
-        let mut t = tlb(8, 2);
+        let mut t = Tlb::new();
         let p = ProcId(1);
         assert!(!t.lookup(p, 3));
         t.insert(p, 3);
@@ -208,34 +177,36 @@ mod tests {
 
     #[test]
     fn asids_do_not_alias() {
-        let mut t = tlb(8, 2);
+        let mut t = Tlb::new();
         t.insert(ProcId(1), 3);
         assert!(!t.lookup(ProcId(2), 3), "cross-process TLB hit");
     }
 
     #[test]
     fn lru_eviction_within_set() {
-        let mut t = tlb(4, 2); // 2 sets of 2
+        let mut t = Tlb::new();
         let p = ProcId(1);
-        // VPNs 0, 2, 4 all map to set 0.
-        t.insert(p, 0);
-        t.insert(p, 2);
-        t.lookup(p, 0); // 0 is MRU
-        t.insert(p, 4); // evicts 2
+        // Fill set 0's ways with VPNs 0, SETS, 2*SETS, ...
+        for way in 0..TLB_WAYS as u64 {
+            t.insert(p, way * SETS);
+        }
+        t.lookup(p, 0); // 0 is MRU, so VPN SETS is now LRU
+        t.insert(p, TLB_WAYS as u64 * SETS); // evicts VPN SETS
         assert!(t.lookup(p, 0));
-        assert!(!t.lookup(p, 2));
-        assert!(t.lookup(p, 4));
+        assert!(!t.lookup(p, SETS));
+        assert!(t.lookup(p, TLB_WAYS as u64 * SETS));
+        assert_eq!(t.len(), TLB_WAYS);
     }
 
     #[test]
     fn shootdown_removes_exactly_one() {
-        let mut t = tlb(8, 2);
+        let mut t = Tlb::new();
         let p = ProcId(1);
         t.insert(p, 1);
-        t.insert(p, 5);
+        t.insert(p, 1 + SETS);
         t.shootdown(p, 1);
         assert!(!t.lookup(p, 1));
-        assert!(t.lookup(p, 5));
+        assert!(t.lookup(p, 1 + SETS));
         assert_eq!(t.stats().shootdowns.get(), 1);
         // Shooting down an absent entry is a no-op.
         t.shootdown(p, 99);
@@ -244,7 +215,7 @@ mod tests {
 
     #[test]
     fn flush_asid_clears_process() {
-        let mut t = tlb(8, 2);
+        let mut t = Tlb::new();
         t.insert(ProcId(1), 0);
         t.insert(ProcId(1), 1);
         t.insert(ProcId(2), 2);
@@ -252,11 +223,12 @@ mod tests {
         assert!(!t.lookup(ProcId(1), 0));
         assert!(t.lookup(ProcId(2), 2));
         assert_eq!(t.len(), 1);
+        assert_eq!(t.stats().shootdowns.get(), 2);
     }
 
     #[test]
     fn duplicate_insert_is_idempotent() {
-        let mut t = tlb(4, 2);
+        let mut t = Tlb::new();
         let p = ProcId(1);
         t.insert(p, 0);
         t.insert(p, 0);
@@ -264,14 +236,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "multiple of ways")]
-    fn bad_geometry_panics() {
-        tlb(5, 2);
-    }
-
-    #[test]
     fn miss_rate() {
-        let mut t = tlb(8, 2);
+        let mut t = Tlb::new();
         let p = ProcId(1);
         assert_eq!(t.stats().miss_rate(), 0.0);
         t.lookup(p, 0);

@@ -2,7 +2,7 @@
 
 use ss_cache::HierarchyConfig;
 use ss_core::ControllerConfig;
-use ss_os::{KernelConfig, TlbConfig, ZeroStrategy};
+use ss_os::ZeroStrategy;
 
 /// Everything needed to build a [`crate::System`].
 #[derive(Debug, Clone)]
@@ -11,10 +11,8 @@ pub struct SystemConfig {
     pub hierarchy: HierarchyConfig,
     /// Memory-controller configuration.
     pub controller: ControllerConfig,
-    /// Kernel configuration (zeroing strategy, fault costs).
-    pub kernel: KernelConfig,
-    /// Per-core TLB geometry and walk cost.
-    pub tlb: TlbConfig,
+    /// How the kernel's `clear_page` shreds a frame.
+    pub zero_strategy: ZeroStrategy,
 }
 
 impl SystemConfig {
@@ -24,11 +22,7 @@ impl SystemConfig {
         SystemConfig {
             hierarchy: HierarchyConfig::default(),
             controller: ControllerConfig::encrypted_baseline(),
-            kernel: KernelConfig {
-                zero_strategy: ZeroStrategy::NonTemporal,
-                ..KernelConfig::default()
-            },
-            tlb: TlbConfig::default(),
+            zero_strategy: ZeroStrategy::NonTemporal,
         }
     }
 
@@ -38,11 +32,7 @@ impl SystemConfig {
         SystemConfig {
             hierarchy: HierarchyConfig::default(),
             controller: ControllerConfig::default(),
-            kernel: KernelConfig {
-                zero_strategy: ZeroStrategy::ShredCommand,
-                ..KernelConfig::default()
-            },
-            tlb: TlbConfig::default(),
+            zero_strategy: ZeroStrategy::ShredCommand,
         }
     }
 
@@ -51,15 +41,14 @@ impl SystemConfig {
         SystemConfig {
             hierarchy: HierarchyConfig::default(),
             controller: ControllerConfig::plain(),
-            kernel: KernelConfig::default(),
-            tlb: TlbConfig::default(),
+            zero_strategy: ZeroStrategy::NonTemporal,
         }
     }
 
     /// Replaces the kernel zeroing strategy (validating it against the
     /// controller happens at [`crate::System::new`]).
     pub fn with_zero_strategy(mut self, strategy: ZeroStrategy) -> Self {
-        self.kernel.zero_strategy = strategy;
+        self.zero_strategy = strategy;
         self
     }
 
@@ -100,7 +89,7 @@ impl SystemConfig {
 
     /// Whether this configuration uses the Silent Shredder mechanism.
     pub fn is_shredder(&self) -> bool {
-        self.controller.shredder && self.kernel.zero_strategy == ZeroStrategy::ShredCommand
+        self.controller.shredder && self.zero_strategy == ZeroStrategy::ShredCommand
     }
 }
 

@@ -44,4 +44,3 @@ pub use consolidation::{ConsolidationReport, ConsolidationScenario};
 pub use hardware::Hardware;
 pub use report::{RunReport, Table1Row};
 pub use system::System;
-pub use timeshare::TimeshareConfig;

@@ -158,6 +158,8 @@ pub struct Table1Row {
 
 /// Produces the Table 1 comparison for a configuration.
 pub fn table1(config: &crate::SystemConfig) -> Vec<Table1Row> {
+    use ss_cache::hierarchy::LATENCIES;
+    use ss_core::controller::{COUNTER_CACHE_LATENCY, COUNTER_CACHE_WAYS, NVM_TIMING};
     let h = &config.hierarchy;
     let c = &config.controller;
     let row = |parameter, paper, ours| Table1Row {
@@ -176,7 +178,7 @@ pub fn table1(config: &crate::SystemConfig) -> Vec<Table1Row> {
             "2 cycles, 64KB, 8-way, 64B",
             format!(
                 "{} cycles, {}KB, {}-way",
-                h.latencies[0],
+                LATENCIES[0].raw(),
                 h.l1_size >> 10,
                 h.ways
             ),
@@ -186,7 +188,7 @@ pub fn table1(config: &crate::SystemConfig) -> Vec<Table1Row> {
             "8 cycles, 512KB, 8-way, 64B",
             format!(
                 "{} cycles, {}KB, {}-way",
-                h.latencies[1],
+                LATENCIES[1].raw(),
                 h.l2_size >> 10,
                 h.ways
             ),
@@ -196,7 +198,7 @@ pub fn table1(config: &crate::SystemConfig) -> Vec<Table1Row> {
             "25 cycles, 8MB, 8-way, 64B",
             format!(
                 "{} cycles, {}KB, {}-way",
-                h.latencies[2],
+                LATENCIES[2].raw(),
                 h.l3_size >> 10,
                 h.ways
             ),
@@ -206,7 +208,7 @@ pub fn table1(config: &crate::SystemConfig) -> Vec<Table1Row> {
             "35 cycles, 64MB, 8-way, 64B",
             format!(
                 "{} cycles, {}KB, {}-way",
-                h.latencies[3],
+                LATENCIES[3].raw(),
                 h.l4_size >> 10,
                 h.ways
             ),
@@ -222,21 +224,18 @@ pub fn table1(config: &crate::SystemConfig) -> Vec<Table1Row> {
             format!("{} MB (scaled; see DESIGN.md)", c.data_capacity >> 20),
         ),
         row("Channels", "2 x 12.8 GB/s", {
-            format!(
-                "{} x {} MB/s",
-                c.nvm_timing.channels, c.nvm_timing.channel_mbps
-            )
+            format!("{} x {} MB/s", NVM_TIMING.channels, NVM_TIMING.channel_mbps)
         }),
-        row("Read latency", "75 ns", format!("{}", c.nvm_timing.read)),
-        row("Write latency", "150 ns", format!("{}", c.nvm_timing.write)),
+        row("Read latency", "75 ns", format!("{}", NVM_TIMING.read)),
+        row("Write latency", "150 ns", format!("{}", NVM_TIMING.write)),
         row(
             "Counter cache",
             "10 cycles, 4MB, 8-way, 64B",
             format!(
                 "{} cycles, {}KB, {}-way",
-                c.counter_cache_latency.raw(),
+                COUNTER_CACHE_LATENCY.raw(),
                 c.counter_cache_bytes >> 10,
-                c.counter_cache_ways
+                COUNTER_CACHE_WAYS
             ),
         ),
         row(

@@ -11,6 +11,11 @@ use crate::config::SystemConfig;
 use crate::hardware::{strategy_supported, Hardware};
 use crate::report::RunReport;
 
+/// Added latency of a TLB miss: the page-table walk, which a few tens of
+/// cycles cover when the page tables are cached (the old configurable
+/// default).
+const TLB_WALK_LATENCY: Cycles = Cycles::new(60);
+
 /// A full system: hardware stack + kernel + per-core process contexts.
 #[derive(Debug)]
 pub struct System {
@@ -30,7 +35,7 @@ impl System {
     /// hardware the controller doesn't provide, or any component config
     /// is invalid.
     pub fn new(config: SystemConfig) -> Result<Self> {
-        if !strategy_supported(config.kernel.zero_strategy, &config.controller) {
+        if !strategy_supported(config.zero_strategy, &config.controller) {
             return Err(Error::InvalidConfig {
                 detail: "kernel uses the shred command but the controller has no shredder".into(),
             });
@@ -38,9 +43,9 @@ impl System {
         let hierarchy = Hierarchy::new(&config.hierarchy)?;
         let controller = MemoryController::new(config.controller.clone())?;
         let frames: Vec<PageId> = (0..config.controller.frames()).map(PageId::new).collect();
-        let kernel = Kernel::new(config.kernel, frames);
+        let kernel = Kernel::new(config.zero_strategy, frames);
         let cores = config.cores();
-        let tlbs = (0..cores).map(|_| Tlb::new(config.tlb)).collect();
+        let tlbs = (0..cores).map(|_| Tlb::new()).collect();
         Ok(System {
             hw: Hardware::new(hierarchy, controller),
             kernel,
@@ -86,19 +91,19 @@ impl System {
         Ok(pid)
     }
 
-    /// Terminates the process on `core`, shredding per policy.
+    /// Terminates the process on `core`; its frames return dirty.
     ///
     /// # Errors
     ///
-    /// Kernel errors (bad pid, shred failures).
-    pub fn exit_process_on(&mut self, core: usize, now: Cycles) -> Result<Cycles> {
+    /// [`Error::NoSuchProcess`] when `core` runs no process.
+    pub fn exit_process_on(&mut self, core: usize) -> Result<()> {
         let pid = self.running[core]
             .take()
             .ok_or(Error::NoSuchProcess { id: core as u64 })?;
         for tlb in &mut self.tlbs {
             tlb.flush_asid(pid);
         }
-        self.kernel.exit_process(&mut self.hw, core, pid, now)
+        self.kernel.exit_process(pid)
     }
 
     /// `malloc` for `pid` (reserve only).
@@ -110,26 +115,19 @@ impl System {
         self.kernel.sys_alloc(pid, bytes)
     }
 
-    /// `free` for `pid`, run on `core`.
+    /// `free` for `pid`.
     ///
     /// # Errors
     ///
     /// Kernel errors.
-    pub fn sys_free(
-        &mut self,
-        core: usize,
-        pid: ProcId,
-        va: VirtAddr,
-        bytes: u64,
-    ) -> Result<Cycles> {
+    pub fn sys_free(&mut self, pid: ProcId, va: VirtAddr, bytes: u64) -> Result<()> {
         let pages = bytes.div_ceil(ss_common::PAGE_SIZE as u64).max(1);
         for tlb in &mut self.tlbs {
             for vpn in va.vpn()..va.vpn() + pages {
                 tlb.shootdown(pid, vpn);
             }
         }
-        self.kernel
-            .sys_free(&mut self.hw, core, pid, va, bytes, Cycles::ZERO)
+        self.kernel.sys_free(pid, va, bytes)
     }
 
     /// Per-core TLB statistics.
@@ -166,28 +164,7 @@ impl System {
     where
         I: Iterator<Item = Op>,
     {
-        struct Dp<'a> {
-            sys: &'a mut System,
-        }
-        impl DataPath for Dp<'_> {
-            fn load(&mut self, core: usize, va: VirtAddr, now: Cycles) -> Cycles {
-                self.sys.do_load(core, va, now)
-            }
-            fn store(&mut self, core: usize, va: VirtAddr, now: Cycles) -> Cycles {
-                self.sys.do_store(core, va, now, StoreKind::Partial)
-            }
-            fn store_line(&mut self, core: usize, va: VirtAddr, now: Cycles) -> Cycles {
-                self.sys.do_store(core, va, now, StoreKind::FullLine)
-            }
-            fn store_nt(&mut self, core: usize, va: VirtAddr, now: Cycles) -> Cycles {
-                self.sys.do_store(core, va, now, StoreKind::NonTemporal)
-            }
-            fn fence(&mut self, _core: usize, now: Cycles) -> Cycles {
-                self.sys.hw.controller.fence(now)
-            }
-        }
-        let mut dp = Dp { sys: self };
-        run_multicore(streams, &mut dp, instruction_limit)
+        run_multicore(streams, self, instruction_limit)
     }
 
     /// Runs and packages the result with memory/kernel statistics.
@@ -227,18 +204,6 @@ impl System {
         self.hw.controller.power_loss()
     }
 
-    /// Post-restart recovery check: `Ok` when the encryption counters
-    /// survived the crash, [`Error::CounterLoss`] when a volatile
-    /// write-back counter cache dropped dirty counters (§7.1). The
-    /// fault-injection harness calls this after every [`Self::crash`].
-    ///
-    /// # Errors
-    ///
-    /// [`Error::CounterLoss`] as described above.
-    pub fn recover(&self) -> Result<()> {
-        self.hw.controller.recover()
-    }
-
     /// Resets all statistics (caches, controller, kernel) without
     /// touching state — used to exclude warm-up from measurements.
     pub fn reset_stats(&mut self) {
@@ -258,12 +223,12 @@ impl System {
     }
 
     /// Terminates an arbitrary process (time-shared jobs are not pinned
-    /// to cores), freeing — and per policy shredding — its frames.
+    /// to cores), returning its frames dirty.
     ///
     /// # Errors
     ///
-    /// Kernel errors (bad pid, shred failures).
-    pub fn terminate_process(&mut self, pid: ProcId) -> Result<Cycles> {
+    /// [`Error::NoSuchProcess`] for a bad handle.
+    pub fn terminate_process(&mut self, pid: ProcId) -> Result<()> {
         for tlb in &mut self.tlbs {
             tlb.flush_asid(pid);
         }
@@ -272,33 +237,13 @@ impl System {
                 *slot = None;
             }
         }
-        self.kernel.exit_process(&mut self.hw, 0, pid, Cycles::ZERO)
+        self.kernel.exit_process(pid)
     }
 
     /// Creates a process without scheduling it anywhere (time-shared
     /// jobs are scheduled by the quantum loop, not pinned to cores).
     pub fn kernel_create_process(&mut self) -> ProcId {
         self.kernel.create_process()
-    }
-
-    pub(crate) fn datapath_load(&mut self, core: usize, va: VirtAddr, now: Cycles) -> Cycles {
-        self.do_load(core, va, now)
-    }
-
-    pub(crate) fn datapath_store(&mut self, core: usize, va: VirtAddr, now: Cycles) -> Cycles {
-        self.do_store(core, va, now, StoreKind::Partial)
-    }
-
-    pub(crate) fn datapath_store_line(&mut self, core: usize, va: VirtAddr, now: Cycles) -> Cycles {
-        self.do_store(core, va, now, StoreKind::FullLine)
-    }
-
-    pub(crate) fn datapath_store_nt(&mut self, core: usize, va: VirtAddr, now: Cycles) -> Cycles {
-        self.do_store(core, va, now, StoreKind::NonTemporal)
-    }
-
-    pub(crate) fn datapath_fence(&mut self, now: Cycles) -> Cycles {
-        self.hw.controller.fence(now)
     }
 
     fn current_pid(&self, core: usize) -> ProcId {
@@ -322,7 +267,7 @@ impl System {
         let walk = if tlb_hit {
             Cycles::ZERO
         } else {
-            self.config.tlb.walk_latency
+            TLB_WALK_LATENCY
         };
         match self.kernel.translate(pid, va, is_write).expect("valid pid") {
             Translation::Ok(pa) => {
@@ -390,6 +335,27 @@ enum StoreKind {
     Partial,
     FullLine,
     NonTemporal,
+}
+
+/// The path every core's memory operations take, in both the pinned
+/// ([`System::run`]) and the time-shared ([`System::run_timeshared`])
+/// loops: TLB, page-fault handler, caches, controller.
+impl DataPath for System {
+    fn load(&mut self, core: usize, va: VirtAddr, now: Cycles) -> Cycles {
+        self.do_load(core, va, now)
+    }
+    fn store(&mut self, core: usize, va: VirtAddr, now: Cycles) -> Cycles {
+        self.do_store(core, va, now, StoreKind::Partial)
+    }
+    fn store_line(&mut self, core: usize, va: VirtAddr, now: Cycles) -> Cycles {
+        self.do_store(core, va, now, StoreKind::FullLine)
+    }
+    fn store_nt(&mut self, core: usize, va: VirtAddr, now: Cycles) -> Cycles {
+        self.do_store(core, va, now, StoreKind::NonTemporal)
+    }
+    fn fence(&mut self, _core: usize, now: Cycles) -> Cycles {
+        self.hw.controller.fence(now)
+    }
 }
 
 #[cfg(test)]

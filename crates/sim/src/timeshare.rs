@@ -26,39 +26,23 @@ struct Job {
     ops: std::vec::IntoIter<Op>,
 }
 
-/// Scheduler parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimeshareConfig {
-    /// Instructions per scheduling quantum.
-    pub quantum: u64,
-    /// Kernel overhead charged at every context switch.
-    pub switch_cost: Cycles,
-}
+/// Instructions per scheduling quantum (the old configurable default).
+const QUANTUM: u64 = 20_000;
 
-impl Default for TimeshareConfig {
-    fn default() -> Self {
-        TimeshareConfig {
-            quantum: 20_000,
-            switch_cost: Cycles::new(2_000),
-        }
-    }
-}
+/// Kernel overhead charged at every context switch (the old
+/// configurable default).
+const SWITCH_COST: Cycles = Cycles::new(2_000);
 
 impl System {
-    /// Runs `jobs` (any number) over all cores with round-robin quanta.
-    /// Each job must reference memory of the given process. Returns the
-    /// per-core execution summary.
+    /// Runs `jobs` (any number) over all cores with round-robin quanta
+    /// of 20,000 instructions. Each job must reference memory of the
+    /// given process. Returns the per-core execution summary.
     ///
     /// # Panics
     ///
-    /// Panics if `jobs` is empty or `config.quantum == 0`.
-    pub fn run_timeshared(
-        &mut self,
-        jobs: Vec<(ProcId, Vec<Op>)>,
-        config: TimeshareConfig,
-    ) -> RunSummary {
+    /// Panics if `jobs` is empty.
+    pub fn run_timeshared(&mut self, jobs: Vec<(ProcId, Vec<Op>)>) -> RunSummary {
         assert!(!jobs.is_empty(), "need at least one job");
-        assert!(config.quantum > 0, "quantum must be positive");
         let cores = self.config().cores();
         let mut ready: VecDeque<Job> = jobs
             .into_iter()
@@ -78,43 +62,20 @@ impl System {
             // A real context switch only happens when the core changes
             // address spaces; re-dispatching the same process is free.
             if last_pid[core] != Some(job.pid) {
-                cpu[core].stall(config.switch_cost);
+                cpu[core].stall(SWITCH_COST);
                 last_pid[core] = Some(job.pid);
             }
             self.set_running(core, job.pid);
             let mut retired = 0u64;
             let mut exhausted = false;
-            while retired < config.quantum {
+            while retired < QUANTUM {
                 match job.ops.next() {
                     None => {
                         exhausted = true;
                         break;
                     }
                     Some(op) => {
-                        let now = cpu[core].now();
-                        match op {
-                            Op::Compute(k) => cpu[core].retire_compute(k),
-                            Op::Load(va) => {
-                                let lat = self.datapath_load(core, va, now);
-                                cpu[core].retire_load(lat);
-                            }
-                            Op::Store(va) => {
-                                let lat = self.datapath_store(core, va, now);
-                                cpu[core].retire_store(lat);
-                            }
-                            Op::StoreLine(va) => {
-                                let lat = self.datapath_store_line(core, va, now);
-                                cpu[core].retire_store(lat);
-                            }
-                            Op::StoreNt(va) => {
-                                let lat = self.datapath_store_nt(core, va, now);
-                                cpu[core].retire_store(lat);
-                            }
-                            Op::Fence => {
-                                let lat = self.datapath_fence(now);
-                                cpu[core].retire_fence(lat);
-                            }
-                        }
+                        cpu[core].step(core, op, self);
                         retired += op.instructions();
                     }
                 }
@@ -132,21 +93,22 @@ impl System {
     }
 }
 
-/// Load-sweep helpers used by the `ablation_load` experiment.
-pub use TimeshareConfig as LoadConfig;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::SystemConfig;
     use ss_common::PAGE_SIZE;
 
+    /// Compute instructions per page: 16 pages of them make a job about
+    /// eight quanta long, so every job is preempted several times.
+    const COMPUTE: u64 = 10_000;
+
     fn job_ops(heap: ss_common::VirtAddr, pages: u64) -> Vec<Op> {
         (0..pages)
             .flat_map(|p| {
                 [
                     Op::StoreLine(heap.add(p * PAGE_SIZE as u64)),
-                    Op::Compute(50),
+                    Op::Compute(COMPUTE),
                     Op::Load(heap.add(p * PAGE_SIZE as u64 + 512)),
                 ]
             })
@@ -160,28 +122,25 @@ mod tests {
         for _ in 0..jobs_n {
             let pid = sys.kernel_create_process();
             let heap = sys.sys_alloc(pid, 16 * PAGE_SIZE as u64).unwrap();
-            jobs.push((pid, job_ops(heap, 16)));
+            let ops = job_ops(heap, 16);
+            assert!(ops.iter().map(Op::instructions).sum::<u64>() > QUANTUM);
+            jobs.push((pid, ops));
         }
-        sys.run_timeshared(
-            jobs,
-            TimeshareConfig {
-                quantum: 20,
-                switch_cost: Cycles::new(100),
-            },
-        )
+        sys.run_timeshared(jobs)
     }
 
     #[test]
     fn all_jobs_complete() {
         let summary = run_load(6); // 6 jobs on 2 cores
-                                   // 6 jobs × 16 pages × 3 ops, with Compute(50) counting 50 instr.
-        let expected: u64 = 6 * 16 * (1 + 50 + 1);
+                                   // 6 jobs × 16 pages × 3 ops, Compute(COMPUTE) counting COMPUTE
+                                   // instructions.
+        let expected: u64 = 6 * 16 * (1 + COMPUTE + 1);
         assert_eq!(summary.total_instructions(), expected);
     }
 
     #[test]
     fn oversubscription_costs_switches() {
-        let light = run_load(2); // one job per core: no preemption needed
+        let light = run_load(2); // one job per core: few switches
         let heavy = run_load(8);
         // Per-instruction cost should be higher under oversubscription
         // (context switches + cache/TLB interference).
@@ -201,6 +160,6 @@ mod tests {
     #[should_panic(expected = "at least one job")]
     fn empty_jobs_panics() {
         let mut sys = System::new(SystemConfig::small_test(true)).unwrap();
-        sys.run_timeshared(vec![], TimeshareConfig::default());
+        sys.run_timeshared(vec![]);
     }
 }

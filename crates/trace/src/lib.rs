@@ -37,7 +37,7 @@ pub mod sink;
 pub use event::{TraceEvent, TraceRecord};
 pub use metrics::{export_latency, MetricsRegistry};
 pub use profile::{Stage, StageProfile};
-pub use sink::{NullSink, RingSink, TraceSink, Tracer};
+pub use sink::{RingSink, Tracer};
 
 // Re-exported for downstream convenience: every trace stamp is in
 // simulated cycles.

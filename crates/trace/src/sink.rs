@@ -1,4 +1,4 @@
-//! Event sinks: where emitted [`TraceEvent`]s go.
+//! The event ring: where emitted [`TraceEvent`]s go.
 //!
 //! The hot-path contract is that tracing must be *zero-cost when
 //! disabled*: the controller calls [`Tracer::emit`] with a closure, and
@@ -12,41 +12,6 @@ use std::collections::VecDeque;
 use ss_common::Cycles;
 
 use crate::event::{TraceEvent, TraceRecord};
-
-/// Destination for recorded trace events.
-///
-/// The trait exists so harnesses can supply their own collectors (e.g. a
-/// filtering sink in a test); the workspace ships [`NullSink`] and
-/// [`RingSink`].
-pub trait TraceSink {
-    /// Record one event stamped at simulated time `at`.
-    fn record(&mut self, at: Cycles, event: TraceEvent);
-
-    /// Number of events recorded over the sink's lifetime (including any
-    /// that were since dropped).
-    fn emitted(&self) -> u64;
-
-    /// Number of events dropped (e.g. to ring capacity).
-    fn dropped(&self) -> u64;
-}
-
-/// Sink that discards everything. Exists for callers that need a
-/// `&mut dyn TraceSink` unconditionally; the controller itself prefers
-/// [`Tracer::Null`], which skips event construction entirely.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&mut self, _at: Cycles, _event: TraceEvent) {}
-
-    fn emitted(&self) -> u64 {
-        0
-    }
-
-    fn dropped(&self) -> u64 {
-        0
-    }
-}
 
 /// Bounded ring buffer of [`TraceRecord`]s. When full, the oldest record
 /// is evicted; `seq` numbers keep counting, so consumers can tell how
@@ -95,10 +60,10 @@ impl RingSink {
     pub fn capacity(&self) -> usize {
         self.capacity
     }
-}
 
-impl TraceSink for RingSink {
-    fn record(&mut self, at: Cycles, event: TraceEvent) {
+    /// Records one event stamped at simulated time `at`, evicting the
+    /// oldest record when full.
+    pub fn record(&mut self, at: Cycles, event: TraceEvent) {
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
             self.dropped += 1;
@@ -111,11 +76,13 @@ impl TraceSink for RingSink {
         self.next_seq += 1;
     }
 
-    fn emitted(&self) -> u64 {
+    /// Events recorded over the ring's lifetime, including dropped ones.
+    pub fn emitted(&self) -> u64 {
         self.next_seq
     }
 
-    fn dropped(&self) -> u64 {
+    /// Events evicted to stay within capacity.
+    pub fn dropped(&self) -> u64 {
         self.dropped
     }
 }
@@ -259,13 +226,5 @@ mod tests {
         assert_eq!(ring.len(), 1);
         assert_eq!(ring.capacity(), 1);
         assert!(!ring.is_empty());
-    }
-
-    #[test]
-    fn null_sink_counts_nothing() {
-        let mut s = NullSink;
-        s.record(Cycles::ZERO, shred(1));
-        assert_eq!(s.emitted(), 0);
-        assert_eq!(s.dropped(), 0);
     }
 }

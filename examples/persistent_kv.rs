@@ -78,10 +78,7 @@ fn hardware() -> Result<Hardware> {
 
 fn boot_kernel() -> Kernel {
     Kernel::new(
-        KernelConfig {
-            zero_strategy: ZeroStrategy::ShredCommand,
-            ..KernelConfig::default()
-        },
+        ZeroStrategy::ShredCommand,
         (1..512).map(PageId::new).collect(),
     )
 }
@@ -124,7 +121,7 @@ fn main() -> Result<()> {
     // --- Power loss. ---
     let _ = hw.hierarchy.flush_all(); // caches are volatile: contents gone
     hw.controller.power_loss()?;
-    hw.controller.recover()?;
+    hw.controller.recover_mut()?;
     println!("\n*** power loss; battery-backed counters flushed; caches lost ***\n");
 
     // --- Second boot: recover the directory and read everything back. ---

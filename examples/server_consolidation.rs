@@ -13,7 +13,7 @@
 use silent_shredder::cache::{Hierarchy, HierarchyConfig};
 use silent_shredder::common::{Cycles, PageId, Result, PAGE_SIZE};
 use silent_shredder::os::machine::MachineOps;
-use silent_shredder::os::{Hypervisor, KernelConfig};
+use silent_shredder::os::Hypervisor;
 use silent_shredder::prelude::*;
 use silent_shredder::sim::Hardware;
 
@@ -37,10 +37,7 @@ fn churn(strategy: ZeroStrategy) -> Result<(u64, u64, u64)> {
     let mut hyp = Hypervisor::new(
         (1..HOST_FRAMES).map(PageId::new).collect(),
         strategy,
-        KernelConfig {
-            zero_strategy: strategy,
-            ..KernelConfig::default()
-        },
+        strategy,
     );
 
     let mut clock = Cycles::ZERO;
@@ -71,7 +68,7 @@ fn churn(strategy: ZeroStrategy) -> Result<(u64, u64, u64)> {
         clock += hyp.balloon_grant(&mut hw, 0, vm, reclaimed, clock)?;
         // Teardown.
         let kernel = hyp.vm_kernel_mut(vm)?;
-        clock += kernel.exit_process(&mut hw, 0, tenant, clock)?;
+        kernel.exit_process(tenant)?;
         hyp.destroy_vm(vm)?;
     }
 

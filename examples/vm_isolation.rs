@@ -12,7 +12,7 @@
 
 use silent_shredder::common::{Cycles, PageId, Result};
 use silent_shredder::os::machine::MachineOps;
-use silent_shredder::os::{Hypervisor, KernelConfig, ZeroStrategy};
+use silent_shredder::os::{Hypervisor, ZeroStrategy};
 use silent_shredder::prelude::*;
 use silent_shredder::sim::Hardware;
 
@@ -36,14 +36,7 @@ fn demo(strategy: ZeroStrategy) -> Result<()> {
     println!("--- host/guest shredding via {strategy:?} ---");
     let mut hw = build_hardware()?;
     let frames: Vec<PageId> = (1..1024).map(PageId::new).collect();
-    let mut hyp = Hypervisor::new(
-        frames,
-        strategy,
-        KernelConfig {
-            zero_strategy: strategy,
-            ..KernelConfig::default()
-        },
-    );
+    let mut hyp = Hypervisor::new(frames, strategy, strategy);
 
     // VM 1 boots, runs a tenant that writes a secret, then shuts down.
     let (vm1, _) = hyp.create_vm(&mut hw, 0, 128, Cycles::ZERO)?;
@@ -56,7 +49,7 @@ fn demo(strategy: ZeroStrategy) -> Result<()> {
         hw.write_line_temporal(0, pa.block(), &[0x53; 64], false, Cycles::ZERO);
         secret_frame.get_or_insert(pa.page());
     }
-    k1.exit_process(&mut hw, 0, tenant, Cycles::ZERO)?;
+    k1.exit_process(tenant)?;
     hyp.destroy_vm(vm1)?;
     println!(
         "  vm1 tenant wrote secrets into {} pages (first frame: {})",

@@ -54,14 +54,16 @@ pub use ss_os as os;
 pub use ss_sim as sim;
 pub use ss_workloads as workloads;
 
-/// The most commonly used types, importable in one line.
+/// The most commonly used types, importable in one line. A
+/// [`Kernel`](ss_os::Kernel) boots from its `clear_page` strategy alone:
+/// `Kernel::new(ZeroStrategy::ShredCommand, frames)`.
 pub mod prelude {
     pub use ss_common::{BlockAddr, Cycles, Error, PageId, PhysAddr, Result, VirtAddr};
     pub use ss_core::{
         ControllerConfig, ControllerConfigBuilder, MemoryController, ProtectionMode, ShredStrategy,
     };
     pub use ss_cpu::Op;
-    pub use ss_os::{Kernel, KernelConfig, ZeroStrategy};
+    pub use ss_os::{Kernel, ZeroStrategy};
     pub use ss_sim::{System, SystemConfig};
     pub use ss_workloads::{GraphApp, GraphWorkload, SpecWorkload, Workload};
 }

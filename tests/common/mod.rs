@@ -20,8 +20,6 @@ pub fn run_hierarchy_coherence(ops: &[(u8, usize, u64, u8)]) {
         l3_size: 16 * 64 * 2,
         l4_size: 32 * 64 * 2,
         ways: 2,
-        latencies: [2, 8, 25, 35],
-        snoop_penalty: 30,
     })
     .unwrap();
     // A simple memory backing store.
@@ -67,7 +65,7 @@ pub fn run_kernel_frame_conservation(ops: &[(u8, usize, u64)]) {
 
     let total_frames = 64u64;
     let mut kernel = Kernel::new(
-        KernelConfig::default(),
+        ZeroStrategy::NonTemporal,
         (0..total_frames)
             .map(silent_shredder::common::PageId::new)
             .collect(),
@@ -110,14 +108,7 @@ pub fn run_kernel_frame_conservation(ops: &[(u8, usize, u64)]) {
                 if let Some(pid) = procs[slot] {
                     if let Some((va, pages)) = heaps[slot].pop() {
                         kernel
-                            .sys_free(
-                                &mut machine,
-                                0,
-                                pid,
-                                va,
-                                pages * PAGE_SIZE as u64,
-                                Cycles::ZERO,
-                            )
+                            .sys_free(pid, va, pages * PAGE_SIZE as u64)
                             .expect("free failed");
                     }
                 }
@@ -125,9 +116,7 @@ pub fn run_kernel_frame_conservation(ops: &[(u8, usize, u64)]) {
             _ => {
                 if let Some(pid) = procs[slot].take() {
                     heaps[slot].clear();
-                    kernel
-                        .exit_process(&mut machine, 0, pid, Cycles::ZERO)
-                        .expect("exit");
+                    kernel.exit_process(pid).expect("exit");
                 }
             }
         }

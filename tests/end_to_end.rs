@@ -62,7 +62,7 @@ fn full_inter_process_isolation_through_real_hardware() {
         };
         spy_target = pa.page();
         sys.drain_caches();
-        sys.exit_process_on(0, Cycles::ZERO).unwrap();
+        sys.exit_process_on(0).unwrap();
     }
     // Attacker process reuses the frame.
     let spy = sys.spawn_process(0).unwrap();
@@ -129,7 +129,7 @@ fn crash_recovery_preserves_data_with_battery_backed_counters() {
         .unwrap();
     assert_ne!(before, [0u8; 64]);
     sys.crash().unwrap();
-    sys.hardware().controller.recover().unwrap();
+    sys.hardware_mut().controller.recover_mut().unwrap();
     let after = sys
         .hardware_mut()
         .controller
@@ -174,7 +174,7 @@ fn ss_workload_for_test() -> SpecWorkload {
 fn hypervisor_runs_on_real_hardware_stack() {
     use silent_shredder::cache::{Hierarchy, HierarchyConfig};
     use silent_shredder::common::PageId;
-    use silent_shredder::os::{Hypervisor, KernelConfig};
+    use silent_shredder::os::Hypervisor;
     use silent_shredder::sim::Hardware;
 
     let hierarchy = Hierarchy::new(&HierarchyConfig {
@@ -195,10 +195,7 @@ fn hypervisor_runs_on_real_hardware_stack() {
     let mut hyp = Hypervisor::new(
         frames,
         ZeroStrategy::ShredCommand,
-        KernelConfig {
-            zero_strategy: ZeroStrategy::ShredCommand,
-            ..KernelConfig::default()
-        },
+        ZeroStrategy::ShredCommand,
     );
     // Two VM generations over the same frames: no data writes for any
     // shredding, and no cross-VM leakage.

@@ -38,13 +38,7 @@ fn named_region_survives_power_loss() {
     let mut hw = hardware(CounterPersistence::BatteryBackedWriteBack);
     let region_frame;
     {
-        let mut kernel = Kernel::new(
-            KernelConfig {
-                zero_strategy: ZeroStrategy::ShredCommand,
-                ..KernelConfig::default()
-            },
-            frames(),
-        );
+        let mut kernel = Kernel::new(ZeroStrategy::ShredCommand, frames());
         kernel.enable_pmem().unwrap();
         let pid = kernel.create_process();
         kernel
@@ -62,16 +56,10 @@ fn named_region_survives_power_loss() {
     // POWER LOSS: caches vanish, battery flushes the counter cache.
     let _ = hw.hierarchy.flush_all();
     hw.controller.power_loss().unwrap();
-    hw.controller.recover().unwrap();
+    hw.controller.recover_mut().unwrap();
 
     // REBOOT: a new kernel instance over the same hardware.
-    let mut kernel2 = Kernel::new(
-        KernelConfig {
-            zero_strategy: ZeroStrategy::ShredCommand,
-            ..KernelConfig::default()
-        },
-        frames(),
-    );
+    let mut kernel2 = Kernel::new(ZeroStrategy::ShredCommand, frames());
     assert_eq!(kernel2.recover_pmem(&mut hw, 0, Cycles::ZERO).unwrap(), 1);
     let pid = kernel2.create_process();
     let va = kernel2.sys_pattach(pid, 0xDB).unwrap();
@@ -97,7 +85,7 @@ fn volatile_counters_lose_persistent_data() {
     // Negative control: with a non-battery-backed write-back counter
     // cache, the §7.1 failure mode destroys the persistent region too.
     let mut hw = hardware(CounterPersistence::VolatileWriteBack);
-    let mut kernel = Kernel::new(KernelConfig::default(), frames());
+    let mut kernel = Kernel::new(ZeroStrategy::NonTemporal, frames());
     kernel.enable_pmem().unwrap();
     let pid = kernel.create_process();
     kernel
@@ -107,7 +95,10 @@ fn volatile_counters_lose_persistent_data() {
     hw.write_line_nt(0, frame.block_addr(0), &RECORD, false, Cycles::ZERO);
     let _ = hw.hierarchy.flush_all();
     hw.controller.power_loss().unwrap();
-    assert!(hw.controller.recover().is_err(), "counter loss undetected");
+    assert!(
+        hw.controller.recover_mut().is_err(),
+        "counter loss undetected"
+    );
 }
 
 #[test]
@@ -115,13 +106,7 @@ fn pfree_prevents_data_resurrection() {
     // After sys_pfree, reallocating the same frames must never expose
     // the old region's records.
     let mut hw = hardware(CounterPersistence::BatteryBackedWriteBack);
-    let mut kernel = Kernel::new(
-        KernelConfig {
-            zero_strategy: ZeroStrategy::ShredCommand,
-            ..KernelConfig::default()
-        },
-        frames(),
-    );
+    let mut kernel = Kernel::new(ZeroStrategy::ShredCommand, frames());
     kernel.enable_pmem().unwrap();
     let pid = kernel.create_process();
     kernel

@@ -277,7 +277,7 @@ fn drive_read_your_writes(mc: &mut MemoryController, seed: u64, ops: usize) {
     // A final fence + power cycle must preserve everything.
     mc.fence_drain(Cycles::ZERO).unwrap();
     mc.power_loss().unwrap();
-    mc.recover().unwrap();
+    mc.recover_mut().unwrap();
     for (raw, expected) in shadow {
         let read = mc.read_block(BlockAddr::new(raw), Cycles::ZERO).unwrap();
         assert_eq!(read.data, expected);
@@ -321,25 +321,26 @@ fn deuce_read_your_writes() {
         let mut mc = MemoryController::new(
             ControllerConfigBuilder::small_test()
                 .deuce(true)
-                .deuce_epoch(4)
                 .build()
                 .unwrap(),
         )
         .unwrap();
         let mut rng = DetRng::new(0xD330 + seed);
         let mut shadow: BTreeMap<u64, [u8; LINE_SIZE]> = BTreeMap::new();
-        for _ in 0..60 {
-            let page_id = PageId::new(1 + rng.below(3));
-            let addr = page_id.block_addr(rng.below(3) as usize);
-            match rng.below(3) {
-                0 => {
+        // Four lines, mostly writes and rare shreds: lines take well over
+        // 16 writes between shreds, so DEUCE epochs roll over.
+        for _ in 0..240 {
+            let page_id = PageId::new(1 + rng.below(2));
+            let addr = page_id.block_addr(rng.below(2) as usize);
+            match rng.below(32) {
+                0..=23 => {
                     // Partial update: mutate one byte of the current value.
                     let mut line = shadow.get(&addr.raw()).copied().unwrap_or([0u8; 64]);
                     line[rng.below(64) as usize] = rng.next_u64() as u8;
                     mc.write_block(addr, &line, false, Cycles::ZERO).unwrap();
                     shadow.insert(addr.raw(), line);
                 }
-                1 => {
+                24 => {
                     mc.shred_page(page_id, true).unwrap();
                     for b in page_id.blocks() {
                         shadow.insert(b.raw(), [0u8; 64]);
@@ -514,7 +515,7 @@ fn hypervisor_frame_conservation() {
                 .map(silent_shredder::common::PageId::new)
                 .collect(),
             ZeroStrategy::NonTemporal,
-            KernelConfig::default(),
+            ZeroStrategy::NonTemporal,
         );
         let mut vms: Vec<Option<VmId>> = vec![None; 3];
         let mut granted: Vec<u64> = vec![0; 3];

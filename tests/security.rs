@@ -222,9 +222,11 @@ fn merkle_detects_counter_rollback_across_reboot() {
     assert_ne!(roots_v1, roots_v2, "the on-chip root must have advanced");
     adv.replay_line(addr, stale_cipher).unwrap();
     adv.replay_counter(page, stale_counter).unwrap();
-    adv.power_on().unwrap();
-    let err = adv.victim_read(addr).unwrap_err();
+    // Reboot recovery re-verifies every counter line against the on-chip
+    // root, so the rollback is caught at power-on, before any read.
+    let err = adv.power_on().unwrap_err();
     assert!(matches!(err, Error::IntegrityViolation { .. }), "{err}");
+    assert!(err.to_string().contains("page 3"), "{err}");
 }
 
 #[test]
