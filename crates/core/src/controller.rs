@@ -252,15 +252,14 @@ impl MemoryController {
         self.config.persist_domain == PersistDomain::Adr
     }
 
-    /// Device address of journal line `idx` (0 = header; entry `i` uses
-    /// lines `1 + 2i` and `2 + 2i`).
+    /// Device address of journal ring line `idx`.
     fn journal_line_addr(&self, idx: u64) -> BlockAddr {
         BlockAddr::new(self.journal_base + idx * LINE_SIZE as u64)
     }
 
     /// Opens a persist sequence (nested calls join the outermost one).
-    /// The NVM header is written lazily, on the first journal entry —
-    /// an operation that persists nothing leaves no journal trace.
+    /// Nothing reaches NVM until its first journal record, which opens
+    /// it there — an operation that journals nothing leaves no trace.
     fn seq_begin(&mut self, tag: SeqTag) {
         if !self.adr() {
             return;
@@ -272,9 +271,9 @@ impl MemoryController {
     }
 
     /// Closes a persist sequence. When the outermost level completes
-    /// without a fired cut and the header was written, the journal is
-    /// marked closed (committing the sequence); after a cut the header
-    /// is deliberately left open on NVM for recovery to find.
+    /// without a fired cut and the sequence journaled anything, its
+    /// commit record is appended; after a cut the sequence is
+    /// deliberately left without one for recovery to find.
     fn seq_end(&mut self) -> Result<()> {
         if !self.adr() {
             return Ok(());
@@ -283,17 +282,12 @@ impl MemoryController {
         if self.persist.depth > 0 {
             return Ok(());
         }
+        let tag = self.persist.tag.map_or(0, SeqTag::raw);
         self.persist.end_operation();
-        if self.persist.cut_fired {
+        if self.persist.cut_fired || !self.persist.is_open() {
             return Ok(());
         }
-        if self.persist.header_written {
-            let seq = self.persist.next_seq;
-            self.write_journal_header(false, 0, seq)?;
-            self.persist.next_seq = seq + 1;
-            self.persist.end_sequence();
-        }
-        Ok(())
+        self.commit_sequence(self.persist.next_seq, tag)
     }
 
     /// Runs `f` inside a persist sequence (the `with_seq` discipline:
@@ -308,9 +302,8 @@ impl MemoryController {
         Ok(v)
     }
 
-    /// Appends one journal record (header + entry + payload lines) to
-    /// the open sequence. Journal writes model a battery-latched path:
-    /// they bypass `persist_line` (no steps, no cuts, no tearing).
+    /// Appends one entry record to the open sequence; the first one
+    /// opens it on NVM.
     fn journal_write_entry(&mut self, entry: &JournalEntry) -> Result<()> {
         if self.persist.entry_count >= persist::JOURNAL_MAX_ENTRIES {
             return Err(Error::InvalidConfig {
@@ -320,22 +313,60 @@ impl MemoryController {
                 ),
             });
         }
-        let seq = self.persist.next_seq;
-        if !self.persist.header_written {
-            let tag = self.persist.tag.map_or(0, SeqTag::raw);
-            self.write_journal_header(true, tag, seq)?;
-            self.persist.header_written = true;
-        }
-        let i = self.persist.entry_count as u64;
-        self.nvm.write_line(
-            self.journal_line_addr(1 + 2 * i),
-            &persist::encode_entry(entry, seq),
-        )?;
-        self.nvm
-            .write_line(self.journal_line_addr(2 + 2 * i), &entry.payload)?;
+        let tag = self.persist.tag.map_or(0, SeqTag::raw);
+        self.write_record(self.persist.next_seq, tag, Some(*entry))?;
         self.persist.entry_count += 1;
         self.persist.journaled.push(entry.target.raw());
         Ok(())
+    }
+
+    /// Appends sequence `seq`'s commit record and forgets the sequence.
+    fn commit_sequence(&mut self, seq: u64, tag: u8) -> Result<()> {
+        self.write_record(seq, tag, None)?;
+        self.persist.next_seq = seq + 1;
+        self.persist.end_sequence();
+        Ok(())
+    }
+
+    /// Writes the open sequence's next record at the ring's head: an
+    /// entry, with its image in the line after, or (`None`) the commit.
+    /// Journal writes model a battery-latched path: they bypass
+    /// `persist_line` (no steps, no cuts, no tearing).
+    fn write_record(&mut self, seq_no: u64, tag: u8, entry: Option<JournalEntry>) -> Result<()> {
+        let rec = persist::Record {
+            seq_no,
+            index: self.persist.entry_count as u32,
+            tag,
+            entry,
+        };
+        let (line, payload) = persist::encode_record(&rec);
+        let at = self.persist.advance_head(rec.lines());
+        self.nvm.write_line(self.journal_line_addr(at), &line)?;
+        if let Some(payload) = payload {
+            let next = (at + 1) % persist::JOURNAL_LINES;
+            self.nvm
+                .write_line(self.journal_line_addr(next), &payload)?;
+        }
+        Ok(())
+    }
+
+    /// Dead-block elision: when `addr`'s block zero-fills under the
+    /// operation's pre-op metadata `ctrs`, the lines the operation
+    /// writes for it need no undo image. Nobody can read their old
+    /// bytes, and the operation installs the block's new metadata, whose
+    /// journaled pre-image makes the block zero-fill again on rollback.
+    /// Its data slot (and its mask line in scattered mode) counts as
+    /// journaled for the rest of the sequence.
+    fn elide_dead_undo(&mut self, addr: BlockAddr, ctrs: &CounterBlock) {
+        if !self.adr() || self.persist.depth == 0 || !self.zero_fills(ctrs, addr.block_in_page()) {
+            return;
+        }
+        let slot = self.heal.redirect(self.device_addr(addr));
+        self.persist.journaled.push(slot.raw());
+        if self.config.protection == ProtectionMode::Scattered {
+            let mask = self.mask_addr(addr);
+            self.persist.journaled.push(mask.raw());
+        }
     }
 
     /// Journals the line about to be persisted to `slot`. Data and
@@ -393,15 +424,6 @@ impl MemoryController {
             payload: [0u8; LINE_SIZE],
         };
         self.journal_write_entry(&entry)
-    }
-
-    /// Writes the journal header line: sequence `seq` open under `tag`,
-    /// or closed (committed, or resolved by recovery).
-    fn write_journal_header(&mut self, open: bool, tag: u8, seq: u64) -> Result<()> {
-        self.nvm.write_line(
-            self.journal_line_addr(0),
-            &persist::encode_header(open, tag, seq),
-        )
     }
 
     /// Writes a journaled image back to its line during recovery,
@@ -688,6 +710,19 @@ impl MemoryController {
             });
         }
         Ok(())
+    }
+
+    /// Fig. 7 step 3b's test: whether `block` reads as zeros under its
+    /// page's metadata `ctrs` without touching the array — a zero minor
+    /// counter with the shredder on, or a dead scattered liveness bit.
+    /// Without the shredder a zero minor is a readable IV. The read
+    /// paths and the journal's dead-block elision share this one test.
+    fn zero_fills(&self, ctrs: &CounterBlock, block: usize) -> bool {
+        match self.config.protection {
+            ProtectionMode::Ctr => self.config.shredder && ctrs.is_shredded(block),
+            ProtectionMode::Scattered => ctrs.is_shredded(block),
+            ProtectionMode::Plain | ProtectionMode::Ecb => false,
+        }
     }
 
     /// Fetches (through the counter cache) the counter block of `page`.
@@ -1296,8 +1331,9 @@ impl MemoryController {
     /// [`MemoryController::recover_mut`] needs to restore consistency.
     ///
     /// Every DRAM-backed structure dies here in both domains: the
-    /// counter cache is rebuilt cold, deferred-heal flags drop, and the
-    /// device's own power cycle clears its volatile banks.
+    /// counter cache is rebuilt cold, deferred-heal flags and the
+    /// journal's head and sequence counter drop, and the device's own
+    /// power cycle clears its volatile banks.
     ///
     /// # Errors
     ///
@@ -1319,7 +1355,7 @@ impl MemoryController {
         }
         match self.config.counter_persistence {
             CounterPersistence::BatteryBackedWriteBack => {
-                if was_cut && self.persist.header_written {
+                if was_cut && self.persist.is_open() {
                     // The battery flushes whatever the cache holds.
                     // Appending to the still-open journal sequence as
                     // *post-images* (redo) keeps counters of completed
@@ -1347,6 +1383,9 @@ impl MemoryController {
         // against post-recovery state.
         self.pending_heal.clear();
         self.persist.end_operation();
+        // The ring's head and the sequence counter are controller
+        // registers too: recovery rebuilds them from the ring.
+        self.persist.drop_journal_registers();
         self.drop_counter_cache();
         self.nvm.power_cycle();
         Ok(())
@@ -1363,13 +1402,15 @@ impl MemoryController {
     /// 1. **Counter availability**: a prior crash that dropped dirty
     ///    counters (volatile write-back) leaves data undecryptable, and
     ///    recovery stops with [`Error::CounterLoss`].
-    /// 2. **Journal resolution** (ADR only): an open sequence means
-    ///    power died mid-operation. Redo entries (counter writebacks of
-    ///    already-durable data) are re-applied in order; undo entries
-    ///    (the interrupted operation's data, spare, and counter
-    ///    pre-images) are restored in reverse, rolling Merkle leaves and
-    ///    the spare-pool map back with them. The journal is then marked
-    ///    closed — replaying recovery is idempotent.
+    /// 2. **Journal resolution** (ADR only): the ring's newest sequence
+    ///    without a commit record means power died mid-operation. Redo
+    ///    entries (counter writebacks of already-durable data) are
+    ///    re-applied in order; undo entries (the interrupted operation's
+    ///    data, spare, and counter pre-images) are restored in reverse,
+    ///    rolling Merkle leaves and the spare-pool map back with them.
+    ///    Recovery then appends the commit record itself — replaying
+    ///    recovery is idempotent — and numbers later sequences above
+    ///    every stamp in the ring.
     /// 3. **Integrity re-verification**: the persisted counter region is
     ///    read once and checked against the in-memory Merkle tree in one
     ///    bottom-up pass ([`MerkleTree::verify_leaves`]). A mismatch that
@@ -1382,42 +1423,41 @@ impl MemoryController {
     ///    read is served.
     ///
     /// Calling it twice is equivalent to calling it once (the second
-    /// call finds a closed journal and repairs nothing).
+    /// call finds the newest sequence committed and repairs nothing).
     ///
     /// # Errors
     ///
     /// [`Error::CounterLoss`] when a prior crash dropped dirty counters;
-    /// [`Error::IntegrityViolation`] when a counter line fails
-    /// re-verification after journal resolution; NVM write errors from
-    /// the rollback writes.
+    /// [`Error::IntegrityViolation`] when a record of the newest journal
+    /// sequence fails its checksum or is missing, or a counter line
+    /// fails re-verification after journal resolution; NVM write errors
+    /// from the rollback writes.
     pub fn recover_mut(&mut self) -> Result<RecoveryReport> {
         if self.counters_lost {
             return Err(Error::CounterLoss);
         }
         let mut report = RecoveryReport::default();
         if self.adr() {
-            let header = self.nvm.peek(self.journal_line_addr(0));
-            if let Some((open, tag, seq_no)) = persist::decode_header(&header) {
-                self.persist.next_seq = seq_no + 1;
-                if open {
+            let ring: Vec<Line> = (0..persist::JOURNAL_LINES)
+                .map(|i| self.nvm.peek(self.journal_line_addr(i)))
+                .collect();
+            if let Some(newest) = persist::scan(&ring)? {
+                self.persist.head = newest.head;
+                self.persist.next_seq = newest.seq_no + 1;
+                if !newest.committed {
                     report.journal_open = true;
-                    report.interrupted_tag = tag;
-                    let mut entries = Vec::new();
-                    for i in 0..persist::JOURNAL_MAX_ENTRIES as u64 {
-                        let eh = self.nvm.peek(self.journal_line_addr(1 + 2 * i));
-                        let payload = self.nvm.peek(self.journal_line_addr(2 + 2 * i));
-                        match persist::decode_entry(&eh, seq_no, payload) {
-                            Some(e) => entries.push(e),
-                            None => break,
-                        }
-                    }
+                    report.interrupted_tag = newest.tag;
                     // Roll forward: metadata writebacks of durable data.
-                    for e in entries.iter().filter(|e| e.kind == EntryKind::CounterRedo) {
+                    for e in newest
+                        .entries
+                        .iter()
+                        .filter(|e| e.kind == EntryKind::CounterRedo)
+                    {
                         self.restore_journaled(e)?;
                         report.redone += 1;
                     }
                     // Roll back the interrupted operation, newest first.
-                    for e in entries.iter().rev() {
+                    for e in newest.entries.iter().rev() {
                         match e.kind {
                             EntryKind::DataUndo | EntryKind::CounterUndo => {
                                 self.restore_journaled(e)?;
@@ -1434,7 +1474,8 @@ impl MemoryController {
                             EntryKind::CounterRedo => {}
                         }
                     }
-                    self.write_journal_header(false, 0, seq_no)?;
+                    self.persist.entry_count = newest.entries.len();
+                    self.commit_sequence(newest.seq_no, newest.tag)?;
                 }
             }
             self.persist.end_sequence();
@@ -1493,4 +1534,95 @@ fn config_start_gap(config: &ControllerConfig) -> Option<StartGap> {
             config.start_gap_interval,
         )
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::ControllerConfigBuilder;
+
+    /// An ADR machine cut at the counter step of a live overwrite. Its
+    /// ring: lines 0-2 hold the first write's counter record, payload
+    /// and commit; lines 3-6 the cut write's data and counter records,
+    /// each with its payload, and no commit.
+    fn cut_overwrite() -> MemoryController {
+        let cfg = ControllerConfigBuilder::small_test()
+            .persist_domain(PersistDomain::Adr)
+            .counter_persistence(CounterPersistence::WriteThrough)
+            .build()
+            .unwrap();
+        let mut m = MemoryController::new(cfg).unwrap();
+        let addr = PageId::new(2).block_addr(0);
+        m.write_block(addr, &[1; LINE_SIZE], false, Cycles::ZERO)
+            .unwrap();
+        let steps = m.inspect().persist_steps();
+        m.faults().arm_crash_cut(steps + 2, 0);
+        assert!(m
+            .write_block(addr, &[2; LINE_SIZE], false, Cycles::ZERO)
+            .is_err());
+        m.power_loss().unwrap();
+        m
+    }
+
+    #[test]
+    fn recovery_refuses_a_damaged_interrupted_sequence() {
+        let line = |m: &MemoryController, i| m.nvm.peek(m.journal_line_addr(i));
+        // A flipped bit in a record or a payload of the interrupted
+        // sequence, or its first record lost: rolling back what is left
+        // would be silent, so recovery stops.
+        for (at, damage) in [(3, 1u8), (4, 2), (5, 4), (6, 8), (3, 0)] {
+            let mut m = cut_overwrite();
+            let mut l = line(&m, at);
+            if damage == 0 {
+                l = [0u8; LINE_SIZE];
+            } else {
+                l[30] ^= damage;
+            }
+            m.nvm.tamper(m.journal_line_addr(at), l);
+            match m.recover_mut() {
+                Err(Error::IntegrityViolation { detail }) => {
+                    assert!(detail.contains("ordering journal"), "{detail}");
+                }
+                other => panic!("line {at}: expected a refusal, got {other:?}"),
+            }
+        }
+        // Damage to the committed sequence before it is history.
+        let mut m = cut_overwrite();
+        let mut l = line(&m, 2);
+        l[30] ^= 1;
+        m.nvm.tamper(m.journal_line_addr(2), l);
+        let report = m.recover_mut().unwrap();
+        assert_eq!(report.undone, 2);
+        let r = m.read_block(PageId::new(2).block_addr(0), Cycles::ZERO);
+        assert_eq!(r.unwrap().data, [1; LINE_SIZE]);
+    }
+
+    #[test]
+    fn battery_flush_joins_the_interrupted_sequence_under_its_tag() {
+        let cfg = ControllerConfigBuilder::small_test()
+            .persist_domain(PersistDomain::Adr)
+            .build()
+            .unwrap();
+        let mut m = MemoryController::new(cfg).unwrap();
+        let (addr, other) = (PageId::new(2).block_addr(0), PageId::new(3).block_addr(0));
+        m.write_block(addr, &[1; LINE_SIZE], false, Cycles::ZERO)
+            .unwrap();
+        m.write_block(other, &[3; LINE_SIZE], false, Cycles::ZERO)
+            .unwrap();
+        // The overwrite's one step is its data line, cut before its
+        // counter install: one undo record. The battery then flushes
+        // both dirty counter lines as redo records.
+        let steps = m.inspect().persist_steps();
+        m.faults().arm_crash_cut(steps + 1, 32);
+        assert!(m
+            .write_block(addr, &[2; LINE_SIZE], false, Cycles::ZERO)
+            .is_err());
+        m.power_loss().unwrap();
+        let report = m.recover_mut().unwrap();
+        assert_eq!(report.interrupted_tag, SeqTag::DemandWrite.raw());
+        assert_eq!((report.redone, report.undone), (2, 1));
+        let read = |m: &mut MemoryController, a| m.read_block(a, Cycles::ZERO).unwrap().data;
+        assert_eq!(read(&mut m, addr), [1; LINE_SIZE]);
+        assert_eq!(read(&mut m, other), [3; LINE_SIZE]);
+    }
 }

@@ -187,7 +187,7 @@ impl MemoryController {
     /// overlaps the array read and only the XOR is serialised (§2.2).
     pub(super) fn ctr_read(&mut self, addr: BlockAddr, now: Cycles) -> Result<ReadResult> {
         let (ctrs, ctr_lat) = self.fetch_counters(addr.page(), now)?;
-        if self.config.shredder && ctrs.is_shredded(addr.block_in_page()) {
+        if self.zero_fills(&ctrs, addr.block_in_page()) {
             return Ok(self.zero_fill_read(addr, ctr_lat, now));
         }
         let read_lat = self.sched(now + ctr_lat, NVM_TIMING.read_cycles());
@@ -204,9 +204,10 @@ impl MemoryController {
     }
 
     /// Counter-mode demand write: a fresh IV, the ciphertext, then the
-    /// counters.
+    /// counters. A dead block's old ciphertext gets no undo image.
     pub(super) fn ctr_write(&mut self, addr: BlockAddr, data: &Line, now: Cycles) -> Result<()> {
         let (old_ctrs, _) = self.fetch_counters(addr.page(), now)?;
+        self.elide_dead_undo(addr, &old_ctrs);
         let ctrs = self.bump_minor(addr, &old_ctrs, now)?;
         self.profile.charge(Stage::AesCtr, XOR_LATENCY);
         let cipher = if self.config.deuce {
@@ -219,9 +220,11 @@ impl MemoryController {
     }
 
     /// Counter-mode in-device zeroing of one line: encrypted zeros under
-    /// a fresh IV, off the bus.
+    /// a fresh IV, off the bus. A dead block's old ciphertext gets no
+    /// undo image.
     pub(super) fn ctr_zero_line(&mut self, addr: BlockAddr, now: Cycles) -> Result<()> {
         let (old_ctrs, _) = self.fetch_counters(addr.page(), now)?;
+        self.elide_dead_undo(addr, &old_ctrs);
         let ctrs = self.bump_minor(addr, &old_ctrs, now)?;
         let cipher = self.encrypt_fresh(addr, &ctrs, &[0u8; LINE_SIZE]);
         self.nvm_write_data(addr, &cipher)?;
@@ -246,7 +249,7 @@ impl MemoryController {
     ) -> Result<()> {
         let page = addr.page();
         let (ctrs, _) = self.fetch_counters(page, now)?;
-        if self.config.shredder && ctrs.is_shredded(addr.block_in_page()) {
+        if self.zero_fills(&ctrs, addr.block_in_page()) {
             return self.move_to_spare(dev, None, now, |_| Ok(()));
         }
         let Some(cipher) = self.rescue_read(slot)? else {

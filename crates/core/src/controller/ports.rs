@@ -20,9 +20,9 @@ use ss_crypto::{share, Line, MerkleTree};
 use ss_trace::{export_latency, MetricsRegistry, StageProfile, TraceRecord};
 
 use super::{ControllerStats, MemoryController};
-use crate::config::ProtectionMode;
+use crate::config::{PersistDomain, ProtectionMode};
 use crate::counters::CounterBlock;
-use crate::persist::CrashCut;
+use crate::persist::{self, CrashCut};
 use crate::shard::ShardedController;
 use crate::wqueue::WriteQueueStats;
 
@@ -209,6 +209,19 @@ impl<'a> Inspect<'a> {
     pub fn persist_steps(&self) -> u64 {
         self.mc.persist.steps
     }
+
+    /// Writes each line of the ordering-journal ring has taken, in ring
+    /// order (empty under eADR, which keeps no journal).
+    pub fn journal_wear(&self) -> Vec<u64> {
+        let mc = self.mc;
+        if mc.config.persist_domain != PersistDomain::Adr {
+            return Vec::new();
+        }
+        let wear = mc.nvm.wear();
+        (0..persist::JOURNAL_LINES)
+            .map(|i| wear.wear(mc.journal_line_addr(i)))
+            .collect()
+    }
 }
 
 /// Fault-injection and forensic port. Obtained via
@@ -338,13 +351,14 @@ impl FaultPort<'_> {
             ProtectionMode::Plain | ProtectionMode::Ecb => mc.direct_open(&mc.nvm_peek_data(addr)),
             ProtectionMode::Ctr => {
                 let ctrs = peek_counters(mc, addr.page());
-                if mc.config.shredder && ctrs.is_shredded(block) {
+                if mc.zero_fills(&ctrs, block) {
                     return Ok([0u8; LINE_SIZE]);
                 }
                 mc.decrypt_ctr(addr, &ctrs, &mc.nvm_peek_data(addr))
             }
             ProtectionMode::Scattered => {
-                if peek_counters(mc, addr.page()).is_shredded(block) {
+                let liveness = peek_counters(mc, addr.page());
+                if mc.zero_fills(&liveness, block) {
                     return Ok([0u8; LINE_SIZE]);
                 }
                 let share_b = mc.nvm.peek(mc.mask_addr(addr));

@@ -80,7 +80,7 @@ impl MemoryController {
         now: Cycles,
     ) -> Result<ReadResult> {
         let (ctrs, ctr_lat) = self.fetch_counters(addr.page(), now)?;
-        if ctrs.is_shredded(addr.block_in_page()) {
+        if self.zero_fills(&ctrs, addr.block_in_page()) {
             // Dead block (never written, or its pad was discarded):
             // zero-fill without touching either share region.
             return Ok(self.zero_fill_read(addr, ctr_lat, now));
@@ -113,8 +113,9 @@ impl MemoryController {
     }
 
     /// Scattered write: split `data` into a fresh share pair and persist
-    /// both halves; first write to a dead block marks it live. `bus` is
-    /// false on the in-device zeroing path (no channel scheduling).
+    /// both halves; first write to a dead block marks it live, and its
+    /// old shares get no undo image. `bus` is false on the in-device
+    /// zeroing path (no channel scheduling).
     pub(super) fn scattered_write_line(
         &mut self,
         addr: BlockAddr,
@@ -125,6 +126,8 @@ impl MemoryController {
         let page = addr.page();
         let block = addr.block_in_page();
         let (mut ctrs, _lat) = self.fetch_counters(page, now)?;
+        let dead = self.zero_fills(&ctrs, block);
+        self.elide_dead_undo(addr, &ctrs);
         // Every write draws a fresh pad: pads are never reused across
         // values, so old mask captures are useless against new data.
         let share_a = share::gen_share(&mut self.shares.rng);
@@ -142,7 +145,7 @@ impl MemoryController {
         self.persist_line(mask, &share_b, None)?;
         self.stats.prot.share_writes.inc();
         self.stats.prot.mask_writes.inc();
-        if ctrs.is_shredded(block) {
+        if dead {
             // First write since shred (or boot): mark the block live so
             // reads recombine instead of zero-filling.
             let _ = ctrs.bump_for_write(block);
@@ -201,7 +204,7 @@ impl MemoryController {
         now: Cycles,
     ) -> Result<()> {
         let (ctrs, _) = self.fetch_counters(addr.page(), now)?;
-        if ctrs.is_shredded(addr.block_in_page()) {
+        if self.zero_fills(&ctrs, addr.block_in_page()) {
             return self.move_to_spare(dev, None, now, |_| Ok(()));
         }
         let Some(share_a) = self.rescue_read(slot)? else {

@@ -6,8 +6,10 @@
 //! `src/controller/`.
 
 use ss_common::{BlockAddr, Cycles, Error, PageId, PhysAddr, LINE_SIZE};
+use ss_core::persist::JOURNAL_LINES;
 use ss_core::{
-    ControllerConfig, CounterPersistence, MemoryController, WriteQueueConfig, SHRED_REG,
+    ControllerConfig, ControllerConfigBuilder, CounterPersistence, MemoryController, PersistDomain,
+    WriteQueueConfig, SHRED_REG,
 };
 
 type Line = [u8; LINE_SIZE];
@@ -437,4 +439,118 @@ fn scrubber_runs_on_write_idle_cycles() {
         .unwrap();
     }
     assert_eq!(m.inspect().stats().health.scrub_reads.get(), 3);
+}
+
+// ---------------------------------------------------------------------
+// The ADR ordering journal's write cost (DESIGN.md §13.2).
+// ---------------------------------------------------------------------
+
+#[allow(clippy::unwrap_used)]
+fn adr(builder: ControllerConfigBuilder) -> MemoryController {
+    let cfg = builder
+        .persist_domain(PersistDomain::Adr)
+        .counter_persistence(CounterPersistence::WriteThrough)
+        .build()
+        .unwrap();
+    MemoryController::new(cfg).unwrap()
+}
+
+/// NVM line writes `op` costs on `m`.
+#[allow(clippy::unwrap_used)]
+fn line_writes(m: &mut MemoryController, op: impl FnOnce(&mut MemoryController)) -> u64 {
+    let before = m.inspect().nvm_writes();
+    op(m);
+    m.inspect().nvm_writes() - before
+}
+
+#[test]
+fn adr_write_amplification_is_pinned() {
+    // Per op: its data and counter lines, one record and payload line
+    // per undo image, and one commit record. A dead block's old
+    // ciphertext needs no undo image; its counter line's does.
+    let mut m = adr(ControllerConfigBuilder::small_test());
+    let page = PageId::new(4);
+    let addr = page.block_addr(3);
+    let write = |v| {
+        move |m: &mut MemoryController| {
+            m.write_block(addr, &line(v), false, Cycles::ZERO).unwrap();
+        }
+    };
+    assert_eq!(line_writes(&mut m, write(1)), 5, "write into a fresh block");
+    assert_eq!(line_writes(&mut m, write(2)), 7, "write into a live block");
+    let shred = |m: &mut MemoryController| {
+        m.shred_page(page, true).unwrap();
+    };
+    assert_eq!(line_writes(&mut m, shred), 4, "shred");
+    assert_eq!(
+        line_writes(&mut m, write(3)),
+        5,
+        "write into a shredded block"
+    );
+    assert_eq!(m.read_block(addr, Cycles::ZERO).unwrap().data, line(3));
+
+    // Without the shredder a zero minor is a readable IV: nothing is
+    // elided.
+    let mut m = adr(ControllerConfigBuilder::small_test().shredder(false));
+    assert_eq!(
+        line_writes(&mut m, write(1)),
+        7,
+        "write without the shredder"
+    );
+}
+
+#[test]
+fn adr_journal_wear_is_spread_over_the_ring() {
+    let mut m = adr(ControllerConfigBuilder::small_test());
+    for i in 0..1_000u64 {
+        let page = PageId::new(1 + i % 32);
+        if i % 10 == 9 {
+            m.shred_page(page, true).unwrap();
+        } else {
+            let addr = page.block_addr((i / 32 % 64) as usize);
+            m.write_block(addr, &line(i as u8), false, Cycles::ZERO)
+                .unwrap();
+        }
+    }
+    let wear = m.inspect().journal_wear();
+    assert_eq!(wear.len() as u64, JOURNAL_LINES);
+    let writes: u64 = wear.iter().sum();
+    assert!(writes > 3 * JOURNAL_LINES, "the ring wrapped: {writes}");
+    let max = wear.iter().copied().max().unwrap_or(0);
+    assert!(
+        max <= writes.div_ceil(JOURNAL_LINES) + 1,
+        "hottest journal line took {max} of {writes} journal writes"
+    );
+}
+
+#[test]
+fn adr_zeroing_of_a_dead_scattered_page_journals_one_entry() {
+    let mut m = adr(ControllerConfigBuilder::scattered().data_capacity(1 << 20));
+    let page = PageId::new(3);
+    // A fresh page, then a shredded one: every share write is elided,
+    // and the page's liveness line is the one undo image.
+    for shredded in [false, true] {
+        if shredded {
+            m.write_block(page.block_addr(0), &line(7), false, Cycles::ZERO)
+                .unwrap();
+            m.shred_page(page, true).unwrap();
+        }
+        let journal_before: u64 = m.inspect().journal_wear().iter().sum();
+        m.zero_page_in_place(page, Cycles::ZERO).unwrap();
+        let journal: u64 = m.inspect().journal_wear().iter().sum();
+        assert_eq!(journal - journal_before, 3, "shredded {shredded}");
+        for b in 0..64 {
+            let r = m.read_block(page.block_addr(b), Cycles::ZERO).unwrap();
+            assert_eq!(r.data, line(0));
+            assert!(!r.zero_filled, "block {b} holds real zeros");
+        }
+        m.shred_page(page, true).unwrap();
+    }
+    // The remaining bound: zeroing a fully-live page journals both
+    // shares of every block and overflows the 96-entry sequence loudly.
+    m.zero_page_in_place(page, Cycles::ZERO).unwrap();
+    match m.zero_page_in_place(page, Cycles::ZERO) {
+        Err(Error::InvalidConfig { detail }) => assert!(detail.contains("overflow"), "{detail}"),
+        other => panic!("expected a journal overflow, got {other:?}"),
+    }
 }

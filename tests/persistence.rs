@@ -220,8 +220,8 @@ fn sharded_crash_matrix_persistence_by_queue_depth() {
 // matrix, the reboot recovery protocol, and its idempotence.
 // ---------------------------------------------------------------------
 
-use silent_shredder::common::LINE_SIZE;
-use silent_shredder::core::{PersistDomain, WriteQueueConfig};
+use silent_shredder::common::{BlockAddr, LINE_SIZE};
+use silent_shredder::core::{PersistDomain, SeqTag, WriteQueueConfig};
 
 #[test]
 fn crash_matrix_smoke_covers_all_outcome_classes() {
@@ -326,6 +326,204 @@ fn recover_crash_recover_converges() {
     mc.power_loss().unwrap();
     mc.recover_mut().expect("clean-cycle recovery");
     assert_eq!(mc.read_block(addr, Cycles::ZERO).unwrap().data, new);
+}
+
+/// Journal lines written so far: every ring line's wear, summed.
+fn journal_writes(mc: &MemoryController) -> u64 {
+    mc.inspect().journal_wear().iter().sum()
+}
+
+#[test]
+fn ring_wrap_cut_recovers_and_later_sequences_outrank_stale_records() {
+    let addr = PageId::new(3).block_addr(1);
+    let other = PageId::new(4).block_addr(2);
+    let (old, filler, new) = ([0x11u8; 64], [0x55u8; 64], [0x22u8; 64]);
+    // Live overwrites of `other` (five journal lines each) until the
+    // ring's head sits on its last line: the victim's first record goes
+    // there and its payload wraps to line 0.
+    let setup = || {
+        let mut mc = adr_controller();
+        mc.write_block(addr, &old, false, Cycles::ZERO).unwrap();
+        mc.write_block(other, &filler, false, Cycles::ZERO).unwrap();
+        let ring = mc.inspect().journal_wear().len() as u64;
+        while journal_writes(&mc) < ring || journal_writes(&mc) % ring != ring - 1 {
+            mc.write_block(other, &filler, false, Cycles::ZERO).unwrap();
+        }
+        mc
+    };
+    let mut twin = setup();
+    let before = twin.inspect().persist_steps();
+    twin.write_block(addr, &new, false, Cycles::ZERO).unwrap();
+    let after = twin.inspect().persist_steps();
+    assert_eq!(after - before, 2, "data and counter steps");
+    for step in before + 1..=after {
+        for torn in [0, 32] {
+            let ctx = format!("cut at step {step}, torn {torn}");
+            let mut mc = setup();
+            mc.faults().arm_crash_cut(step, torn);
+            assert!(mc.write_block(addr, &new, false, Cycles::ZERO).is_err());
+            mc.power_loss().unwrap();
+            let first = mc.recover_mut().expect("recovery");
+            assert!(first.journal_open && first.repaired(), "{ctx}");
+            assert_eq!(first.interrupted_tag, SeqTag::DemandWrite.raw(), "{ctx}");
+            assert_eq!(
+                mc.read_block(addr, Cycles::ZERO).unwrap().data,
+                old,
+                "{ctx}"
+            );
+            let again = mc.recover_mut().expect("second recovery");
+            assert!(!again.journal_open && !again.repaired(), "{ctx}");
+
+            // A clean power cycle drops the journal's head and sequence
+            // counter; recovery rebuilds them from the ring. Then a
+            // second crash: the new sequence must outrank every stale
+            // record, so recovery rolls it back rather than settling on
+            // an older sequence.
+            mc.power_loss().unwrap();
+            let clean = mc.recover_mut().expect("clean recovery");
+            assert!(!clean.journal_open && !clean.repaired(), "{ctx}");
+            let steps = mc.inspect().persist_steps();
+            mc.faults().arm_crash_cut(steps + 2, torn);
+            assert!(mc
+                .write_block(other, &[0x66; 64], false, Cycles::ZERO)
+                .is_err());
+            mc.power_loss().unwrap();
+            let second = mc.recover_mut().expect("recovery after the second crash");
+            assert!(second.journal_open && second.repaired(), "{ctx}");
+            assert_eq!(
+                mc.read_block(other, Cycles::ZERO).unwrap().data,
+                filler,
+                "{ctx}"
+            );
+            assert_eq!(
+                mc.read_block(addr, Cycles::ZERO).unwrap().data,
+                old,
+                "{ctx}"
+            );
+        }
+    }
+}
+
+/// The operation the dead-block crash test cuts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum DeadVictim {
+    /// A demand write into a never-written block.
+    Fresh,
+    /// A demand write into a block of a shredded page.
+    Shredded,
+    /// `zero_page_in_place` of a shredded page.
+    ZeroShreddedPage,
+}
+
+const DEAD_PAGE: PageId = PageId::new(6);
+
+/// An ADR machine whose victim block (or page) is dead, except under
+/// the shredder-off control, where nothing is.
+fn dead_machine(builder: &ControllerConfigBuilder, victim: DeadVictim) -> MemoryController {
+    let cfg = builder.clone().persist_domain(PersistDomain::Adr).build();
+    let mut mc = MemoryController::new(cfg.expect("adr config")).expect("controller");
+    if victim != DeadVictim::Fresh {
+        for b in 0..8u8 {
+            let addr = DEAD_PAGE.block_addr(usize::from(b));
+            mc.write_block(addr, &[0x40 | b; 64], false, Cycles::ZERO)
+                .expect("setup write");
+        }
+        mc.shred_page(DEAD_PAGE, true).expect("setup shred");
+    }
+    mc
+}
+
+/// Runs the victim; returns the blocks it writes and their new value.
+fn dead_victim(mc: &mut MemoryController, victim: DeadVictim) -> (Vec<BlockAddr>, [u8; 64]) {
+    let blocks: Vec<BlockAddr> = match victim {
+        DeadVictim::ZeroShreddedPage => DEAD_PAGE.blocks().collect(),
+        DeadVictim::Fresh | DeadVictim::Shredded => vec![DEAD_PAGE.block_addr(5)],
+    };
+    let (result, new) = match victim {
+        DeadVictim::ZeroShreddedPage => (mc.zero_page_in_place(DEAD_PAGE, Cycles::ZERO), [0u8; 64]),
+        _ => (
+            mc.write_block(blocks[0], &RECORD, false, Cycles::ZERO),
+            RECORD,
+        ),
+    };
+    if !mc.faults().crash_cut_fired() {
+        result.expect("victim");
+    }
+    (blocks, new)
+}
+
+#[test]
+fn cut_writes_into_dead_blocks_recover_to_zero_fill() {
+    use CounterPersistence::{BatteryBackedWriteBack as Battery, WriteThrough};
+    use DeadVictim::{Fresh, Shredded, ZeroShreddedPage};
+    let ctr = || ControllerConfigBuilder::small_test();
+    let scattered = || {
+        ControllerConfigBuilder::scattered()
+            .data_capacity(1 << 20)
+            .counter_cache_bytes(16 << 10)
+    };
+    let control = ctr().shredder(false).counter_persistence(WriteThrough);
+    let mut cases = vec![(control, Fresh)];
+    for counters in [WriteThrough, Battery] {
+        for victim in [Fresh, Shredded, ZeroShreddedPage] {
+            cases.push((ctr().counter_persistence(counters), victim));
+        }
+        for victim in [Fresh, Shredded] {
+            cases.push((scattered().counter_persistence(counters), victim));
+        }
+    }
+    for (builder, victim) in &cases {
+        let cfg = builder.clone().build().expect("config");
+        let label = format!(
+            "{:?}, shredder {}, {:?}, {victim:?}",
+            cfg.protection, cfg.shredder, cfg.counter_persistence
+        );
+        // The shredder-off control's "dead" block is readable: minor 0
+        // is a real IV, so its data pre-image must be journaled.
+        let zero_fills = cfg.shredder;
+
+        // The twin completes the victim: the new value reads back, and
+        // survives a clean power cycle.
+        let mut twin = dead_machine(builder, *victim);
+        let before = twin.inspect().persist_steps();
+        let (blocks, new) = dead_victim(&mut twin, *victim);
+        let after = twin.inspect().persist_steps();
+        assert!(after > before, "{label}: the victim persists nothing");
+        twin.power_loss().unwrap();
+        twin.recover_mut().expect("clean recovery");
+        for &addr in &blocks {
+            let r = twin.read_block(addr, Cycles::ZERO).unwrap();
+            assert_eq!((r.data, r.zero_filled), (new, false), "{label}: {addr:?}");
+        }
+
+        for step in before + 1..=after {
+            for torn in [0, 32] {
+                let ctx = format!("{label}: cut at step {step}, torn {torn}");
+                let mut mc = dead_machine(builder, *victim);
+                let old: Vec<[u8; 64]> = blocks
+                    .iter()
+                    .map(|&a| mc.faults().peek_plaintext(a).unwrap())
+                    .collect();
+                mc.faults().arm_crash_cut(step, torn);
+                dead_victim(&mut mc, *victim);
+                assert!(mc.faults().crash_cut_fired(), "{ctx}");
+                mc.power_loss().unwrap();
+                mc.recover_mut()
+                    .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
+                for (&addr, old) in blocks.iter().zip(&old) {
+                    let r = mc.read_block(addr, Cycles::ZERO).unwrap();
+                    let want = if zero_fills {
+                        ([0u8; 64], true)
+                    } else {
+                        (*old, false)
+                    };
+                    assert_eq!((r.data, r.zero_filled), want, "{ctx}: {addr:?}");
+                }
+                let again = mc.recover_mut().expect("second recovery");
+                assert!(!again.repaired(), "{ctx}: recovery is idempotent");
+            }
+        }
+    }
 }
 
 #[test]
