@@ -47,8 +47,10 @@ use ss_core::{
 };
 
 use crate::engine::HarnessConfig;
+use crate::plan::PAGES;
+use crate::report::{json_escape, Outcome, Record, Report};
 use crate::shadow::Line;
-use crate::sweep::{json_escape, Artifacts, Campaign, SweepReport, SweepTally};
+use crate::sweep::{Artifacts, Campaign};
 
 /// Domain separator for attack-scenario RNG streams (distinct from the
 /// fault-plan and workload domains in `plan.rs`/`engine.rs`).
@@ -137,6 +139,16 @@ impl AttackOutcome {
     }
 }
 
+impl Outcome for AttackOutcome {
+    const COLUMNS: &'static [(Self, &'static str, &'static str, usize)] = &[
+        (AttackOutcome::Defended, "defended", "defended", 3),
+        (AttackOutcome::Detected, "detected", "detected", 3),
+        (AttackOutcome::Leaked, "leaked", "leaked", 0),
+        (AttackOutcome::Skipped, "skipped", "skipped", 3),
+    ];
+    const FAILED: Self = AttackOutcome::Leaked;
+}
+
 /// One attack and how it resolved, with the scripted steps that led
 /// there (deterministic; no wall-clock anywhere).
 #[derive(Debug, Clone)]
@@ -151,24 +163,36 @@ pub struct AttackRecord {
     pub detail: String,
 }
 
-impl AttackRecord {
-    /// Renders as a JSON object with a fixed key order.
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"attack\":\"{}\",\"outcome\":\"{}\",\"steps\":[",
+impl Record for AttackRecord {
+    type Outcome = AttackOutcome;
+    const NOUN: &'static str = "attacks";
+
+    fn outcome(&self) -> AttackOutcome {
+        self.outcome
+    }
+
+    fn to_json(&self) -> String {
+        let steps: Vec<String> = self
+            .steps
+            .iter()
+            .map(|s| format!("\"{}\"", json_escape(s)))
+            .collect();
+        format!(
+            "{{\"attack\":\"{}\",\"outcome\":\"{}\",\"steps\":[{}],\"detail\":\"{}\"}}",
             self.kind.label(),
-            self.outcome.label()
-        );
-        for (i, s) in self.steps.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            out.push_str(&json_escape(s));
-            out.push('"');
+            self.outcome.label(),
+            steps.join(","),
+            json_escape(&self.detail)
+        )
+    }
+
+    /// The record's line, then one line per scripted step.
+    fn write_text(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "  {self}")?;
+        for s in &self.steps {
+            writeln!(f, "      . {s}")?;
         }
-        out.push_str(&format!("],\"detail\":\"{}\"}}", json_escape(&self.detail)));
-        out
+        Ok(())
     }
 }
 
@@ -184,139 +208,6 @@ impl fmt::Display for AttackRecord {
     }
 }
 
-/// Outcome counts across one or many attack runs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AttackTally {
-    /// Attacks the defenses absorbed silently.
-    pub defended: u64,
-    /// Attacks surfaced as hard errors.
-    pub detected: u64,
-    /// Successful attacks (must be zero).
-    pub leaked: u64,
-    /// Attacks inapplicable to the configuration.
-    pub skipped: u64,
-}
-
-impl AttackTally {
-    /// Adds one outcome.
-    pub fn absorb(&mut self, outcome: AttackOutcome) {
-        match outcome {
-            AttackOutcome::Defended => self.defended += 1,
-            AttackOutcome::Detected => self.detected += 1,
-            AttackOutcome::Leaked => self.leaked += 1,
-            AttackOutcome::Skipped => self.skipped += 1,
-        }
-    }
-}
-
-impl SweepTally for AttackTally {
-    /// Adds every count of `other`.
-    fn merge(&mut self, other: AttackTally) {
-        self.defended += other.defended;
-        self.detected += other.detected;
-        self.leaked += other.leaked;
-        self.skipped += other.skipped;
-    }
-
-    /// Total attacks tallied.
-    fn total(&self) -> u64 {
-        self.defended + self.detected + self.leaked + self.skipped
-    }
-
-    fn failed(&self) -> u64 {
-        self.leaked
-    }
-
-    /// Renders as a JSON object with a fixed key order — byte-stable so
-    /// two sweep files from the same seeds `cmp` equal.
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"defended\":{},\"detected\":{},\"leaked\":{},\"skipped\":{}}}",
-            self.defended, self.detected, self.leaked, self.skipped
-        )
-    }
-}
-
-impl fmt::Display for AttackTally {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "defended={:<3} detected={:<3} skipped={:<3} leaked={}",
-            self.defended, self.detected, self.skipped, self.leaked
-        )
-    }
-}
-
-/// The full, deterministic record of every attack run against one
-/// `(config, seed)`.
-#[derive(Debug, Clone)]
-pub struct AttackReport {
-    /// Config label the attacks ran against.
-    pub label: String,
-    /// Generating seed.
-    pub seed: u64,
-    /// Per-attack records, in [`AttackKind::ALL`] order.
-    pub records: Vec<AttackRecord>,
-}
-
-impl SweepReport for AttackReport {
-    type Tally = AttackTally;
-
-    /// Outcome counts for this report.
-    fn tally(&self) -> AttackTally {
-        let mut t = AttackTally::default();
-        for r in &self.records {
-            t.absorb(r.outcome);
-        }
-        t
-    }
-
-    /// True when no attack leaked.
-    fn clean(&self) -> bool {
-        self.tally().leaked == 0
-    }
-
-    /// Renders the full report as one JSON object on a single line:
-    /// fixed key order, records in attack order, no maps anywhere on
-    /// the path. `attacksweep --json` embeds this verbatim.
-    fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"label\":\"{}\",\"seed\":{},\"clean\":{},\"tally\":{},\"records\":[",
-            json_escape(&self.label),
-            self.seed,
-            self.clean(),
-            self.tally().to_json()
-        );
-        for (i, r) in self.records.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&r.to_json());
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-impl fmt::Display for AttackReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "attacks seed={} config={} [{}]",
-            self.seed,
-            self.label,
-            self.tally()
-        )?;
-        for r in &self.records {
-            writeln!(f, "  {r}")?;
-            for s in &r.steps {
-                writeln!(f, "      . {s}")?;
-            }
-        }
-        Ok(())
-    }
-}
-
 /// One named machine configuration under attack.
 #[derive(Debug, Clone)]
 pub struct AttackConfig {
@@ -326,11 +217,9 @@ pub struct AttackConfig {
     pub controller: ControllerConfig,
     /// Channel count of the [`ShardedController`] under attack, over
     /// the round-robin interleave (1 behaves exactly like the plain
-    /// controller).
+    /// controller). Attacks target pages `1..=PAGES`, which covers every
+    /// shard while `shards <= PAGES`.
     pub shards: u32,
-    /// Working-set size in pages (attacks target pages `1..=pages`,
-    /// which covers every shard once `pages >= shards`).
-    pub pages: u64,
 }
 
 impl AttackConfig {
@@ -340,7 +229,6 @@ impl AttackConfig {
             label: label.into(),
             controller,
             shards: 1,
-            pages: 8,
         }
     }
 
@@ -427,13 +315,12 @@ pub struct AttackSweep;
 
 impl Campaign for AttackSweep {
     type Config = AttackConfig;
-    type Report = AttackReport;
+    type Record = AttackRecord;
     const NAME: &'static str = "attacksweep";
     const DEFAULT_SEEDS: u64 = 32;
     const LABEL_WIDTH: usize = 18;
     const TOTAL_NOUN: &'static str = "attacks run";
     const CLEAN_NOTE: &'static str = "zero leaked outcomes";
-    const FAILED_NOUN: &'static str = "leaked";
 
     fn matrix() -> Vec<AttackConfig> {
         AttackConfig::matrix()
@@ -447,7 +334,11 @@ impl Campaign for AttackSweep {
     fn label(cfg: &AttackConfig) -> &str {
         &cfg.label
     }
-    fn run(cfg: &AttackConfig, seed: u64, _trace_depth: Option<usize>) -> Artifacts<AttackReport> {
+    fn run(
+        cfg: &AttackConfig,
+        seed: u64,
+        _trace_depth: Option<usize>,
+    ) -> Artifacts<Report<AttackRecord>> {
         run_attacks(cfg, seed).into()
     }
 }
@@ -531,11 +422,6 @@ impl Adversary {
     /// Channel count of the machine under attack.
     pub fn shards(&self) -> u32 {
         self.machine.shards()
-    }
-
-    /// The scripted steps so far (consumed by [`run_attack`]).
-    pub fn steps(&self) -> &[String] {
-        &self.steps
     }
 
     fn note(&mut self, step: String) {
@@ -841,9 +727,9 @@ fn rand_secret(rng: &mut DetRng) -> Line {
     line
 }
 
-/// `k` distinct pages from `1..=pages`, in seeded shuffled order.
-fn pick_pages(rng: &mut DetRng, pages: u64, k: usize) -> Vec<PageId> {
-    let mut all: Vec<u64> = (1..=pages).collect();
+/// `k` distinct pages from `1..=PAGES`, in seeded shuffled order.
+fn pick_pages(rng: &mut DetRng, k: usize) -> Vec<PageId> {
+    let mut all: Vec<u64> = (1..=PAGES).collect();
     // Fisher-Yates with the deterministic stream.
     for i in (1..all.len()).rev() {
         let j = rng.below(i as u64 + 1) as usize;
@@ -892,14 +778,15 @@ pub fn run_attack(cfg: &AttackConfig, kind: AttackKind, seed: u64) -> AttackReco
 }
 
 /// Runs every attack in [`AttackKind::ALL`] order against `cfg`.
-pub fn run_attacks(cfg: &AttackConfig, seed: u64) -> AttackReport {
-    AttackReport {
+pub fn run_attacks(cfg: &AttackConfig, seed: u64) -> Report<AttackRecord> {
+    Report {
         label: cfg.label.clone(),
         seed,
         records: AttackKind::ALL
             .iter()
             .map(|&k| run_attack(cfg, k, seed))
             .collect(),
+        plan: None,
     }
 }
 
@@ -913,7 +800,7 @@ fn shred_then_steal(adv: &mut Adversary, rng: &mut DetRng, cfg: &AttackConfig) -
             "no shredder configured; nothing to attack".into(),
         ));
     }
-    let victims = pick_pages(rng, cfg.pages, 4.min(cfg.pages as usize));
+    let victims = pick_pages(rng, 4);
     let mut secrets: BTreeSet<Line> = BTreeSet::new();
     let mut addrs: Vec<BlockAddr> = Vec::new();
     for &page in &victims {
@@ -1003,7 +890,7 @@ fn remap_probe(adv: &mut Adversary, rng: &mut DetRng, cfg: &AttackConfig) -> Ver
             "no spare pool to probe (spare_lines = 0)".into(),
         ));
     }
-    let page = pick_pages(rng, cfg.pages, 1)[0];
+    let page = pick_pages(rng, 1)[0];
     let addr = page.block_addr(rng.below(BLOCKS_PER_PAGE as u64) as usize);
     let secret = rand_secret(rng);
     step_err(adv.victim_write(addr, &secret), "victim write")?;
@@ -1098,7 +985,7 @@ fn rollback_replay(adv: &mut Adversary, rng: &mut DetRng, cfg: &AttackConfig) ->
             "no counters to roll back in this encryption mode".into(),
         ));
     }
-    let page = pick_pages(rng, cfg.pages, 1)[0];
+    let page = pick_pages(rng, 1)[0];
     let addr = page.block_addr(rng.below(BLOCKS_PER_PAGE as u64) as usize);
     let v1 = rand_secret(rng);
     step_err(adv.victim_write(addr, &v1), "victim write v1")?;
@@ -1155,7 +1042,7 @@ fn scrub_race(adv: &mut Adversary, rng: &mut DetRng, cfg: &AttackConfig) -> Verd
             "no spare pool for the scrubber to rescue into (spare_lines = 0)".into(),
         ));
     }
-    let page = pick_pages(rng, cfg.pages, 1)[0];
+    let page = pick_pages(rng, 1)[0];
     let blocks: Vec<usize> = (0..4)
         .map(|_| rng.below(BLOCKS_PER_PAGE as u64) as usize)
         .collect::<BTreeSet<_>>()
@@ -1244,10 +1131,7 @@ mod tests {
         assert_eq!(labels.len(), matrix.len(), "labels must be unique");
         for cfg in &matrix {
             cfg.controller.validate().expect("matrix config invalid");
-            assert!(
-                cfg.pages >= u64::from(cfg.shards),
-                "pages must cover shards"
-            );
+            assert!(PAGES >= u64::from(cfg.shards), "pages must cover shards");
         }
     }
 

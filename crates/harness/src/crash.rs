@@ -41,7 +41,8 @@ use ss_core::{
 };
 
 use crate::engine::HarnessConfig;
-use crate::sweep::{json_escape, Artifacts, Campaign, SweepReport, SweepTally};
+use crate::report::{json_escape, Outcome, Record, Report};
+use crate::sweep::{Artifacts, Campaign};
 
 /// A 64-byte line.
 type Line = [u8; LINE_SIZE];
@@ -128,7 +129,7 @@ impl CrashScenario {
 }
 
 // ---------------------------------------------------------------------
-// Outcomes, records, tallies
+// Outcomes and records
 // ---------------------------------------------------------------------
 
 /// How one crash point resolved after reboot and recovery.
@@ -163,6 +164,17 @@ impl CrashOutcome {
     }
 }
 
+impl Outcome for CrashOutcome {
+    const COLUMNS: &'static [(Self, &'static str, &'static str, usize)] = &[
+        (CrashOutcome::OldState, "old_state", "old", 4),
+        (CrashOutcome::NewState, "new_state", "new", 4),
+        (CrashOutcome::Repaired, "repaired", "repaired", 4),
+        (CrashOutcome::Skipped, "skipped", "skipped", 3),
+        (CrashOutcome::Silent, "silent", "silent", 0),
+    ];
+    const FAILED: Self = CrashOutcome::Silent;
+}
+
 /// One crash point and how it resolved.
 #[derive(Debug, Clone)]
 pub struct CrashRecord {
@@ -181,9 +193,15 @@ pub struct CrashRecord {
     pub detail: String,
 }
 
-impl CrashRecord {
-    /// Renders as a JSON object with a fixed key order.
-    pub fn to_json(&self) -> String {
+impl Record for CrashRecord {
+    type Outcome = CrashOutcome;
+    const NOUN: &'static str = "crashes";
+
+    fn outcome(&self) -> CrashOutcome {
+        self.outcome
+    }
+
+    fn to_json(&self) -> String {
         format!(
             "{{\"scenario\":\"{}\",\"shard\":{},\"step\":{},\"torn\":{},\"outcome\":\"{}\",\
              \"detail\":\"{}\"}}",
@@ -209,140 +227,6 @@ impl fmt::Display for CrashRecord {
             self.outcome.label(),
             self.detail
         )
-    }
-}
-
-/// Outcome counts across one or many crash sweeps.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CrashTally {
-    /// Crash points that rolled back whole.
-    pub old_state: u64,
-    /// Crash points that committed whole.
-    pub new_state: u64,
-    /// Crash points recovery actively resolved.
-    pub repaired: u64,
-    /// Scenario/config pairs with nothing to cut.
-    pub skipped: u64,
-    /// Silent corruption (must be zero).
-    pub silent: u64,
-}
-
-impl CrashTally {
-    /// Adds one outcome.
-    pub fn absorb(&mut self, outcome: CrashOutcome) {
-        match outcome {
-            CrashOutcome::OldState => self.old_state += 1,
-            CrashOutcome::NewState => self.new_state += 1,
-            CrashOutcome::Repaired => self.repaired += 1,
-            CrashOutcome::Skipped => self.skipped += 1,
-            CrashOutcome::Silent => self.silent += 1,
-        }
-    }
-}
-
-impl SweepTally for CrashTally {
-    /// Adds every count of `other`.
-    fn merge(&mut self, other: CrashTally) {
-        self.old_state += other.old_state;
-        self.new_state += other.new_state;
-        self.repaired += other.repaired;
-        self.skipped += other.skipped;
-        self.silent += other.silent;
-    }
-
-    /// Total crash points tallied.
-    fn total(&self) -> u64 {
-        self.old_state + self.new_state + self.repaired + self.skipped + self.silent
-    }
-
-    fn failed(&self) -> u64 {
-        self.silent
-    }
-
-    /// Renders as a JSON object with a fixed key order — byte-stable so
-    /// two sweep files from the same seeds `cmp` equal.
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"old_state\":{},\"new_state\":{},\"repaired\":{},\"skipped\":{},\"silent\":{}}}",
-            self.old_state, self.new_state, self.repaired, self.skipped, self.silent
-        )
-    }
-}
-
-impl fmt::Display for CrashTally {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "old={:<4} new={:<4} repaired={:<4} skipped={:<3} silent={}",
-            self.old_state, self.new_state, self.repaired, self.skipped, self.silent
-        )
-    }
-}
-
-/// The full, deterministic record of every crash point swept against
-/// one `(config, seed)`.
-#[derive(Debug, Clone)]
-pub struct CrashReport {
-    /// Config label the sweep ran against.
-    pub label: String,
-    /// Generating seed.
-    pub seed: u64,
-    /// Per-crash-point records, in [`CrashScenario::ALL`] order.
-    pub records: Vec<CrashRecord>,
-}
-
-impl SweepReport for CrashReport {
-    type Tally = CrashTally;
-
-    /// Outcome counts for this report.
-    fn tally(&self) -> CrashTally {
-        let mut t = CrashTally::default();
-        for r in &self.records {
-            t.absorb(r.outcome);
-        }
-        t
-    }
-
-    /// True when no crash point went silent.
-    fn clean(&self) -> bool {
-        self.tally().silent == 0
-    }
-
-    /// Renders the full report as one JSON object on a single line:
-    /// fixed key order, records in sweep order. `crashsweep --json`
-    /// embeds this verbatim.
-    fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"label\":\"{}\",\"seed\":{},\"clean\":{},\"tally\":{},\"records\":[",
-            json_escape(&self.label),
-            self.seed,
-            self.clean(),
-            self.tally().to_json()
-        );
-        for (i, r) in self.records.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&r.to_json());
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-impl fmt::Display for CrashReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "crashes seed={} config={} [{}]",
-            self.seed,
-            self.label,
-            self.tally()
-        )?;
-        for r in &self.records {
-            writeln!(f, "  {r}")?;
-        }
-        Ok(())
     }
 }
 
@@ -506,13 +390,12 @@ pub struct CrashSweep;
 
 impl Campaign for CrashSweep {
     type Config = CrashConfig;
-    type Report = CrashReport;
+    type Record = CrashRecord;
     const NAME: &'static str = "crashsweep";
     const DEFAULT_SEEDS: u64 = 8;
     const LABEL_WIDTH: usize = 20;
     const TOTAL_NOUN: &'static str = "crash points";
     const CLEAN_NOTE: &'static str = "zero silent outcomes";
-    const FAILED_NOUN: &'static str = "silent";
 
     fn matrix() -> Vec<CrashConfig> {
         CrashConfig::matrix()
@@ -526,7 +409,11 @@ impl Campaign for CrashSweep {
     fn label(cfg: &CrashConfig) -> &str {
         &cfg.label
     }
-    fn run(cfg: &CrashConfig, seed: u64, _trace_depth: Option<usize>) -> Artifacts<CrashReport> {
+    fn run(
+        cfg: &CrashConfig,
+        seed: u64,
+        _trace_depth: Option<usize>,
+    ) -> Artifacts<Report<CrashRecord>> {
         run_crash_config(cfg, seed).into()
     }
 }
@@ -1025,15 +912,16 @@ fn replay_crash_point(
 }
 
 /// Sweeps every scenario's crash points against one `(config, seed)`.
-pub fn run_crash_config(cfg: &CrashConfig, seed: u64) -> CrashReport {
+pub fn run_crash_config(cfg: &CrashConfig, seed: u64) -> Report<CrashRecord> {
     let mut records = Vec::new();
     for scen in CrashScenario::ALL {
         records.extend(run_crash_scenario(cfg, scen, seed));
     }
-    CrashReport {
+    Report {
         label: cfg.label.clone(),
         seed,
         records,
+        plan: None,
     }
 }
 
@@ -1112,7 +1000,7 @@ mod tests {
         let cfg = CrashConfig::weakened();
         let report = run_crash_config(&cfg, 0);
         assert!(
-            report.tally().silent > 0,
+            report.tally().failed() > 0,
             "no-recovery ADR must serve torn garbage somewhere:\n{report}"
         );
     }

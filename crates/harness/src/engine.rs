@@ -16,13 +16,17 @@ use ss_core::{
     ProtectionMode, WriteQueueConfig, SHRED_REG,
 };
 
-use crate::plan::{FaultKind, FaultPlan, ScheduledFault};
+use crate::plan::{FaultKind, FaultPlan, ScheduledFault, PAGES};
+use crate::report::{json_escape, Outcome, PlanReport, Record, Report};
 use crate::shadow::{Line, ShadowModel};
-use crate::sweep::{json_escape, Artifacts, Campaign, SweepReport, SweepTally};
+use crate::sweep::{Artifacts, Campaign};
 
 /// Domain separator for the workload stream (the plan uses its own; see
 /// [`FaultPlan::generate`]), so plan and workload draws never interleave.
 const WORKLOAD_DOMAIN: u64 = 0x10AD_57A7_E5EE_D001;
+
+/// Workload-op budget of a plan before undelivered faults are skipped.
+pub const MAX_OPS: u64 = 4_000;
 
 /// One named controller configuration under test.
 #[derive(Debug, Clone)]
@@ -31,20 +35,14 @@ pub struct HarnessConfig {
     pub label: String,
     /// The controller configuration to exercise.
     pub controller: ControllerConfig,
-    /// Working-set size in pages (targets pages `1..=pages`).
-    pub pages: u64,
-    /// Workload-op budget before undelivered faults are skipped.
-    pub max_ops: u64,
 }
 
 impl HarnessConfig {
-    /// Wraps a controller config with default working-set sizing.
+    /// Wraps a controller config.
     pub fn new(label: impl Into<String>, controller: ControllerConfig) -> Self {
         HarnessConfig {
             label: label.into(),
             controller,
-            pages: 8,
-            max_ops: 4000,
         }
     }
 
@@ -256,6 +254,17 @@ impl FaultOutcome {
     }
 }
 
+impl Outcome for FaultOutcome {
+    const COLUMNS: &'static [(Self, &'static str, &'static str, usize)] = &[
+        (FaultOutcome::Recovered, "recovered", "recovered", 3),
+        (FaultOutcome::Detected, "detected", "detected", 3),
+        (FaultOutcome::Benign, "benign", "benign", 3),
+        (FaultOutcome::Skipped, "skipped", "skipped", 3),
+        (FaultOutcome::Corrupted, "corrupted", "corrupted", 0),
+    ];
+    const FAILED: Self = FaultOutcome::Corrupted;
+}
+
 /// One fired fault and how it resolved.
 #[derive(Debug, Clone)]
 pub struct FaultRecord {
@@ -286,141 +295,15 @@ impl fmt::Display for FaultRecord {
     }
 }
 
-/// Outcome counts across one or many plans.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Tally {
-    /// Crash round trips that restored all state.
-    pub recovered: u64,
-    /// Faults surfaced as hard errors.
-    pub detected: u64,
-    /// Faults with no (or verified-bounded, scrubbed) effect.
-    pub benign: u64,
-    /// Faults not delivered.
-    pub skipped: u64,
-    /// Undetected corruptions (must be zero).
-    pub corrupted: u64,
-}
+impl Record for FaultRecord {
+    type Outcome = FaultOutcome;
+    const NOUN: &'static str = "plan";
 
-impl Tally {
-    /// Adds one outcome.
-    pub fn absorb(&mut self, outcome: FaultOutcome) {
-        match outcome {
-            FaultOutcome::Recovered => self.recovered += 1,
-            FaultOutcome::Detected => self.detected += 1,
-            FaultOutcome::Benign => self.benign += 1,
-            FaultOutcome::Skipped => self.skipped += 1,
-            FaultOutcome::Corrupted => self.corrupted += 1,
-        }
-    }
-}
-
-impl SweepTally for Tally {
-    /// Adds every count of `other`.
-    fn merge(&mut self, other: Tally) {
-        self.recovered += other.recovered;
-        self.detected += other.detected;
-        self.benign += other.benign;
-        self.skipped += other.skipped;
-        self.corrupted += other.corrupted;
+    fn outcome(&self) -> FaultOutcome {
+        self.outcome
     }
 
-    /// Total faults tallied.
-    fn total(&self) -> u64 {
-        self.recovered + self.detected + self.benign + self.skipped + self.corrupted
-    }
-
-    fn failed(&self) -> u64 {
-        self.corrupted
-    }
-
-    /// Renders as a JSON object with a fixed key order — byte-stable so
-    /// two sweep files from the same seeds `cmp` equal.
     fn to_json(&self) -> String {
-        format!(
-            "{{\"recovered\":{},\"detected\":{},\"benign\":{},\"skipped\":{},\"corrupted\":{}}}",
-            self.recovered, self.detected, self.benign, self.skipped, self.corrupted
-        )
-    }
-}
-
-impl fmt::Display for Tally {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "recovered={:<3} detected={:<3} benign={:<3} skipped={:<3} corrupted={}",
-            self.recovered, self.detected, self.benign, self.skipped, self.corrupted
-        )
-    }
-}
-
-/// The full, deterministic record of one plan run.
-#[derive(Debug, Clone)]
-pub struct PlanReport {
-    /// Config label the plan ran against.
-    pub label: String,
-    /// Generating seed.
-    pub seed: u64,
-    /// Workload ops executed.
-    pub ops: u64,
-    /// Per-fault records, in firing order.
-    pub records: Vec<FaultRecord>,
-    /// Failure found by the final full verification (if any).
-    pub final_failure: Option<String>,
-}
-
-impl SweepReport for PlanReport {
-    type Tally = Tally;
-
-    /// Outcome counts for this plan.
-    fn tally(&self) -> Tally {
-        let mut t = Tally::default();
-        for r in &self.records {
-            t.absorb(r.outcome);
-        }
-        t
-    }
-
-    /// True when no fault corrupted state and the final sweep passed.
-    fn clean(&self) -> bool {
-        self.final_failure.is_none() && self.tally().corrupted == 0
-    }
-
-    /// Renders the full report as one JSON object on a single line:
-    /// fixed key order, records in firing order, no maps anywhere on
-    /// the path. `faultsweep --json` embeds this verbatim, and the
-    /// determinism test byte-compares it across runs.
-    fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"label\":\"{}\",\"seed\":{},\"ops\":{},\"clean\":{},\"tally\":{},\"records\":[",
-            json_escape(&self.label),
-            self.seed,
-            self.ops,
-            self.clean(),
-            self.tally().to_json()
-        );
-        for (i, r) in self.records.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&r.to_json());
-        }
-        out.push_str("],\"final_failure\":");
-        match &self.final_failure {
-            Some(e) => {
-                out.push('"');
-                out.push_str(&json_escape(e));
-                out.push('"');
-            }
-            None => out.push_str("null"),
-        }
-        out.push('}');
-        out
-    }
-}
-
-impl FaultRecord {
-    /// Renders as a JSON object with a fixed key order.
-    pub fn to_json(&self) -> String {
         format!(
             "{{\"kind\":\"{}\",\"page\":{},\"block\":{},\"bit\":{},\"after_writes\":{},\
              \"fired_at\":{},\"outcome\":\"{}\",\"detail\":\"{}\"}}",
@@ -436,26 +319,6 @@ impl FaultRecord {
     }
 }
 
-impl fmt::Display for PlanReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "plan seed={} config={} ops={} [{}]",
-            self.seed,
-            self.label,
-            self.ops,
-            self.tally()
-        )?;
-        for r in &self.records {
-            writeln!(f, "  {r}")?;
-        }
-        match &self.final_failure {
-            Some(e) => writeln!(f, "  final check: FAILED: {e}"),
-            None => writeln!(f, "  final check: ok"),
-        }
-    }
-}
-
 /// The `faultsweep` campaign: the seeded fault plan over
 /// [`HarnessConfig::matrix`], gated on zero undetected corruptions, with
 /// metrics and traces observed. It keeps the plain
@@ -465,13 +328,12 @@ pub struct FaultSweep;
 
 impl Campaign for FaultSweep {
     type Config = HarnessConfig;
-    type Report = PlanReport;
+    type Record = FaultRecord;
     const NAME: &'static str = "faultsweep";
     const DEFAULT_SEEDS: u64 = 32;
     const LABEL_WIDTH: usize = 18;
     const TOTAL_NOUN: &'static str = "faults injected";
     const CLEAN_NOTE: &'static str = "zero undetected corruptions";
-    const FAILED_NOUN: &'static str = "corrupted";
     const METRICS: bool = true;
 
     fn matrix() -> Vec<HarnessConfig> {
@@ -492,7 +354,7 @@ impl Campaign for FaultSweep {
 /// unified metrics snapshot, and (when tracing was enabled) the
 /// retained event records. The report is identical to what
 /// [`run_plan`] returns for the same `(cfg, seed)`.
-pub type PlanArtifacts = Artifacts<PlanReport>;
+pub type PlanArtifacts = Artifacts<Report<FaultRecord>>;
 
 /// Runs the seeded fault plan against `cfg` and classifies every fault.
 ///
@@ -505,7 +367,7 @@ pub type PlanArtifacts = Artifacts<PlanReport>;
 /// Panics only on harness-internal misuse (controller construction
 /// failing for a matrix config). Controller misbehavior is reported as
 /// `Corrupted`, never panicked on.
-pub fn run_plan(cfg: &HarnessConfig, seed: u64) -> PlanReport {
+pub fn run_plan(cfg: &HarnessConfig, seed: u64) -> Report<FaultRecord> {
     run_plan_full(cfg, seed, None).report
 }
 
@@ -522,7 +384,7 @@ pub fn run_plan_full(cfg: &HarnessConfig, seed: u64, trace_depth: Option<usize>)
     if trace_depth.is_some() {
         controller_cfg.trace_depth = trace_depth;
     }
-    let plan = FaultPlan::generate(seed, &controller_cfg, cfg.pages);
+    let plan = FaultPlan::generate(seed, &controller_cfg);
     let mut mc = MemoryController::new(controller_cfg).expect("matrix config must build");
     let mut shadow = ShadowModel::new();
     let mut rng = DetRng::new(seed ^ WORKLOAD_DOMAIN);
@@ -563,7 +425,7 @@ pub fn run_plan_full(cfg: &HarnessConfig, seed: u64, trace_depth: Option<usize>)
         if aborted {
             continue; // drain the rest as skipped
         }
-        if ops >= cfg.max_ops {
+        if ops >= MAX_OPS {
             // Budget spent before the remaining fire points were reached
             // (e.g. a coalescing queue kept the write count flat).
             for f in queue.by_ref() {
@@ -571,7 +433,7 @@ pub fn run_plan_full(cfg: &HarnessConfig, seed: u64, trace_depth: Option<usize>)
                     fault: f,
                     fired_at: mc.inspect().nvm_writes(),
                     outcome: FaultOutcome::Skipped,
-                    detail: format!("fire point not reached within {} ops", cfg.max_ops),
+                    detail: format!("fire point not reached within {MAX_OPS} ops"),
                 });
             }
             break;
@@ -587,12 +449,14 @@ pub fn run_plan_full(cfg: &HarnessConfig, seed: u64, trace_depth: Option<usize>)
                     detail: format!("workload op failed: {e}"),
                 });
             }
-            let report = PlanReport {
+            let report = Report {
                 label: cfg.label.clone(),
                 seed,
-                ops,
                 records,
-                final_failure: Some(e),
+                plan: Some(PlanReport {
+                    ops,
+                    final_failure: Some(e),
+                }),
             };
             return PlanArtifacts {
                 metrics: mc.inspect().metrics(),
@@ -607,12 +471,11 @@ pub fn run_plan_full(cfg: &HarnessConfig, seed: u64, trace_depth: Option<usize>)
     } else {
         verify_all(&mut mc, &shadow, cfg).err()
     };
-    let report = PlanReport {
+    let report = Report {
         label: cfg.label.clone(),
         seed,
-        ops,
         records,
-        final_failure,
+        plan: Some(PlanReport { ops, final_failure }),
     };
     PlanArtifacts {
         metrics: mc.inspect().metrics(),
@@ -630,7 +493,7 @@ fn workload_op(
     cfg: &HarnessConfig,
     rng: &mut DetRng,
 ) -> Result<(), String> {
-    let page = PageId::new(1 + rng.below(cfg.pages));
+    let page = PageId::new(1 + rng.below(PAGES));
     let block = rng.below(BLOCKS_PER_PAGE as u64) as usize;
     let addr = page.block_addr(block);
     let roll = rng.below(100);
@@ -1015,7 +878,6 @@ fn inject(
                 }
             }
             if mc.inspect().remapped_lines() > remaps {
-                shadow.note_remap(addr);
                 (
                     FaultOutcome::Recovered,
                     "weak line ECC-corrected and remapped to a spare".into(),
@@ -1152,7 +1014,7 @@ mod tests {
         for seed in 0..4 {
             let report = run_plan(cfg, seed);
             assert!(report.clean(), "seed {seed} not clean:\n{report}");
-            assert_eq!(report.tally().corrupted, 0);
+            assert_eq!(report.tally().failed(), 0);
         }
     }
 

@@ -11,11 +11,11 @@
 //!   line drops, single-bit NVM cell flips (data and counter lines),
 //!   counter replay, and MMIO shred failures.
 //! * [`ShadowModel`] — a plain reference model of architectural state
-//!   (expected plaintext per line, shredded pages) that the controller
-//!   is checked against after every fault.
+//!   (expected plaintext per line, pre-shred secrets) that the
+//!   controller is checked against after every fault.
 //! * [`run_plan`] — drives a deterministic workload against a
 //!   [`ss_core::MemoryController`], fires the plan, runs recovery
-//!   (`power_loss` → `recover` → resume or degrade), and classifies
+//!   (`power_loss` → `recover_mut` → resume or degrade), and classifies
 //!   every fault as recovered, detected, benign (with a verified bounded
 //!   effect), skipped (not applicable to the configuration), or — the
 //!   failure case — an undetected corruption.
@@ -33,6 +33,9 @@
 //! * [`crash`] — the torn-write persist-step crash matrix.
 //! * [`sweep`] — the one program behind all three sweep binaries, over a
 //!   [`sweep::Campaign`] per engine.
+//! * [`report`] — the outcome bookkeeping the three engines share: one
+//!   [`Tally`] over each engine's [`Outcome`] enum and one [`Report`]
+//!   over each engine's [`Record`] type.
 //!
 //! Everything is seeded through [`ss_common::DetRng`]: the same seed
 //! always produces the same plan, the same workload, and the same
@@ -46,22 +49,22 @@ pub mod adversary;
 pub mod crash;
 pub mod engine;
 pub mod plan;
+pub mod report;
 pub mod scenario;
 pub mod shadow;
 pub mod sweep;
 
 pub use adversary::{
     demo_records, run_attack, run_attacks, Adversary, AttackConfig, AttackKind, AttackOutcome,
-    AttackRecord, AttackReport, AttackSweep, AttackTally, DimmImage,
+    AttackRecord, AttackSweep, DimmImage,
 };
 pub use crash::{
-    run_crash_config, CrashConfig, CrashOutcome, CrashRecord, CrashReport, CrashScenario,
-    CrashSweep, CrashTally,
+    run_crash_config, CrashConfig, CrashOutcome, CrashRecord, CrashScenario, CrashSweep,
 };
 pub use engine::{
     run_plan, run_plan_full, FaultOutcome, FaultRecord, FaultSweep, HarnessConfig, PlanArtifacts,
-    PlanReport, Tally,
 };
 pub use plan::{FaultKind, FaultPlan, ScheduledFault};
+pub use report::{Outcome, PlanReport, Record, Report, Tally};
 pub use scenario::{crash_at_depth, system_crash_roundtrip, system_volatile_crash, CrashVerdict};
 pub use shadow::ShadowModel;

@@ -3,6 +3,11 @@
 use ss_common::{DetRng, BLOCKS_PER_PAGE, LINE_SIZE};
 use ss_core::{ControllerConfig, ProtectionMode};
 
+/// Working-set size in pages: fault plans, their workload and the
+/// attack scripts target pages `1..=PAGES`, which covers every shard of
+/// the 8-shard attack configs.
+pub const PAGES: u64 = 8;
+
 /// One kind of injected fault. Only kinds applicable to the controller
 /// configuration are ever scheduled (e.g. counter tampering is pointless
 /// without counters, and is *undetectable by design* without the Merkle
@@ -68,7 +73,7 @@ pub struct ScheduledFault {
     pub after_writes: u64,
     /// What to inject.
     pub kind: FaultKind,
-    /// Target page (1-based, within the harness working set).
+    /// Target page, in `1..=PAGES`.
     pub page: u64,
     /// Target block within the page.
     pub block: usize,
@@ -80,21 +85,14 @@ pub struct ScheduledFault {
 /// configuration ⇒ byte-identical plan, workload, and report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// The generating seed (kept for reporting/replay).
-    pub seed: u64,
     /// Faults in firing order (non-decreasing `after_writes`).
     pub faults: Vec<ScheduledFault>,
 }
 
 impl FaultPlan {
     /// Generates a plan of 3–6 faults applicable to `cfg`, targeting the
-    /// working set `1..=pages`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pages == 0`.
-    pub fn generate(seed: u64, cfg: &ControllerConfig, pages: u64) -> Self {
-        assert!(pages > 0, "working set must be non-empty");
+    /// working set `1..=PAGES`.
+    pub fn generate(seed: u64, cfg: &ControllerConfig) -> Self {
         // Domain-separate plan generation from the workload stream so
         // adding a fault kind never perturbs the op sequence.
         let mut rng = DetRng::new(seed ^ 0xFA01_7C0D_E5EE_D000);
@@ -143,12 +141,12 @@ impl FaultPlan {
             faults.push(ScheduledFault {
                 after_writes: after,
                 kind: candidates[rng.below(candidates.len() as u64) as usize],
-                page: 1 + rng.below(pages),
+                page: 1 + rng.below(PAGES),
                 block: rng.below(BLOCKS_PER_PAGE as u64) as usize,
                 bit: rng.below((LINE_SIZE * 8) as u64) as usize,
             });
         }
-        FaultPlan { seed, faults }
+        FaultPlan { faults }
     }
 }
 
@@ -159,10 +157,7 @@ mod tests {
     #[test]
     fn same_seed_same_plan() {
         let cfg = ControllerConfig::small_test();
-        assert_eq!(
-            FaultPlan::generate(7, &cfg, 8),
-            FaultPlan::generate(7, &cfg, 8)
-        );
+        assert_eq!(FaultPlan::generate(7, &cfg), FaultPlan::generate(7, &cfg));
     }
 
     #[test]
@@ -172,7 +167,7 @@ mod tests {
         let mut cfg = ControllerConfig::plain();
         cfg.integrity = false;
         for seed in 0..64 {
-            let plan = FaultPlan::generate(seed, &cfg, 8);
+            let plan = FaultPlan::generate(seed, &cfg);
             for f in &plan.faults {
                 assert!(
                     matches!(
@@ -200,7 +195,7 @@ mod tests {
             .build()
             .expect("ecc-less config must still validate");
         for seed in 0..64 {
-            let plan = FaultPlan::generate(seed, &cfg, 8);
+            let plan = FaultPlan::generate(seed, &cfg);
             for f in &plan.faults {
                 assert!(
                     !matches!(f.kind, FaultKind::TransientReadError | FaultKind::StuckLine),
@@ -215,7 +210,7 @@ mod tests {
     fn fire_points_are_ordered() {
         let cfg = ControllerConfig::small_test();
         for seed in 0..32 {
-            let plan = FaultPlan::generate(seed, &cfg, 8);
+            let plan = FaultPlan::generate(seed, &cfg);
             assert!(!plan.faults.is_empty());
             for w in plan.faults.windows(2) {
                 assert!(w[0].after_writes <= w[1].after_writes);

@@ -20,16 +20,9 @@ pub struct ShadowModel {
     /// Expected plaintext by raw block address. A shred sets every block
     /// of the page to zeros, so shredded lines stay tracked.
     lines: BTreeMap<u64, Line>,
-    /// Pages currently in the fully/partially shredded state (at least
-    /// one shred since the last boot, not since overwritten everywhere).
-    shredded_pages: BTreeSet<u64>,
     /// Plaintext lines that were live when their page was shredded: a
     /// cold scan of an *encrypted* NVM array must never surface them.
     secrets: BTreeSet<Line>,
-    /// Lines known to have been rescued into the controller's spare
-    /// pool. Remapping is architecturally invisible, so this changes no
-    /// expectation — it only lets the harness report healing coverage.
-    remapped: BTreeSet<u64>,
 }
 
 impl ShadowModel {
@@ -54,7 +47,6 @@ impl ShadowModel {
                 }
             }
         }
-        self.shredded_pages.insert(page.raw());
     }
 
     /// Expected plaintext at `addr`. Untracked lines are `None` unless
@@ -88,11 +80,6 @@ impl ShadowModel {
             .collect()
     }
 
-    /// Whether `page` has been shredded at some point.
-    pub fn was_shredded(&self, page: PageId) -> bool {
-        self.shredded_pages.contains(&page.raw())
-    }
-
     /// Whether `line` is a remanence secret (pre-shred plaintext).
     pub fn is_secret(&self, line: &Line) -> bool {
         self.secrets.contains(line)
@@ -101,22 +88,6 @@ impl ShadowModel {
     /// Number of remanence secrets accumulated so far.
     pub fn secret_count(&self) -> usize {
         self.secrets.len()
-    }
-
-    /// Records that the controller rescued `addr` to a spare line. The
-    /// expected plaintext is untouched: healing must be transparent.
-    pub fn note_remap(&mut self, addr: BlockAddr) {
-        self.remapped.insert(addr.raw());
-    }
-
-    /// Whether `addr` is known to live in the spare pool.
-    pub fn was_remapped(&self, addr: BlockAddr) -> bool {
-        self.remapped.contains(&addr.raw())
-    }
-
-    /// Number of lines known-remapped so far.
-    pub fn remap_count(&self) -> usize {
-        self.remapped.len()
     }
 }
 
@@ -133,7 +104,6 @@ mod tests {
         assert_eq!(s.expected(addr, false), Some([7; LINE_SIZE]));
         s.note_shred(page);
         assert_eq!(s.expected(addr, false), Some([0; LINE_SIZE]));
-        assert!(s.was_shredded(page));
         assert!(s.is_secret(&[7; LINE_SIZE]));
         assert_eq!(s.secret_count(), 1);
     }
@@ -158,17 +128,6 @@ mod tests {
         // The pre-shred value stays secret; the new one is live.
         assert!(s.is_secret(&[1; LINE_SIZE]));
         assert!(!s.is_secret(&[2; LINE_SIZE]));
-    }
-
-    #[test]
-    fn remap_tracking_changes_no_expectation() {
-        let mut s = ShadowModel::new();
-        let addr = PageId::new(2).block_addr(1);
-        s.note_write(addr, [9; LINE_SIZE]);
-        s.note_remap(addr);
-        assert!(s.was_remapped(addr));
-        assert_eq!(s.remap_count(), 1);
-        assert_eq!(s.expected(addr, false), Some([9; LINE_SIZE]));
     }
 
     #[test]

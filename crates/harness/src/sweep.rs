@@ -6,7 +6,8 @@
 //! one tally line per config) or replay one seed with full per-record
 //! detail, optionally write JSON, and exit nonzero iff any run failed
 //! its gate. [`main`] is that program. A [`Campaign`] supplies the
-//! engine: its matrices, `run(cfg, seed)`, its report and tally types,
+//! engine: its matrices, `run(cfg, seed)`, its record type (whose
+//! [`Report`] and [`Tally`] are written once, in [`crate::report`]),
 //! and the constants the committed goldens pin (binary name, default
 //! seed count, label column width, verdict words, optional flags).
 //!
@@ -21,39 +22,17 @@
 //! function of the seed set, so the same invocation is always
 //! byte-identical.
 
-use std::fmt::{self, Write as _};
+use std::fmt::Write as _;
 use std::process::ExitCode;
 
 use ss_trace::{MetricsRegistry, TraceRecord};
+
+use crate::report::{json_escape, json_key, Outcome, Record, Report, Tally};
 
 /// Events retained per run under `--trace`. Large enough to keep every
 /// event of a typical plan run; older events are dropped (and counted)
 /// past this depth.
 const TRACE_DEPTH: usize = 65536;
-
-/// What [`main`] reads off one `(config, seed)` report.
-pub trait SweepReport: fmt::Display {
-    /// The report's outcome counts.
-    type Tally: SweepTally;
-    /// Outcome counts of this report.
-    fn tally(&self) -> Self::Tally;
-    /// Whether the run passed its gate.
-    fn clean(&self) -> bool;
-    /// The full report as one JSON object on a single line.
-    fn to_json(&self) -> String;
-}
-
-/// What [`main`] needs of an outcome tally.
-pub trait SweepTally: Copy + Default + fmt::Display {
-    /// Adds every count of `other`.
-    fn merge(&mut self, other: Self);
-    /// Outcomes tallied.
-    fn total(&self) -> u64;
-    /// Outcomes that fail the gate (corrupted, leaked, silent).
-    fn failed(&self) -> u64;
-    /// The tally as a JSON object with a fixed key order.
-    fn to_json(&self) -> String;
-}
 
 /// Everything one `(config, seed)` run produces: the report, plus the
 /// final metrics snapshot and retained trace records of campaigns that
@@ -83,8 +62,8 @@ impl<R> From<R> for Artifacts<R> {
 pub trait Campaign {
     /// One named machine configuration.
     type Config;
-    /// The record of one `(config, seed)` run.
-    type Report: SweepReport;
+    /// One classified record of a run.
+    type Record: Record;
 
     /// Binary name: usage line, campaign header and replay hints.
     const NAME: &'static str;
@@ -97,8 +76,6 @@ pub trait Campaign {
     const TOTAL_NOUN: &'static str;
     /// The parenthesis of a clean verdict.
     const CLEAN_NOTE: &'static str;
-    /// The outcome a failed verdict counts (`corrupted`).
-    const FAILED_NOUN: &'static str;
     /// Whether runs observe metrics and traces (`--metrics-json`,
     /// `--trace`).
     const METRICS: bool = false;
@@ -116,10 +93,14 @@ pub trait Campaign {
     fn label(cfg: &Self::Config) -> &str;
     /// Runs one `(config, seed)` cell, retaining the last `trace_depth`
     /// trace events when given.
-    fn run(cfg: &Self::Config, seed: u64, trace_depth: Option<usize>) -> Artifacts<Self::Report>;
+    fn run(
+        cfg: &Self::Config,
+        seed: u64,
+        trace_depth: Option<usize>,
+    ) -> Artifacts<Report<Self::Record>>;
 }
 
-type TallyOf<C> = <<C as Campaign>::Report as SweepReport>::Tally;
+type OutcomeOf<C> = <<C as Campaign>::Record as Record>::Outcome;
 
 /// The parsed command line.
 #[derive(Debug, Default, PartialEq, Eq)]
@@ -260,10 +241,10 @@ fn replay<C: Campaign>(opts: &Options, matrix: &[C::Config], seed: u64) -> Resul
         metrics.push(row(C::label(cfg), "metrics", &run.metrics.to_json()));
         reports.push(run.report);
     }
-    let clean = reports.iter().all(SweepReport::clean);
+    let clean = reports.iter().all(Report::clean);
     let header = format!("\"seed\": {seed}");
     write_docs(opts, &header, &metrics, || {
-        let rows: Vec<String> = reports.iter().map(SweepReport::to_json).collect();
+        let rows: Vec<String> = reports.iter().map(Report::to_json).collect();
         json_doc(&header, &rows, &[format!("\"clean\": {clean}")])
     })?;
     Ok(clean)
@@ -279,13 +260,13 @@ fn campaign<C: Campaign>(opts: &Options, matrix: &[C::Config]) -> Result<bool, S
         matrix.len()
     );
     let width = C::LABEL_WIDTH;
-    let mut grand = TallyOf::<C>::default();
+    let mut grand = Tally::<OutcomeOf<C>>::default();
     let mut failures: Vec<(&str, u64)> = Vec::new();
     let mut rows = Vec::with_capacity(matrix.len());
     let mut metrics = Vec::with_capacity(matrix.len());
     for cfg in matrix {
         let label = C::label(cfg);
-        let mut tally = TallyOf::<C>::default();
+        let mut tally = Tally::default();
         let mut summed = MetricsRegistry::new();
         for seed in 0..opts.seeds {
             let run = C::run(cfg, seed, None);
@@ -327,7 +308,8 @@ fn campaign<C: Campaign>(opts: &Options, matrix: &[C::Config]) -> Result<bool, S
         for (label, seed) in &failures {
             println!("replay with: {} --config {label} --seed {seed}", C::NAME);
         }
-        println!("result: FAILED ({} {})", grand.failed(), C::FAILED_NOUN);
+        let noun = json_key(OutcomeOf::<C>::FAILED);
+        println!("result: FAILED ({} {noun})", grand.failed());
     }
     Ok(clean)
 }
@@ -371,25 +353,6 @@ fn write_docs(
         write(path, json_doc(header, metrics, &[]))?;
     }
     Ok(())
-}
-
-/// Escapes `s` for embedding in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -503,11 +466,5 @@ mod tests {
             rejects::<AttackSweep>(&flags, message);
             rejects::<CrashSweep>(&flags, message);
         }
-    }
-
-    #[test]
-    fn escapes_quotes_backslashes_and_control_characters() {
-        let escaped = json_escape("a\"b\\c\nd\te\u{1}");
-        assert_eq!(escaped, "a\\\"b\\\\c\\nd\\te\\u0001");
     }
 }

@@ -239,7 +239,7 @@ fn hypervisor_runs_on_real_hardware_stack() {
 fn attack_demo_scenarios_resolve_as_documented() {
     // `examples/attack_demo.rs` narrates exactly these two records; this
     // test pins their outcomes and step scripts so the demo cannot rot.
-    use ss_harness::{demo_records, AttackKind, AttackOutcome};
+    use ss_harness::{demo_records, AttackKind, AttackOutcome, Record};
     let (defended, detected) = demo_records();
 
     assert_eq!(defended.kind, AttackKind::ShredThenSteal);

@@ -191,8 +191,7 @@ fn whole_system_volatile_crash_is_detected() {
 // every line interleaved round-robin across the channels.
 // ---------------------------------------------------------------------
 
-use ss_harness::sweep::{SweepReport, SweepTally};
-use ss_harness::{run_crash_config, CrashConfig, CrashTally, CrashVerdict as V};
+use ss_harness::{run_crash_config, CrashConfig, CrashOutcome, CrashVerdict as V, Tally};
 
 #[test]
 fn sharded_crash_matrix_persistence_by_queue_depth() {
@@ -230,7 +229,7 @@ fn crash_matrix_smoke_covers_all_outcome_classes() {
     // whole (NewState), and actively resolved by recovery (Repaired) —
     // must actually be observed, so a classifier bug that lumps
     // everything into one bucket cannot pass as "clean".
-    let mut grand = CrashTally::default();
+    let mut grand = Tally::default();
     for cfg in CrashConfig::matrix() {
         for seed in 0..2 {
             let report = run_crash_config(&cfg, seed);
@@ -242,11 +241,18 @@ fn crash_matrix_smoke_covers_all_outcome_classes() {
             grand.merge(report.tally());
         }
     }
-    assert_eq!(grand.silent, 0);
-    assert!(grand.old_state > 0, "no crash point rolled back: {grand}");
-    assert!(grand.new_state > 0, "no crash point committed: {grand}");
+    assert_eq!(grand.failed(), 0);
+    let count = |outcome| grand.count(outcome);
     assert!(
-        grand.repaired > 0,
+        count(CrashOutcome::OldState) > 0,
+        "no crash point rolled back: {grand}"
+    );
+    assert!(
+        count(CrashOutcome::NewState) > 0,
+        "no crash point committed: {grand}"
+    );
+    assert!(
+        count(CrashOutcome::Repaired) > 0,
         "recovery never had to repair anything: {grand}"
     );
 }

@@ -184,7 +184,6 @@ fn regression_attack_records_follow_attack_kind_order() {
 /// unseeded source leaks into the attack path.
 #[test]
 fn regression_attack_reports_byte_stable_across_runs() {
-    use ss_harness::sweep::SweepReport;
     use ss_harness::{run_attacks, AttackConfig};
     for cfg in AttackConfig::matrix() {
         for seed in [0u64, 19] {

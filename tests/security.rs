@@ -11,7 +11,6 @@
 use silent_shredder::common::{Cycles, Error, PageId};
 use silent_shredder::core::CounterPersistence;
 use silent_shredder::prelude::*;
-use ss_harness::sweep::SweepReport;
 use ss_harness::{run_attack, run_attacks, Adversary, AttackConfig, AttackKind, AttackOutcome};
 
 const SECRET: [u8; 64] = *b"TOP-SECRET private key material_TOP-SECRET private key material_";
