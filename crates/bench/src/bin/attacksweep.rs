@@ -2,20 +2,19 @@
 //!
 //! ```text
 //! attacksweep [--seeds N] [--seed S] [--config LABEL] [--json FILE]
-//!             [--scattered] [--weakened] [--list]
+//!             [--weakened] [--list]
 //! ```
 //!
 //! Runs every attack script in [`AttackKind::ALL`] for seeds `0..N`
-//! (N = 32) against [`AttackConfig::matrix`] (`--scattered`:
-//! [`AttackConfig::scattered_matrix`]) and exits nonzero iff anything
-//! leaked. `--weakened` runs only [`AttackConfig::weakened`] (no Merkle
+//! (N = 32) against the 10 configs of [`AttackConfig::matrix`]
+//! (counter-mode and scattered two-share rows, 4- and 8-shard
+//! included) and exits nonzero iff anything leaked. `--weakened` runs only [`AttackConfig::weakened`] (no Merkle
 //! tree), whose rollback-replay attack leaks, so the sweep must exit red
 //! — CI runs it to prove the gate fires. Everything else is the shared
 //! [`ss_harness::sweep`] program, run with the [`AttackSweep`] campaign.
 //!
 //! [`AttackKind::ALL`]: ss_harness::AttackKind::ALL
 //! [`AttackConfig::matrix`]: ss_harness::AttackConfig::matrix
-//! [`AttackConfig::scattered_matrix`]: ss_harness::AttackConfig::scattered_matrix
 //! [`AttackConfig::weakened`]: ss_harness::AttackConfig::weakened
 
 use std::process::ExitCode;

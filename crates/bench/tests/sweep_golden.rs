@@ -2,19 +2,26 @@
 //!
 //! Every sweep campaign is a pure function of its seed set: no
 //! wall-clock, no environment, DetRng-only randomness. This test pins
-//! that property to bytes. Each sweep runs once per matrix (default and
-//! `--scattered`) with `--seeds 8`, writing its text report, `--json`
-//! and — for faultsweep — `--metrics-json` in the same run, and all 14
-//! goldens in `ci/` must match exactly. The weakened configs must turn
-//! their sweeps red, and a replayed campaign seed must stay clean. Any
-//! intentional behaviour change must regenerate the goldens in the same
-//! commit, e.g.:
+//! that property to bytes. Each sweep runs its one matrix once with
+//! `--seeds 8`, writing its text report, `--json` and — for faultsweep —
+//! `--metrics-json` in the same run, and all 7 goldens in `ci/` must
+//! match exactly; a match against a committed golden also proves two
+//! runs agree. The weakened configs must turn their sweeps red with a
+//! replay hint, and a replayed campaign seed must stay clean. CI runs
+//! this test in release mode. Any intentional behaviour change must
+//! regenerate the goldens in the same commit (and review the diff):
 //!
 //! ```text
-//! cargo run --release -p ss-bench --bin faultsweep -- --scattered --seeds 8 \
-//!     --json ci/faultsweep-scattered-seeds8.golden.json \
-//!     --metrics-json ci/faultsweep-metrics-scattered-seeds8.golden.json \
-//!     > ci/faultsweep-scattered-seeds8.golden.txt
+//! cargo run --release -p ss-bench --bin faultsweep -- --seeds 8 \
+//!     --json ci/faultsweep-seeds8.golden.json \
+//!     --metrics-json ci/faultsweep-metrics-seeds8.golden.json \
+//!     > ci/faultsweep-seeds8.golden.txt
+//! cargo run --release -p ss-bench --bin attacksweep -- --seeds 8 \
+//!     --json ci/attacksweep-seeds8.golden.json \
+//!     > ci/attacksweep-seeds8.golden.txt
+//! cargo run --release -p ss-bench --bin crashsweep -- --seeds 8 \
+//!     --json ci/crashsweep-seeds8.golden.json \
+//!     > ci/crashsweep-seeds8.golden.txt
 //! ```
 
 use std::path::Path;
@@ -80,43 +87,35 @@ fn run(exe: &str, args: &[&str]) -> (bool, String) {
 fn sweeps_match_goldens_and_gates_fire() {
     let scratch = std::env::temp_dir().join(format!("sweep-golden-{}", std::process::id()));
     std::fs::create_dir_all(&scratch).expect("scratch dir");
-    // All six golden runs start at once; each is checked as it finishes.
+    // All three golden runs start at once; each is checked as it finishes.
     let mut runs = Vec::new();
     for sweep in &SWEEPS {
-        for matrix in ["", "scattered-"] {
-            let json = scratch.join(format!("{}-{matrix}seeds8.json", sweep.name));
-            let metrics = scratch.join(format!("{}-metrics-{matrix}seeds8.json", sweep.name));
-            let mut cmd = Command::new(sweep.exe);
-            if !matrix.is_empty() {
-                cmd.arg("--scattered");
-            }
-            cmd.args(["--seeds", "8", "--json"]).arg(&json);
-            if sweep.metrics {
-                cmd.arg("--metrics-json").arg(&metrics);
-            }
-            let child = cmd.stdout(Stdio::piped()).stderr(Stdio::piped()).spawn();
-            let child = child.unwrap_or_else(|e| panic!("spawning {}: {e}", sweep.name));
-            runs.push((sweep, matrix, json, metrics, child));
+        let json = scratch.join(format!("{}-seeds8.json", sweep.name));
+        let metrics = scratch.join(format!("{}-metrics-seeds8.json", sweep.name));
+        let mut cmd = Command::new(sweep.exe);
+        cmd.args(["--seeds", "8", "--json"]).arg(&json);
+        if sweep.metrics {
+            cmd.arg("--metrics-json").arg(&metrics);
         }
+        let child = cmd.stdout(Stdio::piped()).stderr(Stdio::piped()).spawn();
+        let child = child.unwrap_or_else(|e| panic!("spawning {}: {e}", sweep.name));
+        runs.push((sweep, json, metrics, child));
     }
-    for (sweep, matrix, json, metrics, child) in runs {
+    for (sweep, json, metrics, child) in runs {
         let name = sweep.name;
         let output = child.wait_with_output().expect("waiting for sweep");
         assert!(
             output.status.success(),
-            "{name} {matrix}failed:\n{}",
+            "{name} failed:\n{}",
             String::from_utf8_lossy(&output.stderr)
         );
         let text = String::from_utf8(output.stdout).expect("utf8 report");
         let mut checks = vec![
-            (text, format!("{name}-{matrix}seeds8.golden.txt")),
-            (read(&json), format!("{name}-{matrix}seeds8.golden.json")),
+            (text, format!("{name}-seeds8.golden.txt")),
+            (read(&json), format!("{name}-seeds8.golden.json")),
         ];
         if sweep.metrics {
-            checks.push((
-                read(&metrics),
-                format!("{name}-metrics-{matrix}seeds8.golden.json"),
-            ));
+            checks.push((read(&metrics), format!("{name}-metrics-seeds8.golden.json")));
         }
         for (bytes, want) in checks {
             assert_eq!(bytes, golden(&want), "{name} drifted from ci/{want}");

@@ -240,55 +240,34 @@ impl AttackConfig {
         }
     }
 
-    /// The default attack matrix: the paper's secure configuration
-    /// across counter persistence, write queueing, healing pressure,
-    /// and sharding. Every config defends every attack — `attacksweep`
-    /// demands zero `Leaked` over this matrix.
+    /// The attack matrix: the paper's secure configuration across
+    /// counter persistence, write queueing, healing pressure, and
+    /// sharding, then the scattered two-share mode across the same axes
+    /// minus the write queue (which `build()` rejects for it). Every
+    /// config defends every attack — `attacksweep` demands zero `Leaked`
+    /// over this matrix. The scattered rows' headline is the stolen
+    /// DIMM: the offline attacker holds the data region, the mask region,
+    /// the liveness metadata *and* the processor key, and must still
+    /// classify `Defended`, because after a shred the surviving data
+    /// share recombines with fresh randomness to nothing.
     pub fn matrix() -> Vec<AttackConfig> {
         let base = ControllerConfigBuilder::small_test;
+        let scattered = || base().protection(ProtectionMode::Scattered);
         let build = |b: ControllerConfigBuilder| b.build().expect("attack matrix config");
         let queue = HarnessConfig::small_queue();
+        let wt = CounterPersistence::WriteThrough;
+        let heal = |b: ControllerConfigBuilder| build(b.spare_lines(64).scrub_interval(Some(32)));
         vec![
             AttackConfig::new("ctr-bat-mt", build(base())),
-            AttackConfig::new(
-                "ctr-wt-mt",
-                build(base().counter_persistence(CounterPersistence::WriteThrough)),
-            ),
+            AttackConfig::new("ctr-wt-mt", build(base().counter_persistence(wt))),
             AttackConfig::new("ctr-bat-mt-wq", build(base().write_queue(Some(queue)))),
-            AttackConfig::new(
-                "ctr-bat-mt-heal",
-                build(base().spare_lines(64).scrub_interval(Some(32))),
-            ),
+            AttackConfig::new("ctr-bat-mt-heal", heal(base())),
             AttackConfig::sharded("ctr-bat-mt-x4", build(base()), 4),
             AttackConfig::sharded("ctr-bat-mt-x8", build(base()), 8),
-        ]
-    }
-
-    /// The scattered-backend attack matrix (behind `attacksweep
-    /// --scattered`, with its own committed golden). The headline
-    /// scenario is the stolen DIMM: the offline attacker holds the data
-    /// region, the mask region, the liveness metadata *and* the
-    /// processor key — and must still classify `Defended`, because
-    /// after a shred the surviving data share recombines with fresh
-    /// randomness to nothing.
-    pub fn scattered_matrix() -> Vec<AttackConfig> {
-        let base = || {
-            ControllerConfigBuilder::scattered()
-                .data_capacity(1 << 20)
-                .counter_cache_bytes(16 << 10)
-        };
-        let build = |b: ControllerConfigBuilder| b.build().expect("scattered attack config");
-        vec![
-            AttackConfig::new("scat-bat-mt", build(base())),
-            AttackConfig::new(
-                "scat-wt-mt",
-                build(base().counter_persistence(CounterPersistence::WriteThrough)),
-            ),
-            AttackConfig::new(
-                "scat-bat-mt-heal",
-                build(base().spare_lines(64).scrub_interval(Some(32))),
-            ),
-            AttackConfig::sharded("scat-bat-mt-x4", build(base()), 4),
+            AttackConfig::new("scat-bat-mt", build(scattered())),
+            AttackConfig::new("scat-wt-mt", build(scattered().counter_persistence(wt))),
+            AttackConfig::new("scat-bat-mt-heal", heal(scattered())),
+            AttackConfig::sharded("scat-bat-mt-x4", build(scattered()), 4),
         ]
     }
 
@@ -324,9 +303,6 @@ impl Campaign for AttackSweep {
 
     fn matrix() -> Vec<AttackConfig> {
         AttackConfig::matrix()
-    }
-    fn scattered_matrix() -> Vec<AttackConfig> {
-        AttackConfig::scattered_matrix()
     }
     fn weakened() -> Option<AttackConfig> {
         Some(AttackConfig::weakened())
@@ -1174,10 +1150,19 @@ mod tests {
         }
     }
 
+    /// The matrix's scattered two-share rows.
+    fn scattered_rows() -> Vec<AttackConfig> {
+        AttackConfig::matrix()
+            .into_iter()
+            .filter(|c| c.controller.protection == ProtectionMode::Scattered)
+            .collect()
+    }
+
     #[test]
     fn scattered_matrix_never_leaks() {
-        for cfg in AttackConfig::scattered_matrix() {
-            assert_eq!(cfg.controller.protection, ProtectionMode::Scattered);
+        let rows = scattered_rows();
+        assert!(rows.len() >= 4, "attack sweep needs >= 4 scattered configs");
+        for cfg in rows {
             for seed in 0..4 {
                 let report = run_attacks(&cfg, seed);
                 assert!(
@@ -1195,7 +1180,7 @@ mod tests {
         // both share regions + key) must classify Defended — one share
         // alone is a one-time pad of nothing, and after the shred the
         // surviving share has no partner at all.
-        for cfg in AttackConfig::scattered_matrix() {
+        for cfg in scattered_rows() {
             for seed in 0..4 {
                 let record = run_attack(&cfg, AttackKind::ShredThenSteal, seed);
                 assert_eq!(

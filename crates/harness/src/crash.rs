@@ -270,94 +270,48 @@ impl CrashConfig {
         }
     }
 
-    /// The default crash matrix: the ADR persist-step model across
-    /// counter persistence, encryption mode, write queueing, and
-    /// sharding, plus the eADR flush-on-fail baseline (cuts never fire
-    /// there, preserving the historical queue-drain-on-power-loss
-    /// behaviour). Every config resolves every crash point; `crashsweep`
-    /// demands zero `Silent` over this matrix.
+    /// The crash matrix: the ADR persist-step model across counter
+    /// persistence, encryption mode, write queueing, and sharding, plus
+    /// the eADR flush-on-fail baseline (cuts never fire there, preserving
+    /// the historical queue-drain-on-power-loss behaviour); then the
+    /// scattered two-share mode under both ADR counter persistences,
+    /// eADR, and a sharded ADR target for the batched shred drain. Under
+    /// ADR every scattered persist (data share, mask share, liveness
+    /// line) flows through the journaled
+    /// [`persist_line`](ss_core::MemoryController) choke point, so a cut
+    /// between the two share writes must roll back to a coherent pair.
+    /// Every config resolves every crash point; `crashsweep` demands
+    /// zero `Silent` over this matrix.
     pub fn matrix() -> Vec<CrashConfig> {
         let build = |b: ControllerConfigBuilder| b.build().expect("crash matrix config");
-        let adr = || ControllerConfigBuilder::small_test().persist_domain(PersistDomain::Adr);
-        let adr_wt = || build(adr().counter_persistence(CounterPersistence::WriteThrough));
+        let small = ControllerConfigBuilder::small_test;
+        let adr = || small().persist_domain(PersistDomain::Adr);
+        let wt = CounterPersistence::WriteThrough;
+        let scattered = ProtectionMode::Scattered;
+        let adr_wt = || build(adr().counter_persistence(wt));
+        let scat_adr_wt = || build(adr().protection(scattered).counter_persistence(wt));
+        let queue = || Some(HarnessConfig::small_queue());
+        let queued = |mode: ProtectionMode| {
+            build(
+                adr()
+                    .protection(mode)
+                    .shredder(false)
+                    .integrity(false)
+                    .write_queue(queue()),
+            )
+        };
         vec![
             CrashConfig::new("adr-wt", adr_wt()),
             CrashConfig::new("adr-bat", build(adr())),
-            CrashConfig::new(
-                "adr-plain-wq",
-                build(
-                    adr()
-                        .protection(ProtectionMode::Plain)
-                        .shredder(false)
-                        .integrity(false)
-                        .write_queue(Some(HarnessConfig::small_queue())),
-                ),
-            ),
-            CrashConfig::new(
-                "adr-ecb-wq",
-                build(
-                    adr()
-                        .protection(ProtectionMode::Ecb)
-                        .shredder(false)
-                        .integrity(false)
-                        .write_queue(Some(HarnessConfig::small_queue())),
-                ),
-            ),
-            CrashConfig::new(
-                "eadr-wq",
-                build(
-                    ControllerConfigBuilder::small_test()
-                        .write_queue(Some(HarnessConfig::small_queue())),
-                ),
-            ),
+            CrashConfig::new("adr-plain-wq", queued(ProtectionMode::Plain)),
+            CrashConfig::new("adr-ecb-wq", queued(ProtectionMode::Ecb)),
+            CrashConfig::new("eadr-wq", build(small().write_queue(queue()))),
             CrashConfig::sharded("adr-wt-x4", adr_wt(), 4),
             CrashConfig::sharded("adr-wt-x8", adr_wt(), 8),
-        ]
-    }
-
-    /// The scattered-backend crash matrix (behind `crashsweep
-    /// --scattered`, with its own committed golden): both ADR counter
-    /// persistences, the eADR flush-on-fail baseline, and a sharded
-    /// ADR target for the batched shred drain. Under ADR every
-    /// scattered persist (data share, mask share, liveness line) flows
-    /// through the journaled
-    /// [`persist_line`](ss_core::MemoryController) choke point, so a cut
-    /// between the two share writes must roll back to a coherent pair —
-    /// the sweep proves a torn pair can never recombine to garbage.
-    pub fn scattered_matrix() -> Vec<CrashConfig> {
-        let base = |domain: PersistDomain, persistence: CounterPersistence| {
-            ControllerConfigBuilder::scattered()
-                .data_capacity(1 << 20)
-                .counter_cache_bytes(16 << 10)
-                .persist_domain(domain)
-                .counter_persistence(persistence)
-                .build()
-                .expect("scattered crash config must build")
-        };
-        vec![
-            CrashConfig::new(
-                "scat-adr-wt",
-                base(PersistDomain::Adr, CounterPersistence::WriteThrough),
-            ),
-            CrashConfig::new(
-                "scat-adr-bat",
-                base(
-                    PersistDomain::Adr,
-                    CounterPersistence::BatteryBackedWriteBack,
-                ),
-            ),
-            CrashConfig::new(
-                "scat-eadr",
-                base(
-                    PersistDomain::Eadr,
-                    CounterPersistence::BatteryBackedWriteBack,
-                ),
-            ),
-            CrashConfig::sharded(
-                "scat-adr-wt-x4",
-                base(PersistDomain::Adr, CounterPersistence::WriteThrough),
-                4,
-            ),
+            CrashConfig::new("scat-adr-wt", scat_adr_wt()),
+            CrashConfig::new("scat-adr-bat", build(adr().protection(scattered))),
+            CrashConfig::new("scat-eadr", build(small().protection(scattered))),
+            CrashConfig::sharded("scat-adr-wt-x4", scat_adr_wt(), 4),
         ]
     }
 
@@ -399,9 +353,6 @@ impl Campaign for CrashSweep {
 
     fn matrix() -> Vec<CrashConfig> {
         CrashConfig::matrix()
-    }
-    fn scattered_matrix() -> Vec<CrashConfig> {
-        CrashConfig::scattered_matrix()
     }
     fn weakened() -> Option<CrashConfig> {
         Some(CrashConfig::weakened())
@@ -968,10 +919,19 @@ mod tests {
         }
     }
 
+    /// The matrix's scattered two-share rows.
+    fn scattered_rows() -> Vec<CrashConfig> {
+        CrashConfig::matrix()
+            .into_iter()
+            .filter(|c| c.controller.protection == ProtectionMode::Scattered)
+            .collect()
+    }
+
     #[test]
     fn scattered_crash_matrix_is_clean() {
-        for cfg in CrashConfig::scattered_matrix() {
-            assert_eq!(cfg.controller.protection, ProtectionMode::Scattered);
+        let rows = scattered_rows();
+        assert!(rows.len() >= 4, "crash sweep needs >= 4 scattered configs");
+        for cfg in rows {
             let report = run_crash_config(&cfg, 0);
             assert!(report.clean(), "{} went silent:\n{report}", cfg.label);
         }
@@ -983,7 +943,7 @@ mod tests {
         // and mask-share writes leaves a mismatched pair. Every demand-
         // write crash point must resolve to old or new state, proving
         // the journal restores pair coherence.
-        let matrix = CrashConfig::scattered_matrix();
+        let matrix = scattered_rows();
         let cfg = matrix.iter().find(|c| c.label == "scat-adr-wt").unwrap();
         let records = run_crash_scenario(cfg, CrashScenario::DemandWrite, 3);
         assert!(!records.is_empty());

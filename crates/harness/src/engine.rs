@@ -59,35 +59,48 @@ impl HarnessConfig {
     }
 
     /// The full sweep matrix: encryption mode × counter persistence ×
-    /// integrity × write queue, all on the `small_test` footprint.
+    /// integrity × write queue.
     ///
     /// CTR (the Silent Shredder configuration) gets the full cross
-    /// product; the non-counter modes (ECB, plain) only vary the queue,
-    /// since persistence and integrity are counter properties. Two extra
-    /// entries cover the no-shredder CTR baseline and DEUCE.
+    /// product on the `small_test` footprint; the non-counter modes (ECB,
+    /// plain) only vary the queue, since persistence and integrity are
+    /// counter properties. Extra entries cover the no-shredder CTR
+    /// baseline, DEUCE and two self-healing demonstrators. The scattered
+    /// two-share rows come last: counter persistence × liveness-metadata
+    /// integrity, plus a self-healing row that exercises the fresh-share
+    /// rescue path. The write queue, DEUCE and Start-Gap are rejected for
+    /// scattered configs at the builder (no share-consistent story; see
+    /// `ControllerConfig::validate`), so those rows do not vary them.
     pub fn matrix() -> Vec<HarnessConfig> {
         let base = ControllerConfigBuilder::small_test;
+        let scattered = || base().protection(ProtectionMode::Scattered);
         let build = |b: ControllerConfigBuilder| b.build().expect("matrix config must build");
+        // Wear-out so aggressive (every third write to a line grows a
+        // weak cell) that organic failures, rescues, and scrubbing all
+        // trigger within one plan; chipkill-class ECC (3,5) keeps the
+        // union of accumulated weak cells and a 2-flip injected transient
+        // within the detection bound, so nothing can alias silently.
+        let endurance = |b: ControllerConfigBuilder| {
+            build(
+                b.endurance_limit(Some(2))
+                    .nvm_ecc(EccConfig::strength(3, 5))
+                    .spare_lines(64)
+                    .scrub_interval(Some(48)),
+            )
+        };
+        let persistences = [
+            (CounterPersistence::BatteryBackedWriteBack, "bat"),
+            (CounterPersistence::WriteThrough, "wt"),
+            (CounterPersistence::VolatileWriteBack, "vol"),
+        ];
+        let mt = |integrity: bool| if integrity { "-mt" } else { "" };
         let mut out = Vec::new();
-        for persistence in [
-            CounterPersistence::BatteryBackedWriteBack,
-            CounterPersistence::WriteThrough,
-            CounterPersistence::VolatileWriteBack,
-        ] {
-            let p = match persistence {
-                CounterPersistence::BatteryBackedWriteBack => "bat",
-                CounterPersistence::WriteThrough => "wt",
-                CounterPersistence::VolatileWriteBack => "vol",
-            };
+        for (persistence, p) in persistences {
             for integrity in [true, false] {
                 for queued in [false, true] {
-                    let label = format!(
-                        "ctr-{p}{}{}",
-                        if integrity { "-mt" } else { "" },
-                        if queued { "-wq" } else { "" }
-                    );
+                    let wq = if queued { "-wq" } else { "" };
                     out.push(HarnessConfig::new(
-                        label,
+                        format!("ctr-{p}{}{wq}", mt(integrity)),
                         build(
                             base()
                                 .counter_persistence(persistence)
@@ -106,26 +119,11 @@ impl HarnessConfig {
             "ctr-bat-mt-deuce",
             build(base().deuce(true)),
         ));
-        // Self-healing demonstrators. `ctr-bat-endu`: wear-out so
-        // aggressive (every third write to a line grows a weak cell)
-        // that organic failures, rescues, and scrubbing all trigger
-        // within one plan; chipkill-class ECC (3,5) keeps the union of
-        // accumulated weak cells and a 2-flip injected transient within
-        // the detection bound, so nothing can alias silently.
-        // `ctr-bat-ber`: a high soft-error rate exercising inline
-        // correction (1-bit) and retry/backoff (2-bit bursts) on
-        // ordinary reads; detect=4 covers the worst union of an
-        // injected 2-flip transient and an organic 2-bit burst.
-        out.push(HarnessConfig::new(
-            "ctr-bat-endu",
-            build(
-                base()
-                    .endurance_limit(Some(2))
-                    .nvm_ecc(EccConfig::strength(3, 5))
-                    .spare_lines(64)
-                    .scrub_interval(Some(48)),
-            ),
-        ));
+        out.push(HarnessConfig::new("ctr-bat-endu", endurance(base())));
+        // A high soft-error rate exercising inline correction (1-bit)
+        // and retry/backoff (2-bit bursts) on ordinary reads; detect=4
+        // covers the worst union of an injected 2-flip transient and an
+        // organic 2-bit burst.
         out.push(HarnessConfig::new(
             "ctr-bat-ber",
             build(
@@ -138,75 +136,35 @@ impl HarnessConfig {
         ));
         for queued in [false, true] {
             let wq = if queued { "-wq" } else { "" };
-            out.push(HarnessConfig::new(
-                format!("ecb{wq}"),
-                build(
-                    base()
-                        .protection(ProtectionMode::Ecb)
-                        .shredder(false)
-                        .integrity(false)
-                        .write_queue(queued.then(Self::small_queue)),
-                ),
-            ));
-            out.push(HarnessConfig::new(
-                format!("plain{wq}"),
-                build(
-                    base()
-                        .protection(ProtectionMode::Plain)
-                        .shredder(false)
-                        .integrity(false)
-                        .write_queue(queued.then(Self::small_queue)),
-                ),
-            ));
-        }
-        out
-    }
-
-    /// The scattered-backend sweep matrix: counter persistence ×
-    /// liveness-metadata integrity on the `small_test` footprint, plus a
-    /// self-healing row (wear-out + spares + scrubbing, exercising the
-    /// fresh-share rescue path). Kept separate from [`Self::matrix`] —
-    /// behind the sweep binaries' `--scattered` flag — so the committed
-    /// counter-mode goldens stay byte-identical.
-    ///
-    /// Axes the counter-mode matrix sweeps but this one cannot: the
-    /// write queue, DEUCE, and Start-Gap wear levelling are rejected for
-    /// scattered configs at the builder choke point (no share-consistent
-    /// story; see `ControllerConfig::validate`).
-    pub fn scattered_matrix() -> Vec<HarnessConfig> {
-        let base = || {
-            ControllerConfigBuilder::scattered()
-                .data_capacity(1 << 20)
-                .counter_cache_bytes(16 << 10)
-        };
-        let mut out = Vec::new();
-        for (persistence, p) in [
-            (CounterPersistence::BatteryBackedWriteBack, "bat"),
-            (CounterPersistence::WriteThrough, "wt"),
-            (CounterPersistence::VolatileWriteBack, "vol"),
-        ] {
-            for integrity in [true, false] {
-                let label = format!("scat-{p}{}", if integrity { "-mt" } else { "" });
+            for (mode, name) in [
+                (ProtectionMode::Ecb, "ecb"),
+                (ProtectionMode::Plain, "plain"),
+            ] {
                 out.push(HarnessConfig::new(
-                    label,
-                    base()
-                        .counter_persistence(persistence)
-                        .integrity(integrity)
-                        .build()
-                        .expect("scattered matrix config must build"),
+                    format!("{name}{wq}"),
+                    build(
+                        base()
+                            .protection(mode)
+                            .shredder(false)
+                            .integrity(false)
+                            .write_queue(queued.then(Self::small_queue)),
+                    ),
                 ));
             }
         }
-        out.push(HarnessConfig::new(
-            "scat-bat-heal",
-            base()
-                .endurance_limit(Some(2))
-                .nvm_ecc(EccConfig::strength(3, 5))
-                .spare_lines(64)
-                .scrub_interval(Some(48))
-                .build()
-                .expect("scattered matrix config must build"),
-        ));
+        for (persistence, p) in persistences {
+            for integrity in [true, false] {
+                out.push(HarnessConfig::new(
+                    format!("scat-{p}{}", mt(integrity)),
+                    build(
+                        scattered()
+                            .counter_persistence(persistence)
+                            .integrity(integrity),
+                    ),
+                ));
+            }
+        }
+        out.push(HarnessConfig::new("scat-bat-heal", endurance(scattered())));
         out
     }
 
@@ -338,9 +296,6 @@ impl Campaign for FaultSweep {
 
     fn matrix() -> Vec<HarnessConfig> {
         HarnessConfig::matrix()
-    }
-    fn scattered_matrix() -> Vec<HarnessConfig> {
-        HarnessConfig::scattered_matrix()
     }
     fn label(cfg: &HarnessConfig) -> &str {
         &cfg.label
@@ -1067,17 +1022,30 @@ mod tests {
             matrix.iter().any(|c| c.controller.transient_read_ber > 0.0),
             "sweep must cover organic soft errors"
         );
+        assert!(
+            matrix
+                .iter()
+                .any(|c| c.controller.protection == ProtectionMode::Scattered),
+            "sweep must cover the scattered two-share mode"
+        );
         for cfg in &matrix {
             cfg.controller.validate().expect("matrix config invalid");
         }
     }
 
+    /// The matrix's scattered two-share rows.
+    fn scattered_rows() -> Vec<HarnessConfig> {
+        HarnessConfig::matrix()
+            .into_iter()
+            .filter(|c| c.controller.protection == ProtectionMode::Scattered)
+            .collect()
+    }
+
     #[test]
     fn scattered_matrix_is_valid_and_deterministic() {
-        let matrix = HarnessConfig::scattered_matrix();
+        let matrix = scattered_rows();
         assert!(matrix.len() >= 5, "scattered sweep needs >= 5 configs");
         for cfg in &matrix {
-            assert_eq!(cfg.controller.protection, ProtectionMode::Scattered);
             cfg.controller.validate().expect("scattered config invalid");
         }
         let a = run_plan(&matrix[0], 11);
@@ -1087,7 +1055,7 @@ mod tests {
 
     #[test]
     fn scattered_plans_run_clean() {
-        for cfg in HarnessConfig::scattered_matrix() {
+        for cfg in scattered_rows() {
             for seed in 0..4 {
                 let report = run_plan(&cfg, seed);
                 assert!(
@@ -1101,7 +1069,7 @@ mod tests {
 
     #[test]
     fn scattered_heal_row_rescues_with_fresh_shares() {
-        let matrix = HarnessConfig::scattered_matrix();
+        let matrix = scattered_rows();
         let cfg = matrix.iter().find(|c| c.label == "scat-bat-heal").unwrap();
         let mut saw_remap = false;
         for seed in 0..8 {

@@ -80,10 +80,8 @@ pub trait Campaign {
     /// `--trace`).
     const METRICS: bool = false;
 
-    /// The default config matrix.
+    /// The config matrix.
     fn matrix() -> Vec<Self::Config>;
-    /// The scattered-mode matrix (`--scattered`).
-    fn scattered_matrix() -> Vec<Self::Config>;
     /// The deliberately broken config behind `--weakened`, whose runs
     /// must fail the gate; `None` when the campaign has no such flag.
     fn weakened() -> Option<Self::Config> {
@@ -110,7 +108,6 @@ struct Options {
     config: Option<String>,
     json: Option<String>,
     metrics_json: Option<String>,
-    scattered: bool,
     weakened: bool,
     trace: bool,
     list: bool,
@@ -142,8 +139,8 @@ fn usage<C: Campaign>() -> String {
         ""
     };
     format!(
-        "usage: {} [--seeds N] [--seed S] [--config LABEL] [--json FILE]{metrics} \
-         [--scattered]{trace}{weakened} [--list]",
+        "usage: {} [--seeds N] [--seed S] [--config LABEL] [--json FILE]{metrics}\
+         {trace}{weakened} [--list]",
         C::NAME
     )
 }
@@ -170,7 +167,6 @@ fn parse<C: Campaign>(args: impl IntoIterator<Item = String>) -> Result<Options,
             "--metrics-json" if C::METRICS => {
                 opts.metrics_json = Some(args.next().ok_or("--metrics-json needs a file path")?);
             }
-            "--scattered" => opts.scattered = true,
             "--trace" if C::METRICS => opts.trace = true,
             "--weakened" if C::weakened().is_some() => opts.weakened = true,
             "--list" => opts.list = true,
@@ -184,9 +180,6 @@ fn parse<C: Campaign>(args: impl IntoIterator<Item = String>) -> Result<Options,
     if opts.trace && opts.replay.is_none() {
         return Err("--trace needs --seed S (replay mode)".to_string());
     }
-    if opts.scattered && opts.weakened {
-        return Err("--scattered and --weakened are mutually exclusive".to_string());
-    }
     Ok(opts)
 }
 
@@ -195,8 +188,6 @@ fn parse<C: Campaign>(args: impl IntoIterator<Item = String>) -> Result<Options,
 fn drive<C: Campaign>(opts: &Options) -> Result<bool, String> {
     let pool = if opts.weakened {
         C::weakened().into_iter().collect()
-    } else if opts.scattered {
-        C::scattered_matrix()
     } else {
         C::matrix()
     };
@@ -374,7 +365,7 @@ mod tests {
         let mut flags = vec!["--seeds", "3", "--seed", "1", "--config", "x"];
         flags.extend(["--json", "out.json", "--list"]);
         if C::METRICS {
-            flags.extend(["--metrics-json", "m.json", "--scattered", "--trace"]);
+            flags.extend(["--metrics-json", "m.json", "--trace"]);
         } else {
             flags.push("--weakened");
         }
@@ -393,7 +384,6 @@ mod tests {
         };
         let observed = Options {
             metrics_json: Some("m.json".into()),
-            scattered: true,
             trace: true,
             ..common()
         };
@@ -420,17 +410,17 @@ mod tests {
         rejects::<FaultSweep>(
             &["--help"],
             "usage: faultsweep [--seeds N] [--seed S] [--config LABEL] [--json FILE] \
-             [--metrics-json FILE] [--scattered] [--trace] [--list]",
+             [--metrics-json FILE] [--trace] [--list]",
         );
         rejects::<AttackSweep>(
             &["-h"],
             "usage: attacksweep [--seeds N] [--seed S] [--config LABEL] [--json FILE] \
-             [--scattered] [--weakened] [--list]",
+             [--weakened] [--list]",
         );
         rejects::<CrashSweep>(
             &["--help"],
             "usage: crashsweep [--seeds N] [--seed S] [--config LABEL] [--json FILE] \
-             [--scattered] [--weakened] [--list]",
+             [--weakened] [--list]",
         );
     }
 
@@ -446,6 +436,7 @@ mod tests {
             (&["--config"], "--config needs a label"),
             (&["--json"], "--json needs a file path"),
             (&["--bogus"], "unknown argument \"--bogus\""),
+            (&["--scattered"], "unknown argument \"--scattered\""),
         ] {
             rejects::<C>(flags, message);
         }
@@ -461,10 +452,5 @@ mod tests {
         common_usage_errors::<CrashSweep>();
         rejects::<FaultSweep>(&["--trace"], "--trace needs --seed S (replay mode)");
         rejects::<FaultSweep>(&["--metrics-json"], "--metrics-json needs a file path");
-        for flags in [["--scattered", "--weakened"], ["--weakened", "--scattered"]] {
-            let message = "--scattered and --weakened are mutually exclusive";
-            rejects::<AttackSweep>(&flags, message);
-            rejects::<CrashSweep>(&flags, message);
-        }
     }
 }

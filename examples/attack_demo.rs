@@ -11,9 +11,9 @@
 //! cargo run --release --example attack_demo
 //! ```
 //!
-//! For the full matrix (4 attacks × seeds × 6 configs, sharded
-//! included) run the sweep: `cargo run --release -p ss-bench --bin
-//! attacksweep`.
+//! For the full matrix (4 attacks × seeds × 10 configs, sharded and
+//! scattered included) run the sweep: `cargo run --release -p ss-bench
+//! --bin attacksweep`.
 
 use ss_harness::{demo_records, AttackOutcome, AttackRecord};
 

@@ -3,9 +3,11 @@
 //! `ss_harness::adversary` capability API instead of ad-hoc peeks.
 //!
 //! The grid below is the contract: every attack script × every matrix
-//! configuration resolves `Defended` or `Detected`, never `Leaked`, and
-//! the per-cell tests pin *why* each defense holds (zero-minor reads,
-//! fresh-IV rescue, on-chip Merkle root). Negative controls (plain NVM,
+//! configuration resolves `Defended` or `Detected`, never `Leaked` (the
+//! one exception is scattered-mode rollback-replay, pinned at `Skipped`
+//! until the limit in DESIGN.md §15 is fixed), and the per-cell tests
+//! pin *why* each defense holds (zero-minor reads, fresh-IV rescue,
+//! on-chip Merkle root). Negative controls (plain NVM,
 //! integrity off) prove the attacks are real by letting them succeed.
 
 use silent_shredder::common::{Cycles, Error, PageId};
@@ -31,15 +33,22 @@ fn every_attack_is_defended_or_detected_on_every_matrix_config() {
                 "{} seed {seed} leaked:\n{report}",
                 cfg.label
             );
+            let scattered = cfg.controller.protection == ProtectionMode::Scattered;
             for record in &report.records {
                 let expected = match record.kind {
+                    // Scattered liveness metadata does not advance on
+                    // live overwrites, so there is no rollback for the
+                    // Merkle root to catch: the script skips rather than
+                    // claim a defense (the limit in DESIGN.md §15).
+                    AttackKind::RollbackReplay if scattered => AttackOutcome::Skipped,
                     // The only attack that *must* surface loudly: the
                     // adversary wrote valid-looking stale state, so
                     // serving anything silently would be a leak either
                     // way — the Merkle check turns it into an error.
                     AttackKind::RollbackReplay => AttackOutcome::Detected,
                     // Everything else is absorbed without the victim
-                    // even noticing (zero-fill reads, fresh-IV rescue).
+                    // even noticing (zero-fill reads, fresh-IV or
+                    // fresh-share rescue).
                     _ => AttackOutcome::Defended,
                 };
                 assert_eq!(
