@@ -15,7 +15,7 @@ use std::marker::PhantomData;
 const MAX_OUTCOMES: usize = 5;
 
 /// An outcome enum a sweep classifies every record into.
-pub trait Outcome: Copy + Eq + fmt::Debug + 'static {
+pub trait Outcome: Copy + Eq + 'static {
     /// Every outcome as `(outcome, JSON key, text key, text width)`, in
     /// the JSON tally's key order. The text tally shows the other
     /// outcomes in the same order, each count padded to its width, then
@@ -34,7 +34,7 @@ fn slot<O: Outcome>(outcome: O) -> usize {
 }
 
 /// The JSON tally key of `outcome`.
-pub fn json_key<O: Outcome>(outcome: O) -> &'static str {
+pub(crate) fn json_key<O: Outcome>(outcome: O) -> &'static str {
     O::COLUMNS[slot(outcome)].1
 }
 
@@ -55,11 +55,6 @@ impl<O> Default for Tally<O> {
 }
 
 impl<O: Outcome> Tally<O> {
-    /// Adds one outcome.
-    pub fn add(&mut self, outcome: O) {
-        self.counts[slot(outcome)] += 1;
-    }
-
     /// Adds every count of `other`.
     pub fn merge(&mut self, other: Self) {
         for (mine, theirs) in self.counts.iter_mut().zip(other.counts) {
@@ -98,7 +93,7 @@ impl<O: Outcome> FromIterator<O> for Tally<O> {
     fn from_iter<I: IntoIterator<Item = O>>(outcomes: I) -> Self {
         let mut tally = Tally::default();
         for outcome in outcomes {
-            tally.add(outcome);
+            tally.counts[slot(outcome)] += 1;
         }
         tally
     }
