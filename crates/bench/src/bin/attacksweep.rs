@@ -6,16 +6,17 @@
 //! ```
 //!
 //! Runs every attack script in [`AttackKind::ALL`] for seeds `0..N`
-//! (N = 32) against the 10 configs of [`AttackConfig::matrix`]
+//! (N = 32) against the 10 configs of [`AttackSweep::matrix`]
 //! (counter-mode and scattered two-share rows, 4- and 8-shard
-//! included) and exits nonzero iff anything leaked. `--weakened` runs only [`AttackConfig::weakened`] (no Merkle
-//! tree), whose rollback-replay attack leaks, so the sweep must exit red
-//! — CI runs it to prove the gate fires. Everything else is the shared
+//! included) and exits nonzero iff anything leaked. `--weakened` runs
+//! only [`AttackSweep::weakened`] (no Merkle tree), whose
+//! rollback-replay attack leaks, so the sweep must exit red — CI runs it
+//! to prove the gate fires. Everything else is the shared
 //! [`ss_harness::sweep`] program, run with the [`AttackSweep`] campaign.
 //!
 //! [`AttackKind::ALL`]: ss_harness::AttackKind::ALL
-//! [`AttackConfig::matrix`]: ss_harness::AttackConfig::matrix
-//! [`AttackConfig::weakened`]: ss_harness::AttackConfig::weakened
+//! [`AttackSweep::matrix`]: ss_harness::Campaign::matrix
+//! [`AttackSweep::weakened`]: ss_harness::Campaign::weakened
 
 use std::process::ExitCode;
 

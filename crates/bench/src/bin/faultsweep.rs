@@ -6,16 +6,17 @@
 //! ```
 //!
 //! Runs the seeded fault plan for seeds `0..N` (N = 32) against the 27
-//! configs of [`HarnessConfig::matrix`] (counter-mode, ECB, plain and
-//! scattered two-share rows) and exits nonzero iff a fault resolved as
-//! an undetected corruption or a final sweep failed.
+//! configs of [`FaultSweep::matrix`] (counter-mode, ECB, plain and
+//! scattered two-share rows, each on a one-shard controller) and exits
+//! nonzero iff a fault resolved as an undetected corruption or a final
+//! sweep failed.
 //! `--metrics-json FILE` writes the unified metrics registry (DESIGN.md
 //! §10) per config, summed over the campaign's seeds; `--trace` (replay
 //! only) prints each run's event trace in simulated cycles. Everything
 //! else is the shared [`ss_harness::sweep`] program, run with the
 //! [`FaultSweep`] campaign.
 //!
-//! [`HarnessConfig::matrix`]: ss_harness::HarnessConfig::matrix
+//! [`FaultSweep::matrix`]: ss_harness::Campaign::matrix
 
 use std::process::ExitCode;
 

@@ -42,15 +42,15 @@ use std::fmt;
 
 use ss_common::{BlockAddr, Cycles, DetRng, Error, PageId, Result, BLOCKS_PER_PAGE, LINE_SIZE};
 use ss_core::{
-    ControllerConfig, ControllerConfigBuilder, CounterPersistence, FaultPort, ProtectionMode,
-    ReadResult, ShardedConfig, ShardedController, ShredStrategy, SHRED_REG,
+    ControllerConfig, ControllerConfigBuilder, CounterPersistence, ProtectionMode, ReadResult,
+    ShardedController, ShredStrategy, SHRED_REG,
 };
 
-use crate::engine::HarnessConfig;
+use crate::machine::{at_block, at_page, reboot, shard_sum};
 use crate::plan::PAGES;
 use crate::report::{json_escape, Outcome, Record, Report};
 use crate::shadow::Line;
-use crate::sweep::{Artifacts, Campaign};
+use crate::sweep::{Artifacts, Campaign, SweepConfig};
 
 /// Domain separator for attack-scenario RNG streams (distinct from the
 /// fault-plan and workload domains in `plan.rs`/`engine.rs`).
@@ -208,37 +208,19 @@ impl fmt::Display for AttackRecord {
     }
 }
 
-/// One named machine configuration under attack.
-#[derive(Debug, Clone)]
-pub struct AttackConfig {
-    /// Stable label used in reports (e.g. `ctr-bat-mt-x4`).
-    pub label: String,
-    /// The controller configuration (the *total* machine when sharded).
-    pub controller: ControllerConfig,
-    /// Channel count of the [`ShardedController`] under attack, over
-    /// the round-robin interleave (1 behaves exactly like the plain
-    /// controller). Attacks target pages `1..=PAGES`, which covers every
-    /// shard while `shards <= PAGES`.
-    pub shards: u32,
-}
+/// The `attacksweep` campaign: every attack in [`AttackKind::ALL`] over
+/// its matrix, gated on zero leaked outcomes, with the no-Merkle
+/// weakened config behind `--weakened`.
+#[derive(Debug)]
+pub struct AttackSweep;
 
-impl AttackConfig {
-    /// Wraps a controller config as a single-channel target.
-    pub fn new(label: impl Into<String>, controller: ControllerConfig) -> Self {
-        AttackConfig {
-            label: label.into(),
-            controller,
-            shards: 1,
-        }
-    }
-
-    /// Wraps a controller config as an `n`-channel sharded target.
-    pub fn sharded(label: impl Into<String>, controller: ControllerConfig, shards: u32) -> Self {
-        AttackConfig {
-            shards,
-            ..AttackConfig::new(label, controller)
-        }
-    }
+impl Campaign for AttackSweep {
+    type Record = AttackRecord;
+    const NAME: &'static str = "attacksweep";
+    const DEFAULT_SEEDS: u64 = 32;
+    const LABEL_WIDTH: usize = 18;
+    const TOTAL_NOUN: &'static str = "attacks run";
+    const CLEAN_NOTE: &'static str = "zero leaked outcomes";
 
     /// The attack matrix: the paper's secure configuration across
     /// counter persistence, write queueing, healing pressure, and
@@ -250,68 +232,43 @@ impl AttackConfig {
     /// the liveness metadata *and* the processor key, and must still
     /// classify `Defended`, because after a shred the surviving data
     /// share recombines with fresh randomness to nothing.
-    pub fn matrix() -> Vec<AttackConfig> {
+    fn matrix() -> Vec<SweepConfig> {
         let base = ControllerConfigBuilder::small_test;
         let scattered = || base().protection(ProtectionMode::Scattered);
         let build = |b: ControllerConfigBuilder| b.build().expect("attack matrix config");
-        let queue = HarnessConfig::small_queue();
+        let queue = SweepConfig::small_queue();
         let wt = CounterPersistence::WriteThrough;
         let heal = |b: ControllerConfigBuilder| build(b.spare_lines(64).scrub_interval(Some(32)));
         vec![
-            AttackConfig::new("ctr-bat-mt", build(base())),
-            AttackConfig::new("ctr-wt-mt", build(base().counter_persistence(wt))),
-            AttackConfig::new("ctr-bat-mt-wq", build(base().write_queue(Some(queue)))),
-            AttackConfig::new("ctr-bat-mt-heal", heal(base())),
-            AttackConfig::sharded("ctr-bat-mt-x4", build(base()), 4),
-            AttackConfig::sharded("ctr-bat-mt-x8", build(base()), 8),
-            AttackConfig::new("scat-bat-mt", build(scattered())),
-            AttackConfig::new("scat-wt-mt", build(scattered().counter_persistence(wt))),
-            AttackConfig::new("scat-bat-mt-heal", heal(scattered())),
-            AttackConfig::sharded("scat-bat-mt-x4", build(scattered()), 4),
+            SweepConfig::new("ctr-bat-mt", build(base())),
+            SweepConfig::new("ctr-wt-mt", build(base().counter_persistence(wt))),
+            SweepConfig::new("ctr-bat-mt-wq", build(base().write_queue(Some(queue)))),
+            SweepConfig::new("ctr-bat-mt-heal", heal(base())),
+            SweepConfig::sharded("ctr-bat-mt-x4", build(base()), 4),
+            SweepConfig::sharded("ctr-bat-mt-x8", build(base()), 8),
+            SweepConfig::new("scat-bat-mt", build(scattered())),
+            SweepConfig::new("scat-wt-mt", build(scattered().counter_persistence(wt))),
+            SweepConfig::new("scat-bat-mt-heal", heal(scattered())),
+            SweepConfig::sharded("scat-bat-mt-x4", build(scattered()), 4),
         ]
     }
 
     /// A deliberately weakened configuration (no Merkle tree): the
     /// rollback-replay attack *succeeds* against it. Used to verify the
-    /// sweep actually turns red on a leak — it is never part of
-    /// [`AttackConfig::matrix`].
-    pub fn weakened() -> AttackConfig {
-        AttackConfig::new(
+    /// sweep actually turns red on a leak — it is never part of the
+    /// matrix.
+    fn weakened() -> Option<SweepConfig> {
+        Some(SweepConfig::new(
             "weak-nomt",
             ControllerConfigBuilder::small_test()
                 .integrity(false)
                 .build()
                 .expect("weakened config"),
-        )
+        ))
     }
-}
 
-/// The `attacksweep` campaign: every attack in [`AttackKind::ALL`] over
-/// [`AttackConfig::matrix`], gated on zero leaked outcomes, with the
-/// no-Merkle [`AttackConfig::weakened`] config behind `--weakened`.
-#[derive(Debug)]
-pub struct AttackSweep;
-
-impl Campaign for AttackSweep {
-    type Config = AttackConfig;
-    type Record = AttackRecord;
-    const NAME: &'static str = "attacksweep";
-    const DEFAULT_SEEDS: u64 = 32;
-    const LABEL_WIDTH: usize = 18;
-    const TOTAL_NOUN: &'static str = "attacks run";
-    const CLEAN_NOTE: &'static str = "zero leaked outcomes";
-
-    fn matrix() -> Vec<AttackConfig> {
-        AttackConfig::matrix()
-    }
-    fn weakened() -> Option<AttackConfig> {
-        Some(AttackConfig::weakened())
-    }
-    fn label(cfg: &AttackConfig) -> &str {
-        &cfg.label
-    }
     fn run(
-        cfg: &AttackConfig,
+        cfg: &SweepConfig,
         seed: u64,
         _trace_depth: Option<usize>,
     ) -> Artifacts<Report<AttackRecord>> {
@@ -374,6 +331,7 @@ impl DimmImage {
 #[derive(Debug)]
 pub struct Adversary {
     machine: ShardedController,
+    recovery: bool,
     powered: bool,
     steps: Vec<String>,
 }
@@ -384,12 +342,10 @@ impl Adversary {
     /// # Errors
     ///
     /// [`Error::InvalidConfig`] when the configuration does not build.
-    pub fn build(cfg: &AttackConfig) -> Result<Adversary> {
+    pub fn build(cfg: &SweepConfig) -> Result<Adversary> {
         Ok(Adversary {
-            machine: ShardedController::new(ShardedConfig::new(
-                cfg.shards,
-                cfg.controller.clone(),
-            ))?,
+            machine: cfg.machine()?,
+            recovery: cfg.recovery,
             powered: true,
             steps: Vec::new(),
         })
@@ -402,33 +358,6 @@ impl Adversary {
 
     fn note(&mut self, step: String) {
         self.steps.push(step);
-    }
-
-    /// Runs `f` on the fault port of the shard owning `page`, with the
-    /// page translated into that shard's local frame number.
-    fn at_page<T>(
-        &mut self,
-        page: PageId,
-        f: impl FnOnce(FaultPort<'_>, PageId) -> T,
-    ) -> Result<T> {
-        let il = self.machine.interleave();
-        let (s, local) = (il.shard_of_page(page), il.local_page(page));
-        let port = self.machine.faults_shard(s as usize);
-        let port = port.ok_or_else(|| Error::InvalidConfig {
-            detail: format!("no shard {s}"),
-        })?;
-        Ok(f(port, local))
-    }
-
-    /// [`Adversary::at_page`] for the line at `addr`, translated into its
-    /// shard's local address space.
-    fn at_block<T>(
-        &mut self,
-        addr: BlockAddr,
-        f: impl FnOnce(FaultPort<'_>, BlockAddr) -> T,
-    ) -> Result<T> {
-        let local = self.machine.interleave().local_block(addr);
-        self.at_page(addr.page(), |port, _| f(port, local))
     }
 
     /// Every shard's on-chip Merkle root.
@@ -551,15 +480,15 @@ impl Adversary {
         self.note(format!(
             "adversary: age line {addr} ({weak_bits} weak bit(s))"
         ));
-        self.at_block(addr, |mut p, a| p.force_line_failure(a, weak_bits))
+        at_block(&mut self.machine, addr, |mut p, a| {
+            p.force_line_failure(a, weak_bits)
+        });
+        Ok(())
     }
 
     /// Data lines currently rescued into spare-pool slots.
     pub fn remapped_lines(&self) -> u64 {
-        (0..self.machine.shards() as usize)
-            .filter_map(|s| self.machine.inspect_shard(s))
-            .map(|i| i.remapped_lines())
-            .sum()
+        shard_sum(&self.machine, |i| i.remapped_lines())
     }
 
     // -- power transitions ---------------------------------------------
@@ -579,7 +508,8 @@ impl Adversary {
     }
 
     /// Restores power and runs the reboot recovery protocol on every
-    /// shard ([`ShardedController::recover_mut_all`]).
+    /// shard ([`ShardedController::recover_mut_all`]) unless the config
+    /// turns recovery off.
     ///
     /// # Errors
     ///
@@ -590,7 +520,7 @@ impl Adversary {
     pub fn power_on(&mut self) -> Result<()> {
         self.need_dark("power-on")?;
         self.note("adversary: restore power, machine recovers".into());
-        self.machine.recover_mut_all().ok()?;
+        reboot(&mut self.machine, self.recovery)?;
         self.powered = true;
         Ok(())
     }
@@ -637,7 +567,7 @@ impl Adversary {
     pub fn capture_line(&mut self, addr: BlockAddr) -> Result<Line> {
         self.need_dark("line capture")?;
         self.note(format!("adversary: capture ciphertext at {addr}"));
-        self.at_block(addr, |p, a| p.nvm_peek(a))
+        Ok(at_block(&mut self.machine, addr, |p, a| p.nvm_peek(a)))
     }
 
     /// Captures the persisted counter line of `page`.
@@ -651,7 +581,9 @@ impl Adversary {
             "adversary: capture counter line of page {}",
             page.raw()
         ));
-        self.at_page(page, |p, local| p.nvm_peek_counter(local))
+        Ok(at_page(&mut self.machine, page, |p, l| {
+            p.nvm_peek_counter(l)
+        }))
     }
 
     /// Writes previously captured ciphertext back to the data line at
@@ -663,7 +595,8 @@ impl Adversary {
     pub fn replay_line(&mut self, addr: BlockAddr, line: Line) -> Result<()> {
         self.need_dark("line replay")?;
         self.note(format!("adversary: replay stale ciphertext at {addr}"));
-        self.at_block(addr, |mut p, a| p.nvm_tamper(a, line))
+        at_block(&mut self.machine, addr, |mut p, a| p.nvm_tamper(a, line));
+        Ok(())
     }
 
     /// Writes a previously captured counter line back (counter
@@ -678,7 +611,10 @@ impl Adversary {
             "adversary: roll back counter line of page {}",
             page.raw()
         ));
-        self.at_page(page, |mut p, local| p.tamper_counter_line(local, line))
+        at_page(&mut self.machine, page, |mut p, l| {
+            p.tamper_counter_line(l, line)
+        });
+        Ok(())
     }
 
     /// The stolen-DIMM oracle: decrypt the line at `addr` offline using
@@ -692,7 +628,7 @@ impl Adversary {
     pub fn offline_read(&mut self, addr: BlockAddr) -> Result<Line> {
         self.need_dark("offline read")?;
         self.note(format!("adversary: offline decrypt attempt at {addr}"));
-        self.at_block(addr, |mut p, a| p.peek_plaintext(a))?
+        at_block(&mut self.machine, addr, |mut p, a| p.peek_plaintext(a))
     }
 }
 
@@ -732,7 +668,7 @@ fn step_err<T>(r: Result<T>, what: &str) -> std::result::Result<T, String> {
 /// Panics only on harness-internal misuse (a matrix configuration that
 /// does not build). Machine misbehavior is reported as `Leaked`, never
 /// panicked on.
-pub fn run_attack(cfg: &AttackConfig, kind: AttackKind, seed: u64) -> AttackRecord {
+pub fn run_attack(cfg: &SweepConfig, kind: AttackKind, seed: u64) -> AttackRecord {
     let mut adv = Adversary::build(cfg).expect("attack config must build");
     let mut rng = DetRng::new(seed ^ ATTACK_DOMAIN ^ kind.domain());
     let verdict = match kind {
@@ -754,7 +690,7 @@ pub fn run_attack(cfg: &AttackConfig, kind: AttackKind, seed: u64) -> AttackReco
 }
 
 /// Runs every attack in [`AttackKind::ALL`] order against `cfg`.
-pub fn run_attacks(cfg: &AttackConfig, seed: u64) -> Report<AttackRecord> {
+pub fn run_attacks(cfg: &SweepConfig, seed: u64) -> Report<AttackRecord> {
     Report {
         label: cfg.label.clone(),
         seed,
@@ -769,7 +705,7 @@ pub fn run_attacks(cfg: &AttackConfig, seed: u64) -> Report<AttackRecord> {
 /// Shred-then-steal: secrets are written and shredded; then the DIMM is
 /// stolen. Cold scan, offline decrypt with the key, and post-reboot
 /// reads must all deny the secrets.
-fn shred_then_steal(adv: &mut Adversary, rng: &mut DetRng, cfg: &AttackConfig) -> Verdict {
+fn shred_then_steal(adv: &mut Adversary, rng: &mut DetRng, cfg: &SweepConfig) -> Verdict {
     if !cfg.controller.shredder {
         return Ok((
             AttackOutcome::Skipped,
@@ -853,7 +789,7 @@ fn shred_then_steal(adv: &mut Adversary, rng: &mut DetRng, cfg: &AttackConfig) -
 /// Remap-probe: wear a secret-bearing line into the spare pool, then
 /// shred and probe the pool. The rescue must use a fresh IV and the
 /// shred must cover the rescued copy.
-fn remap_probe(adv: &mut Adversary, rng: &mut DetRng, cfg: &AttackConfig) -> Verdict {
+fn remap_probe(adv: &mut Adversary, rng: &mut DetRng, cfg: &SweepConfig) -> Verdict {
     if !cfg.controller.shredder {
         return Ok((
             AttackOutcome::Skipped,
@@ -941,7 +877,7 @@ fn remap_probe(adv: &mut Adversary, rng: &mut DetRng, cfg: &AttackConfig) -> Ver
 /// let the victim overwrite, replay the stale pair at reboot. The
 /// on-chip Merkle root (which the adversary cannot roll back) must
 /// reject the stale counter.
-fn rollback_replay(adv: &mut Adversary, rng: &mut DetRng, cfg: &AttackConfig) -> Verdict {
+fn rollback_replay(adv: &mut Adversary, rng: &mut DetRng, cfg: &SweepConfig) -> Verdict {
     if cfg.controller.protection == ProtectionMode::Scattered {
         // Live scattered overwrites never touch the liveness line, so a
         // captured metadata line is usually still current and rolling it
@@ -1005,7 +941,7 @@ fn rollback_replay(adv: &mut Adversary, rng: &mut DetRng, cfg: &AttackConfig) ->
 /// Scrub-race: weak cells grow in a secret page, the page is shredded,
 /// then a full scrub pass rescues the weak lines. The rescues must not
 /// resurrect pre-shred plaintext anywhere.
-fn scrub_race(adv: &mut Adversary, rng: &mut DetRng, cfg: &AttackConfig) -> Verdict {
+fn scrub_race(adv: &mut Adversary, rng: &mut DetRng, cfg: &SweepConfig) -> Verdict {
     if !cfg.controller.shredder {
         return Ok((
             AttackOutcome::Skipped,
@@ -1084,7 +1020,7 @@ fn scrub_race(adv: &mut Adversary, rng: &mut DetRng, cfg: &AttackConfig) -> Verd
 /// defended attack and one loudly detected one. Shared with the
 /// end-to-end test so the demo's output is asserted, not just printed.
 pub fn demo_records() -> (AttackRecord, AttackRecord) {
-    let cfg = AttackConfig::new("demo-ctr-bat-mt", ControllerConfig::small_test());
+    let cfg = SweepConfig::new("demo-ctr-bat-mt", ControllerConfig::small_test());
     (
         run_attack(&cfg, AttackKind::ShredThenSteal, 1),
         run_attack(&cfg, AttackKind::RollbackReplay, 1),
@@ -1094,41 +1030,21 @@ pub fn demo_records() -> (AttackRecord, AttackRecord) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::scattered_rows;
 
     #[test]
     fn matrix_covers_the_announced_axes() {
-        let matrix = AttackConfig::matrix();
+        let matrix = AttackSweep::matrix();
         assert!(matrix.len() >= 4, "attack sweep needs >= 4 configs");
         assert!(
             matrix.iter().any(|c| c.shards > 1),
             "attack sweep must include a sharded config"
         );
-        let labels: BTreeSet<&str> = matrix.iter().map(|c| c.label.as_str()).collect();
-        assert_eq!(labels.len(), matrix.len(), "labels must be unique");
-        for cfg in &matrix {
-            cfg.controller.validate().expect("matrix config invalid");
-            assert!(PAGES >= u64::from(cfg.shards), "pages must cover shards");
-        }
-    }
-
-    #[test]
-    fn same_seed_byte_identical_report() {
-        for cfg in AttackConfig::matrix().iter().take(2) {
-            let a = run_attacks(cfg, 7);
-            let b = run_attacks(cfg, 7);
-            assert_eq!(
-                format!("{a}"),
-                format!("{b}"),
-                "{} nondeterministic",
-                cfg.label
-            );
-            assert_eq!(a.to_json(), b.to_json());
-        }
     }
 
     #[test]
     fn base_config_defends_or_detects_everything() {
-        let cfg = &AttackConfig::matrix()[0];
+        let cfg = &AttackSweep::matrix()[0];
         for seed in 0..4 {
             let report = run_attacks(cfg, seed);
             assert!(report.clean(), "seed {seed} leaked:\n{report}");
@@ -1140,7 +1056,7 @@ mod tests {
 
     #[test]
     fn sharded_config_defends_everything_per_shard() {
-        let cfg = AttackConfig::matrix()
+        let cfg = AttackSweep::matrix()
             .into_iter()
             .find(|c| c.shards == 4)
             .expect("matrix has a 4-shard config");
@@ -1150,17 +1066,9 @@ mod tests {
         }
     }
 
-    /// The matrix's scattered two-share rows.
-    fn scattered_rows() -> Vec<AttackConfig> {
-        AttackConfig::matrix()
-            .into_iter()
-            .filter(|c| c.controller.protection == ProtectionMode::Scattered)
-            .collect()
-    }
-
     #[test]
     fn scattered_matrix_never_leaks() {
-        let rows = scattered_rows();
+        let rows = scattered_rows::<AttackSweep>();
         assert!(rows.len() >= 4, "attack sweep needs >= 4 scattered configs");
         for cfg in rows {
             for seed in 0..4 {
@@ -1180,7 +1088,7 @@ mod tests {
         // both share regions + key) must classify Defended — one share
         // alone is a one-time pad of nothing, and after the shred the
         // surviving share has no partner at all.
-        for cfg in scattered_rows() {
+        for cfg in scattered_rows::<AttackSweep>() {
             for seed in 0..4 {
                 let record = run_attack(&cfg, AttackKind::ShredThenSteal, seed);
                 assert_eq!(
@@ -1195,7 +1103,7 @@ mod tests {
 
     #[test]
     fn weakened_config_leaks_on_rollback() {
-        let cfg = AttackConfig::weakened();
+        let cfg = AttackSweep::weakened().expect("attacksweep has a weakened config");
         let record = run_attack(&cfg, AttackKind::RollbackReplay, 0);
         assert_eq!(
             record.outcome,
@@ -1208,7 +1116,7 @@ mod tests {
 
     #[test]
     fn spare_less_config_skips_pool_attacks() {
-        let cfg = AttackConfig::new(
+        let cfg = SweepConfig::new(
             "no-spares",
             ControllerConfigBuilder::small_test()
                 .spare_lines(0)
@@ -1226,7 +1134,7 @@ mod tests {
 
     #[test]
     fn misuse_is_loud() {
-        let cfg = AttackConfig::new("misuse", ControllerConfig::small_test());
+        let cfg = SweepConfig::new("misuse", ControllerConfig::small_test());
         let mut adv = Adversary::build(&cfg).unwrap();
         // Powered on: physical capabilities must refuse.
         assert!(adv.cold_scan().is_err());

@@ -36,13 +36,13 @@ use std::fmt;
 
 use ss_common::{BlockAddr, Cycles, DetRng, Error, PageId, Result, LINE_SIZE};
 use ss_core::{
-    ControllerConfig, ControllerConfigBuilder, CounterPersistence, Inspect, PersistDomain,
-    ProtectionMode, RecoveryReport, ShardedConfig, ShardedController,
+    ControllerConfigBuilder, CounterPersistence, PersistDomain, ProtectionMode, RecoveryReport,
+    ShardedController,
 };
 
-use crate::engine::HarnessConfig;
+use crate::machine::{at_block, reboot, shard_sum};
 use crate::report::{json_escape, Outcome, Record, Report};
-use crate::sweep::{Artifacts, Campaign};
+use crate::sweep::{Artifacts, Campaign, SweepConfig};
 
 /// A 64-byte line.
 type Line = [u8; LINE_SIZE];
@@ -105,7 +105,7 @@ impl CrashScenario {
     }
 
     /// Whether the scenario exercises anything on `cfg`.
-    fn applies(self, cfg: &CrashConfig) -> bool {
+    fn applies(self, cfg: &SweepConfig) -> bool {
         let c = &cfg.controller;
         match self {
             CrashScenario::DemandWrite => true,
@@ -231,44 +231,22 @@ impl fmt::Display for CrashRecord {
 }
 
 // ---------------------------------------------------------------------
-// Configurations
+// The campaign
 // ---------------------------------------------------------------------
 
-/// One named machine configuration under crash test.
-#[derive(Debug, Clone)]
-pub struct CrashConfig {
-    /// Stable label used in reports (e.g. `adr-wt-x4`).
-    pub label: String,
-    /// The controller configuration (the *total* machine when sharded).
-    pub controller: ControllerConfig,
-    /// Channel count of the [`ShardedController`] under test (1 behaves
-    /// exactly like the plain controller).
-    pub shards: u32,
-    /// Whether reboot runs the full recovery protocol
-    /// ([`ss_core::MemoryController::recover_mut`]) on every shard. The
-    /// weakened config turns this off to prove the sweep catches the
-    /// resulting corruption.
-    pub recovery: bool,
-}
+/// The `crashsweep` campaign: every crash point of every
+/// [`CrashScenario`] over its matrix, gated on zero silent outcomes,
+/// with the no-recovery weakened config behind `--weakened`.
+#[derive(Debug)]
+pub struct CrashSweep;
 
-impl CrashConfig {
-    /// Wraps a controller config as a single-channel target.
-    pub fn new(label: impl Into<String>, controller: ControllerConfig) -> Self {
-        CrashConfig {
-            label: label.into(),
-            controller,
-            shards: 1,
-            recovery: true,
-        }
-    }
-
-    /// Wraps a controller config as an `n`-channel sharded target.
-    pub fn sharded(label: impl Into<String>, controller: ControllerConfig, shards: u32) -> Self {
-        CrashConfig {
-            shards,
-            ..CrashConfig::new(label, controller)
-        }
-    }
+impl Campaign for CrashSweep {
+    type Record = CrashRecord;
+    const NAME: &'static str = "crashsweep";
+    const DEFAULT_SEEDS: u64 = 8;
+    const LABEL_WIDTH: usize = 20;
+    const TOTAL_NOUN: &'static str = "crash points";
+    const CLEAN_NOTE: &'static str = "zero silent outcomes";
 
     /// The crash matrix: the ADR persist-step model across counter
     /// persistence, encryption mode, write queueing, and sharding, plus
@@ -282,7 +260,7 @@ impl CrashConfig {
     /// between the two share writes must roll back to a coherent pair.
     /// Every config resolves every crash point; `crashsweep` demands
     /// zero `Silent` over this matrix.
-    pub fn matrix() -> Vec<CrashConfig> {
+    fn matrix() -> Vec<SweepConfig> {
         let build = |b: ControllerConfigBuilder| b.build().expect("crash matrix config");
         let small = ControllerConfigBuilder::small_test;
         let adr = || small().persist_domain(PersistDomain::Adr);
@@ -290,7 +268,7 @@ impl CrashConfig {
         let scattered = ProtectionMode::Scattered;
         let adr_wt = || build(adr().counter_persistence(wt));
         let scat_adr_wt = || build(adr().protection(scattered).counter_persistence(wt));
-        let queue = || Some(HarnessConfig::small_queue());
+        let queue = || Some(SweepConfig::small_queue());
         let queued = |mode: ProtectionMode| {
             build(
                 adr()
@@ -301,17 +279,17 @@ impl CrashConfig {
             )
         };
         vec![
-            CrashConfig::new("adr-wt", adr_wt()),
-            CrashConfig::new("adr-bat", build(adr())),
-            CrashConfig::new("adr-plain-wq", queued(ProtectionMode::Plain)),
-            CrashConfig::new("adr-ecb-wq", queued(ProtectionMode::Ecb)),
-            CrashConfig::new("eadr-wq", build(small().write_queue(queue()))),
-            CrashConfig::sharded("adr-wt-x4", adr_wt(), 4),
-            CrashConfig::sharded("adr-wt-x8", adr_wt(), 8),
-            CrashConfig::new("scat-adr-wt", scat_adr_wt()),
-            CrashConfig::new("scat-adr-bat", build(adr().protection(scattered))),
-            CrashConfig::new("scat-eadr", build(small().protection(scattered))),
-            CrashConfig::sharded("scat-adr-wt-x4", scat_adr_wt(), 4),
+            SweepConfig::new("adr-wt", adr_wt()),
+            SweepConfig::new("adr-bat", build(adr())),
+            SweepConfig::new("adr-plain-wq", queued(ProtectionMode::Plain)),
+            SweepConfig::new("adr-ecb-wq", queued(ProtectionMode::Ecb)),
+            SweepConfig::new("eadr-wq", build(small().write_queue(queue()))),
+            SweepConfig::sharded("adr-wt-x4", adr_wt(), 4),
+            SweepConfig::sharded("adr-wt-x8", adr_wt(), 8),
+            SweepConfig::new("scat-adr-wt", scat_adr_wt()),
+            SweepConfig::new("scat-adr-bat", build(adr().protection(scattered))),
+            SweepConfig::new("scat-eadr", build(small().protection(scattered))),
+            SweepConfig::sharded("scat-adr-wt-x4", scat_adr_wt(), 4),
         ]
     }
 
@@ -320,10 +298,10 @@ impl CrashConfig {
     /// write's data and counter steps leaves new ciphertext under the
     /// old IV — garbage that decrypts silently. `crashsweep --weakened`
     /// must exit red; CI runs it to prove the gate fires.
-    pub fn weakened() -> CrashConfig {
-        CrashConfig {
+    fn weakened() -> Option<SweepConfig> {
+        Some(SweepConfig {
             recovery: false,
-            ..CrashConfig::new(
+            ..SweepConfig::new(
                 "weakened-norecovery",
                 ControllerConfigBuilder::small_test()
                     .counter_persistence(CounterPersistence::WriteThrough)
@@ -331,92 +309,16 @@ impl CrashConfig {
                     .build()
                     .expect("weakened crash config"),
             )
-        }
+        })
     }
-}
 
-/// The `crashsweep` campaign: every crash point of every
-/// [`CrashScenario`] over [`CrashConfig::matrix`], gated on zero silent
-/// outcomes, with the no-recovery [`CrashConfig::weakened`] config
-/// behind `--weakened`.
-#[derive(Debug)]
-pub struct CrashSweep;
-
-impl Campaign for CrashSweep {
-    type Config = CrashConfig;
-    type Record = CrashRecord;
-    const NAME: &'static str = "crashsweep";
-    const DEFAULT_SEEDS: u64 = 8;
-    const LABEL_WIDTH: usize = 20;
-    const TOTAL_NOUN: &'static str = "crash points";
-    const CLEAN_NOTE: &'static str = "zero silent outcomes";
-
-    fn matrix() -> Vec<CrashConfig> {
-        CrashConfig::matrix()
-    }
-    fn weakened() -> Option<CrashConfig> {
-        Some(CrashConfig::weakened())
-    }
-    fn label(cfg: &CrashConfig) -> &str {
-        &cfg.label
-    }
     fn run(
-        cfg: &CrashConfig,
+        cfg: &SweepConfig,
         seed: u64,
         _trace_depth: Option<usize>,
     ) -> Artifacts<Report<CrashRecord>> {
         run_crash_config(cfg, seed).into()
     }
-}
-
-// ---------------------------------------------------------------------
-// The machine: one sharded controller (1 shard = the plain controller)
-// ---------------------------------------------------------------------
-
-/// Builds the machine under test. Every config runs on a
-/// [`ShardedController`]; `shards: 1` is the plain controller, byte for
-/// byte.
-fn machine(cfg: &CrashConfig) -> Result<ShardedController> {
-    ShardedController::new(ShardedConfig::new(cfg.shards, cfg.controller.clone()))
-}
-
-/// Lifetime persist steps of shard `s`.
-fn persist_steps(m: &ShardedController, s: u32) -> u64 {
-    m.inspect_shard(s as usize).map_or(0, |i| i.persist_steps())
-}
-
-/// Sums a per-shard count over every shard.
-fn shard_sum(m: &ShardedController, count: impl Fn(Inspect<'_>) -> u64) -> u64 {
-    (0..m.shards() as usize)
-        .filter_map(|s| m.inspect_shard(s))
-        .map(count)
-        .sum()
-}
-
-/// Reboots every shard: `with_journal`, the full recovery protocol, the
-/// per-shard reports merged by summing counts; without it (the weakened
-/// config), nothing runs and the report is empty.
-fn reboot(m: &mut ShardedController, with_journal: bool) -> Result<RecoveryReport> {
-    if !with_journal {
-        return Ok(RecoveryReport::default());
-    }
-    let mut merged = RecoveryReport {
-        root_verified: true,
-        ..RecoveryReport::default()
-    };
-    for (_, r) in m.recover_mut_all().into_results() {
-        let r = r?;
-        merged.journal_open |= r.journal_open;
-        if merged.interrupted_tag == 0 {
-            merged.interrupted_tag = r.interrupted_tag;
-        }
-        merged.undone += r.undone;
-        merged.redone += r.redone;
-        merged.remaps_rolled_back += r.remaps_rolled_back;
-        merged.root_verified &= r.root_verified;
-        merged.shredded_pages += r.shredded_pages;
-    }
-    Ok(merged)
 }
 
 // ---------------------------------------------------------------------
@@ -649,11 +551,7 @@ fn setup(scen: CrashScenario, m: &mut ShardedController, seed: u64) -> Result<Ve
             let data = pattern(&mut rng);
             m.write_block(addr, &data, false, Cycles::ZERO)?;
             m.flush_counters()?;
-            let il = m.interleave();
-            let (s, local) = (il.shard_of_block(addr), il.local_block(addr));
-            if let Some(mut port) = m.faults_shard(s as usize) {
-                port.force_line_failure(local, 1);
-            }
+            at_block(m, addr, |mut p, a| p.force_line_failure(a, 1));
             Ok(vec![Unit::Remap {
                 addr,
                 data,
@@ -736,8 +634,13 @@ fn victim(scen: CrashScenario, m: &mut ShardedController, units: &[Unit]) -> Res
 // The sweep
 // ---------------------------------------------------------------------
 
+/// Lifetime persist steps of shard `s`.
+fn persist_steps(m: &ShardedController, s: u32) -> u64 {
+    m.inspect_shard(s as usize).map_or(0, |i| i.persist_steps())
+}
+
 /// Sweeps every crash point of one scenario on one config.
-fn run_crash_scenario(cfg: &CrashConfig, scen: CrashScenario, seed: u64) -> Vec<CrashRecord> {
+fn run_crash_scenario(cfg: &SweepConfig, scen: CrashScenario, seed: u64) -> Vec<CrashRecord> {
     let skip = |detail: &str| {
         vec![CrashRecord {
             scenario: scen,
@@ -764,7 +667,7 @@ fn run_crash_scenario(cfg: &CrashConfig, scen: CrashScenario, seed: u64) -> Vec<
 
     // Census pass: an unarmed twin runs setup + victim once, counting
     // the victim's persist steps per shard and capturing expected state.
-    let mut twin = match machine(cfg) {
+    let mut twin = match cfg.machine() {
         Ok(m) => m,
         Err(e) => return fail(format!("config does not build: {e}")),
     };
@@ -808,7 +711,7 @@ fn run_crash_scenario(cfg: &CrashConfig, scen: CrashScenario, seed: u64) -> Vec<
 /// armed at absolute persist step `at` on `shard`, victim, power loss,
 /// reboot recovery, classification against the twin's snapshots.
 fn replay_crash_point(
-    cfg: &CrashConfig,
+    cfg: &SweepConfig,
     scen: CrashScenario,
     seed: u64,
     shard: u32,
@@ -816,7 +719,7 @@ fn replay_crash_point(
     torn: usize,
 ) -> (CrashOutcome, String) {
     let adr = cfg.controller.persist_domain == PersistDomain::Adr;
-    let mut m = match machine(cfg) {
+    let mut m = match cfg.machine() {
         Ok(m) => m,
         Err(e) => return (CrashOutcome::Silent, format!("config does not build: {e}")),
     };
@@ -863,7 +766,7 @@ fn replay_crash_point(
 }
 
 /// Sweeps every scenario's crash points against one `(config, seed)`.
-pub fn run_crash_config(cfg: &CrashConfig, seed: u64) -> Report<CrashRecord> {
+pub fn run_crash_config(cfg: &SweepConfig, seed: u64) -> Report<CrashRecord> {
     let mut records = Vec::new();
     for scen in CrashScenario::ALL {
         records.extend(run_crash_scenario(cfg, scen, seed));
@@ -879,24 +782,12 @@ pub fn run_crash_config(cfg: &CrashConfig, seed: u64) -> Report<CrashRecord> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn matrix_labels_are_unique_and_valid() {
-        let matrix = CrashConfig::matrix();
-        let mut labels: Vec<&str> = matrix.iter().map(|c| c.label.as_str()).collect();
-        labels.sort_unstable();
-        labels.dedup();
-        assert_eq!(labels.len(), matrix.len(), "duplicate config labels");
-        for cfg in &matrix {
-            cfg.controller.validate().expect("matrix config invalid");
-            assert!(cfg.recovery, "matrix configs all recover");
-        }
-        assert!(!CrashConfig::weakened().recovery);
-    }
+    use crate::sweep::scattered_rows;
+    use ss_core::ControllerConfig;
 
     #[test]
     fn adr_demand_write_sweep_is_clean() {
-        let cfg = &CrashConfig::matrix()[0]; // adr-wt
+        let cfg = &CrashSweep::matrix()[0]; // adr-wt
         let records = run_crash_scenario(cfg, CrashScenario::DemandWrite, 0);
         assert!(!records.is_empty());
         for r in &records {
@@ -907,7 +798,7 @@ mod tests {
 
     #[test]
     fn eadr_cuts_never_fire() {
-        let cfg = CrashConfig::new("eadr", ControllerConfig::small_test());
+        let cfg = SweepConfig::new("eadr", ControllerConfig::small_test());
         let records = run_crash_scenario(&cfg, CrashScenario::DemandWrite, 1);
         assert!(!records.is_empty());
         for r in &records {
@@ -919,17 +810,9 @@ mod tests {
         }
     }
 
-    /// The matrix's scattered two-share rows.
-    fn scattered_rows() -> Vec<CrashConfig> {
-        CrashConfig::matrix()
-            .into_iter()
-            .filter(|c| c.controller.protection == ProtectionMode::Scattered)
-            .collect()
-    }
-
     #[test]
     fn scattered_crash_matrix_is_clean() {
-        let rows = scattered_rows();
+        let rows = scattered_rows::<CrashSweep>();
         assert!(rows.len() >= 4, "crash sweep needs >= 4 scattered configs");
         for cfg in rows {
             let report = run_crash_config(&cfg, 0);
@@ -943,7 +826,7 @@ mod tests {
         // and mask-share writes leaves a mismatched pair. Every demand-
         // write crash point must resolve to old or new state, proving
         // the journal restores pair coherence.
-        let matrix = scattered_rows();
+        let matrix = scattered_rows::<CrashSweep>();
         let cfg = matrix.iter().find(|c| c.label == "scat-adr-wt").unwrap();
         let records = run_crash_scenario(cfg, CrashScenario::DemandWrite, 3);
         assert!(!records.is_empty());
@@ -957,7 +840,8 @@ mod tests {
 
     #[test]
     fn weakened_config_goes_silent() {
-        let cfg = CrashConfig::weakened();
+        let cfg = CrashSweep::weakened().expect("crashsweep has a weakened config");
+        assert!(!cfg.recovery, "the weakened config must skip recovery");
         let report = run_crash_config(&cfg, 0);
         assert!(
             report.tally().failed() > 0,
@@ -967,7 +851,7 @@ mod tests {
 
     #[test]
     fn report_json_has_fixed_shape() {
-        let cfg = CrashConfig::new("eadr", ControllerConfig::small_test());
+        let cfg = SweepConfig::new("eadr", ControllerConfig::small_test());
         let report = run_crash_config(&cfg, 0);
         let json = report.to_json();
         assert!(json.starts_with("{\"label\":\"eadr\",\"seed\":0,"));

@@ -1,25 +1,28 @@
 //! The fault-injection engine: drive a workload, fire a plan, classify.
 //!
-//! [`run_plan`] owns the whole life of one experiment: it builds a
-//! [`MemoryController`] from a [`HarnessConfig`], replays a seeded
-//! workload (writes, read-verifies, shreds) while a [`FaultPlan`]
-//! watches the cumulative NVM write count, and after every fired fault
-//! checks the controller against the [`ShadowModel`]. Every fault ends
-//! in exactly one [`FaultOutcome`]; `Corrupted` — architectural state
-//! silently diverging from the reference model — is the only failure.
+//! [`run_plan`] owns the whole life of one experiment: it builds the
+//! machine of a [`SweepConfig`] (one [`ShardedController`], like the
+//! attack and crash engines), replays a seeded workload (writes,
+//! read-verifies, shreds) while a [`FaultPlan`] watches the cumulative
+//! NVM write count, and after every fired fault checks the machine
+//! against the [`ShadowModel`]. Every fault ends in exactly one
+//! [`FaultOutcome`]; `Corrupted` — architectural state silently
+//! diverging from the reference model — is the only failure.
 
 use std::fmt;
 
-use ss_common::{Cycles, DetRng, Error, PageId, BLOCKS_PER_PAGE, LINE_SIZE};
+use ss_common::{BlockAddr, Cycles, DetRng, Error, PageId, BLOCKS_PER_PAGE, LINE_SIZE};
 use ss_core::{
-    ControllerConfig, ControllerConfigBuilder, CounterPersistence, EccConfig, MemoryController,
-    ProtectionMode, WriteQueueConfig, SHRED_REG,
+    ControllerConfig, ControllerConfigBuilder, CounterPersistence, EccConfig, ProtectionMode,
+    ShardedController, SHRED_REG,
 };
+use ss_trace::MetricsRegistry;
 
+use crate::machine::{at_block, at_page, reboot, shard_sum};
 use crate::plan::{FaultKind, FaultPlan, ScheduledFault, PAGES};
 use crate::report::{json_escape, Outcome, PlanReport, Record, Report};
 use crate::shadow::{Line, ShadowModel};
-use crate::sweep::{Artifacts, Campaign};
+use crate::sweep::{Artifacts, Campaign, SweepConfig};
 
 /// Domain separator for the workload stream (the plan uses its own; see
 /// [`FaultPlan::generate`]), so plan and workload draws never interleave.
@@ -28,157 +31,15 @@ const WORKLOAD_DOMAIN: u64 = 0x10AD_57A7_E5EE_D001;
 /// Workload-op budget of a plan before undelivered faults are skipped.
 pub const MAX_OPS: u64 = 4_000;
 
-/// One named controller configuration under test.
-#[derive(Debug, Clone)]
-pub struct HarnessConfig {
-    /// Stable label used in reports (e.g. `ctr-bat-mt-wq`).
-    pub label: String,
-    /// The controller configuration to exercise.
-    pub controller: ControllerConfig,
-}
-
-impl HarnessConfig {
-    /// Wraps a controller config.
-    pub fn new(label: impl Into<String>, controller: ControllerConfig) -> Self {
-        HarnessConfig {
-            label: label.into(),
-            controller,
-        }
-    }
-
-    /// The small write queue of every `-wq` matrix entry (fault, attack
-    /// and crash sweeps): shallow enough that crash-at-depth is
-    /// reachable and a drain is a handful of persist steps, deep enough
-    /// to coalesce.
-    pub fn small_queue() -> WriteQueueConfig {
-        WriteQueueConfig {
-            capacity: 8,
-            drain_low: 2,
-            drain_high: 6,
-        }
-    }
-
-    /// The full sweep matrix: encryption mode × counter persistence ×
-    /// integrity × write queue.
-    ///
-    /// CTR (the Silent Shredder configuration) gets the full cross
-    /// product on the `small_test` footprint; the non-counter modes (ECB,
-    /// plain) only vary the queue, since persistence and integrity are
-    /// counter properties. Extra entries cover the no-shredder CTR
-    /// baseline, DEUCE and two self-healing demonstrators. The scattered
-    /// two-share rows come last: counter persistence × liveness-metadata
-    /// integrity, plus a self-healing row that exercises the fresh-share
-    /// rescue path. The write queue, DEUCE and Start-Gap are rejected for
-    /// scattered configs at the builder (no share-consistent story; see
-    /// `ControllerConfig::validate`), so those rows do not vary them.
-    pub fn matrix() -> Vec<HarnessConfig> {
-        let base = ControllerConfigBuilder::small_test;
-        let scattered = || base().protection(ProtectionMode::Scattered);
-        let build = |b: ControllerConfigBuilder| b.build().expect("matrix config must build");
-        // Wear-out so aggressive (every third write to a line grows a
-        // weak cell) that organic failures, rescues, and scrubbing all
-        // trigger within one plan; chipkill-class ECC (3,5) keeps the
-        // union of accumulated weak cells and a 2-flip injected transient
-        // within the detection bound, so nothing can alias silently.
-        let endurance = |b: ControllerConfigBuilder| {
-            build(
-                b.endurance_limit(Some(2))
-                    .nvm_ecc(EccConfig::strength(3, 5))
-                    .spare_lines(64)
-                    .scrub_interval(Some(48)),
-            )
-        };
-        let persistences = [
-            (CounterPersistence::BatteryBackedWriteBack, "bat"),
-            (CounterPersistence::WriteThrough, "wt"),
-            (CounterPersistence::VolatileWriteBack, "vol"),
-        ];
-        let mt = |integrity: bool| if integrity { "-mt" } else { "" };
-        let mut out = Vec::new();
-        for (persistence, p) in persistences {
-            for integrity in [true, false] {
-                for queued in [false, true] {
-                    let wq = if queued { "-wq" } else { "" };
-                    out.push(HarnessConfig::new(
-                        format!("ctr-{p}{}{wq}", mt(integrity)),
-                        build(
-                            base()
-                                .counter_persistence(persistence)
-                                .integrity(integrity)
-                                .write_queue(queued.then(Self::small_queue)),
-                        ),
-                    ));
-                }
-            }
-        }
-        out.push(HarnessConfig::new(
-            "ctr-noshred",
-            build(base().shredder(false)),
-        ));
-        out.push(HarnessConfig::new(
-            "ctr-bat-mt-deuce",
-            build(base().deuce(true)),
-        ));
-        out.push(HarnessConfig::new("ctr-bat-endu", endurance(base())));
-        // A high soft-error rate exercising inline correction (1-bit)
-        // and retry/backoff (2-bit bursts) on ordinary reads; detect=4
-        // covers the worst union of an injected 2-flip transient and an
-        // organic 2-bit burst.
-        out.push(HarnessConfig::new(
-            "ctr-bat-ber",
-            build(
-                base()
-                    .transient_read_ber(2e-5)
-                    .nvm_ecc(EccConfig::strength(1, 4))
-                    .spare_lines(64)
-                    .scrub_interval(Some(64)),
-            ),
-        ));
-        for queued in [false, true] {
-            let wq = if queued { "-wq" } else { "" };
-            for (mode, name) in [
-                (ProtectionMode::Ecb, "ecb"),
-                (ProtectionMode::Plain, "plain"),
-            ] {
-                out.push(HarnessConfig::new(
-                    format!("{name}{wq}"),
-                    build(
-                        base()
-                            .protection(mode)
-                            .shredder(false)
-                            .integrity(false)
-                            .write_queue(queued.then(Self::small_queue)),
-                    ),
-                ));
-            }
-        }
-        for (persistence, p) in persistences {
-            for integrity in [true, false] {
-                out.push(HarnessConfig::new(
-                    format!("scat-{p}{}", mt(integrity)),
-                    build(
-                        scattered()
-                            .counter_persistence(persistence)
-                            .integrity(integrity),
-                    ),
-                ));
-            }
-        }
-        out.push(HarnessConfig::new("scat-bat-heal", endurance(scattered())));
-        out
-    }
-
-    /// Whether untouched lines architecturally read as zero under this
-    /// configuration (Silent Shredder and scattered liveness zero-fill
-    /// them; a plain array genuinely holds zeros; other modes decrypt
-    /// fresh cells to noise).
-    fn zero_fresh(&self) -> bool {
-        self.controller.shredder
-            || matches!(
-                self.controller.protection,
-                ProtectionMode::Plain | ProtectionMode::Scattered
-            )
-    }
+/// Whether untouched lines architecturally read as zero under `cfg`
+/// (Silent Shredder and scattered liveness zero-fill them; a plain array
+/// genuinely holds zeros; other modes decrypt fresh cells to noise).
+fn zero_fresh(cfg: &ControllerConfig) -> bool {
+    cfg.shredder
+        || matches!(
+            cfg.protection,
+            ProtectionMode::Plain | ProtectionMode::Scattered
+        )
 }
 
 /// How one injected fault resolved.
@@ -277,15 +138,13 @@ impl Record for FaultRecord {
     }
 }
 
-/// The `faultsweep` campaign: the seeded fault plan over
-/// [`HarnessConfig::matrix`], gated on zero undetected corruptions, with
-/// metrics and traces observed. It keeps the plain
-/// [`MemoryController`], whose metrics carry no `shard.*` keys.
+/// The `faultsweep` campaign: the seeded fault plan over its matrix,
+/// gated on zero undetected corruptions, with metrics and traces
+/// observed.
 #[derive(Debug)]
 pub struct FaultSweep;
 
 impl Campaign for FaultSweep {
-    type Config = HarnessConfig;
     type Record = FaultRecord;
     const NAME: &'static str = "faultsweep";
     const DEFAULT_SEEDS: u64 = 32;
@@ -294,13 +153,117 @@ impl Campaign for FaultSweep {
     const CLEAN_NOTE: &'static str = "zero undetected corruptions";
     const METRICS: bool = true;
 
-    fn matrix() -> Vec<HarnessConfig> {
-        HarnessConfig::matrix()
+    /// The full sweep matrix: encryption mode × counter persistence ×
+    /// integrity × write queue.
+    ///
+    /// CTR (the Silent Shredder configuration) gets the full cross
+    /// product on the `small_test` footprint; the non-counter modes (ECB,
+    /// plain) only vary the queue, since persistence and integrity are
+    /// counter properties. Extra entries cover the no-shredder CTR
+    /// baseline, DEUCE and two self-healing demonstrators. The scattered
+    /// two-share rows come last: counter persistence × liveness-metadata
+    /// integrity, plus a self-healing row that exercises the fresh-share
+    /// rescue path. The write queue, DEUCE and Start-Gap are rejected for
+    /// scattered configs at the builder (no share-consistent story; see
+    /// `ControllerConfig::validate`), so those rows do not vary them.
+    fn matrix() -> Vec<SweepConfig> {
+        let base = ControllerConfigBuilder::small_test;
+        let scattered = || base().protection(ProtectionMode::Scattered);
+        let build = |b: ControllerConfigBuilder| b.build().expect("matrix config must build");
+        // Wear-out so aggressive (every third write to a line grows a
+        // weak cell) that organic failures, rescues, and scrubbing all
+        // trigger within one plan; chipkill-class ECC (3,5) keeps the
+        // union of accumulated weak cells and a 2-flip injected transient
+        // within the detection bound, so nothing can alias silently.
+        let endurance = |b: ControllerConfigBuilder| {
+            build(
+                b.endurance_limit(Some(2))
+                    .nvm_ecc(EccConfig::strength(3, 5))
+                    .spare_lines(64)
+                    .scrub_interval(Some(48)),
+            )
+        };
+        let persistences = [
+            (CounterPersistence::BatteryBackedWriteBack, "bat"),
+            (CounterPersistence::WriteThrough, "wt"),
+            (CounterPersistence::VolatileWriteBack, "vol"),
+        ];
+        let mt = |integrity: bool| if integrity { "-mt" } else { "" };
+        let mut out = Vec::new();
+        for (persistence, p) in persistences {
+            for integrity in [true, false] {
+                for queued in [false, true] {
+                    let wq = if queued { "-wq" } else { "" };
+                    out.push(SweepConfig::new(
+                        format!("ctr-{p}{}{wq}", mt(integrity)),
+                        build(
+                            base()
+                                .counter_persistence(persistence)
+                                .integrity(integrity)
+                                .write_queue(queued.then(SweepConfig::small_queue)),
+                        ),
+                    ));
+                }
+            }
+        }
+        out.push(SweepConfig::new(
+            "ctr-noshred",
+            build(base().shredder(false)),
+        ));
+        out.push(SweepConfig::new(
+            "ctr-bat-mt-deuce",
+            build(base().deuce(true)),
+        ));
+        out.push(SweepConfig::new("ctr-bat-endu", endurance(base())));
+        // A high soft-error rate exercising inline correction (1-bit)
+        // and retry/backoff (2-bit bursts) on ordinary reads; detect=4
+        // covers the worst union of an injected 2-flip transient and an
+        // organic 2-bit burst.
+        out.push(SweepConfig::new(
+            "ctr-bat-ber",
+            build(
+                base()
+                    .transient_read_ber(2e-5)
+                    .nvm_ecc(EccConfig::strength(1, 4))
+                    .spare_lines(64)
+                    .scrub_interval(Some(64)),
+            ),
+        ));
+        for queued in [false, true] {
+            let wq = if queued { "-wq" } else { "" };
+            for (mode, name) in [
+                (ProtectionMode::Ecb, "ecb"),
+                (ProtectionMode::Plain, "plain"),
+            ] {
+                out.push(SweepConfig::new(
+                    format!("{name}{wq}"),
+                    build(
+                        base()
+                            .protection(mode)
+                            .shredder(false)
+                            .integrity(false)
+                            .write_queue(queued.then(SweepConfig::small_queue)),
+                    ),
+                ));
+            }
+        }
+        for (persistence, p) in persistences {
+            for integrity in [true, false] {
+                out.push(SweepConfig::new(
+                    format!("scat-{p}{}", mt(integrity)),
+                    build(
+                        scattered()
+                            .counter_persistence(persistence)
+                            .integrity(integrity),
+                    ),
+                ));
+            }
+        }
+        out.push(SweepConfig::new("scat-bat-heal", endurance(scattered())));
+        out
     }
-    fn label(cfg: &HarnessConfig) -> &str {
-        &cfg.label
-    }
-    fn run(cfg: &HarnessConfig, seed: u64, trace_depth: Option<usize>) -> PlanArtifacts {
+
+    fn run(cfg: &SweepConfig, seed: u64, trace_depth: Option<usize>) -> PlanArtifacts {
         run_plan_full(cfg, seed, trace_depth)
     }
 }
@@ -322,25 +285,26 @@ pub type PlanArtifacts = Artifacts<Report<FaultRecord>>;
 /// Panics only on harness-internal misuse (controller construction
 /// failing for a matrix config). Controller misbehavior is reported as
 /// `Corrupted`, never panicked on.
-pub fn run_plan(cfg: &HarnessConfig, seed: u64) -> Report<FaultRecord> {
+pub fn run_plan(cfg: &SweepConfig, seed: u64) -> Report<FaultRecord> {
     run_plan_full(cfg, seed, None).report
 }
 
-/// [`run_plan`] plus observability: when `trace_depth` is `Some(n)` the
-/// controller retains the last `n` trace events. Tracing never changes
+/// [`run_plan`] plus observability: when `trace_depth` is `Some(n)`
+/// every shard retains its last `n` trace events. Tracing never changes
 /// the report — `run_plan_full(cfg, seed, d).report` is byte-identical
 /// to `run_plan(cfg, seed)` for every `d`.
 ///
 /// # Panics
 ///
 /// As [`run_plan`].
-pub fn run_plan_full(cfg: &HarnessConfig, seed: u64, trace_depth: Option<usize>) -> PlanArtifacts {
-    let mut controller_cfg = cfg.controller.clone();
+pub fn run_plan_full(cfg: &SweepConfig, seed: u64, trace_depth: Option<usize>) -> PlanArtifacts {
+    let mut cfg = cfg.clone();
     if trace_depth.is_some() {
-        controller_cfg.trace_depth = trace_depth;
+        cfg.controller.trace_depth = trace_depth;
     }
-    let plan = FaultPlan::generate(seed, &controller_cfg);
-    let mut mc = MemoryController::new(controller_cfg).expect("matrix config must build");
+    let cfg = &cfg;
+    let plan = FaultPlan::generate(seed, &cfg.controller);
+    let mut mc = cfg.machine().expect("matrix config must build");
     let mut shadow = ShadowModel::new();
     let mut rng = DetRng::new(seed ^ WORKLOAD_DOMAIN);
     let mut records = Vec::with_capacity(plan.faults.len());
@@ -354,17 +318,17 @@ pub fn run_plan_full(cfg: &HarnessConfig, seed: u64, trace_depth: Option<usize>)
             if aborted {
                 records.push(FaultRecord {
                     fault: f,
-                    fired_at: mc.inspect().nvm_writes(),
+                    fired_at: nvm_writes(&mc),
                     outcome: FaultOutcome::Skipped,
                     detail: "run degraded by an earlier detected fault".into(),
                 });
                 queue.next();
                 continue;
             }
-            if mc.inspect().nvm_writes() < f.after_writes {
+            if nvm_writes(&mc) < f.after_writes {
                 break;
             }
-            let fired_at = mc.inspect().nvm_writes();
+            let fired_at = nvm_writes(&mc);
             let (outcome, detail, stop) = inject(&mut mc, &mut shadow, cfg, &f);
             records.push(FaultRecord {
                 fault: f,
@@ -386,7 +350,7 @@ pub fn run_plan_full(cfg: &HarnessConfig, seed: u64, trace_depth: Option<usize>)
             for f in queue.by_ref() {
                 records.push(FaultRecord {
                     fault: f,
-                    fired_at: mc.inspect().nvm_writes(),
+                    fired_at: nvm_writes(&mc),
                     outcome: FaultOutcome::Skipped,
                     detail: format!("fire point not reached within {MAX_OPS} ops"),
                 });
@@ -399,25 +363,12 @@ pub fn run_plan_full(cfg: &HarnessConfig, seed: u64, trace_depth: Option<usize>)
             for f in queue.by_ref() {
                 records.push(FaultRecord {
                     fault: f,
-                    fired_at: mc.inspect().nvm_writes(),
+                    fired_at: nvm_writes(&mc),
                     outcome: FaultOutcome::Corrupted,
                     detail: format!("workload op failed: {e}"),
                 });
             }
-            let report = Report {
-                label: cfg.label.clone(),
-                seed,
-                records,
-                plan: Some(PlanReport {
-                    ops,
-                    final_failure: Some(e),
-                }),
-            };
-            return PlanArtifacts {
-                metrics: mc.inspect().metrics(),
-                trace: mc.inspect().trace_records(),
-                report,
-            };
+            return artifacts(&mc, cfg, seed, records, ops, Some(e));
         }
     }
 
@@ -426,16 +377,40 @@ pub fn run_plan_full(cfg: &HarnessConfig, seed: u64, trace_depth: Option<usize>)
     } else {
         verify_all(&mut mc, &shadow, cfg).err()
     };
-    let report = Report {
-        label: cfg.label.clone(),
-        seed,
-        records,
-        plan: Some(PlanReport { ops, final_failure }),
-    };
+    artifacts(&mc, cfg, seed, records, ops, final_failure)
+}
+
+/// The machine's NVM write clock: line writes summed over the shards.
+fn nvm_writes(mc: &ShardedController) -> u64 {
+    shard_sum(mc, |i| i.nvm_writes())
+}
+
+/// A finished run: its report, the shards' own metrics registries
+/// summed (so no `shard.*` gauge joins the per-controller names), and
+/// the shards' retained trace records in shard order.
+fn artifacts(
+    mc: &ShardedController,
+    cfg: &SweepConfig,
+    seed: u64,
+    records: Vec<FaultRecord>,
+    ops: u64,
+    final_failure: Option<String>,
+) -> PlanArtifacts {
+    let mut metrics = MetricsRegistry::new();
+    let mut trace = Vec::new();
+    for i in (0..mc.shards() as usize).filter_map(|s| mc.inspect_shard(s)) {
+        metrics.merge(&i.metrics());
+        trace.extend(i.trace_records());
+    }
     PlanArtifacts {
-        metrics: mc.inspect().metrics(),
-        trace: mc.inspect().trace_records(),
-        report,
+        report: Report {
+            label: cfg.label.clone(),
+            seed,
+            records,
+            plan: Some(PlanReport { ops, final_failure }),
+        },
+        metrics,
+        trace,
     }
 }
 
@@ -443,9 +418,9 @@ pub fn run_plan_full(cfg: &HarnessConfig, seed: u64, trace_depth: Option<usize>)
 /// write clock that fault fire points key on), plus read-verifies and —
 /// when the shredder is configured — direct and MMIO shreds.
 fn workload_op(
-    mc: &mut MemoryController,
+    mc: &mut ShardedController,
     shadow: &mut ShadowModel,
-    cfg: &HarnessConfig,
+    cfg: &SweepConfig,
     rng: &mut DetRng,
 ) -> Result<(), String> {
     let page = PageId::new(1 + rng.below(PAGES));
@@ -461,7 +436,7 @@ fn workload_op(
     } else if roll < 85 || !cfg.controller.shredder {
         check_read(mc, shadow, cfg, addr)?;
     } else if roll < 95 {
-        mc.shred_page(page, true)
+        mc.shred_page_at(page, true, Cycles::ZERO)
             .map_err(|e| format!("shred {page} failed: {e}"))?;
         shadow.note_shred(page);
     } else {
@@ -474,15 +449,15 @@ fn workload_op(
 
 /// Reads `addr` and checks it against the shadow model.
 fn check_read(
-    mc: &mut MemoryController,
+    mc: &mut ShardedController,
     shadow: &ShadowModel,
-    cfg: &HarnessConfig,
-    addr: ss_common::BlockAddr,
+    cfg: &SweepConfig,
+    addr: BlockAddr,
 ) -> Result<(), String> {
     let r = mc
         .read_block(addr, Cycles::ZERO)
         .map_err(|e| format!("read {addr} failed: {e}"))?;
-    if let Some(expected) = shadow.expected(addr, cfg.zero_fresh()) {
+    if let Some(expected) = shadow.expected(addr, zero_fresh(&cfg.controller)) {
         if r.data != expected {
             return Err(format!(
                 "read {addr} returned wrong data (expected {:02x?}.., got {:02x?}..)",
@@ -500,7 +475,7 @@ fn check_read(
 /// Reads back every tracked line of `page` (used after faults whose
 /// blast radius is one page).
 fn verify_page(
-    mc: &mut MemoryController,
+    mc: &mut ShardedController,
     shadow: &ShadowModel,
     page: PageId,
 ) -> Result<(), String> {
@@ -519,12 +494,11 @@ fn verify_page(
 /// zero-fill never serves nonzero data, and — for encrypted modes — no
 /// cold scan of the raw array surfaces pre-shred plaintext (remanence).
 fn verify_all(
-    mc: &mut MemoryController,
+    mc: &mut ShardedController,
     shadow: &ShadowModel,
-    cfg: &HarnessConfig,
+    cfg: &SweepConfig,
 ) -> Result<(), String> {
-    let tracked: Vec<(ss_common::BlockAddr, Line)> =
-        shadow.tracked().map(|(a, l)| (a, *l)).collect();
+    let tracked: Vec<(BlockAddr, Line)> = shadow.tracked().map(|(a, l)| (a, *l)).collect();
     for (addr, expected) in tracked {
         let r = mc
             .read_block(addr, Cycles::ZERO)
@@ -541,9 +515,14 @@ fn verify_all(
     // data region holds a uniform-random share).
     let array_is_opaque = cfg.controller.protection != ProtectionMode::Plain;
     if array_is_opaque && shadow.secret_count() > 0 {
-        for (addr, raw) in mc.faults().cold_scan_data() {
-            if shadow.is_secret(&raw) {
-                return Err(format!("pre-shred plaintext survives in NVM at {addr}"));
+        for s in 0..mc.shards() {
+            let scan = mc.faults_shard(s as usize).map(|p| p.cold_scan_data());
+            for (local, raw) in scan.unwrap_or_default() {
+                if shadow.is_secret(&raw) {
+                    let page = mc.interleave().global_page(s, local.page());
+                    let addr = page.block_addr(local.block_in_page());
+                    return Err(format!("pre-shred plaintext survives in NVM at {addr}"));
+                }
             }
         }
     }
@@ -553,23 +532,23 @@ fn verify_all(
 /// Injects one fault and classifies the controller's response. Returns
 /// `(outcome, detail, stop)`; `stop` ends the run (degraded or corrupt).
 fn inject(
-    mc: &mut MemoryController,
+    mc: &mut ShardedController,
     shadow: &mut ShadowModel,
-    cfg: &HarnessConfig,
+    cfg: &SweepConfig,
     f: &ScheduledFault,
 ) -> (FaultOutcome, String, bool) {
     let page = PageId::new(f.page);
     let addr = page.block_addr(f.block);
     match f.kind {
         FaultKind::PowerLoss => {
-            if let Err(e) = mc.power_loss() {
+            if let Err(e) = mc.power_loss().ok() {
                 return (
                     FaultOutcome::Corrupted,
                     format!("power_loss failed: {e}"),
                     true,
                 );
             }
-            match mc.recover_mut() {
+            match reboot(mc, cfg.recovery) {
                 Ok(_) => match verify_all(mc, shadow, cfg) {
                     Ok(()) => (
                         FaultOutcome::Recovered,
@@ -612,13 +591,13 @@ fn inject(
         FaultKind::CounterCacheLineDrop => {
             // ECC-scrub model: persist first, then invalidate, so the
             // re-fetched NVM copy is current and must verify.
-            let dirty = match mc.faults().flush_counter_line(page) {
+            let dirty = match at_page(mc, page, |mut p, local| p.flush_counter_line(local)) {
                 Ok(d) => d,
                 Err(e) => {
                     return (FaultOutcome::Corrupted, format!("flush failed: {e}"), true);
                 }
             };
-            let cached = mc.faults().drop_counter_cache_line(page);
+            let cached = at_page(mc, page, |mut p, local| p.drop_counter_cache_line(local));
             match verify_page(mc, shadow, page) {
                 Ok(()) => (
                     FaultOutcome::Benign,
@@ -630,15 +609,19 @@ fn inject(
         }
         FaultKind::DataBitFlip => data_bit_flip(mc, shadow, cfg, addr, f.bit),
         FaultKind::CounterBitFlip => {
-            if let Err(e) = mc.faults().flush_counter_line(page) {
+            if let Err(e) = at_page(mc, page, |mut p, local| p.flush_counter_line(local)) {
                 return (FaultOutcome::Corrupted, format!("flush failed: {e}"), true);
             }
-            let good = mc.faults().nvm_peek_counter(page);
-            mc.faults().flip_counter_bit(page, f.bit);
-            mc.faults().drop_counter_cache_line(page);
+            let good = at_page(mc, page, |mut p, local| {
+                let good = p.nvm_peek_counter(local);
+                p.flip_counter_bit(local, f.bit);
+                p.drop_counter_cache_line(local);
+                good
+            });
             match mc.read_block(addr, Cycles::ZERO) {
                 Err(Error::IntegrityViolation { .. }) => {
-                    mc.faults().tamper_counter_line(page, good); // restore the array
+                    // Restore the array.
+                    at_page(mc, page, |mut p, local| p.tamper_counter_line(local, good));
                     (
                         FaultOutcome::Detected,
                         "Merkle rejected the flipped counter line; array restored".into(),
@@ -658,25 +641,28 @@ fn inject(
             }
         }
         FaultKind::CounterReplay => {
-            if let Err(e) = mc.faults().flush_counter_line(page) {
+            if let Err(e) = at_page(mc, page, |mut p, local| p.flush_counter_line(local)) {
                 return (FaultOutcome::Corrupted, format!("flush failed: {e}"), true);
             }
-            let stale = mc.faults().nvm_peek_counter(page);
+            let stale = at_page(mc, page, |p, local| p.nvm_peek_counter(local));
             // Advance the page legitimately so `stale` becomes a replay.
             let fresh = [(f.bit as u8) ^ 0xC3; LINE_SIZE];
             if let Err(e) = mc.write_block(addr, &fresh, false, Cycles::ZERO) {
                 return (FaultOutcome::Corrupted, format!("write failed: {e}"), true);
             }
             shadow.note_write(addr, fresh);
-            if let Err(e) = mc.faults().flush_counter_line(page) {
+            if let Err(e) = at_page(mc, page, |mut p, local| p.flush_counter_line(local)) {
                 return (FaultOutcome::Corrupted, format!("flush failed: {e}"), true);
             }
-            let good = mc.faults().nvm_peek_counter(page);
-            mc.faults().tamper_counter_line(page, stale);
-            mc.faults().drop_counter_cache_line(page);
+            let good = at_page(mc, page, |mut p, local| {
+                let good = p.nvm_peek_counter(local);
+                p.tamper_counter_line(local, stale);
+                p.drop_counter_cache_line(local);
+                good
+            });
             match mc.read_block(addr, Cycles::ZERO) {
                 Err(Error::IntegrityViolation { .. }) => {
-                    mc.faults().tamper_counter_line(page, good);
+                    at_page(mc, page, |mut p, local| p.tamper_counter_line(local, good));
                     (
                         FaultOutcome::Detected,
                         "Merkle rejected the replayed counter line; array restored".into(),
@@ -745,9 +731,9 @@ fn inject(
             }
             shadow.note_write(addr, prep);
             let flips = 1 + (f.bit as u32 & 1);
-            mc.faults().inject_data_read_error(addr, flips);
-            let corrected = mc.inspect().stats().health.ecc_corrected.get();
-            let retried = mc.inspect().stats().health.retried_ok.get();
+            at_block(mc, addr, |mut p, a| p.inject_data_read_error(a, flips));
+            let corrected = shard_sum(mc, |i| i.stats().health.ecc_corrected.get());
+            let retried = shard_sum(mc, |i| i.stats().health.retried_ok.get());
             let read = match mc.read_block(addr, Cycles::ZERO) {
                 Ok(r) => r,
                 Err(e) => {
@@ -758,7 +744,7 @@ fn inject(
                     );
                 }
             };
-            if mc.faults().clear_injected_read_error(addr) {
+            if at_block(mc, addr, |mut p, a| p.clear_injected_read_error(a)) {
                 // Store-forwarding from the write queue satisfied the
                 // read without touching the array; the error is moot.
                 return (
@@ -767,7 +753,7 @@ fn inject(
                     false,
                 );
             }
-            if let Some(want) = shadow.expected(addr, cfg.zero_fresh()) {
+            if let Some(want) = shadow.expected(addr, zero_fresh(&cfg.controller)) {
                 if read.data != want {
                     return (
                         FaultOutcome::Corrupted,
@@ -776,9 +762,9 @@ fn inject(
                     );
                 }
             }
-            let via = if mc.inspect().stats().health.retried_ok.get() > retried {
+            let via = if shard_sum(mc, |i| i.stats().health.retried_ok.get()) > retried {
                 "retry with backoff"
-            } else if mc.inspect().stats().health.ecc_corrected.get() > corrected {
+            } else if shard_sum(mc, |i| i.stats().health.ecc_corrected.get()) > corrected {
                 "inline ECC correction"
             } else {
                 // The error fired but neither counter moved — it must
@@ -811,8 +797,8 @@ fn inject(
                 );
             }
             shadow.note_write(addr, prep);
-            let remaps = mc.inspect().remapped_lines();
-            mc.faults().force_line_failure(addr, 1);
+            let remaps = shard_sum(mc, |i| i.remapped_lines());
+            at_block(mc, addr, |mut p, a| p.force_line_failure(a, 1));
             let read = match mc.read_block(addr, Cycles::ZERO) {
                 Ok(r) => r,
                 Err(e) => {
@@ -823,7 +809,7 @@ fn inject(
                     );
                 }
             };
-            if let Some(want) = shadow.expected(addr, cfg.zero_fresh()) {
+            if let Some(want) = shadow.expected(addr, zero_fresh(&cfg.controller)) {
                 if read.data != want {
                     return (
                         FaultOutcome::Corrupted,
@@ -832,7 +818,7 @@ fn inject(
                     );
                 }
             }
-            if mc.inspect().remapped_lines() > remaps {
+            if shard_sum(mc, |i| i.remapped_lines()) > remaps {
                 (
                     FaultOutcome::Recovered,
                     "weak line ECC-corrected and remapped to a spare".into(),
@@ -854,14 +840,15 @@ fn inject(
 /// the encryption mode's diffusion (one bit for XOR-stream modes, one
 /// 16 B AES chunk for ECB), after which software scrubbing repairs it.
 fn data_bit_flip(
-    mc: &mut MemoryController,
+    mc: &mut ShardedController,
     shadow: &mut ShadowModel,
-    cfg: &HarnessConfig,
-    addr: ss_common::BlockAddr,
+    cfg: &SweepConfig,
+    addr: BlockAddr,
     bit: usize,
 ) -> (FaultOutcome, String, bool) {
-    mc.faults().flip_data_bit(addr, bit);
-    let expected = shadow.expected(addr, cfg.zero_fresh());
+    let flip = |mc: &mut ShardedController| at_block(mc, addr, |mut p, a| p.flip_data_bit(a, bit));
+    flip(mc);
+    let expected = shadow.expected(addr, zero_fresh(&cfg.controller));
     let r = match mc.read_block(addr, Cycles::ZERO) {
         Ok(r) => r,
         Err(e) => {
@@ -874,7 +861,7 @@ fn data_bit_flip(
     };
     let Some(expected) = expected else {
         // Untracked garbage line (no architectural content): revert.
-        mc.faults().flip_data_bit(addr, bit);
+        flip(mc);
         return (
             FaultOutcome::Benign,
             "flip landed on an untracked line; reverted".into(),
@@ -885,7 +872,7 @@ fn data_bit_flip(
         // Shielded: the block is served from the zero-fill path or the
         // write queue, not from the flipped cell. Revert the cell so a
         // later drain/fetch cannot resurrect the flip.
-        mc.faults().flip_data_bit(addr, bit);
+        flip(mc);
         return (
             FaultOutcome::Benign,
             "flip shielded by zero-fill/store-forwarding; reverted".into(),
@@ -939,33 +926,11 @@ fn data_bit_flip(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn same_seed_byte_identical_report() {
-        for cfg in HarnessConfig::matrix().iter().take(4) {
-            let a = run_plan(cfg, 11);
-            let b = run_plan(cfg, 11);
-            assert_eq!(
-                format!("{a}"),
-                format!("{b}"),
-                "nondeterministic report for {}",
-                cfg.label
-            );
-            // The machine-readable form must be byte-identical too: CI
-            // compares two sweep JSON files with cmp.
-            assert_eq!(
-                a.to_json(),
-                b.to_json(),
-                "nondeterministic JSON for {}",
-                cfg.label
-            );
-            assert_eq!(a.tally().to_json(), b.tally().to_json());
-        }
-    }
+    use crate::sweep::scattered_rows;
 
     #[test]
     fn battery_backed_plans_run_clean() {
-        let cfg = &HarnessConfig::matrix()[0]; // ctr-bat-mt
+        let cfg = &FaultSweep::matrix()[0]; // ctr-bat-mt
         for seed in 0..4 {
             let report = run_plan(cfg, seed);
             assert!(report.clean(), "seed {seed} not clean:\n{report}");
@@ -974,8 +939,37 @@ mod tests {
     }
 
     #[test]
+    fn one_shard_metrics_carry_no_shard_gauges() {
+        // The metrics golden holds because a 1-shard run sums the shard's
+        // own registry and adds none of the sharding layer's gauges.
+        let cfg = &FaultSweep::matrix()[0];
+        let metrics = run_plan_full(cfg, 0, None).metrics;
+        assert!(metrics.get("ctrl.writes").is_some_and(|w| w > 0));
+        let shard_keys: Vec<&str> = metrics
+            .iter()
+            .map(|(k, _)| k)
+            .filter(|k| k.starts_with("shard."))
+            .collect();
+        assert!(shard_keys.is_empty(), "shard gauges leaked: {shard_keys:?}");
+    }
+
+    #[test]
+    fn four_shard_plans_never_corrupt() {
+        // Every fault and workload op goes through the shared shard
+        // router; a mis-routed capability shows up as a corruption.
+        let base = FaultSweep::matrix().swap_remove(0);
+        assert_eq!(base.label, "ctr-bat-mt");
+        let cfg = SweepConfig::sharded("ctr-bat-mt-x4", base.controller, 4);
+        for seed in 0..4 {
+            let report = run_plan(&cfg, seed);
+            assert_eq!(report.tally().failed(), 0, "seed {seed}:\n{report}");
+            assert!(report.clean(), "seed {seed} not clean:\n{report}");
+        }
+    }
+
+    #[test]
     fn volatile_counter_loss_is_detected_not_corrupted() {
-        let matrix = HarnessConfig::matrix();
+        let matrix = FaultSweep::matrix();
         let cfg = matrix
             .iter()
             .find(|c| c.controller.counter_persistence == CounterPersistence::VolatileWriteBack)
@@ -994,17 +988,8 @@ mod tests {
 
     #[test]
     fn matrix_covers_the_announced_axes() {
-        let matrix = HarnessConfig::matrix();
+        let matrix = FaultSweep::matrix();
         assert!(matrix.len() >= 8, "sweep needs >= 8 configs");
-        let labels: Vec<&str> = matrix.iter().map(|c| c.label.as_str()).collect();
-        assert_eq!(
-            labels.len(),
-            labels
-                .iter()
-                .collect::<std::collections::BTreeSet<_>>()
-                .len(),
-            "labels must be unique"
-        );
         assert!(matrix.iter().any(|c| c.controller.write_queue.is_some()));
         assert!(matrix
             .iter()
@@ -1028,26 +1013,12 @@ mod tests {
                 .any(|c| c.controller.protection == ProtectionMode::Scattered),
             "sweep must cover the scattered two-share mode"
         );
-        for cfg in &matrix {
-            cfg.controller.validate().expect("matrix config invalid");
-        }
-    }
-
-    /// The matrix's scattered two-share rows.
-    fn scattered_rows() -> Vec<HarnessConfig> {
-        HarnessConfig::matrix()
-            .into_iter()
-            .filter(|c| c.controller.protection == ProtectionMode::Scattered)
-            .collect()
     }
 
     #[test]
-    fn scattered_matrix_is_valid_and_deterministic() {
-        let matrix = scattered_rows();
+    fn scattered_matrix_is_deterministic() {
+        let matrix = scattered_rows::<FaultSweep>();
         assert!(matrix.len() >= 5, "scattered sweep needs >= 5 configs");
-        for cfg in &matrix {
-            cfg.controller.validate().expect("scattered config invalid");
-        }
         let a = run_plan(&matrix[0], 11);
         let b = run_plan(&matrix[0], 11);
         assert_eq!(a.to_json(), b.to_json());
@@ -1055,7 +1026,7 @@ mod tests {
 
     #[test]
     fn scattered_plans_run_clean() {
-        for cfg in scattered_rows() {
+        for cfg in scattered_rows::<FaultSweep>() {
             for seed in 0..4 {
                 let report = run_plan(&cfg, seed);
                 assert!(
@@ -1069,7 +1040,7 @@ mod tests {
 
     #[test]
     fn scattered_heal_row_rescues_with_fresh_shares() {
-        let matrix = scattered_rows();
+        let matrix = scattered_rows::<FaultSweep>();
         let cfg = matrix.iter().find(|c| c.label == "scat-bat-heal").unwrap();
         let mut saw_remap = false;
         for seed in 0..8 {
@@ -1085,7 +1056,7 @@ mod tests {
 
     #[test]
     fn healing_configs_run_clean_and_demonstrate_both_paths() {
-        let matrix = HarnessConfig::matrix();
+        let matrix = FaultSweep::matrix();
         let mut saw_retry = false;
         let mut saw_remap = false;
         for label in ["ctr-bat-endu", "ctr-bat-ber"] {

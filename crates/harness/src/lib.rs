@@ -13,8 +13,9 @@
 //! * [`ShadowModel`] — a plain reference model of architectural state
 //!   (expected plaintext per line, pre-shred secrets) that the
 //!   controller is checked against after every fault.
-//! * [`run_plan`] — drives a deterministic workload against a
-//!   [`ss_core::MemoryController`], fires the plan, runs recovery
+//! * [`run_plan`] — drives a deterministic workload against the
+//!   [`ss_core::ShardedController`] of a [`SweepConfig`] (one shard is
+//!   the plain controller), fires the plan, runs recovery
 //!   (`power_loss` → `recover_mut` → resume or degrade), and classifies
 //!   every fault as recovered, detected, benign (with a verified bounded
 //!   effect), skipped (not applicable to the configuration), or — the
@@ -32,7 +33,8 @@
 //!   matrix and is gated in CI against a committed golden report.
 //! * [`crash`] — the torn-write persist-step crash matrix.
 //! * [`sweep`] — the one program behind all three sweep binaries, over a
-//!   [`sweep::Campaign`] per engine.
+//!   [`Campaign`] per engine, and the one [`SweepConfig`] every engine
+//!   runs: label, controller, shard count and whether reboot recovers.
 //! * [`report`] — the outcome bookkeeping the three engines share: one
 //!   [`Tally`] over each engine's [`Outcome`] enum and one [`Report`]
 //!   over each engine's [`Record`] type.
@@ -48,6 +50,7 @@
 pub mod adversary;
 pub mod crash;
 pub mod engine;
+mod machine;
 pub mod plan;
 pub mod report;
 pub mod scenario;
@@ -55,16 +58,13 @@ pub mod shadow;
 pub mod sweep;
 
 pub use adversary::{
-    demo_records, run_attack, run_attacks, Adversary, AttackConfig, AttackKind, AttackOutcome,
-    AttackRecord, AttackSweep, DimmImage,
+    demo_records, run_attack, run_attacks, Adversary, AttackKind, AttackOutcome, AttackRecord,
+    AttackSweep, DimmImage,
 };
-pub use crash::{
-    run_crash_config, CrashConfig, CrashOutcome, CrashRecord, CrashScenario, CrashSweep,
-};
-pub use engine::{
-    run_plan, run_plan_full, FaultOutcome, FaultRecord, FaultSweep, HarnessConfig, PlanArtifacts,
-};
+pub use crash::{run_crash_config, CrashOutcome, CrashRecord, CrashScenario, CrashSweep};
+pub use engine::{run_plan, run_plan_full, FaultOutcome, FaultRecord, FaultSweep, PlanArtifacts};
 pub use plan::{FaultKind, FaultPlan, ScheduledFault};
 pub use report::{Outcome, PlanReport, Record, Report, Tally};
 pub use scenario::{crash_at_depth, system_crash_roundtrip, system_volatile_crash, CrashVerdict};
 pub use shadow::ShadowModel;
+pub use sweep::{Campaign, SweepConfig};

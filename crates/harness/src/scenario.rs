@@ -8,13 +8,13 @@
 use std::fmt;
 
 use ss_common::{BlockAddr, Cycles, Error, PageId, LINE_SIZE, PAGE_SIZE};
-use ss_core::{
-    ControllerConfigBuilder, CounterPersistence, ShardedConfig, ShardedController, WriteQueueConfig,
-};
+use ss_core::{ControllerConfigBuilder, CounterPersistence, WriteQueueConfig};
 use ss_cpu::Op;
 use ss_sim::{System, SystemConfig};
 
+use crate::machine::reboot;
 use crate::shadow::Line;
+use crate::sweep::SweepConfig;
 
 /// The outcome of a crash/recovery round trip.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,7 +65,8 @@ pub fn crash_at_depth(persistence: CounterPersistence, depth: usize, shards: u32
         .write_queue(Some(queue))
         .build()
         .expect("scenario config must build");
-    let mut sc = ShardedController::new(ShardedConfig::new(shards, base))
+    let mut sc = SweepConfig::sharded("crash-at-depth", base, shards)
+        .machine()
         .expect("scenario config must build");
     let mut written: Vec<(BlockAddr, Line)> = Vec::new();
     for i in 0..depth {
@@ -80,7 +81,7 @@ pub fn crash_at_depth(persistence: CounterPersistence, depth: usize, shards: u32
     if sc.power_loss().ok().is_err() {
         return CrashVerdict::Corrupted { addr: 0 };
     }
-    match sc.recover_mut_all().ok() {
+    match reboot(&mut sc, true) {
         Ok(_) => {}
         Err(Error::CounterLoss) => {
             // Degraded mode: every read must fail loudly, not guess.

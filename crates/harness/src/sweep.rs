@@ -6,10 +6,12 @@
 //! one tally line per config) or replay one seed with full per-record
 //! detail, optionally write JSON, and exit nonzero iff any run failed
 //! its gate. [`main`] is that program. A [`Campaign`] supplies the
-//! engine: its matrices, `run(cfg, seed)`, its record type (whose
-//! [`Report`] and [`Tally`] are written once, in [`crate::report`]),
-//! and the constants the committed goldens pin (binary name, default
-//! seed count, label column width, verdict words, optional flags).
+//! engine: its matrix of [`SweepConfig`]s, `run(cfg, seed)`, its record
+//! type (whose [`Report`] and [`Tally`] are written once, in
+//! [`crate::report`]), and the constants the committed goldens pin
+//! (binary name, default seed count, label column width, verdict words,
+//! optional flags). Every engine runs its config on the one machine
+//! [`SweepConfig::machine`] builds.
 //!
 //! `--seed S` replays one seed with full per-record detail, so a failing
 //! campaign cell can be rerun alone. `--json FILE` also writes the
@@ -25,6 +27,7 @@
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
+use ss_core::{ControllerConfig, ShardedConfig, ShardedController, WriteQueueConfig};
 use ss_trace::{MetricsRegistry, TraceRecord};
 
 use crate::report::{json_escape, json_key, Outcome, Record, Report, Tally};
@@ -58,10 +61,79 @@ impl<R> From<R> for Artifacts<R> {
     }
 }
 
+/// One named machine configuration of any sweep.
+#[derive(Debug, Clone)]
+pub struct SweepConfig {
+    /// Stable label used in reports (e.g. `ctr-bat-mt-x4`).
+    pub label: String,
+    /// The controller configuration (the *total* machine when sharded).
+    pub controller: ControllerConfig,
+    /// Channel count of the [`ShardedController`] under test, over the
+    /// round-robin interleave (1 is the plain controller, byte for
+    /// byte). Sweeps target pages `1..=`[`PAGES`](crate::plan::PAGES),
+    /// which covers every shard while `shards <= PAGES`.
+    pub shards: u32,
+    /// Whether reboot runs the recovery protocol
+    /// ([`ss_core::MemoryController::recover_mut`]) on every shard. Only
+    /// the weakened crash config turns it off, to prove the crash sweep
+    /// catches the resulting corruption.
+    pub recovery: bool,
+}
+
+impl SweepConfig {
+    /// Wraps a controller config as a single-channel target that
+    /// recovers at reboot.
+    pub fn new(label: impl Into<String>, controller: ControllerConfig) -> Self {
+        SweepConfig {
+            label: label.into(),
+            controller,
+            shards: 1,
+            recovery: true,
+        }
+    }
+
+    /// Wraps a controller config as an `n`-channel sharded target.
+    pub fn sharded(label: impl Into<String>, controller: ControllerConfig, shards: u32) -> Self {
+        SweepConfig {
+            shards,
+            ..SweepConfig::new(label, controller)
+        }
+    }
+
+    /// The small write queue of every `-wq` matrix entry (fault, attack
+    /// and crash sweeps): shallow enough that crash-at-depth is
+    /// reachable and a drain is a handful of persist steps, deep enough
+    /// to coalesce.
+    pub fn small_queue() -> WriteQueueConfig {
+        WriteQueueConfig {
+            capacity: 8,
+            drain_low: 2,
+            drain_high: 6,
+        }
+    }
+
+    /// Builds the machine under test, powered on.
+    ///
+    /// # Errors
+    ///
+    /// [`ss_common::Error::InvalidConfig`] when the configuration does
+    /// not build.
+    pub fn machine(&self) -> ss_common::Result<ShardedController> {
+        ShardedController::new(ShardedConfig::new(self.shards, self.controller.clone()))
+    }
+}
+
+/// The scattered two-share rows of `C`'s matrix.
+#[cfg(test)]
+pub(crate) fn scattered_rows<C: Campaign>() -> Vec<SweepConfig> {
+    C::matrix()
+        .into_iter()
+        .filter(|c| c.controller.protection == ss_core::ProtectionMode::Scattered)
+        .collect()
+}
+
 /// One sweep engine behind the shared [`main`].
 pub trait Campaign {
-    /// One named machine configuration.
-    type Config;
     /// One classified record of a run.
     type Record: Record;
 
@@ -81,18 +153,16 @@ pub trait Campaign {
     const METRICS: bool = false;
 
     /// The config matrix.
-    fn matrix() -> Vec<Self::Config>;
+    fn matrix() -> Vec<SweepConfig>;
     /// The deliberately broken config behind `--weakened`, whose runs
     /// must fail the gate; `None` when the campaign has no such flag.
-    fn weakened() -> Option<Self::Config> {
+    fn weakened() -> Option<SweepConfig> {
         None
     }
-    /// The config's stable report label.
-    fn label(cfg: &Self::Config) -> &str;
     /// Runs one `(config, seed)` cell, retaining the last `trace_depth`
     /// trace events when given.
     fn run(
-        cfg: &Self::Config,
+        cfg: &SweepConfig,
         seed: u64,
         trace_depth: Option<usize>,
     ) -> Artifacts<Report<Self::Record>>;
@@ -191,9 +261,9 @@ fn drive<C: Campaign>(opts: &Options) -> Result<bool, String> {
     } else {
         C::matrix()
     };
-    let matrix: Vec<C::Config> = pool
+    let matrix: Vec<SweepConfig> = pool
         .into_iter()
-        .filter(|c| opts.config.as_deref().is_none_or(|l| C::label(c) == l))
+        .filter(|c| opts.config.as_deref().is_none_or(|l| c.label == l))
         .collect();
     if matrix.is_empty() {
         return Err(format!(
@@ -203,7 +273,7 @@ fn drive<C: Campaign>(opts: &Options) -> Result<bool, String> {
     }
     if opts.list {
         for cfg in &matrix {
-            println!("{}", C::label(cfg));
+            println!("{}", cfg.label);
         }
         return Ok(true);
     }
@@ -215,7 +285,7 @@ fn drive<C: Campaign>(opts: &Options) -> Result<bool, String> {
 
 /// Replay mode: one seed, full per-record detail (plus the trace under
 /// `--trace`).
-fn replay<C: Campaign>(opts: &Options, matrix: &[C::Config], seed: u64) -> Result<bool, String> {
+fn replay<C: Campaign>(opts: &Options, matrix: &[SweepConfig], seed: u64) -> Result<bool, String> {
     let depth = opts.trace.then_some(TRACE_DEPTH);
     let mut reports = Vec::with_capacity(matrix.len());
     let mut metrics = Vec::with_capacity(matrix.len());
@@ -229,7 +299,7 @@ fn replay<C: Campaign>(opts: &Options, matrix: &[C::Config], seed: u64) -> Resul
                 println!("    {rec}");
             }
         }
-        metrics.push(row(C::label(cfg), "metrics", &run.metrics.to_json()));
+        metrics.push(row(&cfg.label, "metrics", &run.metrics.to_json()));
         reports.push(run.report);
     }
     let clean = reports.iter().all(Report::clean);
@@ -243,7 +313,7 @@ fn replay<C: Campaign>(opts: &Options, matrix: &[C::Config], seed: u64) -> Resul
 
 /// Campaign mode: seeds `0..N` against every config, one tally line
 /// each, then the total and the verdict.
-fn campaign<C: Campaign>(opts: &Options, matrix: &[C::Config]) -> Result<bool, String> {
+fn campaign<C: Campaign>(opts: &Options, matrix: &[SweepConfig]) -> Result<bool, String> {
     println!(
         "{}: {} seed(s) x {} config(s)",
         C::NAME,
@@ -256,7 +326,7 @@ fn campaign<C: Campaign>(opts: &Options, matrix: &[C::Config]) -> Result<bool, S
     let mut rows = Vec::with_capacity(matrix.len());
     let mut metrics = Vec::with_capacity(matrix.len());
     for cfg in matrix {
-        let label = C::label(cfg);
+        let label = cfg.label.as_str();
         let mut tally = Tally::default();
         let mut summed = MetricsRegistry::new();
         for seed in 0..opts.seeds {
@@ -348,8 +418,65 @@ fn write_docs(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
+    use crate::plan::PAGES;
     use crate::{AttackSweep, CrashSweep, FaultSweep};
+
+    /// `C`'s matrix has unique labels and recovers at every reboot; each
+    /// of its configs, and its weakened one, builds a machine whose every
+    /// shard the sweeps' target pages reach.
+    fn matrix_is_sound<C: Campaign>() {
+        let matrix = C::matrix();
+        let labels: BTreeSet<&str> = matrix.iter().map(|c| c.label.as_str()).collect();
+        assert_eq!(
+            labels.len(),
+            matrix.len(),
+            "{} labels must be unique",
+            C::NAME
+        );
+        assert!(
+            matrix.iter().all(|c| c.recovery),
+            "{} skips recovery",
+            C::NAME
+        );
+        for cfg in matrix.iter().chain(&C::weakened()) {
+            cfg.machine()
+                .unwrap_or_else(|e| panic!("{}: {e}", cfg.label));
+            assert!(
+                PAGES >= u64::from(cfg.shards),
+                "{}: pages miss a shard",
+                cfg.label
+            );
+        }
+    }
+
+    #[test]
+    fn every_matrix_is_sound() {
+        matrix_is_sound::<FaultSweep>();
+        matrix_is_sound::<AttackSweep>();
+        matrix_is_sound::<CrashSweep>();
+    }
+
+    /// Two runs of each of `C`'s first `configs` configs at `seed` render
+    /// byte-identical text and JSON: CI compares sweep outputs with
+    /// `cmp`.
+    fn runs_are_byte_identical<C: Campaign>(configs: usize, seed: u64) {
+        for cfg in C::matrix().iter().take(configs) {
+            let a = C::run(cfg, seed, None).report;
+            let b = C::run(cfg, seed, None).report;
+            assert_eq!(format!("{a}"), format!("{b}"), "{} text", cfg.label);
+            assert_eq!(a.to_json(), b.to_json(), "{} JSON", cfg.label);
+        }
+    }
+
+    #[test]
+    fn same_seed_byte_identical_reports() {
+        runs_are_byte_identical::<FaultSweep>(4, 11);
+        runs_are_byte_identical::<AttackSweep>(2, 7);
+        runs_are_byte_identical::<CrashSweep>(2, 5);
+    }
 
     fn parse_flags<C: Campaign>(flags: &[&str]) -> Result<Options, String> {
         parse::<C>(flags.iter().map(|f| f.to_string()))

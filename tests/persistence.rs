@@ -191,7 +191,7 @@ fn whole_system_volatile_crash_is_detected() {
 // every line interleaved round-robin across the channels.
 // ---------------------------------------------------------------------
 
-use ss_harness::{run_crash_config, CrashConfig, CrashOutcome, CrashVerdict as V, Tally};
+use ss_harness::{run_crash_config, Campaign, CrashOutcome, CrashSweep, CrashVerdict as V, Tally};
 
 #[test]
 fn sharded_crash_matrix_persistence_by_queue_depth() {
@@ -230,7 +230,7 @@ fn crash_matrix_smoke_covers_all_outcome_classes() {
     // must actually be observed, so a classifier bug that lumps
     // everything into one bucket cannot pass as "clean".
     let mut grand = Tally::default();
-    for cfg in CrashConfig::matrix() {
+    for cfg in CrashSweep::matrix() {
         for seed in 0..2 {
             let report = run_crash_config(&cfg, seed);
             assert!(

@@ -138,9 +138,9 @@ fn regression_second_alloc_touch_conserves_frames() {
 fn regression_attack_cold_scan_is_shard_major_address_ordered() {
     use silent_shredder::common::PageId;
     use silent_shredder::core::ControllerConfig;
-    use ss_harness::{Adversary, AttackConfig};
+    use ss_harness::{Adversary, SweepConfig};
 
-    let cfg = AttackConfig::sharded("x4", ControllerConfig::small_test(), 4);
+    let cfg = SweepConfig::sharded("x4", ControllerConfig::small_test(), 4);
     let mut adv = Adversary::build(&cfg).unwrap();
     // One line on every shard (pages 1..=8 cover shards 0..4 twice).
     for p in 1..=8u64 {
@@ -169,8 +169,8 @@ fn regression_attack_cold_scan_is_shard_major_address_ordered() {
 /// lines rely on.
 #[test]
 fn regression_attack_records_follow_attack_kind_order() {
-    use ss_harness::{run_attacks, AttackConfig, AttackKind};
-    for cfg in AttackConfig::matrix() {
+    use ss_harness::{run_attacks, AttackKind, AttackSweep, Campaign};
+    for cfg in AttackSweep::matrix() {
         let report = run_attacks(&cfg, 17);
         let kinds: Vec<AttackKind> = report.records.iter().map(|r| r.kind).collect();
         assert_eq!(kinds, AttackKind::ALL.to_vec(), "{}", cfg.label);
@@ -184,8 +184,8 @@ fn regression_attack_records_follow_attack_kind_order() {
 /// unseeded source leaks into the attack path.
 #[test]
 fn regression_attack_reports_byte_stable_across_runs() {
-    use ss_harness::{run_attacks, AttackConfig};
-    for cfg in AttackConfig::matrix() {
+    use ss_harness::{run_attacks, AttackSweep, Campaign};
+    for cfg in AttackSweep::matrix() {
         for seed in [0u64, 19] {
             let a = run_attacks(&cfg, seed);
             let b = run_attacks(&cfg, seed);

@@ -13,19 +13,22 @@
 use silent_shredder::common::{Cycles, Error, PageId};
 use silent_shredder::core::CounterPersistence;
 use silent_shredder::prelude::*;
-use ss_harness::{run_attack, run_attacks, Adversary, AttackConfig, AttackKind, AttackOutcome};
+use ss_harness::{
+    run_attack, run_attacks, Adversary, AttackKind, AttackOutcome, AttackSweep, Campaign,
+    SweepConfig,
+};
 
 const SECRET: [u8; 64] = *b"TOP-SECRET private key material_TOP-SECRET private key material_";
 
 fn adversary(cfg: ControllerConfig) -> Adversary {
-    Adversary::build(&AttackConfig::new("test", cfg)).expect("adversary boot")
+    Adversary::build(&SweepConfig::new("test", cfg)).expect("adversary boot")
 }
 
 // --- the attack × defense grid --------------------------------------
 
 #[test]
 fn every_attack_is_defended_or_detected_on_every_matrix_config() {
-    for cfg in AttackConfig::matrix() {
+    for cfg in AttackSweep::matrix() {
         for seed in [0, 11] {
             let report = run_attacks(&cfg, seed);
             assert!(
@@ -66,7 +69,8 @@ fn weakened_config_proves_the_attacks_are_real() {
     // Negative control: drop the Merkle tree and rollback-replay
     // actually resurrects stale state. If this ever stops leaking, the
     // attack scripts have gone soft and the whole grid proves nothing.
-    let record = run_attack(&AttackConfig::weakened(), AttackKind::RollbackReplay, 0);
+    let weakened = AttackSweep::weakened().expect("attacksweep has a weakened config");
+    let record = run_attack(&weakened, AttackKind::RollbackReplay, 0);
     assert_eq!(record.outcome, AttackOutcome::Leaked, "{record}");
 }
 
@@ -108,7 +112,7 @@ fn shred_reads_zero_on_every_shard() {
     // the round-robin interleave): after a shred, reads must zero-fill
     // on every shard, and the stolen-DIMM decrypt oracle must get zeros
     // too.
-    let cfg = AttackConfig::sharded("x4", ControllerConfig::small_test(), 4);
+    let cfg = SweepConfig::sharded("x4", ControllerConfig::small_test(), 4);
     let mut adv = Adversary::build(&cfg).unwrap();
     assert_eq!(adv.shards(), 4);
     let pages: Vec<PageId> = (1..=4).map(PageId::new).collect();
@@ -302,7 +306,7 @@ fn user_space_cannot_shred() {
 
 #[test]
 fn user_space_cannot_shred_a_shard_either() {
-    let cfg = AttackConfig::sharded("x4", ControllerConfig::small_test(), 4);
+    let cfg = SweepConfig::sharded("x4", ControllerConfig::small_test(), 4);
     let mut adv = Adversary::build(&cfg).unwrap();
     let page = PageId::new(2);
     adv.victim_write(page.block_addr(0), &SECRET).unwrap();

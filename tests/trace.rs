@@ -6,7 +6,7 @@
 
 use ss_common::{Cycles, PageId};
 use ss_core::{ControllerConfig, ControllerConfigBuilder, MemoryController};
-use ss_harness::{run_plan, run_plan_full, HarnessConfig};
+use ss_harness::{run_plan, run_plan_full, SweepConfig};
 use ss_trace::TraceRecord;
 
 fn traced_config() -> ControllerConfig {
@@ -23,7 +23,7 @@ fn render(records: &[TraceRecord]) -> String {
 
 #[test]
 fn identical_seeds_give_byte_identical_streams_and_metrics() {
-    let cfg = HarnessConfig::new("trace-golden", traced_config());
+    let cfg = SweepConfig::new("trace-golden", traced_config());
     for seed in [0u64, 7, 23] {
         let a = run_plan_full(&cfg, seed, Some(4096));
         let b = run_plan_full(&cfg, seed, Some(4096));
@@ -50,7 +50,7 @@ fn identical_seeds_give_byte_identical_streams_and_metrics() {
 
 #[test]
 fn tracing_never_changes_the_report() {
-    let cfg = HarnessConfig::new("trace-zero-cost", traced_config());
+    let cfg = SweepConfig::new("trace-zero-cost", traced_config());
     for seed in 0..8u64 {
         let plain = run_plan(&cfg, seed);
         let traced = run_plan_full(&cfg, seed, Some(512));
