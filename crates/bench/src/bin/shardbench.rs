@@ -1,21 +1,20 @@
 //! Sharding scaling bench: shred throughput versus shard count.
 //!
 //! ```text
-//! shardbench [--shards 1,2,4,8] [--json FILE]
+//! shardbench [--json FILE]
 //! ```
 //!
 //! Runs the server-consolidation teardown scenario
 //! ([`ss_sim::ConsolidationScenario`]) against the sharded controller at
-//! each requested shard count and reports batched-shred throughput. All
+//! 1, 2, 4 and 8 shards and reports batched-shred throughput. All
 //! quantities are simulated cycles — a pure function of the workload
 //! seed and the configuration, so the report (and the JSON) is
 //! byte-identical across runs and machines. `BENCH_sharding.json` at the
-//! repository root is this binary's committed output
-//! (`--shards 1,2,4,8`).
+//! repository root is this binary's committed `--json` output.
 //!
-//! Exit status is nonzero if the largest shard count fails to deliver at
-//! least a 3x throughput scaling over one shard — the regression gate
-//! for the multi-channel drain path.
+//! Exit status is nonzero if 8 shards fail to deliver at least a 3x
+//! throughput scaling over one shard — the regression gate for the
+//! multi-channel drain path.
 
 use std::env;
 use std::fmt::Write as _;
@@ -29,39 +28,22 @@ use ss_workloads::ConsolidationWorkload;
 /// 1-shard configuration, in thousandths (3000 = 3x).
 const MIN_SCALING_X1000: u64 = 3000;
 
-struct Options {
-    shards: Vec<u32>,
-    json: Option<String>,
-}
+/// The shard counts under test, smallest first: the first row is the
+/// 1-shard baseline every scaling ratio divides by.
+const SHARDS: [u32; 4] = [1, 2, 4, 8];
 
-fn parse_args() -> Result<Options, String> {
-    let mut opts = Options {
-        shards: vec![1, 2, 4, 8],
-        json: None,
-    };
+/// Parses argv: the optional `--json FILE` path.
+fn parse_args() -> Result<Option<String>, String> {
+    let mut json = None;
     let mut args = env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--shards" => {
-                let list = args.next().ok_or("--shards needs a comma list")?;
-                opts.shards = list
-                    .split(',')
-                    .map(|s| s.trim().parse().map_err(|e| format!("--shards: {e}")))
-                    .collect::<Result<_, _>>()?;
-            }
-            "--json" => {
-                opts.json = Some(args.next().ok_or("--json needs a file path")?);
-            }
-            "--help" | "-h" => {
-                return Err("usage: shardbench [--shards 1,2,4,8] [--json FILE]".to_string());
-            }
+            "--json" => json = Some(args.next().ok_or("--json needs a file path")?),
+            "--help" | "-h" => return Err("usage: shardbench [--json FILE]".to_string()),
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    if opts.shards.is_empty() {
-        return Err("--shards must name at least one count".to_string());
-    }
-    Ok(opts)
+    Ok(json)
 }
 
 /// The bench's controller: `small_test` scaled up so every shard count
@@ -128,8 +110,8 @@ fn to_json(rows: &[ConsolidationReport]) -> String {
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
-        Ok(o) => o,
+    let json = match parse_args() {
+        Ok(j) => j,
         Err(msg) => {
             eprintln!("{msg}");
             return ExitCode::FAILURE;
@@ -137,7 +119,7 @@ fn main() -> ExitCode {
     };
 
     let mut rows = Vec::new();
-    for &n in &opts.shards {
+    for n in SHARDS {
         match run(n) {
             Ok(r) => rows.push(r),
             Err(msg) => {
@@ -171,7 +153,7 @@ fn main() -> ExitCode {
         );
     }
 
-    if let Some(path) = &opts.json {
+    if let Some(path) = &json {
         if let Err(e) = std::fs::write(path, to_json(&rows)) {
             eprintln!("shardbench: writing {path}: {e}");
             return ExitCode::FAILURE;
@@ -179,13 +161,7 @@ fn main() -> ExitCode {
         println!("  json report written to {path}");
     }
 
-    let top = rows
-        .iter()
-        .max_by_key(|r| r.shards)
-        .expect("at least one row");
-    if rows[0].shards == top.shards {
-        return ExitCode::SUCCESS; // single-point run: nothing to gate
-    }
+    let top = &rows[rows.len() - 1];
     let scaling = scaling_x1000(&rows[0], top);
     if scaling < MIN_SCALING_X1000 {
         eprintln!(

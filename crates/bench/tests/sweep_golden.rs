@@ -1,4 +1,5 @@
-//! Byte-identity and red-exit gates for the three sweep binaries.
+//! Byte-identity and red-exit gates for the three sweep binaries and
+//! the two committed bench reports.
 //!
 //! Every sweep campaign is a pure function of its seed set: no
 //! wall-clock, no environment, DetRng-only randomness. This test pins
@@ -7,9 +8,12 @@
 //! `--metrics-json` in the same run, and all 7 goldens in `ci/` must
 //! match exactly; a match against a committed golden also proves two
 //! runs agree. The weakened configs must turn their sweeps red with a
-//! replay hint, and a replayed campaign seed must stay clean. CI runs
-//! this test in release mode. Any intentional behaviour change must
-//! regenerate the goldens in the same commit (and review the diff):
+//! replay hint, and a replayed campaign seed must stay clean. Likewise
+//! `protbench` and `shardbench` must pass their own gates and write
+//! `--json` reports byte-identical to the committed
+//! `BENCH_protection.json` and `BENCH_sharding.json`. CI runs this test
+//! in release mode. Any intentional behaviour change must regenerate
+//! the goldens in the same commit (and review the diff):
 //!
 //! ```text
 //! cargo run --release -p ss-bench --bin faultsweep -- --seeds 8 \
@@ -22,6 +26,10 @@
 //! cargo run --release -p ss-bench --bin crashsweep -- --seeds 8 \
 //!     --json ci/crashsweep-seeds8.golden.json \
 //!     > ci/crashsweep-seeds8.golden.txt
+//! cargo run --release -p ss-bench --bin protbench -- \
+//!     --json BENCH_protection.json
+//! cargo run --release -p ss-bench --bin shardbench -- \
+//!     --json BENCH_sharding.json
 //! ```
 
 use std::path::Path;
@@ -69,8 +77,11 @@ fn read(path: &Path) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()))
 }
 
+/// The repository root, where the committed bench reports live.
+const ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+
 fn golden(name: &str) -> String {
-    read(&Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../ci")).join(name))
+    read(&Path::new(ROOT).join("ci").join(name))
 }
 
 /// Runs `exe` with `args` to completion: exit success and stdout.
@@ -140,4 +151,22 @@ fn sweeps_match_goldens_and_gates_fire() {
             assert!(text.contains(&replay), "{name} lacks {replay:?}:\n{text}");
         }
     }
+}
+
+#[test]
+fn bench_reports_match_committed_json() {
+    let scratch = std::env::temp_dir().join(format!("bench-golden-{}", std::process::id()));
+    std::fs::create_dir_all(&scratch).expect("scratch dir");
+    for (exe, committed) in [
+        (env!("CARGO_BIN_EXE_protbench"), "BENCH_protection.json"),
+        (env!("CARGO_BIN_EXE_shardbench"), "BENCH_sharding.json"),
+    ] {
+        let json = scratch.join(committed);
+        let path = json.to_str().expect("utf8 scratch path");
+        let (ok, text) = run(exe, &["--json", path]);
+        assert!(ok, "{exe} failed its gate:\n{text}");
+        let want = read(&Path::new(ROOT).join(committed));
+        assert_eq!(read(&json), want, "{exe} drifted from {committed}");
+    }
+    let _ = std::fs::remove_dir_all(&scratch);
 }
