@@ -755,7 +755,6 @@ pub fn ablation_wear_leveling() -> Result<Vec<WearLevelRow>> {
                 .data_capacity(32 << 10) // 512 lines: rotations complete fast
                 .counter_cache_bytes(16 << 10)
                 .wear_leveling(wear_leveling)
-                .start_gap_interval(1)
                 .build()?,
         )?;
         let mut rng = ss_common::DetRng::new(17);

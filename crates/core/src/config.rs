@@ -110,8 +110,6 @@ pub struct ControllerConfig {
     pub write_queue: Option<crate::wqueue::WriteQueueConfig>,
     /// Start-Gap wear levelling over the data region \[30\].
     pub wear_leveling: bool,
-    /// Writes between gap movements when wear levelling is on.
-    pub start_gap_interval: u64,
     /// Per-line write-endurance limit forwarded to the NVM device
     /// (accept-write / fail-read: worn lines keep taking writes but grow
     /// weak cells that surface on reads). `None` models pristine media.
@@ -157,7 +155,6 @@ impl Default for ControllerConfig {
             deuce: false,
             write_queue: None,
             wear_leveling: false,
-            start_gap_interval: 64,
             endurance_limit: None,
             nvm_ecc: EccConfig::secded(),
             transient_read_ber: 0.0,
@@ -311,11 +308,6 @@ impl ControllerConfig {
                     detail: "Start-Gap moves are not covered by the ADR ordering journal".into(),
                 });
             }
-        }
-        if self.wear_leveling && self.start_gap_interval == 0 {
-            return Err(Error::InvalidConfig {
-                detail: "start-gap interval must be positive".into(),
-            });
         }
         if !self.nvm_ecc.is_valid() {
             return Err(Error::InvalidConfig {
@@ -542,12 +534,6 @@ impl ControllerConfigBuilder {
     /// Enables or disables Start-Gap wear levelling.
     pub fn wear_leveling(mut self, on: bool) -> Self {
         self.cfg.wear_leveling = on;
-        self
-    }
-
-    /// Sets the start-gap rotation interval (writes per gap move).
-    pub fn start_gap_interval(mut self, interval: u64) -> Self {
-        self.cfg.start_gap_interval = interval;
         self
     }
 

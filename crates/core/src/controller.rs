@@ -1526,14 +1526,15 @@ fn config_wqueue(config: &ControllerConfig) -> Result<Option<WriteQueue>> {
     config.write_queue.map(WriteQueue::new).transpose()
 }
 
+/// Writes between Start-Gap gap movements when wear levelling is on:
+/// one, the Start-Gap ablation's setting (DESIGN.md §3.2).
+const START_GAP_INTERVAL: u64 = 1;
+
 /// Builds the Start-Gap remapper for a configuration, if enabled.
 fn config_start_gap(config: &ControllerConfig) -> Option<StartGap> {
-    config.wear_leveling.then(|| {
-        StartGap::new(
-            config.data_capacity / LINE_SIZE as u64,
-            config.start_gap_interval,
-        )
-    })
+    config
+        .wear_leveling
+        .then(|| StartGap::new(config.data_capacity / LINE_SIZE as u64, START_GAP_INTERVAL))
 }
 
 #[cfg(test)]

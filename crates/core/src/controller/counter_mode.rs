@@ -720,7 +720,6 @@ mod tests {
     fn wear_leveling_shred_still_zero_fills() {
         let mut m = MemoryController::new(ControllerConfig {
             wear_leveling: true,
-            start_gap_interval: 4,
             ..ControllerConfig::small_test()
         })
         .unwrap();

@@ -206,13 +206,12 @@ fn huge_page_shreds_as_4k_run() {
 
 #[test]
 fn wear_leveling_preserves_contents_and_spreads_writes() {
-    // A tiny data region (8 pages = 512 lines) with a gap move per
-    // write, so the gap completes rotations within the test.
+    // A tiny data region (8 pages = 512 lines); the gap moves on every
+    // write, so it completes rotations within the test.
     let mut m = MemoryController::new(ControllerConfig {
         data_capacity: 32 << 10,
         counter_cache_bytes: 16 << 10,
         wear_leveling: true,
-        start_gap_interval: 1,
         ..ControllerConfig::default()
     })
     .unwrap();
