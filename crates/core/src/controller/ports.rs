@@ -90,11 +90,6 @@ impl<'a> Inspect<'a> {
         self.mc.heal.quarantined_count()
     }
 
-    /// Spare lines still available for remapping.
-    pub fn spare_lines_free(&self) -> u64 {
-        self.mc.heal.free()
-    }
-
     /// Whether the line holding `addr` is quarantined.
     pub fn is_line_quarantined(&self, addr: BlockAddr) -> bool {
         self.mc.heal.is_quarantined(self.mc.device_addr(addr))

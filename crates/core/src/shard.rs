@@ -55,19 +55,9 @@ pub struct PerShard<T> {
 }
 
 impl<T> PerShard<T> {
-    /// Every shard's result, in shard order.
-    pub fn results(&self) -> &[(u32, Result<T>)] {
-        &self.results
-    }
-
     /// Consumes the outcome, yielding every shard's result.
     pub fn into_results(self) -> Vec<(u32, Result<T>)> {
         self.results
-    }
-
-    /// Whether every shard succeeded.
-    pub fn is_ok(&self) -> bool {
-        self.results.iter().all(|(_, r)| r.is_ok())
     }
 
     /// Collapses to the first error (legacy single-error view); `Ok`
