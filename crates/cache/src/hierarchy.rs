@@ -863,6 +863,115 @@ mod tests {
         assert_eq!(data, line(11));
     }
 
+    /// FNV-1a over the ordered writeback stream: addresses and bytes.
+    fn fold(stream: &[(BlockAddr, Line)]) -> u64 {
+        let mut h = 0xCBF2_9CE4_8422_2325u64;
+        for (addr, data) in stream {
+            for b in addr.raw().to_le_bytes().iter().chain(data) {
+                h = (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01B3);
+            }
+        }
+        h
+    }
+
+    /// Pins the hierarchy's exact behaviour. A seeded mix of loads,
+    /// partial stores (RFO and a dirty fill on a miss, then the
+    /// full-line write, as the full system issues them), full-line
+    /// stores, line and page invalidations and flushes on four cores
+    /// must reproduce every level's statistics, the summed probe latency
+    /// and the ordered stream of lines written back to memory. LRU
+    /// order, a hit rule or the victim cascade cannot change without
+    /// moving one of these numbers.
+    #[test]
+    fn seeded_mix_pins_stats_and_writeback_stream() {
+        let mut h = Hierarchy::new(&HierarchyConfig {
+            cores: 4,
+            l1_size: 4 * LINE_SIZE * 2,
+            l2_size: 8 * LINE_SIZE * 2,
+            l3_size: 16 * LINE_SIZE * 2,
+            l4_size: 32 * LINE_SIZE * 2,
+            ways: 2,
+        })
+        .unwrap();
+        let mut rng = ss_common::DetRng::new(0x4C_E5E1);
+        let mut memory: BTreeMap<u64, Line> = BTreeMap::new();
+        let mut stream: Vec<(BlockAddr, Line)> = Vec::new();
+        let mut latency = 0u64;
+        for _ in 0..6000 {
+            let core = rng.below(4) as usize;
+            // Half the accesses go to a hot 24-line window, half to four
+            // pages (four times the L4), so every level hits and evicts.
+            let span = if rng.below(2) == 0 { 24 } else { 256 };
+            let addr = a(rng.below(span));
+            let value = rng.next_u64() as u8;
+            let first = stream.len();
+            match rng.below(1000) {
+                0..=399 => {
+                    let r = h.access(core, AccessKind::Read, addr, None);
+                    latency += r.latency.raw();
+                    stream.extend(r.writebacks);
+                    if r.needs_fetch {
+                        let d = memory.get(&addr.raw()).copied().unwrap_or([0; LINE_SIZE]);
+                        stream.extend(h.fill(core, addr, d, false));
+                    }
+                }
+                400..=649 => {
+                    let r = h.access(core, AccessKind::WritePartial, addr, None);
+                    latency += r.latency.raw();
+                    stream.extend(r.writebacks);
+                    let mut d = match r.data {
+                        Some(d) => d,
+                        None => {
+                            let d = memory.get(&addr.raw()).copied().unwrap_or([0; LINE_SIZE]);
+                            stream.extend(h.fill(core, addr, d, true));
+                            d
+                        }
+                    };
+                    d[usize::from(value) % LINE_SIZE] = value;
+                    let w = h.access(core, AccessKind::WriteLineNoFetch, addr, Some(d));
+                    latency += w.latency.raw();
+                    stream.extend(w.writebacks);
+                }
+                650..=929 => {
+                    let r = h.access(core, AccessKind::WriteLineNoFetch, addr, Some(line(value)));
+                    latency += r.latency.raw();
+                    stream.extend(r.writebacks);
+                }
+                930..=979 => {
+                    if let Some((d, true)) = h.invalidate_line(addr) {
+                        stream.push((addr, d));
+                    }
+                }
+                980..=994 => stream.extend(h.invalidate_page(addr.page())),
+                _ => stream.extend(h.flush_all()),
+            }
+            for (a, d) in &stream[first..] {
+                memory.insert(a.raw(), *d);
+            }
+        }
+        let stats = [Level::L1, Level::L2, Level::L3, Level::L4].map(|level| {
+            let s = h.level_stats(level).cache;
+            [
+                s.hits.get(),
+                s.misses.get(),
+                s.evictions.get(),
+                s.dirty_evictions.get(),
+                s.invalidations.get(),
+            ]
+        });
+        assert_eq!(
+            stats,
+            [
+                [513, 3590, 2935, 1614, 1594],
+                [350, 3580, 268, 244, 767],
+                [789, 2546, 737, 226, 1888],
+                [114, 2432, 290, 50, 1830],
+            ]
+        );
+        assert_eq!(latency, 240_133);
+        assert_eq!((stream.len(), fold(&stream)), (2226, 0xDC73_B0DF_5C4F_5940));
+    }
+
     #[test]
     fn config_rejects_zero_cores() {
         assert!(Hierarchy::new(&HierarchyConfig {
