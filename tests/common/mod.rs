@@ -9,8 +9,12 @@ use silent_shredder::common::{BlockAddr, Cycles};
 use silent_shredder::prelude::*;
 
 /// Two-core cache-hierarchy coherence: ops are `(op, core, lineno,
-/// value)` with `op` 0 = write-line, 1 = read-and-check. Panics on any
-/// stale read.
+/// value)` with `op` 0 = write-line, 1 = read-and-check, 2 = partial
+/// store of `value` into byte `value % 64` (read-for-ownership, a dirty
+/// fill from memory on a miss, then the full-line write, as the full
+/// system issues it), 3 = `invalidate_line` (a dirty copy goes to
+/// memory), other = `flush_all`. Panics on any stale read, and when
+/// memory lacks the newest value of a line the caches have let go of.
 pub fn run_hierarchy_coherence(ops: &[(u8, usize, u64, u8)]) {
     use silent_shredder::cache::{AccessKind, Hierarchy, HierarchyConfig};
     let mut h = Hierarchy::new(&HierarchyConfig {
@@ -22,34 +26,61 @@ pub fn run_hierarchy_coherence(ops: &[(u8, usize, u64, u8)]) {
         ways: 2,
     })
     .unwrap();
-    // A simple memory backing store.
+    // A simple memory backing store; dirty lines land in it in order.
     let mut memory: BTreeMap<u64, [u8; 64]> = BTreeMap::new();
-    let mut shadow: BTreeMap<u64, u8> = BTreeMap::new();
+    let write_back = |memory: &mut BTreeMap<u64, [u8; 64]>, lines: Vec<(BlockAddr, [u8; 64])>| {
+        memory.extend(lines.into_iter().map(|(a, d)| (a.raw(), d)));
+    };
+    let mut shadow: BTreeMap<u64, [u8; 64]> = BTreeMap::new();
     for &(op, core, lineno, value) in ops {
         let addr = BlockAddr::new(lineno * 64);
-        if op == 0 {
-            let r = h.access(core, AccessKind::WriteLineNoFetch, addr, Some([value; 64]));
-            for (a, d) in r.writebacks {
-                memory.insert(a.raw(), d);
+        let expected = shadow.get(&addr.raw()).copied().unwrap_or([0; 64]);
+        match op {
+            0 => {
+                let r = h.access(core, AccessKind::WriteLineNoFetch, addr, Some([value; 64]));
+                write_back(&mut memory, r.writebacks);
+                shadow.insert(addr.raw(), [value; 64]);
             }
-            shadow.insert(addr.raw(), value);
-        } else {
-            let r = h.access(core, AccessKind::Read, addr, None);
-            let data = match r.data {
-                Some(d) => d,
-                None => {
-                    let d = memory.get(&addr.raw()).copied().unwrap_or([0; 64]);
-                    for (a, wb) in h.fill(core, addr, d, false) {
-                        memory.insert(a.raw(), wb);
+            1 | 2 => {
+                let kind = if op == 1 {
+                    AccessKind::Read
+                } else {
+                    AccessKind::WritePartial
+                };
+                let r = h.access(core, kind, addr, None);
+                write_back(&mut memory, r.writebacks);
+                let mut data = match r.data {
+                    Some(d) => d,
+                    None => {
+                        let d = memory.get(&addr.raw()).copied().unwrap_or([0; 64]);
+                        write_back(&mut memory, h.fill(core, addr, d, op == 2));
+                        d
                     }
-                    d
+                };
+                assert_eq!(data, expected, "core {core} read stale data");
+                if op == 2 {
+                    data[usize::from(value) % 64] = value;
+                    let w = h.access(core, AccessKind::WriteLineNoFetch, addr, Some(data));
+                    write_back(&mut memory, w.writebacks);
+                    shadow.insert(addr.raw(), data);
                 }
-            };
-            for (a, d) in r.writebacks {
-                memory.insert(a.raw(), d);
             }
-            let expected = shadow.get(&addr.raw()).copied().unwrap_or(0);
-            assert_eq!(data, [expected; 64], "core {core} read stale data");
+            3 => {
+                if let Some((d, true)) = h.invalidate_line(addr) {
+                    memory.insert(addr.raw(), d);
+                }
+                let now = memory.get(&addr.raw()).copied().unwrap_or([0; 64]);
+                assert_eq!(
+                    now, expected,
+                    "invalidated line {lineno} lost its newest value"
+                );
+            }
+            _ => {
+                write_back(&mut memory, h.flush_all());
+                for (a, d) in &shadow {
+                    assert_eq!(memory.get(a), Some(d), "flush lost line {}", a / 64);
+                }
+            }
         }
     }
 }

@@ -466,7 +466,9 @@ fn no_zero_fill_without_shredder() {
 }
 
 /// Cache hierarchy: a value written via any core is the value read by
-/// any other core (coherence), for arbitrary small access patterns.
+/// any other core (coherence), for arbitrary small access patterns of
+/// every access kind, and invalidations and flushes hand memory the
+/// newest value.
 #[test]
 fn hierarchy_coherence() {
     for seed in 0..32u64 {
@@ -474,7 +476,9 @@ fn hierarchy_coherence() {
         let ops: Vec<(u8, usize, u64, u8)> = (0..80)
             .map(|_| {
                 (
-                    rng.below(2) as u8,
+                    // Full-line writes, reads, partial stores, then rarer
+                    // line invalidations and flushes.
+                    [0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 4][rng.below(16) as usize],
                     rng.below(2) as usize,
                     rng.below(32),
                     rng.next_u64() as u8,
