@@ -5,6 +5,21 @@
 //! and L4 (64 MiB, 35 cyc), all 8-way with 64 B lines. Probing is
 //! cumulative: a hit at L3 costs `lat(L1)+lat(L2)+lat(L3)`.
 //!
+//! The levels are indexed in probe order, 0 (L1) to 3 (L4): each core
+//! owns `[L1, L2]` and the cores share `[L3, L4]`. A load or partial
+//! store walks them in one probe loop, where a hit differs only by
+//! level:
+//!
+//! * at L1 a store marks the line dirty;
+//! * at L2 the line moves up to L1 with its dirtiness (a store dirties
+//!   it either way), and the L2 copy is left clean;
+//! * at L3/L4 a load copies the line into L1, a store moves it there
+//!   dirty.
+//!
+//! Every install goes through one cascade: a dirty victim falls one
+//! level down (L1→L2→L3→L4→memory) so the newest committed version is
+//! never dropped.
+//!
 //! Coherence is a MESI-style invalidate protocol between the cores'
 //! private levels, implemented with a sharer directory:
 //!
@@ -12,9 +27,7 @@
 //!   dirty data);
 //! * a **read** that finds a remote dirty copy forwards the data, parks
 //!   the latest version in the shared L3 and downgrades the owner to
-//!   clean;
-//! * dirty evictions cascade down (L1→L2→L3→L4→memory) so the newest
-//!   committed version is never dropped.
+//!   clean.
 //!
 //! [`Hierarchy::invalidate_page`] implements the bulk invalidation a
 //! shred command or a non-temporal zeroing pass sends (Fig. 6, step 2).
@@ -23,12 +36,12 @@ use std::collections::BTreeMap;
 
 use ss_common::{BlockAddr, Cycles, PageId, Result, BLOCKS_PER_PAGE, LINE_SIZE};
 
-use crate::set_assoc::{CacheConfig, CacheStats, SetAssocCache};
+use crate::set_assoc::{CacheConfig, CacheStats, Entry, SetAssocCache};
 
 /// A 64-byte cache line payload.
 pub type Line = [u8; LINE_SIZE];
 
-/// The four data-cache levels.
+/// The four data-cache levels, in probe order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Level {
     /// Private per-core L1.
@@ -41,13 +54,19 @@ pub enum Level {
     L4,
 }
 
+impl Level {
+    /// Every level; a level's index here is its index in the hierarchy.
+    const ALL: [Level; 4] = [Level::L1, Level::L2, Level::L3, Level::L4];
+}
+
 /// What kind of demand access is being made.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessKind {
     /// A load.
     Read,
-    /// A store that overwrites the whole line (no fetch needed on miss).
-    WriteLineNoFetch,
+    /// A store that overwrites the whole line with the given data (no
+    /// fetch needed on miss).
+    WriteLineNoFetch(Line),
     /// A store to part of a line (read-for-ownership on miss).
     WritePartial,
 }
@@ -68,6 +87,23 @@ pub struct AccessResult {
     pub needs_fetch: bool,
     /// Dirty lines pushed out to main memory by this access.
     pub writebacks: Vec<(BlockAddr, Line)>,
+}
+
+impl AccessResult {
+    fn hit(
+        latency: Cycles,
+        level: Level,
+        data: Option<Line>,
+        writebacks: Vec<(BlockAddr, Line)>,
+    ) -> Self {
+        AccessResult {
+            latency,
+            hit_level: Some(level),
+            data,
+            needs_fetch: false,
+            writebacks,
+        }
+    }
 }
 
 /// Per-level aggregate statistics.
@@ -107,6 +143,9 @@ pub const LATENCIES: [Cycles; 4] = [
 /// default).
 const SNOOP_PENALTY: Cycles = Cycles::new(30);
 
+/// Private levels per core (L1, L2); the shared levels follow them.
+const PRIVATE: usize = 2;
+
 impl Default for HierarchyConfig {
     fn default() -> Self {
         HierarchyConfig {
@@ -138,13 +177,12 @@ impl HierarchyConfig {
 /// The hierarchy proper.
 #[derive(Debug, Clone)]
 pub struct Hierarchy {
-    l1: Vec<SetAssocCache<Line>>,
-    l2: Vec<SetAssocCache<Line>>,
-    l3: SetAssocCache<Line>,
-    l4: SetAssocCache<Line>,
+    /// Each core's `[L1, L2]`.
+    private: Vec<[SetAssocCache<Line>; PRIVATE]>,
+    /// The shared `[L3, L4]`.
+    shared: [SetAssocCache<Line>; 2],
     /// Which cores hold each line in a private cache (bitmask).
     directory: BTreeMap<u64, u16>,
-    cores: usize,
 }
 
 impl Hierarchy {
@@ -160,45 +198,38 @@ impl Hierarchy {
                 detail: format!("core count {} not in 1..=16", config.cores),
             });
         }
-        let mut l1 = Vec::new();
-        let mut l2 = Vec::new();
-        for c in 0..config.cores {
-            l1.push(SetAssocCache::new(CacheConfig::new(
-                format!("L1-{c}"),
-                config.l1_size,
-                config.ways,
-                LATENCIES[0],
-            )?));
-            l2.push(SetAssocCache::new(CacheConfig::new(
-                format!("L2-{c}"),
-                config.l2_size,
-                config.ways,
-                LATENCIES[1],
-            )?));
-        }
+        let sizes = [
+            config.l1_size,
+            config.l2_size,
+            config.l3_size,
+            config.l4_size,
+        ];
+        let cache = |level: usize, name: String| -> Result<SetAssocCache<Line>> {
+            let geometry = CacheConfig::new(name, sizes[level], config.ways, LATENCIES[level])?;
+            Ok(SetAssocCache::new(geometry))
+        };
+        let private = (0..config.cores)
+            .map(|c| Ok([cache(0, format!("L1-{c}"))?, cache(1, format!("L2-{c}"))?]))
+            .collect::<Result<_>>()?;
         Ok(Hierarchy {
-            l1,
-            l2,
-            l3: SetAssocCache::new(CacheConfig::new(
-                "L3",
-                config.l3_size,
-                config.ways,
-                LATENCIES[2],
-            )?),
-            l4: SetAssocCache::new(CacheConfig::new(
-                "L4",
-                config.l4_size,
-                config.ways,
-                LATENCIES[3],
-            )?),
+            private,
+            shared: [cache(2, "L3".into())?, cache(3, "L4".into())?],
             directory: BTreeMap::new(),
-            cores: config.cores,
         })
     }
 
     /// Number of cores.
     pub fn cores(&self) -> usize {
-        self.cores
+        self.private.len()
+    }
+
+    /// The cache at `level` (0 = L1 … 3 = L4) as `core` sees it.
+    fn cache(&mut self, core: usize, level: usize) -> &mut SetAssocCache<Line> {
+        if level < PRIVATE {
+            &mut self.private[core][level]
+        } else {
+            &mut self.shared[level - PRIVATE]
+        }
     }
 
     fn dir_set(&mut self, addr: BlockAddr, core: usize) {
@@ -206,7 +237,7 @@ impl Hierarchy {
     }
 
     fn dir_clear_if_absent(&mut self, addr: BlockAddr, core: usize) {
-        if !self.l1[core].contains(addr) && !self.l2[core].contains(addr) {
+        if !self.private[core].iter().any(|c| c.contains(addr)) {
             if let Some(mask) = self.directory.get_mut(&addr.raw()) {
                 *mask &= !(1 << core);
                 if *mask == 0 {
@@ -220,77 +251,35 @@ impl Hierarchy {
         self.directory.get(&addr.raw()).copied().unwrap_or(0) & !(1 << core)
     }
 
-    /// Inserts into a private level, cascading the victim downwards.
-    /// Dirty L4 victims are appended to `writebacks`.
-    fn insert_private(
+    /// Installs `addr` at `level` for `core` and cascades the victim: a
+    /// dirty one falls a level down, and a dirty L4 victim is appended
+    /// to `writebacks`.
+    fn install(
         &mut self,
         core: usize,
-        level: Level,
+        level: usize,
         addr: BlockAddr,
         data: Line,
         dirty: bool,
         writebacks: &mut Vec<(BlockAddr, Line)>,
     ) {
-        let victim = match level {
-            Level::L1 => {
-                let v = self.l1[core].insert(addr, data, dirty);
-                self.dir_set(addr, core);
-                v
-            }
-            Level::L2 => {
-                let v = self.l2[core].insert(addr, data, dirty);
-                self.dir_set(addr, core);
-                v
-            }
-            _ => unreachable!("insert_private is only for private levels"),
-        };
-        if let Some(v) = victim {
-            match level {
-                Level::L1 => {
-                    // L1 victim falls into same-core L2 (only if dirty —
-                    // clean victims are already duplicated below or stale).
-                    if v.dirty {
-                        self.insert_private(core, Level::L2, v.addr, v.value, true, writebacks);
-                    } else {
-                        self.dir_clear_if_absent(v.addr, core);
-                    }
-                }
-                Level::L2 => {
-                    self.dir_clear_if_absent(v.addr, core);
-                    if v.dirty {
-                        self.insert_shared(Level::L3, v.addr, v.value, true, writebacks);
-                    }
-                }
-                _ => unreachable!(),
-            }
+        let victim = self.cache(core, level).insert(addr, data, dirty);
+        if level < PRIVATE {
+            self.dir_set(addr, core);
         }
-    }
-
-    /// Inserts into a shared level, cascading the victim downwards.
-    fn insert_shared(
-        &mut self,
-        level: Level,
-        addr: BlockAddr,
-        data: Line,
-        dirty: bool,
-        writebacks: &mut Vec<(BlockAddr, Line)>,
-    ) {
-        match level {
-            Level::L3 => {
-                if let Some(v) = self.l3.insert(addr, data, dirty) {
-                    if v.dirty {
-                        self.insert_shared(Level::L4, v.addr, v.value, true, writebacks);
-                    }
-                }
+        let Some(v) = victim else { return };
+        // The victim leaves the core's private levels, unless it is a
+        // dirty L1 victim falling into the same core's L2 (a clean one
+        // is already duplicated below, or stale).
+        if level < PRIVATE && (level == 1 || !v.dirty) {
+            self.dir_clear_if_absent(v.addr, core);
+        }
+        if v.dirty {
+            if level + 1 < LATENCIES.len() {
+                self.install(core, level + 1, v.addr, v.value, true, writebacks);
+            } else {
+                writebacks.push((v.addr, v.value));
             }
-            Level::L4 => {
-                if let Some(v) = self.l4.insert(addr, data, dirty) {
-                    if v.dirty {
-                        writebacks.push((v.addr, v.value));
-                    }
-                }
-            }
-            _ => unreachable!("insert_shared is only for shared levels"),
         }
     }
 
@@ -303,13 +292,13 @@ impl Hierarchy {
             return None;
         }
         let mut dirty_data = None;
-        for other in 0..self.cores {
+        for other in 0..self.cores() {
             if other == core || sharers & (1 << other) == 0 {
                 continue;
             }
             // Probe L1 before L2: when both hold dirty copies, the L1
             // copy is the newer one and must win.
-            for cache in [&mut self.l1[other], &mut self.l2[other]] {
+            for cache in &mut self.private[other] {
                 if invalidate {
                     if let Some(e) = cache.invalidate(addr) {
                         if e.dirty && dirty_data.is_none() {
@@ -324,7 +313,7 @@ impl Hierarchy {
             }
             if !invalidate && dirty_data.is_some() {
                 // Downgrade the owner's copies to clean.
-                for cache in [&mut self.l1[other], &mut self.l2[other]] {
+                for cache in &mut self.private[other] {
                     if let Some(e) = cache.get(addr) {
                         e.dirty = false;
                     }
@@ -341,200 +330,103 @@ impl Hierarchy {
     ///
     /// * `AccessKind::Read` — returns data on a hit; otherwise
     ///   `needs_fetch` and the caller must call [`Hierarchy::fill`].
-    /// * `AccessKind::WriteLineNoFetch` — installs `write_data` dirty into
-    ///   L1 without fetching (full-line store, e.g. kernel zeroing).
+    /// * `AccessKind::WriteLineNoFetch` — installs its line dirty into L1
+    ///   without fetching (full-line store, e.g. kernel zeroing).
     /// * `AccessKind::WritePartial` — like a read (RFO) but marks the line
     ///   dirty; on a miss the caller fetches and calls `fill` with
     ///   `dirty = true`.
     ///
     /// # Panics
     ///
-    /// Panics if `core` is out of range or `write_data` is missing for a
-    /// `WriteLineNoFetch` access.
-    pub fn access(
-        &mut self,
-        core: usize,
-        kind: AccessKind,
-        addr: BlockAddr,
-        write_data: Option<Line>,
-    ) -> AccessResult {
-        assert!(core < self.cores, "core {core} out of range");
+    /// Panics if `core` is out of range.
+    pub fn access(&mut self, core: usize, kind: AccessKind, addr: BlockAddr) -> AccessResult {
+        assert!(core < self.cores(), "core {core} out of range");
         let mut latency = Cycles::ZERO;
         let mut writebacks = Vec::new();
-
-        match kind {
-            AccessKind::Read => {
-                // A remote dirty copy must be forwarded first.
-                if let Some(fwd) = self.snoop(core, addr, false) {
-                    latency += SNOOP_PENALTY;
-                    // Park the latest version in shared L3 so it is never
-                    // lost, then treat as an L3 hit for the requester.
-                    self.insert_shared(Level::L3, addr, fwd, true, &mut writebacks);
-                }
-                latency += LATENCIES[0];
-                if let Some(e) = self.l1[core].get(addr) {
-                    let data = e.value;
-                    return AccessResult {
-                        latency,
-                        hit_level: Some(Level::L1),
-                        data: Some(data),
-                        needs_fetch: false,
-                        writebacks,
-                    };
-                }
-                latency += LATENCIES[1];
-                if let Some(e) = self.l2[core].get(addr) {
-                    let (data, dirty) = (e.value, e.dirty);
-                    self.insert_private(core, Level::L1, addr, data, dirty, &mut writebacks);
-                    // The L2 copy stays; ownership of dirtiness moved up.
-                    if dirty {
-                        if let Some(e2) = self.l2[core].get(addr) {
-                            e2.dirty = false;
-                        }
-                    }
-                    return AccessResult {
-                        latency,
-                        hit_level: Some(Level::L2),
-                        data: Some(data),
-                        needs_fetch: false,
-                        writebacks,
-                    };
-                }
-                latency += LATENCIES[2];
-                if let Some(e) = self.l3.get(addr) {
-                    let data = e.value;
-                    self.insert_private(core, Level::L1, addr, data, false, &mut writebacks);
-                    return AccessResult {
-                        latency,
-                        hit_level: Some(Level::L3),
-                        data: Some(data),
-                        needs_fetch: false,
-                        writebacks,
-                    };
-                }
-                latency += LATENCIES[3];
-                if let Some(e) = self.l4.get(addr) {
-                    let data = e.value;
-                    self.insert_private(core, Level::L1, addr, data, false, &mut writebacks);
-                    return AccessResult {
-                        latency,
-                        hit_level: Some(Level::L4),
-                        data: Some(data),
-                        needs_fetch: false,
-                        writebacks,
-                    };
-                }
-                AccessResult {
-                    latency,
-                    hit_level: None,
-                    data: None,
-                    needs_fetch: true,
-                    writebacks,
-                }
-            }
-            AccessKind::WriteLineNoFetch => {
-                let data = write_data.expect("full-line write requires data");
-                // Writing invalidates every other copy.
+        let store = match kind {
+            AccessKind::Read => false,
+            AccessKind::WritePartial => true,
+            AccessKind::WriteLineNoFetch(data) => {
+                // Writing invalidates every other copy. Stale copies
+                // elsewhere — including this core's own L2 — must go, or
+                // a later probe could observe old data.
                 let _ = self.snoop(core, addr, true);
-                // Stale copies elsewhere — including this core's own L2 —
-                // must go, or a later probe could observe old data.
-                self.l2[core].invalidate(addr);
-                self.l3.invalidate(addr);
-                self.l4.invalidate(addr);
+                for level in 1..LATENCIES.len() {
+                    self.cache(core, level).invalidate(addr);
+                }
                 latency += LATENCIES[0];
                 // Write-allocating a non-resident line consumes fill
                 // bandwidth and displaces a victim; charge a small
                 // allocate penalty (streaming stores run slower than
                 // L1-resident rewrites).
-                if !self.l1[core].contains(addr) {
+                if !self.private[core][0].contains(addr) {
                     latency += Cycles::new(4);
                 }
-                self.insert_private(core, Level::L1, addr, data, true, &mut writebacks);
-                AccessResult {
-                    latency,
-                    hit_level: Some(Level::L1),
-                    data: None,
-                    needs_fetch: false,
-                    writebacks,
-                }
+                self.install(core, 0, addr, data, true, &mut writebacks);
+                return AccessResult::hit(latency, Level::L1, None, writebacks);
             }
-            AccessKind::WritePartial => {
-                if let Some(fwd) = self.snoop(core, addr, true) {
-                    // Remote dirty copy taken over: install and dirty it.
-                    latency += SNOOP_PENALTY + LATENCIES[0];
-                    self.l3.invalidate(addr);
-                    self.l4.invalidate(addr);
-                    self.insert_private(core, Level::L1, addr, fwd, true, &mut writebacks);
-                    return AccessResult {
-                        latency,
-                        hit_level: Some(Level::L1),
-                        data: Some(fwd),
-                        needs_fetch: false,
-                        writebacks,
-                    };
-                }
+        };
+        if let Some(fwd) = self.snoop(core, addr, store) {
+            latency += SNOOP_PENALTY;
+            if store {
+                // Remote dirty copy taken over: install and dirty it.
                 latency += LATENCIES[0];
-                if let Some(e) = self.l1[core].get(addr) {
-                    e.dirty = true;
-                    let data = e.value;
-                    return AccessResult {
-                        latency,
-                        hit_level: Some(Level::L1),
-                        data: Some(data),
-                        needs_fetch: false,
-                        writebacks,
-                    };
+                for cache in &mut self.shared {
+                    cache.invalidate(addr);
                 }
-                latency += LATENCIES[1];
-                if let Some(e) = self.l2[core].get(addr) {
-                    let data = e.value;
-                    // Promote to L1 dirty; L2 copy downgraded to clean.
-                    if let Some(e2) = self.l2[core].get(addr) {
-                        e2.dirty = false;
+                self.install(core, 0, addr, fwd, true, &mut writebacks);
+                return AccessResult::hit(latency, Level::L1, Some(fwd), writebacks);
+            }
+            // Park the latest version in shared L3 so it is never lost,
+            // then treat as an L3 hit for the requester.
+            self.install(core, PRIVATE, addr, fwd, true, &mut writebacks);
+        }
+        for (level, hit_level) in Level::ALL.into_iter().enumerate() {
+            latency += LATENCIES[level];
+            let Some(e) = self.cache(core, level).get(addr) else {
+                continue;
+            };
+            let (data, dirty) = (e.value, e.dirty);
+            match level {
+                // L1: a store dirties the line in place.
+                0 => e.dirty |= store,
+                // L2: L1 takes the line and its dirtiness, and the L2
+                // copy is cleaned, before the install for a store and
+                // after it for a load. Cleaning re-`get`s the line,
+                // which counts a second L2 hit.
+                1 => {
+                    if store {
+                        self.clean_l2(core, addr);
                     }
-                    self.insert_private(core, Level::L1, addr, data, true, &mut writebacks);
-                    return AccessResult {
-                        latency,
-                        hit_level: Some(Level::L2),
-                        data: Some(data),
-                        needs_fetch: false,
-                        writebacks,
-                    };
+                    self.install(core, 0, addr, data, dirty || store, &mut writebacks);
+                    if dirty && !store {
+                        self.clean_l2(core, addr);
+                    }
                 }
-                latency += LATENCIES[2];
-                if let Some(e) = self.l3.get(addr) {
-                    let data = e.value;
-                    self.l3.invalidate(addr);
-                    self.insert_private(core, Level::L1, addr, data, true, &mut writebacks);
-                    return AccessResult {
-                        latency,
-                        hit_level: Some(Level::L3),
-                        data: Some(data),
-                        needs_fetch: false,
-                        writebacks,
-                    };
-                }
-                latency += LATENCIES[3];
-                if let Some(e) = self.l4.get(addr) {
-                    let data = e.value;
-                    self.l4.invalidate(addr);
-                    self.insert_private(core, Level::L1, addr, data, true, &mut writebacks);
-                    return AccessResult {
-                        latency,
-                        hit_level: Some(Level::L4),
-                        data: Some(data),
-                        needs_fetch: false,
-                        writebacks,
-                    };
-                }
-                AccessResult {
-                    latency,
-                    hit_level: None,
-                    data: None,
-                    needs_fetch: true,
-                    writebacks,
+                // L3/L4: a load copies the line into L1, a store moves
+                // it there.
+                _ => {
+                    if store {
+                        self.cache(core, level).invalidate(addr);
+                    }
+                    self.install(core, 0, addr, data, store, &mut writebacks);
                 }
             }
+            return AccessResult::hit(latency, hit_level, Some(data), writebacks);
+        }
+        AccessResult {
+            latency,
+            hit_level: None,
+            data: None,
+            needs_fetch: true,
+            writebacks,
+        }
+    }
+
+    /// Marks `core`'s L2 copy of `addr` clean once L1 owns the line.
+    fn clean_l2(&mut self, core: usize, addr: BlockAddr) {
+        if let Some(e) = self.private[core][1].get(addr) {
+            e.dirty = false;
         }
     }
 
@@ -549,52 +441,38 @@ impl Hierarchy {
         dirty: bool,
     ) -> Vec<(BlockAddr, Line)> {
         let mut writebacks = Vec::new();
-        // Install in shared levels (clean — memory already has this data
-        // unless the requester dirties it privately).
-        self.insert_shared(Level::L4, addr, data, false, &mut writebacks);
-        self.insert_shared(Level::L3, addr, data, false, &mut writebacks);
-        self.insert_private(core, Level::L1, addr, data, dirty, &mut writebacks);
+        // L4, L3, then L1. The shared copies are clean: memory already
+        // has this data unless the requester dirties it privately.
+        for (level, dirty) in [(3, false), (2, false), (0, dirty)] {
+            self.install(core, level, addr, data, dirty, &mut writebacks);
+        }
         writebacks
     }
 
     /// Removes `addr` from every cache. Returns the most recent data and
     /// whether any removed copy was dirty.
     pub fn invalidate_line(&mut self, addr: BlockAddr) -> Option<(Line, bool)> {
-        let mut newest: Option<Line> = None;
-        let mut any_dirty = false;
-        let mut any = false;
-        // Private caches hold the newest versions; probe them first.
-        for core in 0..self.cores {
-            // L1 before L2: the L1 copy is newer when both are dirty.
-            for cache in [&mut self.l1[core], &mut self.l2[core]] {
-                if let Some(e) = cache.invalidate(addr) {
-                    any = true;
-                    if e.dirty && !any_dirty {
-                        any_dirty = true;
-                        newest = Some(e.value);
-                    } else if newest.is_none() {
-                        newest = Some(e.value);
-                    }
+        // The first dirty copy is the newest, else the first copy. The
+        // private caches hold the newest versions (L1 before L2, as L1
+        // is newer when both are dirty), so they are probed first.
+        let mut newest: Option<(Line, bool)> = None;
+        let mut keep = |removed: Option<Entry<Line>>| {
+            if let Some(e) = removed {
+                if newest.is_none_or(|(_, dirty)| !dirty && e.dirty) {
+                    newest = Some((e.value, e.dirty));
                 }
+            }
+        };
+        for core in 0..self.cores() {
+            for cache in &mut self.private[core] {
+                keep(cache.invalidate(addr));
             }
             self.dir_clear_if_absent(addr, core);
         }
-        for cache in [&mut self.l3, &mut self.l4] {
-            if let Some(e) = cache.invalidate(addr) {
-                any = true;
-                if e.dirty && !any_dirty {
-                    any_dirty = true;
-                    newest = Some(e.value);
-                } else if newest.is_none() {
-                    newest = Some(e.value);
-                }
-            }
+        for cache in &mut self.shared {
+            keep(cache.invalidate(addr));
         }
-        if any {
-            Some((newest.expect("any implies a copy existed"), any_dirty))
-        } else {
-            None
-        }
+        newest
     }
 
     /// Invalidates every line of `page` in every cache (the bulk
@@ -616,37 +494,26 @@ impl Hierarchy {
     /// Flushes every dirty line out of the hierarchy (crash/shutdown).
     /// Returns the lines to write back, deepest copies last.
     pub fn flush_all(&mut self) -> Vec<(BlockAddr, Line)> {
-        let mut out = Vec::new();
-        for core in 0..self.cores {
-            for cache in [&mut self.l1[core], &mut self.l2[core]] {
-                for e in cache.drain() {
-                    if e.dirty {
-                        out.push((e.addr, e.value));
-                    }
-                }
-            }
-        }
-        for cache in [&mut self.l3, &mut self.l4] {
-            for e in cache.drain() {
-                if e.dirty {
-                    out.push((e.addr, e.value));
-                }
-            }
-        }
+        let caches = self.private.iter_mut().flatten().chain(&mut self.shared);
+        let out = caches
+            .flat_map(|cache| cache.drain())
+            .filter(|e| e.dirty)
+            .map(|e| (e.addr, e.value))
+            .collect();
         self.directory.clear();
         out
     }
 
     /// Aggregate stats for one level (summed over cores for L1/L2).
     pub fn level_stats(&self, level: Level) -> LevelStats {
-        let mut agg = CacheStats::default();
-        let caches: Vec<&CacheStats> = match level {
-            Level::L1 => self.l1.iter().map(|c| c.stats()).collect(),
-            Level::L2 => self.l2.iter().map(|c| c.stats()).collect(),
-            Level::L3 => vec![self.l3.stats()],
-            Level::L4 => vec![self.l4.stats()],
+        let level = level as usize;
+        let caches: Vec<&SetAssocCache<Line>> = if level < PRIVATE {
+            self.private.iter().map(|p| &p[level]).collect()
+        } else {
+            vec![&self.shared[level - PRIVATE]]
         };
-        for s in caches {
+        let mut agg = CacheStats::default();
+        for s in caches.into_iter().map(SetAssocCache::stats) {
             agg.hits.add(s.hits.get());
             agg.misses.add(s.misses.get());
             agg.evictions.add(s.evictions.get());
@@ -658,21 +525,15 @@ impl Hierarchy {
 
     /// Resets all per-level statistics.
     pub fn reset_stats(&mut self) {
-        for c in &mut self.l1 {
-            c.reset_stats();
+        for cache in self.private.iter_mut().flatten().chain(&mut self.shared) {
+            cache.reset_stats();
         }
-        for c in &mut self.l2 {
-            c.reset_stats();
-        }
-        self.l3.reset_stats();
-        self.l4.reset_stats();
     }
 
     /// Whether any cache holds `addr` (for tests).
     pub fn holds(&self, addr: BlockAddr) -> bool {
-        self.l3.contains(addr)
-            || self.l4.contains(addr)
-            || (0..self.cores).any(|c| self.l1[c].contains(addr) || self.l2[c].contains(addr))
+        let mut caches = self.shared.iter().chain(self.private.iter().flatten());
+        caches.any(|c| c.contains(addr))
     }
 }
 
@@ -703,12 +564,12 @@ mod tests {
     #[test]
     fn read_miss_then_hit() {
         let mut h = small();
-        let r = h.access(0, AccessKind::Read, a(0), None);
+        let r = h.access(0, AccessKind::Read, a(0));
         assert!(r.needs_fetch);
         assert_eq!(r.latency, Cycles::new(2 + 8 + 25 + 35));
         let wb = h.fill(0, a(0), line(7), false);
         assert!(wb.is_empty());
-        let r2 = h.access(0, AccessKind::Read, a(0), None);
+        let r2 = h.access(0, AccessKind::Read, a(0));
         assert_eq!(r2.hit_level, Some(Level::L1));
         assert_eq!(r2.data, Some(line(7)));
         assert_eq!(r2.latency, Cycles::new(2));
@@ -717,28 +578,28 @@ mod tests {
     #[test]
     fn full_line_write_needs_no_fetch() {
         let mut h = small();
-        let r = h.access(0, AccessKind::WriteLineNoFetch, a(1), Some(line(9)));
+        let r = h.access(0, AccessKind::WriteLineNoFetch(line(9)), a(1));
         assert!(!r.needs_fetch);
-        let rd = h.access(0, AccessKind::Read, a(1), None);
+        let rd = h.access(0, AccessKind::Read, a(1));
         assert_eq!(rd.data, Some(line(9)));
     }
 
     #[test]
     fn partial_write_miss_requires_rfo() {
         let mut h = small();
-        let r = h.access(0, AccessKind::WritePartial, a(2), None);
+        let r = h.access(0, AccessKind::WritePartial, a(2));
         assert!(r.needs_fetch);
         let _ = h.fill(0, a(2), line(3), true);
         // Now resident and dirty in L1; a read hits.
-        let rd = h.access(0, AccessKind::Read, a(2), None);
+        let rd = h.access(0, AccessKind::Read, a(2));
         assert_eq!(rd.hit_level, Some(Level::L1));
     }
 
     #[test]
     fn cross_core_read_sees_remote_dirty_data() {
         let mut h = small();
-        h.access(0, AccessKind::WriteLineNoFetch, a(3), Some(line(0xAA)));
-        let rd = h.access(1, AccessKind::Read, a(3), None);
+        h.access(0, AccessKind::WriteLineNoFetch(line(0xAA)), a(3));
+        let rd = h.access(1, AccessKind::Read, a(3));
         assert_eq!(rd.data, Some(line(0xAA)), "stale data forwarded");
         assert!(!rd.needs_fetch);
     }
@@ -746,18 +607,18 @@ mod tests {
     #[test]
     fn cross_core_write_invalidates_sharers() {
         let mut h = small();
-        h.access(0, AccessKind::WriteLineNoFetch, a(4), Some(line(1)));
+        h.access(0, AccessKind::WriteLineNoFetch(line(1)), a(4));
         // Core 1 takes the line over with a new value.
-        h.access(1, AccessKind::WriteLineNoFetch, a(4), Some(line(2)));
+        h.access(1, AccessKind::WriteLineNoFetch(line(2)), a(4));
         // Core 0 must observe core 1's value.
-        let rd = h.access(0, AccessKind::Read, a(4), None);
+        let rd = h.access(0, AccessKind::Read, a(4));
         assert_eq!(rd.data, Some(line(2)));
     }
 
     #[test]
     fn invalidate_line_returns_newest_dirty() {
         let mut h = small();
-        h.access(0, AccessKind::WriteLineNoFetch, a(5), Some(line(5)));
+        h.access(0, AccessKind::WriteLineNoFetch(line(5)), a(5));
         let (data, dirty) = h.invalidate_line(a(5)).unwrap();
         assert!(dirty);
         assert_eq!(data, line(5));
@@ -769,18 +630,8 @@ mod tests {
     fn invalidate_page_collects_dirty_lines() {
         let mut h = small();
         let page = PageId::new(1);
-        h.access(
-            0,
-            AccessKind::WriteLineNoFetch,
-            page.block_addr(0),
-            Some(line(1)),
-        );
-        h.access(
-            0,
-            AccessKind::WriteLineNoFetch,
-            page.block_addr(5),
-            Some(line(2)),
-        );
+        h.access(0, AccessKind::WriteLineNoFetch(line(1)), page.block_addr(0));
+        h.access(0, AccessKind::WriteLineNoFetch(line(2)), page.block_addr(5));
         // A clean fill too.
         h.fill(0, page.block_addr(9), line(3), false);
         let dirty = h.invalidate_page(page);
@@ -796,7 +647,7 @@ mod tests {
         let mut written = Vec::new();
         let mut writebacks = Vec::new();
         for i in 0..200u64 {
-            let r = h.access(0, AccessKind::WriteLineNoFetch, a(i), Some(line(i as u8)));
+            let r = h.access(0, AccessKind::WriteLineNoFetch(line(i as u8)), a(i));
             writebacks.extend(r.writebacks);
             written.push(a(i));
         }
@@ -814,7 +665,7 @@ mod tests {
     fn flush_all_returns_only_dirty() {
         let mut h = small();
         h.fill(0, a(0), line(1), false);
-        h.access(0, AccessKind::WriteLineNoFetch, a(1), Some(line(2)));
+        h.access(0, AccessKind::WriteLineNoFetch(line(2)), a(1));
         let flushed = h.flush_all();
         assert_eq!(flushed.len(), 1);
         assert_eq!(flushed[0].0, a(1));
@@ -823,9 +674,9 @@ mod tests {
     #[test]
     fn level_stats_aggregate() {
         let mut h = small();
-        h.access(0, AccessKind::Read, a(0), None);
+        h.access(0, AccessKind::Read, a(0));
         h.fill(0, a(0), line(0), false);
-        h.access(0, AccessKind::Read, a(0), None);
+        h.access(0, AccessKind::Read, a(0));
         let l1 = h.level_stats(Level::L1);
         assert_eq!(l1.cache.hits.get(), 1);
         assert_eq!(l1.cache.misses.get(), 1);
@@ -837,7 +688,7 @@ mod tests {
     fn core_out_of_range_panics() {
         let mut h = small();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            h.access(9, AccessKind::Read, a(0), None)
+            h.access(9, AccessKind::Read, a(0))
         }));
         assert!(result.is_err());
     }
@@ -849,15 +700,15 @@ mod tests {
         // copies, snoops must prefer L1 (the newer one).
         let mut h = small();
         // Fill one L1 set so line 24 gets demoted to L2 dirty.
-        h.access(0, AccessKind::WriteLineNoFetch, a(24), Some(line(1)));
-        h.access(0, AccessKind::WriteLineNoFetch, a(8), Some(line(2)));
-        h.access(0, AccessKind::WriteLineNoFetch, a(4), Some(line(3)));
+        h.access(0, AccessKind::WriteLineNoFetch(line(1)), a(24));
+        h.access(0, AccessKind::WriteLineNoFetch(line(2)), a(8));
+        h.access(0, AccessKind::WriteLineNoFetch(line(3)), a(4));
         // Rewrite line 24: newest value must win everywhere.
-        h.access(0, AccessKind::WriteLineNoFetch, a(24), Some(line(9)));
-        let r = h.access(1, AccessKind::Read, a(24), None);
+        h.access(0, AccessKind::WriteLineNoFetch(line(9)), a(24));
+        let r = h.access(1, AccessKind::Read, a(24));
         assert_eq!(r.data, Some(line(9)), "stale L2 copy observed");
         // And invalidation returns the newest version too.
-        h.access(0, AccessKind::WriteLineNoFetch, a(24), Some(line(11)));
+        h.access(0, AccessKind::WriteLineNoFetch(line(11)), a(24));
         let (data, dirty) = h.invalidate_line(a(24)).unwrap();
         assert!(dirty);
         assert_eq!(data, line(11));
@@ -907,7 +758,7 @@ mod tests {
             let first = stream.len();
             match rng.below(1000) {
                 0..=399 => {
-                    let r = h.access(core, AccessKind::Read, addr, None);
+                    let r = h.access(core, AccessKind::Read, addr);
                     latency += r.latency.raw();
                     stream.extend(r.writebacks);
                     if r.needs_fetch {
@@ -916,7 +767,7 @@ mod tests {
                     }
                 }
                 400..=649 => {
-                    let r = h.access(core, AccessKind::WritePartial, addr, None);
+                    let r = h.access(core, AccessKind::WritePartial, addr);
                     latency += r.latency.raw();
                     stream.extend(r.writebacks);
                     let mut d = match r.data {
@@ -928,12 +779,12 @@ mod tests {
                         }
                     };
                     d[usize::from(value) % LINE_SIZE] = value;
-                    let w = h.access(core, AccessKind::WriteLineNoFetch, addr, Some(d));
+                    let w = h.access(core, AccessKind::WriteLineNoFetch(d), addr);
                     latency += w.latency.raw();
                     stream.extend(w.writebacks);
                 }
                 650..=929 => {
-                    let r = h.access(core, AccessKind::WriteLineNoFetch, addr, Some(line(value)));
+                    let r = h.access(core, AccessKind::WriteLineNoFetch(line(value)), addr);
                     latency += r.latency.raw();
                     stream.extend(r.writebacks);
                 }

@@ -38,6 +38,31 @@ impl Hardware {
         Ok(())
     }
 
+    /// Probes the hierarchy for a load or partial store and, on an LLC
+    /// miss, fetches the line from the controller and fills it (dirty for
+    /// a store). Returns the line and the latency.
+    fn fetch(
+        &mut self,
+        core: usize,
+        kind: AccessKind,
+        addr: BlockAddr,
+        now: Cycles,
+    ) -> Result<(Line, Cycles)> {
+        let probe = self.hierarchy.access(core, kind, addr);
+        let mut latency = probe.latency;
+        self.drain_writebacks(probe.writebacks, now)?;
+        if let Some(data) = probe.data {
+            return Ok((data, latency));
+        }
+        debug_assert!(probe.needs_fetch);
+        let fetched = self.controller.read_block(addr, now + latency)?;
+        latency += fetched.latency;
+        let dirty = kind == AccessKind::WritePartial;
+        let wbs = self.hierarchy.fill(core, addr, fetched.data, dirty);
+        self.drain_writebacks(wbs, now + latency)?;
+        Ok((fetched.data, latency))
+    }
+
     /// A demand read through the hierarchy, fetching from the controller
     /// on an LLC miss. Returns the data and total latency.
     ///
@@ -50,18 +75,7 @@ impl Hardware {
         addr: BlockAddr,
         now: Cycles,
     ) -> Result<(Line, Cycles)> {
-        let probe = self.hierarchy.access(core, AccessKind::Read, addr, None);
-        let mut latency = probe.latency;
-        self.drain_writebacks(probe.writebacks, now)?;
-        if let Some(data) = probe.data {
-            return Ok((data, latency));
-        }
-        debug_assert!(probe.needs_fetch);
-        let fetched = self.controller.read_block(addr, now + latency)?;
-        latency += fetched.latency;
-        let wbs = self.hierarchy.fill(core, addr, fetched.data, false);
-        self.drain_writebacks(wbs, now + latency)?;
-        Ok((fetched.data, latency))
+        self.fetch(core, AccessKind::Read, addr, now)
     }
 
     /// A partial-line store (read-for-ownership on miss).
@@ -76,27 +90,13 @@ impl Hardware {
         mutate: impl FnOnce(&mut Line),
         now: Cycles,
     ) -> Result<Cycles> {
-        let probe = self
-            .hierarchy
-            .access(core, AccessKind::WritePartial, addr, None);
-        let mut latency = probe.latency;
-        self.drain_writebacks(probe.writebacks, now)?;
-        let mut line = match probe.data {
-            Some(d) => d,
-            None => {
-                let fetched = self.controller.read_block(addr, now + latency)?;
-                latency += fetched.latency;
-                let wbs = self.hierarchy.fill(core, addr, fetched.data, true);
-                self.drain_writebacks(wbs, now + latency)?;
-                fetched.data
-            }
-        };
+        let (mut line, latency) = self.fetch(core, AccessKind::WritePartial, addr, now)?;
         mutate(&mut line);
         // Install the mutated bytes (hits L1, which now owns the line).
-        let probe2 = self
+        let probe = self
             .hierarchy
-            .access(core, AccessKind::WriteLineNoFetch, addr, Some(line));
-        self.drain_writebacks(probe2.writebacks, now + latency)?;
+            .access(core, AccessKind::WriteLineNoFetch(line), addr);
+        self.drain_writebacks(probe.writebacks, now + latency)?;
         Ok(latency)
     }
 
@@ -114,7 +114,7 @@ impl Hardware {
     ) -> Result<Cycles> {
         let probe = self
             .hierarchy
-            .access(core, AccessKind::WriteLineNoFetch, addr, Some(*data));
+            .access(core, AccessKind::WriteLineNoFetch(*data), addr);
         self.drain_writebacks(probe.writebacks, now)?;
         Ok(probe.latency)
     }

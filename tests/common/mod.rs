@@ -37,7 +37,7 @@ pub fn run_hierarchy_coherence(ops: &[(u8, usize, u64, u8)]) {
         let expected = shadow.get(&addr.raw()).copied().unwrap_or([0; 64]);
         match op {
             0 => {
-                let r = h.access(core, AccessKind::WriteLineNoFetch, addr, Some([value; 64]));
+                let r = h.access(core, AccessKind::WriteLineNoFetch([value; 64]), addr);
                 write_back(&mut memory, r.writebacks);
                 shadow.insert(addr.raw(), [value; 64]);
             }
@@ -47,7 +47,7 @@ pub fn run_hierarchy_coherence(ops: &[(u8, usize, u64, u8)]) {
                 } else {
                     AccessKind::WritePartial
                 };
-                let r = h.access(core, kind, addr, None);
+                let r = h.access(core, kind, addr);
                 write_back(&mut memory, r.writebacks);
                 let mut data = match r.data {
                     Some(d) => d,
@@ -60,7 +60,7 @@ pub fn run_hierarchy_coherence(ops: &[(u8, usize, u64, u8)]) {
                 assert_eq!(data, expected, "core {core} read stale data");
                 if op == 2 {
                     data[usize::from(value) % 64] = value;
-                    let w = h.access(core, AccessKind::WriteLineNoFetch, addr, Some(data));
+                    let w = h.access(core, AccessKind::WriteLineNoFetch(data), addr);
                     write_back(&mut memory, w.writebacks);
                     shadow.insert(addr.raw(), data);
                 }
