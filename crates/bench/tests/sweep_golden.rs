@@ -1,5 +1,5 @@
-//! Byte-identity and red-exit gates for the three sweep binaries and
-//! the two committed bench reports.
+//! Byte-identity and red-exit gates for the three sweep binaries, the
+//! two committed bench reports and the quick-scale paper figures.
 //!
 //! Every sweep campaign is a pure function of its seed set: no
 //! wall-clock, no environment, DetRng-only randomness. This test pins
@@ -11,7 +11,8 @@
 //! replay hint, and a replayed campaign seed must stay clean. Likewise
 //! `protbench` and `shardbench` must pass their own gates and write
 //! `--json` reports byte-identical to the committed
-//! `BENCH_protection.json` and `BENCH_sharding.json`. CI runs this test
+//! `BENCH_protection.json` and `BENCH_sharding.json`, and `repro
+//! --quick` must print `ci/repro-quick.golden.txt`. CI runs this test
 //! in release mode. Any intentional behaviour change must regenerate
 //! the goldens in the same commit (and review the diff):
 //!
@@ -30,6 +31,8 @@
 //!     --json BENCH_protection.json
 //! cargo run --release -p ss-bench --bin shardbench -- \
 //!     --json BENCH_sharding.json
+//! cargo run --release -p ss-bench --bin repro -- --quick \
+//!     > ci/repro-quick.golden.txt
 //! ```
 
 use std::path::Path;
@@ -169,4 +172,25 @@ fn bench_reports_match_committed_json() {
         assert_eq!(read(&json), want, "{exe} drifted from {committed}");
     }
     let _ = std::fs::remove_dir_all(&scratch);
+}
+
+/// `repro --quick` prints every quick-scale figure and table (Fig. 4-12,
+/// Table 1, Table 2 with the RowClone row, the §4.2 shred strategies,
+/// DEUCE, Start-Gap, the write-queue ablation); the output must match
+/// the committed golden byte for byte. Regenerate (and review the diff)
+/// with:
+///
+/// ```text
+/// cargo run --release -p ss-bench --bin repro -- --quick \
+///     > ci/repro-quick.golden.txt
+/// ```
+#[test]
+fn repro_quick_matches_golden() {
+    let (ok, text) = run(env!("CARGO_BIN_EXE_repro"), &["--quick"]);
+    assert!(ok, "repro --quick failed:\n{text}");
+    assert_eq!(
+        text,
+        golden("repro-quick.golden.txt"),
+        "repro --quick drifted from ci/repro-quick.golden.txt"
+    );
 }
