@@ -20,8 +20,8 @@
 //!   every fault as recovered, detected, benign (with a verified bounded
 //!   effect), skipped (not applicable to the configuration), or — the
 //!   failure case — an undetected corruption.
-//! * [`scenario`] — whole-[`ss_sim::System`] crash/recovery round trips
-//!   and the write-queue-depth crash matrix used by `tests/persistence.rs`.
+//! * [`scenario`] — the write-queue-depth crash matrix used by
+//!   `tests/persistence.rs`.
 //!
 //! * [`adversary`] — the malicious counterpart to the fault plan: an
 //!   [`Adversary`] with scripted physical capabilities (cold scan of
@@ -65,6 +65,6 @@ pub use crash::{run_crash_config, CrashOutcome, CrashRecord, CrashScenario, Cras
 pub use engine::{run_plan, run_plan_full, FaultOutcome, FaultRecord, FaultSweep, PlanArtifacts};
 pub use plan::{FaultKind, FaultPlan, ScheduledFault};
 pub use report::{Outcome, PlanReport, Record, Report, Tally};
-pub use scenario::{crash_at_depth, system_crash_roundtrip, system_volatile_crash, CrashVerdict};
+pub use scenario::{crash_at_depth, CrashVerdict};
 pub use shadow::ShadowModel;
 pub use sweep::{Campaign, SweepConfig};
