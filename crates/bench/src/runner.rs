@@ -59,9 +59,10 @@ impl ExperimentScale {
     }
 }
 
-/// Runs `workload` multiprogrammed (one instance per core, different
-/// seeds where the workload supports it) on a system built from `cfg`.
-/// Frames are pre-aged so every allocation shreds (steady-state reuse).
+/// Runs `workload` multiprogrammed on a system built from `cfg`: one
+/// process per core, every core running the identical trace over its
+/// own heap. Frames are pre-aged so every allocation shreds
+/// (steady-state reuse).
 ///
 /// # Errors
 ///
