@@ -781,7 +781,7 @@ mod tests {
                     // One in three partial stores leaves the line as the
                     // RFO made it, so the hit rules run without the
                     // full-line write's invalidations behind them.
-                    if value % 3 != 0 {
+                    if !value.is_multiple_of(3) {
                         d[usize::from(value) % LINE_SIZE] = value;
                         let w = h.access(core, AccessKind::WriteLineNoFetch(d), addr);
                         latency += w.latency.raw();
