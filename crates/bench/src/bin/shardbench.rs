@@ -4,25 +4,35 @@
 //! shardbench [--json FILE]
 //! ```
 //!
-//! Runs the server-consolidation teardown scenario
-//! ([`ss_sim::ConsolidationScenario`]) against the sharded controller at
-//! 1, 2, 4 and 8 shards and reports batched-shred throughput. All
-//! quantities are simulated cycles — a pure function of the workload
+//! Runs the server-consolidation teardown scenario (§1, §6) against the
+//! sharded controller at 1, 2, 4 and 8 shards and reports batched-shred
+//! throughput. Each of 16 tenants owns a contiguous run of 112 pages,
+//! dirties 8 distinct lines of each through the ordinary write path,
+//! and is then torn down: the hypervisor posts every page of the run to
+//! the MMIO shred queue and rings the drain doorbell once. Each row
+//! splits the teardown cost into the batch (parallel-channel) drain
+//! cycles and the same work serialised on one channel.
+//!
+//! All quantities are simulated cycles — a pure function of the workload
 //! seed and the configuration, so the report (and the JSON) is
 //! byte-identical across runs and machines. `BENCH_sharding.json` at the
 //! repository root is this binary's committed `--json` output.
 //!
 //! Exit status is nonzero if 8 shards fail to deliver at least a 3x
 //! throughput scaling over one shard — the regression gate for the
-//! multi-channel drain path.
+//! multi-channel drain path. Flags, text report, JSON and exit status
+//! are the shared [`ss_bench::bench`] program, run with the
+//! [`ShardBench`] bench.
 
-use std::env;
-use std::fmt::Write as _;
-use std::process::ExitCode;
+use ss_bench::bench::{self, int, Bench, Field, Value};
+use ss_common::{Cycles, DetRng, PageId, BLOCKS_PER_PAGE};
+use ss_core::{mmio, ControllerConfigBuilder, ShardedConfig, ShardedController};
 
-use ss_core::{ControllerConfig, ControllerConfigBuilder, ShardedConfig};
-use ss_sim::{ConsolidationReport, ConsolidationScenario};
-use ss_workloads::ConsolidationWorkload;
+/// The consolidation workload shape, shared with `protbench`.
+const TENANTS: u64 = 16;
+const PAGES_PER_TENANT: u64 = 112;
+const DIRTY_LINES_PER_PAGE: u64 = 8;
+const SEED: u64 = 0xC0_50_11;
 
 /// Minimum acceptable throughput ratio between the largest and the
 /// 1-shard configuration, in thousandths (3000 = 3x).
@@ -32,151 +42,162 @@ const MIN_SCALING_X1000: u64 = 3000;
 /// 1-shard baseline every scaling ratio divides by.
 const SHARDS: [u32; 4] = [1, 2, 4, 8];
 
-/// Parses argv: the optional `--json FILE` path.
-fn parse_args() -> Result<Option<String>, String> {
-    let mut json = None;
-    let mut args = env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--json" => json = Some(args.next().ok_or("--json needs a file path")?),
-            "--help" | "-h" => return Err("usage: shardbench [--json FILE]".to_string()),
-            other => return Err(format!("unknown argument {other:?}")),
-        }
-    }
-    Ok(json)
-}
-
-/// The bench's controller: `small_test` scaled up so every shard count
-/// under test divides the frame count and the drain batches are long
-/// enough to dwarf per-batch constants.
-fn base_config() -> Result<ControllerConfig, String> {
-    ControllerConfigBuilder::small_test()
-        .data_capacity(8 << 20) // 2048 frames: divisible by 1,2,4,8
-        .build()
-        .map_err(|e| format!("base config: {e}"))
-}
-
-/// The bench workload: 16 tenants × 112 pages = 1792 pages of churn.
-fn workload() -> ConsolidationWorkload {
-    ConsolidationWorkload {
-        tenants: 16,
-        pages_per_tenant: 112,
-        dirty_lines_per_page: 8,
-        seed: 0xC0_50_11,
-    }
-}
-
-fn run(shards: u32) -> Result<ConsolidationReport, String> {
-    let sharded = ShardedConfig::new(shards, base_config()?);
-    let scenario = ConsolidationScenario::new(workload(), sharded)
-        .map_err(|e| format!("shards={shards}: {e}"))?;
-    scenario.run().map_err(|e| format!("shards={shards}: {e}"))
-}
-
-/// Throughput ratio of `row` over `base`, in thousandths.
-fn scaling_x1000(base: &ConsolidationReport, row: &ConsolidationReport) -> u64 {
-    row.pages_per_mcycle() * 1000 / base.pages_per_mcycle().max(1)
-}
-
-fn to_json(rows: &[ConsolidationReport]) -> String {
-    let w = workload();
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"sharding_scaling\",\n");
-    let _ = writeln!(
-        out,
-        "  \"workload\": {{\"name\": \"server_consolidation\", \"tenants\": {}, \
-         \"pages_per_tenant\": {}, \"dirty_lines_per_page\": {}, \"seed\": {}}},",
-        w.tenants, w.pages_per_tenant, w.dirty_lines_per_page, w.seed
-    );
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"shards\": {}, \"pages_shredded\": {}, \"shreds_coalesced\": {}, \
-             \"drain_cycles\": {}, \"serial_drain_cycles\": {}, \
-             \"pages_per_mcycle\": {}, \"scaling_x1000\": {}}}{}",
-            r.shards,
-            r.pages_shredded,
-            r.shreds_coalesced,
-            r.drain_cycles.raw(),
-            r.serial_drain_cycles.raw(),
-            r.pages_per_mcycle(),
-            scaling_x1000(&rows[0], r),
-            if i + 1 < rows.len() { "," } else { "" }
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-fn main() -> ExitCode {
-    let json = match parse_args() {
-        Ok(j) => j,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let mut rows = Vec::new();
-    for n in SHARDS {
-        match run(n) {
-            Ok(r) => rows.push(r),
-            Err(msg) => {
-                eprintln!("shardbench: {msg}");
-                return ExitCode::FAILURE;
+/// The lines `tenant` dirties before teardown, as `(page offset within
+/// its run, block index)` in write order: [`DIRTY_LINES_PER_PAGE`]
+/// distinct blocks of every page, sampled from the tenant's own stream.
+fn dirty_lines(tenant: u64) -> Vec<(u64, usize)> {
+    let mut rng = DetRng::new(SEED ^ (tenant << 32));
+    let mut dirty = Vec::new();
+    for page in 0..PAGES_PER_TENANT {
+        let mut picked = [false; BLOCKS_PER_PAGE];
+        let mut taken = 0;
+        while taken < DIRTY_LINES_PER_PAGE {
+            let block = rng.below(BLOCKS_PER_PAGE as u64) as usize;
+            if !picked[block] {
+                picked[block] = true;
+                taken += 1;
+                dirty.push((page, block));
             }
         }
     }
+    dirty
+}
 
-    println!("Sharded shred pipeline: consolidation teardown throughput");
-    println!(
-        "  workload: {} tenants x {} pages, {} dirty lines/page",
-        workload().tenants,
-        workload().pages_per_tenant,
-        workload().dirty_lines_per_page
-    );
-    println!(
-        "  {:>6} {:>14} {:>12} {:>14} {:>16} {:>10}",
-        "shards", "pages_shredded", "drain_cyc", "serial_cyc", "pages/Mcycle", "scaling"
-    );
-    for r in &rows {
-        println!(
-            "  {:>6} {:>14} {:>12} {:>14} {:>16} {:>9}.{:03}x",
-            r.shards,
-            r.pages_shredded,
-            r.drain_cycles.raw(),
-            r.serial_drain_cycles.raw(),
-            r.pages_per_mcycle(),
-            scaling_x1000(&rows[0], r) / 1000,
-            scaling_x1000(&rows[0], r) % 1000,
-        );
-    }
-
-    if let Some(path) = &json {
-        if let Err(e) = std::fs::write(path, to_json(&rows)) {
-            eprintln!("shardbench: writing {path}: {e}");
-            return ExitCode::FAILURE;
+/// Runs the dirty/teardown churn once on `shards` channels: the row
+/// without its scaling ratio, which needs the 1-shard row.
+fn run(shards: u32) -> ss_common::Result<Vec<Field>> {
+    // `small_test` scaled up so every shard count under test divides the
+    // 2048 frames and the drain batches dwarf per-batch constants.
+    let base = ControllerConfigBuilder::small_test()
+        .data_capacity(8 << 20)
+        .build()?;
+    let mut mc = ShardedController::new(ShardedConfig::new(shards, base))?;
+    let mut now = Cycles::ZERO;
+    let (mut executed, mut coalesced) = (0, 0);
+    let (mut drain_cycles, mut serial_drain_cycles) = (0, 0);
+    for tenant in 0..TENANTS {
+        let first_page = tenant * PAGES_PER_TENANT;
+        for (page, block) in dirty_lines(tenant) {
+            let addr = PageId::new(first_page + page).block_addr(block);
+            let fill = [(tenant as u8).wrapping_add(page as u8); 64];
+            now += mc.write_block(addr, &fill, false, now)?;
         }
-        println!("  json report written to {path}");
+        // Teardown: post the whole run to the shred queue and ring the
+        // doorbell once, through the MMIO surface like a kernel.
+        for page in first_page..first_page + PAGES_PER_TENANT {
+            let addr = PageId::new(page).base_addr().raw();
+            mc.mmio_write(mmio::SHRED_ENQ_REG, addr, true, now)?;
+        }
+        let drain = mc.drain_shreds(true, now)?;
+        executed += drain.executed;
+        coalesced += drain.coalesced;
+        drain_cycles += drain.elapsed.raw();
+        serial_drain_cycles += drain.serial_cycles.raw();
+        now += drain.elapsed;
+    }
+    Ok(vec![
+        ("shards", Value::Int(u64::from(shards))),
+        ("pages_shredded", Value::Int(executed)),
+        ("shreds_coalesced", Value::Int(coalesced)),
+        ("drain_cycles", Value::Int(drain_cycles)),
+        ("serial_drain_cycles", Value::Int(serial_drain_cycles)),
+        (
+            "pages_per_mcycle",
+            Value::Int(executed * 1_000_000 / drain_cycles.max(1)),
+        ),
+    ])
+}
+
+/// Shred throughput at 1, 2, 4 and 8 shards.
+struct ShardBench;
+
+impl Bench for ShardBench {
+    const NAME: &'static str = "shardbench";
+    const ID: &'static str = "sharding_scaling";
+    const WORKLOAD: &'static [Field] = &[
+        ("name", Value::Name("server_consolidation")),
+        ("tenants", Value::Int(TENANTS)),
+        ("pages_per_tenant", Value::Int(PAGES_PER_TENANT)),
+        ("dirty_lines_per_page", Value::Int(DIRTY_LINES_PER_PAGE)),
+        ("seed", Value::Int(SEED)),
+    ];
+
+    /// One row per shard count, each with its throughput over the
+    /// 1-shard row's in thousandths.
+    fn rows() -> Result<Vec<Vec<Field>>, String> {
+        let mut rows = Vec::new();
+        for shards in SHARDS {
+            rows.push(run(shards).map_err(|e| format!("shards={shards}: {e}"))?);
+        }
+        let base = int(&rows[0], "pages_per_mcycle").max(1);
+        for row in &mut rows {
+            let scaling = int(row, "pages_per_mcycle") * 1000 / base;
+            row.push(("scaling_x1000", Value::Int(scaling)));
+        }
+        Ok(rows)
     }
 
-    let top = &rows[rows.len() - 1];
-    let scaling = scaling_x1000(&rows[0], top);
-    if scaling < MIN_SCALING_X1000 {
-        eprintln!(
-            "shardbench: FAIL: {} shards scaled only {}.{:03}x over 1 shard (need >= 3x)",
-            top.shards,
-            scaling / 1000,
-            scaling % 1000
-        );
-        return ExitCode::FAILURE;
+    /// The largest shard count must reach [`MIN_SCALING_X1000`].
+    fn gate(rows: &[Vec<Field>]) -> Result<String, String> {
+        let top = &rows[rows.len() - 1];
+        let (shards, scaling) = (int(top, "shards"), int(top, "scaling_x1000"));
+        let x = format!("{}.{:03}x", scaling / 1000, scaling % 1000);
+        if scaling < MIN_SCALING_X1000 {
+            return Err(format!(
+                "{shards} shards scaled only {x} over 1 shard (need >= 3x)"
+            ));
+        }
+        Ok(format!(
+            "{shards} shards deliver {x} the 1-shard shred throughput"
+        ))
     }
-    println!(
-        "  PASS: {} shards deliver {}.{:03}x the 1-shard shred throughput",
-        top.shards,
-        scaling / 1000,
-        scaling % 1000
-    );
-    ExitCode::SUCCESS
+}
+
+fn main() -> std::process::ExitCode {
+    bench::main::<ShardBench>(std::env::args().skip(1))
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use super::*;
+
+    /// The rows of a report whose top shard count scaled `scaling`.
+    fn scaled(scaling: u64) -> Vec<Vec<Field>> {
+        vec![vec![
+            ("shards", Value::Int(8)),
+            ("scaling_x1000", Value::Int(scaling)),
+        ]]
+    }
+
+    #[test]
+    fn gate_needs_three_times_the_one_shard_throughput() {
+        assert_eq!(
+            ShardBench::gate(&scaled(2999)),
+            Err("8 shards scaled only 2.999x over 1 shard (need >= 3x)".to_string())
+        );
+        assert_eq!(
+            ShardBench::gate(&scaled(3000)),
+            Ok("8 shards deliver 3.000x the 1-shard shred throughput".to_string())
+        );
+    }
+
+    #[test]
+    fn dirty_lines_are_deterministic_and_distinct_per_page() {
+        for tenant in [0, 1, TENANTS - 1] {
+            let lines = dirty_lines(tenant);
+            assert_eq!(lines, dirty_lines(tenant), "same seed, same lines");
+            let mut pages = BTreeMap::<u64, BTreeSet<usize>>::new();
+            for (page, block) in lines {
+                let fresh = pages.entry(page).or_default().insert(block);
+                assert!(fresh, "tenant {tenant} dirtied {page}:{block} twice");
+            }
+            assert!(pages.keys().copied().eq(0..PAGES_PER_TENANT));
+            for blocks in pages.values() {
+                assert_eq!(blocks.len() as u64, DIRTY_LINES_PER_PAGE);
+            }
+        }
+        assert_ne!(dirty_lines(0), dirty_lines(1), "tenants sample apart");
+    }
 }

@@ -9,12 +9,17 @@
 //!   (write savings / read savings / read speedup / IPC), Fig. 12
 //!   (counter-cache size sweep), Table 2 (measured feature matrix of
 //!   initialization mechanisms), plus the ablations DESIGN.md lists.
+//! * [`mod@bench`] — the one program behind the committed benches
+//!   (`protbench`, `shardbench`): a [`bench::Bench`] supplies the rows
+//!   and the gate, and [`bench::main`] owns the flags, reports and exit
+//!   status.
 //!
 //! The `repro` binary prints each artifact, and the `faultsweep` binary
 //! runs the fault-injection campaign from the `ss-harness` crate.
 
 #![forbid(unsafe_code)]
 
+pub mod bench;
 pub mod experiments;
 pub mod runner;
 

@@ -6,7 +6,8 @@
 //! What the three share is written here once: the [`Tally`] of outcomes,
 //! the gate (each enum names the one outcome that fails it), and the
 //! [`Report`] of one `(config, seed)` run with its text header and JSON
-//! framing, whose bytes the committed `ci/` goldens pin.
+//! framing, whose bytes the committed `ci/` goldens pin. The document
+//! writer [`json_doc`] is shared with the committed benches.
 
 use std::fmt::{self, Write as _};
 use std::marker::PhantomData;
@@ -211,6 +212,27 @@ impl<R: Record> fmt::Display for Report<R> {
             None => Ok(()),
         }
     }
+}
+
+/// A JSON document in the layout every sweep and bench report shares:
+/// the `header` lines, the `key` array with one row per line, then the
+/// `tail` lines. Each header and tail line is one `"key": value` pair.
+pub fn json_doc(header: &[String], key: &str, rows: &[String], tail: &[String]) -> String {
+    let mut out = String::from("{\n");
+    for line in header {
+        let _ = writeln!(out, "  {line},");
+    }
+    let _ = writeln!(out, "  \"{key}\": [");
+    for (i, row) in rows.iter().enumerate() {
+        let comma = if i + 1 < rows.len() { "," } else { "" };
+        let _ = writeln!(out, "    {row}{comma}");
+    }
+    out.push_str("  ]");
+    for line in tail {
+        let _ = write!(out, ",\n  {line}");
+    }
+    out.push_str("\n}\n");
+    out
 }
 
 /// Escapes `s` for embedding in a JSON string literal.

@@ -24,13 +24,12 @@
 //! function of the seed set, so the same invocation is always
 //! byte-identical.
 
-use std::fmt::Write as _;
 use std::process::ExitCode;
 
 use ss_core::{ControllerConfig, ShardedConfig, ShardedController, WriteQueueConfig};
 use ss_trace::{MetricsRegistry, TraceRecord};
 
-use crate::report::{json_escape, json_key, Outcome, Record, Report, Tally};
+use crate::report::{json_doc, json_escape, json_key, Outcome, Record, Report, Tally};
 
 /// Events retained per run under `--trace`. Large enough to keep every
 /// event of a typical plan run; older events are dropped (and counted)
@@ -303,10 +302,10 @@ fn replay<C: Campaign>(opts: &Options, matrix: &[SweepConfig], seed: u64) -> Res
         reports.push(run.report);
     }
     let clean = reports.iter().all(Report::clean);
-    let header = format!("\"seed\": {seed}");
+    let header = [format!("\"seed\": {seed}")];
     write_docs(opts, &header, &metrics, || {
         let rows: Vec<String> = reports.iter().map(Report::to_json).collect();
-        json_doc(&header, &rows, &[format!("\"clean\": {clean}")])
+        json_doc(&header, "configs", &rows, &[format!("\"clean\": {clean}")])
     })?;
     Ok(clean)
 }
@@ -347,7 +346,7 @@ fn campaign<C: Campaign>(opts: &Options, matrix: &[SweepConfig]) -> Result<bool,
     println!("  {:<width$} {grand}", "total");
     println!("{}: {}", C::TOTAL_NOUN, grand.total());
     let clean = failures.is_empty();
-    let header = format!("\"seeds\": {}", opts.seeds);
+    let header = [format!("\"seeds\": {}", opts.seeds)];
     write_docs(opts, &header, &metrics, || {
         let failed: Vec<String> = failures
             .iter()
@@ -361,7 +360,7 @@ fn campaign<C: Campaign>(opts: &Options, matrix: &[SweepConfig]) -> Result<bool,
             format!("\"failures\": [{}]", failed.join(",")),
             format!("\"clean\": {clean}"),
         ];
-        json_doc(&header, &rows, &tail)
+        json_doc(&header, "configs", &rows, &tail)
     })?;
     if clean {
         println!("result: CLEAN ({})", C::CLEAN_NOTE);
@@ -380,27 +379,11 @@ fn row(label: &str, key: &str, value: &str) -> String {
     format!("{{\"label\":\"{}\",\"{key}\":{value}}}", json_escape(label))
 }
 
-/// A sweep JSON document: the `header` line, one `configs` row per
-/// config, then the `tail` lines, each a `"key": value` pair.
-fn json_doc(header: &str, rows: &[String], tail: &[String]) -> String {
-    let mut out = format!("{{\n  {header},\n  \"configs\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(out, "    {row}{comma}");
-    }
-    out.push_str("  ]");
-    for line in tail {
-        let _ = write!(out, ",\n  {line}");
-    }
-    out.push_str("\n}\n");
-    out
-}
-
 /// Writes the `--json` document (built only when asked for) and the
 /// `--metrics-json` document of `metrics` rows.
 fn write_docs(
     opts: &Options,
-    header: &str,
+    header: &[String],
     metrics: &[String],
     json: impl FnOnce() -> String,
 ) -> Result<(), String> {
@@ -411,7 +394,7 @@ fn write_docs(
         write(path, json())?;
     }
     if let Some(path) = &opts.metrics_json {
-        write(path, json_doc(header, metrics, &[]))?;
+        write(path, json_doc(header, "configs", metrics, &[]))?;
     }
     Ok(())
 }

@@ -33,14 +33,12 @@
 #![forbid(unsafe_code)]
 
 pub mod config;
-pub mod consolidation;
 pub mod hardware;
 pub mod report;
 pub mod system;
 pub mod timeshare;
 
 pub use config::SystemConfig;
-pub use consolidation::{ConsolidationReport, ConsolidationScenario};
 pub use hardware::Hardware;
 pub use report::{RunReport, Table1Row};
 pub use system::System;

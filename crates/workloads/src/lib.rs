@@ -14,9 +14,6 @@
 //!   are calibrated to the per-benchmark characteristics the paper
 //!   reports (write-sparse H264/DealII/Hmmer, fresh-read-heavy Bwaves,
 //!   write-heavy Milc/Lbm, …); see EXPERIMENTS.md.
-//! * [`consolidation`] — server-consolidation churn (§1, §6): tenant
-//!   VMs dirtying contiguous page runs and being torn down, exposing
-//!   the teardown schedule for batched-shred scenario drivers.
 //! * [`graph`] — the eleven PowerGraph applications of Fig. 5 as *memory
 //!   traces of real algorithms*: a synthetic power-law (Twitter-like) or
 //!   bipartite (Netflix-like) graph is generated, its CSR construction
@@ -27,12 +24,10 @@
 
 #![forbid(unsafe_code)]
 
-pub mod consolidation;
 pub mod graph;
 pub mod micro;
 pub mod spec;
 
-pub use consolidation::{ConsolidationWorkload, TenantEpoch};
 pub use graph::{GraphApp, GraphWorkload};
 pub use micro::{MicroPattern, MicroWorkload};
 pub use spec::{spec_suite, SpecWorkload};
