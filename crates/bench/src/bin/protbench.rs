@@ -140,7 +140,7 @@ fn run(protection: ProtectionMode, label: &'static str) -> Result<Vec<Field>, St
     let mut teardown_cycles = 0;
     for page in 1..=LAST_PAGE {
         let lat = mc
-            .shred_page(PageId::new(page), true)
+            .shred_page_at(PageId::new(page), true, now)
             .map_err(|e| format!("shred page {page}: {e}"))?;
         now += lat;
         teardown_cycles += lat.raw();
