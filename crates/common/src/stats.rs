@@ -238,21 +238,6 @@ impl MemStats {
         Self::default()
     }
 
-    /// Total blocks moved over the memory bus (reads + writes + counters).
-    pub fn bus_blocks(&self) -> u64 {
-        self.reads.get() + self.writes.get() + self.counter_reads.get() + self.counter_writes.get()
-    }
-
-    /// Fraction of data writes caused by zeroing, in `[0, 1]`.
-    pub fn zeroing_write_fraction(&self) -> f64 {
-        let w = self.writes.get();
-        if w == 0 {
-            0.0
-        } else {
-            self.zeroing_writes.get() as f64 / w as f64
-        }
-    }
-
     /// Merges another sample into this one.
     pub fn merge(&mut self, other: &MemStats) {
         self.reads.add(other.reads.get());
@@ -381,16 +366,13 @@ mod tests {
     }
 
     #[test]
-    fn mem_stats_fractions_and_bus() {
+    fn mem_stats_merge_and_display() {
         let mut m = MemStats::new();
-        assert_eq!(m.zeroing_write_fraction(), 0.0);
         m.writes.add(10);
         m.zeroing_writes.add(4);
         m.reads.add(3);
         m.counter_reads.add(2);
         m.counter_writes.add(1);
-        assert!((m.zeroing_write_fraction() - 0.4).abs() < 1e-12);
-        assert_eq!(m.bus_blocks(), 16);
         let mut n = MemStats::new();
         n.merge(&m);
         assert_eq!(n, m);

@@ -57,8 +57,3 @@ use ss_common::LINE_SIZE;
 
 /// A 64-byte cache line payload, the unit of memory encryption.
 pub type Line = [u8; LINE_SIZE];
-
-/// Returns an all-zero line, the value newly shredded blocks read as.
-pub const fn zero_line() -> Line {
-    [0u8; LINE_SIZE]
-}

@@ -86,11 +86,6 @@ impl SystemConfig {
     pub fn cores(&self) -> usize {
         self.hierarchy.cores
     }
-
-    /// Whether this configuration uses the Silent Shredder mechanism.
-    pub fn is_shredder(&self) -> bool {
-        self.controller.shredder && self.zero_strategy == ZeroStrategy::ShredCommand
-    }
 }
 
 #[cfg(test)]
@@ -99,8 +94,12 @@ mod tests {
 
     #[test]
     fn presets_consistent() {
-        assert!(SystemConfig::silent_shredder().is_shredder());
-        assert!(!SystemConfig::baseline().is_shredder());
+        let shredder = SystemConfig::silent_shredder();
+        assert!(shredder.controller.shredder);
+        assert_eq!(shredder.zero_strategy, ZeroStrategy::ShredCommand);
+        let baseline = SystemConfig::baseline();
+        assert!(!baseline.controller.shredder);
+        assert_ne!(baseline.zero_strategy, ZeroStrategy::ShredCommand);
     }
 
     #[test]

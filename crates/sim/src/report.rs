@@ -1,9 +1,7 @@
 //! Metric extraction: everything the paper's figures are made of.
 
 use ss_common::MemStats;
-use ss_core::HealthStats;
 use ss_cpu::RunSummary;
-use ss_os::KernelStats;
 
 use crate::system::System;
 
@@ -14,25 +12,14 @@ pub struct RunReport {
     pub summary: RunSummary,
     /// Memory-controller traffic.
     pub mem: MemStats,
-    /// Kernel-side counters.
-    pub kernel: KernelStats,
     /// Shred commands executed.
     pub shreds: u64,
-    /// Page re-encryptions (minor-counter overflow).
-    pub reencryptions: u64,
-    /// Counter-cache miss rate (Fig. 12's metric).
-    pub counter_cache_miss_rate: f64,
     /// NVM energy consumed, exact whole picojoules.
     pub nvm_energy_pj: u64,
     /// Most-worn-line write count (endurance proxy).
     pub max_line_wear: u64,
     /// Total NVM line writes at the device.
     pub nvm_writes: u64,
-    /// Aggregate TLB miss rate across cores.
-    pub tlb_miss_rate: f64,
-    /// Self-healing activity (ECC corrections, retries, remaps,
-    /// quarantines, scrubbing) at the controller.
-    pub health: HealthStats,
 }
 
 impl RunReport {
@@ -41,39 +28,15 @@ impl RunReport {
         let hw = system.hardware();
         let insp = hw.controller.inspect();
         let cstats = insp.stats();
-        let ccache = insp.counter_cache_stats();
         let nvm = insp.nvm_stats();
-        let mut tlb_hits = 0u64;
-        let mut tlb_misses = 0u64;
-        for core in 0..system.config().cores() {
-            let t = system.tlb_stats(core);
-            tlb_hits += t.hits.get();
-            tlb_misses += t.misses.get();
-        }
-        let tlb_total = tlb_hits + tlb_misses;
         RunReport {
             summary,
             mem: cstats.mem,
-            kernel: system.kernel().stats().clone(),
             shreds: cstats.shreds.get(),
-            reencryptions: cstats.reencryptions.get(),
-            counter_cache_miss_rate: ccache.miss_rate(),
             nvm_energy_pj: nvm.energy_pj,
             max_line_wear: insp.nvm_max_wear().map(|(_, n)| n).unwrap_or(0),
             nvm_writes: nvm.writes.get(),
-            tlb_miss_rate: if tlb_total == 0 {
-                0.0
-            } else {
-                tlb_misses as f64 / tlb_total as f64
-            },
-            health: cstats.health.clone(),
         }
-    }
-
-    /// Total healing interventions: ECC corrections, successful
-    /// retries, and bad-line remaps. Zero on a fault-free device.
-    pub fn healing_events(&self) -> u64 {
-        self.health.ecc_corrected.get() + self.health.retried_ok.get() + self.health.remaps.get()
     }
 
     /// Mean per-core IPC (Fig. 11's metric).
@@ -105,43 +68,6 @@ impl RunReport {
         } else {
             self.mem.zero_fill_reads.get() as f64 / demand as f64
         }
-    }
-
-    /// The headline metrics as ordered `(name, rendered value)` rows.
-    ///
-    /// The order is fixed by this function, never by a map, so any
-    /// renderer iterating this surface emits byte-identical output for
-    /// identical runs — the same stability contract as
-    /// `faultsweep --json`.
-    pub fn metric_rows(&self) -> Vec<(&'static str, String)> {
-        vec![
-            ("ipc", format!("{:.6}", self.ipc())),
-            (
-                "read_latency_cycles",
-                format!("{:.3}", self.mean_read_latency()),
-            ),
-            ("data_writes", self.data_writes().to_string()),
-            ("read_demand", self.read_demand().to_string()),
-            (
-                "zero_fill_reads",
-                self.mem.zero_fill_reads.get().to_string(),
-            ),
-            (
-                "read_traffic_savings",
-                format!("{:.6}", self.read_traffic_savings()),
-            ),
-            ("shreds", self.shreds.to_string()),
-            ("reencryptions", self.reencryptions.to_string()),
-            (
-                "counter_cache_miss_rate",
-                format!("{:.6}", self.counter_cache_miss_rate),
-            ),
-            ("nvm_energy_pj", format!("{}", self.nvm_energy_pj)),
-            ("max_line_wear", self.max_line_wear.to_string()),
-            ("nvm_writes", self.nvm_writes.to_string()),
-            ("tlb_miss_rate", format!("{:.6}", self.tlb_miss_rate)),
-            ("healing_events", self.healing_events().to_string()),
-        ]
     }
 }
 
@@ -249,45 +175,7 @@ pub fn table1(config: &crate::SystemConfig) -> Vec<Table1Row> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{System, SystemConfig};
-
-    #[test]
-    fn metric_rows_are_ordered_and_byte_stable() {
-        let run = || {
-            let mut sys = System::new(SystemConfig::small_test(true)).unwrap();
-            let pid = sys.spawn_process(0).unwrap();
-            let buf = sys.sys_alloc(pid, 4 * 4096).unwrap();
-            let ops: Vec<ss_cpu::Op> = (0..4u64)
-                .map(|i| ss_cpu::Op::StoreLine(buf.add(i * 4096)))
-                .collect();
-            sys.run_report(vec![ops.into_iter()], None)
-        };
-        let a = run().metric_rows();
-        let b = run().metric_rows();
-        // Identical runs render identically, byte for byte.
-        assert_eq!(a, b);
-        // The row order is part of the report's contract.
-        let names: Vec<&str> = a.iter().map(|(n, _)| *n).collect();
-        assert_eq!(
-            names,
-            vec![
-                "ipc",
-                "read_latency_cycles",
-                "data_writes",
-                "read_demand",
-                "zero_fill_reads",
-                "read_traffic_savings",
-                "shreds",
-                "reencryptions",
-                "counter_cache_miss_rate",
-                "nvm_energy_pj",
-                "max_line_wear",
-                "nvm_writes",
-                "tlb_miss_rate",
-                "healing_events",
-            ]
-        );
-    }
+    use crate::SystemConfig;
 
     #[test]
     fn table1_has_all_rows() {

@@ -9,7 +9,6 @@ use ss_os::{Kernel, ProcId, Tlb};
 
 use crate::config::SystemConfig;
 use crate::hardware::{strategy_supported, Hardware};
-use crate::report::RunReport;
 
 /// Added latency of a TLB miss: the page-table walk, which a few tens of
 /// cycles cover when the page tables are cached (the old configurable
@@ -165,15 +164,6 @@ impl System {
         I: Iterator<Item = Op>,
     {
         run_multicore(streams, self, instruction_limit)
-    }
-
-    /// Runs and packages the result with memory/kernel statistics.
-    pub fn run_report<I>(&mut self, streams: Vec<I>, instruction_limit: Option<u64>) -> RunReport
-    where
-        I: Iterator<Item = Op>,
-    {
-        let summary = self.run(streams, instruction_limit);
-        RunReport::collect(self, summary)
     }
 
     /// Flushes every dirty line out of the caches into the controller,
@@ -451,15 +441,5 @@ mod tests {
         );
         assert_eq!(summary.cores.len(), 2);
         assert_eq!(sys.kernel().stats().major_faults.get(), 2);
-    }
-
-    #[test]
-    fn run_report_collects() {
-        let mut sys = System::new(SystemConfig::small_test(true)).unwrap();
-        let pid = sys.spawn_process(0).unwrap();
-        let buf = sys.sys_alloc(pid, 4096).unwrap();
-        let report = sys.run_report(vec![vec![Op::StoreLine(buf)].into_iter()], None);
-        assert_eq!(report.summary.total_instructions(), 1);
-        assert!(report.ipc() > 0.0);
     }
 }
