@@ -46,8 +46,8 @@ pub enum ShredStrategy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PersistDomain {
     /// ADR: only completed 8-byte stores are durable. A crash can cut an
-    /// in-flight multi-step persist sequence after any numbered
-    /// [`crate::persist::PersistStep`], tear the 64 B line being written
+    /// in-flight multi-step persist sequence after any numbered persist
+    /// step ([`crate::persist`]), tear the 64 B line being written
     /// at the cut, and drops un-drained write-queue entries. The
     /// controller keeps an NVM-resident ordering journal so
     /// [`crate::MemoryController::recover_mut`] can roll the damage

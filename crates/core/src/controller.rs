@@ -1206,7 +1206,7 @@ impl MemoryController {
 
     /// Architectural MMIO write (the kernel's `shred` hint, §4.3 step 1).
     ///
-    /// Decoding ([`mmio::decode`]) and execution ([`MmioOp::apply`]) are
+    /// Decoding ([`mmio::decode`]) and execution ([`mmio::MmioOp::apply`]) are
     /// separate: privilege is enforced once, on the executor path, for
     /// every decoded register.
     ///
