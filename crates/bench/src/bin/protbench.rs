@@ -37,7 +37,7 @@ use ss_crypto::Line;
 /// The consolidation workload shape, shared with `shardbench`.
 const TENANTS: u64 = 16;
 const PAGES_PER_TENANT: u64 = 112;
-const DIRTY_LINES_PER_PAGE: usize = 8;
+const DIRTY_LINES_PER_PAGE: u64 = 8;
 const SEED: u64 = 0xC0_50_11;
 
 /// The working set is pages `1..=LAST_PAGE`, tenant after tenant; `8 <<
@@ -192,10 +192,7 @@ impl Bench for ProtBench {
         ("name", Value::Name("tenant_teardown")),
         ("tenants", Value::Int(TENANTS)),
         ("pages_per_tenant", Value::Int(PAGES_PER_TENANT)),
-        (
-            "dirty_lines_per_page",
-            Value::Int(DIRTY_LINES_PER_PAGE as u64),
-        ),
+        ("dirty_lines_per_page", Value::Int(DIRTY_LINES_PER_PAGE)),
         ("seed", Value::Int(SEED)),
     ];
 
