@@ -5,8 +5,6 @@
 //! metadata policy lives here; what a hit or writeback *means* is the
 //! caller's business.
 
-use std::collections::VecDeque;
-
 use ss_common::{BlockAddr, Counter, Cycles, Error, Result, LINE_SIZE};
 
 /// Geometry and latency of one cache.
@@ -28,8 +26,9 @@ impl CacheConfig {
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] when the geometry is degenerate:
-    /// zero ways, capacity not a multiple of `ways × 64`, or a non-power-
-    /// of-two set count (the indexing function requires it).
+    /// zero ways or more than 256 (a way's recency rank is one byte),
+    /// capacity not a multiple of `ways × 64`, or a non-power-of-two set
+    /// count (the indexing function requires it).
     pub fn new(
         name: impl Into<String>,
         size_bytes: usize,
@@ -37,9 +36,9 @@ impl CacheConfig {
         latency: Cycles,
     ) -> Result<Self> {
         let name = name.into();
-        if ways == 0 {
+        if ways == 0 || ways > 256 {
             return Err(Error::InvalidConfig {
-                detail: format!("{name}: zero ways"),
+                detail: format!("{name}: {ways} ways not in 1..=256"),
             });
         }
         if size_bytes == 0 || !size_bytes.is_multiple_of(ways * LINE_SIZE) {
@@ -133,23 +132,43 @@ impl CacheStats {
     }
 }
 
-/// The cache proper. Each set keeps its entries in recency order
-/// (front = most recent).
+/// The cache proper, stored flat.
+///
+/// Set `s` owns slots `s·ways .. (s+1)·ways` of two arrays: `tags`, the
+/// resident lines' addresses (eight ways of a set are 64 contiguous
+/// bytes), and `ranks`, their recency (0 = most recent). A set's
+/// occupied slots are always its first `len` ones, where `len` is the
+/// length of the set's entry vector; that vector holds the payloads in
+/// slot order and is allocated at the set's first fill. A hit searches
+/// the set's tags and re-ranks the set: no entry moves.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache<V> {
     config: CacheConfig,
-    sets: Vec<VecDeque<Entry<V>>>,
+    /// `sets − 1`: a line's set is its line number masked with this.
+    mask: u64,
+    /// Per slot, the address of the set's entry there. The lookup
+    /// truth; slots past a set's length hold stale values.
+    tags: Vec<u64>,
+    /// Per slot, the entry's rank in its set's recency order.
+    ranks: Vec<u8>,
+    /// Per set, its entries in slot order.
+    entries: Vec<Vec<Entry<V>>>,
     stats: CacheStats,
 }
 
 impl<V> SetAssocCache<V> {
     /// Creates an empty cache.
     pub fn new(config: CacheConfig) -> Self {
-        let sets = (0..config.sets()).map(|_| VecDeque::new()).collect();
+        let sets = config.sets();
         SetAssocCache {
-            config,
-            sets,
+            mask: sets as u64 - 1,
+            // Zero-filled allocations: a set nothing fills is never
+            // written.
+            tags: vec![0; config.entries()],
+            ranks: vec![0; config.entries()],
+            entries: (0..sets).map(|_| Vec::new()).collect(),
             stats: CacheStats::default(),
+            config,
         }
     }
 
@@ -168,39 +187,59 @@ impl<V> SetAssocCache<V> {
         self.stats = CacheStats::default();
     }
 
-    fn set_index(&self, addr: BlockAddr) -> usize {
-        ((addr.raw() / LINE_SIZE as u64) % self.sets.len() as u64) as usize
+    /// The slots of `set` that hold entries.
+    fn slots(&self, set: usize) -> std::ops::Range<usize> {
+        let base = set * self.config.ways;
+        base..base + self.entries[set].len()
+    }
+
+    /// `addr`'s set, and its way in the set if it is resident.
+    fn find(&self, addr: BlockAddr) -> (usize, Option<usize>) {
+        let set = ((addr.raw() / LINE_SIZE as u64) & self.mask) as usize;
+        let way = self.tags[self.slots(set)]
+            .iter()
+            .position(|&tag| tag == addr.raw());
+        (set, way)
+    }
+
+    /// Makes `way` the most recent entry of `set`; the entries that were
+    /// more recent age by one.
+    fn promote(&mut self, set: usize, way: usize) {
+        let slots = self.slots(set);
+        let ranks = &mut self.ranks[slots];
+        let rank = ranks[way];
+        for r in ranks.iter_mut() {
+            *r += u8::from(*r < rank);
+        }
+        ranks[way] = 0;
     }
 
     /// Looks up `addr`, promoting it to MRU on a hit. Counts a hit or miss.
+    ///
+    /// The tags, not [`Entry::addr`], are the lookup truth: callers
+    /// change an entry's `value` and `dirty` through this, never its
+    /// `addr`.
     pub fn get(&mut self, addr: BlockAddr) -> Option<&mut Entry<V>> {
-        let set = self.set_index(addr);
-        let pos = self.sets[set].iter().position(|e| e.addr == addr);
-        match pos {
-            Some(i) => {
-                self.stats.hits.inc();
-                if let Some(entry) = self.sets[set].remove(i) {
-                    self.sets[set].push_front(entry);
-                }
-                self.sets[set].front_mut()
-            }
-            None => {
-                self.stats.misses.inc();
-                None
-            }
-        }
+        let (set, way) = self.find(addr);
+        let Some(way) = way else {
+            self.stats.misses.inc();
+            return None;
+        };
+        self.stats.hits.inc();
+        self.promote(set, way);
+        self.entries[set].get_mut(way)
     }
 
     /// Checks residency without changing LRU order or stats.
     pub fn contains(&self, addr: BlockAddr) -> bool {
-        self.peek(addr).is_some()
+        self.find(addr).1.is_some()
     }
 
     /// The resident entry for `addr`, found by searching its set only.
     /// Leaves LRU order and stats alone.
     pub fn peek(&self, addr: BlockAddr) -> Option<&Entry<V>> {
-        let set = self.set_index(addr);
-        self.sets[set].iter().find(|e| e.addr == addr)
+        let (set, way) = self.find(addr);
+        self.entries[set].get(way?)
     }
 
     /// Inserts (or overwrites) `addr` as MRU. Returns the LRU victim when
@@ -209,50 +248,70 @@ impl<V> SetAssocCache<V> {
     /// If the line is already resident its payload is replaced and `dirty`
     /// is ORed in; no eviction happens.
     pub fn insert(&mut self, addr: BlockAddr, value: V, dirty: bool) -> Option<Evicted<V>> {
-        let ways = self.config.ways;
-        let set = self.set_index(addr);
-        if let Some(i) = self.sets[set].iter().position(|e| e.addr == addr) {
-            if let Some(mut entry) = self.sets[set].remove(i) {
+        let (set, way) = self.find(addr);
+        if let Some(way) = way {
+            if let Some(entry) = self.entries[set].get_mut(way) {
                 entry.value = value;
                 entry.dirty |= dirty;
-                self.sets[set].push_front(entry);
             }
+            self.promote(set, way);
             return None;
         }
-        let victim = if self.sets[set].len() >= ways {
-            match self.sets[set].pop_back() {
-                Some(v) => {
-                    self.stats.evictions.inc();
-                    if v.dirty {
-                        self.stats.dirty_evictions.inc();
-                    }
-                    Some(Evicted {
-                        addr: v.addr,
-                        dirty: v.dirty,
-                        value: v.value,
-                    })
-                }
-                None => None,
-            }
-        } else {
-            None
-        };
-        self.sets[set].push_front(Entry { addr, dirty, value });
-        victim
+        let ways = self.config.ways;
+        let entry = Entry { addr, dirty, value };
+        let slots = self.slots(set);
+        let len = slots.len();
+        if len < ways {
+            // A free slot: the new entry enters below every other one,
+            // then is promoted over them.
+            let set_entries = &mut self.entries[set];
+            set_entries.reserve_exact(ways - set_entries.len());
+            set_entries.push(entry);
+            self.tags[slots.end] = addr.raw();
+            self.ranks[slots.end] = len as u8;
+            self.promote(set, len);
+            return None;
+        }
+        // A full set: the least recent entry, rank `ways − 1`, makes room.
+        let way = self.ranks[slots]
+            .iter()
+            .position(|&r| usize::from(r) == len - 1)?;
+        let victim = std::mem::replace(self.entries[set].get_mut(way)?, entry);
+        self.tags[set * ways + way] = addr.raw();
+        self.promote(set, way);
+        self.stats.evictions.inc();
+        if victim.dirty {
+            self.stats.dirty_evictions.inc();
+        }
+        Some(Evicted {
+            addr: victim.addr,
+            dirty: victim.dirty,
+            value: victim.value,
+        })
     }
 
     /// Removes `addr` if resident, returning the entry (caller decides
     /// whether a dirty payload must be written back or discarded).
     pub fn invalidate(&mut self, addr: BlockAddr) -> Option<Entry<V>> {
-        let set = self.set_index(addr);
-        let pos = self.sets[set].iter().position(|e| e.addr == addr)?;
+        let (set, way) = self.find(addr);
+        let way = way?;
         self.stats.invalidations.inc();
-        self.sets[set].remove(pos)
+        // The less recent entries move up one rank, and the set's last
+        // slot fills the hole, so the occupied slots stay a prefix.
+        let slots = self.slots(set);
+        let rank = self.ranks[slots.start + way];
+        for r in &mut self.ranks[slots.clone()] {
+            *r -= u8::from(*r > rank);
+        }
+        let last = slots.end - 1;
+        self.tags[slots.start + way] = self.tags[last];
+        self.ranks[slots.start + way] = self.ranks[last];
+        Some(self.entries[set].swap_remove(way))
     }
 
     /// Number of resident lines.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(|s| s.len()).sum()
+        self.entries.iter().map(Vec::len).sum()
     }
 
     /// Whether the cache is empty.
@@ -260,18 +319,143 @@ impl<V> SetAssocCache<V> {
         self.len() == 0
     }
 
-    /// Iterates over all resident entries (for drain/flush operations).
+    /// Iterates over all resident entries (for drain/flush operations):
+    /// sets in index order, each from most to least recent.
     pub fn iter(&self) -> impl Iterator<Item = &Entry<V>> {
-        self.sets.iter().flat_map(|s| s.iter())
+        self.entries
+            .iter()
+            .enumerate()
+            .flat_map(move |(set, entries)| {
+                let ranks = &self.ranks[self.slots(set)];
+                (0..entries.len())
+                    .filter_map(move |rank| ranks.iter().position(|&r| usize::from(r) == rank))
+                    .map(move |way| &entries[way])
+            })
     }
 
-    /// Removes and returns every resident entry (cache flush).
+    /// Removes and returns every resident entry (cache flush), in
+    /// [`SetAssocCache::iter`] order.
     pub fn drain(&mut self) -> Vec<Entry<V>> {
+        let ways = self.config.ways;
         let mut out = Vec::with_capacity(self.len());
-        for set in &mut self.sets {
-            out.extend(set.drain(..));
+        for (set, entries) in self.entries.iter_mut().enumerate() {
+            let ranks = &self.ranks[set * ways..][..entries.len()];
+            let mut ranked: Vec<(u8, Entry<V>)> =
+                ranks.iter().copied().zip(entries.drain(..)).collect();
+            ranked.sort_unstable_by_key(|&(rank, _)| rank);
+            out.extend(ranked.into_iter().map(|(_, entry)| entry));
         }
         out
+    }
+}
+
+/// The cache before its flat layout: one recency-ordered `VecDeque` per
+/// set (front = most recent). Kept as the oracle that
+/// `flat_cache_matches_the_deque_cache` drives in lockstep with
+/// [`SetAssocCache`].
+#[cfg(test)]
+mod reference {
+    use std::collections::VecDeque;
+
+    use ss_common::{BlockAddr, LINE_SIZE};
+
+    use super::{CacheConfig, CacheStats, Entry, Evicted};
+
+    pub(super) struct DequeCache<V> {
+        ways: usize,
+        sets: Vec<VecDeque<Entry<V>>>,
+        pub(super) stats: CacheStats,
+    }
+
+    impl<V> DequeCache<V> {
+        pub(super) fn new(config: &CacheConfig) -> Self {
+            DequeCache {
+                ways: config.ways,
+                sets: (0..config.sets()).map(|_| VecDeque::new()).collect(),
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn set_index(&self, addr: BlockAddr) -> usize {
+            ((addr.raw() / LINE_SIZE as u64) % self.sets.len() as u64) as usize
+        }
+
+        fn position(&self, addr: BlockAddr) -> (usize, Option<usize>) {
+            let set = self.set_index(addr);
+            (set, self.sets[set].iter().position(|e| e.addr == addr))
+        }
+
+        pub(super) fn get(&mut self, addr: BlockAddr) -> Option<&mut Entry<V>> {
+            let (set, pos) = self.position(addr);
+            match pos {
+                Some(i) => {
+                    self.stats.hits.inc();
+                    let entry = self.sets[set].remove(i)?;
+                    self.sets[set].push_front(entry);
+                    self.sets[set].front_mut()
+                }
+                None => {
+                    self.stats.misses.inc();
+                    None
+                }
+            }
+        }
+
+        pub(super) fn peek(&self, addr: BlockAddr) -> Option<&Entry<V>> {
+            let set = self.set_index(addr);
+            self.sets[set].iter().find(|e| e.addr == addr)
+        }
+
+        pub(super) fn insert(
+            &mut self,
+            addr: BlockAddr,
+            value: V,
+            dirty: bool,
+        ) -> Option<Evicted<V>> {
+            let (set, pos) = self.position(addr);
+            if let Some(i) = pos {
+                let mut entry = self.sets[set].remove(i)?;
+                entry.value = value;
+                entry.dirty |= dirty;
+                self.sets[set].push_front(entry);
+                return None;
+            }
+            let victim = if self.sets[set].len() >= self.ways {
+                let v = self.sets[set].pop_back()?;
+                self.stats.evictions.inc();
+                if v.dirty {
+                    self.stats.dirty_evictions.inc();
+                }
+                Some(Evicted {
+                    addr: v.addr,
+                    dirty: v.dirty,
+                    value: v.value,
+                })
+            } else {
+                None
+            };
+            self.sets[set].push_front(Entry { addr, dirty, value });
+            victim
+        }
+
+        pub(super) fn invalidate(&mut self, addr: BlockAddr) -> Option<Entry<V>> {
+            let (set, pos) = self.position(addr);
+            let i = pos?;
+            self.stats.invalidations.inc();
+            self.sets[set].remove(i)
+        }
+
+        pub(super) fn len(&self) -> usize {
+            self.sets.iter().map(VecDeque::len).sum()
+        }
+
+        pub(super) fn iter(&self) -> impl Iterator<Item = &Entry<V>> {
+            self.sets.iter().flat_map(|s| s.iter())
+        }
+
+        pub(super) fn drain(&mut self) -> Vec<Entry<V>> {
+            self.sets.iter_mut().flat_map(|s| s.drain(..)).collect()
+        }
     }
 }
 
@@ -293,6 +477,8 @@ mod tests {
     fn config_validation() {
         assert!(CacheConfig::new("x", 0, 1, Cycles::ZERO).is_err());
         assert!(CacheConfig::new("x", 128, 0, Cycles::ZERO).is_err());
+        assert!(CacheConfig::new("x", 257 * 64, 257, Cycles::ZERO).is_err());
+        assert!(CacheConfig::new("x", 256 * 64, 256, Cycles::ZERO).is_ok());
         // 3 sets: not a power of two.
         assert!(CacheConfig::new("x", 3 * 64, 1, Cycles::ZERO).is_err());
         let ok = CacheConfig::new("x", 4 * 64, 2, Cycles::ZERO).unwrap();
@@ -387,5 +573,79 @@ mod tests {
         let drained = c.drain();
         assert_eq!(drained.len(), 2);
         assert!(c.is_empty());
+    }
+
+    #[test]
+    fn flat_cache_matches_the_deque_cache() {
+        for (ways, sets) in [1, 2, 8]
+            .into_iter()
+            .flat_map(|w| [1, 4, 64].map(|s| (w, s)))
+        {
+            let entries = (ways * sets) as u64;
+            let config =
+                CacheConfig::new("t", ways * sets * LINE_SIZE, ways, Cycles::new(1)).unwrap();
+            let mut flat: SetAssocCache<u64> = SetAssocCache::new(config.clone());
+            let mut oracle = reference::DequeCache::new(&config);
+            let mut rng = ss_common::DetRng::new(0x5E7_A550C + entries);
+            for step in 0..10_000 {
+                // Half the lines from a window half the cache's size, so
+                // lines hit and re-rank; half from three times its size,
+                // so sets fill and evict.
+                let span = if rng.below(2) == 0 {
+                    entries / 2 + 1
+                } else {
+                    3 * entries
+                };
+                let addr = a(rng.below(span));
+                let value = rng.next_u64();
+                let what = format!("{ways} ways x {sets} sets, step {step}");
+                match rng.below(10_000) {
+                    0..=2999 => {
+                        let (got, want) = (flat.get(addr), oracle.get(addr));
+                        assert_eq!(got.as_deref(), want.as_deref(), "get: {what}");
+                        // Callers clean or rewrite the entry they got.
+                        if let (Some(got), Some(want)) = (got, want) {
+                            for e in [got, want] {
+                                e.dirty &= value % 3 != 0;
+                                e.value ^= value % 5;
+                            }
+                        }
+                    }
+                    3000..=3999 => assert_eq!(flat.peek(addr), oracle.peek(addr), "peek: {what}"),
+                    4000..=4499 => assert_eq!(
+                        flat.contains(addr),
+                        oracle.peek(addr).is_some(),
+                        "contains: {what}"
+                    ),
+                    4500..=7499 => {
+                        let dirty = value % 2 == 0;
+                        assert_eq!(
+                            flat.insert(addr, value, dirty),
+                            oracle.insert(addr, value, dirty),
+                            "insert: {what}"
+                        );
+                    }
+                    7500..=8499 => assert_eq!(
+                        flat.invalidate(addr),
+                        oracle.invalidate(addr),
+                        "invalidate: {what}"
+                    ),
+                    8500..=9499 => assert!(flat.iter().eq(oracle.iter()), "iter: {what}"),
+                    9500..=9997 => assert_eq!(flat.len(), oracle.len(), "len: {what}"),
+                    _ => assert_eq!(flat.drain(), oracle.drain(), "drain: {what}"),
+                }
+                assert_eq!(flat.stats(), &oracle.stats, "stats: {what}");
+                assert_eq!(flat.len(), oracle.len(), "len: {what}");
+            }
+            assert_eq!(flat.drain(), oracle.drain());
+            // Every path was taken: hits, misses, evictions of dirty
+            // lines and invalidations.
+            let st = oracle.stats;
+            assert!(st.hits.get() > 0 && st.misses.get() > 0, "{st:?}");
+            assert!(
+                st.dirty_evictions.get() > 0 && st.invalidations.get() > 0,
+                "{st:?}"
+            );
+        }
     }
 }
