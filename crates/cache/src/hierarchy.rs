@@ -21,7 +21,8 @@
 //! never dropped.
 //!
 //! Coherence is a MESI-style invalidate protocol between the cores'
-//! private levels, implemented with a sharer directory:
+//! private levels. A core shares a line exactly when its L1 or L2 holds
+//! it, so a snoop reads the other cores' L1/L2 tags:
 //!
 //! * a **write** invalidates every other core's copy (taking over any
 //!   dirty data);
@@ -31,8 +32,6 @@
 //!
 //! [`Hierarchy::invalidate_page`] implements the bulk invalidation a
 //! shred command or a non-temporal zeroing pass sends (Fig. 6, step 2).
-
-use std::collections::BTreeMap;
 
 use ss_common::{BlockAddr, Cycles, PageId, Result, BLOCKS_PER_PAGE, LINE_SIZE};
 
@@ -181,8 +180,6 @@ pub struct Hierarchy {
     private: Vec<[SetAssocCache<Line>; PRIVATE]>,
     /// The shared `[L3, L4]`.
     shared: [SetAssocCache<Line>; 2],
-    /// Which cores hold each line in a private cache (bitmask).
-    directory: BTreeMap<u64, u16>,
 }
 
 impl Hierarchy {
@@ -214,7 +211,6 @@ impl Hierarchy {
         Ok(Hierarchy {
             private,
             shared: [cache(2, "L3".into())?, cache(3, "L4".into())?],
-            directory: BTreeMap::new(),
         })
     }
 
@@ -232,25 +228,6 @@ impl Hierarchy {
         }
     }
 
-    fn dir_set(&mut self, addr: BlockAddr, core: usize) {
-        *self.directory.entry(addr.raw()).or_insert(0) |= 1 << core;
-    }
-
-    fn dir_clear_if_absent(&mut self, addr: BlockAddr, core: usize) {
-        if !self.private[core].iter().any(|c| c.contains(addr)) {
-            if let Some(mask) = self.directory.get_mut(&addr.raw()) {
-                *mask &= !(1 << core);
-                if *mask == 0 {
-                    self.directory.remove(&addr.raw());
-                }
-            }
-        }
-    }
-
-    fn other_sharers(&self, addr: BlockAddr, core: usize) -> u16 {
-        self.directory.get(&addr.raw()).copied().unwrap_or(0) & !(1 << core)
-    }
-
     /// Installs `addr` at `level` for `core` and cascades the victim: a
     /// dirty one falls a level down, and a dirty L4 victim is appended
     /// to `writebacks`.
@@ -263,17 +240,9 @@ impl Hierarchy {
         dirty: bool,
         writebacks: &mut Vec<(BlockAddr, Line)>,
     ) {
-        let victim = self.cache(core, level).insert(addr, data, dirty);
-        if level < PRIVATE {
-            self.dir_set(addr, core);
-        }
-        let Some(v) = victim else { return };
-        // The victim leaves the core's private levels, unless it is a
-        // dirty L1 victim falling into the same core's L2 (a clean one
-        // is already duplicated below, or stale).
-        if level < PRIVATE && (level == 1 || !v.dirty) {
-            self.dir_clear_if_absent(v.addr, core);
-        }
+        let Some(v) = self.cache(core, level).insert(addr, data, dirty) else {
+            return;
+        };
         if v.dirty {
             if level + 1 < LATENCIES.len() {
                 self.install(core, level + 1, v.addr, v.value, true, writebacks);
@@ -283,17 +252,15 @@ impl Hierarchy {
         }
     }
 
-    /// Probes every remote private cache for `addr`. If a dirty copy is
-    /// found, removes it (write intent) or downgrades it to clean (read
-    /// intent) and returns its data.
+    /// Probes the private caches of every other core that holds `addr`.
+    /// If a dirty copy is found, removes it (write intent) or downgrades
+    /// it to clean (read intent) and returns its data.
     fn snoop(&mut self, core: usize, addr: BlockAddr, invalidate: bool) -> Option<Line> {
-        let sharers = self.other_sharers(addr, core);
-        if sharers == 0 {
-            return None;
-        }
         let mut dirty_data = None;
         for other in 0..self.cores() {
-            if other == core || sharers & (1 << other) == 0 {
+            // A core that holds the line in neither level is no sharer:
+            // the read-intent downgrade must not probe it.
+            if other == core || !self.private[other].iter().any(|c| c.contains(addr)) {
                 continue;
             }
             // Probe L1 before L2: when both hold dirty copies, the L1
@@ -318,9 +285,6 @@ impl Hierarchy {
                         e.dirty = false;
                     }
                 }
-            }
-            if invalidate {
-                self.dir_clear_if_absent(addr, other);
             }
         }
         dirty_data
@@ -463,13 +427,7 @@ impl Hierarchy {
                 }
             }
         };
-        for core in 0..self.cores() {
-            for cache in &mut self.private[core] {
-                keep(cache.invalidate(addr));
-            }
-            self.dir_clear_if_absent(addr, core);
-        }
-        for cache in &mut self.shared {
+        for cache in self.private.iter_mut().flatten().chain(&mut self.shared) {
             keep(cache.invalidate(addr));
         }
         newest
@@ -495,13 +453,11 @@ impl Hierarchy {
     /// Returns the lines to write back, deepest copies last.
     pub fn flush_all(&mut self) -> Vec<(BlockAddr, Line)> {
         let caches = self.private.iter_mut().flatten().chain(&mut self.shared);
-        let out = caches
+        caches
             .flat_map(|cache| cache.drain())
             .filter(|e| e.dirty)
             .map(|e| (e.addr, e.value))
-            .collect();
-        self.directory.clear();
-        out
+            .collect()
     }
 
     /// Aggregate stats for one level (summed over cores for L1/L2).
@@ -539,6 +495,8 @@ impl Hierarchy {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
     fn small() -> Hierarchy {
