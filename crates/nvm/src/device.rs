@@ -3,7 +3,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use ss_common::{BlockAddr, Counter, DetRng, Error, Result, LINE_SIZE};
+use ss_common::{BlockAddr, Counter, DetRng, Error, Result, BLOCKS_PER_PAGE, LINE_SIZE, PAGE_SIZE};
 
 use crate::ecc::{EccConfig, LineRead};
 use crate::endurance::WearTracker;
@@ -190,6 +190,122 @@ impl LineRecord {
     }
 }
 
+/// A line's block within its page must index a `u64` bitmap.
+const _: () = assert!(BLOCKS_PER_PAGE == u64::BITS as usize);
+
+/// The line records of one 4 KiB page.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PageLines {
+    /// Bit `b` set: block `b` of the page has a record.
+    present: u64,
+    /// The records of the present blocks, in block order: block `b`'s
+    /// record is at the popcount of `present` below bit `b`.
+    lines: Vec<LineRecord>,
+}
+
+impl PageLines {
+    fn slot(&self, block: usize) -> usize {
+        (self.present & ((1u64 << block) - 1)).count_ones() as usize
+    }
+
+    fn get(&self, block: usize) -> Option<&LineRecord> {
+        if self.present >> block & 1 == 0 {
+            return None;
+        }
+        self.lines.get(self.slot(block))
+    }
+
+    fn get_or_insert(&mut self, block: usize) -> Option<&mut LineRecord> {
+        let slot = self.slot(block);
+        if self.present >> block & 1 == 0 {
+            self.present |= 1 << block;
+            self.lines.insert(slot, LineRecord::EMPTY);
+        }
+        self.lines.get_mut(slot)
+    }
+
+    /// `(block, record)` for every record, in block order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, &LineRecord)> + '_ {
+        let mut blocks = self.present;
+        self.lines.iter().map(move |line| {
+            let block = blocks.trailing_zeros() as usize;
+            blocks &= blocks - 1;
+            (block, line)
+        })
+    }
+}
+
+/// Every line record of a device, found through a dense page index.
+#[derive(Debug, Clone)]
+pub(crate) struct LineStore {
+    /// Per 4 KiB page of the address space: 1 + the position of the
+    /// page's records in `pages`, or 0 when it has none.
+    index: Vec<u32>,
+    /// One entry per page that has records, in order of first record.
+    pages: Vec<PageLines>,
+}
+
+impl LineStore {
+    /// An empty store whose index covers `capacity_bytes`; allocated
+    /// zero-filled, so pages never touched are never written.
+    fn new(capacity_bytes: u64) -> Self {
+        let pages = capacity_bytes.div_ceil(PAGE_SIZE as u64);
+        LineStore {
+            index: vec![0; usize::try_from(pages).unwrap_or(0)],
+            pages: Vec::new(),
+        }
+    }
+
+    fn page(&self, page: u64) -> Option<&PageLines> {
+        let slot = *self.index.get(usize::try_from(page).ok()?)?;
+        self.pages.get((slot as usize).checked_sub(1)?)
+    }
+
+    pub(crate) fn get(&self, addr: u64) -> Option<&LineRecord> {
+        self.page(addr / PAGE_SIZE as u64)?.get(block_in_page(addr))
+    }
+
+    /// The record of `addr`, created empty if absent. The index grows
+    /// when `addr` lies past it (the write-free paths do not range
+    /// check); `None` only when the page count overflows the index.
+    fn get_or_insert(&mut self, addr: u64) -> Option<&mut LineRecord> {
+        let page = usize::try_from(addr / PAGE_SIZE as u64).ok()?;
+        if page >= self.index.len() {
+            self.index.resize(page + 1, 0);
+        }
+        let slot = &mut self.index[page];
+        if *slot == 0 {
+            *slot = u32::try_from(self.pages.len() + 1).ok()?;
+            self.pages.push(PageLines::default());
+        }
+        let pos = *slot as usize - 1;
+        self.pages.get_mut(pos)?.get_or_insert(block_in_page(addr))
+    }
+
+    /// Every record, in no particular order.
+    fn records_mut(&mut self) -> impl Iterator<Item = &mut LineRecord> {
+        self.pages.iter_mut().flat_map(|page| &mut page.lines)
+    }
+
+    /// `(line address, record)` for every record, in address order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &LineRecord)> + '_ {
+        self.index
+            .iter()
+            .enumerate()
+            .filter(|&(_, &slot)| slot != 0)
+            .filter_map(|(page, &slot)| Some((page as u64, self.pages.get(slot as usize - 1)?)))
+            .flat_map(|(page, lines)| {
+                lines.iter().map(move |(block, line)| {
+                    (page * PAGE_SIZE as u64 + (block * LINE_SIZE) as u64, line)
+                })
+            })
+    }
+}
+
+fn block_in_page(addr: u64) -> usize {
+    (addr % PAGE_SIZE as u64) as usize / LINE_SIZE
+}
+
 /// A persistent, line-granularity NVM array.
 ///
 /// Contents are stored sparsely; unwritten lines read as zero (a fresh
@@ -199,9 +315,9 @@ impl LineRecord {
 #[derive(Debug, Clone)]
 pub struct NvmDevice {
     config: NvmConfig,
-    /// One record per line address that holds data or has worn, so a
-    /// line write is one map operation.
-    lines: BTreeMap<u64, LineRecord>,
+    /// One record per line address that has held data or worn, so a
+    /// line write is one record lookup.
+    lines: LineStore,
     stats: NvmStats,
     /// Worn-out lines → number of weak cells (bits that read inverted).
     failed: BTreeMap<u64, u32>,
@@ -227,8 +343,8 @@ impl NvmDevice {
         // every subsequent draw is float-free. // lint:allow(DET-004)
         let p_line = (config.transient_read_ber * (LINE_SIZE * 8) as f64).min(1.0); // lint:allow(DET-004)
         NvmDevice {
+            lines: LineStore::new(config.capacity_bytes),
             config,
-            lines: BTreeMap::new(),
             stats: NvmStats::default(),
             failed: BTreeMap::new(),
             injected: BTreeMap::new(),
@@ -388,8 +504,13 @@ impl NvmDevice {
     /// Returns [`Error::AddrOutOfRange`] if `addr` is beyond capacity.
     pub fn write_line(&mut self, addr: BlockAddr, data: &[u8; LINE_SIZE]) -> Result<()> {
         self.check_range(addr)?;
+        let Some(line) = self.lines.get_or_insert(addr.raw()) else {
+            return Err(Error::AddrOutOfRange {
+                addr: addr.addr(),
+                capacity: self.config.capacity_bytes,
+            });
+        };
         self.stats.writes.inc();
-        let line = self.lines.entry(addr.raw()).or_insert(LineRecord::EMPTY);
         let mut flips = line.flip_state();
         let outcome = self.config.write_scheme.apply(&line.data, data, &mut flips);
         line.set_flip_state(&flips);
@@ -429,7 +550,7 @@ impl NvmDevice {
     /// by the cold-scan attack model.
     pub fn peek(&self, addr: BlockAddr) -> [u8; LINE_SIZE] {
         self.lines
-            .get(&addr.raw())
+            .get(addr.raw())
             .map_or([0u8; LINE_SIZE], |line| line.data)
     }
 
@@ -462,13 +583,14 @@ impl NvmDevice {
     pub fn power_cycle(&mut self) {
         self.stats.power_cycles += 1;
         if self.config.kind == MemoryKind::Dram {
-            self.lines.retain(|_, line| {
+            // An emptied record is invisible: it reads zero, is not
+            // resident and, without wear, is not worn.
+            for line in self.lines.records_mut() {
                 *line = LineRecord {
                     wear: line.wear,
                     ..LineRecord::EMPTY
                 };
-                line.wear > 0
-            });
+            }
         }
     }
 
@@ -479,22 +601,25 @@ impl NvmDevice {
         self.lines
             .iter()
             .filter(|(_, line)| line.resident)
-            .map(|(&a, line)| (BlockAddr::new(a), &line.data))
+            .map(|(a, line)| (BlockAddr::new(a), &line.data))
     }
 
     /// The record of `addr`, created empty if absent, marked resident:
-    /// the write-free paths that put data into a line.
-    fn resident_line(&mut self, addr: BlockAddr) -> &mut LineRecord {
-        let line = self.lines.entry(addr.raw()).or_insert(LineRecord::EMPTY);
+    /// the write-free paths that put data into a line. They do not range
+    /// check, so `addr` may lie past the capacity.
+    fn resident_line(&mut self, addr: BlockAddr) -> Option<&mut LineRecord> {
+        let line = self.lines.get_or_insert(addr.raw())?;
         line.resident = true;
-        line
+        Some(line)
     }
 
     /// Overwrites a line without any accounting — models an attacker
     /// tampering with memory contents (man-in-the-middle / overwrite
     /// attacks from the §4.1 threat model).
     pub fn tamper(&mut self, addr: BlockAddr, data: [u8; LINE_SIZE]) {
-        self.resident_line(addr).data = data;
+        if let Some(line) = self.resident_line(addr) {
+            line.data = data;
+        }
     }
 
     /// Flips a single stored bit in place — models a transient NVM cell
@@ -507,7 +632,9 @@ impl NvmDevice {
     /// Panics if `bit >= LINE_SIZE * 8`.
     pub fn flip_bit(&mut self, addr: BlockAddr, bit: usize) {
         assert!(bit < LINE_SIZE * 8, "bit index out of line");
-        self.resident_line(addr).data[bit / 8] ^= 1 << (bit % 8);
+        if let Some(line) = self.resident_line(addr) {
+            line.data[bit / 8] ^= 1 << (bit % 8);
+        }
     }
 
     /// Device statistics so far.
@@ -532,7 +659,7 @@ impl NvmDevice {
 
     /// Number of distinct lines holding data.
     pub fn resident_lines(&self) -> usize {
-        self.lines.values().filter(|line| line.resident).count()
+        self.lines.iter().filter(|(_, line)| line.resident).count()
     }
 }
 
@@ -541,7 +668,7 @@ pub use crate::write_reduction::diff_bits as line_diff_bits;
 
 /// The device before its line records: data, Flip-N-Write state and
 /// wear each in a map of their own. Kept as the oracle that
-/// `one_map_store_matches_the_three_map_device` drives in lockstep with
+/// `page_indexed_store_matches_the_three_map_device` drives in lockstep with
 /// [`NvmDevice`].
 #[cfg(test)]
 mod reference {
@@ -1080,7 +1207,18 @@ mod tests {
     }
 
     #[test]
-    fn one_map_store_matches_the_three_map_device() {
+    fn page_indexed_store_matches_the_three_map_device() {
+        // Three whole pages and a fourth cut at block 20, so the page
+        // index, both ends of a page's bitmap and the capacity edge are
+        // all reached. Five slots are out of range: three on page 3 and
+        // two on page 5, past the index, which `tamper` and `flip_bit`
+        // make grow.
+        let capacity = (3 * BLOCKS_PER_PAGE + 20) as u64 * LINE_SIZE as u64;
+        let slots: Vec<BlockAddr> = (0..4)
+            .flat_map(|page| [0, 1, 19, 20, 62, 63].map(|block| (page, block)))
+            .chain([(5, 0), (5, 63)])
+            .map(|(page, block)| BlockAddr::new((page * 64 + block) * LINE_SIZE as u64))
+            .collect();
         let schemes = [WriteScheme::Raw, WriteScheme::Dcw, WriteScheme::FlipNWrite];
         for (i, (scheme, kind)) in schemes
             .into_iter()
@@ -1088,7 +1226,7 @@ mod tests {
             .enumerate()
         {
             let config = NvmConfig {
-                capacity_bytes: 32 * LINE_SIZE as u64,
+                capacity_bytes: capacity,
                 write_scheme: scheme,
                 kind,
                 endurance_limit: Some(6),
@@ -1102,10 +1240,10 @@ mod tests {
             // A few stored patterns, so DCW and FNW see identical and
             // near-identical rewrites as well as random ones.
             let mut patterns = [[0u8; LINE_SIZE], [0xFF; LINE_SIZE], [0u8; LINE_SIZE]];
+            let mut scanned_past_the_index = false;
             rng.fill_bytes(&mut patterns[2]);
             for step in 0..4000 {
-                // 34 line slots: the last two are out of range.
-                let addr = BlockAddr::new(rng.below(34) * LINE_SIZE as u64);
+                let addr = slots[rng.below(slots.len() as u64) as usize];
                 match rng.below(16) {
                     0..=5 => {
                         let mut data = patterns[rng.below(3) as usize];
@@ -1153,8 +1291,10 @@ mod tests {
                 assert_eq!(dev.wear().total_writes(), oracle.total_writes);
                 let scan: Vec<_> = dev.cold_scan().map(|(a, l)| (a, *l)).collect();
                 assert_eq!(scan, oracle.cold_scan(), "{scheme:?} {kind:?} step {step}");
+                scanned_past_the_index |= scan.iter().any(|(a, _)| a.page().raw() == 5);
             }
             // Every path the sequence can take was taken.
+            assert!(scanned_past_the_index);
             let st = oracle.stats;
             assert!(st.failed_lines > 0 && st.power_cycles > 0);
             assert!(st.ecc_corrected_reads.get() > 0 && st.ecc_uncorrectable_reads.get() > 0);

@@ -7,11 +7,9 @@
 //! quantify how much Silent Shredder's eliminated writes extend device
 //! life.
 
-use std::collections::BTreeMap;
-
 use ss_common::BlockAddr;
 
-use crate::device::LineRecord;
+use crate::device::LineStore;
 
 /// Default endurance limit used for lifetime estimates (10^7 writes,
 /// the low end of the paper's 10–100 million range).
@@ -22,11 +20,11 @@ pub const DEFAULT_ENDURANCE_LIMIT: u64 = 10_000_000;
 /// programmed cells count (DCW/FNW skips do not).
 #[derive(Debug, Clone, Copy)]
 pub struct WearTracker<'a> {
-    lines: &'a BTreeMap<u64, LineRecord>,
+    lines: &'a LineStore,
 }
 
 impl<'a> WearTracker<'a> {
-    pub(crate) fn new(lines: &'a BTreeMap<u64, LineRecord>) -> Self {
+    pub(crate) fn new(lines: &'a LineStore) -> Self {
         WearTracker { lines }
     }
 
@@ -36,7 +34,7 @@ impl<'a> WearTracker<'a> {
         self.lines
             .iter()
             .filter(|(_, line)| line.wear > 0)
-            .map(|(&addr, line)| (addr, line.wear))
+            .map(|(addr, line)| (addr, line.wear))
     }
 
     /// Total line writes recorded.
@@ -46,7 +44,7 @@ impl<'a> WearTracker<'a> {
 
     /// Writes endured by `addr` so far.
     pub fn wear(&self, addr: BlockAddr) -> u64 {
-        self.lines.get(&addr.raw()).map_or(0, |line| line.wear)
+        self.lines.get(addr.raw()).map_or(0, |line| line.wear)
     }
 
     /// The most-worn line and its write count, if any writes happened.
