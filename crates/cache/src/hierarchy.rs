@@ -279,9 +279,10 @@ impl Hierarchy {
                 }
             }
             if !invalidate && dirty_data.is_some() {
-                // Downgrade the owner's copies to clean.
+                // Downgrade the owner's copies to clean. The snoop is no
+                // demand access of the owner's, so it counts nothing.
                 for cache in &mut self.private[other] {
-                    if let Some(e) = cache.get(addr) {
+                    if let Some(e) = cache.touch(addr) {
                         e.dirty = false;
                     }
                 }
@@ -356,8 +357,8 @@ impl Hierarchy {
                 0 => e.dirty |= store,
                 // L2: L1 takes the line and its dirtiness, and the L2
                 // copy is cleaned, before the install for a store and
-                // after it for a load. Cleaning re-`get`s the line,
-                // which counts a second L2 hit.
+                // after it for a load. Cleaning promotes the L2 copy
+                // again without counting a second hit.
                 1 => {
                     if store {
                         self.clean_l2(core, addr);
@@ -389,7 +390,7 @@ impl Hierarchy {
 
     /// Marks `core`'s L2 copy of `addr` clean once L1 owns the line.
     fn clean_l2(&mut self, core: usize, addr: BlockAddr) {
-        if let Some(e) = self.private[core][1].get(addr) {
+        if let Some(e) = self.private[core][1].touch(addr) {
             e.dirty = false;
         }
     }
@@ -776,8 +777,8 @@ mod tests {
         assert_eq!(
             stats,
             [
-                [4240, 29711, 25243, 13901, 12566],
-                [3105, 29540, 2573, 2384, 6713],
+                [2095, 28346, 25243, 13901, 12566],
+                [886, 27460, 2573, 2384, 6713],
                 [6820, 20640, 7764, 2107, 13250],
                 [1039, 19601, 3050, 484, 13114],
             ]

@@ -202,9 +202,9 @@ impl<V> SetAssocCache<V> {
         (set, way)
     }
 
-    /// Makes `way` the most recent entry of `set`; the entries that were
-    /// more recent age by one.
-    fn promote(&mut self, set: usize, way: usize) {
+    /// Makes `way` the most recent entry of `set` and returns it; the
+    /// entries that were more recent age by one.
+    fn promote(&mut self, set: usize, way: usize) -> Option<&mut Entry<V>> {
         let slots = self.slots(set);
         let ranks = &mut self.ranks[slots];
         let rank = ranks[way];
@@ -212,6 +212,7 @@ impl<V> SetAssocCache<V> {
             *r += u8::from(*r < rank);
         }
         ranks[way] = 0;
+        self.entries[set].get_mut(way)
     }
 
     /// Looks up `addr`, promoting it to MRU on a hit. Counts a hit or miss.
@@ -221,13 +222,18 @@ impl<V> SetAssocCache<V> {
     /// `addr`.
     pub fn get(&mut self, addr: BlockAddr) -> Option<&mut Entry<V>> {
         let (set, way) = self.find(addr);
-        let Some(way) = way else {
-            self.stats.misses.inc();
-            return None;
-        };
-        self.stats.hits.inc();
-        self.promote(set, way);
-        self.entries[set].get_mut(way)
+        match way {
+            Some(_) => self.stats.hits.inc(),
+            None => self.stats.misses.inc(),
+        }
+        self.promote(set, way?)
+    }
+
+    /// [`SetAssocCache::get`] without the hit or miss count: for a
+    /// second look at a line that an access has already counted.
+    pub fn touch(&mut self, addr: BlockAddr) -> Option<&mut Entry<V>> {
+        let (set, way) = self.find(addr);
+        self.promote(set, way?)
     }
 
     /// Checks residency without changing LRU order or stats.
@@ -250,11 +256,10 @@ impl<V> SetAssocCache<V> {
     pub fn insert(&mut self, addr: BlockAddr, value: V, dirty: bool) -> Option<Evicted<V>> {
         let (set, way) = self.find(addr);
         if let Some(way) = way {
-            if let Some(entry) = self.entries[set].get_mut(way) {
+            if let Some(entry) = self.promote(set, way) {
                 entry.value = value;
                 entry.dirty |= dirty;
             }
-            self.promote(set, way);
             return None;
         }
         let ways = self.config.ways;
@@ -386,19 +391,18 @@ mod reference {
         }
 
         pub(super) fn get(&mut self, addr: BlockAddr) -> Option<&mut Entry<V>> {
-            let (set, pos) = self.position(addr);
-            match pos {
-                Some(i) => {
-                    self.stats.hits.inc();
-                    let entry = self.sets[set].remove(i)?;
-                    self.sets[set].push_front(entry);
-                    self.sets[set].front_mut()
-                }
-                None => {
-                    self.stats.misses.inc();
-                    None
-                }
+            match self.position(addr).1 {
+                Some(_) => self.stats.hits.inc(),
+                None => self.stats.misses.inc(),
             }
+            self.touch(addr)
+        }
+
+        pub(super) fn touch(&mut self, addr: BlockAddr) -> Option<&mut Entry<V>> {
+            let (set, pos) = self.position(addr);
+            let entry = self.sets[set].remove(pos?)?;
+            self.sets[set].push_front(entry);
+            self.sets[set].front_mut()
         }
 
         pub(super) fn peek(&self, addr: BlockAddr) -> Option<&Entry<V>> {
@@ -601,8 +605,12 @@ mod tests {
                 let what = format!("{ways} ways x {sets} sets, step {step}");
                 match rng.below(10_000) {
                     0..=2999 => {
-                        let (got, want) = (flat.get(addr), oracle.get(addr));
-                        assert_eq!(got.as_deref(), want.as_deref(), "get: {what}");
+                        let (got, want) = if value % 4 == 0 {
+                            (flat.touch(addr), oracle.touch(addr))
+                        } else {
+                            (flat.get(addr), oracle.get(addr))
+                        };
+                        assert_eq!(got.as_deref(), want.as_deref(), "get/touch: {what}");
                         // Callers clean or rewrite the entry they got.
                         if let (Some(got), Some(want)) = (got, want) {
                             for e in [got, want] {
