@@ -8,17 +8,17 @@ use std::collections::{BTreeMap, BTreeSet};
 use silent_shredder::common::{BlockAddr, Cycles};
 use silent_shredder::prelude::*;
 
-/// Two-core cache-hierarchy coherence: ops are `(op, core, lineno,
-/// value)` with `op` 0 = write-line, 1 = read-and-check, 2 = partial
+/// Cache-hierarchy coherence on `cores` cores: ops are `(op, core,
+/// lineno, value)` with `op` 0 = write-line, 1 = read-and-check, 2 = partial
 /// store of `value` into byte `value % 64` (read-for-ownership, a dirty
 /// fill from memory on a miss, then the full-line write, as the full
 /// system issues it), 3 = `invalidate_line` (a dirty copy goes to
 /// memory), other = `flush_all`. Panics on any stale read, and when
 /// memory lacks the newest value of a line the caches have let go of.
-pub fn run_hierarchy_coherence(ops: &[(u8, usize, u64, u8)]) {
+pub fn run_hierarchy_coherence(cores: usize, ops: &[(u8, usize, u64, u8)]) {
     use silent_shredder::cache::{AccessKind, Hierarchy, HierarchyConfig};
     let mut h = Hierarchy::new(&HierarchyConfig {
-        cores: 2,
+        cores,
         l1_size: 4 * 64 * 2,
         l2_size: 8 * 64 * 2,
         l3_size: 16 * 64 * 2,

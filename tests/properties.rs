@@ -468,24 +468,29 @@ fn no_zero_fill_without_shredder() {
 /// Cache hierarchy: a value written via any core is the value read by
 /// any other core (coherence), for arbitrary small access patterns of
 /// every access kind, and invalidations and flushes hand memory the
-/// newest value.
+/// newest value. Two cores, and sixteen (the most a hierarchy has)
+/// reading and writing half as many lines three times as often, so a
+/// line is shared by many cores, core 15 among them, when a write
+/// snoops them out.
 #[test]
 fn hierarchy_coherence() {
-    for seed in 0..32u64 {
-        let mut rng = DetRng::new(0x00CA_CE00 + seed);
-        let ops: Vec<(u8, usize, u64, u8)> = (0..80)
-            .map(|_| {
-                (
-                    // Full-line writes, reads, partial stores, then rarer
-                    // line invalidations and flushes.
-                    [0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 4][rng.below(16) as usize],
-                    rng.below(2) as usize,
-                    rng.below(32),
-                    rng.next_u64() as u8,
-                )
-            })
-            .collect();
-        run_hierarchy_coherence(&ops);
+    for (cores, lines, len) in [(2, 32, 80), (16, 16, 240)] {
+        for seed in 0..32u64 {
+            let mut rng = DetRng::new(0x00CA_CE00 + seed);
+            let ops: Vec<(u8, usize, u64, u8)> = (0..len)
+                .map(|_| {
+                    (
+                        // Full-line writes, reads, partial stores, then
+                        // rarer line invalidations and flushes.
+                        [0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 4][rng.below(16) as usize],
+                        rng.below(cores) as usize,
+                        rng.below(lines),
+                        rng.next_u64() as u8,
+                    )
+                })
+                .collect();
+            run_hierarchy_coherence(cores as usize, &ops);
+        }
     }
 }
 

@@ -101,13 +101,16 @@ mod common;
 /// shared level or memory.
 #[test]
 fn regression_cross_core_read_after_rewrite_sees_newest_value() {
-    common::run_hierarchy_coherence(&[
-        (0, 0, 24, 0),
-        (0, 0, 8, 0),
-        (0, 0, 4, 0),
-        (0, 0, 24, 1),
-        (1, 1, 24, 0),
-    ]);
+    common::run_hierarchy_coherence(
+        2,
+        &[
+            (0, 0, 24, 0),
+            (0, 0, 8, 0),
+            (0, 0, 4, 0),
+            (0, 0, 24, 1),
+            (1, 1, 24, 0),
+        ],
+    );
 }
 
 /// Triaged from `tests/properties.proptest-regressions` (seed
