@@ -605,7 +605,7 @@ mod tests {
                 let what = format!("{ways} ways x {sets} sets, step {step}");
                 match rng.below(10_000) {
                     0..=2999 => {
-                        let (got, want) = if value % 4 == 0 {
+                        let (got, want) = if value.is_multiple_of(4) {
                             (flat.touch(addr), oracle.touch(addr))
                         } else {
                             (flat.get(addr), oracle.get(addr))
@@ -614,7 +614,7 @@ mod tests {
                         // Callers clean or rewrite the entry they got.
                         if let (Some(got), Some(want)) = (got, want) {
                             for e in [got, want] {
-                                e.dirty &= value % 3 != 0;
+                                e.dirty &= !value.is_multiple_of(3);
                                 e.value ^= value % 5;
                             }
                         }
@@ -626,7 +626,7 @@ mod tests {
                         "contains: {what}"
                     ),
                     4500..=7499 => {
-                        let dirty = value % 2 == 0;
+                        let dirty = value.is_multiple_of(2);
                         assert_eq!(
                             flat.insert(addr, value, dirty),
                             oracle.insert(addr, value, dirty),
