@@ -7,9 +7,11 @@
 //!
 //! * [`set_assoc`] — a generic set-associative, LRU, write-back cache used
 //!   for every level *and* reused by the memory controller's counter cache.
-//! * [`hierarchy`] — the multi-core hierarchy with a sharer directory,
-//!   dirty-data forwarding, eviction cascades and page invalidation (the
-//!   operation a shred command triggers, Fig. 6 step 2).
+//!   Its sets are flat arrays of tags and recency ranks.
+//! * [`hierarchy`] — the multi-core hierarchy with snoops of the other
+//!   cores' private caches, dirty-data forwarding, eviction cascades and
+//!   page invalidation (the operation a shred command triggers, Fig. 6
+//!   step 2).
 //!
 //! # Examples
 //!
