@@ -252,17 +252,14 @@ impl Hierarchy {
         }
     }
 
-    /// Probes the private caches of every other core that holds `addr`.
-    /// If a dirty copy is found, removes it (write intent) or downgrades
-    /// it to clean (read intent) and returns its data.
+    /// Probes every other core's private caches for `addr`: a core
+    /// shares the line exactly when they hold it, and probing one that
+    /// does not changes nothing. If a dirty copy is found, removes it
+    /// (write intent) or downgrades it to clean (read intent) and
+    /// returns its data.
     fn snoop(&mut self, core: usize, addr: BlockAddr, invalidate: bool) -> Option<Line> {
         let mut dirty_data = None;
-        for other in 0..self.cores() {
-            // A core that holds the line in neither level is no sharer:
-            // the read-intent downgrade must not probe it.
-            if other == core || !self.private[other].iter().any(|c| c.contains(addr)) {
-                continue;
-            }
+        for other in (0..self.cores()).filter(|&other| other != core) {
             // Probe L1 before L2: when both hold dirty copies, the L1
             // copy is the newer one and must win.
             for cache in &mut self.private[other] {
