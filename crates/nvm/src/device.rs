@@ -3,7 +3,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use ss_common::{BlockAddr, Counter, DetRng, Error, Result, BLOCKS_PER_PAGE, LINE_SIZE, PAGE_SIZE};
+use ss_common::{
+    BlockAddr, Counter, DetRng, Error, PageId, Result, BLOCKS_PER_PAGE, LINE_SIZE, PAGE_SIZE,
+};
 
 use crate::ecc::{EccConfig, LineRead};
 use crate::endurance::WearTracker;
@@ -195,7 +197,7 @@ const _: () = assert!(BLOCKS_PER_PAGE == u64::BITS as usize);
 
 /// The line records of one 4 KiB page.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct PageLines {
+struct PageLines {
     /// Bit `b` set: block `b` of the page has a record.
     present: u64,
     /// The records of the present blocks, in block order: block `b`'s
@@ -225,7 +227,7 @@ impl PageLines {
     }
 
     /// `(block, record)` for every record, in block order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, &LineRecord)> + '_ {
+    fn iter(&self) -> impl Iterator<Item = (usize, &LineRecord)> + '_ {
         let mut blocks = self.present;
         self.lines.iter().map(move |line| {
             let block = blocks.trailing_zeros() as usize;
@@ -256,20 +258,18 @@ impl LineStore {
         }
     }
 
-    fn page(&self, page: u64) -> Option<&PageLines> {
-        let slot = *self.index.get(usize::try_from(page).ok()?)?;
-        self.pages.get((slot as usize).checked_sub(1)?)
-    }
-
-    pub(crate) fn get(&self, addr: u64) -> Option<&LineRecord> {
-        self.page(addr / PAGE_SIZE as u64)?.get(block_in_page(addr))
+    pub(crate) fn get(&self, addr: BlockAddr) -> Option<&LineRecord> {
+        let slot = *self.index.get(usize::try_from(addr.page().raw()).ok()?)?;
+        self.pages
+            .get((slot as usize).checked_sub(1)?)?
+            .get(addr.block_in_page())
     }
 
     /// The record of `addr`, created empty if absent. The index grows
     /// when `addr` lies past it (the write-free paths do not range
     /// check); `None` only when the page count overflows the index.
-    fn get_or_insert(&mut self, addr: u64) -> Option<&mut LineRecord> {
-        let page = usize::try_from(addr / PAGE_SIZE as u64).ok()?;
+    fn get_or_insert(&mut self, addr: BlockAddr) -> Option<&mut LineRecord> {
+        let page = usize::try_from(addr.page().raw()).ok()?;
         if page >= self.index.len() {
             self.index.resize(page + 1, 0);
         }
@@ -279,7 +279,7 @@ impl LineStore {
             self.pages.push(PageLines::default());
         }
         let pos = *slot as usize - 1;
-        self.pages.get_mut(pos)?.get_or_insert(block_in_page(addr))
+        self.pages.get_mut(pos)?.get_or_insert(addr.block_in_page())
     }
 
     /// Every record, in no particular order.
@@ -288,22 +288,20 @@ impl LineStore {
     }
 
     /// `(line address, record)` for every record, in address order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &LineRecord)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (BlockAddr, &LineRecord)> + '_ {
         self.index
             .iter()
             .enumerate()
-            .filter(|&(_, &slot)| slot != 0)
-            .filter_map(|(page, &slot)| Some((page as u64, self.pages.get(slot as usize - 1)?)))
+            .filter_map(|(page, &slot)| {
+                let lines = self.pages.get((slot as usize).checked_sub(1)?)?;
+                Some((PageId::new(page as u64), lines))
+            })
             .flat_map(|(page, lines)| {
-                lines.iter().map(move |(block, line)| {
-                    (page * PAGE_SIZE as u64 + (block * LINE_SIZE) as u64, line)
-                })
+                lines
+                    .iter()
+                    .map(move |(block, line)| (page.block_addr(block), line))
             })
     }
-}
-
-fn block_in_page(addr: u64) -> usize {
-    (addr % PAGE_SIZE as u64) as usize / LINE_SIZE
 }
 
 /// A persistent, line-granularity NVM array.
@@ -504,7 +502,7 @@ impl NvmDevice {
     /// Returns [`Error::AddrOutOfRange`] if `addr` is beyond capacity.
     pub fn write_line(&mut self, addr: BlockAddr, data: &[u8; LINE_SIZE]) -> Result<()> {
         self.check_range(addr)?;
-        let Some(line) = self.lines.get_or_insert(addr.raw()) else {
+        let Some(line) = self.lines.get_or_insert(addr) else {
             return Err(Error::AddrOutOfRange {
                 addr: addr.addr(),
                 capacity: self.config.capacity_bytes,
@@ -550,7 +548,7 @@ impl NvmDevice {
     /// by the cold-scan attack model.
     pub fn peek(&self, addr: BlockAddr) -> [u8; LINE_SIZE] {
         self.lines
-            .get(addr.raw())
+            .get(addr)
             .map_or([0u8; LINE_SIZE], |line| line.data)
     }
 
@@ -601,14 +599,14 @@ impl NvmDevice {
         self.lines
             .iter()
             .filter(|(_, line)| line.resident)
-            .map(|(a, line)| (BlockAddr::new(a), &line.data))
+            .map(|(a, line)| (a, &line.data))
     }
 
     /// The record of `addr`, created empty if absent, marked resident:
     /// the write-free paths that put data into a line. They do not range
     /// check, so `addr` may lie past the capacity.
     fn resident_line(&mut self, addr: BlockAddr) -> Option<&mut LineRecord> {
-        let line = self.lines.get_or_insert(addr.raw())?;
+        let line = self.lines.get_or_insert(addr)?;
         line.resident = true;
         Some(line)
     }

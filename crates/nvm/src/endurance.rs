@@ -30,7 +30,7 @@ impl<'a> WearTracker<'a> {
 
     /// `(line, writes)` for every line written at least once, in address
     /// order.
-    fn worn(&self) -> impl Iterator<Item = (u64, u64)> + 'a {
+    fn worn(&self) -> impl Iterator<Item = (BlockAddr, u64)> + 'a {
         self.lines
             .iter()
             .filter(|(_, line)| line.wear > 0)
@@ -44,7 +44,7 @@ impl<'a> WearTracker<'a> {
 
     /// Writes endured by `addr` so far.
     pub fn wear(&self, addr: BlockAddr) -> u64 {
-        self.lines.get(addr.raw()).map_or(0, |line| line.wear)
+        self.lines.get(addr).map_or(0, |line| line.wear)
     }
 
     /// The most-worn line and its write count, if any writes happened.
@@ -52,7 +52,6 @@ impl<'a> WearTracker<'a> {
     pub fn max_wear(&self) -> Option<(BlockAddr, u64)> {
         self.worn()
             .max_by_key(|&(addr, n)| (n, std::cmp::Reverse(addr)))
-            .map(|(a, n)| (BlockAddr::new(a), n))
     }
 
     /// Number of distinct lines ever written.
