@@ -5,6 +5,8 @@
 //! metadata policy lives here; what a hit or writeback *means* is the
 //! caller's business.
 
+use std::ops::Range;
+
 use ss_common::{BlockAddr, Counter, Cycles, Error, Result, LINE_SIZE};
 
 /// Geometry and latency of one cache.
@@ -134,39 +136,41 @@ impl CacheStats {
 
 /// The cache proper, stored flat.
 ///
-/// Set `s` owns slots `s·ways .. (s+1)·ways` of two arrays: `tags`, the
-/// resident lines' addresses (eight ways of a set are 64 contiguous
-/// bytes), and `ranks`, their recency (0 = most recent). A set's
-/// occupied slots are always its first `len` ones, where `len` is the
-/// length of the set's entry vector; that vector holds the payloads in
-/// slot order and is allocated at the set's first fill. A hit searches
-/// the set's tags and re-ranks the set: no entry moves.
+/// Set `s` owns slots `s·ways .. (s+1)·ways` of three arrays: `tags`,
+/// the resident lines' addresses (eight ways of a set are 64 contiguous
+/// bytes); `ranks`, their recency (0 = most recent); and `entries`, the
+/// lines themselves. A set's occupied slots are always its first
+/// `lens[s]`. A hit searches the set's tags and re-ranks the set: no
+/// entry moves.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache<V> {
     config: CacheConfig,
     /// `sets − 1`: a line's set is its line number masked with this.
     mask: u64,
-    /// Per slot, the address of the set's entry there. The lookup
-    /// truth; slots past a set's length hold stale values.
+    /// Per slot, the address of the entry there. The lookup truth;
+    /// slots past a set's length hold stale values.
     tags: Vec<u64>,
     /// Per slot, the entry's rank in its set's recency order.
     ranks: Vec<u8>,
-    /// Per set, its entries in slot order.
-    entries: Vec<Vec<Entry<V>>>,
+    /// Per slot, the entry; `None` past the set's length.
+    entries: Vec<Option<Entry<V>>>,
+    /// Per set, how many of its slots hold entries.
+    lens: Vec<u16>,
     stats: CacheStats,
 }
 
 impl<V> SetAssocCache<V> {
     /// Creates an empty cache.
     pub fn new(config: CacheConfig) -> Self {
-        let sets = config.sets();
+        let (sets, slots) = (config.sets(), config.entries());
         SetAssocCache {
             mask: sets as u64 - 1,
-            // Zero-filled allocations: a set nothing fills is never
-            // written.
-            tags: vec![0; config.entries()],
-            ranks: vec![0; config.entries()],
-            entries: (0..sets).map(|_| Vec::new()).collect(),
+            // Zero-filled allocations. Safe Rust cannot allocate the
+            // generic entries zero-filled, so only they are written.
+            tags: vec![0; slots],
+            ranks: vec![0; slots],
+            entries: std::iter::repeat_with(|| None).take(slots).collect(),
+            lens: vec![0; sets],
             stats: CacheStats::default(),
             config,
         }
@@ -188,31 +192,31 @@ impl<V> SetAssocCache<V> {
     }
 
     /// The slots of `set` that hold entries.
-    fn slots(&self, set: usize) -> std::ops::Range<usize> {
+    fn slots(&self, set: usize) -> Range<usize> {
         let base = set * self.config.ways;
-        base..base + self.entries[set].len()
+        base..base + usize::from(self.lens[set])
     }
 
-    /// `addr`'s set, and its way in the set if it is resident.
+    /// `addr`'s set, and its slot if it is resident.
     fn find(&self, addr: BlockAddr) -> (usize, Option<usize>) {
         let set = ((addr.raw() / LINE_SIZE as u64) & self.mask) as usize;
-        let way = self.tags[self.slots(set)]
+        let slots = self.slots(set);
+        let way = self.tags[slots.clone()]
             .iter()
             .position(|&tag| tag == addr.raw());
-        (set, way)
+        (set, way.map(|way| slots.start + way))
     }
 
-    /// Makes `way` the most recent entry of `set` and returns it; the
-    /// entries that were more recent age by one.
-    fn promote(&mut self, set: usize, way: usize) -> Option<&mut Entry<V>> {
+    /// Makes the entry in `slot` the most recent of `set` and returns
+    /// it; the entries that were more recent age by one.
+    fn promote(&mut self, set: usize, slot: usize) -> Option<&mut Entry<V>> {
+        let rank = self.ranks[slot];
         let slots = self.slots(set);
-        let ranks = &mut self.ranks[slots];
-        let rank = ranks[way];
-        for r in ranks.iter_mut() {
+        for r in &mut self.ranks[slots] {
             *r += u8::from(*r < rank);
         }
-        ranks[way] = 0;
-        self.entries[set].get_mut(way)
+        self.ranks[slot] = 0;
+        self.entries[slot].as_mut()
     }
 
     /// Looks up `addr`, promoting it to MRU on a hit. Counts a hit or miss.
@@ -221,19 +225,19 @@ impl<V> SetAssocCache<V> {
     /// change an entry's `value` and `dirty` through this, never its
     /// `addr`.
     pub fn get(&mut self, addr: BlockAddr) -> Option<&mut Entry<V>> {
-        let (set, way) = self.find(addr);
-        match way {
+        let (set, slot) = self.find(addr);
+        match slot {
             Some(_) => self.stats.hits.inc(),
             None => self.stats.misses.inc(),
         }
-        self.promote(set, way?)
+        self.promote(set, slot?)
     }
 
     /// [`SetAssocCache::get`] without the hit or miss count: for a
     /// second look at a line that an access has already counted.
     pub fn touch(&mut self, addr: BlockAddr) -> Option<&mut Entry<V>> {
-        let (set, way) = self.find(addr);
-        self.promote(set, way?)
+        let (set, slot) = self.find(addr);
+        self.promote(set, slot?)
     }
 
     /// Checks residency without changing LRU order or stats.
@@ -244,8 +248,7 @@ impl<V> SetAssocCache<V> {
     /// The resident entry for `addr`, found by searching its set only.
     /// Leaves LRU order and stats alone.
     pub fn peek(&self, addr: BlockAddr) -> Option<&Entry<V>> {
-        let (set, way) = self.find(addr);
-        self.entries[set].get(way?)
+        self.entries[self.find(addr).1?].as_ref()
     }
 
     /// Inserts (or overwrites) `addr` as MRU. Returns the LRU victim when
@@ -254,36 +257,35 @@ impl<V> SetAssocCache<V> {
     /// If the line is already resident its payload is replaced and `dirty`
     /// is ORed in; no eviction happens.
     pub fn insert(&mut self, addr: BlockAddr, value: V, dirty: bool) -> Option<Evicted<V>> {
-        let (set, way) = self.find(addr);
-        if let Some(way) = way {
-            if let Some(entry) = self.promote(set, way) {
+        let (set, slot) = self.find(addr);
+        if let Some(slot) = slot {
+            if let Some(entry) = self.promote(set, slot) {
                 entry.value = value;
                 entry.dirty |= dirty;
             }
             return None;
         }
-        let ways = self.config.ways;
-        let entry = Entry { addr, dirty, value };
+        let entry = Some(Entry { addr, dirty, value });
         let slots = self.slots(set);
         let len = slots.len();
-        if len < ways {
+        if len < self.config.ways {
             // A free slot: the new entry enters below every other one,
             // then is promoted over them.
-            let set_entries = &mut self.entries[set];
-            set_entries.reserve_exact(ways - set_entries.len());
-            set_entries.push(entry);
+            self.lens[set] += 1;
             self.tags[slots.end] = addr.raw();
             self.ranks[slots.end] = len as u8;
-            self.promote(set, len);
+            self.entries[slots.end] = entry;
+            self.promote(set, slots.end);
             return None;
         }
         // A full set: the least recent entry, rank `ways − 1`, makes room.
-        let way = self.ranks[slots]
+        let way = self.ranks[slots.clone()]
             .iter()
             .position(|&r| usize::from(r) == len - 1)?;
-        let victim = std::mem::replace(self.entries[set].get_mut(way)?, entry);
-        self.tags[set * ways + way] = addr.raw();
-        self.promote(set, way);
+        let slot = slots.start + way;
+        self.tags[slot] = addr.raw();
+        let victim = std::mem::replace(&mut self.entries[slot], entry)?;
+        self.promote(set, slot);
         self.stats.evictions.inc();
         if victim.dirty {
             self.stats.dirty_evictions.inc();
@@ -298,25 +300,27 @@ impl<V> SetAssocCache<V> {
     /// Removes `addr` if resident, returning the entry (caller decides
     /// whether a dirty payload must be written back or discarded).
     pub fn invalidate(&mut self, addr: BlockAddr) -> Option<Entry<V>> {
-        let (set, way) = self.find(addr);
-        let way = way?;
+        let (set, slot) = self.find(addr);
+        let slot = slot?;
         self.stats.invalidations.inc();
         // The less recent entries move up one rank, and the set's last
         // slot fills the hole, so the occupied slots stay a prefix.
         let slots = self.slots(set);
-        let rank = self.ranks[slots.start + way];
+        let rank = self.ranks[slot];
         for r in &mut self.ranks[slots.clone()] {
             *r -= u8::from(*r > rank);
         }
         let last = slots.end - 1;
-        self.tags[slots.start + way] = self.tags[last];
-        self.ranks[slots.start + way] = self.ranks[last];
-        Some(self.entries[set].swap_remove(way))
+        self.tags[slot] = self.tags[last];
+        self.ranks[slot] = self.ranks[last];
+        self.entries.swap(slot, last);
+        self.lens[set] -= 1;
+        self.entries[last].take()
     }
 
     /// Number of resident lines.
     pub fn len(&self) -> usize {
-        self.entries.iter().map(Vec::len).sum()
+        self.lens.iter().map(|&len| usize::from(len)).sum()
     }
 
     /// Whether the cache is empty.
@@ -324,33 +328,35 @@ impl<V> SetAssocCache<V> {
         self.len() == 0
     }
 
+    /// The slots of `set` from its most to its least recent entry.
+    fn by_rank(&self, set: usize) -> impl Iterator<Item = usize> + '_ {
+        let slots = self.slots(set);
+        let ranks = &self.ranks[slots.clone()];
+        (0..slots.len()).filter_map(move |rank| {
+            let way = ranks.iter().position(|&r| usize::from(r) == rank)?;
+            Some(slots.start + way)
+        })
+    }
+
     /// Iterates over all resident entries (for drain/flush operations):
     /// sets in index order, each from most to least recent.
     pub fn iter(&self) -> impl Iterator<Item = &Entry<V>> {
-        self.entries
-            .iter()
-            .enumerate()
-            .flat_map(move |(set, entries)| {
-                let ranks = &self.ranks[self.slots(set)];
-                (0..entries.len())
-                    .filter_map(move |rank| ranks.iter().position(|&r| usize::from(r) == rank))
-                    .map(move |way| &entries[way])
-            })
+        (0..self.lens.len())
+            .flat_map(move |set| self.by_rank(set))
+            .filter_map(move |slot| self.entries[slot].as_ref())
     }
 
     /// Removes and returns every resident entry (cache flush), in
     /// [`SetAssocCache::iter`] order.
     pub fn drain(&mut self) -> Vec<Entry<V>> {
-        let ways = self.config.ways;
-        let mut out = Vec::with_capacity(self.len());
-        for (set, entries) in self.entries.iter_mut().enumerate() {
-            let ranks = &self.ranks[set * ways..][..entries.len()];
-            let mut ranked: Vec<(u8, Entry<V>)> =
-                ranks.iter().copied().zip(entries.drain(..)).collect();
-            ranked.sort_unstable_by_key(|&(rank, _)| rank);
-            out.extend(ranked.into_iter().map(|(_, entry)| entry));
-        }
-        out
+        let order: Vec<usize> = (0..self.lens.len())
+            .flat_map(|set| self.by_rank(set))
+            .collect();
+        self.lens.fill(0);
+        order
+            .into_iter()
+            .filter_map(|slot| self.entries[slot].take())
+            .collect()
     }
 }
 
