@@ -192,59 +192,70 @@ impl LineRecord {
     }
 }
 
-/// A line's block within its page must index a `u64` bitmap.
-const _: () = assert!(BLOCKS_PER_PAGE == u64::BITS as usize);
-
-/// The line records of one 4 KiB page.
-#[derive(Debug, Clone, Default)]
-struct PageLines {
-    /// Bit `b` set: block `b` of the page has a record.
-    present: u64,
-    /// The records of the present blocks, in block order: block `b`'s
-    /// record is at the popcount of `present` below bit `b`.
-    lines: Vec<LineRecord>,
+/// An append-only sequence kept `N` elements to an allocation, each
+/// made once at its full size: no element ever moves, and every
+/// allocation is the same size.
+#[derive(Debug, Clone)]
+struct Chunked<T, const N: usize> {
+    chunks: Vec<Vec<T>>,
 }
 
-impl PageLines {
-    fn slot(&self, block: usize) -> usize {
-        (self.present & ((1u64 << block) - 1)).count_ones() as usize
+impl<T, const N: usize> Chunked<T, N> {
+    const fn new() -> Self {
+        Chunked { chunks: Vec::new() }
     }
 
-    fn get(&self, block: usize) -> Option<&LineRecord> {
-        if self.present >> block & 1 == 0 {
-            return None;
+    fn len(&self) -> usize {
+        self.chunks
+            .last()
+            .map_or(0, |last| (self.chunks.len() - 1) * N + last.len())
+    }
+
+    /// Appends `value`; returns its position.
+    fn push(&mut self, value: T) -> usize {
+        let pos = self.len();
+        match self.chunks.last_mut() {
+            Some(last) if last.len() < N => last.push(value),
+            _ => {
+                let mut chunk = Vec::with_capacity(N);
+                chunk.push(value);
+                self.chunks.push(chunk);
+            }
         }
-        self.lines.get(self.slot(block))
+        pos
     }
 
-    fn get_or_insert(&mut self, block: usize) -> Option<&mut LineRecord> {
-        let slot = self.slot(block);
-        if self.present >> block & 1 == 0 {
-            self.present |= 1 << block;
-            self.lines.insert(slot, LineRecord::EMPTY);
-        }
-        self.lines.get_mut(slot)
+    fn get(&self, pos: usize) -> Option<&T> {
+        self.chunks.get(pos / N)?.get(pos % N)
     }
 
-    /// `(block, record)` for every record, in block order.
-    fn iter(&self) -> impl Iterator<Item = (usize, &LineRecord)> + '_ {
-        let mut blocks = self.present;
-        self.lines.iter().map(move |line| {
-            let block = blocks.trailing_zeros() as usize;
-            blocks &= blocks - 1;
-            (block, line)
-        })
+    fn get_mut(&mut self, pos: usize) -> Option<&mut T> {
+        self.chunks.get_mut(pos / N)?.get_mut(pos % N)
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.chunks.iter_mut().flatten()
     }
 }
+
+/// A page's slot map: per block, 1 + the position of its record, or 0.
+type SlotMap = [u32; BLOCKS_PER_PAGE];
 
 /// Every line record of a device, found through a dense page index.
+///
+/// Records and slot maps are appended in creation order to fixed-size
+/// allocations (one page of records, 4 KiB of maps), so the store
+/// never moves a record and its heap use does not depend on the order
+/// in which lines are first written.
 #[derive(Debug, Clone)]
 pub(crate) struct LineStore {
     /// Per 4 KiB page of the address space: 1 + the position of the
-    /// page's records in `pages`, or 0 when it has none.
+    /// page's slot map in `maps`, or 0 when it has none.
     index: Vec<u32>,
-    /// One entry per page that has records, in order of first record.
-    pages: Vec<PageLines>,
+    /// One slot map per page that has records, in order of first record.
+    maps: Chunked<SlotMap, 16>,
+    /// The records, in order of creation.
+    records: Chunked<LineRecord, BLOCKS_PER_PAGE>,
 }
 
 impl LineStore {
@@ -254,37 +265,45 @@ impl LineStore {
         let pages = capacity_bytes.div_ceil(PAGE_SIZE as u64);
         LineStore {
             index: vec![0; usize::try_from(pages).unwrap_or(0)],
-            pages: Vec::new(),
+            maps: Chunked::new(),
+            records: Chunked::new(),
         }
     }
 
     pub(crate) fn get(&self, addr: BlockAddr) -> Option<&LineRecord> {
-        let slot = *self.index.get(usize::try_from(addr.page().raw()).ok()?)?;
-        self.pages
-            .get((slot as usize).checked_sub(1)?)?
-            .get(addr.block_in_page())
+        let map = *self.index.get(usize::try_from(addr.page().raw()).ok()?)?;
+        let slots = self.maps.get((map as usize).checked_sub(1)?)?;
+        let slot = *slots.get(addr.block_in_page())?;
+        self.records.get((slot as usize).checked_sub(1)?)
     }
 
     /// The record of `addr`, created empty if absent. The index grows
     /// when `addr` lies past it (the write-free paths do not range
-    /// check); `None` only when the page count overflows the index.
+    /// check); `None` only when a count overflows the index.
     fn get_or_insert(&mut self, addr: BlockAddr) -> Option<&mut LineRecord> {
         let page = usize::try_from(addr.page().raw()).ok()?;
         if page >= self.index.len() {
             self.index.resize(page + 1, 0);
         }
-        let slot = &mut self.index[page];
-        if *slot == 0 {
-            *slot = u32::try_from(self.pages.len() + 1).ok()?;
-            self.pages.push(PageLines::default());
+        let map = &mut self.index[page];
+        if *map == 0 {
+            *map = u32::try_from(self.maps.len() + 1).ok()?;
+            self.maps.push([0; BLOCKS_PER_PAGE]);
         }
-        let pos = *slot as usize - 1;
-        self.pages.get_mut(pos)?.get_or_insert(addr.block_in_page())
+        let slot = self
+            .maps
+            .get_mut(*map as usize - 1)?
+            .get_mut(addr.block_in_page())?;
+        if *slot == 0 {
+            *slot = u32::try_from(self.records.len() + 1).ok()?;
+            self.records.push(LineRecord::EMPTY);
+        }
+        self.records.get_mut(*slot as usize - 1)
     }
 
     /// Every record, in no particular order.
     fn records_mut(&mut self) -> impl Iterator<Item = &mut LineRecord> {
-        self.pages.iter_mut().flat_map(|page| &mut page.lines)
+        self.records.iter_mut()
     }
 
     /// `(line address, record)` for every record, in address order.
@@ -292,14 +311,15 @@ impl LineStore {
         self.index
             .iter()
             .enumerate()
-            .filter_map(|(page, &slot)| {
-                let lines = self.pages.get((slot as usize).checked_sub(1)?)?;
-                Some((PageId::new(page as u64), lines))
+            .filter_map(|(page, &map)| {
+                let slots = self.maps.get((map as usize).checked_sub(1)?)?;
+                Some((PageId::new(page as u64), slots))
             })
-            .flat_map(|(page, lines)| {
-                lines
-                    .iter()
-                    .map(move |(block, line)| (page.block_addr(block), line))
+            .flat_map(move |(page, slots)| {
+                slots.iter().enumerate().filter_map(move |(block, &slot)| {
+                    let line = self.records.get((slot as usize).checked_sub(1)?)?;
+                    Some((page.block_addr(block), line))
+                })
             })
     }
 }
@@ -1207,8 +1227,8 @@ mod tests {
     #[test]
     fn page_indexed_store_matches_the_three_map_device() {
         // Three whole pages and a fourth cut at block 20, so the page
-        // index, both ends of a page's bitmap and the capacity edge are
-        // all reached. Five slots are out of range: three on page 3 and
+        // index, both ends of a page's slot map and the capacity edge
+        // are all reached. Five slots are out of range: three on page 3 and
         // two on page 5, past the index, which `tamper` and `flip_bit`
         // make grow.
         let capacity = (3 * BLOCKS_PER_PAGE + 20) as u64 * LINE_SIZE as u64;
@@ -1299,6 +1319,30 @@ mod tests {
             assert!(st.ecc_silent_escapes.get() > 0);
             assert_eq!(st.skipped_writes.get() > 0, scheme != WriteScheme::Raw);
         }
+    }
+
+    #[test]
+    fn line_store_spans_many_chunks() {
+        // 40 pages and about 530 records: three chunks of slot maps and
+        // nine of records, first written in a seeded order.
+        let pages = 40u64;
+        let mut store = LineStore::new(pages * PAGE_SIZE as u64);
+        let mut model = BTreeMap::new();
+        let mut rng = DetRng::new(0x11_5702E);
+        for i in 0..600 {
+            let block = rng.below(pages * BLOCKS_PER_PAGE as u64);
+            let addr = BlockAddr::new(block * LINE_SIZE as u64);
+            store.get_or_insert(addr).unwrap().wear = i;
+            model.insert(addr, i);
+        }
+        assert!(model.len() > 8 * BLOCKS_PER_PAGE);
+        for block in 0..pages * BLOCKS_PER_PAGE as u64 {
+            let addr = BlockAddr::new(block * LINE_SIZE as u64);
+            assert_eq!(store.get(addr).map(|r| r.wear), model.get(&addr).copied());
+        }
+        let walked: Vec<_> = store.iter().map(|(a, r)| (a, r.wear)).collect();
+        assert_eq!(walked, model.into_iter().collect::<Vec<_>>());
+        assert_eq!(store.records_mut().count(), walked.len());
     }
 
     #[test]
