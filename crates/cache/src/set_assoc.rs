@@ -152,7 +152,9 @@ pub struct SetAssocCache<V> {
     tags: Vec<u64>,
     /// Per slot, the entry's rank in its set's recency order.
     ranks: Vec<u8>,
-    /// Per slot, the entry; `None` past the set's length.
+    /// Per slot, the entry; `None` past the set's length. Empty until
+    /// the first insert: safe Rust cannot allocate the generic entries
+    /// zero-filled, so they are written when the cache is first filled.
     entries: Vec<Option<Entry<V>>>,
     /// Per set, how many of its slots hold entries.
     lens: Vec<u16>,
@@ -165,11 +167,10 @@ impl<V> SetAssocCache<V> {
         let (sets, slots) = (config.sets(), config.entries());
         SetAssocCache {
             mask: sets as u64 - 1,
-            // Zero-filled allocations. Safe Rust cannot allocate the
-            // generic entries zero-filled, so only they are written.
+            // Zero-filled allocations.
             tags: vec![0; slots],
             ranks: vec![0; slots],
-            entries: std::iter::repeat_with(|| None).take(slots).collect(),
+            entries: Vec::new(),
             lens: vec![0; sets],
             stats: CacheStats::default(),
             config,
@@ -271,6 +272,11 @@ impl<V> SetAssocCache<V> {
         if len < self.config.ways {
             // A free slot: the new entry enters below every other one,
             // then is promoted over them.
+            if self.entries.is_empty() {
+                self.entries = std::iter::repeat_with(|| None)
+                    .take(self.tags.len())
+                    .collect();
+            }
             self.lens[set] += 1;
             self.tags[slots.end] = addr.raw();
             self.ranks[slots.end] = len as u8;
