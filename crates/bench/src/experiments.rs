@@ -3,7 +3,7 @@
 //! binary formats them.
 
 use ss_common::{Cycles, PageId, Result, LINE_SIZE, PAGE_SIZE};
-use ss_core::{ControllerConfigBuilder, ShredStrategy};
+use ss_core::{ControllerConfigBuilder, NvmTarget, ShredStrategy};
 use ss_cpu::Op;
 use ss_nvm::{NvmConfig, NvmDevice, WriteScheme};
 use ss_os::ZeroStrategy;
@@ -560,7 +560,7 @@ pub fn ablation_counter_strategy() -> Result<Vec<StrategyRow>> {
             mc.write_block(page.block_addr(b), &[7; 64], false, Cycles::ZERO)?;
         }
         for _ in 0..200 {
-            mc.shred_page(page, true)?;
+            mc.shred_page_at(page, true, Cycles::ZERO)?;
         }
         let read = mc.read_block(page.block_addr(0), Cycles::ZERO)?;
         rows.push(StrategyRow {
@@ -652,11 +652,11 @@ pub fn ablation_dcw_fnw() -> Result<Vec<DcwRow>> {
             let addr = page.block_addr((a % 64) as usize);
             let mut plain = [0u8; LINE_SIZE];
             mc.write_block(addr, &plain, false, Cycles::ZERO)?;
-            let mut prev = mc.faults().nvm_peek(addr);
+            let mut prev = mc.faults().nvm_peek(NvmTarget::Data(addr));
             for _ in 0..writes_per_addr {
                 plain[(rng.below(16)) as usize] = rng.next_u64() as u8;
                 mc.write_block(addr, &plain, false, Cycles::ZERO)?;
-                let cur = mc.faults().nvm_peek(addr);
+                let cur = mc.faults().nvm_peek(NvmTarget::Data(addr));
                 total_flips += u64::from(ss_nvm::device::line_diff_bits(&prev, &cur));
                 prev = cur;
                 writes += 1;
@@ -713,7 +713,7 @@ pub fn ablation_counter_persistence() -> Result<Vec<PersistenceRow>> {
         // Shred many distinct pages (VM-churn pattern); counters change
         // on every shred even for already-shredded pages (major bump).
         for p in 0..shreds {
-            mc.shred_page(PageId::new(p % 200), true)?;
+            mc.shred_page_at(PageId::new(p % 200), true, Cycles::ZERO)?;
         }
         let counter_writes = mc.inspect().stats().mem.counter_writes.get();
         // Crash safety: after power loss, is the state recoverable?

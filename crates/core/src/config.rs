@@ -130,8 +130,6 @@ pub struct ControllerConfig {
     /// demand writes, when the write path is idle. `None` disables
     /// scrubbing.
     pub scrub_interval: Option<u64>,
-    /// AES-128 processor key.
-    pub key: [u8; 16],
     /// Event-trace ring depth. `None` (the default) disables tracing
     /// entirely — the emit path reduces to one discriminant test and no
     /// event is ever constructed. `Some(n)` retains the last `n` events.
@@ -161,7 +159,6 @@ impl Default for ControllerConfig {
             nvm_fault_seed: 0,
             spare_lines: 32,
             scrub_interval: None,
-            key: *b"silent-shredder!",
             trace_depth: None,
         }
     }
@@ -594,9 +591,11 @@ impl ControllerConfigBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::regions::{mask_line, Layout, Region};
     use crate::controller::MemoryController;
+    use crate::persist::JOURNAL_LINES;
     use crate::wqueue::WriteQueueConfig;
-    use ss_common::{Cycles, PageId, BLOCKS_PER_PAGE, LINE_SIZE};
+    use ss_common::{BlockAddr, Cycles, PageId, BLOCKS_PER_PAGE, LINE_SIZE};
 
     #[test]
     fn default_is_valid_shredder() {
@@ -762,6 +761,58 @@ mod tests {
         shredder_ok && deuce_ok && scattered_ok && adr_ok
     }
 
+    /// `cfg`'s NVM layout: the regions tile the device in the order
+    /// `[data][gap][counters][spares][journal][mask]` at their documented
+    /// sizes, `region_of` agrees with `addr` on both sides of every
+    /// boundary, and pages and data lines round-trip through their
+    /// counter and mask lines.
+    fn check_layout(cfg: &ControllerConfig) {
+        let layout = Layout::new(cfg);
+        let line = LINE_SIZE as u64;
+        let data_lines = cfg.data_capacity / line;
+        let adr = cfg.persist_domain == PersistDomain::Adr;
+        let scattered = cfg.protection == ProtectionMode::Scattered;
+        let sizes = [
+            (Region::Data, data_lines + 1),
+            (Region::Counter, cfg.frames()),
+            (Region::Spare, cfg.spare_lines),
+            (Region::Journal, if adr { JOURNAL_LINES } else { 0 }),
+            (Region::Mask, if scattered { data_lines } else { 0 }),
+        ];
+        assert_eq!(Region::ALL, sizes.map(|(r, _)| r));
+        let (mut start, mut before) = (0, None);
+        for (region, lines) in sizes {
+            assert_eq!(layout.lines(region), lines, "{region:?}");
+            let first = layout.addr(region, 0);
+            assert_eq!(first.raw(), start * line, "{region:?}");
+            if lines > 0 {
+                assert_eq!(layout.region_of(first), Some((region, 0)));
+                if let Some(last) = before {
+                    let prev = BlockAddr::new(first.raw() - line);
+                    assert_eq!(layout.region_of(prev), Some(last), "{region:?}");
+                }
+                let end = layout.addr(region, lines - 1);
+                assert_eq!(layout.region_of(end), Some((region, lines - 1)));
+                before = Some((region, lines - 1));
+            }
+            start += lines;
+        }
+        assert_eq!(layout.capacity_bytes(), start * line);
+        let past = BlockAddr::new(layout.capacity_bytes());
+        assert_eq!(layout.region_of(past), None);
+        for page in 0..cfg.frames() {
+            let caddr = layout.addr(Region::Counter, page);
+            assert_eq!(layout.region_of(caddr), Some((Region::Counter, page)));
+            assert_eq!(layout.line(Region::Counter, caddr), page);
+        }
+        if scattered {
+            for l in 0..data_lines {
+                let mask = layout.addr(Region::Mask, mask_line(BlockAddr::new(l * line)));
+                assert_eq!(layout.region_of(mask), Some((Region::Mask, l)));
+            }
+        }
+    }
+
     /// Boots `cfg`, round-trips a line and, with the shredder, shreds
     /// its page; under ADR the same checks run again after a power
     /// cycle and recovery.
@@ -781,7 +832,7 @@ mod tests {
             "{label}"
         );
         if shredder {
-            mc.shred_page(page, true).unwrap();
+            mc.shred_page_at(page, true, Cycles::ZERO).unwrap();
         }
         let check = |mc: &mut MemoryController| {
             if zero_fill {
@@ -815,6 +866,7 @@ mod tests {
             match cfg.clone().into_builder().build() {
                 Ok(built) => {
                     assert!(expected, "build() accepted {cfg:?}");
+                    check_layout(&built);
                     smoke(built);
                     accepted += 1;
                 }

@@ -1,46 +1,52 @@
 //! The secure NVMM controller (Fig. 6 and Fig. 7 of the paper).
 //!
 //! This file holds what every protection mode shares: construction, the
-//! persist choke point and its ordering journal, the counter cache,
-//! healing, the channels, and the one `match` per operation that picks a
-//! mode's path. The paths live in child modules that own their state:
+//! ordering journal's sequences and records, the counter cache, healing,
+//! the channels, recovery, and the one `match` per operation that picks
+//! a mode's path. The paths live in child modules that own their state:
 //! `counter_mode` (the paper's `Ctr` mode, the direct `Plain`/`Ecb`
 //! baselines, DEUCE and page re-encryption), `scattered` (the two-share
 //! mode) and `ports` (the [`crate::Inspect`] and [`crate::FaultPort`]
-//! views).
+//! views). `regions` owns the NVM address layout and every device line
+//! access, the persist choke point (`persist_line`) among them.
 
 use std::collections::BTreeSet;
 
 use ss_cache::{CacheConfig, SetAssocCache};
 use ss_common::{
-    BlockAddr, Counter, Cycles, Error, MemStats, Nanos, PageId, PhysAddr, Result, BLOCKS_PER_PAGE,
-    LINE_SIZE,
+    BlockAddr, Counter, Cycles, DetRng, Error, MemStats, Nanos, PageId, PhysAddr, Result,
+    BLOCKS_PER_PAGE, LINE_SIZE,
 };
 use ss_crypto::{Line, MerkleTree};
-use ss_nvm::{LineRead, NvmConfig, NvmDevice, NvmTiming, StartGap};
+use ss_nvm::{NvmConfig, NvmDevice, NvmTiming, StartGap};
 use ss_trace::{Stage, StageProfile, TraceEvent, Tracer};
 
 use crate::channel::ChannelSched;
 use crate::config::{ControllerConfig, CounterPersistence, PersistDomain, ProtectionMode};
 use crate::counters::CounterBlock;
-use crate::heal::{retry_backoff, HealthStats, SparePool, MAX_RETRIES};
+use crate::heal::{HealthStats, SparePool};
 use crate::mmio;
 use crate::persist::{self, EntryKind, JournalEntry, PersistState, RecoveryReport, SeqTag};
 use crate::wqueue::WriteQueue;
 
 mod counter_mode;
 pub(crate) mod ports;
+pub(crate) mod regions;
 mod scattered;
 
 use counter_mode::CounterMode;
+use regions::{mask_line, Layout, Region};
 pub use scattered::ProtStats;
-use scattered::Shares;
 
 /// Counter-cache associativity (Table 1: 8-way).
 pub const COUNTER_CACHE_WAYS: usize = 8;
 
 /// Counter-cache hit latency (Table 1: 10 cycles).
 pub const COUNTER_CACHE_LATENCY: Cycles = Cycles::new(10);
+
+/// Writes between Start-Gap gap movements when wear levelling is on:
+/// one, the Start-Gap ablation's setting (DESIGN.md §3.2).
+const START_GAP_INTERVAL: u64 = 1;
 
 /// Latency of the pad XOR on the read critical path: counter mode hides
 /// pad generation behind the array access (the old configurable
@@ -98,8 +104,8 @@ pub struct MemoryController {
     merkle: Option<MerkleTree>,
     channels: ChannelSched,
     stats: ControllerStats,
-    /// NVM byte offset where the counter region begins.
-    counter_base: u64,
+    /// Where each NVM region lies on the device.
+    layout: Layout,
     /// Start-Gap remapper over the data lines (when wear levelling on).
     start_gap: Option<StartGap>,
     /// Pages owned by secure enclaves (§4.1): their deallocation shred is
@@ -114,8 +120,6 @@ pub struct MemoryController {
     /// Bad-line remap table + quarantine list (persistent controller
     /// metadata, like real NVDIMM firmware remap tables).
     heal: SparePool,
-    /// NVM byte offset where the spare-line pool begins.
-    spare_base: u64,
     /// Logical data lines flagged for remap during the current operation
     /// (ECC-corrected reads of permanently weak lines); processed at
     /// operation end so in-flight counter snapshots stay coherent.
@@ -135,16 +139,13 @@ pub struct MemoryController {
     /// deep helpers (retry loops, deferred heals) can stamp trace
     /// events without threading `now` through every private signature.
     op_now: Cycles,
-    /// NVM byte offset of the ordering-journal region (== device end
-    /// under eADR, where no journal is allocated).
-    journal_base: u64,
     /// Persist-step counter, armed crash cut, and the volatile mirror of
     /// the open journal sequence (see the [`persist`] module docs).
     persist: PersistState,
     /// The AES engines and DEUCE chunk state of the encrypted modes.
     cipher: CounterMode,
-    /// The scattered mode's mask region and share stream.
-    shares: Shares,
+    /// The scattered mode's share stream.
+    share_rng: DetRng,
 }
 
 impl MemoryController {
@@ -155,31 +156,9 @@ impl MemoryController {
     /// Returns [`Error::InvalidConfig`] if the configuration is invalid.
     pub fn new(config: ControllerConfig) -> Result<Self> {
         config.validate()?;
-        let frames = config.frames();
-        // One spare line after the data region serves as the Start-Gap
-        // slot when wear levelling is enabled.
-        let counter_base = config.data_capacity + LINE_SIZE as u64;
-        // The bad-line spare pool sits after the counter region, and
-        // under ADR the ordering journal sits after the spares:
-        // [data][gap][counters][spares][journal].
-        let spare_base = counter_base + frames * LINE_SIZE as u64;
-        let journal_base = spare_base + config.spare_lines * LINE_SIZE as u64;
-        let journal_lines = if config.persist_domain == PersistDomain::Adr {
-            persist::JOURNAL_LINES
-        } else {
-            0
-        };
-        // The scattered mode appends a mask-share region (one line per
-        // data line) after the journal; under the other modes it is
-        // empty.
-        let mask_base = journal_base + journal_lines * LINE_SIZE as u64;
-        let mask_lines = if config.protection == ProtectionMode::Scattered {
-            config.data_capacity / LINE_SIZE as u64
-        } else {
-            0
-        };
+        let layout = Layout::new(&config);
         let nvm = NvmDevice::new(NvmConfig {
-            capacity_bytes: mask_base + mask_lines * LINE_SIZE as u64,
+            capacity_bytes: layout.capacity_bytes(),
             timing: NVM_TIMING,
             endurance_limit: config.endurance_limit,
             ecc: config.nvm_ecc,
@@ -201,19 +180,22 @@ impl MemoryController {
                 ProtectionMode::Ctr | ProtectionMode::Scattered
             ) {
             Some(MerkleTree::with_initial_leaf(
-                frames as usize,
+                config.frames() as usize,
                 &CounterBlock::default().to_line(),
             ))
         } else {
             None
         };
         let channels = ChannelSched::new(&NVM_TIMING);
-        let start_gap = config_start_gap(&config);
-        let wqueue = config_wqueue(&config)?;
-        let config_spare_lines = config.spare_lines;
+        let start_gap = config
+            .wear_leveling
+            .then(|| StartGap::new(config.data_capacity / LINE_SIZE as u64, START_GAP_INTERVAL));
+        // `validate` vetted the watermarks, so this cannot fail.
+        let wqueue = config.write_queue.map(WriteQueue::new).transpose()?;
+        let heal = SparePool::new(config.spare_lines);
         let tracer = Tracer::from_depth(config.trace_depth);
-        let cipher = CounterMode::new(config.key);
-        let shares = Shares::new(&config, mask_base);
+        let cipher = CounterMode::new();
+        let share_rng = scattered::share_stream(&config);
         Ok(MemoryController {
             config,
             nvm,
@@ -221,40 +203,32 @@ impl MemoryController {
             merkle,
             channels,
             stats: ControllerStats::default(),
-            counter_base,
+            layout,
             start_gap,
             enclave_pages: BTreeSet::new(),
             wqueue,
             counters_lost: false,
-            heal: SparePool::new(spare_base, config_spare_lines),
-            spare_base,
+            heal,
             pending_heal: Vec::new(),
             scrub_cursor: 0,
             writes_since_scrub: 0,
             tracer,
             profile: StageProfile::new(),
             op_now: Cycles::ZERO,
-            journal_base,
             persist: PersistState::new(),
             cipher,
-            shares,
+            share_rng,
         })
     }
 
     // ------------------------------------------------------------------
-    // Persist-step model: every durable line write of a multi-step
-    // persist sequence funnels through `persist_line`, which journals
-    // the line (ADR), counts the step, and honours an armed crash cut.
+    // Persist sequences and the ordering journal (each durable line write
+    // of a sequence is a persist step: `regions::persist_line`).
     // ------------------------------------------------------------------
 
     /// Whether the ordering journal is active (ADR persistence domain).
     fn adr(&self) -> bool {
         self.config.persist_domain == PersistDomain::Adr
-    }
-
-    /// Device address of journal ring line `idx`.
-    fn journal_line_addr(&self, idx: u64) -> BlockAddr {
-        BlockAddr::new(self.journal_base + idx * LINE_SIZE as u64)
     }
 
     /// Opens a persist sequence (nested calls join the outermost one).
@@ -330,8 +304,8 @@ impl MemoryController {
 
     /// Writes the open sequence's next record at the ring's head: an
     /// entry, with its image in the line after, or (`None`) the commit.
-    /// Journal writes model a battery-latched path: they bypass
-    /// `persist_line` (no steps, no cuts, no tearing).
+    /// Journal writes model a battery-latched path: they are no persist
+    /// steps (no cuts, no tearing).
     fn write_record(&mut self, seq_no: u64, tag: u8, entry: Option<JournalEntry>) -> Result<()> {
         let rec = persist::Record {
             seq_no,
@@ -341,11 +315,10 @@ impl MemoryController {
         };
         let (line, payload) = persist::encode_record(&rec);
         let at = self.persist.advance_head(rec.lines());
-        self.nvm.write_line(self.journal_line_addr(at), &line)?;
+        self.latch_line(Region::Journal, at, &line)?;
         if let Some(payload) = payload {
             let next = (at + 1) % persist::JOURNAL_LINES;
-            self.nvm
-                .write_line(self.journal_line_addr(next), &payload)?;
+            self.latch_line(Region::Journal, next, &payload)?;
         }
         Ok(())
     }
@@ -361,66 +334,26 @@ impl MemoryController {
         if !self.adr() || self.persist.depth == 0 || !self.zero_fills(ctrs, addr.block_in_page()) {
             return;
         }
-        let slot = self.heal.redirect(self.device_addr(addr));
-        self.persist.journaled.push(slot.raw());
+        self.persist.journaled.push(self.data_slot(addr).raw());
         if self.config.protection == ProtectionMode::Scattered {
-            let mask = self.mask_addr(addr);
+            let mask = self.layout.addr(Region::Mask, mask_line(addr));
             self.persist.journaled.push(mask.raw());
         }
     }
 
-    /// Journals the line about to be persisted to `slot`. Data and
-    /// counter lines of in-flight operations record their **pre-image**
-    /// (undo: a cut rolls the operation back); counter writebacks of
-    /// already-durable data (dirty-victim evictions, explicit flushes)
-    /// record the **post-image** (redo: re-persisting the newest value
-    /// is always consistent). First pre-image wins per line, so nested
-    /// sequences and crash-time flushes restore pre-operation state.
-    fn journal_append(
-        &mut self,
-        slot: BlockAddr,
-        data: &Line,
-        counter_page: Option<PageId>,
-    ) -> Result<()> {
-        let kind = match counter_page {
-            Some(_) if self.persist.redo() => EntryKind::CounterRedo,
-            Some(_) => EntryKind::CounterUndo,
-            None => EntryKind::DataUndo,
-        };
-        if kind != EntryKind::CounterRedo && self.persist.journaled.contains(&slot.raw()) {
-            return Ok(());
-        }
-        let payload = match kind {
-            EntryKind::CounterRedo => *data,
-            _ => self.nvm.peek(slot),
-        };
-        let entry = JournalEntry {
-            kind,
-            target: slot,
-            aux: counter_page.map_or(0, |p| p.raw()),
-            was_quarantined: false,
-            payload,
-        };
-        self.journal_write_entry(&entry)
-    }
-
-    /// Journals a spare-pool allocation so recovery can roll the remap
-    /// table back to its pre-operation state (re-quarantining a line the
-    /// interrupted operation had revived).
-    fn journal_remap_alloc(
-        &mut self,
-        dev: BlockAddr,
-        spare: BlockAddr,
-        was_quarantined: bool,
-    ) -> Result<()> {
+    /// Journals the allocation of spare line `spare` to device data line
+    /// `dev`, so recovery can roll the remap table back to its
+    /// pre-operation state (re-quarantining `dev` if the interrupted
+    /// operation `revived` it).
+    fn journal_remap_alloc(&mut self, dev: BlockAddr, spare: u64, revived: bool) -> Result<()> {
         if !self.adr() {
             return Ok(());
         }
         let entry = JournalEntry {
             kind: EntryKind::RemapAlloc,
             target: dev,
-            aux: spare.raw(),
-            was_quarantined,
+            aux: self.layout.addr(Region::Spare, spare).raw(),
+            was_quarantined: revived,
             payload: [0u8; LINE_SIZE],
         };
         self.journal_write_entry(&entry)
@@ -429,238 +362,18 @@ impl MemoryController {
     /// Writes a journaled image back to its line during recovery,
     /// moving a counter line's Merkle leaf with it.
     fn restore_journaled(&mut self, e: &JournalEntry) -> Result<()> {
-        self.nvm.write_line(e.target, &e.payload)?;
+        let Some((region, line)) = self.layout.region_of(e.target) else {
+            return Err(Error::AddrOutOfRange {
+                addr: e.target.addr(),
+                capacity: self.layout.capacity_bytes(),
+            });
+        };
+        self.latch_line(region, line, &e.payload)?;
         if matches!(e.kind, EntryKind::CounterRedo | EntryKind::CounterUndo) {
             if let Some(merkle) = &mut self.merkle {
-                merkle.update_leaf(persist::entry_page(e).raw() as usize, &e.payload);
+                // A counter entry's `aux` is its page.
+                merkle.update_leaf(e.aux as usize, &e.payload);
             }
-        }
-        Ok(())
-    }
-
-    /// The persist choke point: every durable line write inside a
-    /// persist sequence lands here. Under ADR the line is journaled
-    /// first (write-ahead), the lifetime step counter ticks, and an
-    /// armed crash cut stops the machine — either just before the write
-    /// (`torn_bytes == 0`) or mid-write, persisting only an 8-byte-
-    /// aligned prefix of the new line over the old one. Under eADR the
-    /// step counter ticks (so crash-point censuses are domain-
-    /// independent) but cuts never fire: stored energy completes the
-    /// sequence.
-    fn persist_line(
-        &mut self,
-        slot: BlockAddr,
-        data: &Line,
-        counter_page: Option<PageId>,
-    ) -> Result<()> {
-        if self.persist.cut_fired {
-            return Err(Error::PowerCut {
-                step: self.persist.steps,
-            });
-        }
-        if self.adr() {
-            self.journal_append(slot, data, counter_page)?;
-        }
-        self.persist.steps += 1;
-        if self.adr() {
-            if let Some(cut) = self.persist.armed {
-                if self.persist.steps >= cut.at_step {
-                    self.persist.cut_fired = true;
-                    let torn = cut.torn_bytes.min(LINE_SIZE) & !7;
-                    if torn > 0 {
-                        let mut merged = self.nvm.peek(slot);
-                        merged[..torn].copy_from_slice(&data[..torn]);
-                        self.nvm.write_line(slot, &merged)?;
-                    }
-                    return Err(Error::PowerCut {
-                        step: self.persist.steps,
-                    });
-                }
-            }
-        }
-        self.nvm.write_line(slot, data)
-    }
-
-    /// Reads a data line, applying wear-levelling remapping, write-queue
-    /// forwarding, spare-pool redirection, and the retry/heal policy. A
-    /// queued (not yet drained) write to the same line is forwarded
-    /// instead of reading stale device contents.
-    fn nvm_read_data(&mut self, addr: BlockAddr) -> Result<Line> {
-        let dev = self.device_addr(addr);
-        if let Some(wq) = &mut self.wqueue {
-            if let Some(line) = wq.forward(dev) {
-                return Ok(line);
-            }
-        }
-        if self.heal.is_quarantined(dev) {
-            return Err(Error::Quarantined { addr: dev.addr() });
-        }
-        let slot = self.heal.redirect(dev);
-        let read = match self.read_line_healing(slot) {
-            Ok(r) => r,
-            Err(Error::UncorrectableEcc { .. }) => {
-                // Retries exhausted or permanently beyond the correction
-                // bound: the data is lost. Degrade loudly and
-                // deterministically from here on, instead of serving the
-                // known-bad line.
-                self.heal.quarantine(dev);
-                self.stats.health.quarantined.inc();
-                return Err(Error::Quarantined { addr: dev.addr() });
-            }
-            Err(e) => return Err(e),
-        };
-        if read.was_corrected() && self.nvm.is_failed(slot) {
-            // Permanent weak cells that ECC can still repair: rescue the
-            // line to a spare while it is correctable. Deferred to the
-            // end of the current operation so counter snapshots held by
-            // callers stay coherent.
-            self.note_pending_heal(addr);
-        }
-        Ok(read.into_data())
-    }
-
-    /// One device line read under the retry policy: transient
-    /// uncorrectable errors are retried with bounded exponential
-    /// backoff; permanent ones (weak-cell population alone exceeds the
-    /// correction bound) fail immediately — re-reading cannot help.
-    fn read_line_healing(&mut self, slot: BlockAddr) -> Result<LineRead> {
-        let correct = self.nvm.config().ecc.correct;
-        let mut attempt = 0u32;
-        loop {
-            match self.nvm.read_line(slot) {
-                Ok(read) => {
-                    if attempt > 0 {
-                        self.stats.health.retried_ok.inc();
-                    }
-                    if read.was_corrected() {
-                        self.stats.health.ecc_corrected.inc();
-                        let at = self.op_now;
-                        self.tracer
-                            .emit(at, || TraceEvent::EccCorrection { addr: slot });
-                    }
-                    return Ok(read);
-                }
-                Err(Error::UncorrectableEcc { addr, flips }) => {
-                    let permanent = self.nvm.weak_bit_count(slot) > correct;
-                    if permanent || attempt >= MAX_RETRIES {
-                        return Err(Error::UncorrectableEcc { addr, flips });
-                    }
-                    attempt += 1;
-                    self.stats.health.retries.inc();
-                    let backoff = retry_backoff(attempt);
-                    self.stats.health.backoff_cycles += backoff.raw();
-                    self.profile.charge(Stage::RetryBackoff, backoff);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Writes one device-space line, applying spare-pool redirection. A
-    /// full-line write to a quarantined slot carries everything a spare
-    /// needs, so it revives the line through a fresh spare when one is
-    /// available.
-    fn data_write_slot(&mut self, dev: BlockAddr, data: &Line) -> Result<()> {
-        if self.heal.is_quarantined(dev) {
-            match self.heal.allocate(dev) {
-                Some(slot) => {
-                    self.heal.unquarantine(dev);
-                    self.journal_remap_alloc(dev, slot, true)?;
-                    self.stats.health.remaps.inc();
-                    let at = self.op_now;
-                    self.tracer.emit(at, || TraceEvent::LineRemap {
-                        addr: dev,
-                        ok: true,
-                    });
-                    return self.persist_line(slot, data, None);
-                }
-                None => return Err(Error::Quarantined { addr: dev.addr() }),
-            }
-        }
-        let slot = self.heal.redirect(dev);
-        self.persist_line(slot, data, None)
-    }
-
-    /// Writes a data line, applying wear-levelling remapping and
-    /// advancing the Start-Gap state. With a write queue configured the
-    /// line is buffered; a high-water burst drains to the low mark.
-    fn nvm_write_data(&mut self, addr: BlockAddr, data: &Line) -> Result<()> {
-        let dev = self.device_addr(addr);
-        if let Some(wq) = &mut self.wqueue {
-            let must_drain = wq.push(dev, *data, false);
-            if must_drain {
-                let burst = wq.burst_len();
-                self.drain_queue(burst, Cycles::ZERO)?;
-            }
-            return Ok(());
-        }
-        self.data_write_slot(dev, data)?;
-        self.wear_level_on_write()
-    }
-
-    /// Drains up to `n` queued writes to the device, scheduling their
-    /// bus transfers at `now`.
-    fn drain_queue(&mut self, n: usize, now: Cycles) -> Result<()> {
-        let mut drained = 0u32;
-        for _ in 0..n {
-            let Some(wq) = &mut self.wqueue else { break };
-            let Some((dev, data, _zeroing)) = wq.pop_for_drain() else {
-                break;
-            };
-            let write_lat = NVM_TIMING.write_cycles();
-            self.sched(now, write_lat);
-            self.profile.charge(Stage::WqueueDrain, write_lat);
-            self.data_write_slot(dev, &data)?;
-            self.wear_level_on_write()?;
-            drained += 1;
-        }
-        if drained > 0 {
-            self.tracer
-                .emit(now, || TraceEvent::WriteQueueDrain { drained });
-        }
-        Ok(())
-    }
-
-    /// Drains the whole write queue (fence, re-encryption, power loss).
-    fn drain_queue_fully(&mut self, now: Cycles) -> Result<()> {
-        let n = self.wqueue.as_ref().map(|q| q.len()).unwrap_or(0);
-        self.drain_queue(n, now)
-    }
-
-    /// Peeks a data line (no stats), applying remapping and forwarding.
-    fn nvm_peek_data(&self, addr: BlockAddr) -> Line {
-        let dev = self.device_addr(addr);
-        if let Some(wq) = &self.wqueue {
-            // Peek without mutating stats: scan entries via forward-free
-            // logic (clone-free: iterate).
-            if let Some(line) = wq.peek(dev) {
-                return line;
-            }
-        }
-        self.nvm.peek(self.heal.redirect(dev))
-    }
-
-    /// Maps a logical data-line address to its device slot, applying
-    /// Start-Gap remapping when wear levelling is enabled.
-    fn device_addr(&self, addr: BlockAddr) -> BlockAddr {
-        match &self.start_gap {
-            Some(sg) => BlockAddr::new(sg.remap(addr.raw() / LINE_SIZE as u64) * LINE_SIZE as u64),
-            None => addr,
-        }
-    }
-
-    /// Advances the Start-Gap state on a demand write, performing the
-    /// physical line copy (one device read + one device write) when the
-    /// gap moves.
-    fn wear_level_on_write(&mut self) -> Result<()> {
-        let Some(sg) = &mut self.start_gap else {
-            return Ok(());
-        };
-        if let Some((from, to)) = sg.advance_with_move() {
-            let from_slot = self.heal.redirect(BlockAddr::new(from * LINE_SIZE as u64));
-            let to_slot = self.heal.redirect(BlockAddr::new(to * LINE_SIZE as u64));
-            let data = self.nvm.read_line(from_slot)?.into_data();
-            self.nvm.write_line(to_slot, &data)?;
         }
         Ok(())
     }
@@ -684,16 +397,6 @@ impl MemoryController {
         self.nvm.reset_stats();
         self.channels.reset();
         self.profile = StageProfile::new();
-    }
-
-    fn counter_addr(&self, page: PageId) -> BlockAddr {
-        BlockAddr::new(self.counter_base + page.raw() * LINE_SIZE as u64)
-    }
-
-    /// The page whose counter line sits at `caddr` (inverse of
-    /// [`Self::counter_addr`]).
-    fn counter_page(&self, caddr: BlockAddr) -> PageId {
-        PageId::new((caddr.raw() - self.counter_base) / LINE_SIZE as u64)
     }
 
     /// Schedules a bus transfer on the channels, counting it.
@@ -740,10 +443,8 @@ impl MemoryController {
         let read_lat = self.sched(now + latency, NVM_TIMING.read_cycles());
         latency += read_lat;
         self.profile.charge(Stage::CounterFetch, read_lat);
-        // The counter region has a fixed layout (page → line), so worn
-        // counter lines cannot be remapped — but transient read errors
-        // still go through the retry policy.
-        let line = self.read_line_healing(caddr)?.into_data();
+        // Transient read errors go through the retry policy.
+        let line = self.read_line_at(Region::Counter, page.raw())?;
         self.stats.mem.counter_reads.inc();
         if let Some(merkle) = &mut self.merkle {
             let ok = merkle.verify_leaf(page.raw() as usize, &line);
@@ -784,10 +485,10 @@ impl MemoryController {
             && !self.persist.redo()
             && !self.persist.journaled.contains(&caddr.raw())
         {
-            let pre = self
-                .counter_cache
-                .peek(caddr)
-                .map_or_else(|| self.nvm.peek(caddr), |e| e.value.to_line());
+            let pre = self.counter_cache.peek(caddr).map_or_else(
+                || self.peek_line(Region::Counter, page.raw()),
+                |e| e.value.to_line(),
+            );
             self.journal_write_entry(&JournalEntry {
                 kind: EntryKind::CounterUndo,
                 target: caddr,
@@ -822,14 +523,13 @@ impl MemoryController {
         ctrs: &CounterBlock,
         now: Cycles,
     ) -> Result<()> {
-        let caddr = self.counter_addr(page);
         let line = ctrs.to_line();
         let write_lat = NVM_TIMING.write_cycles();
         self.sched(now, write_lat);
         self.profile.charge(Stage::CounterWrite, write_lat);
         // A cut here leaves the in-memory Merkle leaf at the OLD line:
         // recovery's pre-image undo restores NVM to match it.
-        self.persist_line(caddr, &line, Some(page))?;
+        self.persist_line(Region::Counter, page.raw(), &line)?;
         self.stats.mem.counter_writes.inc();
         if let Some(merkle) = &mut self.merkle {
             merkle.update_leaf(page.raw() as usize, &line);
@@ -878,20 +578,6 @@ impl MemoryController {
         Ok(())
     }
 
-    /// Quarantines `dev` after a failed remap (no spare, or the rescue
-    /// read was already uncorrectable).
-    fn fail_remap(&mut self, dev: BlockAddr) -> Result<()> {
-        self.stats.health.remap_failures.inc();
-        self.heal.quarantine(dev);
-        self.stats.health.quarantined.inc();
-        let at = self.op_now;
-        self.tracer.emit(at, || TraceEvent::LineRemap {
-            addr: dev,
-            ok: false,
-        });
-        Ok(())
-    }
-
     /// Moves the degrading line at logical `addr` to a spare. Each mode
     /// re-protects the rescued contents before they reach the spare
     /// (a fresh IV under counter mode, a fresh pad under the scattered
@@ -899,70 +585,16 @@ impl MemoryController {
     /// after the spare holds the new line: a crash in between leaves the
     /// old mapping decodable.
     fn remap_line(&mut self, addr: BlockAddr, now: Cycles) -> Result<()> {
-        self.with_seq(SeqTag::Remap, |mc| mc.remap_line_inner(addr, now))
-    }
-
-    fn remap_line_inner(&mut self, addr: BlockAddr, now: Cycles) -> Result<()> {
-        let dev = self.device_addr(addr);
-        if self.heal.is_quarantined(dev) {
-            return Ok(());
-        }
-        let slot = self.heal.redirect(dev);
-        if !self.nvm.is_failed(slot) {
-            // Healed in the meantime (e.g. revived by a full-line write).
-            return Ok(());
-        }
-        // Queued writes to this line must land first so the rescue read
-        // below sees the newest ciphertext. The drain's writes may move
-        // the Start-Gap mapping, so the device address is re-resolved.
-        self.drain_queue_fully(now)?;
-        let dev = self.device_addr(addr);
-        let slot = self.heal.redirect(dev);
-        match self.config.protection {
-            ProtectionMode::Plain | ProtectionMode::Ecb => self.direct_rescue_remap(dev, slot, now),
-            ProtectionMode::Ctr => self.ctr_rescue_remap(addr, dev, slot, now),
-            ProtectionMode::Scattered => self.scattered_rescue_remap(addr, dev, slot, now),
-        }
-    }
-
-    /// The rescue read of a degrading line: `None` when even the retry
-    /// policy cannot correct it, and the caller quarantines the line.
-    fn rescue_read(&mut self, slot: BlockAddr) -> Result<Option<Line>> {
-        match self.read_line_healing(slot) {
-            Ok(r) => Ok(Some(r.into_data())),
-            Err(Error::UncorrectableEcc { .. }) => Ok(None),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// The shared tail of every rescue: takes a spare for `dev` (or
-    /// quarantines `dev` when the pool is dry) and journals the
-    /// allocation. A live line's re-protected contents go to the spare
-    /// first, then `commit` makes them authoritative. A dead line
-    /// (`line` is `None`) has no content to move, so only its worn slot
-    /// is retired; its first write brings fresh protection.
-    fn move_to_spare(
-        &mut self,
-        dev: BlockAddr,
-        line: Option<&Line>,
-        now: Cycles,
-        commit: impl FnOnce(&mut Self) -> Result<()>,
-    ) -> Result<()> {
-        let Some(spare) = self.heal.allocate(dev) else {
-            return self.fail_remap(dev);
-        };
-        self.journal_remap_alloc(dev, spare, false)?;
-        if let Some(line) = line {
-            self.sched(now, NVM_TIMING.write_cycles());
-            self.persist_line(spare, line, None)?;
-            commit(self)?;
-        }
-        self.stats.health.remaps.inc();
-        self.tracer.emit(now, || TraceEvent::LineRemap {
-            addr: dev,
-            ok: true,
-        });
-        Ok(())
+        self.with_seq(SeqTag::Remap, |mc| {
+            let Some(r) = mc.start_rescue(addr, now)? else {
+                return Ok(());
+            };
+            match mc.config.protection {
+                ProtectionMode::Plain | ProtectionMode::Ecb => mc.direct_rescue_remap(&r, now),
+                ProtectionMode::Ctr => mc.ctr_rescue_remap(&r, now),
+                ProtectionMode::Scattered => mc.scattered_rescue_remap(&r, now),
+            }
+        })
     }
 
     /// Runs the scrubber if it is due and the write path is idle.
@@ -995,33 +627,31 @@ impl MemoryController {
     /// Propagates remap-path errors; an already-quarantined line is
     /// skipped silently.
     pub fn scrub_step(&mut self, now: Cycles) -> Result<bool> {
-        self.with_seq(SeqTag::Scrub, |mc| mc.scrub_step_inner(now))
-    }
-
-    fn scrub_step_inner(&mut self, now: Cycles) -> Result<bool> {
-        self.op_now = now;
-        let lines = self.config.data_capacity / LINE_SIZE as u64;
-        let addr = BlockAddr::new(self.scrub_cursor * LINE_SIZE as u64);
-        self.scrub_cursor = (self.scrub_cursor + 1) % lines;
-        self.stats.health.scrub_reads.inc();
-        let corrected_before = self.stats.health.ecc_corrected.get();
-        let retired_before = self.stats.health.remaps.get() + self.stats.health.quarantined.get();
-        match self.nvm_read_data(addr) {
-            Ok(_) => {}
-            // Already degraded; nothing more the scrubber can do.
-            Err(Error::Quarantined { .. }) => {}
-            Err(e) => return Err(e),
-        }
-        self.process_pending_heal(now)?;
-        let healed = self.stats.health.ecc_corrected.get() > corrected_before
-            || self.stats.health.remaps.get() + self.stats.health.quarantined.get()
-                > retired_before;
-        if healed {
-            self.stats.health.scrub_heals.inc();
-        }
-        self.tracer
-            .emit(now, || TraceEvent::ScrubStep { addr, healed });
-        Ok(healed)
+        self.with_seq(SeqTag::Scrub, |mc| {
+            mc.op_now = now;
+            let lines = mc.config.data_capacity / LINE_SIZE as u64;
+            let addr = BlockAddr::new(mc.scrub_cursor * LINE_SIZE as u64);
+            mc.scrub_cursor = (mc.scrub_cursor + 1) % lines;
+            mc.stats.health.scrub_reads.inc();
+            let corrected_before = mc.stats.health.ecc_corrected.get();
+            let retired_before = mc.stats.health.remaps.get() + mc.stats.health.quarantined.get();
+            match mc.nvm_read_data(addr) {
+                Ok(_) => {}
+                // Already degraded; nothing more the scrubber can do.
+                Err(Error::Quarantined { .. }) => {}
+                Err(e) => return Err(e),
+            }
+            mc.process_pending_heal(now)?;
+            let healed = mc.stats.health.ecc_corrected.get() > corrected_before
+                || mc.stats.health.remaps.get() + mc.stats.health.quarantined.get()
+                    > retired_before;
+            if healed {
+                mc.stats.health.scrub_heals.inc();
+            }
+            mc.tracer
+                .emit(now, || TraceEvent::ScrubStep { addr, healed });
+            Ok(healed)
+        })
     }
 
     /// Services an LLC miss (Fig. 7).
@@ -1062,46 +692,31 @@ impl MemoryController {
         self.op_now = now;
         self.check_data_addr(addr)?;
         self.with_seq(SeqTag::DemandWrite, |mc| {
-            mc.write_block_inner(addr, data, zeroing, now)
+            match mc.config.protection {
+                ProtectionMode::Plain | ProtectionMode::Ecb => mc.direct_write(addr, data, now)?,
+                ProtectionMode::Ctr => mc.ctr_write(addr, data, now)?,
+                ProtectionMode::Scattered => mc.scattered_write_line(addr, data, now, true)?,
+            }
+            mc.stats.mem.writes.inc();
+            if zeroing {
+                mc.stats.mem.zeroing_writes.inc();
+            }
+            mc.maybe_scrub(now)?;
+            mc.process_pending_heal(now)?;
+            Ok(Cycles::new(1))
         })
     }
 
-    fn write_block_inner(
-        &mut self,
-        addr: BlockAddr,
-        data: &Line,
-        zeroing: bool,
-        now: Cycles,
-    ) -> Result<Cycles> {
-        match self.config.protection {
-            ProtectionMode::Plain | ProtectionMode::Ecb => self.direct_write(addr, data, now)?,
-            ProtectionMode::Ctr => self.ctr_write(addr, data, now)?,
-            ProtectionMode::Scattered => self.scattered_write_line(addr, data, now, true)?,
-        }
-        self.stats.mem.writes.inc();
-        if zeroing {
-            self.stats.mem.zeroing_writes.inc();
-        }
-        self.maybe_scrub(now)?;
-        self.process_pending_heal(now)?;
-        Ok(Cycles::new(1))
-    }
-
-    /// Executes a shred command for `page` (Fig. 6 steps 3–5; cache
-    /// invalidation — step 2 — is the caller's responsibility since the
-    /// controller does not own the cache hierarchy).
+    /// Executes a shred command for `page`, issued at `now` for channel
+    /// accounting (Fig. 6 steps 3–5; cache invalidation — step 2 — is
+    /// the caller's responsibility since the controller does not own
+    /// the cache hierarchy).
     ///
     /// # Errors
     ///
     /// [`Error::PrivilegeViolation`] when invoked without kernel mode
     /// (§7.1), [`Error::InvalidConfig`] when the shredder is disabled,
     /// plus the read-path errors.
-    pub fn shred_page(&mut self, page: PageId, kernel_mode: bool) -> Result<Cycles> {
-        self.shred_page_at(page, kernel_mode, Cycles::ZERO)
-    }
-
-    /// [`MemoryController::shred_page`] with an explicit issue time for
-    /// channel accounting.
     pub fn shred_page_at(
         &mut self,
         page: PageId,
@@ -1109,45 +724,36 @@ impl MemoryController {
         now: Cycles,
     ) -> Result<Cycles> {
         self.with_seq(SeqTag::Shred, |mc| {
-            mc.shred_page_at_inner(page, kernel_mode, now)
-        })
-    }
-
-    fn shred_page_at_inner(
-        &mut self,
-        page: PageId,
-        kernel_mode: bool,
-        now: Cycles,
-    ) -> Result<Cycles> {
-        self.op_now = now;
-        if !kernel_mode {
-            self.stats.shred_denied.inc();
-            return Err(Error::PrivilegeViolation {
-                addr: mmio::SHRED_REG,
-            });
-        }
-        if !self.config.shredder {
-            return Err(Error::InvalidConfig {
-                detail: "shred command issued but silent shredder is disabled".into(),
-            });
-        }
-        self.check_data_addr(page.block_addr(0))?;
-        let mut latency = match self.config.protection {
-            ProtectionMode::Ctr => self.ctr_shred_page(page, now)?,
-            ProtectionMode::Scattered => self.scattered_shred_page(page, now)?,
-            // `validate` rejects a shredder without per-line metadata.
-            ProtectionMode::Plain | ProtectionMode::Ecb => {
-                return Err(Error::InvalidConfig {
-                    detail: "shred command needs counter-mode or scattered protection".into(),
-                })
+            mc.op_now = now;
+            if !kernel_mode {
+                mc.stats.shred_denied.inc();
+                return Err(Error::PrivilegeViolation {
+                    addr: mmio::SHRED_REG,
+                });
             }
-        };
-        self.stats.shreds.inc();
-        self.tracer.emit(now, || TraceEvent::Shred { page });
-        self.process_pending_heal(now)?;
-        // Counter update + ack (Fig. 6 steps 3–5).
-        latency += Cycles::new(4);
-        Ok(latency)
+            if !mc.config.shredder {
+                return Err(Error::InvalidConfig {
+                    detail: "shred command issued but silent shredder is disabled".into(),
+                });
+            }
+            mc.check_data_addr(page.block_addr(0))?;
+            let mut latency = match mc.config.protection {
+                ProtectionMode::Ctr => mc.ctr_shred_page(page, now)?,
+                ProtectionMode::Scattered => mc.scattered_shred_page(page, now)?,
+                // `validate` rejects a shredder without per-line metadata.
+                ProtectionMode::Plain | ProtectionMode::Ecb => {
+                    return Err(Error::InvalidConfig {
+                        detail: "shred command needs counter-mode or scattered protection".into(),
+                    })
+                }
+            };
+            mc.stats.shreds.inc();
+            mc.tracer.emit(now, || TraceEvent::Shred { page });
+            mc.process_pending_heal(now)?;
+            // Counter update + ack (Fig. 6 steps 3–5).
+            latency += Cycles::new(4);
+            Ok(latency)
+        })
     }
 
     /// Shreds a contiguous run of pages — the §5 `clear_huge_page`
@@ -1157,7 +763,7 @@ impl MemoryController {
     ///
     /// # Errors
     ///
-    /// As for [`MemoryController::shred_page`]; shreds already performed
+    /// As for [`MemoryController::shred_page_at`]; shreds already performed
     /// when an error occurs are not rolled back.
     pub fn shred_page_run(
         &mut self,
@@ -1263,28 +869,26 @@ impl MemoryController {
     /// As for [`MemoryController::write_block`].
     pub fn zero_page_in_place(&mut self, page: PageId, now: Cycles) -> Result<Cycles> {
         self.with_seq(SeqTag::DemandWrite, |mc| {
-            mc.zero_page_in_place_inner(page, now)
-        })
-    }
-
-    fn zero_page_in_place_inner(&mut self, page: PageId, now: Cycles) -> Result<Cycles> {
-        self.op_now = now;
-        let zero = [0u8; LINE_SIZE];
-        for b in 0..BLOCKS_PER_PAGE {
-            let addr = page.block_addr(b);
-            self.check_data_addr(addr)?;
-            match self.config.protection {
-                ProtectionMode::Plain | ProtectionMode::Ecb => self.direct_zero_line(addr)?,
-                ProtectionMode::Ctr => self.ctr_zero_line(addr, now)?,
-                ProtectionMode::Scattered => self.scattered_write_line(addr, &zero, now, false)?,
+            mc.op_now = now;
+            let zero = [0u8; LINE_SIZE];
+            for b in 0..BLOCKS_PER_PAGE {
+                let addr = page.block_addr(b);
+                mc.check_data_addr(addr)?;
+                match mc.config.protection {
+                    ProtectionMode::Plain | ProtectionMode::Ecb => mc.direct_zero_line(addr)?,
+                    ProtectionMode::Ctr => mc.ctr_zero_line(addr, now)?,
+                    ProtectionMode::Scattered => {
+                        mc.scattered_write_line(addr, &zero, now, false)?
+                    }
+                }
+                mc.stats.mem.writes.inc();
+                mc.stats.mem.zeroing_writes.inc();
             }
-            self.stats.mem.writes.inc();
-            self.stats.mem.zeroing_writes.inc();
-        }
-        self.process_pending_heal(now)?;
-        // One array write latency: the device zeroes rows internally in
-        // parallel (optimistic, as in the RowClone paper).
-        Ok(NVM_TIMING.write_cycles())
+            mc.process_pending_heal(now)?;
+            // One array write latency: the device zeroes rows internally in
+            // parallel (optimistic, as in the RowClone paper).
+            Ok(NVM_TIMING.write_cycles())
+        })
     }
 
     /// Flushes dirty counter blocks to NVM (battery-backed write-back
@@ -1439,7 +1043,7 @@ impl MemoryController {
         let mut report = RecoveryReport::default();
         if self.adr() {
             let ring: Vec<Line> = (0..persist::JOURNAL_LINES)
-                .map(|i| self.nvm.peek(self.journal_line_addr(i)))
+                .map(|i| self.peek_line(Region::Journal, i))
                 .collect();
             if let Some(newest) = persist::scan(&ring)? {
                 self.persist.head = newest.head;
@@ -1464,8 +1068,11 @@ impl MemoryController {
                                 report.undone += 1;
                             }
                             EntryKind::RemapAlloc => {
-                                if self.heal.undo_remap(e.target, BlockAddr::new(e.aux)) {
-                                    report.remaps_rolled_back += 1;
+                                let spare = self.layout.region_of(BlockAddr::new(e.aux));
+                                if let Some((Region::Spare, spare)) = spare {
+                                    if self.heal.undo_remap(e.target, spare) {
+                                        report.remaps_rolled_back += 1;
+                                    }
                                 }
                                 if e.was_quarantined {
                                     self.heal.quarantine(e.target);
@@ -1500,7 +1107,7 @@ impl MemoryController {
     /// shredded under a non-zero major counter.
     fn reverify_counter_region(&mut self) -> Result<u64> {
         let lines: Vec<Line> = (0..self.config.frames())
-            .map(|p| self.nvm.peek(self.counter_addr(PageId::new(p))))
+            .map(|p| self.peek_line(Region::Counter, p))
             .collect();
         if let Some(p) = self.merkle.as_mut().and_then(|m| m.verify_leaves(&lines)) {
             return Err(Error::IntegrityViolation {
@@ -1516,25 +1123,6 @@ impl MemoryController {
             .filter(|c| c.major > 0 && (0..BLOCKS_PER_PAGE).all(|b| c.is_shredded(b)))
             .count() as u64)
     }
-}
-
-/// Builds the write queue for a configuration, if enabled. Fallible
-/// because [`WriteQueue::new`] is: `ControllerConfig::validate` has
-/// already vetted the watermarks by the time this runs, so the error
-/// arm is unreachable in practice but typed rather than a panic.
-fn config_wqueue(config: &ControllerConfig) -> Result<Option<WriteQueue>> {
-    config.write_queue.map(WriteQueue::new).transpose()
-}
-
-/// Writes between Start-Gap gap movements when wear levelling is on:
-/// one, the Start-Gap ablation's setting (DESIGN.md §3.2).
-const START_GAP_INTERVAL: u64 = 1;
-
-/// Builds the Start-Gap remapper for a configuration, if enabled.
-fn config_start_gap(config: &ControllerConfig) -> Option<StartGap> {
-    config
-        .wear_leveling
-        .then(|| StartGap::new(config.data_capacity / LINE_SIZE as u64, START_GAP_INTERVAL))
 }
 
 #[cfg(test)]
@@ -1567,7 +1155,7 @@ mod tests {
 
     #[test]
     fn recovery_refuses_a_damaged_interrupted_sequence() {
-        let line = |m: &MemoryController, i| m.nvm.peek(m.journal_line_addr(i));
+        let line = |m: &MemoryController, i| m.peek_line(Region::Journal, i);
         // A flipped bit in a record or a payload of the interrupted
         // sequence, or its first record lost: rolling back what is left
         // would be silent, so recovery stops.
@@ -1579,7 +1167,7 @@ mod tests {
             } else {
                 l[30] ^= damage;
             }
-            m.nvm.tamper(m.journal_line_addr(at), l);
+            m.nvm.tamper(m.layout.addr(Region::Journal, at), l);
             match m.recover_mut() {
                 Err(Error::IntegrityViolation { detail }) => {
                     assert!(detail.contains("ordering journal"), "{detail}");
@@ -1591,7 +1179,7 @@ mod tests {
         let mut m = cut_overwrite();
         let mut l = line(&m, 2);
         l[30] ^= 1;
-        m.nvm.tamper(m.journal_line_addr(2), l);
+        m.nvm.tamper(m.layout.addr(Region::Journal, 2), l);
         let report = m.recover_mut().unwrap();
         assert_eq!(report.undone, 2);
         let r = m.read_block(PageId::new(2).block_addr(0), Cycles::ZERO);

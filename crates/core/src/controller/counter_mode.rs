@@ -14,10 +14,16 @@ use ss_common::{BlockAddr, Cycles, PageId, Result, BLOCKS_PER_PAGE, LINE_SIZE};
 use ss_crypto::{CtrEngine, EcbEngine, Line};
 use ss_trace::{Stage, TraceEvent};
 
+use super::regions::Rescue;
 use super::{MemoryController, ReadResult, NVM_TIMING, XOR_LATENCY};
 use crate::config::ProtectionMode;
 use crate::counters::{BumpOutcome, CounterBlock};
 use crate::deuce::{self, DeuceMeta, CHUNKS};
+
+/// The AES-128 processor key both engines are built from: a simulation
+/// constant (DESIGN.md §3.2), which the scattered mode also folds into
+/// its share-stream seed.
+pub(super) const KEY: [u8; 16] = *b"silent-shredder!";
 
 /// Full AES latency on the `Ecb` read path, which cannot overlap it with
 /// the array access (§2.2; the old configurable default).
@@ -28,8 +34,8 @@ const AES_LATENCY: Cycles = Cycles::new(40);
 const DEUCE_EPOCH: u8 = 16;
 
 /// The AES engines and DEUCE chunk state of the encrypted modes. Both
-/// engines are built at boot from the processor key; the mode picks
-/// which one a path uses.
+/// engines are built at boot from the processor key ([`KEY`]); the mode
+/// picks which one a path uses.
 #[derive(Debug)]
 pub(super) struct CounterMode {
     ctr: CtrEngine,
@@ -40,10 +46,10 @@ pub(super) struct CounterMode {
 }
 
 impl CounterMode {
-    pub(super) fn new(key: [u8; 16]) -> Self {
+    pub(super) fn new() -> Self {
         CounterMode {
-            ctr: CtrEngine::new(key),
-            ecb: EcbEngine::new(key),
+            ctr: CtrEngine::new(KEY),
+            ecb: EcbEngine::new(KEY),
             deuce_meta: BTreeMap::new(),
         }
     }
@@ -106,16 +112,11 @@ impl MemoryController {
     }
 
     /// Direct-mode rescue: the stored line moves to a spare as it is.
-    pub(super) fn direct_rescue_remap(
-        &mut self,
-        dev: BlockAddr,
-        slot: BlockAddr,
-        now: Cycles,
-    ) -> Result<()> {
-        let Some(stored) = self.rescue_read(slot)? else {
-            return self.fail_remap(dev);
+    pub(super) fn direct_rescue_remap(&mut self, r: &Rescue, now: Cycles) -> Result<()> {
+        let Some(stored) = self.rescue_read(r)? else {
+            return self.fail_remap(r);
         };
-        self.move_to_spare(dev, Some(&stored), now, |_| Ok(()))
+        self.move_to_spare(r, Some(&stored), now, |_| Ok(()))
     }
 
     /// Issues a demand write's data line, scheduling it on the channels
@@ -231,7 +232,7 @@ impl MemoryController {
         self.install_counters(addr.page(), ctrs, true, now)
     }
 
-    /// Counter-mode rescue of the degrading line at `addr`. A shredded
+    /// Counter-mode rescue of a degrading line. A shredded
     /// block has no content to rescue, and its minor counter must STAY
     /// zero — bumping it would turn zero-fill reads back into array
     /// reads of stale ciphertext — so only its worn slot is retired. A
@@ -240,25 +241,19 @@ impl MemoryController {
     /// tuple. Commit order: spare ciphertext first, then the counter +
     /// Merkle update makes the new IV authoritative; a crash in between
     /// leaves the old mapping decodable under the old counters.
-    pub(super) fn ctr_rescue_remap(
-        &mut self,
-        addr: BlockAddr,
-        dev: BlockAddr,
-        slot: BlockAddr,
-        now: Cycles,
-    ) -> Result<()> {
-        let page = addr.page();
+    pub(super) fn ctr_rescue_remap(&mut self, r: &Rescue, now: Cycles) -> Result<()> {
+        let (addr, page) = (r.addr, r.addr.page());
         let (ctrs, _) = self.fetch_counters(page, now)?;
         if self.zero_fills(&ctrs, addr.block_in_page()) {
-            return self.move_to_spare(dev, None, now, |_| Ok(()));
+            return self.move_to_spare(r, None, now, |_| Ok(()));
         }
-        let Some(cipher) = self.rescue_read(slot)? else {
-            return self.fail_remap(dev);
+        let Some(cipher) = self.rescue_read(r)? else {
+            return self.fail_remap(r);
         };
         let plain = self.decrypt_ctr(addr, &ctrs, &cipher);
         let new_ctrs = self.bump_minor(addr, &ctrs, now)?;
         let new_cipher = self.encrypt_fresh(addr, &new_ctrs, &plain);
-        self.move_to_spare(dev, Some(&new_cipher), now, |mc| {
+        self.move_to_spare(r, Some(&new_cipher), now, |mc| {
             mc.install_counters(page, new_ctrs, true, now)
         })
     }
@@ -415,6 +410,7 @@ mod tests {
     use super::*;
     use crate::config::{ControllerConfig, ShredStrategy};
     use crate::wqueue::WriteQueueConfig;
+    use crate::NvmTarget;
 
     fn mc() -> MemoryController {
         MemoryController::new(ControllerConfig::small_test()).unwrap()
@@ -477,7 +473,7 @@ mod tests {
                 .unwrap();
         }
         let writes_before = m.stats.mem.writes.get();
-        m.shred_page(page, true).unwrap();
+        m.shred_page_at(page, true, Cycles::ZERO).unwrap();
         assert_eq!(m.stats.mem.writes.get(), writes_before, "shred wrote data");
         assert_eq!(m.stats.shreds.get(), 1);
         for b in 0..4 {
@@ -507,7 +503,7 @@ mod tests {
             for _ in 0..127 {
                 m.write_block(addr, &secret, false, Cycles::ZERO).unwrap();
             }
-            m.shred_page(page, true).unwrap();
+            m.shred_page_at(page, true, Cycles::ZERO).unwrap();
             let overflowed = strategy == ShredStrategy::MinorIncrementAll;
             assert_eq!(m.stats.reencryptions.get(), u64::from(overflowed));
             let r = m.read_block(addr, Cycles::ZERO).unwrap();
@@ -575,7 +571,7 @@ mod tests {
                 // block 1 is live when the minor overflows.
                 m.write_block(page.block_addr(2), &line(0x22), false, Cycles::ZERO)
                     .unwrap();
-                m.shred_page(page, true).unwrap();
+                m.shred_page_at(page, true, Cycles::ZERO).unwrap();
                 m.write_block(page.block_addr(1), &line(0x11), false, Cycles::ZERO)
                     .unwrap();
                 for i in 0..127 {
@@ -651,7 +647,7 @@ mod tests {
         m.write_block(addr, &data, false, Cycles::ZERO).unwrap();
         data[5] = 0;
         m.write_block(addr, &data, false, Cycles::ZERO).unwrap();
-        m.shred_page(page, true).unwrap();
+        m.shred_page_at(page, true, Cycles::ZERO).unwrap();
         assert!(m.read_block(addr, Cycles::ZERO).unwrap().zero_filled);
         m.write_block(addr, &line(0x30), false, Cycles::ZERO)
             .unwrap();
@@ -728,7 +724,7 @@ mod tests {
             m.write_block(page.block_addr(b), &line(7), false, Cycles::ZERO)
                 .unwrap();
         }
-        m.shred_page(page, true).unwrap();
+        m.shred_page_at(page, true, Cycles::ZERO).unwrap();
         for b in 0..8 {
             assert!(
                 m.read_block(page.block_addr(b), Cycles::ZERO)
@@ -746,7 +742,7 @@ mod tests {
             m.write_block(page.block_addr(b), &line(9), false, Cycles::ZERO)
                 .unwrap();
         }
-        m.shred_page(page, true).unwrap();
+        m.shred_page_at(page, true, Cycles::ZERO).unwrap();
         for b in 0..4 {
             assert!(
                 m.read_block(page.block_addr(b), Cycles::ZERO)
@@ -799,7 +795,7 @@ mod tests {
         let addr = page.block_addr(0);
         m.write_block(addr, &line(0x77), false, Cycles::ZERO)
             .unwrap();
-        m.shred_page(page, true).unwrap();
+        m.shred_page_at(page, true, Cycles::ZERO).unwrap();
         m.faults().force_line_failure(addr, 1);
         // The demand path never touches a shredded line's array slot, so
         // the scrubber is what finds the wear-out (cursor starts at 0).
@@ -820,7 +816,7 @@ mod tests {
         m.write_block(page.block_addr(0), &line(1), false, Cycles::ZERO)
             .unwrap();
         m.flush_counters().unwrap();
-        m.faults().tamper_counter_line(page, line(0xAD));
+        m.faults().nvm_tamper(NvmTarget::Counter(page), line(0xAD));
         m.faults().drop_counter_cache();
         let err = m.read_block(page.block_addr(0), Cycles::ZERO).unwrap_err();
         assert!(matches!(err, Error::IntegrityViolation { .. }));

@@ -2,7 +2,8 @@
 //!
 //! The controller's public surface is its *production* operations
 //! (read/write/shred/fence/recover…). Everything else lives behind two
-//! narrow ports, each method defined once, here:
+//! narrow ports, each method defined once, here (the [`FaultPort`]
+//! methods that reach the device live in `regions.rs`):
 //!
 //! * [`MemoryController::inspect`] → [`Inspect`]: read-only observers —
 //!   statistics, the unified metrics registry, trace records, healing
@@ -19,10 +20,11 @@ use ss_common::{BlockAddr, PageId, Result, LINE_SIZE};
 use ss_crypto::{share, Line, MerkleTree};
 use ss_trace::{export_latency, MetricsRegistry, StageProfile, TraceRecord};
 
+use super::regions::{mask_line, Region};
 use super::{ControllerStats, MemoryController};
-use crate::config::{PersistDomain, ProtectionMode};
+use crate::config::ProtectionMode;
 use crate::counters::CounterBlock;
-use crate::persist::{self, CrashCut};
+use crate::persist::CrashCut;
 use crate::shard::ShardedController;
 use crate::wqueue::WriteQueueStats;
 
@@ -174,8 +176,8 @@ impl<'a> Inspect<'a> {
             reg.set("prot.mask_discards", s.prot.mask_discards.get());
             reg.set("prot.fresh_share_rescues", s.prot.fresh_share_rescues.get());
             // One liveness line per page plus one mask line per data line.
-            let mask_lines = mc.config.data_capacity / LINE_SIZE as u64;
-            reg.set("prot.metadata_lines", mc.config.frames() + mask_lines);
+            let lines = mc.layout.lines(Region::Counter) + mc.layout.lines(Region::Mask);
+            reg.set("prot.metadata_lines", lines);
         }
         mc.nvm.stats().export(&mut reg, "nvm");
         mc.profile.export(&mut reg);
@@ -208,13 +210,9 @@ impl<'a> Inspect<'a> {
     /// Writes each line of the ordering-journal ring has taken, in ring
     /// order (empty under eADR, which keeps no journal).
     pub fn journal_wear(&self) -> Vec<u64> {
-        let mc = self.mc;
-        if mc.config.persist_domain != PersistDomain::Adr {
-            return Vec::new();
-        }
-        let wear = mc.nvm.wear();
-        (0..persist::JOURNAL_LINES)
-            .map(|i| wear.wear(mc.journal_line_addr(i)))
+        let (layout, wear) = (&self.mc.layout, self.mc.nvm.wear());
+        (0..layout.lines(Region::Journal))
+            .map(|i| wear.wear(layout.addr(Region::Journal, i)))
             .collect()
     }
 }
@@ -225,77 +223,10 @@ impl<'a> Inspect<'a> {
 /// here belongs in a production code path.
 #[derive(Debug)]
 pub struct FaultPort<'a> {
-    mc: &'a mut MemoryController,
+    pub(super) mc: &'a mut MemoryController,
 }
 
 impl FaultPort<'_> {
-    /// Reads every written line raw — the stolen-DIMM attack (§3).
-    /// Covers the data region *and* the spare pool: remapped lines
-    /// physically live there, and retired originals still hold their
-    /// last ciphertext. The counter region is not included.
-    pub fn cold_scan_data(&self) -> Vec<(BlockAddr, Line)> {
-        let mc = &*self.mc;
-        mc.nvm
-            .cold_scan()
-            .filter(|(a, _)| {
-                a.raw() < mc.counter_base || (a.raw() >= mc.spare_base && a.raw() < mc.journal_base)
-            })
-            .map(|(a, l)| (a, *l))
-            .collect()
-    }
-
-    /// Cold scan restricted to the spare-line pool: the residue surface
-    /// a remap-probe attack inspects for rescued-but-unshredded data.
-    pub fn cold_scan_spares(&self) -> Vec<(BlockAddr, Line)> {
-        let mc = &*self.mc;
-        mc.nvm
-            .cold_scan()
-            .filter(|(a, _)| a.raw() >= mc.spare_base && a.raw() < mc.journal_base)
-            .map(|(a, l)| (a, *l))
-            .collect()
-    }
-
-    /// Cold scan of the persisted counter region, keyed by owning page —
-    /// the state a rollback attacker captures at one power cycle and
-    /// replays at the next.
-    pub fn cold_scan_counters(&self) -> Vec<(PageId, Line)> {
-        let mc = &*self.mc;
-        mc.nvm
-            .cold_scan()
-            .filter(|(a, _)| a.raw() >= mc.counter_base && a.raw() < mc.spare_base)
-            .map(|(a, l)| (mc.counter_page(a), *l))
-            .collect()
-    }
-
-    /// Overwrites a data line in the array behind the controller's back
-    /// (man-in-the-middle / overwrite attacks).
-    pub fn nvm_tamper(&mut self, addr: BlockAddr, line: Line) {
-        let slot = self.data_slot(addr);
-        self.mc.nvm.tamper(slot, line);
-    }
-
-    /// Raw bytes of `page`'s counter line as stored in the array
-    /// (attacker capture for replay experiments).
-    pub fn nvm_peek_counter(&self, page: PageId) -> Line {
-        self.mc.nvm.peek(self.mc.counter_addr(page))
-    }
-
-    /// Raw stored bytes (ciphertext) of the data line at `addr`,
-    /// bypassing decryption, stats and timing.
-    pub fn nvm_peek(&self, addr: BlockAddr) -> Line {
-        self.mc.nvm.peek(addr)
-    }
-
-    /// Overwrites `page`'s counter line in the array (replay/tamper).
-    /// The next counter-cache miss for this page must fail verification
-    /// when integrity is enabled. Only effective once the cached copy is
-    /// evicted or dropped; tests combine this with
-    /// [`Self::drop_counter_cache`].
-    pub fn tamper_counter_line(&mut self, page: PageId, line: Line) {
-        let caddr = self.mc.counter_addr(page);
-        self.mc.nvm.tamper(caddr, line);
-    }
-
     /// Discards the counter cache without writeback (crash modelling):
     /// subsequent accesses read counters from NVM.
     pub fn drop_counter_cache(&mut self) {
@@ -332,77 +263,34 @@ impl FaultPort<'_> {
         Ok(true)
     }
 
-    /// What the running software would observe at `addr`, without stats
-    /// or timing side effects (test oracle).
+    /// What the running software would observe at `addr`, without stats,
+    /// timing or counter-cache side effects (test oracle).
     ///
     /// # Errors
     ///
     /// As for [`MemoryController::read_block`].
-    pub fn peek_plaintext(&mut self, addr: BlockAddr) -> Result<Line> {
-        let mc = &mut *self.mc;
+    pub fn peek_plaintext(&self, addr: BlockAddr) -> Result<Line> {
+        let mc = &*self.mc;
         mc.check_data_addr(addr)?;
-        let block = addr.block_in_page();
+        // The page's counters (or liveness line) as the controller sees
+        // them, without a fill or a change to the cache's LRU order.
+        let page = addr.page();
+        let ctrs = mc.counter_cache.peek(mc.counter_addr(page)).map_or_else(
+            || CounterBlock::from_line(&mc.peek_line(Region::Counter, page.raw())),
+            |e| e.value,
+        );
+        if mc.zero_fills(&ctrs, addr.block_in_page()) {
+            return Ok([0u8; LINE_SIZE]);
+        }
+        let stored = mc.nvm_peek_data(addr);
         Ok(match mc.config.protection {
-            ProtectionMode::Plain | ProtectionMode::Ecb => mc.direct_open(&mc.nvm_peek_data(addr)),
-            ProtectionMode::Ctr => {
-                let ctrs = peek_counters(mc, addr.page());
-                if mc.zero_fills(&ctrs, block) {
-                    return Ok([0u8; LINE_SIZE]);
-                }
-                mc.decrypt_ctr(addr, &ctrs, &mc.nvm_peek_data(addr))
-            }
+            ProtectionMode::Plain | ProtectionMode::Ecb => mc.direct_open(&stored),
+            ProtectionMode::Ctr => mc.decrypt_ctr(addr, &ctrs, &stored),
             ProtectionMode::Scattered => {
-                let liveness = peek_counters(mc, addr.page());
-                if mc.zero_fills(&liveness, block) {
-                    return Ok([0u8; LINE_SIZE]);
-                }
-                let share_b = mc.nvm.peek(mc.mask_addr(addr));
-                share::recombine_shares(&mc.nvm_peek_data(addr), &share_b)
+                let share_b = mc.peek_line(Region::Mask, mask_line(addr));
+                share::recombine_shares(&stored, &share_b)
             }
         })
-    }
-
-    /// Flips one stored bit of the data line at `addr` (NVM cell
-    /// disturb, a persistent fault), following any wear-levelling remap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bit >= LINE_SIZE * 8`.
-    pub fn flip_data_bit(&mut self, addr: BlockAddr, bit: usize) {
-        let slot = self.data_slot(addr);
-        self.mc.nvm.flip_bit(slot, bit);
-    }
-
-    /// Flips one stored bit of `page`'s counter line. With integrity
-    /// enabled the next uncached fetch must fail Merkle verification.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bit >= LINE_SIZE * 8`.
-    pub fn flip_counter_bit(&mut self, page: PageId, bit: usize) {
-        let caddr = self.mc.counter_addr(page);
-        self.mc.nvm.flip_bit(caddr, bit);
-    }
-
-    /// Arms a one-shot transient error of `flips` raw bit flips on the
-    /// next read of the slot currently backing `addr`.
-    pub fn inject_data_read_error(&mut self, addr: BlockAddr, flips: u32) {
-        let slot = self.data_slot(addr);
-        self.mc.nvm.inject_read_error(slot, flips);
-    }
-
-    /// Disarms a pending injected read error. Returns whether one was
-    /// armed (i.e. no read consumed it).
-    pub fn clear_injected_read_error(&mut self, addr: BlockAddr) -> bool {
-        let slot = self.data_slot(addr);
-        self.mc.nvm.clear_injected_error(slot)
-    }
-
-    /// Marks the slot backing `addr` permanently failed with `weak_bits`
-    /// stuck weak cells (wear-out / stuck-at fault model).
-    pub fn force_line_failure(&mut self, addr: BlockAddr, weak_bits: u32) {
-        let slot = self.data_slot(addr);
-        self.mc.nvm.fail_line(slot, weak_bits);
     }
 
     /// Arms a one-shot crash cut: the persist sequence is severed once
@@ -425,22 +313,6 @@ impl FaultPort<'_> {
     /// operation errors until [`MemoryController::power_loss`]).
     pub fn crash_cut_fired(&self) -> bool {
         self.mc.persist.cut_fired
-    }
-
-    /// The device slot currently backing logical data line `addr`
-    /// (Start-Gap remapping, then spare-pool redirection).
-    fn data_slot(&self, addr: BlockAddr) -> BlockAddr {
-        self.mc.heal.redirect(self.mc.device_addr(addr))
-    }
-}
-
-/// `page`'s counters (or scattered liveness line) as the controller
-/// currently sees them, without timing, verification or a cache fill.
-fn peek_counters(mc: &mut MemoryController, page: PageId) -> CounterBlock {
-    let caddr = mc.counter_addr(page);
-    match mc.counter_cache.get(caddr) {
-        Some(e) => e.value,
-        None => CounterBlock::from_line(&mc.nvm.peek(caddr)),
     }
 }
 

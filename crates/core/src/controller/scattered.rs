@@ -13,6 +13,8 @@ use ss_common::{BlockAddr, Counter, Cycles, DetRng, PageId, Result, BLOCKS_PER_P
 use ss_crypto::{share, Line};
 use ss_trace::{Stage, TraceEvent};
 
+use super::counter_mode::KEY;
+use super::regions::{mask_line, Region, Rescue};
 use super::{MemoryController, ReadResult, NVM_TIMING, XOR_LATENCY};
 use crate::config::ControllerConfig;
 
@@ -42,36 +44,16 @@ pub struct ProtStats {
     pub fresh_share_rescues: Counter,
 }
 
-/// The scattered mode's own state.
-#[derive(Debug)]
-pub(super) struct Shares {
-    /// NVM byte offset of the mask-share region (== device end under the
-    /// other modes, where no masks are allocated). The region models a
-    /// physically separate DIMM (DESIGN.md §15).
-    mask_base: u64,
-    /// Deterministic share stream (a DRBG in hardware). Seeded from the
-    /// processor key, the domain constant, and the fault seed, so every
-    /// run is reproducible.
-    rng: DetRng,
-}
-
-impl Shares {
-    pub(super) fn new(config: &ControllerConfig, mask_base: u64) -> Self {
-        let mut key_word = [0u8; 8];
-        key_word.copy_from_slice(&config.key[..8]);
-        Shares {
-            mask_base,
-            rng: DetRng::new(u64::from_le_bytes(key_word) ^ SHARE_DOMAIN ^ config.nvm_fault_seed),
-        }
-    }
+/// The deterministic share stream (a DRBG in hardware). Seeded from the
+/// processor key, the domain constant, and the fault seed, so every run
+/// is reproducible.
+pub(super) fn share_stream(config: &ControllerConfig) -> DetRng {
+    let mut key_word = [0u8; 8];
+    key_word.copy_from_slice(&KEY[..8]);
+    DetRng::new(u64::from_le_bytes(key_word) ^ SHARE_DOMAIN ^ config.nvm_fault_seed)
 }
 
 impl MemoryController {
-    /// Device address of the mask share backing logical line `addr`.
-    pub(super) fn mask_addr(&self, addr: BlockAddr) -> BlockAddr {
-        BlockAddr::new(self.shares.mask_base + addr.raw())
-    }
-
     /// Scattered read: zero-fill for dead blocks, otherwise fetch both
     /// shares (in parallel across regions) and recombine.
     pub(super) fn scattered_read_line(
@@ -93,11 +75,8 @@ impl MemoryController {
         self.stats.mem.reads.inc();
         let read_b = self.sched(now + ctr_lat, NVM_TIMING.read_cycles());
         self.profile.charge(Stage::NvmRead, read_b);
-        let mask = self.mask_addr(addr);
-        // The mask region has a fixed layout (line → line), so like the
-        // counter region it is not remappable — but transient read
-        // errors still go through the retry policy.
-        let share_b = self.read_line_healing(mask)?.into_data();
+        // Transient read errors go through the retry policy.
+        let share_b = self.read_line_at(Region::Mask, mask_line(addr))?;
         self.stats.prot.share_reads.inc();
         self.profile.charge(Stage::AesCtr, XOR_LATENCY);
         let data = share::recombine_shares(&share_a, &share_b);
@@ -130,7 +109,7 @@ impl MemoryController {
         self.elide_dead_undo(addr, &ctrs);
         // Every write draws a fresh pad: pads are never reused across
         // values, so old mask captures are useless against new data.
-        let share_a = share::gen_share(&mut self.shares.rng);
+        let share_a = share::gen_share(&mut self.share_rng);
         let share_b = share::mask_share(data, &share_a);
         if bus {
             let write_lat = NVM_TIMING.write_cycles();
@@ -141,8 +120,7 @@ impl MemoryController {
             self.profile.charge(Stage::NvmWrite, mask_lat);
         }
         self.nvm_write_data(addr, &share_a)?;
-        let mask = self.mask_addr(addr);
-        self.persist_line(mask, &share_b, None)?;
+        self.persist_line(Region::Mask, mask_line(addr), &share_b)?;
         self.stats.prot.share_writes.inc();
         self.stats.prot.mask_writes.inc();
         if dead {
@@ -166,12 +144,11 @@ impl MemoryController {
                 continue;
             }
             let addr = page.block_addr(b);
-            let fresh = share::gen_share(&mut self.shares.rng);
+            let fresh = share::gen_share(&mut self.share_rng);
             self.sched(now, NVM_TIMING.write_cycles());
             self.profile
                 .charge(Stage::NvmWrite, NVM_TIMING.write_cycles());
-            let mask = self.mask_addr(addr);
-            self.persist_line(mask, &fresh, None)?;
+            self.persist_line(Region::Mask, mask_line(addr), &fresh)?;
             self.stats.prot.mask_writes.inc();
             self.stats.prot.mask_discards.inc();
             discarded += 1;
@@ -196,29 +173,23 @@ impl MemoryController {
     /// never inherits previously used share material. Commit order:
     /// spare share first, then the mask write makes the fresh pair
     /// authoritative (journal pre-images cover a cut).
-    pub(super) fn scattered_rescue_remap(
-        &mut self,
-        addr: BlockAddr,
-        dev: BlockAddr,
-        slot: BlockAddr,
-        now: Cycles,
-    ) -> Result<()> {
-        let (ctrs, _) = self.fetch_counters(addr.page(), now)?;
-        if self.zero_fills(&ctrs, addr.block_in_page()) {
-            return self.move_to_spare(dev, None, now, |_| Ok(()));
+    pub(super) fn scattered_rescue_remap(&mut self, r: &Rescue, now: Cycles) -> Result<()> {
+        let (ctrs, _) = self.fetch_counters(r.addr.page(), now)?;
+        if self.zero_fills(&ctrs, r.addr.block_in_page()) {
+            return self.move_to_spare(r, None, now, |_| Ok(()));
         }
-        let Some(share_a) = self.rescue_read(slot)? else {
-            return self.fail_remap(dev);
+        let Some(share_a) = self.rescue_read(r)? else {
+            return self.fail_remap(r);
         };
-        let mask = self.mask_addr(addr);
-        let share_b = self.read_line_healing(mask)?.into_data();
+        let mask = mask_line(r.addr);
+        let share_b = self.read_line_at(Region::Mask, mask)?;
         let plain = share::recombine_shares(&share_a, &share_b);
         self.stats.prot.recombines.inc();
-        let new_a = share::gen_share(&mut self.shares.rng);
+        let new_a = share::gen_share(&mut self.share_rng);
         let new_b = share::mask_share(&plain, &new_a);
-        self.move_to_spare(dev, Some(&new_a), now, |mc| {
+        self.move_to_spare(r, Some(&new_a), now, |mc| {
             mc.sched(now, NVM_TIMING.write_cycles());
-            mc.persist_line(mask, &new_b, None)?;
+            mc.persist_line(Region::Mask, mask, &new_b)?;
             mc.stats.prot.share_writes.inc();
             mc.stats.prot.mask_writes.inc();
             mc.stats.prot.fresh_share_rescues.inc();
@@ -233,6 +204,7 @@ mod tests {
 
     use super::*;
     use crate::config::ControllerConfigBuilder;
+    use crate::NvmTarget;
 
     fn line(v: u8) -> Line {
         [v; LINE_SIZE]
@@ -278,7 +250,7 @@ mod tests {
         m.write_block(addr, &line(0x11), false, Cycles::ZERO)
             .unwrap();
         let share_a = m.nvm.peek(addr);
-        let share_b = m.nvm.peek(m.mask_addr(addr));
+        let share_b = m.peek_line(Region::Mask, mask_line(addr));
         assert_ne!(share_a, line(0x11), "plaintext leaked to data region");
         assert_ne!(share_b, line(0x11), "plaintext leaked to mask region");
         assert_eq!(
@@ -296,7 +268,7 @@ mod tests {
                 .unwrap();
         }
         let writes_before = m.stats.mem.writes.get();
-        m.shred_page(page, true).unwrap();
+        m.shred_page_at(page, true, Cycles::ZERO).unwrap();
         // No *data-region* writes: the mask region absorbed the discard.
         assert_eq!(m.stats.mem.writes.get(), writes_before);
         assert_eq!(m.stats.prot.mask_discards.get(), 4);
@@ -308,7 +280,7 @@ mod tests {
             // Even recombining the surviving regions yields noise now.
             let residue = ss_crypto::share::recombine_shares(
                 &m.nvm.peek(addr),
-                &m.nvm.peek(m.mask_addr(addr)),
+                &m.peek_line(Region::Mask, mask_line(addr)),
             );
             assert_ne!(
                 residue,
@@ -325,7 +297,7 @@ mod tests {
         let addr = page.block_addr(0);
         m.write_block(addr, &line(0x55), false, Cycles::ZERO)
             .unwrap();
-        m.shred_page(page, true).unwrap();
+        m.shred_page_at(page, true, Cycles::ZERO).unwrap();
         m.power_loss().unwrap();
         let report = m.recover_mut().unwrap();
         assert!(report.root_verified);
@@ -342,7 +314,7 @@ mod tests {
         let addr = page.block_addr(0);
         m.write_block(addr, &line(0x66), false, Cycles::ZERO)
             .unwrap();
-        m.shred_page(page, true).unwrap();
+        m.shred_page_at(page, true, Cycles::ZERO).unwrap();
         // Rewrite after the shred, then degrade the backing slot: the
         // rescue must move a fresh share pair, not resurrect anything.
         m.write_block(addr, &line(0x77), false, Cycles::ZERO)
@@ -355,7 +327,7 @@ mod tests {
         assert_eq!(m.stats.prot.fresh_share_rescues.get(), 1);
         // Readable from the spare, and under a brand-new pad.
         assert_eq!(m.read_block(addr, Cycles::ZERO).unwrap().data, line(0x77));
-        let rescued_slot = m.heal.redirect(addr);
+        let rescued_slot = m.data_slot(addr);
         assert_ne!(m.nvm.peek(rescued_slot), share_before, "pad was reused");
     }
 
@@ -366,11 +338,11 @@ mod tests {
         let addr = page.block_addr(0);
         m.write_block(addr, &line(0x42), false, Cycles::ZERO)
             .unwrap();
-        m.shred_page(page, true).unwrap();
+        m.shred_page_at(page, true, Cycles::ZERO).unwrap();
         m.faults().force_line_failure(addr, 1);
         // Scrub finds the worn slot; the dead block is retired without
         // resurrecting content.
-        while m.heal.redirect(addr) == addr {
+        while m.data_slot(addr) == addr {
             if m.scrub_step(Cycles::ZERO).unwrap() {
                 break;
             }
@@ -387,7 +359,7 @@ mod tests {
         m.write_block(page.block_addr(0), &line(1), false, Cycles::ZERO)
             .unwrap();
         m.flush_counters().unwrap();
-        m.faults().tamper_counter_line(page, line(0xAD));
+        m.faults().nvm_tamper(NvmTarget::Counter(page), line(0xAD));
         m.faults().drop_counter_cache();
         let err = m.read_block(page.block_addr(0), Cycles::ZERO).unwrap_err();
         assert!(matches!(err, Error::IntegrityViolation { .. }));

@@ -26,7 +26,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use ss_common::{BlockAddr, Counter, Cycles, LINE_SIZE};
+use ss_common::{BlockAddr, Counter, Cycles};
 
 /// Re-reads after a transient uncorrectable read error before the read
 /// fails (the old configurable default).
@@ -68,29 +68,27 @@ pub struct HealthStats {
     pub scrub_heals: Counter,
 }
 
-/// The bad-line remap table: a pool of spare lines appended after the
-/// counter region, a map from failed device slots to their spare, and
-/// the quarantine list for lines that could not be saved.
+/// The bad-line remap table: a pool of spare lines, a map from failed
+/// device slots to their spare, and the quarantine list for lines that
+/// could not be saved. Spares are numbered from 0 within the pool; the
+/// controller's NVM layout places the pool after the counter region.
 #[derive(Debug, Clone)]
 pub struct SparePool {
-    /// Device byte address of the first spare line.
-    base: u64,
     /// Number of spare lines in the pool.
     total: u64,
     /// Bump allocator over the pool (spares are never reused: a spare
     /// that itself wears out is replaced by the next free slot).
     next_free: u64,
-    /// Failed device line → spare device line.
+    /// Failed device line → its spare's number.
     map: BTreeMap<u64, u64>,
     /// Device lines that failed remap; every access errors loudly.
     quarantined: BTreeSet<u64>,
 }
 
 impl SparePool {
-    /// An empty pool of `lines` spares starting at device address `base`.
-    pub fn new(base: u64, lines: u64) -> Self {
+    /// An empty pool of `lines` spares.
+    pub fn new(lines: u64) -> Self {
         SparePool {
-            base,
             total: lines,
             next_free: 0,
             map: BTreeMap::new(),
@@ -98,31 +96,22 @@ impl SparePool {
         }
     }
 
-    /// Where accesses to `dev` actually land (identity when not
-    /// remapped).
-    pub fn redirect(&self, dev: BlockAddr) -> BlockAddr {
-        match self.map.get(&dev.raw()) {
-            Some(spare) => BlockAddr::new(*spare),
-            None => dev,
-        }
-    }
-
-    /// Whether `dev` has been remapped to a spare.
-    pub fn is_remapped(&self, dev: BlockAddr) -> bool {
-        self.map.contains_key(&dev.raw())
+    /// The spare accesses to `dev` land on (`None` when not remapped).
+    pub fn spare_of(&self, dev: BlockAddr) -> Option<u64> {
+        self.map.get(&dev.raw()).copied()
     }
 
     /// Assigns the next free spare to `dev` (replacing any previous
     /// assignment, so a worn-out spare can itself be retired). Returns
-    /// the spare's device address, or `None` when the pool is exhausted.
-    pub fn allocate(&mut self, dev: BlockAddr) -> Option<BlockAddr> {
+    /// the spare, or `None` when the pool is exhausted.
+    pub fn allocate(&mut self, dev: BlockAddr) -> Option<u64> {
         if self.next_free >= self.total {
             return None;
         }
-        let spare = self.base + self.next_free * LINE_SIZE as u64;
+        let spare = self.next_free;
         self.next_free += 1;
         self.map.insert(dev.raw(), spare);
-        Some(BlockAddr::new(spare))
+        Some(spare)
     }
 
     /// Rolls back an interrupted allocation: removes the `dev → spare`
@@ -130,14 +119,12 @@ impl SparePool {
     /// was the most recent allocation, returns the slot to the bump
     /// allocator. Used only by crash recovery — a committed remap is
     /// never undone. Returns whether a redirect was removed.
-    pub fn undo_remap(&mut self, dev: BlockAddr, spare: BlockAddr) -> bool {
-        match self.map.get(&dev.raw()) {
-            Some(s) if *s == spare.raw() => {}
-            _ => return false,
+    pub fn undo_remap(&mut self, dev: BlockAddr, spare: u64) -> bool {
+        if self.spare_of(dev) != Some(spare) {
+            return false;
         }
         self.map.remove(&dev.raw());
-        let last = self.base + self.next_free.saturating_sub(1) * LINE_SIZE as u64;
-        if self.next_free > 0 && spare.raw() == last {
+        if self.next_free > 0 && spare == self.next_free - 1 {
             self.next_free -= 1;
         }
         true
@@ -173,11 +160,6 @@ impl SparePool {
     pub fn free(&self) -> u64 {
         self.total - self.next_free
     }
-
-    /// Device byte address of the first spare line.
-    pub fn base(&self) -> u64 {
-        self.base
-    }
 }
 
 #[cfg(test)]
@@ -195,19 +177,18 @@ mod tests {
 
     #[test]
     fn pool_allocates_redirects_and_exhausts() {
-        let mut pool = SparePool::new(0x1000, 2);
+        let mut pool = SparePool::new(2);
         let a = BlockAddr::new(0);
         let b = BlockAddr::new(64);
-        assert_eq!(pool.redirect(a), a, "identity before remap");
+        assert_eq!(pool.spare_of(a), None, "not remapped yet");
         let s0 = pool.allocate(a).unwrap();
-        assert_eq!(s0.raw(), 0x1000);
-        assert_eq!(pool.redirect(a), s0);
-        assert!(pool.is_remapped(a));
+        assert_eq!(s0, 0);
+        assert_eq!(pool.spare_of(a), Some(s0));
         assert_eq!(pool.free(), 1);
         // Re-allocating the same line retires its old spare.
         let s1 = pool.allocate(a).unwrap();
-        assert_eq!(s1.raw(), 0x1000 + 64);
-        assert_eq!(pool.redirect(a), s1);
+        assert_eq!(s1, 1);
+        assert_eq!(pool.spare_of(a), Some(s1));
         assert_eq!(pool.free(), 0);
         assert!(pool.allocate(b).is_none(), "pool should be exhausted");
         assert_eq!(pool.remapped_count(), 1);
@@ -215,22 +196,22 @@ mod tests {
 
     #[test]
     fn undo_remap_rolls_back_latest_allocation() {
-        let mut pool = SparePool::new(0x1000, 2);
+        let mut pool = SparePool::new(2);
         let a = BlockAddr::new(0);
         let s0 = pool.allocate(a).unwrap();
         assert!(pool.undo_remap(a, s0));
-        assert_eq!(pool.redirect(a), a, "redirect removed");
+        assert_eq!(pool.spare_of(a), None, "redirect removed");
         assert_eq!(pool.free(), 2, "slot returned to the bump allocator");
         // Mismatched spare (stale journal entry) is a no-op.
         let s1 = pool.allocate(a).unwrap();
-        assert!(!pool.undo_remap(a, BlockAddr::new(0x00DE_ADC0)));
-        assert_eq!(pool.redirect(a), s1);
+        assert!(!pool.undo_remap(a, 0xDEAD));
+        assert_eq!(pool.spare_of(a), Some(s1));
         assert!(!pool.undo_remap(BlockAddr::new(64), s1), "unmapped line");
     }
 
     #[test]
     fn quarantine_roundtrip() {
-        let mut pool = SparePool::new(0x1000, 1);
+        let mut pool = SparePool::new(1);
         let a = BlockAddr::new(128);
         assert!(!pool.is_quarantined(a));
         pool.quarantine(a);

@@ -36,7 +36,7 @@
 //! assert_eq!(mc.read_block(addr, Cycles::ZERO)?.data, [0xAB; 64]);
 //!
 //! // Shred the page: zero cost, and subsequent reads are zero-filled.
-//! mc.shred_page(page, true)?;
+//! mc.shred_page_at(page, true, Cycles::ZERO)?;
 //! let read = mc.read_block(addr, Cycles::ZERO)?;
 //! assert!(read.zero_filled);
 //! assert_eq!(read.data, [0u8; 64]);
@@ -63,6 +63,7 @@ pub use config::{
     ShardedConfig, ShredStrategy,
 };
 pub use controller::ports::{FaultPort, Inspect};
+pub use controller::regions::NvmTarget;
 pub use controller::{ControllerStats, MemoryController, ProtStats, ReadResult};
 pub use counters::CounterBlock;
 pub use heal::{HealthStats, SparePool};

@@ -13,11 +13,8 @@
 //! behaviour.
 //!
 //! To make an arbitrary cut recoverable, ADR mode keeps an **ordering
-//! journal** in a dedicated NVM region after the spare pool:
-//!
-//! ```text
-//! [data][gap][counters][spares][journal: a ring of 193 lines]
-//! ```
+//! journal**, a ring of 193 lines in its own NVM region (the controller's
+//! region layout, `controller/regions.rs`).
 //!
 //! Each top-level operation that persists anything is one **sequence**.
 //! It appends one entry per line it is about to write (dead-block lines
@@ -53,7 +50,7 @@
 //! and re-counts the shredded-page population — re-establishing the
 //! shred-reads-zero invariant before the first demand access.
 
-use ss_common::{BlockAddr, Error, PageId, Result, LINE_SIZE};
+use ss_common::{BlockAddr, Error, Result, LINE_SIZE};
 use ss_crypto::Line;
 
 /// Maximum journal entries one sequence may hold. The worst real
@@ -571,11 +568,6 @@ pub fn scan(lines: &[Line]) -> Result<Option<NewestSequence>> {
         }
     }
     Ok(Some(newest))
-}
-
-/// Owning page of a counter entry's `aux` field.
-pub fn entry_page(entry: &JournalEntry) -> PageId {
-    PageId::new(entry.aux)
 }
 
 #[cfg(test)]

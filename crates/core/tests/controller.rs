@@ -8,8 +8,8 @@
 use ss_common::{BlockAddr, Cycles, Error, PageId, PhysAddr, LINE_SIZE};
 use ss_core::persist::JOURNAL_LINES;
 use ss_core::{
-    ControllerConfig, ControllerConfigBuilder, CounterPersistence, MemoryController, PersistDomain,
-    WriteQueueConfig, SHRED_REG,
+    ControllerConfig, ControllerConfigBuilder, CounterPersistence, MemoryController, NvmTarget,
+    PersistDomain, WriteQueueConfig, SHRED_REG,
 };
 
 type Line = [u8; LINE_SIZE];
@@ -39,7 +39,9 @@ fn line(v: u8) -> Line {
 #[test]
 fn user_mode_shred_faults() {
     let mut m = mc();
-    let err = m.shred_page(PageId::new(0), false).unwrap_err();
+    let err = m
+        .shred_page_at(PageId::new(0), false, Cycles::ZERO)
+        .unwrap_err();
     assert!(matches!(err, Error::PrivilegeViolation { .. }));
     assert_eq!(m.inspect().stats().shred_denied.get(), 1);
 }
@@ -74,7 +76,7 @@ fn shredder_disabled_rejects_shred() {
         ..ControllerConfig::encrypted_baseline()
     })
     .unwrap();
-    assert!(m.shred_page(PageId::new(0), true).is_err());
+    assert!(m.shred_page_at(PageId::new(0), true, Cycles::ZERO).is_err());
 }
 
 #[test]
@@ -85,7 +87,8 @@ fn recovery_names_the_tampered_counter_page() {
             .unwrap();
     }
     m.power_loss().unwrap();
-    m.faults().tamper_counter_line(PageId::new(5), line(0xAD));
+    m.faults()
+        .nvm_tamper(NvmTarget::Counter(PageId::new(5)), line(0xAD));
     let err = m.recover_mut().unwrap_err();
     assert!(
         err.to_string()
@@ -152,7 +155,9 @@ fn out_of_range_data_access_rejected() {
     let oob = BlockAddr::new(1 << 20);
     assert!(m.read_block(oob, Cycles::ZERO).is_err());
     assert!(m.write_block(oob, &line(0), false, Cycles::ZERO).is_err());
-    assert!(m.shred_page(PageId::new(256), true).is_err());
+    assert!(m
+        .shred_page_at(PageId::new(256), true, Cycles::ZERO)
+        .is_err());
 }
 
 #[test]
@@ -274,7 +279,7 @@ fn write_queue_forwards_reads() {
     m.write_block(addr, &line(0x3A), false, Cycles::ZERO)
         .unwrap();
     // The write sits in the queue; the device has no ciphertext yet.
-    assert_eq!(m.faults().nvm_peek(addr), [0u8; LINE_SIZE]);
+    assert_eq!(m.faults().nvm_peek(NvmTarget::Data(addr)), [0u8; LINE_SIZE]);
     // Reads still observe the new value (forwarding).
     assert_eq!(m.read_block(addr, Cycles::ZERO).unwrap().data, line(0x3A));
     assert_eq!(m.inspect().write_queue_stats().unwrap().forwards.get(), 1);
@@ -314,7 +319,7 @@ fn write_queue_fence_drain_persists_everything() {
         .unwrap();
     m.fence_drain(Cycles::ZERO).unwrap();
     assert_ne!(
-        m.faults().nvm_peek(addr),
+        m.faults().nvm_peek(NvmTarget::Data(addr)),
         [0u8; LINE_SIZE],
         "queue not drained"
     );
@@ -334,6 +339,32 @@ fn write_queue_coalesces_rewrites() {
     m.write_block(addr, &line(2), false, Cycles::ZERO).unwrap();
     assert_eq!(m.inspect().write_queue_stats().unwrap().coalesced.get(), 1);
     assert_eq!(m.read_block(addr, Cycles::ZERO).unwrap().data, line(2));
+}
+
+#[test]
+fn peek_plaintext_leaves_the_counter_cache_alone() {
+    // 4 KiB of counter cache: 8 sets of 8 ways, so the counter lines of
+    // pages 8 apart share a set.
+    let cfg = ControllerConfigBuilder::small_test()
+        .counter_cache_bytes(4 << 10)
+        .build()
+        .unwrap();
+    let mut m = MemoryController::new(cfg).unwrap();
+    let page = |i: u64| PageId::new(1 + 8 * i);
+    for i in 0..8 {
+        m.write_block(page(i).block_addr(0), &line(1), false, Cycles::ZERO)
+            .unwrap();
+    }
+    // The set is full, and page 0's dirty counter line is its oldest.
+    let stats = *m.inspect().counter_cache_stats();
+    let oracle = m.faults().peek_plaintext(page(0).block_addr(0)).unwrap();
+    assert_eq!(oracle, line(1));
+    assert_eq!(*m.inspect().counter_cache_stats(), stats);
+    // A ninth page still evicts page 0's line, not page 1's.
+    m.write_block(page(8).block_addr(0), &line(1), false, Cycles::ZERO)
+        .unwrap();
+    assert!(!m.inspect().counter_line_dirty(page(0)));
+    assert!(m.inspect().counter_line_dirty(page(1)));
 }
 
 #[test]
@@ -478,7 +509,7 @@ fn adr_write_amplification_is_pinned() {
     assert_eq!(line_writes(&mut m, write(1)), 5, "write into a fresh block");
     assert_eq!(line_writes(&mut m, write(2)), 7, "write into a live block");
     let shred = |m: &mut MemoryController| {
-        m.shred_page(page, true).unwrap();
+        m.shred_page_at(page, true, Cycles::ZERO).unwrap();
     };
     assert_eq!(line_writes(&mut m, shred), 4, "shred");
     assert_eq!(
@@ -504,7 +535,7 @@ fn adr_journal_wear_is_spread_over_the_ring() {
     for i in 0..1_000u64 {
         let page = PageId::new(1 + i % 32);
         if i % 10 == 9 {
-            m.shred_page(page, true).unwrap();
+            m.shred_page_at(page, true, Cycles::ZERO).unwrap();
         } else {
             let addr = page.block_addr((i / 32 % 64) as usize);
             m.write_block(addr, &line(i as u8), false, Cycles::ZERO)
@@ -532,7 +563,7 @@ fn adr_zeroing_of_a_dead_scattered_page_journals_one_entry() {
         if shredded {
             m.write_block(page.block_addr(0), &line(7), false, Cycles::ZERO)
                 .unwrap();
-            m.shred_page(page, true).unwrap();
+            m.shred_page_at(page, true, Cycles::ZERO).unwrap();
         }
         let journal_before: u64 = m.inspect().journal_wear().iter().sum();
         m.zero_page_in_place(page, Cycles::ZERO).unwrap();
@@ -543,7 +574,7 @@ fn adr_zeroing_of_a_dead_scattered_page_journals_one_entry() {
             assert_eq!(r.data, line(0));
             assert!(!r.zero_filled, "block {b} holds real zeros");
         }
-        m.shred_page(page, true).unwrap();
+        m.shred_page_at(page, true, Cycles::ZERO).unwrap();
     }
     // The remaining bound: zeroing a fully-live page journals both
     // shares of every block and overflows the 96-entry sequence loudly.

@@ -42,8 +42,8 @@ use std::fmt;
 
 use ss_common::{BlockAddr, Cycles, DetRng, Error, PageId, Result, BLOCKS_PER_PAGE, LINE_SIZE};
 use ss_core::{
-    ControllerConfig, ControllerConfigBuilder, CounterPersistence, ProtectionMode, ReadResult,
-    ShardedController, ShredStrategy, SHRED_REG,
+    ControllerConfig, ControllerConfigBuilder, CounterPersistence, NvmTarget, ProtectionMode,
+    ReadResult, ShardedController, ShredStrategy, SHRED_REG,
 };
 
 use crate::machine::{at_block, at_page, reboot, shard_sum};
@@ -567,7 +567,9 @@ impl Adversary {
     pub fn capture_line(&mut self, addr: BlockAddr) -> Result<Line> {
         self.need_dark("line capture")?;
         self.note(format!("adversary: capture ciphertext at {addr}"));
-        Ok(at_block(&mut self.machine, addr, |p, a| p.nvm_peek(a)))
+        Ok(at_block(&mut self.machine, addr, |p, a| {
+            p.nvm_peek(NvmTarget::Data(a))
+        }))
     }
 
     /// Captures the persisted counter line of `page`.
@@ -582,7 +584,7 @@ impl Adversary {
             page.raw()
         ));
         Ok(at_page(&mut self.machine, page, |p, l| {
-            p.nvm_peek_counter(l)
+            p.nvm_peek(NvmTarget::Counter(l))
         }))
     }
 
@@ -595,7 +597,9 @@ impl Adversary {
     pub fn replay_line(&mut self, addr: BlockAddr, line: Line) -> Result<()> {
         self.need_dark("line replay")?;
         self.note(format!("adversary: replay stale ciphertext at {addr}"));
-        at_block(&mut self.machine, addr, |mut p, a| p.nvm_tamper(a, line));
+        at_block(&mut self.machine, addr, |mut p, a| {
+            p.nvm_tamper(NvmTarget::Data(a), line)
+        });
         Ok(())
     }
 
@@ -612,7 +616,7 @@ impl Adversary {
             page.raw()
         ));
         at_page(&mut self.machine, page, |mut p, l| {
-            p.tamper_counter_line(l, line)
+            p.nvm_tamper(NvmTarget::Counter(l), line)
         });
         Ok(())
     }
@@ -628,7 +632,7 @@ impl Adversary {
     pub fn offline_read(&mut self, addr: BlockAddr) -> Result<Line> {
         self.need_dark("offline read")?;
         self.note(format!("adversary: offline decrypt attempt at {addr}"));
-        at_block(&mut self.machine, addr, |mut p, a| p.peek_plaintext(a))
+        at_block(&mut self.machine, addr, |p, a| p.peek_plaintext(a))
     }
 }
 

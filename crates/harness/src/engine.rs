@@ -13,8 +13,8 @@ use std::fmt;
 
 use ss_common::{BlockAddr, Cycles, DetRng, Error, PageId, BLOCKS_PER_PAGE, LINE_SIZE};
 use ss_core::{
-    ControllerConfig, ControllerConfigBuilder, CounterPersistence, EccConfig, ProtectionMode,
-    ShardedController, SHRED_REG,
+    ControllerConfig, ControllerConfigBuilder, CounterPersistence, EccConfig, NvmTarget,
+    ProtectionMode, ShardedController, SHRED_REG,
 };
 use ss_trace::MetricsRegistry;
 
@@ -613,15 +613,17 @@ fn inject(
                 return (FaultOutcome::Corrupted, format!("flush failed: {e}"), true);
             }
             let good = at_page(mc, page, |mut p, local| {
-                let good = p.nvm_peek_counter(local);
-                p.flip_counter_bit(local, f.bit);
+                let good = p.nvm_peek(NvmTarget::Counter(local));
+                p.nvm_flip_bit(NvmTarget::Counter(local), f.bit);
                 p.drop_counter_cache_line(local);
                 good
             });
             match mc.read_block(addr, Cycles::ZERO) {
                 Err(Error::IntegrityViolation { .. }) => {
                     // Restore the array.
-                    at_page(mc, page, |mut p, local| p.tamper_counter_line(local, good));
+                    at_page(mc, page, |mut p, local| {
+                        p.nvm_tamper(NvmTarget::Counter(local), good)
+                    });
                     (
                         FaultOutcome::Detected,
                         "Merkle rejected the flipped counter line; array restored".into(),
@@ -644,7 +646,7 @@ fn inject(
             if let Err(e) = at_page(mc, page, |mut p, local| p.flush_counter_line(local)) {
                 return (FaultOutcome::Corrupted, format!("flush failed: {e}"), true);
             }
-            let stale = at_page(mc, page, |p, local| p.nvm_peek_counter(local));
+            let stale = at_page(mc, page, |p, local| p.nvm_peek(NvmTarget::Counter(local)));
             // Advance the page legitimately so `stale` becomes a replay.
             let fresh = [(f.bit as u8) ^ 0xC3; LINE_SIZE];
             if let Err(e) = mc.write_block(addr, &fresh, false, Cycles::ZERO) {
@@ -655,14 +657,16 @@ fn inject(
                 return (FaultOutcome::Corrupted, format!("flush failed: {e}"), true);
             }
             let good = at_page(mc, page, |mut p, local| {
-                let good = p.nvm_peek_counter(local);
-                p.tamper_counter_line(local, stale);
+                let good = p.nvm_peek(NvmTarget::Counter(local));
+                p.nvm_tamper(NvmTarget::Counter(local), stale);
                 p.drop_counter_cache_line(local);
                 good
             });
             match mc.read_block(addr, Cycles::ZERO) {
                 Err(Error::IntegrityViolation { .. }) => {
-                    at_page(mc, page, |mut p, local| p.tamper_counter_line(local, good));
+                    at_page(mc, page, |mut p, local| {
+                        p.nvm_tamper(NvmTarget::Counter(local), good)
+                    });
                     (
                         FaultOutcome::Detected,
                         "Merkle rejected the replayed counter line; array restored".into(),
@@ -846,7 +850,9 @@ fn data_bit_flip(
     addr: BlockAddr,
     bit: usize,
 ) -> (FaultOutcome, String, bool) {
-    let flip = |mc: &mut ShardedController| at_block(mc, addr, |mut p, a| p.flip_data_bit(a, bit));
+    let flip = |mc: &mut ShardedController| {
+        at_block(mc, addr, |mut p, a| p.nvm_flip_bit(NvmTarget::Data(a), bit))
+    };
     flip(mc);
     let expected = shadow.expected(addr, zero_fresh(&cfg.controller));
     let r = match mc.read_block(addr, Cycles::ZERO) {

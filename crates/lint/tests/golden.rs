@@ -211,19 +211,19 @@ fn persist001_violations_exact() {
 fn persist001_choke_point_and_routed_writes_are_clean() {
     assert!(lint(&["crates/core/src/persist.rs"]).is_empty());
     assert!(lint(&["crates/core/src/persist001_clean.rs"]).is_empty());
-    // A controller write is fine while the choke point is in view.
+    // A region-layer write is fine while the choke point is in view.
     assert!(lint(&[
         "crates/core/src/persist.rs",
-        "crates/core/src/controller.rs"
+        "crates/core/src/controller/regions.rs"
     ])
     .is_empty());
 }
 
 #[test]
 fn persist001_losing_the_choke_point_turns_red() {
-    // The same controller write with persist_line gone from the call
+    // The same region-layer write with persist_line gone from the call
     // chain — the "choke point refactored away" failure mode.
-    let f = lint(&["crates/core/src/controller.rs"]);
+    let f = lint(&["crates/core/src/controller/regions.rs"]);
     assert_eq!(lines_and_rules(&f), vec![(11, "PERSIST-001")], "{f:#?}");
     assert!(f[0].message.contains("no persist_line choke point"));
 }
@@ -382,7 +382,7 @@ fn cli_exit_codes_match_fixture_intent() {
         "crates/sim/src/allow_line.rs",
         "crates/sim/src/allow_file.rs",
         "crates/core/src/persist001_bad.rs",
-        "crates/core/src/controller.rs",
+        "crates/core/src/controller/regions.rs",
         "crates/sim/src/crypto001_bad.rs",
         "crates/sim/src/layer002_bad.rs",
         "crates/layers/bad-dep/Cargo.toml",
@@ -423,7 +423,7 @@ fn cli_exit_codes_match_fixture_intent() {
     assert!(!api_plus_panic.success(), "reachable panic should fail");
     let choke_pair = run_cli(&[
         "crates/core/src/persist.rs",
-        "crates/core/src/controller.rs",
+        "crates/core/src/controller/regions.rs",
     ]);
     assert!(
         choke_pair.success(),

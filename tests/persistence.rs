@@ -517,7 +517,8 @@ fn dead_machine(builder: &ControllerConfigBuilder, victim: DeadVictim) -> Memory
             mc.write_block(addr, &[0x40 | b; 64], false, Cycles::ZERO)
                 .expect("setup write");
         }
-        mc.shred_page(DEAD_PAGE, true).expect("setup shred");
+        mc.shred_page_at(DEAD_PAGE, true, Cycles::ZERO)
+            .expect("setup shred");
     }
     mc
 }

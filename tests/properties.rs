@@ -15,6 +15,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use common::{run_hierarchy_coherence, run_kernel_frame_conservation};
 use silent_shredder::common::{BlockAddr, Cycles, DetRng, PageId, LINE_SIZE};
 use silent_shredder::core::counters::{BumpOutcome, CounterBlock};
+use silent_shredder::core::NvmTarget;
 use silent_shredder::crypto::iv::{MINOR_FIRST, MINOR_MAX, MINOR_SHREDDED};
 use silent_shredder::crypto::{sha256, CtrEngine, Iv, MerkleTree};
 use silent_shredder::nvm::{StartGap, WriteScheme};
@@ -262,7 +263,7 @@ fn drive_read_your_writes(mc: &mut MemoryController, seed: u64, ops: usize) {
                 shadow.insert(addr.raw(), [value; LINE_SIZE]);
             }
             1 => {
-                mc.shred_page(page_id, true).unwrap();
+                mc.shred_page_at(page_id, true, Cycles::ZERO).unwrap();
                 for b in page_id.blocks() {
                     shadow.insert(b.raw(), [0u8; LINE_SIZE]);
                 }
@@ -341,7 +342,7 @@ fn deuce_read_your_writes() {
                     shadow.insert(addr.raw(), line);
                 }
                 24 => {
-                    mc.shred_page(page_id, true).unwrap();
+                    mc.shred_page_at(page_id, true, Cycles::ZERO).unwrap();
                     for b in page_id.blocks() {
                         shadow.insert(b.raw(), [0u8; 64]);
                     }
@@ -377,7 +378,7 @@ fn shreds_never_leak_preshred_plaintext() {
                     shadow.note_write(addr, line);
                 }
                 2 => {
-                    mc.shred_page(page, true).unwrap();
+                    mc.shred_page_at(page, true, Cycles::ZERO).unwrap();
                     shadow.note_shred(page);
                 }
                 _ => {
@@ -433,13 +434,13 @@ fn minor_zero_only_via_zero_fill_path() {
     );
     assert_eq!(zero_write.data, [0u8; LINE_SIZE]);
     // Shredded: back to the reserved minor, served by zero-fill again.
-    mc.shred_page(page, true).unwrap();
+    mc.shred_page_at(page, true, Cycles::ZERO).unwrap();
     let shredded = mc.read_block(addr, Cycles::ZERO).unwrap();
     assert!(shredded.zero_filled);
     assert_eq!(shredded.data, [0u8; LINE_SIZE]);
     // And zero-fill truly skipped the array: no NVM read was needed —
     // cross-check via the counter block itself.
-    let counters = CounterBlock::from_line(&mc.faults().nvm_peek_counter(page));
+    let counters = CounterBlock::from_line(&mc.faults().nvm_peek(NvmTarget::Counter(page)));
     assert!(counters.is_shredded(5));
 }
 

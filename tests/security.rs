@@ -11,7 +11,7 @@
 //! integrity off) prove the attacks are real by letting them succeed.
 
 use silent_shredder::common::{Cycles, Error, PageId};
-use silent_shredder::core::CounterPersistence;
+use silent_shredder::core::{CounterPersistence, NvmTarget};
 use silent_shredder::prelude::*;
 use ss_harness::{
     run_attack, run_attacks, Adversary, AttackKind, AttackOutcome, AttackSweep, Campaign,
@@ -344,14 +344,14 @@ fn ciphertext_is_spatially_and_temporally_unique() {
         .unwrap();
     mc.write_block(page.block_addr(1), &SECRET, false, Cycles::ZERO)
         .unwrap();
-    let c0 = mc.faults().nvm_peek(page.block_addr(0));
-    let c1 = mc.faults().nvm_peek(page.block_addr(1));
+    let c0 = mc.faults().nvm_peek(NvmTarget::Data(page.block_addr(0)));
+    let c1 = mc.faults().nvm_peek(NvmTarget::Data(page.block_addr(1)));
     assert_ne!(c0, c1);
     // Rewriting the same plaintext: different ciphertext (temporal),
     // which defeats replay/dictionary profiling of write patterns.
     mc.write_block(page.block_addr(0), &SECRET, false, Cycles::ZERO)
         .unwrap();
-    let c0b = mc.faults().nvm_peek(page.block_addr(0));
+    let c0b = mc.faults().nvm_peek(NvmTarget::Data(page.block_addr(0)));
     assert_ne!(c0, c0b);
 }
 
@@ -397,5 +397,8 @@ fn ecb_mode_leaks_equality_ctr_does_not() {
     let b = PageId::new(0).block_addr(1);
     ecb.write_block(a, &SECRET, false, Cycles::ZERO).unwrap();
     ecb.write_block(b, &SECRET, false, Cycles::ZERO).unwrap();
-    assert_eq!(ecb.faults().nvm_peek(a), ecb.faults().nvm_peek(b));
+    assert_eq!(
+        ecb.faults().nvm_peek(NvmTarget::Data(a)),
+        ecb.faults().nvm_peek(NvmTarget::Data(b))
+    );
 }

@@ -77,7 +77,7 @@ fn shred_emits_exactly_one_event_and_zero_fill_skips_nvm() {
         "no shred happened yet"
     );
 
-    mc.shred_page(page, true).expect("shred");
+    mc.shred_page_at(page, true, Cycles::ZERO).expect("shred");
     let after_shred = mc.inspect().trace_records();
     let shreds = after_shred
         .iter()
@@ -118,7 +118,7 @@ fn metrics_snapshot_is_stable_and_deltas_work() {
     let epoch0 = mc.inspect().metrics();
     mc.write_block(page.block_addr(1), &[2; 64], false, Cycles::ZERO)
         .expect("write");
-    mc.shred_page(page, true).expect("shred");
+    mc.shred_page_at(page, true, Cycles::ZERO).expect("shred");
     let epoch1 = mc.inspect().metrics();
     // The key set is workload-independent, so deltas line up 1:1.
     assert_eq!(epoch0.len(), epoch1.len());
@@ -138,7 +138,7 @@ fn null_tracer_retains_nothing_but_profiles_still_accumulate() {
     let page = PageId::new(2);
     mc.write_block(page.block_addr(0), &[9; 64], false, Cycles::ZERO)
         .expect("write");
-    mc.shred_page(page, true).expect("shred");
+    mc.shred_page_at(page, true, Cycles::ZERO).expect("shred");
     assert!(!mc.inspect().trace_enabled());
     assert!(mc.inspect().trace_records().is_empty());
     assert_eq!(mc.inspect().trace_totals(), (0, 0));
