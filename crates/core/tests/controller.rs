@@ -245,6 +245,15 @@ fn wear_leveling_preserves_contents_and_spreads_writes() {
     // rotated past it, so no single device line absorbed all writes.
     let max = m.inspect().nvm_max_wear().map(|(_, n)| n).unwrap_or(0);
     assert!(max < hammer, "wear not levelled: max {max} of {hammer}");
+    // The fault port follows the rotated mapping: the bit it flips is
+    // the bit its peek shows and the one the controller reads back
+    // (counter mode turns one ciphertext bit into one plaintext bit).
+    let addr = pages[2].block_addr(0);
+    let target = NvmTarget::Data(addr);
+    let stored = m.faults().nvm_peek(target);
+    m.faults().nvm_flip_bit(target, 0);
+    assert_eq!(m.faults().nvm_peek(target)[0], stored[0] ^ 1);
+    assert_eq!(m.read_block(addr, Cycles::ZERO).unwrap().data[0], 3 ^ 1);
 }
 
 #[test]
