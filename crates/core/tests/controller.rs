@@ -81,20 +81,32 @@ fn shredder_disabled_rejects_shred() {
 
 #[test]
 fn recovery_names_the_tampered_counter_page() {
-    let mut m = mc();
-    for p in [2, 5] {
-        m.write_block(PageId::new(p).block_addr(0), &line(1), false, Cycles::ZERO)
-            .unwrap();
+    // Page 5's counter line was written, so its Merkle leaf holds a
+    // pending preimage; page 9's never was, so its leaf holds the hashed
+    // initial digest. Each is tampered in a run of its own, under
+    // battery-backed write-back counters and under ADR with
+    // write-through counters.
+    let machines: [fn() -> MemoryController; 2] =
+        [mc, || adr(ControllerConfigBuilder::small_test())];
+    for machine in machines {
+        for tampered in [5, 9] {
+            let mut m = machine();
+            for p in [2, 5] {
+                m.write_block(PageId::new(p).block_addr(0), &line(1), false, Cycles::ZERO)
+                    .unwrap();
+            }
+            m.power_loss().unwrap();
+            m.faults()
+                .nvm_tamper(NvmTarget::Counter(PageId::new(tampered)), line(0xAD));
+            let err = m.recover_mut().unwrap_err();
+            assert!(
+                err.to_string().contains(&format!(
+                    "counter line of page {tampered} does not match the Merkle tree"
+                )),
+                "{err}"
+            );
+        }
     }
-    m.power_loss().unwrap();
-    m.faults()
-        .nvm_tamper(NvmTarget::Counter(PageId::new(5)), line(0xAD));
-    let err = m.recover_mut().unwrap_err();
-    assert!(
-        err.to_string()
-            .contains("counter line of page 5 does not match the Merkle tree"),
-        "{err}"
-    );
 }
 
 #[test]

@@ -7,39 +7,50 @@
 //! to live in tamper-proof on-chip storage; everything else could sit in
 //! untrusted NVM.
 //!
-//! Updates are lazy. [`MerkleTree::update_leaf`] re-hashes the leaf and
-//! only marks its ancestors stale; the next operation that needs the
-//! stored ancestors current ([`MerkleTree::verify_leaves`],
-//! [`MerkleTree::tamper_node`], and [`MerkleTree::verify_leaf`] after a
-//! forgery) re-hashes every stale ancestor once, children before parents. Leaves updated in between
-//! share the re-hashing of their common ancestors — the coalesced
-//! ancestor updates of *Streamlining
-//! Integrity Tree Updates* (arXiv:2003.04693). Every
-//! verdict and every root equals what eager leaf-to-root re-hashing would
-//! produce, tampered nodes included: [`MerkleTree::tamper_node`] flushes
-//! before it writes.
+//! Hashing waits until a digest is read. [`MerkleTree::update_leaf`]
+//! keeps the leaf's data as its pending preimage (a later update of the
+//! same leaf overwrites it) and marks its ancestors stale. Only the
+//! operations that need the stored digests current
+//! ([`MerkleTree::tamper_node`], and [`MerkleTree::verify_leaf`] and
+//! [`MerkleTree::verify_leaves`] after a forgery) flush: every pending
+//! leaf is hashed once, then every stale ancestor, children before
+//! parents. Leaves updated in between share the re-hashing of their
+//! common ancestors — the coalesced ancestor updates of *Streamlining
+//! Integrity Tree Updates* (arXiv:2003.04693) — and a leaf updated
+//! many times is hashed once. [`MerkleTree::root`] hashes pending
+//! leaves and stale ancestors on the fly. Every verdict and every root
+//! equals what eager leaf-to-root re-hashing would produce, tampered
+//! nodes included: [`MerkleTree::tamper_node`] flushes before it writes.
 //!
-//! [`MerkleTree::verify_leaf`] hashes the given leaf once and compares
-//! it with the stored leaf digest. Until the first
-//! [`MerkleTree::tamper_node`], every stored digest is the hash of its
-//! children (or stale, and then re-hashed from them before anything reads
-//! it), so the path walk would rebuild exactly the stored digests up to
-//! the stored root if and only if the leaf digests match: the comparison
-//! is the walk's verdict, barring a SHA-256 collision. After a forgery
-//! the stored digests no longer hash up, and `verify_leaf` re-walks the
-//! authentication path against the root.
-//! [`MerkleTree::verify_leaves`] checks a whole run of leaves in one
-//! bottom-up pass (one hash per node instead of one path per leaf).
+//! Until the first [`MerkleTree::tamper_node`], every stored digest is
+//! the hash of its children (or stale, and re-hashed from them before
+//! anything reads it), so a path walk would rebuild exactly the stored
+//! digests up to the stored root if and only if the given leaf hashes
+//! to the leaf's digest. [`MerkleTree::verify_leaf`] therefore checks
+//! the leaf alone: a pending leaf by comparing the given data with its
+//! preimage byte for byte (equal inputs, equal digests), a hashed leaf
+//! by hashing the data once and comparing digests. Both give the path
+//! walk's verdict, barring a SHA-256 collision, and leave pending
+//! leaves and stale ancestors as they are. [`MerkleTree::verify_leaves`]
+//! checks a run of leaves the same way, leaf by leaf. After a forgery
+//! the stored digests no longer hash up: `verify_leaf` re-walks the
+//! authentication path against the root, and `verify_leaves` rebuilds
+//! the run's ancestors in one bottom-up pass.
 
 #[cfg(test)]
 use crate::sha256::sha256;
 use crate::sha256::{Digest, Sha256};
+use ss_common::LINE_SIZE;
 
 /// Domain-separation tags so leaves can never be confused with nodes.
 const LEAF_TAG: u8 = 0x00;
 const NODE_TAG: u8 = 0x01;
 
-/// A binary Merkle tree with lazily re-hashed ancestors.
+/// The longest leaf data [`MerkleTree::update_leaf`] keeps unhashed:
+/// one serialized counter block. Longer data is hashed at once.
+const PREIMAGE_MAX: usize = LINE_SIZE;
+
+/// A binary Merkle tree with lazily hashed leaves and ancestors.
 ///
 /// # Examples
 ///
@@ -58,17 +69,25 @@ pub struct MerkleTree {
     /// Number of leaves, padded up to a power of two.
     leaves: usize,
     /// Flat heap layout: `nodes[1]` is the root, children of `i` are
-    /// `2i`/`2i+1`, leaves occupy `leaves..2*leaves`.
+    /// `2i`/`2i+1`, leaves occupy `leaves..2*leaves`. A pending leaf's
+    /// stored digest is out of date.
     nodes: Vec<Digest>,
     /// `stale[i]`: internal node `i` has a leaf update below it that its
     /// stored digest does not reflect yet. A stale node's parent is stale
     /// too, so marking stops at the first stale ancestor.
     stale: Vec<bool>,
-    /// The stale internal nodes, each listed once.
+    /// The stale internal nodes, each listed once. A pending leaf's
+    /// parent is one of them.
     pending: Vec<usize>,
+    /// `preimage_len[j]`: 0 when leaf `j`'s stored digest is current,
+    /// else 1 + the length of its pending preimage, the first bytes of
+    /// `preimages[j]`. Both are empty until the first update, so a tree
+    /// that is never updated allocates nothing for them.
+    preimage_len: Vec<u8>,
+    preimages: Vec<[u8; PREIMAGE_MAX]>,
     /// Set by the first [`MerkleTree::tamper_node`]: some stored digest
-    /// may differ from the hash of its children, so `verify_leaf` must
-    /// walk the path instead of comparing leaf digests.
+    /// may differ from the hash of its children, so verification must
+    /// walk paths instead of checking leaves alone.
     forged: bool,
 }
 
@@ -128,6 +147,8 @@ impl MerkleTree {
             nodes,
             stale: vec![false; leaves],
             pending: Vec::new(),
+            preimage_len: Vec::new(),
+            preimages: Vec::new(),
             forged: false,
         }
     }
@@ -137,16 +158,18 @@ impl MerkleTree {
         self.leaves
     }
 
-    /// The current root digest (kept on-chip in the threat model). Stale
-    /// ancestors are re-hashed on the fly without being stored, so a
-    /// shared borrow suffices.
+    /// The current root digest (kept on-chip in the threat model).
+    /// Pending leaves and stale ancestors are hashed on the fly without
+    /// being stored, so a shared borrow suffices.
     pub fn root(&self) -> Digest {
         self.current(1)
     }
 
     /// Node `i`'s digest as eager re-hashing would have stored it.
     fn current(&self, i: usize) -> Digest {
-        if self.stale.get(i).copied().unwrap_or(false) {
+        if let Some(pre) = i.checked_sub(self.leaves).and_then(|j| self.preimage(j)) {
+            hash_leaf(pre)
+        } else if self.stale.get(i).copied().unwrap_or(false) {
             hash_node(&self.current(2 * i), &self.current(2 * i + 1))
         } else {
             self.node(i)
@@ -167,7 +190,17 @@ impl MerkleTree {
         }
     }
 
-    /// Re-hashes leaf `index` from `data` and marks its ancestors stale.
+    /// Leaf `j`'s pending preimage, or `None` when its stored digest is
+    /// current.
+    fn preimage(&self, j: usize) -> Option<&[u8]> {
+        let len = usize::from(*self.preimage_len.get(j)?).checked_sub(1)?;
+        self.preimages.get(j)?.get(..len)
+    }
+
+    /// Sets leaf `index` to `data` and marks its ancestors stale. The
+    /// leaf is hashed when its digest is first read. Data longer than a
+    /// serialized counter block, and the leaf of a one-leaf tree (the
+    /// root, with no stale parent to wait behind), are hashed now.
     ///
     /// # Panics
     ///
@@ -175,7 +208,26 @@ impl MerkleTree {
     pub fn update_leaf(&mut self, index: usize, data: &[u8]) {
         assert!(index < self.leaves, "leaf index {index} out of range");
         let mut i = self.leaves + index;
-        self.set_node(i, hash_leaf(data));
+        let len = if i == 1 || data.len() > PREIMAGE_MAX {
+            self.set_node(i, hash_leaf(data));
+            0
+        } else {
+            if self.preimages.is_empty() {
+                self.preimage_len = vec![0; self.leaves];
+                self.preimages = vec![[0; PREIMAGE_MAX]; self.leaves];
+            }
+            if let Some(slot) = self
+                .preimages
+                .get_mut(index)
+                .and_then(|p| p.get_mut(..data.len()))
+            {
+                slot.copy_from_slice(data);
+            }
+            data.len() as u8 + 1
+        };
+        if let Some(slot_len) = self.preimage_len.get_mut(index) {
+            *slot_len = len;
+        }
         while i > 1 {
             i /= 2;
             match self.stale.get_mut(i) {
@@ -188,13 +240,28 @@ impl MerkleTree {
         }
     }
 
-    /// Re-hashes every stale ancestor once and stores the result. A
-    /// child's heap index is larger than its parent's, so descending
-    /// index order re-hashes children before parents.
+    /// Hashes leaf `j`'s pending preimage into its stored digest.
+    fn settle_leaf(&mut self, j: usize) {
+        if let Some(digest) = self.preimage(j).map(hash_leaf) {
+            self.set_node(self.leaves + j, digest);
+            if let Some(len) = self.preimage_len.get_mut(j) {
+                *len = 0;
+            }
+        }
+    }
+
+    /// Re-hashes every pending leaf and stale ancestor once and stores
+    /// the result. A child's heap index is larger than its parent's, so
+    /// descending index order re-hashes children before parents; a
+    /// pending leaf is hashed when its stale parent comes up.
     fn flush(&mut self) {
         let mut pending = std::mem::take(&mut self.pending);
         pending.sort_unstable_by(|a, b| b.cmp(a));
         for &i in &pending {
+            if 2 * i >= self.leaves {
+                self.settle_leaf(2 * i - self.leaves);
+                self.settle_leaf(2 * i + 1 - self.leaves);
+            }
             self.set_node(i, hash_node(&self.node(2 * i), &self.node(2 * i + 1)));
             if let Some(stale) = self.stale.get_mut(i) {
                 *stale = false;
@@ -204,27 +271,38 @@ impl MerkleTree {
         self.pending = pending;
     }
 
+    /// Whether `data` is what leaf `index` holds: its pending preimage,
+    /// byte for byte, or data that hashes to its stored digest. Until
+    /// the first forgery this is the path walk's verdict (see the module
+    /// docs).
+    fn leaf_matches(&self, index: usize, data: &[u8]) -> bool {
+        match self.preimage(index) {
+            Some(pre) => pre == data,
+            None => hash_leaf(data) == self.node(self.leaves + index),
+        }
+    }
+
     /// Verifies that `data` matches leaf `index` against the root.
     /// Returns `false` on any mismatch (tampered leaf or tampered
     /// internal node).
     ///
-    /// Until the first [`MerkleTree::tamper_node`] this is one digest
-    /// and a compare with the stored leaf digest, which gives the path
-    /// walk's verdict (see the module docs) and leaves stale ancestors
-    /// stale. After it, stale ancestors are flushed and the
-    /// authentication path is re-walked.
+    /// Until the first [`MerkleTree::tamper_node`] this checks the leaf
+    /// alone — a byte compare with a pending preimage, or one digest
+    /// and a compare with the stored leaf digest — which gives the path
+    /// walk's verdict (see the module docs) and hashes nothing pending.
+    /// After it, the tree is flushed and the authentication path is
+    /// re-walked.
     ///
     /// # Panics
     ///
     /// Panics if `index >= leaf_count()`.
     pub fn verify_leaf(&mut self, index: usize, data: &[u8]) -> bool {
         assert!(index < self.leaves, "leaf index {index} out of range");
-        let leaf = hash_leaf(data);
         if !self.forged {
-            return leaf == self.node(self.leaves + index);
+            return self.leaf_matches(index, data);
         }
         self.flush();
-        self.walk_path(index, leaf)
+        self.walk_path(index, hash_leaf(data))
     }
 
     /// Whether `leaf`, re-hashed up `index`'s path with the stored
@@ -244,17 +322,23 @@ impl MerkleTree {
         digest == self.node(1)
     }
 
-    /// Verifies leaves `0..data.len()` against the root in one bottom-up
-    /// pass: every given leaf is hashed once and every ancestor of one is
-    /// rebuilt once from them (a subtree holding none of them contributes
-    /// its stored digest). That is about two hashes per leaf, where
-    /// walking each path costs one per tree level. The stored digests on
-    /// the given leaves' paths are recomputed, not read.
+    /// Verifies leaves `0..data.len()` against the root and returns the
+    /// first that fails, or `None`.
     ///
-    /// Returns `None` when the rebuilt root equals the stored one.
-    /// Otherwise returns the first leaf whose own path walk fails (the
-    /// leaf a loop of [`MerkleTree::verify_leaf`] calls reports first);
-    /// one exists unless SHA-256 collides.
+    /// Until the first [`MerkleTree::tamper_node`] each leaf is checked
+    /// as [`MerkleTree::verify_leaf`] checks it — a byte compare per
+    /// pending leaf, one digest per hashed leaf — so the answer is a
+    /// loop of `verify_leaf` calls' and nothing pending is hashed.
+    ///
+    /// After a forgery the tree is flushed and the run checked in one
+    /// bottom-up pass: every given leaf is hashed once and every
+    /// ancestor of one is rebuilt once from them (a subtree holding none
+    /// of them contributes its stored digest), about two hashes per
+    /// leaf where walking each path costs one per tree level. The
+    /// stored digests on the given leaves' paths are recomputed, not
+    /// read. The pass returns `None` when the rebuilt root equals the
+    /// stored one, and otherwise the first leaf whose own path walk
+    /// fails; one exists unless SHA-256 collides.
     ///
     /// # Panics
     ///
@@ -266,6 +350,12 @@ impl MerkleTree {
             data.len(),
             self.leaves
         );
+        if !self.forged {
+            return data
+                .iter()
+                .enumerate()
+                .position(|(i, d)| !self.leaf_matches(i, d.as_ref()));
+        }
         self.flush();
         if data.is_empty() {
             return None;
@@ -302,8 +392,8 @@ impl MerkleTree {
 
     /// Simulates an attacker overwriting an internal node or leaf hash in
     /// untrusted storage (for security tests). Returns the previous value.
-    /// Stale ancestors are flushed first, so the write lands on the state
-    /// eager re-hashing would hold. From then on
+    /// Pending leaves and stale ancestors are flushed first, so the write
+    /// lands on the state eager re-hashing would hold. From then on
     /// [`MerkleTree::verify_leaf`] walks paths.
     ///
     /// # Panics
@@ -441,6 +531,40 @@ mod tests {
         tree.flush();
         assert!(tree.pending.is_empty());
         assert!(tree.stale.iter().all(|s| !s));
+        assert!((0..16).all(|j| tree.preimage(j).is_none()));
+        assert_eq!(tree.node(16 + 4), hash_leaf(b"x"));
+    }
+
+    #[test]
+    fn a_leaf_is_hashed_when_its_digest_is_read() {
+        let mut tree = MerkleTree::new(16);
+        let untouched = tree.node(16 + 5);
+        // A page's eight write-through counter writes and its shred.
+        for round in 1u8..=9 {
+            tree.update_leaf(5, &[round; 64]);
+        }
+        let pending = |t: &MerkleTree| (0..16).filter(|&j| t.preimage(j).is_some()).count();
+        assert_eq!(pending(&tree), 1);
+        assert_eq!(tree.preimage(5), Some(&[9u8; 64][..]));
+        assert_eq!(tree.node(16 + 5), untouched, "nothing hashed yet");
+        // Checking a pending leaf compares bytes and leaves it pending.
+        assert!(tree.verify_leaf(5, &[9; 64]));
+        assert!(!tree.verify_leaf(5, &[8; 64]));
+        let mut run = vec![Vec::new(); 8];
+        run[5] = vec![9; 64];
+        assert_eq!(tree.verify_leaves(&run), None);
+        run[5] = vec![8; 64];
+        assert_eq!(tree.verify_leaves(&run), Some(5));
+        assert_eq!(tree.preimage(5), Some(&[9u8; 64][..]));
+        assert_eq!(tree.node(16 + 5), untouched);
+        // A forgery flushes: the leaf is hashed once, then its ancestors.
+        let root = tree.root();
+        tree.tamper_node(16 + 12, [0x11; 32]);
+        assert_eq!(pending(&tree), 0);
+        assert_eq!(tree.node(16 + 5), hash_leaf(&[9; 64]));
+        assert_eq!(tree.node(1), root);
+        assert!(tree.pending.is_empty());
+        assert!(tree.verify_leaf(5, &[9; 64]));
     }
 
     #[test]
@@ -516,36 +640,67 @@ mod tests {
     #[test]
     fn lazy_tree_matches_eager_rehashing() {
         let mut rng = DetRng::new(0x3E_0010);
-        for _ in 0..32 {
+        // One-pass checks over runs that mix pending and hashed leaves,
+        // and forgeries of a pending leaf's digest.
+        let (mut mixed_runs, mut pending_forgeries) = (0, 0);
+        for round in 0..32 {
             let leaf_count = 1 + rng.below(40) as usize;
             let mut lazy = MerkleTree::new(leaf_count);
             let mut eager = EagerTree::new(leaf_count);
             let leaves = lazy.leaf_count();
             let mut current: Vec<Vec<u8>> = vec![Vec::new(); leaves];
+            let mut previous = current.clone();
+            // A few hot leaves take bursts of updates between reads: a
+            // page's write-through counter writes, then its shred.
+            let hot: Vec<usize> = (0..3).map(|_| rng.below(leaves as u64) as usize).collect();
+            // Half the trees are never forged, so their one-pass checks
+            // run all along.
+            let forgeable = round % 2 == 1 && leaves > 1;
             let mut tampered = false;
             for _ in 0..200 {
-                let index = rng.below(leaves as u64) as usize;
-                match rng.below(8) {
-                    0..=3 => {
-                        let mut data = vec![0u8; rng.below(70) as usize];
-                        rng.fill_bytes(&mut data);
-                        lazy.update_leaf(index, &data);
-                        eager.update_leaf(index, &data);
-                        current[index] = data;
+                let index = if rng.below(2) == 0 {
+                    hot[rng.below(3) as usize]
+                } else {
+                    rng.below(leaves as u64) as usize
+                };
+                match rng.below(16) {
+                    0..=6 => {
+                        for _ in 0..=rng.below(9) {
+                            // A counter line, or up to 69 bytes: data
+                            // longer than a preimage slot is hashed at once.
+                            let len = if rng.below(2) == 0 {
+                                PREIMAGE_MAX
+                            } else {
+                                rng.below(70) as usize
+                            };
+                            let mut data = vec![0u8; len];
+                            rng.fill_bytes(&mut data);
+                            lazy.update_leaf(index, &data);
+                            eager.update_leaf(index, &data);
+                            previous[index] = std::mem::replace(&mut current[index], data);
+                        }
                     }
-                    4 | 5 => {
-                        let data = if rng.below(2) == 0 {
-                            current[index].clone()
-                        } else {
-                            vec![rng.below(256) as u8]
+                    7..=10 => {
+                        let data = match rng.below(3) {
+                            0 => current[index].clone(),
+                            1 => previous[index].clone(),
+                            _ => vec![rng.below(256) as u8],
                         };
                         assert_eq!(
                             lazy.verify_leaf(index, &data),
                             eager.verify_leaf(index, &data)
                         );
                     }
-                    6 if leaves > 1 => {
-                        let node = 2 + rng.below(2 * leaves as u64 - 2) as usize;
+                    11 if forgeable => {
+                        let pending: Vec<usize> = (0..leaves)
+                            .filter(|&j| lazy.preimage(j).is_some())
+                            .collect();
+                        let node = if !pending.is_empty() && rng.below(2) == 0 {
+                            pending_forgeries += 1;
+                            leaves + pending[rng.below(pending.len() as u64) as usize]
+                        } else {
+                            2 + rng.below(2 * leaves as u64 - 2) as usize
+                        };
                         let mut forged = [0u8; 32];
                         rng.fill_bytes(&mut forged);
                         assert_eq!(lazy.tamper_node(node, forged), eager.nodes[node]);
@@ -557,14 +712,29 @@ mod tests {
                     // the per-leaf loop only while they are untampered.
                     _ if !tampered => {
                         let n = rng.below(leaves as u64 + 1) as usize;
-                        let first_bad = (0..n).find(|&i| !eager.verify_leaf(i, &current[i]));
-                        assert_eq!(lazy.verify_leaves(&current[..n]), first_bad);
+                        let mut run = current[..n].to_vec();
+                        if n > 0 && rng.below(2) == 0 {
+                            // A replayed line somewhere in the run.
+                            let bad = rng.below(n as u64) as usize;
+                            run[bad] = previous[bad].clone();
+                        }
+                        let pending = (0..n).filter(|&i| lazy.preimage(i).is_some()).count();
+                        if pending > 0 && pending < n {
+                            mixed_runs += 1;
+                        }
+                        let first_bad = (0..n).find(|&i| !eager.verify_leaf(i, &run[i]));
+                        assert_eq!(lazy.verify_leaves(&run), first_bad);
                     }
                     _ => {}
                 }
                 assert_eq!(lazy.root(), eager.nodes[1]);
             }
         }
+        assert!(mixed_runs > 100, "{mixed_runs} mixed runs");
+        assert!(
+            pending_forgeries > 5,
+            "{pending_forgeries} pending forgeries"
+        );
     }
 
     #[test]
