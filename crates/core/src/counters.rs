@@ -11,6 +11,9 @@ use ss_crypto::iv::{Iv, MINOR_FIRST, MINOR_MAX, MINOR_SHREDDED};
 
 use crate::config::ShredStrategy;
 
+/// Bytes of a counter line that pack eight 7-bit minors.
+const MINOR_WORD_BYTES: usize = 7;
+
 /// A page's encryption counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterBlock {
@@ -130,12 +133,61 @@ impl CounterBlock {
     }
 
     /// Serialises to one 64 B NVM line: major (8 bytes, LE) followed by
-    /// the 64 minors packed 7 bits each (56 bytes).
+    /// the 64 minors packed 7 bits each (56 bytes), LSB first. Eight
+    /// minors fill one little-endian 7-byte word, so each word is built
+    /// in a register and stored at once.
     pub fn to_line(&self) -> [u8; LINE_SIZE] {
         let mut out = [0u8; LINE_SIZE];
-        out[..8].copy_from_slice(&self.major.to_le_bytes());
+        let (major, packed) = out.split_at_mut(8);
+        major.copy_from_slice(&self.major.to_le_bytes());
+        for (word, minors) in packed
+            .chunks_exact_mut(MINOR_WORD_BYTES)
+            .zip(self.minors.chunks_exact(8))
+        {
+            let bits = minors
+                .iter()
+                .rev()
+                .fold(0u64, |acc, &m| acc << 7 | u64::from(m));
+            word.copy_from_slice(&bits.to_le_bytes()[..MINOR_WORD_BYTES]);
+        }
+        out
+    }
+
+    /// Deserialises from a 64 B NVM line, one 7-byte word of eight
+    /// minors at a time.
+    pub fn from_line(line: &[u8; LINE_SIZE]) -> Self {
+        let mut major_bytes = [0u8; 8];
+        major_bytes.copy_from_slice(&line[..8]);
+        let major = u64::from_le_bytes(major_bytes);
+        let mut minors = [0u8; BLOCKS_PER_PAGE];
+        for (eight, word) in minors
+            .chunks_exact_mut(8)
+            .zip(line[8..].chunks_exact(MINOR_WORD_BYTES))
+        {
+            let mut bytes = [0u8; 8];
+            bytes[..MINOR_WORD_BYTES].copy_from_slice(word);
+            let bits = u64::from_le_bytes(bytes);
+            for (j, m) in eight.iter_mut().enumerate() {
+                *m = (bits >> (7 * j)) as u8 & MINOR_MAX;
+            }
+        }
+        CounterBlock { major, minors }
+    }
+}
+
+/// The bit-serial codec the word-at-a-time one replaced, kept as the
+/// oracle that `word_codec_matches_the_bit_serial_one` compares it
+/// against: minor `k` occupies bits `7k..7k + 7` after the major,
+/// written and read one byte offset at a time.
+#[cfg(test)]
+mod reference {
+    use super::{CounterBlock, BLOCKS_PER_PAGE, LINE_SIZE, MINOR_MAX};
+
+    pub(super) fn to_line(c: &CounterBlock) -> [u8; LINE_SIZE] {
+        let mut out = [0u8; LINE_SIZE];
+        out[..8].copy_from_slice(&c.major.to_le_bytes());
         let mut bit = 0usize;
-        for &m in &self.minors {
+        for &m in &c.minors {
             let byte = 8 + bit / 8;
             let off = bit % 8;
             out[byte] |= m << off;
@@ -147,8 +199,7 @@ impl CounterBlock {
         out
     }
 
-    /// Deserialises from a 64 B NVM line.
-    pub fn from_line(line: &[u8; LINE_SIZE]) -> Self {
+    pub(super) fn from_line(line: &[u8; LINE_SIZE]) -> CounterBlock {
         let mut major_bytes = [0u8; 8];
         major_bytes.copy_from_slice(&line[..8]);
         let major = u64::from_le_bytes(major_bytes);
@@ -171,6 +222,7 @@ impl CounterBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ss_common::DetRng;
 
     #[test]
     fn default_is_fully_shredded() {
@@ -281,6 +333,27 @@ mod tests {
                 minors: [fill; BLOCKS_PER_PAGE],
             };
             assert_eq!(CounterBlock::from_line(&c.to_line()), c);
+        }
+    }
+
+    #[test]
+    fn word_codec_matches_the_bit_serial_one() {
+        let mut rng = DetRng::new(0xC0DEC);
+        for _ in 0..2_000 {
+            let mut c = CounterBlock {
+                major: rng.next_u64(),
+                minors: [0; BLOCKS_PER_PAGE],
+            };
+            for m in &mut c.minors {
+                *m = rng.below(u64::from(MINOR_MAX) + 1) as u8;
+            }
+            let line = c.to_line();
+            assert_eq!(line, reference::to_line(&c));
+            assert_eq!(CounterBlock::from_line(&line), c);
+            // A tampered counter line can hold any 64 bytes.
+            let mut raw = [0u8; LINE_SIZE];
+            rng.fill_bytes(&mut raw);
+            assert_eq!(CounterBlock::from_line(&raw), reference::from_line(&raw));
         }
     }
 
