@@ -252,6 +252,9 @@ impl MemoryController {
         };
         let plain = self.decrypt_ctr(addr, &ctrs, &cipher);
         let new_ctrs = self.bump_minor(addr, &ctrs, now)?;
+        // An overflow re-encrypted the page, and its writes may have
+        // moved this line under Start-Gap: remap where it lives now.
+        let r = &self.rescue_of(addr);
         let new_cipher = self.encrypt_fresh(addr, &new_ctrs, &plain);
         self.move_to_spare(r, Some(&new_cipher), now, |mc| {
             mc.install_counters(page, new_ctrs, true, now)

@@ -124,8 +124,9 @@ pub enum NvmTarget {
 }
 
 /// A degrading data line under rescue: its logical address, and the
-/// device data line and slot behind it, resolved once when the rescue
-/// starts ([`MemoryController::start_rescue`]).
+/// device data line and slot behind it, resolved when the rescue starts
+/// ([`MemoryController::start_rescue`]) and again after any write of the
+/// rescue's own ([`MemoryController::rescue_of`]).
 #[derive(Debug)]
 pub(super) struct Rescue {
     pub(super) addr: BlockAddr,
@@ -442,9 +443,18 @@ impl MemoryController {
             return Ok(None);
         }
         self.drain_queue_fully(now)?;
+        Ok(Some(self.rescue_of(addr)))
+    }
+
+    /// The rescue of logical data line `addr` at the device line and
+    /// slot behind it now. Every data write moves the Start-Gap gap, so
+    /// a rescue that writes before it moves the line (a counter-mode
+    /// rescue whose minor overflows re-encrypts the page) resolves the
+    /// line again afterwards.
+    pub(super) fn rescue_of(&self, addr: BlockAddr) -> Rescue {
         let dev = self.device_addr(addr);
         let slot = self.slot(dev);
-        Ok(Some(Rescue { addr, dev, slot }))
+        Rescue { addr, dev, slot }
     }
 
     /// The rescue read of a degrading line: `None` when even the retry

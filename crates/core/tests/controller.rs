@@ -474,6 +474,39 @@ fn full_line_write_revives_quarantined_line() {
 }
 
 #[test]
+fn rescue_that_overflows_a_minor_remaps_the_moved_line() {
+    // Under Start-Gap every data write moves the gap. The rescue of a
+    // block at minor 127 overflows it and re-encrypts the page's 63
+    // other live blocks first, so the rescued line has moved by the
+    // time its spare is assigned.
+    let cfg = ControllerConfigBuilder::small_test()
+        .wear_leveling(true)
+        .build()
+        .unwrap();
+    let mut m = MemoryController::new(cfg).unwrap();
+    let page = PageId::new(253);
+    for b in 0..64 {
+        m.write_block(page.block_addr(b), &line(b as u8 + 1), false, Cycles::ZERO)
+            .unwrap();
+    }
+    let addr = page.block_addr(0);
+    for _ in 1..127 {
+        m.write_block(addr, &line(1), false, Cycles::ZERO).unwrap();
+    }
+    m.faults().force_line_failure(addr, 1);
+    assert_eq!(m.read_block(addr, Cycles::ZERO).unwrap().data, line(1));
+    assert_eq!(m.inspect().stats().reencryptions.get(), 1);
+    assert_eq!(m.inspect().remapped_lines(), 1);
+    for b in 0..64 {
+        assert_eq!(
+            m.read_block(page.block_addr(b), Cycles::ZERO).unwrap().data,
+            line(b as u8 + 1),
+            "block {b} after the rescue"
+        );
+    }
+}
+
+#[test]
 fn scrubber_runs_on_write_idle_cycles() {
     let mut m = MemoryController::new(ControllerConfig {
         scrub_interval: Some(4),
