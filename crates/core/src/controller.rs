@@ -1016,8 +1016,9 @@ impl MemoryController {
     ///    recovery is idempotent — and numbers later sequences above
     ///    every stamp in the ring.
     /// 3. **Integrity re-verification**: the persisted counter region is
-    ///    read once and checked against the in-memory Merkle tree in one
-    ///    bottom-up pass ([`MerkleTree::verify_leaves`]). A mismatch that
+    ///    read once, and each counter line is checked against its leaf
+    ///    of the in-memory Merkle tree ([`MerkleTree::verify_leaves`]),
+    ///    the first failing page named in the error. A mismatch that
     ///    recovery could not repair is a hard
     ///    [`Error::IntegrityViolation`], never a silently served read.
     /// 4. **Shred census**: counts, from the same read, pages whose
@@ -1101,10 +1102,10 @@ impl MemoryController {
         Ok(report)
     }
 
-    /// Reads the persisted counter region once, re-verifies it against
-    /// the Merkle tree in one bottom-up pass (skipped when integrity is
-    /// off), and returns the shred census: the pages it shows fully
-    /// shredded under a non-zero major counter.
+    /// Reads the persisted counter region once, checks each counter line
+    /// against its Merkle leaf (skipped when integrity is off), and
+    /// returns the shred census: the pages it shows fully shredded under
+    /// a non-zero major counter.
     fn reverify_counter_region(&mut self) -> Result<u64> {
         let lines: Vec<Line> = (0..self.config.frames())
             .map(|p| self.peek_line(Region::Counter, p))

@@ -33,9 +33,9 @@
 //! walk's verdict, barring a SHA-256 collision, and leave pending
 //! leaves and stale ancestors as they are. [`MerkleTree::verify_leaves`]
 //! checks a run of leaves the same way, leaf by leaf. After a forgery
-//! the stored digests no longer hash up: `verify_leaf` re-walks the
-//! authentication path against the root, and `verify_leaves` rebuilds
-//! the run's ancestors in one bottom-up pass.
+//! the stored digests no longer hash up, so `verify_leaf`, and with it
+//! `verify_leaves`, re-walks each leaf's authentication path against
+//! the root.
 
 #[cfg(test)]
 use crate::sha256::sha256;
@@ -199,8 +199,7 @@ impl MerkleTree {
 
     /// Sets leaf `index` to `data` and marks its ancestors stale. The
     /// leaf is hashed when its digest is first read. Data longer than a
-    /// serialized counter block, and the leaf of a one-leaf tree (the
-    /// root, with no stale parent to wait behind), are hashed now.
+    /// serialized counter block is hashed now.
     ///
     /// # Panics
     ///
@@ -208,7 +207,7 @@ impl MerkleTree {
     pub fn update_leaf(&mut self, index: usize, data: &[u8]) {
         assert!(index < self.leaves, "leaf index {index} out of range");
         let mut i = self.leaves + index;
-        let len = if i == 1 || data.len() > PREIMAGE_MAX {
+        let len = if data.len() > PREIMAGE_MAX {
             self.set_node(i, hash_leaf(data));
             0
         } else {
@@ -323,22 +322,11 @@ impl MerkleTree {
     }
 
     /// Verifies leaves `0..data.len()` against the root and returns the
-    /// first that fails, or `None`.
-    ///
-    /// Until the first [`MerkleTree::tamper_node`] each leaf is checked
-    /// as [`MerkleTree::verify_leaf`] checks it — a byte compare per
-    /// pending leaf, one digest per hashed leaf — so the answer is a
-    /// loop of `verify_leaf` calls' and nothing pending is hashed.
-    ///
-    /// After a forgery the tree is flushed and the run checked in one
-    /// bottom-up pass: every given leaf is hashed once and every
-    /// ancestor of one is rebuilt once from them (a subtree holding none
-    /// of them contributes its stored digest), about two hashes per
-    /// leaf where walking each path costs one per tree level. The
-    /// stored digests on the given leaves' paths are recomputed, not
-    /// read. The pass returns `None` when the rebuilt root equals the
-    /// stored one, and otherwise the first leaf whose own path walk
-    /// fails; one exists unless SHA-256 collides.
+    /// first that fails, or `None`: each leaf is checked as
+    /// [`MerkleTree::verify_leaf`] checks it. Until the first
+    /// [`MerkleTree::tamper_node`] that is a byte compare per pending
+    /// leaf and one digest per hashed leaf, and nothing pending is
+    /// hashed; after it, one path walk per leaf.
     ///
     /// # Panics
     ///
@@ -350,44 +338,9 @@ impl MerkleTree {
             data.len(),
             self.leaves
         );
-        if !self.forged {
-            return data
-                .iter()
-                .enumerate()
-                .position(|(i, d)| !self.leaf_matches(i, d.as_ref()));
-        }
-        self.flush();
-        if data.is_empty() {
-            return None;
-        }
-        let mut level: Vec<Digest> = data.iter().map(|d| hash_leaf(d.as_ref())).collect();
-        // Heap index of `level[0]`, the leftmost node of its tree level.
-        let mut first = self.leaves;
-        while first > 1 {
-            if level.len() % 2 == 1 {
-                level.push(self.node(first + level.len()));
-            }
-            let parents = level.len() / 2;
-            for p in 0..parents {
-                if let (Some(l), Some(r)) = (level.get(2 * p), level.get(2 * p + 1)) {
-                    let parent = hash_node(l, r);
-                    if let Some(slot) = level.get_mut(p) {
-                        *slot = parent;
-                    }
-                }
-            }
-            level.truncate(parents);
-            first /= 2;
-        }
-        if level.first() == Some(&self.node(1)) {
-            return None;
-        }
-        Some(
-            data.iter()
-                .enumerate()
-                .position(|(i, d)| !self.walk_path(i, hash_leaf(d.as_ref())))
-                .unwrap_or(0),
-        )
+        data.iter()
+            .enumerate()
+            .position(|(i, d)| !self.verify_leaf(i, d.as_ref()))
     }
 
     /// Simulates an attacker overwriting an internal node or leaf hash in
@@ -589,8 +542,8 @@ mod tests {
         for (i, d) in data.iter().enumerate() {
             tree.update_leaf(i, d);
         }
-        // Forge leaf 7's digest. Leaves 0..7 do not cover it, so the pass
-        // reads the forgery; leaf 6's path is the first to cross it.
+        // Forge leaf 7's digest. Leaves 0..7 do not cover it, and leaf
+        // 6's path, which reads it as a sibling, is the first to fail.
         tree.tamper_node(8 + 7, [0x55; 32]);
         assert_eq!(tree.verify_leaves(&data[..7]), Some(6));
     }
@@ -640,9 +593,9 @@ mod tests {
     #[test]
     fn lazy_tree_matches_eager_rehashing() {
         let mut rng = DetRng::new(0x3E_0010);
-        // One-pass checks over runs that mix pending and hashed leaves,
-        // and forgeries of a pending leaf's digest.
-        let (mut mixed_runs, mut pending_forgeries) = (0, 0);
+        // `verify_leaves` runs that mix pending and hashed leaves, runs
+        // on a forged tree, and forgeries of a pending leaf's digest.
+        let (mut mixed_runs, mut forged_runs, mut pending_forgeries) = (0, 0, 0);
         for round in 0..32 {
             let leaf_count = 1 + rng.below(40) as usize;
             let mut lazy = MerkleTree::new(leaf_count);
@@ -653,7 +606,7 @@ mod tests {
             // A few hot leaves take bursts of updates between reads: a
             // page's write-through counter writes, then its shred.
             let hot: Vec<usize> = (0..3).map(|_| rng.below(leaves as u64) as usize).collect();
-            // Half the trees are never forged, so their one-pass checks
+            // Half the trees are never forged, so their leaf-only checks
             // run all along.
             let forgeable = round % 2 == 1 && leaves > 1;
             let mut tampered = false;
@@ -707,10 +660,7 @@ mod tests {
                         eager.nodes[node] = forged;
                         tampered = true;
                     }
-                    // The one-pass check recomputes the digests on the
-                    // run's paths instead of reading them, so it matches
-                    // the per-leaf loop only while they are untampered.
-                    _ if !tampered => {
+                    _ => {
                         let n = rng.below(leaves as u64 + 1) as usize;
                         let mut run = current[..n].to_vec();
                         if n > 0 && rng.below(2) == 0 {
@@ -722,15 +672,18 @@ mod tests {
                         if pending > 0 && pending < n {
                             mixed_runs += 1;
                         }
+                        if tampered {
+                            forged_runs += 1;
+                        }
                         let first_bad = (0..n).find(|&i| !eager.verify_leaf(i, &run[i]));
                         assert_eq!(lazy.verify_leaves(&run), first_bad);
                     }
-                    _ => {}
                 }
                 assert_eq!(lazy.root(), eager.nodes[1]);
             }
         }
         assert!(mixed_runs > 100, "{mixed_runs} mixed runs");
+        assert!(forged_runs > 100, "{forged_runs} runs on a forged tree");
         assert!(
             pending_forgeries > 5,
             "{pending_forgeries} pending forgeries"
