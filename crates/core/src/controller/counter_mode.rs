@@ -240,7 +240,10 @@ impl MemoryController {
     /// like a demand write, so it never reuses a (page, block, counter)
     /// tuple. Commit order: spare ciphertext first, then the counter +
     /// Merkle update makes the new IV authoritative; a crash in between
-    /// leaves the old mapping decodable under the old counters.
+    /// leaves the old mapping decodable under the old counters. A minor
+    /// overflow re-encrypts the page first, and under Start-Gap those
+    /// writes can carry the line off its worn slot: then the fresh
+    /// ciphertext is an ordinary write and no spare is taken.
     pub(super) fn ctr_rescue_remap(&mut self, r: &Rescue, now: Cycles) -> Result<()> {
         let (addr, page) = (r.addr, r.addr.page());
         let (ctrs, _) = self.fetch_counters(page, now)?;
@@ -252,11 +255,12 @@ impl MemoryController {
         };
         let plain = self.decrypt_ctr(addr, &ctrs, &cipher);
         let new_ctrs = self.bump_minor(addr, &ctrs, now)?;
-        // An overflow re-encrypted the page, and its writes may have
-        // moved this line under Start-Gap: remap where it lives now.
-        let r = &self.rescue_of(addr);
         let new_cipher = self.encrypt_fresh(addr, &new_ctrs, &plain);
-        self.move_to_spare(r, Some(&new_cipher), now, |mc| {
+        let Some(r) = self.rescue_of(addr) else {
+            self.issue_data_write(addr, &new_cipher, now)?;
+            return self.install_counters(page, new_ctrs, true, now);
+        };
+        self.move_to_spare(&r, Some(&new_cipher), now, |mc| {
             mc.install_counters(page, new_ctrs, true, now)
         })
     }

@@ -124,9 +124,9 @@ pub enum NvmTarget {
 }
 
 /// A degrading data line under rescue: its logical address, and the
-/// device data line and slot behind it, resolved when the rescue starts
-/// ([`MemoryController::start_rescue`]) and again after any write of the
-/// rescue's own ([`MemoryController::rescue_of`]).
+/// device data line and worn slot behind it, resolved when the rescue
+/// starts ([`MemoryController::start_rescue`]) and again after any write
+/// of the rescue's own ([`MemoryController::rescue_of`]).
 #[derive(Debug)]
 pub(super) struct Rescue {
     pub(super) addr: BlockAddr,
@@ -433,28 +433,32 @@ impl MemoryController {
     }
 
     /// Starts the rescue of degrading logical data line `addr`; `None`
-    /// when the line is quarantined or its slot healed in the meantime
-    /// (revived by a full-line write, say). Queued writes land first so
-    /// the rescue read sees the newest contents; their drain may move
-    /// the Start-Gap mapping, so the line is resolved again after it.
+    /// when the line is quarantined or no longer on a worn slot (revived
+    /// by a full-line write, say). Queued writes land first so the
+    /// rescue read sees the newest contents; their drain may move the
+    /// Start-Gap mapping, so the line is resolved again after it.
     pub(super) fn start_rescue(&mut self, addr: BlockAddr, now: Cycles) -> Result<Option<Rescue>> {
-        let dev = self.device_addr(addr);
-        if self.heal.is_quarantined(dev) || !self.nvm.is_failed(self.slot(dev)) {
+        if self.heal.is_quarantined(self.device_addr(addr)) || self.rescue_of(addr).is_none() {
             return Ok(None);
         }
         self.drain_queue_fully(now)?;
-        Ok(Some(self.rescue_of(addr)))
+        Ok(self.rescue_of(addr))
     }
 
     /// The rescue of logical data line `addr` at the device line and
-    /// slot behind it now. Every data write moves the Start-Gap gap, so
-    /// a rescue that writes before it moves the line (a counter-mode
-    /// rescue whose minor overflows re-encrypts the page) resolves the
-    /// line again afterwards.
-    pub(super) fn rescue_of(&self, addr: BlockAddr) -> Rescue {
+    /// slot behind it now, or `None` when that slot is not worn. Every
+    /// data write moves the Start-Gap gap and can carry the line off its
+    /// worn slot, so a rescue that writes before it remaps (a
+    /// counter-mode rescue whose minor overflows re-encrypts the page)
+    /// resolves the line again afterwards. A worn slot the line has left
+    /// stays in service, and the line that lands on it is rescued at its
+    /// first corrected read, as on any worn slot.
+    pub(super) fn rescue_of(&self, addr: BlockAddr) -> Option<Rescue> {
         let dev = self.device_addr(addr);
         let slot = self.slot(dev);
-        Rescue { addr, dev, slot }
+        self.nvm
+            .is_failed(slot)
+            .then_some(Rescue { addr, dev, slot })
     }
 
     /// The rescue read of a degrading line: `None` when even the retry

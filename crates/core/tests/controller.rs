@@ -11,6 +11,7 @@ use ss_core::{
     ControllerConfig, ControllerConfigBuilder, CounterPersistence, MemoryController, NvmTarget,
     PersistDomain, WriteQueueConfig, SHRED_REG,
 };
+use ss_trace::TraceEvent;
 
 type Line = [u8; LINE_SIZE];
 
@@ -474,16 +475,23 @@ fn full_line_write_revives_quarantined_line() {
 }
 
 #[test]
-fn rescue_that_overflows_a_minor_remaps_the_moved_line() {
-    // Under Start-Gap every data write moves the gap. The rescue of a
-    // block at minor 127 overflows it and re-encrypts the page's 63
-    // other live blocks first, so the rescued line has moved by the
-    // time its spare is assigned.
+fn rescue_that_overflows_a_minor_follows_the_moved_line() {
+    // Under Start-Gap every data write moves the gap down one device
+    // line. After the 191 writes below it sits just above block 0 of
+    // page 253, so the rescue of that block at minor 127, which
+    // overflows it and re-encrypts the page's 63 other live blocks
+    // first, carries the block off its worn slot and the line below it
+    // (block 63 of page 252) onto it. No rotation has completed, so the
+    // worn device line still has block 0's address.
     let cfg = ControllerConfigBuilder::small_test()
         .wear_leveling(true)
+        .trace_depth(Some(4096))
         .build()
         .unwrap();
     let mut m = MemoryController::new(cfg).unwrap();
+    let below = PageId::new(252).block_addr(63);
+    m.write_block(below, &line(0xAB), false, Cycles::ZERO)
+        .unwrap();
     let page = PageId::new(253);
     for b in 0..64 {
         m.write_block(page.block_addr(b), &line(b as u8 + 1), false, Cycles::ZERO)
@@ -496,7 +504,6 @@ fn rescue_that_overflows_a_minor_remaps_the_moved_line() {
     m.faults().force_line_failure(addr, 1);
     assert_eq!(m.read_block(addr, Cycles::ZERO).unwrap().data, line(1));
     assert_eq!(m.inspect().stats().reencryptions.get(), 1);
-    assert_eq!(m.inspect().remapped_lines(), 1);
     for b in 0..64 {
         assert_eq!(
             m.read_block(page.block_addr(b), Cycles::ZERO).unwrap().data,
@@ -504,6 +511,25 @@ fn rescue_that_overflows_a_minor_remaps_the_moved_line() {
             "block {b} after the rescue"
         );
     }
+    // The block left the worn slot: its fresh ciphertext was an
+    // ordinary write, and no spare went to a healthy line.
+    assert_eq!(m.inspect().remapped_lines(), 0);
+    // The line now on the worn slot is rescued at its first read, and
+    // the spare goes to the worn device line.
+    assert_eq!(m.read_block(below, Cycles::ZERO).unwrap().data, line(0xAB));
+    assert_eq!(m.inspect().remapped_lines(), 1);
+    let remaps: Vec<_> = m
+        .inspect()
+        .trace_records()
+        .into_iter()
+        .filter_map(|r| match r.event {
+            TraceEvent::LineRemap { addr, ok } => Some((addr, ok)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(remaps, [(addr, true)]);
+    assert_eq!(m.read_block(below, Cycles::ZERO).unwrap().data, line(0xAB));
+    assert_eq!(m.read_block(addr, Cycles::ZERO).unwrap().data, line(1));
 }
 
 #[test]
