@@ -47,7 +47,8 @@ pub enum TraceEvent {
     },
     /// A degrading line was remapped to a spare (or failed to be).
     LineRemap {
-        /// The logical line being rescued.
+        /// The device data line being rescued: the logical line's own
+        /// address unless Start-Gap wear levelling has moved it.
         addr: BlockAddr,
         /// `true` for a successful rescue, `false` for quarantine.
         ok: bool,
