@@ -477,8 +477,8 @@ fn full_line_write_revives_quarantined_line() {
 #[test]
 fn rescue_that_overflows_a_minor_follows_the_moved_line() {
     // Under Start-Gap every data write moves the gap down one device
-    // line. After the 191 writes below it sits just above block 0 of
-    // page 253, so the rescue of that block at minor 127, which
+    // line. After this test's 191 writes the gap sits just above block 0
+    // of page 253, so the rescue of that block at minor 127, which
     // overflows it and re-encrypts the page's 63 other live blocks
     // first, carries the block off its worn slot and the line below it
     // (block 63 of page 252) onto it. No rotation has completed, so the
