@@ -179,7 +179,7 @@ impl MemoryController {
                 config.protection,
                 ProtectionMode::Ctr | ProtectionMode::Scattered
             ) {
-            Some(MerkleTree::with_initial_leaf(
+            Some(MerkleTree::new(
                 config.frames() as usize,
                 &CounterBlock::default().to_line(),
             ))
@@ -446,7 +446,7 @@ impl MemoryController {
         // Transient read errors go through the retry policy.
         let line = self.read_line_at(Region::Counter, page.raw())?;
         self.stats.mem.counter_reads.inc();
-        if let Some(merkle) = &mut self.merkle {
+        if let Some(merkle) = &self.merkle {
             let ok = merkle.verify_leaf(page.raw() as usize, &line);
             self.profile.charge(Stage::MerkleVerify, Cycles::ZERO);
             self.tracer
@@ -1017,11 +1017,11 @@ impl MemoryController {
     ///    every stamp in the ring.
     /// 3. **Integrity re-verification**: the persisted counter region is
     ///    read once, and each counter line is checked against its leaf
-    ///    of the in-memory Merkle tree ([`MerkleTree::verify_leaves`]),
+    ///    of the in-memory Merkle tree ([`MerkleTree::verify_leaf`]),
     ///    the first failing page named in the error. A mismatch that
     ///    recovery could not repair is a hard
     ///    [`Error::IntegrityViolation`], never a silently served read.
-    /// 4. **Shred census**: counts, from the same read, pages whose
+    /// 4. **Shred census**: counts, in the same pass, pages whose
     ///    persisted counters are fully shredded under a non-zero
     ///    major — re-establishing that
     ///    shredded pages zero-fill (their minors are all 0) before any
@@ -1106,23 +1106,28 @@ impl MemoryController {
     /// against its Merkle leaf (skipped when integrity is off), and
     /// returns the shred census: the pages it shows fully shredded under
     /// a non-zero major counter.
-    fn reverify_counter_region(&mut self) -> Result<u64> {
-        let lines: Vec<Line> = (0..self.config.frames())
-            .map(|p| self.peek_line(Region::Counter, p))
-            .collect();
-        if let Some(p) = self.merkle.as_mut().and_then(|m| m.verify_leaves(&lines)) {
-            return Err(Error::IntegrityViolation {
-                detail: format!(
-                    "recovery: persisted counter line of page {p} does not match the \
-                     Merkle tree"
-                ),
-            });
+    fn reverify_counter_region(&self) -> Result<u64> {
+        let mut shredded = 0;
+        for p in 0..self.config.frames() {
+            let line = self.peek_line(Region::Counter, p);
+            if self
+                .merkle
+                .as_ref()
+                .is_some_and(|m| !m.verify_leaf(p as usize, &line))
+            {
+                return Err(Error::IntegrityViolation {
+                    detail: format!(
+                        "recovery: persisted counter line of page {p} does not match the \
+                         Merkle tree"
+                    ),
+                });
+            }
+            let c = CounterBlock::from_line(&line);
+            if c.major > 0 && c.fully_shredded() {
+                shredded += 1;
+            }
         }
-        Ok(lines
-            .iter()
-            .map(CounterBlock::from_line)
-            .filter(|c| c.major > 0 && (0..BLOCKS_PER_PAGE).all(|b| c.is_shredded(b)))
-            .count() as u64)
+        Ok(shredded)
     }
 }
 

@@ -329,8 +329,11 @@ pub struct RecoveryReport {
     pub redone: u64,
     /// Spare-pool allocations rolled back.
     pub remaps_rolled_back: u64,
-    /// Whether every Merkle leaf re-verified against the persisted
-    /// counter region (always true when integrity is disabled).
+    /// Whether the persisted counter region re-verified against the
+    /// Merkle tree. `true` in every report
+    /// [`crate::MemoryController::recover_mut`] returns, integrity
+    /// disabled included: a mismatch returns
+    /// [`Error::IntegrityViolation`] instead of a report.
     pub root_verified: bool,
     /// Pages whose persisted counters are fully shredded with a non-zero
     /// major (i.e. shredded by command, zero-filling on read).

@@ -82,9 +82,9 @@ fn shredder_disabled_rejects_shred() {
 
 #[test]
 fn recovery_names_the_tampered_counter_page() {
-    // Page 5's counter line was written, so its Merkle leaf holds a
-    // pending preimage; page 9's never was, so its leaf holds the hashed
-    // initial digest. Each is tampered in a run of its own, under
+    // Page 5's counter line was written, so its Merkle leaf holds that
+    // line; page 9's never was, so its leaf still holds the initial
+    // counter line. Each is tampered in a run of its own, under
     // battery-backed write-back counters and under ADR with
     // write-through counters.
     let machines: [fn() -> MemoryController; 2] =

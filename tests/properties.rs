@@ -86,17 +86,17 @@ fn sha256_streaming() {
     }
 }
 
-/// Merkle verification accepts the written value and rejects others.
+/// Merkle verification accepts the written line and rejects others.
 #[test]
 fn merkle_verify() {
     let mut rng = DetRng::new(0x3E_0004);
     for _ in 0..64 {
         let leaves = 1 + rng.below(63) as usize;
-        let mut tree = MerkleTree::new(leaves);
+        let mut tree = MerkleTree::new(leaves, &[0; 64]);
         let index = rng.below(64) as usize % tree.leaf_count();
-        let mut data = vec![0u8; rng.below(64) as usize];
+        let mut data = [0u8; 64];
         rng.fill_bytes(&mut data);
-        let mut other = vec![0u8; rng.below(64) as usize];
+        let mut other = [0u8; 64];
         rng.fill_bytes(&mut other);
         tree.update_leaf(index, &data);
         assert!(tree.verify_leaf(index, &data));
