@@ -365,11 +365,6 @@ impl ShardedConfig {
         ShardedConfig { shards, base }
     }
 
-    /// Frames of data memory owned by each shard.
-    pub fn frames_per_shard(&self) -> u64 {
-        self.base.frames() / u64::from(self.shards.max(1))
-    }
-
     /// The configuration of shard `shard`: the capacity slice plus a
     /// decorrelated fault seed.
     pub fn shard_config(&self, shard: u32) -> ControllerConfig {
@@ -640,9 +635,9 @@ mod tests {
     fn sharded_config_validates_and_slices() {
         let sc = ShardedConfig::new(4, ControllerConfig::small_test());
         assert!(sc.validate().is_ok());
-        assert_eq!(sc.frames_per_shard(), 64);
         let s0 = sc.shard_config(0);
         assert_eq!(s0.data_capacity, (1 << 20) / 4);
+        assert_eq!(s0.frames(), 64);
         // Shard 0 keeps the base fault seed (1-shard equivalence).
         assert_eq!(s0.nvm_fault_seed, sc.base.nvm_fault_seed);
         assert_ne!(sc.shard_config(1).nvm_fault_seed, s0.nvm_fault_seed);

@@ -28,14 +28,6 @@ impl Op {
             _ => 1,
         }
     }
-
-    /// Whether the op touches memory.
-    pub fn is_memory(&self) -> bool {
-        matches!(
-            self,
-            Op::Load(_) | Op::Store(_) | Op::StoreLine(_) | Op::StoreNt(_)
-        )
-    }
 }
 
 #[cfg(test)]
@@ -47,13 +39,5 @@ mod tests {
         assert_eq!(Op::Compute(10).instructions(), 10);
         assert_eq!(Op::Load(VirtAddr::new(0)).instructions(), 1);
         assert_eq!(Op::Fence.instructions(), 1);
-    }
-
-    #[test]
-    fn memory_classification() {
-        assert!(Op::Load(VirtAddr::new(0)).is_memory());
-        assert!(Op::StoreNt(VirtAddr::new(0)).is_memory());
-        assert!(!Op::Compute(1).is_memory());
-        assert!(!Op::Fence.is_memory());
     }
 }

@@ -2,18 +2,13 @@
 //!
 //! PCM cells endure 10–100 million writes (§2.1). The device counts the
 //! writes each line endures in its line records; [`WearTracker`] reads
-//! those counts in place, reports the most-worn line, and estimates
-//! relative lifetime — the metric the endurance ablation bench uses to
-//! quantify how much Silent Shredder's eliminated writes extend device
-//! life.
+//! those counts in place and reports the most-worn line. Absent wear
+//! levelling the hottest line limits device life, so its wear is how
+//! the benches quantify what Silent Shredder's eliminated writes save.
 
 use ss_common::BlockAddr;
 
 use crate::device::LineStore;
-
-/// Default endurance limit used for lifetime estimates (10^7 writes,
-/// the low end of the paper's 10–100 million range).
-pub const DEFAULT_ENDURANCE_LIMIT: u64 = 10_000_000;
 
 /// Per-line write counts of an [`NvmDevice`](crate::NvmDevice), from
 /// [`NvmDevice::wear`](crate::NvmDevice::wear). Only writes that
@@ -54,22 +49,6 @@ impl<'a> WearTracker<'a> {
             .max_by_key(|&(addr, n)| (n, std::cmp::Reverse(addr)))
     }
 
-    /// Number of distinct lines ever written.
-    pub fn touched_lines(&self) -> usize {
-        self.worn().count()
-    }
-
-    /// Fraction of the endurance `limit` consumed by the most-worn line.
-    /// Device lifetime is limited by its hottest line (absent wear
-    /// levelling), so relative lifetime between two runs is the inverse
-    /// ratio of their `max_wear_fraction`s.
-    pub fn max_wear_fraction(&self, limit: u64) -> f64 {
-        match self.max_wear() {
-            Some((_, n)) if limit > 0 => n as f64 / limit as f64,
-            _ => 0.0,
-        }
-    }
-
     /// Lines whose wear exceeds `limit` (would have failed).
     pub fn failed_lines(&self, limit: u64) -> usize {
         self.worn().filter(|&(_, n)| n > limit).count()
@@ -108,7 +87,6 @@ mod tests {
         assert_eq!(w.wear(a(1)), 2);
         assert_eq!(w.wear(a(2)), 1);
         assert_eq!(w.wear(a(3)), 0);
-        assert_eq!(w.touched_lines(), 2);
     }
 
     #[test]
@@ -125,18 +103,17 @@ mod tests {
         d.tamper(a(2), [1u8; LINE_SIZE]);
         d.flip_bit(a(3), 0);
         let w = d.wear();
-        assert_eq!(w.touched_lines(), 1);
+        assert_eq!(w.wear(a(2)), 0);
+        assert_eq!(w.wear(a(3)), 0);
         assert_eq!(w.total_writes(), 1);
         assert_eq!(w.failed_lines(0), 1);
     }
 
     #[test]
-    fn wear_fraction_and_failures() {
+    fn failed_lines_exceed_the_limit() {
         let d = worn(&[(0, 10)]);
         let w = d.wear();
-        assert_eq!(w.max_wear_fraction(100), 0.1);
         assert_eq!(w.failed_lines(9), 1);
         assert_eq!(w.failed_lines(10), 0);
-        assert_eq!(w.max_wear_fraction(0), 0.0);
     }
 }

@@ -4,8 +4,8 @@
 //!
 //! * **Slow, power-hungry writes** — reads 75 ns, writes 150 ns (Table 1),
 //!   with per-access energy accounting ([`timing`]).
-//! * **Limited write endurance** — per-line wear counters and lifetime
-//!   estimation ([`endurance`]).
+//! * **Limited write endurance** — per-line wear counters and the
+//!   most-worn line ([`endurance`]).
 //! * **Data remanence** — the array retains its contents across power-off;
 //!   [`NvmDevice::cold_scan`] models an attacker physically reading the chip.
 //! * **Media errors** — every read goes through a per-line ECC model

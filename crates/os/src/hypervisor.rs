@@ -74,11 +74,6 @@ impl Hypervisor {
         self.host.free_count()
     }
 
-    /// Number of running VMs.
-    pub fn vm_count(&self) -> usize {
-        self.vms.len()
-    }
-
     fn shred_grant<M: MachineOps + ?Sized>(
         &mut self,
         machine: &mut M,
@@ -245,10 +240,11 @@ mod tests {
     fn vm_lifecycle() {
         let (mut h, mut m) = hyp(ZeroStrategy::NonTemporal);
         let (vm, _) = h.create_vm(&mut m, 0, 16, Cycles::ZERO).unwrap();
-        assert_eq!(h.vm_count(), 1);
+        assert!(h.vm_kernel(vm).is_ok());
         assert_eq!(h.free_host_frames(), 63 - 16);
         h.destroy_vm(vm).unwrap();
-        assert_eq!(h.vm_count(), 0);
+        assert!(h.vm_kernel(vm).is_err());
+        assert!(h.destroy_vm(vm).is_err());
         assert_eq!(h.free_host_frames(), 63);
     }
 

@@ -37,13 +37,6 @@ impl ZeroStrategy {
     pub fn is_secure(self) -> bool {
         self != ZeroStrategy::None
     }
-
-    /// Whether the shredding persists across power loss immediately
-    /// (Table 2's "Persistent" column). Temporal stores leave zeros in
-    /// volatile caches, so a crash can resurrect old data.
-    pub fn is_persistent(self) -> bool {
-        !matches!(self, ZeroStrategy::Temporal | ZeroStrategy::None)
-    }
 }
 
 /// Executes a page shred under `strategy` on core `core` at time `now`.
@@ -155,9 +148,6 @@ mod tests {
     fn strategy_properties() {
         assert!(!ZeroStrategy::None.is_secure());
         assert!(ZeroStrategy::ShredCommand.is_secure());
-        assert!(!ZeroStrategy::Temporal.is_persistent());
-        assert!(ZeroStrategy::NonTemporal.is_persistent());
-        assert!(ZeroStrategy::ShredCommand.is_persistent());
     }
 
     #[test]
