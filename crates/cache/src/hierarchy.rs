@@ -257,32 +257,36 @@ impl Hierarchy {
     /// does not changes nothing. If a dirty copy is found, removes it
     /// (write intent) or downgrades it to clean (read intent) and
     /// returns its data.
+    ///
+    /// A line dirty in one core's private caches is in no other core's
+    /// (every store invalidates the other copies, and a read downgrades
+    /// the owner's), so a read-intent snoop stops at the owner.
     fn snoop(&mut self, core: usize, addr: BlockAddr, invalidate: bool) -> Option<Line> {
         let mut dirty_data = None;
         for other in (0..self.cores()).filter(|&other| other != core) {
             // Probe L1 before L2: when both hold dirty copies, the L1
             // copy is the newer one and must win.
-            for cache in &mut self.private[other] {
-                if invalidate {
+            let caches = &mut self.private[other];
+            if invalidate {
+                for cache in caches {
                     if let Some(e) = cache.invalidate(addr) {
                         if e.dirty && dirty_data.is_none() {
                             dirty_data = Some(e.value);
                         }
                     }
-                } else if dirty_data.is_none() {
-                    if let Some(e) = cache.peek(addr).filter(|e| e.dirty) {
-                        dirty_data = Some(e.value);
-                    }
                 }
-            }
-            if !invalidate && dirty_data.is_some() {
+            } else if let Some(data) = caches
+                .iter()
+                .find_map(|cache| cache.peek(addr).filter(|e| e.dirty).map(|e| e.value))
+            {
                 // Downgrade the owner's copies to clean. The snoop is no
                 // demand access of the owner's, so it counts nothing.
-                for cache in &mut self.private[other] {
+                for cache in caches {
                     if let Some(e) = cache.touch(addr) {
                         e.dirty = false;
                     }
                 }
+                return Some(data);
             }
         }
         dirty_data
@@ -681,6 +685,28 @@ mod tests {
         h
     }
 
+    /// The single-writer invariant `snoop` relies on: for each of the
+    /// lines `0..lines`, when one core's L1 or L2 holds it dirty, no
+    /// other core's L1 or L2 holds it at all.
+    fn assert_single_writer(h: &Hierarchy, lines: u64) {
+        for addr in (0..lines).map(a) {
+            let holds = |caches: &[SetAssocCache<Line>; PRIVATE], dirty_only: bool| {
+                caches
+                    .iter()
+                    .any(|c| c.peek(addr).is_some_and(|e| e.dirty || !dirty_only))
+            };
+            let Some(owner) = h.private.iter().position(|p| holds(p, true)) else {
+                continue;
+            };
+            for (core, caches) in h.private.iter().enumerate() {
+                assert!(
+                    core == owner || !holds(caches, false),
+                    "{addr:?} is dirty in core {owner} and also held by core {core}"
+                );
+            }
+        }
+    }
+
     /// Pins the hierarchy's exact behaviour. A seeded mix of loads,
     /// partial stores (RFO and a dirty fill on a miss, then mostly the
     /// full-line write, as the full system issues them), full-line
@@ -760,6 +786,7 @@ mod tests {
             for (a, d) in &stream[first..] {
                 memory.insert(a.raw(), *d);
             }
+            assert_single_writer(&h, 256);
         }
         let stats = [Level::L1, Level::L2, Level::L3, Level::L4].map(|level| {
             let s = h.level_stats(level).cache;

@@ -381,28 +381,18 @@ impl MemoryController {
             .copied()
             .unwrap_or(DeuceMeta::new_epoch(old_ctrs.minors[block]));
         // Chunks modified earlier in this epoch were encrypted under the
-        // previous minor; they must follow the leading counter too.
-        let mut minors = [0u8; CHUNKS];
+        // previous minor; they must follow the leading counter too. Every
+        // modified chunk is under the new minor, so one line pad serves
+        // them all; the unmodified ones keep their stored bytes.
+        let fresh = self
+            .cipher
+            .ctr
+            .encrypt_line(&new_ctrs.iv(page.raw(), block), data);
         let mut cipher = old_cipher;
         for c in 0..CHUNKS {
-            if changed[c] || meta.modified[c] {
-                meta.modified[c] = true;
-                minors[c] = new_minor;
-            } else {
-                minors[c] = meta.epoch_minor;
-            }
-        }
-        let full_new = deuce::encrypt_chunked(
-            &self.cipher.ctr,
-            page.raw(),
-            block as u8,
-            new_ctrs.major,
-            minors,
-            data,
-        );
-        for c in 0..CHUNKS {
+            meta.modified[c] |= changed[c];
             if meta.modified[c] {
-                cipher[c * 16..(c + 1) * 16].copy_from_slice(&full_new[c * 16..(c + 1) * 16]);
+                cipher[c * 16..(c + 1) * 16].copy_from_slice(&fresh[c * 16..(c + 1) * 16]);
             }
         }
         self.cipher.deuce_meta.insert(addr.raw(), meta);

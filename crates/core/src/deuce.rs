@@ -52,24 +52,9 @@ impl DeuceMeta {
     }
 }
 
-/// Generates the 16 B pad for one chunk under a specific minor.
-fn chunk_pad(
-    engine: &CtrEngine,
-    page_id: u64,
-    block: u8,
-    major: u64,
-    minor: u8,
-    chunk: u8,
-) -> [u8; 16] {
-    // Reuse the line-pad machinery on a per-chunk basis.
-    let iv = Iv::new(page_id, block, major, minor);
-    let full = engine.pad(&iv);
-    let mut out = [0u8; 16];
-    out.copy_from_slice(&full[chunk as usize * 16..(chunk as usize + 1) * 16]);
-    out
-}
-
 /// Encrypts a line where each chunk may use a different minor counter.
+/// One line pad per distinct minor serves every chunk under it, so a
+/// DEUCE line (epoch minor and current minor) costs at most two pads.
 pub fn encrypt_chunked(
     engine: &CtrEngine,
     page_id: u64,
@@ -79,10 +64,18 @@ pub fn encrypt_chunked(
     plain: &Line,
 ) -> Line {
     let mut out = *plain;
-    for c in 0..CHUNKS {
-        let pad = chunk_pad(engine, page_id, block, major, chunk_minors[c], c as u8);
-        for (o, p) in out[c * 16..(c + 1) * 16].iter_mut().zip(pad.iter()) {
-            *o ^= p;
+    for (c, &minor) in chunk_minors.iter().enumerate() {
+        if chunk_minors[..c].contains(&minor) {
+            continue;
+        }
+        let pad = engine.pad(&Iv::new(page_id, block, major, minor));
+        let chunks = out.chunks_exact_mut(16).zip(pad.chunks_exact(16));
+        for ((dst, src), &m) in chunks.zip(&chunk_minors) {
+            if m == minor {
+                for (o, p) in dst.iter_mut().zip(src) {
+                    *o ^= p;
+                }
+            }
         }
     }
     out
@@ -145,6 +138,32 @@ mod tests {
         assert_eq!(bad[0..16], plain[0..16]);
         assert_ne!(bad[16..32], plain[16..32]);
         assert_eq!(bad[32..48], plain[32..48]);
+    }
+
+    /// Chunk `c` is XORed with chunk `c` of the line pad under its own
+    /// minor, however many distinct minors the line mixes.
+    #[test]
+    fn chunks_take_their_own_minors_pad() {
+        let e = engine();
+        let mut rng = ss_common::DetRng::new(0xDE0CE);
+        for _ in 0..500 {
+            let mut plain = [0u8; LINE_SIZE];
+            rng.fill_bytes(&mut plain);
+            let minors: [u8; CHUNKS] = core::array::from_fn(|_| 1 + rng.below(4) as u8);
+            let (page, block, major) = (rng.next_u64(), rng.below(64) as u8, rng.next_u64());
+            let mut expect = plain;
+            for (c, dst) in expect.chunks_exact_mut(16).enumerate() {
+                let pad = e.pad(&Iv::new(page, block, major, minors[c]));
+                for (o, p) in dst.iter_mut().zip(&pad[c * 16..(c + 1) * 16]) {
+                    *o ^= p;
+                }
+            }
+            assert_eq!(
+                encrypt_chunked(&e, page, block, major, minors, &plain),
+                expect,
+                "{minors:?}"
+            );
+        }
     }
 
     #[test]

@@ -8,6 +8,19 @@
 //! so it runs on four inverse tables of the same shape. All eight
 //! tables are built at compile time by `const fn` from the S-box.
 //!
+//! A block's ten rounds are one chain of dependent lookups: every round
+//! indexes the tables with the state the round before produced. A line
+//! is four independent blocks, so besides the one-block kernel
+//! ([`Aes128::encrypt_block`], [`Aes128::decrypt_block`]) the crate has
+//! a two-block one, `encrypt_pair` and `decrypt_pair`. It carries both
+//! blocks' four column words through each round side by side, so the
+//! processor overlaps the two chains, and the line engines run a line
+//! as two pairs. Two, not four: four blocks' sixteen state words no
+//! longer fit the general registers of x86-64, and their spills cost
+//! more than the extra overlap gains (DESIGN.md §18). Both kernels use
+//! the same tables, round keys and XOR order, so they return the same
+//! bytes.
+//!
 //! The lookups are indexed by state bytes, so the kernel is not
 //! constant-time; neither was the byte-oriented one it replaced. That is
 //! acceptable here: the key is a simulation constant, and in the
@@ -16,7 +29,7 @@
 //! so remanence and shredding properties can be tested end to end.
 
 // The kernel below indexes 256-entry tables with `u8 as usize` values
-// and 4-entry arrays with indices reduced mod 4 — every access is
+// and fixed-size arrays with constant indices — every access is
 // provably in range, and spelling the round structure with `get()`
 // would obscure it. The crate-wide `clippy::indexing_slicing` deny
 // therefore stops at this module boundary; new non-kernel code in
@@ -117,45 +130,103 @@ fn byte(w: u32, r: usize) -> usize {
     (w >> (24 - 8 * r)) as u8 as usize
 }
 
-/// One middle round: output column `c` takes row `r` from input column
-/// `c + r·step` (step 1 is ShiftRows, step 3 InvShiftRows), through the
-/// tables `t`, then adds round key `rk`.
+/// The row gather of (Inv)ShiftRows on the four column words of a
+/// state: entry `c` lists the words output column `c` takes rows 0–3
+/// from. ShiftRows takes row `r` from column `c + r`, InvShiftRows from
+/// column `c − r` (mod 4).
 #[inline(always)]
-fn round(t: &[[u32; 256]; 4], s: &[u32; 4], rk: &[u32; 4], step: usize) -> [u32; 4] {
-    core::array::from_fn(|c| {
-        rk[c]
-            ^ t[0][byte(s[c], 0)]
-            ^ t[1][byte(s[(c + step) % 4], 1)]
-            ^ t[2][byte(s[(c + 2 * step) % 4], 2)]
-            ^ t[3][byte(s[(c + 3 * step) % 4], 3)]
-    })
+fn shift_rows([s0, s1, s2, s3]: [u32; 4], inverse: bool) -> [[u32; 4]; 4] {
+    if inverse {
+        [
+            [s0, s3, s2, s1],
+            [s1, s0, s3, s2],
+            [s2, s1, s0, s3],
+            [s3, s2, s1, s0],
+        ]
+    } else {
+        [
+            [s0, s1, s2, s3],
+            [s1, s2, s3, s0],
+            [s2, s3, s0, s1],
+            [s3, s0, s1, s2],
+        ]
+    }
+}
+
+/// One middle round: each output column looks its four gathered rows up
+/// in the round tables, then adds its round-key word.
+#[inline(always)]
+fn round(s: [u32; 4], [k0, k1, k2, k3]: [u32; 4], inverse: bool) -> [u32; 4] {
+    let t = if inverse { &TD } else { &TE };
+    let mix = |[w0, w1, w2, w3]: [u32; 4]| {
+        t[0][byte(w0, 0)] ^ t[1][byte(w1, 1)] ^ t[2][byte(w2, 2)] ^ t[3][byte(w3, 3)]
+    };
+    let [c0, c1, c2, c3] = shift_rows(s, inverse);
+    [k0 ^ mix(c0), k1 ^ mix(c1), k2 ^ mix(c2), k3 ^ mix(c3)]
 }
 
 /// The last round, which has no (Inv)MixColumns: the same row gather as
-/// [`round`] through `sbox`, then round key `rk`, stored as bytes.
+/// [`round`] through the (inverse) S-box, then round key `rk`, stored as
+/// bytes.
 #[inline(always)]
-fn last_round(sbox: &[u8; 256], s: &[u32; 4], rk: &[u32; 4], step: usize) -> [u8; 16] {
+fn last_round(s: [u32; 4], rk: [u32; 4], inverse: bool) -> [u8; 16] {
+    let sbox = if inverse { &INV_SBOX } else { &SBOX };
+    let sub = |[w0, w1, w2, w3]: [u32; 4]| {
+        u32::from_be_bytes([
+            sbox[byte(w0, 0)],
+            sbox[byte(w1, 1)],
+            sbox[byte(w2, 2)],
+            sbox[byte(w3, 3)],
+        ])
+    };
     let mut out = [0u8; 16];
-    for (c, dst) in out.chunks_exact_mut(4).enumerate() {
-        let w = u32::from_be_bytes(core::array::from_fn(|r| {
-            sbox[byte(s[(c + r * step) % 4], r)]
-        }));
-        dst.copy_from_slice(&(w ^ rk[c]).to_be_bytes());
+    for ((dst, cols), k) in out.chunks_exact_mut(4).zip(shift_rows(s, inverse)).zip(rk) {
+        dst.copy_from_slice(&(sub(cols) ^ k).to_be_bytes());
     }
     out
 }
 
 /// Loads a block as column words and adds round key `rk`.
 #[inline(always)]
-fn load(block: &[u8; 16], rk: &[u32; 4]) -> [u32; 4] {
-    core::array::from_fn(|c| {
+fn load(block: &[u8; 16], rk: [u32; 4]) -> [u32; 4] {
+    let w = |c: usize| {
         u32::from_be_bytes([
             block[4 * c],
             block[4 * c + 1],
             block[4 * c + 2],
             block[4 * c + 3],
-        ]) ^ rk[c]
-    })
+        ])
+    };
+    [w(0) ^ rk[0], w(1) ^ rk[1], w(2) ^ rk[2], w(3) ^ rk[3]]
+}
+
+/// Runs the ten rounds on one block: the forward cipher under its round
+/// keys, or with `inverse` the equivalent inverse cipher under its own.
+#[inline(always)]
+fn rounds(keys: &[[u32; 4]; 11], inverse: bool, block: &[u8; 16]) -> [u8; 16] {
+    let [first, middle @ .., last] = keys;
+    let mut s = load(block, *first);
+    for rk in middle {
+        s = round(s, *rk, inverse);
+    }
+    last_round(s, *last, inverse)
+}
+
+/// [`rounds`] on two blocks side by side. The blocks are independent,
+/// so their two chains of dependent lookups overlap instead of running
+/// one after the other.
+#[inline(always)]
+fn rounds_pair(keys: &[[u32; 4]; 11], inverse: bool, a: &[u8; 16], b: &[u8; 16]) -> [[u8; 16]; 2] {
+    let [first, middle @ .., last] = keys;
+    let (mut sa, mut sb) = (load(a, *first), load(b, *first));
+    for rk in middle {
+        sa = round(sa, *rk, inverse);
+        sb = round(sb, *rk, inverse);
+    }
+    [
+        last_round(sa, *last, inverse),
+        last_round(sb, *last, inverse),
+    ]
 }
 
 /// SubWord of the key schedule: the S-box on each byte.
@@ -228,22 +299,24 @@ impl Aes128 {
 
     /// Encrypts one 16-byte block.
     pub fn encrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
-        let [first, middle @ .., last] = &self.enc;
-        let mut s = load(block, first);
-        for rk in middle {
-            s = round(&TE, &s, rk, 1);
-        }
-        last_round(&SBOX, &s, last, 1)
+        rounds(&self.enc, false, block)
     }
 
     /// Decrypts one 16-byte block.
     pub fn decrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
-        let [first, middle @ .., last] = &self.dec;
-        let mut s = load(block, first);
-        for rk in middle {
-            s = round(&TD, &s, rk, 3);
-        }
-        last_round(&INV_SBOX, &s, last, 3)
+        rounds(&self.dec, true, block)
+    }
+
+    /// Encrypts two blocks at once: `[encrypt_block(a),
+    /// encrypt_block(b)]`, with the two blocks' rounds interleaved.
+    pub(crate) fn encrypt_pair(&self, a: &[u8; 16], b: &[u8; 16]) -> [[u8; 16]; 2] {
+        rounds_pair(&self.enc, false, a, b)
+    }
+
+    /// Decrypts two blocks at once: `[decrypt_block(a),
+    /// decrypt_block(b)]`, with the two blocks' rounds interleaved.
+    pub(crate) fn decrypt_pair(&self, a: &[u8; 16], b: &[u8; 16]) -> [[u8; 16]; 2] {
+        rounds_pair(&self.dec, true, a, b)
     }
 }
 
@@ -412,24 +485,29 @@ mod tests {
         assert_eq!(aes.decrypt_block(&expect), plain);
     }
 
+    /// Both kernels, the one-block and the two-block one, in both
+    /// directions, against the byte-oriented rounds. Each pair runs on
+    /// two different blocks and on one block passed twice.
     #[test]
     fn tables_match_the_byte_oriented_rounds() {
         let mut rng = ss_common::DetRng::new(0xAE5_7AB1E);
         for _ in 0..10_000 {
             let mut key = [0u8; 16];
             let mut block = [0u8; 16];
+            let mut other = [0u8; 16];
             rng.fill_bytes(&mut key);
             rng.fill_bytes(&mut block);
+            rng.fill_bytes(&mut other);
             let aes = Aes128::new(key);
             let round_keys = reference::expand(key);
-            assert_eq!(
-                aes.encrypt_block(&block),
-                reference::encrypt(&round_keys, &block)
-            );
-            assert_eq!(
-                aes.decrypt_block(&block),
-                reference::decrypt(&round_keys, &block)
-            );
+            let enc = |b: &[u8; 16]| reference::encrypt(&round_keys, b);
+            let dec = |b: &[u8; 16]| reference::decrypt(&round_keys, b);
+            assert_eq!(aes.encrypt_block(&block), enc(&block));
+            assert_eq!(aes.decrypt_block(&block), dec(&block));
+            assert_eq!(aes.encrypt_pair(&block, &other), [enc(&block), enc(&other)]);
+            assert_eq!(aes.decrypt_pair(&block, &other), [dec(&block), dec(&other)]);
+            assert_eq!(aes.encrypt_pair(&block, &block), [enc(&block); 2]);
+            assert_eq!(aes.decrypt_pair(&block, &block), [dec(&block); 2]);
         }
     }
 

@@ -37,12 +37,13 @@ impl CtrEngine {
         }
     }
 
-    /// Generates the 64-byte one-time pad for `iv`.
+    /// Generates the 64-byte one-time pad for `iv`: its four blocks,
+    /// encrypted two at a time.
     pub fn pad(&self, iv: &Iv) -> Line {
+        let [p0, p1] = self.aes.encrypt_pair(&iv.to_bytes(0), &iv.to_bytes(1));
+        let [p2, p3] = self.aes.encrypt_pair(&iv.to_bytes(2), &iv.to_bytes(3));
         let mut pad = [0u8; LINE_SIZE];
-        for (chunk, dst) in (0..4u8).zip(pad.chunks_exact_mut(16)) {
-            dst.copy_from_slice(&self.aes.encrypt_block(&iv.to_bytes(chunk)));
-        }
+        pad.copy_from_slice([p0, p1, p2, p3].as_flattened());
         pad
     }
 
@@ -65,6 +66,7 @@ impl CtrEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::iv::MINOR_MAX;
     use ss_common::DetRng;
 
     fn random_line(rng: &mut DetRng) -> Line {
@@ -106,6 +108,33 @@ mod tests {
             // And the garbage should look random-ish, not structured.
             let zeros = garbage.iter().filter(|&&b| b == 0).count();
             assert!(zeros < 16, "suspiciously structured garbage");
+        }
+    }
+
+    /// The pad is the four blocks `encrypt_block(iv.to_bytes(c))`,
+    /// whichever kernel computes them. The IVs cover the extreme block,
+    /// minor and major values.
+    #[test]
+    fn pad_is_four_block_encryptions() {
+        let engine = CtrEngine::new([0x3C; 16]);
+        let aes = Aes128::new([0x3C; 16]);
+        let mut rng = DetRng::new(0x9AD);
+        let extremes = [
+            Iv::new(0, 0, 0, 0),
+            Iv::new(u64::MAX, 63, u64::MAX, MINOR_MAX),
+            Iv::new(1 << 47, 63, u64::MAX, 1),
+        ];
+        let seeded = (0..1_000).map(|_| {
+            Iv::new(
+                rng.next_u64(),
+                rng.below(64) as u8,
+                rng.next_u64(),
+                rng.below(u64::from(MINOR_MAX) + 1) as u8,
+            )
+        });
+        for iv in extremes.into_iter().chain(seeded) {
+            let blocks = [0, 1, 2, 3].map(|c| aes.encrypt_block(&iv.to_bytes(c)));
+            assert_eq!(engine.pad(&iv), *blocks.as_flattened(), "{iv:?}");
         }
     }
 

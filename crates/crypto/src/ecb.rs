@@ -38,25 +38,28 @@ impl EcbEngine {
 
     /// Encrypts a 64 B line chunk-by-chunk.
     pub fn encrypt_line(&self, plain: &Line) -> Line {
-        let mut out = [0u8; LINE_SIZE];
-        for (dst, chunk) in out.chunks_exact_mut(16).zip(plain.chunks_exact(16)) {
-            let mut block = [0u8; 16];
-            block.copy_from_slice(chunk);
-            dst.copy_from_slice(&self.aes.encrypt_block(&block));
-        }
-        out
+        by_pairs(plain, |a, b| self.aes.encrypt_pair(a, b))
     }
 
     /// Decrypts a 64 B line chunk-by-chunk.
     pub fn decrypt_line(&self, cipher: &Line) -> Line {
-        let mut out = [0u8; LINE_SIZE];
-        for (dst, chunk) in out.chunks_exact_mut(16).zip(cipher.chunks_exact(16)) {
-            let mut block = [0u8; 16];
-            block.copy_from_slice(chunk);
-            dst.copy_from_slice(&self.aes.decrypt_block(&block));
-        }
-        out
+        by_pairs(cipher, |a, b| self.aes.decrypt_pair(a, b))
     }
+}
+
+/// Runs `kernel` on the line's four 16 B chunks, two at a time.
+#[inline(always)]
+fn by_pairs(line: &Line, kernel: impl Fn(&[u8; 16], &[u8; 16]) -> [[u8; 16]; 2]) -> Line {
+    let mut chunks = [[0u8; 16]; 4];
+    for (dst, src) in chunks.iter_mut().zip(line.chunks_exact(16)) {
+        dst.copy_from_slice(src);
+    }
+    let [c0, c1, c2, c3] = chunks;
+    let [o0, o1] = kernel(&c0, &c1);
+    let [o2, o3] = kernel(&c2, &c3);
+    let mut out = [0u8; LINE_SIZE];
+    out.copy_from_slice([o0, o1, o2, o3].as_flattened());
+    out
 }
 
 #[cfg(test)]
@@ -71,6 +74,37 @@ mod tests {
             *b = i as u8;
         }
         assert_eq!(engine.decrypt_line(&engine.encrypt_line(&line)), line);
+    }
+
+    /// Both line functions equal their four chunks run through the
+    /// one-block kernel, on seeded lines and keys.
+    #[test]
+    fn lines_are_four_block_operations() {
+        let mut rng = ss_common::DetRng::new(0xEC8);
+        for _ in 0..1_000 {
+            let mut key = [0u8; 16];
+            let mut line = [0u8; LINE_SIZE];
+            rng.fill_bytes(&mut key);
+            rng.fill_bytes(&mut line);
+            let (engine, aes) = (EcbEngine::new(key), Aes128::new(key));
+            let per_block = |f: &dyn Fn(&[u8; 16]) -> [u8; 16]| {
+                let mut out = [0u8; LINE_SIZE];
+                for (dst, src) in out.chunks_exact_mut(16).zip(line.chunks_exact(16)) {
+                    let mut block = [0u8; 16];
+                    block.copy_from_slice(src);
+                    dst.copy_from_slice(&f(&block));
+                }
+                out
+            };
+            assert_eq!(
+                engine.encrypt_line(&line),
+                per_block(&|b| aes.encrypt_block(b))
+            );
+            assert_eq!(
+                engine.decrypt_line(&line),
+                per_block(&|b| aes.decrypt_block(b))
+            );
+        }
     }
 
     #[test]
