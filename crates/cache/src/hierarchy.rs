@@ -22,7 +22,9 @@
 //!
 //! Coherence is a MESI-style invalidate protocol between the cores'
 //! private levels. A core shares a line exactly when its L1 or L2 holds
-//! it, so a snoop reads the other cores' L1/L2 tags:
+//! it. An exact snoop filter counts, per 4 KiB page and core, the page's
+//! lines in the core's L1 and L2, and a snoop reads the L1/L2 tags of
+//! only the other cores whose count for the line's page is nonzero:
 //!
 //! * a **write** invalidates every other core's copy (taking over any
 //!   dirty data);
@@ -138,8 +140,8 @@ pub const LATENCIES: [Cycles; 4] = [
     Cycles::new(35),
 ];
 
-/// Extra cycles for a cross-core snoop hit (the old configurable
-/// default).
+/// Extra cycles when a snoop forwards a dirty line from another core's
+/// private caches.
 const SNOOP_PENALTY: Cycles = Cycles::new(30);
 
 /// Private levels per core (L1, L2); the shared levels follow them.
@@ -173,6 +175,90 @@ impl HierarchyConfig {
     }
 }
 
+/// Pages whose counts share one block of the [`SnoopFilter`].
+const FILTER_PAGES: u64 = 512;
+
+/// Per 4 KiB page and core, how many of the page's lines the core's L1
+/// and L2 hold. A line in both levels counts twice, so a count is at
+/// most `2 × BLOCKS_PER_PAGE` = 128. A core whose count for a page is
+/// zero holds none of its lines, and probing it would change nothing.
+///
+/// The counts live in zero-filled blocks of `FILTER_PAGES × cores`
+/// bytes, page-major, each allocated at the first install into one of
+/// its pages and kept, at its size, as long as the hierarchy. The
+/// directory grows to cover the highest such block.
+#[derive(Debug, Clone)]
+struct SnoopFilter {
+    /// Counts per page, one per core.
+    cores: usize,
+    /// Block `i` holds pages `i·FILTER_PAGES ..`; page `p`'s count for
+    /// core `c` is at `(p mod FILTER_PAGES)·cores + c`.
+    blocks: Vec<Option<Box<[u8]>>>,
+}
+
+impl SnoopFilter {
+    /// The block of `addr`'s page, and the position of the page's counts
+    /// in it.
+    fn locate(&self, addr: BlockAddr) -> (usize, usize) {
+        let page = addr.page().raw();
+        let block = (page / FILTER_PAGES) as usize;
+        (block, (page % FILTER_PAGES) as usize * self.cores)
+    }
+
+    /// The counts of `addr`'s page, one per core; `None` when no line of
+    /// any page of its block was ever installed.
+    fn counts(&self, addr: BlockAddr) -> Option<&[u8]> {
+        let (block, at) = self.locate(addr);
+        let counts = self.blocks.get(block)?.as_deref()?;
+        Some(&counts[at..at + self.cores])
+    }
+
+    /// The cores that hold a line of `addr`'s page, one bit per core
+    /// (`Hierarchy::new` allows at most 16).
+    fn holders(&self, addr: BlockAddr) -> u16 {
+        let counts = self.counts(addr).unwrap_or_default();
+        let held = counts.iter().enumerate();
+        held.fold(0, |mask, (core, &n)| mask | u16::from(n != 0) << core)
+    }
+
+    /// Counts a line of `addr`'s page that `core`'s L1 or L2 took in.
+    fn add(&mut self, core: usize, addr: BlockAddr) {
+        let (block, at) = self.locate(addr);
+        if block >= self.blocks.len() {
+            self.blocks.resize_with(block + 1, || None);
+        }
+        let size = FILTER_PAGES as usize * self.cores;
+        let counts = self.blocks[block].get_or_insert_with(|| vec![0; size].into_boxed_slice());
+        counts[at + core] += 1;
+    }
+
+    /// Uncounts a line of `addr`'s page that left `core`'s L1 or L2.
+    fn remove(&mut self, core: usize, addr: BlockAddr) {
+        let (block, at) = self.locate(addr);
+        if let Some(Some(counts)) = self.blocks.get_mut(block) {
+            counts[at + core] -= 1;
+        }
+    }
+
+    /// Zeroes every count, keeping the blocks (the caches were drained).
+    fn clear(&mut self) {
+        for counts in self.blocks.iter_mut().flatten() {
+            counts.fill(0);
+        }
+    }
+}
+
+/// The cores whose bits are set in `mask`, in ascending order.
+fn cores_in(mut mask: u16) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let core = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            core
+        })
+    })
+}
+
 /// The hierarchy proper.
 #[derive(Debug, Clone)]
 pub struct Hierarchy {
@@ -180,6 +266,8 @@ pub struct Hierarchy {
     private: Vec<[SetAssocCache<Line>; PRIVATE]>,
     /// The shared `[L3, L4]`.
     shared: [SetAssocCache<Line>; 2],
+    /// Which cores' private levels hold a line of each page.
+    filter: SnoopFilter,
 }
 
 impl Hierarchy {
@@ -211,6 +299,10 @@ impl Hierarchy {
         Ok(Hierarchy {
             private,
             shared: [cache(2, "L3".into())?, cache(3, "L4".into())?],
+            filter: SnoopFilter {
+                cores: config.cores,
+                blocks: Vec::new(),
+            },
         })
     }
 
@@ -240,7 +332,16 @@ impl Hierarchy {
         dirty: bool,
         writebacks: &mut Vec<(BlockAddr, Line)>,
     ) {
-        let Some(v) = self.cache(core, level).insert(addr, data, dirty) else {
+        let inserted = self.cache(core, level).insert(addr, data, dirty);
+        if level < PRIVATE {
+            if inserted.new {
+                self.filter.add(core, addr);
+            }
+            if let Some(v) = &inserted.victim {
+                self.filter.remove(core, v.addr);
+            }
+        }
+        let Some(v) = inserted.victim else {
             return;
         };
         if v.dirty {
@@ -252,24 +353,37 @@ impl Hierarchy {
         }
     }
 
-    /// Probes every other core's private caches for `addr`: a core
-    /// shares the line exactly when they hold it, and probing one that
-    /// does not changes nothing. If a dirty copy is found, removes it
-    /// (write intent) or downgrades it to clean (read intent) and
-    /// returns its data.
+    /// Removes `addr` from `core`'s private `level`, uncounting it in
+    /// the filter.
+    fn invalidate_private(
+        &mut self,
+        core: usize,
+        level: usize,
+        addr: BlockAddr,
+    ) -> Option<Entry<Line>> {
+        let e = self.private[core][level].invalidate(addr)?;
+        self.filter.remove(core, addr);
+        Some(e)
+    }
+
+    /// Probes the private caches of the other cores that hold a line of
+    /// `addr`'s page: a core shares the line exactly when they hold it,
+    /// and probing one that holds nothing of the page would change
+    /// nothing. If a dirty copy is found, removes it (write intent) or
+    /// downgrades it to clean (read intent) and returns its data.
     ///
     /// A line dirty in one core's private caches is in no other core's
     /// (every store invalidates the other copies, and a read downgrades
     /// the owner's), so a read-intent snoop stops at the owner.
     fn snoop(&mut self, core: usize, addr: BlockAddr, invalidate: bool) -> Option<Line> {
         let mut dirty_data = None;
-        for other in (0..self.cores()).filter(|&other| other != core) {
+        for other in cores_in(self.filter.holders(addr) & !(1 << core)) {
             // Probe L1 before L2: when both hold dirty copies, the L1
             // copy is the newer one and must win.
             let caches = &mut self.private[other];
             if invalidate {
-                for cache in caches {
-                    if let Some(e) = cache.invalidate(addr) {
+                for level in 0..PRIVATE {
+                    if let Some(e) = self.invalidate_private(other, level, addr) {
                         if e.dirty && dirty_data.is_none() {
                             dirty_data = Some(e.value);
                         }
@@ -317,8 +431,9 @@ impl Hierarchy {
                 // elsewhere — including this core's own L2 — must go, or
                 // a later probe could observe old data.
                 let _ = self.snoop(core, addr, true);
-                for level in 1..LATENCIES.len() {
-                    self.cache(core, level).invalidate(addr);
+                self.invalidate_private(core, 1, addr);
+                for cache in &mut self.shared {
+                    cache.invalidate(addr);
                 }
                 latency += LATENCIES[0];
                 // Write-allocating a non-resident line consumes fill
@@ -420,7 +535,8 @@ impl Hierarchy {
     pub fn invalidate_line(&mut self, addr: BlockAddr) -> Option<(Line, bool)> {
         // The first dirty copy is the newest, else the first copy. The
         // private caches hold the newest versions (L1 before L2, as L1
-        // is newer when both are dirty), so they are probed first.
+        // is newer when both are dirty), so they are probed first, and
+        // only those of the cores that hold a line of the page.
         let mut newest: Option<(Line, bool)> = None;
         let mut keep = |removed: Option<Entry<Line>>| {
             if let Some(e) = removed {
@@ -429,7 +545,12 @@ impl Hierarchy {
                 }
             }
         };
-        for cache in self.private.iter_mut().flatten().chain(&mut self.shared) {
+        for core in cores_in(self.filter.holders(addr)) {
+            for level in 0..PRIVATE {
+                keep(self.invalidate_private(core, level, addr));
+            }
+        }
+        for cache in &mut self.shared {
             keep(cache.invalidate(addr));
         }
         newest
@@ -454,6 +575,7 @@ impl Hierarchy {
     /// Flushes every dirty line out of the hierarchy (crash/shutdown).
     /// Returns the lines to write back, deepest copies last.
     pub fn flush_all(&mut self) -> Vec<(BlockAddr, Line)> {
+        self.filter.clear();
         let caches = self.private.iter_mut().flatten().chain(&mut self.shared);
         caches
             .flat_map(|cache| cache.drain())
@@ -486,12 +608,6 @@ impl Hierarchy {
         for cache in self.private.iter_mut().flatten().chain(&mut self.shared) {
             cache.reset_stats();
         }
-    }
-
-    /// Whether any cache holds `addr` (for tests).
-    pub fn holds(&self, addr: BlockAddr) -> bool {
-        let mut caches = self.shared.iter().chain(self.private.iter().flatten());
-        caches.any(|c| c.contains(addr))
     }
 }
 
@@ -582,7 +698,7 @@ mod tests {
         let (data, dirty) = h.invalidate_line(a(5)).unwrap();
         assert!(dirty);
         assert_eq!(data, line(5));
-        assert!(!h.holds(a(5)));
+        assert_eq!(lines_held(&h, a(5).page()), [0, 0]);
         assert!(h.invalidate_line(a(5)).is_none());
     }
 
@@ -596,7 +712,8 @@ mod tests {
         h.fill(0, page.block_addr(9), line(3), false);
         let dirty = h.invalidate_page(page);
         assert_eq!(dirty.len(), 2);
-        assert!(!h.holds(page.block_addr(9)));
+        assert_eq!(lines_held(&h, page), [0, 0]);
+        assert!(h.invalidate_line(page.block_addr(9)).is_none());
     }
 
     #[test]
@@ -683,6 +800,24 @@ mod tests {
             }
         }
         h
+    }
+
+    /// Each core's count of `page`'s lines in its L1 and L2, recomputed
+    /// from their tags: what the snoop filter must hold.
+    fn lines_held(h: &Hierarchy, page: PageId) -> Vec<u8> {
+        let held = |c: &SetAssocCache<Line>| page.blocks().filter(|&a| c.contains(a)).count();
+        let per_core = h.private.iter().map(|caches| caches.iter().map(held).sum());
+        per_core.map(|n: usize| n as u8).collect()
+    }
+
+    /// The snoop filter is exact: every core's count for each of `pages`
+    /// equals the lines of the page its L1 and L2 hold.
+    fn assert_filter_exact(h: &Hierarchy, pages: impl IntoIterator<Item = PageId>) {
+        for page in pages {
+            let counts = h.filter.counts(page.block_addr(0));
+            let counts = counts.map_or_else(|| vec![0; h.cores()], <[u8]>::to_vec);
+            assert_eq!(counts, lines_held(h, page), "filter counts of {page:?}");
+        }
     }
 
     /// The single-writer invariant `snoop` relies on: for each of the
@@ -787,6 +922,7 @@ mod tests {
                 memory.insert(a.raw(), *d);
             }
             assert_single_writer(&h, 256);
+            assert_filter_exact(&h, (0..4).map(PageId::new));
         }
         let stats = [Level::L1, Level::L2, Level::L3, Level::L4].map(|level| {
             let s = h.level_stats(level).cache;
@@ -812,6 +948,58 @@ mod tests {
             (stream.len(), fold(&stream)),
             (18_653, 0x82A7_4A68_1F0A_1397)
         );
+    }
+
+    /// The snoop filter stays exact on 16 cores, over a seeded mix shaped
+    /// like `hierarchy_coherence`'s 16-core case. The 16 lines straddle
+    /// the last two pages of a filter block, so core 15's count of the
+    /// second is the block's last byte and a count at the wrong stride
+    /// lands on the other page's. Half the runs use the second block,
+    /// behind an unallocated first one.
+    #[test]
+    fn snoop_filter_stays_exact_on_16_cores() {
+        for seed in 0..32 {
+            let mut h = Hierarchy::new(&HierarchyConfig {
+                cores: 16,
+                l1_size: 4 * LINE_SIZE * 2,
+                l2_size: 8 * LINE_SIZE * 2,
+                l3_size: 16 * LINE_SIZE * 2,
+                l4_size: 32 * LINE_SIZE * 2,
+                ways: 2,
+            })
+            .unwrap();
+            let first = PageId::new((1 + seed % 2) * FILTER_PAGES - 2);
+            let pages = [first, PageId::new(first.raw() + 1)];
+            let lines: Vec<BlockAddr> = (56..64)
+                .map(|b| pages[0].block_addr(b))
+                .chain((0..8).map(|b| pages[1].block_addr(b)))
+                .collect();
+            let mut rng = ss_common::DetRng::new(0x5F_11E0 + seed);
+            for _ in 0..240 {
+                let core = rng.below(16) as usize;
+                let addr = lines[rng.below(16) as usize];
+                // Full-line writes, reads, partial stores, then rarer
+                // line invalidations and flushes.
+                match [0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 4][rng.below(16) as usize] {
+                    0 => {
+                        h.access(core, AccessKind::WriteLineNoFetch(line(1)), addr);
+                    }
+                    op @ (1 | 2) => {
+                        let kind = [AccessKind::Read, AccessKind::WritePartial][op - 1];
+                        if h.access(core, kind, addr).needs_fetch {
+                            h.fill(core, addr, line(0), op == 2);
+                        }
+                    }
+                    3 => {
+                        h.invalidate_line(addr);
+                    }
+                    _ => {
+                        h.flush_all();
+                    }
+                }
+                assert_filter_exact(&h, pages);
+            }
+        }
     }
 
     #[test]

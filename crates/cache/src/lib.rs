@@ -9,8 +9,9 @@
 //!   for every level *and* reused by the memory controller's counter cache.
 //!   Its sets are flat arrays of tags and recency ranks.
 //! * [`hierarchy`] — the multi-core hierarchy with snoops of the other
-//!   cores' private caches, dirty-data forwarding, eviction cascades and
-//!   page invalidation (the operation a shred command triggers, Fig. 6
+//!   cores' private caches (only those that hold a line of the page, by an
+//!   exact per-page snoop filter), dirty-data forwarding, eviction cascades
+//!   and page invalidation (the operation a shred command triggers, Fig. 6
 //!   step 2).
 //!
 //! # Examples
@@ -33,4 +34,4 @@ pub mod hierarchy;
 pub mod set_assoc;
 
 pub use hierarchy::{AccessKind, AccessResult, Hierarchy, HierarchyConfig, Level, LevelStats};
-pub use set_assoc::{CacheConfig, CacheStats, Entry, Evicted, SetAssocCache};
+pub use set_assoc::{CacheConfig, CacheStats, Entry, Evicted, Inserted, SetAssocCache};

@@ -95,6 +95,16 @@ pub struct Evicted<V> {
     pub value: V,
 }
 
+/// What [`SetAssocCache::insert`] did.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Inserted<V> {
+    /// The line was not resident before: it took a slot. `false` when
+    /// an overwrite replaced a resident line's payload.
+    pub new: bool,
+    /// The LRU entry the new line displaced from a full set.
+    pub victim: Option<Evicted<V>>,
+}
+
 /// Hit/miss/eviction counters for one cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
@@ -252,20 +262,32 @@ impl<V> SetAssocCache<V> {
         self.entries[self.find(addr).1?].as_ref()
     }
 
-    /// Inserts (or overwrites) `addr` as MRU. Returns the LRU victim when
-    /// the set was full.
+    /// Inserts (or overwrites) `addr` as MRU. Reports whether the line is
+    /// new, and the LRU victim when the set was full.
     ///
     /// If the line is already resident its payload is replaced and `dirty`
     /// is ORed in; no eviction happens.
-    pub fn insert(&mut self, addr: BlockAddr, value: V, dirty: bool) -> Option<Evicted<V>> {
+    pub fn insert(&mut self, addr: BlockAddr, value: V, dirty: bool) -> Inserted<V> {
         let (set, slot) = self.find(addr);
         if let Some(slot) = slot {
             if let Some(entry) = self.promote(set, slot) {
                 entry.value = value;
                 entry.dirty |= dirty;
             }
-            return None;
+            return Inserted {
+                new: false,
+                victim: None,
+            };
         }
+        Inserted {
+            new: true,
+            victim: self.fill(set, addr, value, dirty),
+        }
+    }
+
+    /// Puts the non-resident `addr` into `set` as MRU, and returns the
+    /// victim when the set was full.
+    fn fill(&mut self, set: usize, addr: BlockAddr, value: V, dirty: bool) -> Option<Evicted<V>> {
         let entry = Some(Entry { addr, dirty, value });
         let slots = self.slots(set);
         let len = slots.len();
@@ -376,7 +398,7 @@ mod reference {
 
     use ss_common::{BlockAddr, LINE_SIZE};
 
-    use super::{CacheConfig, CacheStats, Entry, Evicted};
+    use super::{CacheConfig, CacheStats, Entry, Evicted, Inserted};
 
     pub(super) struct DequeCache<V> {
         ways: usize,
@@ -422,36 +444,34 @@ mod reference {
             self.sets[set].iter().find(|e| e.addr == addr)
         }
 
-        pub(super) fn insert(
-            &mut self,
-            addr: BlockAddr,
-            value: V,
-            dirty: bool,
-        ) -> Option<Evicted<V>> {
+        pub(super) fn insert(&mut self, addr: BlockAddr, value: V, dirty: bool) -> Inserted<V> {
             let (set, pos) = self.position(addr);
-            if let Some(i) = pos {
-                let mut entry = self.sets[set].remove(i)?;
+            if let Some(mut entry) = pos.and_then(|i| self.sets[set].remove(i)) {
                 entry.value = value;
                 entry.dirty |= dirty;
                 self.sets[set].push_front(entry);
-                return None;
+                return Inserted {
+                    new: false,
+                    victim: None,
+                };
             }
             let victim = if self.sets[set].len() >= self.ways {
-                let v = self.sets[set].pop_back()?;
-                self.stats.evictions.inc();
-                if v.dirty {
-                    self.stats.dirty_evictions.inc();
-                }
-                Some(Evicted {
-                    addr: v.addr,
-                    dirty: v.dirty,
-                    value: v.value,
+                self.sets[set].pop_back().map(|v| {
+                    self.stats.evictions.inc();
+                    if v.dirty {
+                        self.stats.dirty_evictions.inc();
+                    }
+                    Evicted {
+                        addr: v.addr,
+                        dirty: v.dirty,
+                        value: v.value,
+                    }
                 })
             } else {
                 None
             };
             self.sets[set].push_front(Entry { addr, dirty, value });
-            victim
+            Inserted { new: true, victim }
         }
 
         pub(super) fn invalidate(&mut self, addr: BlockAddr) -> Option<Entry<V>> {
@@ -519,7 +539,7 @@ mod tests {
         c.insert(a(0), 10, false);
         c.insert(a(1), 11, false);
         c.get(a(0)); // 0 is now MRU
-        let evicted = c.insert(a(2), 12, false).expect("set full");
+        let evicted = c.insert(a(2), 12, false).victim.expect("set full");
         assert_eq!(evicted.addr, a(1));
         assert!(c.contains(a(0)));
         assert!(c.contains(a(2)));
@@ -536,7 +556,7 @@ mod tests {
         assert_eq!((e.addr, e.dirty, e.value), (a(0), true, 10));
         assert!(c.peek(a(2)).is_none());
         assert_eq!(*c.stats(), stats);
-        let evicted = c.insert(a(2), 12, false).expect("set full");
+        let evicted = c.insert(a(2), 12, false).victim.expect("set full");
         assert_eq!(evicted.addr, a(0));
     }
 
@@ -544,7 +564,7 @@ mod tests {
     fn dirty_eviction_reported() {
         let mut c = cache(1, 1);
         c.insert(a(0), 5, true);
-        let e = c.insert(a(1), 6, false).unwrap();
+        let e = c.insert(a(1), 6, false).victim.unwrap();
         assert!(e.dirty);
         assert_eq!(e.value, 5);
         assert_eq!(c.stats().dirty_evictions.get(), 1);
@@ -553,8 +573,14 @@ mod tests {
     #[test]
     fn reinsert_merges_dirty_without_eviction() {
         let mut c = cache(1, 1);
-        c.insert(a(0), 1, false);
-        assert!(c.insert(a(0), 2, true).is_none());
+        assert!(c.insert(a(0), 1, false).new);
+        assert_eq!(
+            c.insert(a(0), 2, true),
+            Inserted {
+                new: false,
+                victim: None
+            }
+        );
         let e = c.get(a(0)).unwrap();
         assert!(e.dirty);
         assert_eq!(e.value, 2);
@@ -576,7 +602,7 @@ mod tests {
         let mut c = cache(8, 2); // 4 sets
                                  // Fill lines mapping to different sets; no evictions should occur.
         for i in 0..8 {
-            assert!(c.insert(a(i), i, false).is_none());
+            assert!(c.insert(a(i), i, false).victim.is_none());
         }
         assert_eq!(c.len(), 8);
     }
@@ -603,6 +629,7 @@ mod tests {
             let mut flat: SetAssocCache<u64> = SetAssocCache::new(config.clone());
             let mut oracle = reference::DequeCache::new(&config);
             let mut rng = ss_common::DetRng::new(0x5E7_A550C + entries);
+            let mut overwrites = 0;
             for step in 0..10_000 {
                 // Half the lines from a window half the cache's size, so
                 // lines hit and re-rank; half from three times its size,
@@ -639,11 +666,9 @@ mod tests {
                     ),
                     4500..=7499 => {
                         let dirty = value.is_multiple_of(2);
-                        assert_eq!(
-                            flat.insert(addr, value, dirty),
-                            oracle.insert(addr, value, dirty),
-                            "insert: {what}"
-                        );
+                        let want = oracle.insert(addr, value, dirty);
+                        overwrites += u32::from(!want.new);
+                        assert_eq!(flat.insert(addr, value, dirty), want, "insert: {what}");
                     }
                     7500..=8499 => assert_eq!(
                         flat.invalidate(addr),
@@ -658,10 +683,11 @@ mod tests {
                 assert_eq!(flat.len(), oracle.len(), "len: {what}");
             }
             assert_eq!(flat.drain(), oracle.drain());
-            // Every path was taken: hits, misses, evictions of dirty
-            // lines and invalidations.
+            // Every path was taken: hits, misses, overwrites, evictions
+            // of dirty lines and invalidations.
             let st = oracle.stats;
             assert!(st.hits.get() > 0 && st.misses.get() > 0, "{st:?}");
+            assert!(overwrites > 0, "no insert overwrote a resident line");
             assert!(
                 st.dirty_evictions.get() > 0 && st.invalidations.get() > 0,
                 "{st:?}"

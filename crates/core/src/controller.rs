@@ -504,7 +504,8 @@ impl MemoryController {
         }
         let victim = self
             .counter_cache
-            .insert(caddr, ctrs, dirty && !write_through);
+            .insert(caddr, ctrs, dirty && !write_through)
+            .victim;
         if let Some(v) = victim {
             if v.dirty {
                 // A dirty victim's data lines are already durable: its
